@@ -10,8 +10,11 @@ use privpath_graph::dijkstra::dijkstra;
 use privpath_graph::gen::{road_like, RoadGenConfig};
 use privpath_graph::landmark::Landmarks;
 use privpath_partition::{compute_borders, partition_packed, partition_plain};
+use privpath_pir::scan::{shard_count, Sweep, MIN_SHARD_PAGES};
 use privpath_pir::{LinearScanStore, ObliviousStore, Prp, ShuffledStore};
-use privpath_storage::{crc32, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, DEFAULT_PAGE_SIZE};
+use privpath_storage::{
+    crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, DEFAULT_PAGE_SIZE,
+};
 use std::sync::Arc;
 
 fn net(nodes: usize) -> privpath_graph::network::RoadNetwork {
@@ -273,6 +276,13 @@ fn bench_linear_scan_round(c: &mut Criterion) {
 /// adversarial-server timing model) at rough parity, not extra speed.
 /// Both paths are observably identical (answers and `0..N` physical log),
 /// as the differential tests in `pir::backend` prove.
+///
+/// The `lanes/mmap+crc` rows are what snapshot serving runs: the mapped
+/// driver under the per-page checksum, where the sweep is bound by CRC
+/// compute and not by memory, on a file large enough to shard (4 ×
+/// `MIN_SHARD_PAGES`, 32 MiB). `x1` is the one-shard plan, `xS` the plan a
+/// store on this host gets (`shard_count`; absent on one CPU), both given
+/// explicitly to `pir::scan::Sweep`.
 fn bench_scan_kernel(c: &mut Criterion) {
     let pages = 1024u32;
     let round = 8u32;
@@ -307,6 +317,33 @@ fn bench_scan_kernel(c: &mut Criterion) {
             let mut store = LinearScanStore::from_driver(Arc::clone(driver));
             let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); requests.len()];
             b.iter(|| store.fetch_batch(&requests, &mut out).unwrap());
+        });
+    }
+
+    let big_pages = 4 * MIN_SHARD_PAGES as u32;
+    let big = make_file(big_pages);
+    let big_path = dir.join("scan-big.bin");
+    big.persist(&big_path).expect("persist bench file");
+    let crcs: Vec<u32> = (0..big_pages)
+        .map(|p| crc32(big.page(p).expect("page")))
+        .collect();
+    drop(big);
+    let mapped = MmapFile::open(&big_path, DEFAULT_PAGE_SIZE).expect("open mmap");
+    let checked = ChecksumFile::new("scan-big", Arc::new(mapped), crcs);
+    let big_requests: Vec<u32> = (0..round).map(|i| (i * 1031 + 5) % big_pages).collect();
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_shards = shard_count(big_pages, cpus);
+    let plans = if host_shards > 1 {
+        vec![1, host_shards]
+    } else {
+        vec![1]
+    };
+    for shards in plans {
+        let id = BenchmarkId::new("lanes", format!("mmap+crc/x{shards}"));
+        g.bench_with_input(id, &checked, |b, checked| {
+            let mut sweep = Sweep::new(big_pages, DEFAULT_PAGE_SIZE, shards);
+            let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); big_requests.len()];
+            b.iter(|| sweep.run(checked, &big_requests, &mut out).unwrap());
         });
     }
     g.finish();

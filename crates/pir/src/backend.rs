@@ -7,7 +7,7 @@
 //! nothing about the logical one.
 
 use crate::prp::Prp;
-use crate::scan::{self, ScanArena};
+use crate::scan::{self, Sweep};
 use crate::Result;
 use privpath_storage::{MemFile, PageBuf, PagedFile, StorageError};
 use std::collections::HashMap;
@@ -58,6 +58,15 @@ impl PhysicalLog {
         } else {
             self.dropped += 1;
         }
+    }
+
+    /// Records the physical reads `slots`, in order: what one
+    /// [`PhysicalLog::record`] per slot would leave.
+    pub fn record_range(&mut self, slots: std::ops::Range<u32>) {
+        let room = self.cap.saturating_sub(self.entries.len());
+        let kept = slots.len().min(room);
+        self.entries.extend(slots.start..slots.start + kept as u32);
+        self.dropped += (slots.len() - kept) as u64;
     }
 
     /// Recorded entries, oldest first.
@@ -129,9 +138,12 @@ pub trait ObliviousStore: Send {
 /// ground truth for tests and as an ablation point.
 pub struct LinearScanStore {
     file: Arc<dyn PagedFile>,
-    /// Run buffer + dummy sink for the streamed lane-select kernel, reused
-    /// across rounds so steady-state serving allocates nothing.
-    arena: ScanArena,
+    /// The sharded sweep every round runs. Its page-range plan is worked
+    /// out once, here, from the file's page count and the CPUs the process
+    /// may use ([`scan::shard_count`]): asking the system per sweep re-reads
+    /// cgroup files, which a many-round query pays a hundred times over. Its
+    /// arenas and output slots are reused across rounds.
+    sweep: Sweep,
     /// Scratch page for the PR 3 reference path
     /// ([`LinearScanStore::fetch_batch_reference`]).
     scratch: PageBuf,
@@ -148,10 +160,19 @@ impl LinearScanStore {
     /// sweeps the driver front to back, so obliviousness (a full `0..N`
     /// physical pass per round) is driver-invariant by construction.
     pub fn from_driver(file: Arc<dyn PagedFile>) -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let shards = scan::shard_count(file.num_pages(), cpus);
+        Self::with_shards(file, shards)
+    }
+
+    /// [`LinearScanStore::from_driver`] with the shard count given instead of
+    /// worked out from the host: how the differential tests hold every plan
+    /// to the one-shard pass on files too small to be sharded by themselves.
+    pub(crate) fn with_shards(file: Arc<dyn PagedFile>, shards: usize) -> Self {
         let page_size = file.page_size();
         LinearScanStore {
+            sweep: Sweep::new(file.num_pages(), page_size, shards),
             file,
-            arena: ScanArena::new(page_size),
             scratch: PageBuf::zeroed(page_size),
             log: PhysicalLog::default(),
         }
@@ -163,6 +184,12 @@ impl LinearScanStore {
     pub fn with_log_cap(mut self, cap: usize) -> Self {
         self.log = PhysicalLog::bounded(cap);
         self
+    }
+
+    /// The store's sweep: its page-range plan and how many pages each range
+    /// has swept — both independent of what was requested.
+    pub fn sweep(&self) -> &Sweep {
+        &self.sweep
     }
 
     /// Validates that every requested page exists, so a bad request fails
@@ -212,16 +239,10 @@ impl ObliviousStore for LinearScanStore {
         self.file.num_pages()
     }
 
+    /// The single fetch is the k = 1 batch: same sweep, same full `0..N` log.
     fn fetch(&mut self, page: u32) -> Result<PageBuf> {
-        self.check_requests(&[page])?;
-        // The single fetch is the k = 1 batch: same streamed scan, same
-        // full `0..N` log, and the store scratch is reused instead of the
-        // old path's fresh allocation per scanned page.
         let mut out = [PageBuf::zeroed(self.file.page_size())];
-        let LinearScanStore {
-            file, arena, log, ..
-        } = self;
-        scan::scan_resolve(&**file, &[(page, 0)], &mut out, arena, |p| log.record(p))?;
+        self.fetch_batch(&[page], &mut out)?;
         let [buf] = out;
         Ok(buf)
     }
@@ -231,21 +252,25 @@ impl ObliviousStore for LinearScanStore {
     /// The host still observes a full scan (obliviousness is untouched — the
     /// physical sequence is `0..N` regardless of the requested pages), it
     /// just observes *one* scan per round rather than one per page. The pass
-    /// itself is the streamed lane-select kernel of [`crate::scan`]: runs of
-    /// pages per driver call, constant branchless work per page.
+    /// itself is the sharded sweep of [`crate::scan`]: runs of pages per
+    /// driver call, constant branchless work per page, one page range per
+    /// CPU on files large enough to share out. The ranges run concurrently
+    /// and are logged as the front-to-back pass they add up to; a sweep
+    /// that fails logs what a front-to-back pass stopping on the same run
+    /// would have.
     fn fetch_batch(&mut self, pages: &[u32], out: &mut [PageBuf]) -> Result<()> {
         assert_eq!(pages.len(), out.len(), "batch output length mismatch");
         self.check_requests(pages)?;
         if pages.is_empty() {
             return Ok(());
         }
-        // requested pages sorted so the single scan can satisfy them in order
-        let mut wanted: Vec<(u32, usize)> = pages.iter().copied().zip(0..).collect();
-        wanted.sort_unstable();
-        let LinearScanStore {
-            file, arena, log, ..
-        } = self;
-        scan::scan_resolve(&**file, &wanted, out, arena, |p| log.record(p))
+        let res = self.sweep.run(&*self.file, pages, out);
+        let swept_to = match &res {
+            Ok(()) => self.file.num_pages(),
+            Err(stop) => stop.at,
+        };
+        self.log.record_range(0..swept_to);
+        res.map_err(|stop| stop.error)
     }
 
     fn physical_log(&self) -> &[u32] {
@@ -572,6 +597,178 @@ mod tests {
             assert_eq!(kernel.physical_log(), reference.physical_log());
         }
         assert!(kernel.log_overflow().is_none());
+    }
+
+    /// `inner` under the per-page checksum guard snapshot serving installs.
+    fn guard(inner: Arc<dyn PagedFile>, crcs: Vec<u32>) -> Arc<dyn PagedFile> {
+        Arc::new(privpath_storage::ChecksumFile::new("Fi", inner, crcs))
+    }
+
+    /// `pages` tagged pages of `ps` bytes, and their CRC table.
+    fn small_pages(pages: u32, ps: usize) -> (MemFile, Vec<u32>) {
+        let mut f = MemFile::empty(ps);
+        for p in 0..pages {
+            let mut page = PageBuf::zeroed(ps);
+            page.as_mut_slice()[..4].copy_from_slice(&p.to_le_bytes());
+            page.as_mut_slice()[4] = (p * 7 % 251) as u8;
+            f.push_page(page);
+        }
+        let crcs = (0..pages)
+            .map(|p| privpath_storage::crc32(f.page(p).unwrap()))
+            .collect();
+        (f, crcs)
+    }
+
+    #[test]
+    fn store_built_for_the_host_shards_large_files() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cpus < 2 {
+            println!("note: 1 CPU available, the host plan is one shard; skipped");
+            return;
+        }
+        let pages = 2 * scan::MIN_SHARD_PAGES as u32 + 100;
+        let (file, crcs) = small_pages(pages, 16);
+        let guarded = guard(Arc::new(file), crcs);
+        let mut host = LinearScanStore::from_driver(Arc::clone(&guarded));
+        let mut one = LinearScanStore::with_shards(Arc::clone(&guarded), 1);
+        let mut reference = LinearScanStore::from_driver(guarded);
+        assert_eq!(
+            host.sweep().shard_ranges().count(),
+            2,
+            "{cpus} CPUs, {pages} pages"
+        );
+        assert_eq!(one.sweep().shard_ranges().count(), 1);
+
+        let cut = host.sweep().shard_ranges().next().unwrap().end;
+        let reqs = [pages - 1, 0, cut, cut - 1, 17, cut, pages - 1];
+        let mut a = vec![PageBuf::zeroed(16); reqs.len()];
+        let mut b = a.clone();
+        let mut c = a.clone();
+        for round in 0..3 {
+            host.fetch_batch(&reqs, &mut a).unwrap();
+            one.fetch_batch(&reqs, &mut b).unwrap();
+            reference.fetch_batch_reference(&reqs, &mut c).unwrap();
+            assert_eq!(a, b, "round {round}");
+            assert_eq!(a, c, "round {round}");
+        }
+        assert_eq!(page_tag(&a[0]), pages - 1);
+        assert_eq!(host.physical_log(), one.physical_log());
+        assert_eq!(host.physical_log(), reference.physical_log());
+        let swept: Vec<u64> = host.sweep().shard_pages_swept().collect();
+        assert_eq!(swept, [3 * u64::from(cut), 3 * u64::from(pages - cut)]);
+    }
+
+    #[test]
+    fn corrupt_page_fails_every_plan_like_one_shard() {
+        // 7 runs and a partial one; three ranges of 2-3 runs each
+        let pages = 7 * scan::RUN_PAGES as u32 + 9;
+        let (clean, crcs) = small_pages(pages, 32);
+        let ranges: Vec<_> = scan::Sweep::new(pages, 32, 3).shard_ranges().collect();
+        assert_eq!(ranges.len(), 3);
+        let victim = |r: &std::ops::Range<u32>| r.start + (r.end - r.start) / 2 + 1;
+        // a flipped bit in each range in turn, then in two ranges at once
+        let mut cases: Vec<Vec<u32>> = ranges.iter().map(|r| vec![victim(r)]).collect();
+        cases.push(vec![victim(&ranges[2]), victim(&ranges[1])]);
+        for bad in cases {
+            let mut bytes = clean.contiguous().unwrap().to_vec();
+            for &p in &bad {
+                bytes[p as usize * 32 + 9] ^= 0x40;
+            }
+            let rotten = guard(Arc::new(MemFile::from_bytes(&bytes, 32)), crcs.clone());
+            let lowest = *bad.iter().min().unwrap();
+            let reqs = [pages - 1, 3, lowest];
+            let mut outcomes = Vec::new();
+            for shards in [1usize, 2, 3, 7] {
+                let mut store = LinearScanStore::with_shards(Arc::clone(&rotten), shards);
+                let mut out = vec![PageBuf::zeroed(32); reqs.len()];
+                let err = store.fetch_batch(&reqs, &mut out).unwrap_err();
+                match &err {
+                    crate::PirError::Storage(StorageError::PageCorrupt {
+                        file,
+                        page,
+                        expected,
+                        actual,
+                    }) => {
+                        assert_eq!((file.as_str(), *page), ("Fi", lowest), "x{shards}");
+                        assert_eq!(*expected, crcs[lowest as usize]);
+                        assert_ne!(actual, expected);
+                    }
+                    other => panic!("want PageCorrupt, got {other}"),
+                }
+                assert!(out.iter().all(|b| b.as_slice().iter().all(|&x| x == 0)));
+                // what a front-to-back pass logs: every run before the bad one
+                let run_start = lowest - lowest % scan::RUN_PAGES as u32;
+                assert_eq!(
+                    store.physical_log(),
+                    &(0..run_start).collect::<Vec<_>>()[..],
+                    "x{shards}"
+                );
+                outcomes.push(err.to_string());
+            }
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
+        }
+    }
+
+    #[test]
+    fn shard_panic_resurfaces_on_the_calling_thread() {
+        /// Panics on any read that touches `bad`.
+        struct PanicFile(MemFile, u32);
+        impl PagedFile for PanicFile {
+            fn num_pages(&self) -> u32 {
+                self.0.num_pages()
+            }
+            fn page_size(&self) -> usize {
+                self.0.page_size()
+            }
+            fn read_page(&self, page: u32) -> privpath_storage::Result<PageBuf> {
+                assert_ne!(page, self.1, "sabotaged page");
+                self.0.read_page(page)
+            }
+        }
+        let pages = 4 * scan::RUN_PAGES as u32;
+        for (shards, bad) in [(1usize, 10u32), (4, 10), (4, pages - 1)] {
+            let file = PanicFile(small_pages(pages, 16).0, bad);
+            let mut store = LinearScanStore::with_shards(Arc::new(file), shards);
+            let mut out = vec![PageBuf::zeroed(16)];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.fetch_batch(&[3], &mut out)
+            }));
+            let payload = caught.expect_err("the shard's panic must reach the caller");
+            let msg = payload.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("sabotaged page"), "x{shards}: {msg}");
+        }
+    }
+
+    #[test]
+    fn flaky_disk_under_a_sharded_sweep_recovers_bit_exact() {
+        use crate::chaos::{DiskFaultPlan, FaultyDisk};
+        let pages = 5 * scan::RUN_PAGES as u32 + 3;
+        let (clean, crcs) = small_pages(pages, 16);
+        let plan = DiskFaultPlan {
+            transient_per_mille: 4,
+            max_faults: 12,
+            ..DiskFaultPlan::clean(0xf1a_5a4d)
+        };
+        let faulty = Arc::new(FaultyDisk::new(Arc::new(clean.clone()), plan));
+        let mut store = LinearScanStore::with_shards(guard(faulty.clone(), crcs), 3);
+        let mut failed = 0u32;
+        for round in 0..40u32 {
+            let reqs = [(round * 7 + 1) % pages, (round * 131 + 5) % pages];
+            let mut out = vec![PageBuf::zeroed(16); 2];
+            // the injector rolls by call order, which the threads interleave:
+            // which page fails is not fixed, what a failure is and that a
+            // retry of the same round recovers are
+            while let Err(e) = store.fetch_batch(&reqs, &mut out) {
+                assert!(e.is_transient_storage(), "round {round}: {e}");
+                failed += 1;
+                assert!(failed <= 12, "more failures than the fault budget");
+            }
+            for (buf, &p) in out.iter().zip(&reqs) {
+                assert_eq!(buf.as_slice(), clean.page(p).unwrap(), "round {round}");
+            }
+        }
+        assert!(failed > 0, "the flaky plan actually fired");
+        assert!(faulty.faults_injected() >= u64::from(failed));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   check obliviousness;
 //! * [`scan`] — the vectorized linear-scan kernel: multi-page run streaming
 //!   through a reusable arena plus a branchless `u64`-lane masked select
-//!   with constant work per page;
+//!   with constant work per page, and the sharded [`scan::Sweep`] that
+//!   runs one pass per page range on scoped threads;
 //! * [`fault`] — a fault-injecting wrapper (extension beyond the paper's
 //!   honest-but-curious adversary);
 //! * [`trace`] — the adversary-observable access trace (which file was

@@ -10,7 +10,7 @@ use crate::checksum::crc32;
 use crate::error::StorageError;
 use crate::page::PageBuf;
 use crate::Result;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -301,25 +301,18 @@ impl PagedFile for MemFile {
 /// Disk-backed paged file (read-only), for databases persisted with
 /// [`MemFile::persist`] or embedded in a snapshot (a page window at a byte
 /// offset inside a larger container file).
+///
+/// On Unix every read is one positioned `pread`: no shared cursor, so the
+/// concurrent page-range passes of a sharded sweep do not serialize on the
+/// handle. Elsewhere reads seek and read under a lock.
 pub struct DiskFile {
-    file: parking_lot_free::Mutex<std::fs::File>,
+    #[cfg(unix)]
+    file: std::fs::File,
+    #[cfg(not(unix))]
+    file: std::sync::Mutex<std::fs::File>,
     byte_offset: u64,
     num_pages: u32,
     page_size: usize,
-}
-
-// Tiny shim so this crate stays dependency-free: std Mutex with the same call
-// shape we use from parking_lot elsewhere.
-mod parking_lot_free {
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(std::sync::Mutex::new(v))
-        }
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().unwrap_or_else(|e| e.into_inner())
-        }
-    }
 }
 
 impl DiskFile {
@@ -335,12 +328,8 @@ impl DiskFile {
                 "file length {len} is not a multiple of page size {page_size}"
             )));
         }
-        Ok(DiskFile {
-            file: parking_lot_free::Mutex::new(file),
-            byte_offset: 0,
-            num_pages: (len / page_size as u64) as u32,
-            page_size,
-        })
+        let num_pages = (len / page_size as u64) as u32;
+        Ok(Self::window(file, 0, num_pages, page_size))
     }
 
     /// Opens a window of `num_pages` pages starting `byte_offset` bytes into
@@ -370,12 +359,39 @@ impl DiskFile {
                 remaining: len as usize,
             });
         }
-        Ok(DiskFile {
-            file: parking_lot_free::Mutex::new(file),
+        Ok(Self::window(file, byte_offset, num_pages, page_size))
+    }
+
+    fn window(file: std::fs::File, byte_offset: u64, num_pages: u32, page_size: usize) -> Self {
+        DiskFile {
+            #[cfg(unix)]
+            file,
+            #[cfg(not(unix))]
+            file: std::sync::Mutex::new(file),
             byte_offset,
             num_pages,
             page_size,
-        })
+        }
+    }
+
+    /// Fills `out` from the window, starting at page `first`.
+    #[cfg(unix)]
+    fn read_at(&self, first: u32, out: &mut [u8]) -> Result<()> {
+        use std::os::unix::fs::FileExt;
+        let at = self.byte_offset + first as u64 * self.page_size as u64;
+        Ok(self.file.read_exact_at(out, at)?)
+    }
+
+    /// Fills `out` from the window, starting at page `first`.
+    #[cfg(not(unix))]
+    fn read_at(&self, first: u32, out: &mut [u8]) -> Result<()> {
+        use std::io::{Read, Seek, SeekFrom};
+        let at = self.byte_offset + first as u64 * self.page_size as u64;
+        // a reader that panicked mid-read leaves only a stale cursor, which
+        // the seek below replaces
+        let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        f.seek(SeekFrom::Start(at))?;
+        Ok(f.read_exact(out)?)
     }
 }
 
@@ -396,23 +412,13 @@ impl PagedFile for DiskFile {
 
     fn read_page_into(&self, page: u32, out: &mut PageBuf) -> Result<()> {
         assert_eq!(out.len(), self.page_size, "page buffer size mismatch");
-        if page >= self.num_pages {
-            return Err(StorageError::PageOutOfRange {
-                page,
-                pages: self.num_pages,
-            });
-        }
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(
-            self.byte_offset + page as u64 * self.page_size as u64,
-        ))?;
-        f.read_exact(out.as_mut_slice())?;
-        Ok(())
+        check_run(page, 1, self.num_pages)?;
+        self.read_at(page, out.as_mut_slice())
     }
 
     /// One positioned read serves the whole run — the syscall batching the
-    /// linear-scan kernel's streaming pass is built on (one seek+read per
-    /// 64-page run instead of one per page).
+    /// linear-scan kernel's streaming pass is built on (one read per 64-page
+    /// run instead of one per page).
     fn read_run_into(&self, first: u32, out: &mut [u8]) -> Result<()> {
         assert_eq!(
             out.len() % self.page_size,
@@ -424,12 +430,7 @@ impl PagedFile for DiskFile {
         }
         let count = (out.len() / self.page_size) as u32;
         check_run(first, count, self.num_pages)?;
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(
-            self.byte_offset + first as u64 * self.page_size as u64,
-        ))?;
-        f.read_exact(out)?;
-        Ok(())
+        self.read_at(first, out)
     }
 }
 

@@ -8,7 +8,8 @@
 //! `ChecksumFile`-wrapped forms, for single pages, page-into reads, and
 //! runs of every alignment (run boundaries, the zero-length run, and the
 //! partial run ending exactly at the last page), with identical typed
-//! errors past the end.
+//! errors past the end — and for several threads reading one handle at once,
+//! as the page-range passes of a sharded sweep do.
 
 use privpath_storage::{
     crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, StorageError,
@@ -140,6 +141,52 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Concurrent readers of one driver each get the bytes a lone reader gets:
+/// disjoint runs (the shards of one sweep) and overlapping ones (two sweeps
+/// of one file), bare and checksum-wrapped. `DiskFile` is the driver with
+/// something to lose here — a shared cursor would hand a thread another
+/// thread's bytes — so it reads by position.
+#[test]
+fn concurrent_readers_get_the_bytes_a_lone_reader_gets() {
+    const THREADS: u32 = 4;
+    const PAGE: usize = 64;
+    let pages = THREADS * 40 + 3;
+    let bytes: Vec<u8> = (0..pages as usize * PAGE)
+        .map(|i| (i * 131 % 251) as u8)
+        .collect();
+    let dir = temp_dir("concurrent");
+    for (name, f) in drivers(&dir, &bytes, PAGE) {
+        // no thread starts reading before all of them can
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (f, bytes, start) = (&f, &bytes, &start);
+                scope.spawn(move || {
+                    let own = t * 40..(t + 1) * 40;
+                    // straddles this thread's range and both neighbours'
+                    let shared = own.start.saturating_sub(20)..(own.end + 20).min(pages);
+                    let mut run = vec![0u8; 80 * PAGE];
+                    let mut page = PageBuf::zeroed(PAGE);
+                    start.wait();
+                    for _ in 0..50 {
+                        for r in [own.clone(), shared.clone(), 0..pages.min(80)] {
+                            let want = &bytes[r.start as usize * PAGE..r.end as usize * PAGE];
+                            let got = &mut run[..want.len()];
+                            f.read_run_into(r.start, got).unwrap();
+                            assert_eq!(got, want, "{name}: thread {t} run {r:?}");
+                        }
+                        let p = own.start + 7;
+                        f.read_page_into(p, &mut page).unwrap();
+                        let at = p as usize * PAGE;
+                        assert_eq!(page.as_slice(), &bytes[at..at + PAGE], "{name}: page {p}");
+                    }
+                });
+            }
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The checksum wrapper never exposes raw bytes, whatever the inner driver.

@@ -72,9 +72,13 @@ fn cfg_small() -> BuildConfig {
 /// A tiny two-file PIR server: file 0 healthy, each page tagged with its
 /// index so correctness is checkable end to end.
 fn tagged_file(pages: u32) -> MemFile {
-    let mut f = MemFile::empty(DEFAULT_PAGE_SIZE);
+    tagged_pages(pages, DEFAULT_PAGE_SIZE)
+}
+
+fn tagged_pages(pages: u32, page_size: usize) -> MemFile {
+    let mut f = MemFile::empty(page_size);
     for p in 0..pages {
-        let mut page = PageBuf::zeroed(DEFAULT_PAGE_SIZE);
+        let mut page = PageBuf::zeroed(page_size);
         page.as_mut_slice()[..4].copy_from_slice(&p.to_le_bytes());
         f.push_page(page);
     }
@@ -306,21 +310,27 @@ fn store_panic_tears_down_only_the_offending_session() {
         Box::new(PanicStore::new(tagged_file(16), 0)),
     )
     .unwrap();
-    let srv = Arc::new(srv);
-    let front = ServerFront::spawn(Arc::clone(&srv));
+    assert_serve_panic_costs_one_session(srv);
+}
+
+/// The containment both sabotage tests assert, on a server whose file 0 is
+/// healthy (16 tagged pages) and whose file 1 panics when page 3 is served.
+fn assert_serve_panic_costs_one_session(srv: PirServer) {
+    let page_size = srv.spec().page_size;
+    let front = ServerFront::spawn(Arc::new(srv));
 
     let mut victim = front.connect().unwrap(); // session 1
     let mut healthy = front.connect().unwrap(); // session 2
     healthy.begin_query().unwrap();
-    let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE)];
+    let mut out = vec![PageBuf::zeroed(page_size)];
     healthy.serve_round(2, &[(FileId(0), 5)], &mut out).unwrap();
     assert_eq!(page_tag(&out[0]), 5);
 
-    // First fetch of the sabotaged store panics inside the handler.
+    // First fetch of the sabotaged file panics inside the handler.
     victim.begin_query().unwrap();
     let err = victim
         .serve_round(2, &[(FileId(1), 3)], &mut out)
-        .expect_err("sabotaged store must fail the round");
+        .expect_err("sabotaged file must fail the round");
     assert!(!err.is_retryable(), "a handler panic is fatal: {err}");
     assert!(
         err.to_string().contains("server error 7"),
@@ -360,9 +370,12 @@ fn store_panic_tears_down_only_the_offending_session() {
 /// [`ChecksumFile`] guard the snapshot loader installs over real disks,
 /// returning both the guarded driver and a handle to the fault injector.
 fn guarded_faulty_file(pages: u32, plan: DiskFaultPlan) -> (Arc<dyn PagedFile>, Arc<FaultyDisk>) {
-    let clean = tagged_file(pages);
-    let crcs: Vec<u32> = (0..pages)
-        .map(|p| crc32(clean.read_page(p).unwrap().as_slice()))
+    guard_faulty(tagged_file(pages), plan)
+}
+
+fn guard_faulty(clean: MemFile, plan: DiskFaultPlan) -> (Arc<dyn PagedFile>, Arc<FaultyDisk>) {
+    let crcs: Vec<u32> = (0..clean.num_pages())
+        .map(|p| crc32(clean.page(p).unwrap()))
         .collect();
     let faulty = Arc::new(FaultyDisk::new(Arc::new(clean), plan));
     let guarded: Arc<dyn PagedFile> = Arc::new(ChecksumFile::new(
@@ -499,6 +512,107 @@ fn flaky_disk_reads_are_retried_to_identical_answers() {
     refchan.close().unwrap();
     front.shutdown();
     reffront.shutdown();
+}
+
+/// A file large enough for the store to shard its sweep where the process
+/// may use two CPUs (`scan::shard_count`), in pages small enough to sweep
+/// quickly unoptimized. On one CPU the same tests run the one-shard plan.
+const SHARDED_PAGES: u32 = 2 * privpath::pir::scan::MIN_SHARD_PAGES as u32 + 100;
+const SMALL_PAGE: usize = 64;
+
+fn small_page_spec() -> SystemSpec {
+    SystemSpec {
+        page_size: SMALL_PAGE,
+        ..SystemSpec::default()
+    }
+}
+
+/// A panic inside one page-range pass of a sharded sweep — raised on a
+/// scoped thread where the file is sharded — is re-raised on the front's
+/// thread, so it costs what a [`PanicStore`] costs: the offending session,
+/// with a typed internal error, and the file (its store lock is poisoned).
+/// A bystander on another file of the same front is served before, between
+/// and after.
+#[test]
+fn panic_in_a_sweep_shard_tears_down_only_the_offending_session() {
+    /// Panics on any read of its last page: the last shard's last run.
+    struct PanicDisk(MemFile);
+    impl PagedFile for PanicDisk {
+        fn num_pages(&self) -> u32 {
+            self.0.num_pages()
+        }
+        fn page_size(&self) -> usize {
+            self.0.page_size()
+        }
+        fn read_page(&self, page: u32) -> privpath::storage::Result<PageBuf> {
+            assert_ne!(page + 1, self.0.num_pages(), "chaos: sabotaged page");
+            self.0.read_page(page)
+        }
+    }
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        println!("note: 1 CPU available, the sweep under test is one shard");
+    }
+
+    let mut srv = PirServer::new(small_page_spec());
+    srv.add_file("Fgood", tagged_pages(16, SMALL_PAGE), PirMode::LinearScan)
+        .unwrap();
+    srv.add_file_with_driver(
+        "Fbad",
+        Arc::new(PanicDisk(tagged_pages(SHARDED_PAGES, SMALL_PAGE))),
+        PirMode::LinearScan,
+    )
+    .unwrap();
+    assert_serve_panic_costs_one_session(srv);
+}
+
+/// Transient disk faults under a sharded sweep: whichever pass meets one,
+/// the round fails retryably, nothing of it is cached, and the retransmit
+/// re-runs the whole sweep, until the round is bit-identical to the clean
+/// file. Which page a fault lands on is not asserted: the injector rolls by
+/// call order, and concurrent passes interleave their calls.
+#[test]
+fn flaky_disk_under_a_sharded_sweep_is_retried_to_identical_answers() {
+    let clean = tagged_pages(SHARDED_PAGES, SMALL_PAGE);
+    // one fault per thousand page reads is about four a sweep, so nearly
+    // every attempt fails until the budget is spent; every failed attempt
+    // spends at least one fault, and the budget is below the 16 attempts a
+    // round may take
+    let plan = DiskFaultPlan {
+        transient_per_mille: 1,
+        max_faults: 10,
+        ..DiskFaultPlan::clean(0xf1a_5a4d)
+    };
+    let (guarded, faulty) = guard_faulty(clean.clone(), plan);
+    let mut srv = PirServer::new(small_page_spec());
+    srv.add_file_with_driver("Fd", guarded, PirMode::LinearScan)
+        .unwrap();
+    let front = ServerFront::spawn(Arc::new(srv));
+    let policy = RetryPolicy {
+        attempt_timeout: Some(Duration::from_secs(5)),
+        ..RetryPolicy::resilient()
+    };
+    let mut chan = front.connect_with(policy).unwrap();
+    chan.begin_query().unwrap();
+
+    let mut out = vec![PageBuf::zeroed(SMALL_PAGE); 2];
+    for round in 1..=8u32 {
+        let reqs = [
+            (FileId(0), (round * 7 + 1) % SHARDED_PAGES),
+            (FileId(0), SHARDED_PAGES - round),
+        ];
+        chan.serve_round(round, &reqs, &mut out)
+            .expect("transient faults must be absorbed by the retry budget");
+        for (buf, &(_, p)) in out.iter().zip(&reqs) {
+            assert_eq!(buf.as_slice(), clean.page(p).unwrap(), "round {round}");
+        }
+    }
+    assert!(
+        faulty.faults_injected() > 0,
+        "the flaky plan actually fired"
+    );
+    assert!(chan.retries() > 0, "faults must go through the retry path");
+    chan.close().unwrap();
+    front.shutdown();
 }
 
 /// PR 10's batched run reads must not create a bypass around chaos

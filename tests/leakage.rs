@@ -1175,6 +1175,67 @@ fn disk_backed_serving_is_observably_identical_to_in_memory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The sharded sweep adds nothing to the adversary's view. How a sweep is
+/// split — into how many page ranges, cut where — is fixed when the store is
+/// built, from the file's page count and the CPUs of the host, both of which
+/// the host knows anyway; what each range then does is sweep all of its
+/// pages. So two request sets of one shape, as unlike as they can be (every
+/// page in the first range and twice the same page, against every page in
+/// the last), leave identical physical logs and identical per-range page
+/// counts, on the plan this host gives a file large enough to shard.
+#[test]
+fn sharded_sweeps_log_and_split_independently_of_the_requests() {
+    use privpath::pir::scan::MIN_SHARD_PAGES;
+    use privpath::pir::{LinearScanStore, ObliviousStore};
+    use privpath::storage::{crc32, ChecksumFile, MemFile, PageBuf};
+
+    let (pages, ps) = (2 * MIN_SHARD_PAGES as u32 + 77, 32usize);
+    let bytes: Vec<u8> = (0..pages as usize * ps)
+        .map(|i| (i * 29 % 253) as u8)
+        .collect();
+    let file = MemFile::from_bytes(&bytes, ps);
+    let crcs: Vec<u32> = (0..pages).map(|p| crc32(file.page(p).unwrap())).collect();
+    let store = || {
+        let guarded = ChecksumFile::new("Fi", Arc::new(file.clone()), crcs.clone());
+        LinearScanStore::from_driver(Arc::new(guarded))
+    };
+    let (mut low, mut high) = (store(), store());
+    let ranges: Vec<_> = low.sweep().shard_ranges().collect();
+    if ranges.len() < 2 {
+        println!("note: 1 CPU available, the sweep under test is one shard");
+    }
+    assert_eq!(ranges, high.sweep().shard_ranges().collect::<Vec<_>>());
+
+    let rounds_low = [[0u32, 1, 1, 63, 64], [5, 5, 5, 5, 5]];
+    let rounds_high = [
+        [pages - 1, pages - 2, pages - 70, pages - 71, pages - 5],
+        [pages - 1, pages - 3, pages - 9, pages - 27, pages - 81],
+    ];
+    let mut out = vec![PageBuf::zeroed(ps); 5];
+    for (a, b) in rounds_low.iter().zip(&rounds_high) {
+        low.fetch_batch(a, &mut out).unwrap();
+        for (buf, &p) in out.iter().zip(a) {
+            assert_eq!(buf.as_slice(), file.page(p).unwrap());
+        }
+        high.fetch_batch(b, &mut out).unwrap();
+        for (buf, &p) in out.iter().zip(b) {
+            assert_eq!(buf.as_slice(), file.page(p).unwrap());
+        }
+    }
+    assert_eq!(low.physical_log(), high.physical_log());
+    assert_eq!(low.physical_log().len(), 2 * pages as usize);
+    let swept: Vec<u64> = low.sweep().shard_pages_swept().collect();
+    assert_eq!(swept, high.sweep().shard_pages_swept().collect::<Vec<_>>());
+    let whole: Vec<u64> = ranges
+        .iter()
+        .map(|r| 2 * u64::from(r.end - r.start))
+        .collect();
+    assert_eq!(
+        swept, whole,
+        "every range sweeps all of its pages, every round"
+    );
+}
+
 /// The scheme-kind predicate and the trace shape agree: PIR schemes fetch
 /// through PIR, OBF never does.
 #[test]
