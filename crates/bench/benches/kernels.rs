@@ -10,7 +10,7 @@ use privpath_graph::dijkstra::dijkstra;
 use privpath_graph::gen::{road_like, RoadGenConfig};
 use privpath_graph::landmark::Landmarks;
 use privpath_partition::{compute_borders, partition_packed, partition_plain};
-use privpath_pir::scan::{shard_count, Sweep, MIN_SHARD_PAGES};
+use privpath_pir::scan::{shard_count, Crew, Ride, Rotation, Sweep, MIN_SHARD_PAGES};
 use privpath_pir::{LinearScanStore, ObliviousStore, Prp, ShuffledStore};
 use privpath_storage::{
     crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, DEFAULT_PAGE_SIZE,
@@ -262,6 +262,58 @@ fn bench_linear_scan_round(c: &mut Criterion) {
     g.finish();
 }
 
+/// A rotation over a file with the sweep and the crew its passes run on, as
+/// the driver of a lap holds them.
+struct Laps {
+    file: Arc<dyn PagedFile>,
+    sweep: Sweep,
+    crew: Crew,
+    rotation: Rotation,
+    done: Vec<Ride>,
+}
+
+impl Laps {
+    fn new(file: &Arc<dyn PagedFile>, shards: usize) -> Laps {
+        let sweep = Sweep::new(file.num_pages(), file.page_size(), shards);
+        Laps {
+            file: Arc::clone(file),
+            crew: sweep.crew(file),
+            rotation: Rotation::over(&sweep),
+            sweep,
+            done: Vec::new(),
+        }
+    }
+
+    /// One `1 / share` lap of segment passes.
+    fn passes(&mut self, share: usize) {
+        let Laps {
+            file,
+            sweep,
+            crew,
+            rotation,
+            done,
+        } = self;
+        for _ in 0..rotation.segments().len() / share {
+            rotation
+                .step(
+                    |seg, wanted, slots| sweep.pass(crew, &**file, seg, wanted, slots),
+                    done,
+                )
+                .unwrap();
+        }
+    }
+
+    /// Takes one more round aboard and runs a `1 / share` lap: with `share`
+    /// rounds aboard, evenly spaced, that is when the round furthest ahead
+    /// comes out — which it must.
+    fn ride(&mut self, requests: &[u32], share: usize) {
+        self.rotation.join(0, requests);
+        self.passes(share);
+        let out = self.done.pop().expect("a round's lap is over");
+        self.rotation.recycle(out);
+    }
+}
+
 /// PR 10's tentpole kernel: the run-streamed branchless lane scan
 /// (`fetch_batch`) against the retained PR 3 copy path
 /// (`fetch_batch_reference` — one page read + branchy cursor copy per
@@ -280,9 +332,15 @@ fn bench_linear_scan_round(c: &mut Criterion) {
 /// The `lanes/mmap+crc` rows are what snapshot serving runs: the mapped
 /// driver under the per-page checksum, where the sweep is bound by CRC
 /// compute and not by memory, on a file large enough to shard (4 ×
-/// `MIN_SHARD_PAGES`, 32 MiB). `x1` is the one-shard plan, `xS` the plan a
-/// store on this host gets (`shard_count`; absent on one CPU), both given
-/// explicitly to `pir::scan::Sweep`.
+/// `MIN_SHARD_PAGES`, 32 MiB, four segments). `x1` is the one-shard plan,
+/// `xS` the plan a store on this host gets (`shard_count`; absent on one
+/// CPU), both given explicitly to `pir::scan::Sweep` and ridden alone, as
+/// `LinearScanStore::fetch_batch` does.
+///
+/// The `rotation/mmap+crc` rows are one lap of that file under the host's
+/// plan with one round aboard and with two, half a lap apart: the same
+/// time, for one round served or two. Pages swept per served round, printed
+/// after each row, is the number.
 fn bench_scan_kernel(c: &mut Criterion) {
     let pages = 1024u32;
     let round = 8u32;
@@ -329,7 +387,8 @@ fn bench_scan_kernel(c: &mut Criterion) {
         .collect();
     drop(big);
     let mapped = MmapFile::open(&big_path, DEFAULT_PAGE_SIZE).expect("open mmap");
-    let checked = ChecksumFile::new("scan-big", Arc::new(mapped), crcs);
+    let checked: Arc<dyn PagedFile> =
+        Arc::new(ChecksumFile::new("scan-big", Arc::new(mapped), crcs));
     let big_requests: Vec<u32> = (0..round).map(|i| (i * 1031 + 5) % big_pages).collect();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let host_shards = shard_count(big_pages, cpus);
@@ -338,12 +397,37 @@ fn bench_scan_kernel(c: &mut Criterion) {
     } else {
         vec![1]
     };
-    for shards in plans {
+    for &shards in &plans {
         let id = BenchmarkId::new("lanes", format!("mmap+crc/x{shards}"));
         g.bench_with_input(id, &checked, |b, checked| {
-            let mut sweep = Sweep::new(big_pages, DEFAULT_PAGE_SIZE, shards);
-            let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); big_requests.len()];
-            b.iter(|| sweep.run(checked, &big_requests, &mut out).unwrap());
+            let mut laps = Laps::new(checked, shards);
+            b.iter(|| laps.ride(&big_requests, 1));
+        });
+    }
+    // One iteration is one lap under the host's plan either way; what
+    // differs is how many rounds it serves.
+    for riders in [1usize, 2] {
+        let id = BenchmarkId::new("rotation", format!("mmap+crc/{riders} aboard"));
+        g.bench_with_input(id, &checked, |b, checked| {
+            let mut laps = Laps::new(checked, host_shards);
+            if riders == 2 {
+                // steady state: somebody is half a lap ahead
+                laps.rotation.join(0, &big_requests);
+                laps.passes(2);
+            }
+            let swept_before: u64 = laps.sweep.shard_pages_swept().sum();
+            let mut served = 0u64;
+            b.iter(|| {
+                for _ in 0..riders {
+                    laps.ride(&big_requests, riders);
+                    served += 1;
+                }
+            });
+            let swept = laps.sweep.shard_pages_swept().sum::<u64>() - swept_before;
+            eprintln!(
+                "linear_scan_round/rotation/mmap+crc/{riders} aboard: {:.0} pages swept per served round ({big_pages}-page file)",
+                swept as f64 / served as f64
+            );
         });
     }
     g.finish();

@@ -23,13 +23,13 @@
 //! q/s) in `builds[]` — the cost of the real client/server boundary.
 //!
 //! `--transport tcp` (PR 7) serves every session over a real loopback
-//! socket into a `TcpFront` accept loop and runs each configuration twice:
-//! once with cross-session round coalescing off and once with it on (each
-//! `runs[]` entry carries a boolean `coalesced`), so the committed file
-//! records coalesced vs uncoalesced multi-client throughput. Because
-//! coalescing only engages on linear-scan stores, this mode builds the
-//! databases with `pir_mode = LinearScan` — real oblivious sweeps — so its
-//! absolute q/s is not comparable to the cost-only `inproc`/`wire` runs.
+//! socket into a `TcpFront` accept loop, where concurrent rounds of one
+//! linear-scan file share the laps of its rotation (each `runs[]` entry
+//! carries `"coalesced": true`; the committed `BENCH_PR7`–`10.json` also
+//! hold `false` runs from when sharing was a switch). Because rounds share
+//! laps on linear-scan stores only, this mode builds the databases with
+//! `pir_mode = LinearScan` — real oblivious sweeps — so its absolute q/s
+//! is not comparable to the cost-only `inproc`/`wire` runs.
 //!
 //! `--chaos SEED` (PR 6) additionally runs every configuration over a
 //! seeded lossy `ChaosLink` with the resilient retry policy, recording the
@@ -353,12 +353,7 @@ fn main() {
                     "inproc" => vec![TransportKind::InProc],
                     "wire" => vec![TransportKind::Wire],
                     "both" => vec![TransportKind::InProc, TransportKind::Wire],
-                    // uncoalesced first: it is the reference the coalesced
-                    // run's throughput is compared against
-                    "tcp" => vec![
-                        TransportKind::Tcp { coalesce: false },
-                        TransportKind::Tcp { coalesce: true },
-                    ],
+                    "tcp" => vec![TransportKind::Tcp],
                     _ => usage(),
                 }
             }
@@ -436,14 +431,12 @@ fn main() {
         ..Default::default()
     });
 
-    let uses_tcp = transports
-        .iter()
-        .any(|t| matches!(t, TransportKind::Tcp { .. }));
+    let uses_tcp = transports.contains(&TransportKind::Tcp);
     let mut cfg = BuildConfig::default();
     if uses_tcp {
-        // Round coalescing only engages on linear-scan stores (the one
-        // backend whose answer is a pure function of the request), so the
-        // tcp baseline serves real oblivious sweeps, not cost-only stubs.
+        // Rounds share laps on linear-scan stores only (the one backend
+        // whose answer is a pure function of the request), so the tcp
+        // baseline serves real oblivious sweeps, not cost-only stubs.
         cfg.pir_mode = PirMode::LinearScan;
     }
     let pairs = workload_pairs(&net, queries, 0x5eed).unwrap_or_else(|e| {
@@ -572,9 +565,6 @@ fn main() {
                             TransportKind::Chaos { .. } => {
                                 format!(", {} retransmits", r.retransmits)
                             }
-                            TransportKind::Tcp { coalesce } => {
-                                format!(", coalesce {}", if coalesce { "on" } else { "off" })
-                            }
                             _ => String::new(),
                         }
                     );
@@ -597,7 +587,7 @@ fn main() {
                         TransportKind::InProc => single_qps_of[0] = single_qps,
                         TransportKind::Wire => single_qps_of[1] = single_qps,
                         // no inproc-vs-wire overhead headline for these
-                        TransportKind::Chaos { .. } | TransportKind::Tcp { .. } => {}
+                        TransportKind::Chaos { .. } | TransportKind::Tcp => {}
                     }
                 }
             }

@@ -313,9 +313,11 @@ pub fn stage_breakdown_to_json(b: &privpath_core::schemes::index_scheme::StageBr
 /// Serializes one workload run for the baseline's `runs` array. Chaos runs
 /// additionally record the fault-plan seed (`chaos_seed`) so the run
 /// reproduces; retry overhead is in `retransmits` for every transport
-/// (0 on a perfect link). TCP runs record `coalesced` — whether the front
-/// merged concurrent linear-scan rounds into shared sweeps — so coalesced
-/// and uncoalesced throughput stay distinguishable in the committed file.
+/// (0 on a perfect link). TCP runs record `coalesced: true`: the front has
+/// concurrent linear-scan rounds share the laps of one rotation per file,
+/// always (the key dates from when that was a switch; the committed
+/// `BENCH_PR7`–`10.json` carry both values, and the validator still
+/// requires it of every tcp run).
 pub fn run_to_json(r: &SharedWorkloadResult) -> Json {
     let mut doc = obj([
         ("scheme", Json::Str(r.kind.name().to_string())),
@@ -347,9 +349,9 @@ pub fn run_to_json(r: &SharedWorkloadResult) -> Json {
             m.insert("chaos_seed".into(), Json::Num(seed as f64));
         }
     }
-    if let crate::runner::TransportKind::Tcp { coalesce } = r.transport {
+    if r.transport == crate::runner::TransportKind::Tcp {
         if let Json::Obj(m) = &mut doc {
-            m.insert("coalesced".into(), Json::Bool(coalesce));
+            m.insert("coalesced".into(), Json::Bool(true));
         }
     }
     doc
@@ -596,7 +598,7 @@ pub fn validate_baseline(doc: &Json) -> Vec<String> {
         // network-real serving (PR 7); older committed baselines predate
         // it, so it is optional — but when present it must name a known
         // transport, a chaos run must record its retry overhead, and a tcp
-        // run must say whether round coalescing was on.
+        // run must say whether rounds shared sweeps.
         if let Some(t) = run.get("transport") {
             match t.as_str() {
                 Some("inproc") | Some("wire") => {}

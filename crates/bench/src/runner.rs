@@ -18,7 +18,7 @@ use privpath_core::error::CoreError;
 use privpath_core::schemes::index_scheme::BuildStats;
 use privpath_core::{DbRegistry, Result};
 use privpath_graph::network::RoadNetwork;
-use privpath_pir::{FaultPlan, FrontConfig, Meter, RetryPolicy};
+use privpath_pir::{FaultPlan, Meter, RetryPolicy};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -122,15 +122,10 @@ pub enum TransportKind {
     },
     /// Frames over real loopback TCP sockets into a
     /// [`privpath_pir::TcpFront`] accept loop — the network-real serving
-    /// path. Simulated meters must equal the in-process run bit-for-bit;
-    /// only wall times differ.
-    Tcp {
-        /// Enable cross-session round coalescing on the front (a short
-        /// [`privpath_pir::FrontConfig::coalesce_window`]), so concurrent
-        /// linear-scan rounds share one sweep. Off measures the same front
-        /// serving every round individually.
-        coalesce: bool,
-    },
+    /// path, where concurrent linear-scan rounds of one file share the laps
+    /// of its rotation. Simulated meters must equal the in-process run
+    /// bit-for-bit; only wall times differ.
+    Tcp,
 }
 
 impl TransportKind {
@@ -140,7 +135,7 @@ impl TransportKind {
             TransportKind::InProc => "inproc",
             TransportKind::Wire => "wire",
             TransportKind::Chaos { .. } => "chaos",
-            TransportKind::Tcp { .. } => "tcp",
+            TransportKind::Tcp => "tcp",
         }
     }
 }
@@ -208,8 +203,7 @@ pub fn run_shared_workload(
 /// then shuts the front down after the workload; that is the configuration
 /// `perf_baseline --transport wire` measures against the in-process path.
 /// `Tcp` fronts the same loop with a loopback accept loop and connects every
-/// worker over its own real socket (`perf_baseline --transport tcp`), with
-/// cross-session round coalescing on or off per the variant's flag.
+/// worker over its own real socket (`perf_baseline --transport tcp`).
 pub fn run_shared_workload_with(
     db: &Arc<Database>,
     net: &RoadNetwork,
@@ -226,15 +220,11 @@ pub fn run_shared_workload_with(
         retransmits: u64,
     }
     let front = match transport {
-        TransportKind::InProc | TransportKind::Tcp { .. } => None,
+        TransportKind::InProc | TransportKind::Tcp => None,
         TransportKind::Wire | TransportKind::Chaos { .. } => Some(db.serve_wire()),
     };
     let tcp = match transport {
-        TransportKind::Tcp { coalesce } => Some(db.serve_tcp_with(FrontConfig {
-            coalesce_window: coalesce.then(|| Duration::from_millis(2)),
-            coalesce_max_batch: 64,
-            ..FrontConfig::default()
-        })?),
+        TransportKind::Tcp => Some(db.serve_tcp()?),
         _ => None,
     };
     let t0 = Instant::now();
@@ -523,27 +513,23 @@ mod tests {
         });
         let mut cfg = BuildConfig::default();
         cfg.spec.page_size = 512;
-        // linear-scan stores: the one mode whose rounds are coalescable
+        // linear-scan stores: the one mode whose rounds share laps
         cfg.pir_mode = PirMode::LinearScan;
         let db = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).unwrap());
         let pairs = workload_pairs(&net, 6, 5).unwrap();
         let inproc =
             run_shared_workload_with(&db, &net, &pairs, 3, 21, TransportKind::InProc).unwrap();
-        for coalesce in [false, true] {
-            let tcp =
-                run_shared_workload_with(&db, &net, &pairs, 3, 21, TransportKind::Tcp { coalesce })
-                    .unwrap();
-            assert_eq!(tcp.transport.name(), "tcp");
-            assert_eq!(inproc.queries, tcp.queries);
-            assert_eq!(tcp.violations, 0);
-            assert_eq!(tcp.retransmits, 0);
-            // the socket (and any sweep sharing) must not perturb the
-            // simulated accounting
-            assert_eq!(inproc.avg.total_fetches(), tcp.avg.total_fetches());
-            assert_eq!(inproc.avg.rounds, tcp.avg.rounds);
-            assert_eq!(inproc.avg.exchanges, tcp.avg.exchanges);
-            assert_eq!(inproc.avg.bytes_transferred, tcp.avg.bytes_transferred);
-        }
+        let tcp = run_shared_workload_with(&db, &net, &pairs, 3, 21, TransportKind::Tcp).unwrap();
+        assert_eq!(tcp.transport.name(), "tcp");
+        assert_eq!(inproc.queries, tcp.queries);
+        assert_eq!(tcp.violations, 0);
+        assert_eq!(tcp.retransmits, 0);
+        // the socket (and any lap sharing) must not perturb the simulated
+        // accounting
+        assert_eq!(inproc.avg.total_fetches(), tcp.avg.total_fetches());
+        assert_eq!(inproc.avg.rounds, tcp.avg.rounds);
+        assert_eq!(inproc.avg.exchanges, tcp.avg.exchanges);
+        assert_eq!(inproc.avg.bytes_transferred, tcp.avg.bytes_transferred);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub const PAGE_CRC_BYTES: usize = 4;
 ///
 /// Sealing is a pure function of `(payload, page_size)` — identical
 /// payloads always produce identical page bytes. The leakage suite's
-/// bit-identity differentials (in-process vs wire vs chaos vs coalesced,
+/// bit-identity differentials (in-process vs wire vs chaos vs shared-lap,
 /// and PR 8's straddling-swap vs solo-halves) depend on this: any
 /// nondeterminism here (timestamps, randomized padding) would make equal
 /// logical content observably distinguishable.

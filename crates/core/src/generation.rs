@@ -278,9 +278,10 @@ impl DbRegistry {
         self.serve_wire_with(FrontConfig::default())
     }
 
-    /// [`DbRegistry::serve_wire`] with explicit front-end knobs. Round
-    /// coalescing composes with swaps: a parked batch never spans
-    /// generations (the front flushes the old batch first).
+    /// [`DbRegistry::serve_wire`] with explicit front-end knobs (idle
+    /// eviction, chunked replies). Shared laps compose with swaps: a lap is
+    /// over one file of one generation, so rounds of sessions pinned to
+    /// different generations never ride together.
     pub fn serve_wire_with(self: &Arc<Self>, cfg: FrontConfig) -> ServerFront {
         let source: Arc<dyn GenerationSource> = Arc::clone(self) as Arc<dyn GenerationSource>;
         ServerFront::spawn_swappable(source, cfg)

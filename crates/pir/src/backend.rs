@@ -7,7 +7,7 @@
 //! nothing about the logical one.
 
 use crate::prp::Prp;
-use crate::scan::{self, Sweep};
+use crate::scan::{self, Crew, Ride, Rotation, Sweep};
 use crate::Result;
 use privpath_storage::{MemFile, PageBuf, PagedFile, StorageError};
 use std::collections::HashMap;
@@ -138,16 +138,46 @@ pub trait ObliviousStore: Send {
 /// ground truth for tests and as an ablation point.
 pub struct LinearScanStore {
     file: Arc<dyn PagedFile>,
-    /// The sharded sweep every round runs. Its page-range plan is worked
-    /// out once, here, from the file's page count and the CPUs the process
-    /// may use ([`scan::shard_count`]): asking the system per sweep re-reads
-    /// cgroup files, which a many-round query pays a hundred times over. Its
-    /// arenas and output slots are reused across rounds.
+    /// The segment passes every lap is made of. The plan — segments of
+    /// [`scan::SEGMENT_PAGES`] pages, each split into page ranges — is
+    /// worked out once, here, from the file's page count and the CPUs the
+    /// process may use ([`scan::shard_count`]): asking the system per sweep
+    /// re-reads cgroup files, which a many-round query pays a hundred times
+    /// over. Its arenas are reused across passes.
     sweep: Sweep,
+    /// The rotation [`ObliviousStore::fetch_batch`] rides alone: a round
+    /// served here is a lap from segment 0 with nobody else aboard. Rounds
+    /// that share laps ride a rotation of their driver's
+    /// ([`LinearScanStore::rotation`]) and borrow the sweep pass by pass.
+    lap: Rotation,
+    /// Where the lone lap's ride lands.
+    done: Vec<Ride>,
     /// Scratch page for the PR 3 reference path
     /// ([`LinearScanStore::fetch_batch_reference`]).
     scratch: PageBuf,
     log: PhysicalLog,
+}
+
+/// One segment pass of `sweep` over `file`, logged as the front-to-back
+/// pass its ranges add up to; a pass that fails logs what a front-to-back
+/// pass stopping on the same run would have.
+fn logged_pass(
+    file: &dyn PagedFile,
+    sweep: &mut Sweep,
+    log: &mut PhysicalLog,
+    crew: &mut Crew,
+    seg: usize,
+    wanted: &[u32],
+    slots: &mut [PageBuf],
+) -> Result<()> {
+    let range = sweep.segment(seg);
+    let res = sweep.pass(crew, file, seg, wanted, slots);
+    let swept_to = match &res {
+        Ok(()) => range.end,
+        Err(stop) => stop.at,
+    };
+    log.record_range(range.start..swept_to);
+    res.map_err(|stop| stop.error)
 }
 
 impl LinearScanStore {
@@ -156,9 +186,9 @@ impl LinearScanStore {
         Self::from_driver(Arc::new(file))
     }
 
-    /// Wraps any page driver — in-memory, disk- or mmap-backed. The scan
-    /// sweeps the driver front to back, so obliviousness (a full `0..N`
-    /// physical pass per round) is driver-invariant by construction.
+    /// Wraps any page driver — in-memory, disk- or mmap-backed. A lap sweeps
+    /// the driver segment by segment, so obliviousness (every page, once per
+    /// lap) is driver-invariant by construction.
     pub fn from_driver(file: Arc<dyn PagedFile>) -> Self {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shards = scan::shard_count(file.num_pages(), cpus);
@@ -169,9 +199,17 @@ impl LinearScanStore {
     /// worked out from the host: how the differential tests hold every plan
     /// to the one-shard pass on files too small to be sharded by themselves.
     pub(crate) fn with_shards(file: Arc<dyn PagedFile>, shards: usize) -> Self {
+        Self::with_plan(file, scan::SEGMENT_PAGES, shards)
+    }
+
+    /// [`LinearScanStore::with_shards`] with the segment length given too.
+    pub(crate) fn with_plan(file: Arc<dyn PagedFile>, segment_pages: usize, shards: usize) -> Self {
         let page_size = file.page_size();
+        let sweep = Sweep::with_segments(file.num_pages(), page_size, segment_pages, shards);
         LinearScanStore {
-            sweep: Sweep::new(file.num_pages(), page_size, shards),
+            lap: Rotation::over(&sweep),
+            sweep,
+            done: Vec::new(),
             file,
             scratch: PageBuf::zeroed(page_size),
             log: PhysicalLog::default(),
@@ -186,10 +224,43 @@ impl LinearScanStore {
         self
     }
 
-    /// The store's sweep: its page-range plan and how many pages each range
-    /// has swept — both independent of what was requested.
+    /// The store's sweep: its segment and page-range plan and how many pages
+    /// each range has swept — both independent of what was requested.
     pub fn sweep(&self) -> &Sweep {
         &self.sweep
+    }
+
+    /// An idle rotation over this store's segments, for a driver that has
+    /// rounds share laps: it owns the riders and calls
+    /// [`LinearScanStore::pass`] for every step.
+    pub(crate) fn rotation(&self) -> Rotation {
+        Rotation::over(&self.sweep)
+    }
+
+    /// The helping hands a driver of [`LinearScanStore::rotation`] keeps
+    /// for as long as somebody rides it.
+    pub(crate) fn crew(&self) -> Crew {
+        self.sweep.crew(&self.file)
+    }
+
+    /// One logged segment pass on behalf of a rotation: the `pass` of
+    /// [`Rotation::step`], with a `crew` of this store's.
+    pub(crate) fn pass(
+        &mut self,
+        crew: &mut Crew,
+        seg: usize,
+        wanted: &[u32],
+        slots: &mut [PageBuf],
+    ) -> Result<()> {
+        logged_pass(
+            &*self.file,
+            &mut self.sweep,
+            &mut self.log,
+            crew,
+            seg,
+            wanted,
+            slots,
+        )
     }
 
     /// Validates that every requested page exists, so a bad request fails
@@ -247,30 +318,52 @@ impl ObliviousStore for LinearScanStore {
         Ok(buf)
     }
 
-    /// One pass over the whole file serves the entire round: `k` batched
+    /// One lap over the whole file serves the entire round: `k` batched
     /// fetches cost `N` page reads instead of the sequential path's `k·N`.
     /// The host still observes a full scan (obliviousness is untouched — the
     /// physical sequence is `0..N` regardless of the requested pages), it
-    /// just observes *one* scan per round rather than one per page. The pass
-    /// itself is the sharded sweep of [`crate::scan`]: runs of pages per
+    /// just observes *one* scan per round rather than one per page. The lap
+    /// is a [`Rotation`] ridden alone, from segment 0: runs of pages per
     /// driver call, constant branchless work per page, one page range per
-    /// CPU on files large enough to share out. The ranges run concurrently
-    /// and are logged as the front-to-back pass they add up to; a sweep
-    /// that fails logs what a front-to-back pass stopping on the same run
-    /// would have.
+    /// CPU on files large enough to share out. The ranges of a segment run
+    /// concurrently and are logged as the front-to-back pass they add up to;
+    /// a lap that fails logs what a front-to-back pass stopping on the same
+    /// run would have, and leaves `out` untouched.
     fn fetch_batch(&mut self, pages: &[u32], out: &mut [PageBuf]) -> Result<()> {
         assert_eq!(pages.len(), out.len(), "batch output length mismatch");
         self.check_requests(pages)?;
         if pages.is_empty() {
             return Ok(());
         }
-        let res = self.sweep.run(&*self.file, pages, out);
-        let swept_to = match &res {
-            Ok(()) => self.file.num_pages(),
-            Err(stop) => stop.at,
-        };
-        self.log.record_range(0..swept_to);
-        res.map_err(|stop| stop.error)
+        let LinearScanStore {
+            file,
+            sweep,
+            lap,
+            done,
+            log,
+            ..
+        } = self;
+        // the lap's hands are its own: started here, joined when it is over
+        let mut crew = sweep.crew(file);
+        lap.join(0, pages);
+        while !lap.is_idle() {
+            let stepped = lap.step(
+                |seg, wanted, slots| {
+                    logged_pass(&**file, sweep, log, &mut crew, seg, wanted, slots)
+                },
+                done,
+            );
+            if let Err(e) = stepped {
+                lap.clear();
+                return Err(e);
+            }
+        }
+        let ride = done.pop().expect("the lap's one rider ends with it");
+        for (i, buf) in out.iter_mut().enumerate() {
+            buf.as_mut_slice().copy_from_slice(ride.page(i));
+        }
+        lap.recycle(ride);
+        Ok(())
     }
 
     fn physical_log(&self) -> &[u32] {
@@ -632,15 +725,30 @@ mod tests {
         let mut host = LinearScanStore::from_driver(Arc::clone(&guarded));
         let mut one = LinearScanStore::with_shards(Arc::clone(&guarded), 1);
         let mut reference = LinearScanStore::from_driver(guarded);
-        assert_eq!(
-            host.sweep().shard_ranges().count(),
-            2,
-            "{cpus} CPUs, {pages} pages"
-        );
-        assert_eq!(one.sweep().shard_ranges().count(), 1);
+        // two whole segments and a 100-page one, each in two ranges
+        assert_eq!(host.sweep().segments().count(), 3);
+        for seg in 0..3 {
+            assert_eq!(
+                host.sweep().shard_ranges(seg).len(),
+                2,
+                "{cpus} CPUs, {pages} pages"
+            );
+            assert_eq!(one.sweep().shard_ranges(seg).len(), 1);
+        }
 
-        let cut = host.sweep().shard_ranges().next().unwrap().end;
-        let reqs = [pages - 1, 0, cut, cut - 1, 17, cut, pages - 1];
+        let cut = host.sweep().shard_ranges(0)[0].end;
+        let next = host.sweep().segment(1).start;
+        let reqs = [
+            pages - 1,
+            0,
+            cut,
+            cut - 1,
+            next,
+            next - 1,
+            17,
+            cut,
+            pages - 1,
+        ];
         let mut a = vec![PageBuf::zeroed(16); reqs.len()];
         let mut b = a.clone();
         let mut c = a.clone();
@@ -655,7 +763,13 @@ mod tests {
         assert_eq!(host.physical_log(), one.physical_log());
         assert_eq!(host.physical_log(), reference.physical_log());
         let swept: Vec<u64> = host.sweep().shard_pages_swept().collect();
-        assert_eq!(swept, [3 * u64::from(cut), 3 * u64::from(pages - cut)]);
+        let lane = |j: usize| -> u64 {
+            (0..3)
+                .map(|seg| host.sweep().shard_ranges(seg)[j].len() as u64)
+                .sum()
+        };
+        assert_eq!(swept, [3 * lane(0), 3 * lane(1)]);
+        assert_eq!(swept.iter().sum::<u64>(), 3 * u64::from(pages));
     }
 
     #[test]
@@ -663,7 +777,7 @@ mod tests {
         // 7 runs and a partial one; three ranges of 2-3 runs each
         let pages = 7 * scan::RUN_PAGES as u32 + 9;
         let (clean, crcs) = small_pages(pages, 32);
-        let ranges: Vec<_> = scan::Sweep::new(pages, 32, 3).shard_ranges().collect();
+        let ranges = scan::Sweep::new(pages, 32, 3).shard_ranges(0).to_vec();
         assert_eq!(ranges.len(), 3);
         let victim = |r: &std::ops::Range<u32>| r.start + (r.end - r.start) / 2 + 1;
         // a flipped bit in each range in turn, then in two ranges at once

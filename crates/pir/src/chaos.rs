@@ -20,6 +20,10 @@
 //!   faults (transient read errors, bit flips, torn reads) under a
 //!   [`DiskFaultPlan`], for proving disk-backed serving degrades to typed
 //!   errors and per-session teardown, never a crash or a wrong answer;
+//! * [`GateDisk`] — a [`PagedFile`] wrapper whose run reads stop at a gate
+//!   the test arms and releases, so a test holds a sweep at an exact run
+//!   while it queues the frames that are to meet it at the next boundary:
+//!   deterministic interleavings without sleeps;
 //! * [`connect_chaos`] — convenience: a [`WireChannel`] over a `ChaosLink`
 //!   into a [`ServerFront`].
 //!
@@ -599,6 +603,91 @@ impl PagedFile for FaultyDisk {
             DiskFault::None | DiskFault::Transient => {}
         }
         Ok(buf)
+    }
+}
+
+/// A [`PagedFile`] wrapper with a gate on its run reads: once
+/// [armed](GateDisk::arm) at a page, the next [`PagedFile::read_run_into`]
+/// starting there parks until the test [releases](GateDisk::release) it. A
+/// linear scan reads runs front to back, so a gate at the first page of a
+/// run holds the sweep — and the thread running it — at exactly that run,
+/// while the test lines up what the sweep is to find when it moves on.
+/// Pages are served by `inner` unchanged; like every wrapper that must see
+/// each read, it exposes no zero-copy window.
+pub struct GateDisk {
+    inner: std::sync::Arc<dyn PagedFile>,
+    gate: std::sync::Mutex<Gate>,
+    moved: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// First page of the run read that is to park.
+    armed: Option<u32>,
+    /// A reader is parked at the gate.
+    parked: bool,
+}
+
+impl GateDisk {
+    /// Wraps `inner` with the gate open.
+    pub fn new(inner: std::sync::Arc<dyn PagedFile>) -> Self {
+        GateDisk {
+            inner,
+            gate: std::sync::Mutex::default(),
+            moved: std::sync::Condvar::new(),
+        }
+    }
+
+    fn lock_gate(&self) -> std::sync::MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Arms the gate: the next run read starting at page `first` parks. May
+    /// be called while a reader is parked, to set where it stops next.
+    pub fn arm(&self, first: u32) {
+        self.lock_gate().armed = Some(first);
+    }
+
+    /// Blocks until a reader is parked at the gate.
+    pub fn wait_parked(&self) {
+        let mut gate = self.lock_gate();
+        while !gate.parked {
+            gate = self.moved.wait(gate).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Lets the parked reader go on.
+    pub fn release(&self) {
+        self.lock_gate().parked = false;
+        self.moved.notify_all();
+    }
+}
+
+impl PagedFile for GateDisk {
+    fn num_pages(&self) -> u32 {
+        self.inner.num_pages()
+    }
+
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn read_page(&self, page: u32) -> privpath_storage::Result<PageBuf> {
+        self.inner.read_page(page)
+    }
+
+    fn read_run_into(&self, first: u32, out: &mut [u8]) -> privpath_storage::Result<()> {
+        let mut gate = self.lock_gate();
+        if gate.armed == Some(first) {
+            gate.armed = None;
+            gate.parked = true;
+            self.moved.notify_all();
+            while gate.parked {
+                gate = self.moved.wait(gate).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+        drop(gate);
+        self.inner.read_run_into(first, out)
     }
 }
 

@@ -21,8 +21,10 @@
 //!   check obliviousness;
 //! * [`scan`] — the vectorized linear-scan kernel: multi-page run streaming
 //!   through a reusable arena plus a branchless `u64`-lane masked select
-//!   with constant work per page, and the sharded [`scan::Sweep`] that
-//!   runs one pass per page range on scoped threads;
+//!   with constant work per page, the sharded [`scan::Sweep`] that runs
+//!   one pass per page range, segment by segment, on the threads of a
+//!   lap's [`scan::Crew`], and the [`scan::Rotation`] rounds ride to share
+//!   those passes;
 //! * [`fault`] — a fault-injecting wrapper (extension beyond the paper's
 //!   honest-but-curious adversary);
 //! * [`trace`] — the adversary-observable access trace (which file was
@@ -42,8 +44,9 @@
 //!   clients over byte channels, with per-session server-side accounting,
 //!   recorded adversary-observable frame streams, retry policies and
 //!   graceful degradation (panic teardown, idle eviction, shutdown drains),
-//!   plus cross-session round coalescing (concurrently pending rounds
-//!   merged into one linear-scan sweep) and chunked response streaming;
+//!   plus shared laps (concurrent rounds of one linear-scan file join the
+//!   sweep in progress and ride one lap of its rotation together) and
+//!   chunked response streaming;
 //! * [`wire::tcp`] — the same frames over real loopback sockets: a
 //!   [`TcpFront`] accept loop with per-connection reader/writer threads and
 //!   graceful drain, and the [`TcpLink`] client [`FrameLink`];
@@ -68,7 +71,7 @@ pub mod wire;
 
 pub use backend::{LinearScanStore, LogOverflow, ObliviousStore, PhysicalLog, ShuffledStore};
 pub use chaos::{
-    connect_chaos, ChaosHost, ChaosLink, DiskFaultPlan, FaultPlan, FaultyDisk, PanicStore,
+    connect_chaos, ChaosHost, ChaosLink, DiskFaultPlan, FaultPlan, FaultyDisk, GateDisk, PanicStore,
 };
 pub use cost::CostBreakdown;
 pub use error::PirError;

@@ -16,24 +16,35 @@
 //!   output slot. The inner loop is plain slice arithmetic over 8-byte
 //!   words, which the compiler auto-vectorizes.
 //!
-//! * one sweep is split into **page-range shards** ([`Sweep`]): `S`
-//!   passes over disjoint ranges cut on [`RUN_PAGES`] multiples, shard 0 on
-//!   the calling thread and `S − 1` on scoped threads that are joined before
-//!   the sweep returns. One core reaches neither the checksum layer's nor
-//!   DRAM's bandwidth alone; the passes share nothing but the read-only
-//!   driver, and each request lands in exactly one range, so merging them is
-//!   a copy-out.
+//! * a sweep is cut into fixed **segments** of [`SEGMENT_PAGES`] pages, and
+//!   each segment's pass into **page-range shards** ([`Sweep`]): `S` passes
+//!   over disjoint ranges cut on [`RUN_PAGES`] multiples, shard 0 on the
+//!   calling thread and `S − 1` on the threads of a [`Crew`] that stands by
+//!   for as long as its lap lasts, all ended before the pass returns. One
+//!   core reaches neither the checksum layer's nor DRAM's bandwidth alone;
+//!   the passes share nothing but the read-only driver, and each request
+//!   lands in exactly one range, so merging them is a copy-out;
+//! * rounds share a sweep by **riding a rotation** ([`Rotation`]): a round
+//!   joins at the next segment boundary and leaves after exactly one lap, and
+//!   each segment pass resolves the union of what its riders asked for. A
+//!   round that finds nobody aboard is a lap from segment 0 — the plain
+//!   front-to-back sweep.
 //!
-//! Obliviousness is untouched: every page of the file is read exactly once
-//! per sweep, in an order and a partition fixed by the file's page count and
-//! the shard count alone — for every driver and every request set (the
-//! leakage suite pins this differentially). The store records the sweep as
-//! `0 .. N` in file order, exactly as the PR 3 sorted-cursor path did. Only
-//! the per-page resolution got cheaper, the driver call granularity coarser
-//! and the ranges concurrent.
+//! Obliviousness is untouched: a lap reads every page of the file exactly
+//! once, in segments and ranges fixed by the file's page count and the shard
+//! count alone, and which segment a lap starts at is fixed by when the round
+//! arrived — for every driver and every request set (the leakage suite pins
+//! this differentially). The store records each segment pass in file order,
+//! so a lone round logs `0 .. N`, exactly as the PR 3 sorted-cursor path
+//! did. Only the per-page resolution got cheaper, the driver call
+//! granularity coarser, the ranges concurrent and the laps shared.
 
-use privpath_storage::{PageBuf, PagedFile, StorageError};
+use privpath_storage::{PageBuf, PagedFile};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::PirError;
 
@@ -44,13 +55,21 @@ pub const RUN_PAGES: usize = 64;
 
 /// Fewest pages worth a shard of their own: 2,048 pages × 4 KiB = 8 MiB, a
 /// few milliseconds of verified sweep against the tens of microseconds a
-/// scoped thread costs to start and join. Files below twice this are swept
-/// inline by the calling thread.
+/// thread costs to start and join. Files below twice this are swept inline
+/// by the calling thread.
 pub const MIN_SHARD_PAGES: usize = 2048;
 
-/// Shards a sweep of a `num_pages`-page file is split into where the process
-/// may use `cpus` CPUs: one per CPU, as long as every shard keeps at least
-/// [`MIN_SHARD_PAGES`] pages, and never fewer than one.
+/// Pages per segment of a [`Rotation`]: where a round may join a sweep in
+/// progress, and how long the round waits for it — at most one segment pass,
+/// a seventh of a lap on the reference benchmark's 13,870-page index file.
+/// Every boundary is a hand-off between the threads of a [`Crew`]: tens of
+/// microseconds against the ≈ 3 ms a two-shard pass of this many 4 KiB
+/// pages takes. A multiple of [`RUN_PAGES`], so segments cut on runs.
+pub const SEGMENT_PAGES: usize = 2048;
+
+/// Shards the segment passes of a `num_pages`-page file are split into where
+/// the process may use `cpus` CPUs: one per CPU, as long as the file has at
+/// least [`MIN_SHARD_PAGES`] pages for each, and never fewer than one.
 pub fn shard_count(num_pages: u32, cpus: usize) -> usize {
     cpus.min(num_pages as usize / MIN_SHARD_PAGES).max(1)
 }
@@ -254,27 +273,30 @@ fn resolve_page(
     w
 }
 
-/// One page range of a [`Sweep`] and what its pass alone touches.
-struct Shard {
-    range: Range<u32>,
+/// What one concurrent range of a segment pass alone touches: its scratch
+/// and its page count.
+struct Lane {
     arena: ScanArena,
-    /// Pages this shard has swept since the sweep was built.
+    /// Pages this lane has swept since the sweep was built.
     swept: u64,
 }
 
-impl Shard {
+impl Lane {
     fn pass(
         &mut self,
         file: &dyn PagedFile,
+        range: Range<u32>,
         wanted: &[u32],
         out: &mut [PageBuf],
     ) -> Result<(), ScanStop> {
-        let res = scan_resolve(file, self.range.clone(), wanted, out, &mut self.arena);
+        let start = range.start;
+        let end = range.end;
+        let res = scan_resolve(file, range, wanted, out, &mut self.arena);
         let reached = match &res {
-            Ok(()) => self.range.end,
+            Ok(()) => end,
             Err(stop) => stop.at,
         };
-        self.swept += u64::from(reached - self.range.start);
+        self.swept += u64::from(reached - start);
         res
     }
 }
@@ -294,129 +316,556 @@ fn take_below<'a>(
     (w, s)
 }
 
-/// The sharded sweep: a fixed partition of one file's pages into ranges cut
-/// on [`RUN_PAGES`] multiples, and the scratch every round reuses (one
-/// [`ScanArena`] per shard, the sorted request list, the output slots the
-/// passes resolve into), so a round in steady state allocates no scratch.
-///
-/// [`Sweep::run`] executes one round: shard 0 on the calling thread, the
-/// others on scoped threads joined before it returns — no pool, no thread
-/// that outlives the call. A one-shard sweep is the same code with nothing
-/// to spawn.
-pub struct Sweep {
-    page_size: usize,
-    shards: Vec<Shard>,
-    /// `(page, caller slot)` of the current round, sorted by page.
-    order: Vec<(u32, usize)>,
-    /// The pages of `order`: what the passes resolve, split by range.
-    sorted: Vec<u32>,
-    /// `slots[k]` receives page `sorted[k]`; each pass owns the chunk of its
-    /// range, so no two threads share a slot.
+/// The segments a file of `num_pages` pages is cut into: consecutive ranges
+/// of `segment_pages` pages, the last one as long as what is left. There is
+/// always one, empty for an empty file.
+fn segment_ranges(num_pages: u32, segment_pages: usize) -> Vec<Range<u32>> {
+    assert!(
+        segment_pages > 0 && segment_pages.is_multiple_of(RUN_PAGES),
+        "segments are cut on runs"
+    );
+    let n = num_pages as usize;
+    let bound = |i: usize| (i * segment_pages).min(n) as u32;
+    (0..n.div_ceil(segment_pages).max(1))
+        .map(|i| bound(i)..bound(i + 1))
+        .collect()
+}
+
+/// How long a thread of a [`Crew`] polls for its next hand-off before it
+/// sleeps. The hand-offs of a lap follow each other within the imbalance of
+/// two ranges of one segment — tens of microseconds — and a thread that
+/// slept through that gap is what made a segment pass cost 150 µs more than
+/// its pages on the reference host (an idle virtual CPU takes ≈ 100 µs to
+/// wake), seven times a lap. A gap longer than this is the end of the lap,
+/// or a CPU given to somebody else: not worth burning.
+const HANDOFF_SPIN: Duration = Duration::from_micros(200);
+
+/// Nothing posted: the helper waits.
+const IDLE: u8 = 0;
+/// A range is posted: the helper's to sweep.
+const POSTED: u8 = 1;
+/// The posted range is swept: its outcome is the crew's to collect.
+const SWEPT: u8 = 2;
+/// The crew is done with the helper: it ends.
+const DISMISSED: u8 = 3;
+
+/// Waits for `state` to read one of `wanted`: polling for
+/// [`HANDOFF_SPIN`], then asleep until unparked. Whoever changes the state
+/// unparks the waiter afterwards, so a change is never slept through.
+fn await_state(state: &AtomicU8, wanted: &[u8]) -> u8 {
+    let since = Instant::now();
+    loop {
+        let now = state.load(Ordering::SeqCst);
+        if wanted.contains(&now) {
+            return now;
+        }
+        if since.elapsed() < HANDOFF_SPIN {
+            std::hint::spin_loop();
+        } else {
+            std::thread::park();
+        }
+    }
+}
+
+/// One range of one pass, handed to a helper and back: the request share
+/// and the slots it resolves into are owned by the hand-off (and reused by
+/// the next), so nothing a pass borrows has to outlive it.
+#[derive(Default)]
+struct Handoff {
+    range: Range<u32>,
+    wanted: Vec<u32>,
     slots: Vec<PageBuf>,
+    /// `None` until swept; a panic is carried back to the crew's thread.
+    outcome: Option<std::thread::Result<Result<(), ScanStop>>>,
+    /// Whom to wake when it is.
+    crew: Option<std::thread::Thread>,
+}
+
+struct Helper {
+    /// [`IDLE`] → [`POSTED`] (crew) → [`SWEPT`] (helper) → [`IDLE`] (crew).
+    state: Arc<AtomicU8>,
+    handoff: Arc<Mutex<Handoff>>,
+    thread: JoinHandle<()>,
+}
+
+fn lock_handoff(handoff: &Mutex<Handoff>) -> MutexGuard<'_, Handoff> {
+    // the sweep under the lock runs inside `catch_unwind`: never poisoned
+    handoff.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The helping hands of a lap: threads that stand by for as long as the lap
+/// (or the run of laps of a busy rotation) lasts and sweep the ranges after
+/// the first of every segment pass, while the crew's own thread sweeps the
+/// first. They are started by whoever drives the lap and joined when it
+/// drops the crew — no pool, no thread that outlives its lap. Keeping them
+/// across the passes of a lap, polling for the next range instead of being
+/// started for it, is what makes a segment boundary cost microseconds.
+///
+/// A crew of nobody ([`Crew::none`]) sweeps every range on the calling
+/// thread, one after the other: what a one-range plan needs, and what the
+/// loop thread of a front uses when it drives a lap itself.
+pub struct Crew {
+    helpers: Vec<Helper>,
+}
+
+impl Crew {
+    /// Nobody: every range of a pass runs on the calling thread.
+    pub fn none() -> Crew {
+        Crew {
+            helpers: Vec::new(),
+        }
+    }
+
+    /// `hands` threads standing by to sweep ranges of `file`. A thread the
+    /// system refuses is done without: its range runs on the crew's thread.
+    pub fn of(file: &Arc<dyn PagedFile>, hands: usize) -> Crew {
+        let mut helpers = Vec::with_capacity(hands);
+        for _ in 0..hands {
+            let state = Arc::new(AtomicU8::new(IDLE));
+            let handoff = Arc::new(Mutex::new(Handoff::default()));
+            let (file, theirs, posted) =
+                (Arc::clone(file), Arc::clone(&state), Arc::clone(&handoff));
+            let spawned = std::thread::Builder::new()
+                .name("privpath-sweep".into())
+                .spawn(move || {
+                    let mut arena = ScanArena::new(file.page_size());
+                    while await_state(&theirs, &[POSTED, DISMISSED]) == POSTED {
+                        let mut h = lock_handoff(&posted);
+                        let Handoff {
+                            range,
+                            wanted,
+                            slots,
+                            ..
+                        } = &mut *h;
+                        let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            scan_resolve(&*file, range.clone(), wanted, slots, &mut arena)
+                        }));
+                        h.outcome = Some(swept);
+                        let crew = h.crew.take();
+                        drop(h);
+                        // (a crew dropped mid-pass has dismissed the helper
+                        // meanwhile: that stands)
+                        let _ = theirs.compare_exchange(
+                            POSTED,
+                            SWEPT,
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        );
+                        if let Some(crew) = crew {
+                            crew.unpark();
+                        }
+                    }
+                });
+            let Ok(thread) = spawned else { break };
+            helpers.push(Helper {
+                state,
+                handoff,
+                thread,
+            });
+        }
+        Crew { helpers }
+    }
+}
+
+impl Helper {
+    /// Hands the helper `range` and the requests inside it.
+    fn post(&self, range: Range<u32>, wanted: &[u32], page_size: usize) {
+        let mut h = lock_handoff(&self.handoff);
+        h.range = range;
+        h.wanted.clear();
+        h.wanted.extend_from_slice(wanted);
+        h.slots
+            .resize_with(wanted.len(), || PageBuf::zeroed(page_size));
+        h.outcome = None;
+        h.crew = Some(std::thread::current());
+        drop(h);
+        self.state.store(POSTED, Ordering::SeqCst);
+        self.thread.thread().unpark();
+    }
+
+    /// Waits for the posted range and takes what it came to: the pages into
+    /// `slots`, and the outcome (a panic as the `Err` of the outer result).
+    fn collect(&self, slots: &mut [PageBuf]) -> std::thread::Result<Result<(), ScanStop>> {
+        await_state(&self.state, &[SWEPT]);
+        let mut h = lock_handoff(&self.handoff);
+        for (out, page) in slots.iter_mut().zip(&h.slots) {
+            out.as_mut_slice().copy_from_slice(page.as_slice());
+        }
+        let outcome = h.outcome.take().expect("a swept range has an outcome");
+        drop(h);
+        self.state.store(IDLE, Ordering::SeqCst);
+        outcome
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        for helper in self.helpers.drain(..) {
+            helper.state.store(DISMISSED, Ordering::SeqCst);
+            helper.thread.thread().unpark();
+            // its sweeps run inside `catch_unwind`; nothing to report
+            let _ = helper.thread.join();
+        }
+    }
+}
+
+/// The sharded segment pass: a fixed partition of one file's pages into
+/// segments, of every segment into ranges cut on [`RUN_PAGES`] multiples,
+/// and the scratch every pass reuses (one [`ScanArena`] per concurrent
+/// range), so a pass in steady state allocates no scratch.
+///
+/// [`Sweep::pass`] sweeps one segment: its range 0 on the calling thread,
+/// the others on the threads of the [`Crew`] it is given, all ended before
+/// it returns. A one-range pass is the same code with nobody to hand to.
+pub struct Sweep {
+    num_pages: u32,
+    page_size: usize,
+    /// `plan[i]`: the ranges segment `i`'s pass is split into, in file order.
+    plan: Vec<Vec<Range<u32>>>,
+    /// `lanes[j]` serves range `j` of whichever segment is being swept.
+    lanes: Vec<Lane>,
 }
 
 impl Sweep {
-    /// Sweep of a file of `num_pages` pages of `page_size` bytes in `shards`
-    /// ranges of (to within one run) equal length. Fewer ranges are used
-    /// when the file has fewer runs than `shards`; there is always one.
+    /// Sweep of a file of `num_pages` pages of `page_size` bytes in segments
+    /// of [`SEGMENT_PAGES`] pages, each split into `shards` ranges of (to
+    /// within one run) equal length. A segment with fewer runs than `shards`
+    /// is split into as many ranges as it has runs; there is always one.
     pub fn new(num_pages: u32, page_size: usize, shards: usize) -> Self {
-        let runs = (num_pages as usize).div_ceil(RUN_PAGES);
-        let shards = shards.clamp(1, runs.max(1));
-        let bound =
-            |i: usize| ((i * runs / shards * RUN_PAGES) as u64).min(num_pages.into()) as u32;
+        Self::with_segments(num_pages, page_size, SEGMENT_PAGES, shards)
+    }
+
+    /// [`Sweep::new`] with the segment length given: how the tests get many
+    /// segments out of files of a few hundred pages.
+    pub(crate) fn with_segments(
+        num_pages: u32,
+        page_size: usize,
+        segment_pages: usize,
+        shards: usize,
+    ) -> Self {
+        let plan: Vec<Vec<Range<u32>>> = segment_ranges(num_pages, segment_pages)
+            .into_iter()
+            .map(|seg| {
+                let len = (seg.end - seg.start) as usize;
+                let runs = len.div_ceil(RUN_PAGES);
+                let shards = shards.clamp(1, runs.max(1));
+                let bound = |j: usize| seg.start + (j * runs / shards * RUN_PAGES).min(len) as u32;
+                (0..shards).map(|j| bound(j)..bound(j + 1)).collect()
+            })
+            .collect();
+        let widest = plan.iter().map(Vec::len).max().unwrap_or(1);
         Sweep {
+            num_pages,
             page_size,
-            shards: (0..shards)
-                .map(|i| Shard {
-                    range: bound(i)..bound(i + 1),
+            lanes: (0..widest)
+                .map(|_| Lane {
                     arena: ScanArena::new(page_size),
                     swept: 0,
                 })
                 .collect(),
-            order: Vec::new(),
-            sorted: Vec::new(),
+            plan,
+        }
+    }
+
+    /// The page range of every segment, in file order.
+    pub fn segments(&self) -> impl Iterator<Item = Range<u32>> + '_ {
+        (0..self.plan.len()).map(|seg| self.segment(seg))
+    }
+
+    /// The page range of segment `seg`.
+    pub fn segment(&self, seg: usize) -> Range<u32> {
+        let ranges = &self.plan[seg];
+        ranges[0].start..ranges.last().expect("a segment has a range").end
+    }
+
+    /// The ranges segment `seg`'s pass is split into, in file order.
+    pub fn shard_ranges(&self, seg: usize) -> &[Range<u32>] {
+        &self.plan[seg]
+    }
+
+    /// Pages swept so far by range 0, range 1, … of all the passes — like the
+    /// plan, a function of the file and of which segments were swept, never
+    /// of a request.
+    pub fn shard_pages_swept(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lanes.iter().map(|l| l.swept)
+    }
+
+    /// A crew for laps over `file`: one helper for every range after the
+    /// first of this sweep's widest segment.
+    pub fn crew(&self, file: &Arc<dyn PagedFile>) -> Crew {
+        Crew::of(file, self.lanes.len() - 1)
+    }
+
+    /// One pass over segment `seg` of `file`: `slots[k]` receives page
+    /// `wanted[k]`; `wanted` is sorted and inside the segment. Range 0 runs
+    /// on the calling thread, range `j` on helper `j − 1` of `crew` — which
+    /// must have been made for `file` — or, past the crew's last helper,
+    /// on the calling thread afterwards. Every range sweeps all of its pages
+    /// whatever the others meet. When ranges fail, the error is that of the
+    /// lowest failing one — what a front-to-back pass would have stopped on.
+    /// A range that panics is re-raised here, after every other range has
+    /// ended.
+    ///
+    /// # Panics
+    /// Panics if `slots.len() != wanted.len()`, if a buffer of `slots` is
+    /// not page-sized, or if `file` is not the shape the sweep was built for.
+    pub fn pass(
+        &mut self,
+        crew: &mut Crew,
+        file: &dyn PagedFile,
+        seg: usize,
+        wanted: &[u32],
+        slots: &mut [PageBuf],
+    ) -> Result<(), ScanStop> {
+        assert_eq!(wanted.len(), slots.len(), "batch output length mismatch");
+        assert_eq!(
+            (file.num_pages(), file.page_size()),
+            (self.num_pages, self.page_size),
+            "sweep built for another file"
+        );
+        let ranges = &self.plan[seg];
+        let helped = (ranges.len() - 1).min(crew.helpers.len());
+        let (mut wanted, mut slots) = (wanted, slots);
+        let (w0, s0) = take_below(&mut wanted, &mut slots, ranges[0].end);
+        let mut rest = wanted;
+        for (helper, range) in crew.helpers.iter().zip(&ranges[1..]) {
+            let (w, _) = rest.split_at(rest.partition_point(|&p| p < range.end));
+            helper.post(range.clone(), w, self.page_size);
+            rest = &rest[w.len()..];
+        }
+        let (first, others) = self.lanes.split_first_mut().expect("a sweep has a lane");
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            first.pass(file, ranges[0].clone(), w0, s0)
+        }));
+        // ranges are collected in file order: the first error (and the first
+        // panic) stays
+        let mut outcome = own;
+        for ((helper, range), lane) in crew.helpers.iter().zip(&ranges[1..]).zip(others.iter_mut())
+        {
+            let (_, s) = take_below(&mut wanted, &mut slots, range.end);
+            let swept = helper.collect(s);
+            let reached = match &swept {
+                Ok(Ok(())) => range.end,
+                Ok(Err(stop)) => stop.at,
+                Err(_) => range.start,
+            };
+            lane.swept += u64::from(reached - range.start);
+            outcome = match (outcome, swept) {
+                (Ok(so_far), Ok(res)) => Ok(so_far.and(res)),
+                (Err(panic), _) | (Ok(_), Err(panic)) => Err(panic),
+            };
+        }
+        let mut outcome = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (lane, range) in others[helped..].iter_mut().zip(&ranges[1 + helped..]) {
+            let (w, s) = take_below(&mut wanted, &mut slots, range.end);
+            outcome = outcome.and(lane.pass(file, range.clone(), w, s));
+        }
+        outcome
+    }
+}
+
+/// One round aboard a [`Rotation`]: what it asked for and, once its lap is
+/// over, the pages.
+#[derive(Default)]
+pub struct Ride {
+    id: u64,
+    page_size: usize,
+    /// `(page, request)` of every request, sorted by page.
+    order: Vec<(u32, u32)>,
+    /// Request `i`'s page at `i * page_size`.
+    pages: Vec<u8>,
+    joined: usize,
+    /// Segment passes still to ride.
+    left: usize,
+    shared: bool,
+}
+
+impl Ride {
+    /// The id the round joined under.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The page of the round's `i`-th request.
+    pub fn page(&self, i: usize) -> &[u8] {
+        &self.pages[i * self.page_size..(i + 1) * self.page_size]
+    }
+
+    /// All pages, in request order, back to back.
+    pub fn pages(&self) -> &[u8] {
+        &self.pages
+    }
+
+    /// The segment whose pass was the ride's first.
+    pub fn joined_at(&self) -> usize {
+        self.joined
+    }
+
+    /// True when at least one segment pass of the ride had another round
+    /// aboard.
+    pub fn shared(&self) -> bool {
+        self.shared
+    }
+}
+
+/// The rotating sweep rounds share: a cursor over a file's segments and the
+/// rounds aboard. A round [joins](Rotation::join) between two passes, rides
+/// the next `K` of them — one lap of the `K` segments, wrapping at the end of
+/// the file — and comes out of the pass that completes it with every page it
+/// asked for. Each [`Rotation::step`] is one segment pass resolving the
+/// union of what its riders want from that segment, so `R` rounds aboard
+/// cost the host one pass, not `R`.
+///
+/// The rotation holds no file and runs no I/O: `step` hands the pass (the
+/// segment and the sorted pages wanted from it) to its caller, which is what
+/// lets a store lend its [`Sweep`] to several rotations in turn. Whoever
+/// calls `step` is the only one to touch the riders, so a failed or
+/// panicking pass is that caller's to report to them.
+pub struct Rotation {
+    num_pages: u32,
+    page_size: usize,
+    segments: Vec<Range<u32>>,
+    /// The segment the next pass sweeps; 0 whenever nobody is aboard.
+    at: usize,
+    /// In join order.
+    riders: Vec<Ride>,
+    /// Rides handed back, for their buffers.
+    spare: Vec<Ride>,
+    /// `(page, rider, request)` of the current pass, sorted.
+    merged: Vec<(u32, u32, u32)>,
+    /// The pages of `merged`: what the pass resolves.
+    wanted: Vec<u32>,
+    /// `slots[k]` receives page `wanted[k]`.
+    slots: Vec<PageBuf>,
+}
+
+impl Rotation {
+    /// An idle rotation over the segments of `sweep`, whose passes its steps
+    /// are to be handed to.
+    pub fn over(sweep: &Sweep) -> Self {
+        Rotation {
+            num_pages: sweep.num_pages,
+            page_size: sweep.page_size,
+            segments: sweep.segments().collect(),
+            at: 0,
+            riders: Vec::new(),
+            spare: Vec::new(),
+            merged: Vec::new(),
+            wanted: Vec::new(),
             slots: Vec::new(),
         }
     }
 
-    /// The page range of every shard, in file order.
-    pub fn shard_ranges(&self) -> impl Iterator<Item = Range<u32>> + '_ {
-        self.shards.iter().map(|s| s.range.clone())
+    /// The page range of every segment, in file order.
+    pub fn segments(&self) -> &[Range<u32>] {
+        &self.segments
     }
 
-    /// Pages every shard has swept so far, in file order — like the ranges,
-    /// a function of the file and the number of sweeps, never of a request.
-    pub fn shard_pages_swept(&self) -> impl Iterator<Item = u64> + '_ {
-        self.shards.iter().map(|s| s.swept)
+    /// True when nobody is aboard.
+    pub fn is_idle(&self) -> bool {
+        self.riders.is_empty()
     }
 
-    /// One full sweep of `file`: `out[i]` receives page `pages[i]`, which
-    /// must be in range. Every shard sweeps its whole range whatever the
-    /// others meet. When passes fail, the error is that of the lowest failing
-    /// range — what a front-to-back sweep would have stopped on — and `out`
-    /// is left untouched. A pass that panics is re-raised here, after every
-    /// other pass has ended.
+    /// The ids aboard, in join order.
+    pub fn riders(&self) -> impl Iterator<Item = u64> + '_ {
+        self.riders.iter().map(|r| r.id)
+    }
+
+    /// Takes a round aboard under `id`: it rides from the next pass on. A
+    /// round that finds nobody aboard starts its lap at segment 0.
     ///
     /// # Panics
-    /// Panics if `out.len() != pages.len()`, if a buffer of `out` is not
-    /// page-sized, or if `file` is not the shape the sweep was built for.
-    pub fn run(
-        &mut self,
-        file: &dyn PagedFile,
-        pages: &[u32],
-        out: &mut [PageBuf],
-    ) -> Result<(), ScanStop> {
-        assert_eq!(pages.len(), out.len(), "batch output length mismatch");
-        let end = self.shards.last().expect("a sweep has a shard").range.end;
-        assert_eq!(
-            (file.num_pages(), file.page_size()),
-            (end, self.page_size),
-            "sweep built for another file"
+    /// Panics if a page is out of range (callers bounds-check first, so that
+    /// a bad request costs no I/O and fails nobody else).
+    pub fn join(&mut self, id: u64, pages: &[u32]) {
+        assert!(
+            pages.iter().all(|&p| p < self.num_pages),
+            "a round joins with in-range pages"
         );
-        self.order.clear();
-        self.order.extend(pages.iter().copied().zip(0..));
-        self.order.sort_unstable();
-        self.sorted.clear();
-        self.sorted.extend(self.order.iter().map(|&(p, _)| p));
-        if self.slots.len() < pages.len() {
-            let ps = self.page_size;
-            self.slots.resize_with(pages.len(), || PageBuf::zeroed(ps));
+        if self.riders.is_empty() {
+            self.at = 0;
         }
+        let mut ride = self.spare.pop().unwrap_or_default();
+        ride.id = id;
+        ride.page_size = self.page_size;
+        ride.order.clear();
+        ride.order.extend(pages.iter().copied().zip(0..));
+        ride.order.sort_unstable();
+        // every request's page is written before the ride comes out: what an
+        // earlier ride left in the buffer need not be cleared
+        ride.pages.resize(pages.len() * self.page_size, 0);
+        ride.joined = self.at;
+        ride.left = self.segments.len();
+        ride.shared = false;
+        self.riders.push(ride);
+    }
 
-        let mut wanted = &self.sorted[..];
-        let mut slots = &mut self.slots[..pages.len()];
-        let (first, rest) = self.shards.split_first_mut().expect("a sweep has a shard");
-        let (w0, s0) = take_below(&mut wanted, &mut slots, first.range.end);
-        std::thread::scope(|scope| {
-            let mut spawned = Vec::with_capacity(rest.len());
-            for shard in rest {
-                let at = shard.range.start;
-                let (w, s) = take_below(&mut wanted, &mut slots, shard.range.end);
-                // A thread the system refuses is a pass that read nothing:
-                // a typed I/O error (retryable on EAGAIN), not a panic.
-                spawned.push(
-                    std::thread::Builder::new()
-                        .spawn_scoped(scope, move || shard.pass(file, w, s))
-                        .map_err(|e| ScanStop {
-                            at,
-                            error: StorageError::Io(e).into(),
-                        }),
-                );
-            }
-            let mut outcome = first.pass(file, w0, s0);
-            for handle in spawned {
-                let res = handle.and_then(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                });
-                // ranges are joined in file order: the first error stays
-                outcome = outcome.and(res);
-            }
-            outcome
-        })?;
+    /// Drops the round that joined under `id`, if it is still aboard.
+    pub fn leave(&mut self, id: u64) {
+        if let Some(i) = self.riders.iter().position(|r| r.id == id) {
+            let ride = self.riders.remove(i);
+            self.spare.push(ride);
+        }
+    }
 
-        for (buf, &(_, slot)) in self.slots.iter().zip(&self.order) {
-            out[slot].as_mut_slice().copy_from_slice(buf.as_slice());
+    /// Drops everybody: what is left to do after a pass that failed or
+    /// panicked, once its riders have been told.
+    pub fn clear(&mut self) {
+        self.spare.append(&mut self.riders);
+    }
+
+    /// Hands a finished ride back for its buffers.
+    pub fn recycle(&mut self, ride: Ride) {
+        self.spare.push(ride);
+    }
+
+    /// One segment pass: `pass(segment, wanted, slots)` must fill `slots[k]`
+    /// with page `wanted[k]` (sorted, all inside the segment) or fail. The
+    /// rounds whose lap this pass completes are appended to `done`, in join
+    /// order, holding their pages. A failed pass fails every round aboard:
+    /// the error is the caller's to pass on to [`Rotation::riders`], who must
+    /// then all be dropped ([`Rotation::clear`]) — no page of a lap that
+    /// missed a segment may be served — which leaves the rotation idle and
+    /// ready for the next round.
+    pub fn step<E>(
+        &mut self,
+        pass: impl FnOnce(usize, &[u32], &mut [PageBuf]) -> Result<(), E>,
+        done: &mut Vec<Ride>,
+    ) -> Result<(), E> {
+        let seg = self.segments[self.at].clone();
+        self.merged.clear();
+        for (r, ride) in self.riders.iter().enumerate() {
+            let lo = ride.order.partition_point(|&(p, _)| p < seg.start);
+            let hi = ride.order.partition_point(|&(p, _)| p < seg.end);
+            let here = ride.order[lo..hi].iter();
+            self.merged.extend(here.map(|&(p, i)| (p, r as u32, i)));
+        }
+        self.merged.sort_unstable();
+        self.wanted.clear();
+        self.wanted.extend(self.merged.iter().map(|&(p, _, _)| p));
+        let n = self.merged.len();
+        if self.slots.len() < n {
+            let ps = self.page_size;
+            self.slots.resize_with(n, || PageBuf::zeroed(ps));
+        }
+        pass(self.at, &self.wanted, &mut self.slots[..n])?;
+        let ps = self.page_size;
+        for (slot, &(_, r, i)) in self.slots.iter().zip(&self.merged) {
+            let at = i as usize * ps;
+            self.riders[r as usize].pages[at..at + ps].copy_from_slice(slot.as_slice());
+        }
+        self.at = (self.at + 1) % self.segments.len();
+        let shared = self.riders.len() > 1;
+        let mut i = 0;
+        while i < self.riders.len() {
+            let ride = &mut self.riders[i];
+            ride.shared |= shared;
+            ride.left -= 1;
+            if ride.left == 0 {
+                done.push(self.riders.remove(i));
+            } else {
+                i += 1;
+            }
         }
         Ok(())
     }
@@ -490,26 +939,45 @@ mod tests {
         let ps = 16usize;
         let mem = MemFile::from_bytes(&vec![7u8; 5 * ps], ps);
         let mut sweep = Sweep::new(5, ps, 1);
-        sweep.run(&mem, &[], &mut []).unwrap();
+        sweep
+            .pass(&mut Crew::none(), &mem, 0, &[], &mut [])
+            .unwrap();
         assert_eq!(sweep.shard_pages_swept().collect::<Vec<_>>(), [5]);
     }
 
     #[test]
     fn shard_plans_cover_the_file_on_run_boundaries() {
-        for pages in [0u32, 1, 63, 64, 65, 448, 457, 13_870] {
+        for pages in [0u32, 1, 63, 64, 65, 448, 457, 2048, 2049, 13_870] {
             for shards in [1usize, 2, 3, 7, 500] {
-                let ranges: Vec<_> = Sweep::new(pages, 16, shards).shard_ranges().collect();
-                let runs = (pages as usize).div_ceil(RUN_PAGES);
-                assert_eq!(ranges.len(), shards.min(runs).max(1), "{pages} / {shards}");
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges.last().unwrap().end, pages);
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "ranges abut");
-                    assert_eq!(pair[0].end as usize % RUN_PAGES, 0, "cut on a run");
+                let sweep = Sweep::new(pages, 16, shards);
+                let segments: Vec<_> = sweep.segments().collect();
+                assert_eq!(
+                    segments.len(),
+                    (pages as usize).div_ceil(SEGMENT_PAGES).max(1),
+                    "{pages}"
+                );
+                assert_eq!(segments[0].start, 0);
+                assert_eq!(segments.last().unwrap().end, pages);
+                for pair in segments.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "segments abut");
+                    assert_eq!(pair[0].len(), SEGMENT_PAGES, "all but the last are whole");
                 }
-                if pages > 0 {
-                    assert!(ranges.iter().all(|r| r.start < r.end), "no empty shard");
+                for (i, seg) in segments.iter().enumerate() {
+                    let ranges = sweep.shard_ranges(i);
+                    let runs = seg.len().div_ceil(RUN_PAGES);
+                    assert_eq!(ranges.len(), shards.min(runs).max(1), "{pages} / {shards}");
+                    assert_eq!(ranges[0].start, seg.start);
+                    assert_eq!(ranges.last().unwrap().end, seg.end);
+                    for pair in ranges.windows(2) {
+                        assert_eq!(pair[0].end, pair[1].start, "ranges abut");
+                        assert_eq!(pair[0].end as usize % RUN_PAGES, 0, "cut on a run");
+                    }
+                    if pages > 0 {
+                        assert!(ranges.iter().all(|r| r.start < r.end), "no empty shard");
+                    }
                 }
+                // a rotation rides the sweep's segments
+                assert_eq!(Rotation::over(&sweep).segments(), &segments[..]);
             }
         }
         // the plan of the store: one shard per CPU while each keeps its minimum
@@ -520,6 +988,53 @@ mod tests {
         assert_eq!(shard_count(2 * MIN_SHARD_PAGES as u32, 8), 2);
         assert_eq!(shard_count(143, 2), 1);
         assert_eq!(shard_count(0, 0), 1);
+    }
+
+    #[test]
+    fn a_failed_pass_fails_every_rider_and_leaves_the_rotation_reusable() {
+        let ps = 16usize;
+        let pages = 5 * RUN_PAGES as u32;
+        let mem: Arc<dyn PagedFile> = Arc::new(seeded_file(pages, ps, 7));
+        let mut sweep = Sweep::with_segments(pages, ps, 2 * RUN_PAGES, 2);
+        let mut crew = sweep.crew(&mem);
+        let mut rotation = Rotation::over(&sweep);
+        let mut done = Vec::new();
+        rotation.join(7, &[3, pages - 1]);
+        rotation
+            .step(
+                |seg, w, s| sweep.pass(&mut crew, &*mem, seg, w, s),
+                &mut done,
+            )
+            .unwrap();
+        rotation.join(8, &[0]);
+        // the second pass fails: both riders are the caller's to tell
+        let err = rotation
+            .step(|seg, _, _| Err::<(), usize>(seg), &mut done)
+            .unwrap_err();
+        assert_eq!(err, 1);
+        assert!(done.is_empty());
+        assert_eq!(rotation.riders().collect::<Vec<_>>(), [7, 8]);
+        rotation.clear();
+        assert!(rotation.is_idle());
+        // the next round starts a lap of its own, from segment 0
+        rotation.join(9, &[pages - 1, 3]);
+        let mut run = Vec::new();
+        while !rotation.is_idle() {
+            rotation
+                .step(
+                    |seg, w, s| {
+                        run.push(seg);
+                        sweep.pass(&mut crew, &*mem, seg, w, s)
+                    },
+                    &mut done,
+                )
+                .unwrap();
+        }
+        assert_eq!(run, [0, 1, 2]);
+        let ride = done.pop().unwrap();
+        assert_eq!((ride.id(), ride.joined_at(), ride.shared()), (9, 0, false));
+        assert_eq!(ride.page(0), mem.read_page(pages - 1).unwrap().as_slice());
+        assert_eq!(ride.page(1), mem.read_page(3).unwrap().as_slice());
     }
 
     /// All six drivers over the same content persisted under `dir`.
@@ -547,12 +1062,31 @@ mod tests {
         bare.into_iter().chain(wrapped).collect()
     }
 
+    /// A file of `pages` pages of `ps` bytes whose content follows `seed`.
+    fn seeded_file(pages: u32, ps: usize, seed: u64) -> MemFile {
+        let bytes: Vec<u8> = (0..pages as usize * ps)
+            .map(|i| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64) >> 5) as u8)
+            .collect();
+        MemFile::from_bytes(&bytes, ps)
+    }
+
+    /// The pages either side of every cut of `sweep`, and the file's last.
+    fn boundary_pages(sweep: &Sweep) -> Vec<u32> {
+        let mut out = Vec::new();
+        for seg in 0..sweep.segments().count() {
+            for r in sweep.shard_ranges(seg) {
+                out.extend([r.start, r.end - 1]);
+            }
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-        /// Every shard plan over every driver is the one-shard pass: the
-        /// same answers in request order and the same `0..N` log, which are
-        /// also those of the PR 3 reference path.
+        /// Every segment and shard plan over every driver is the one-shard
+        /// pass: the same answers in request order and the same `0..N` log,
+        /// which are also those of the PR 3 reference path.
         #[test]
         fn sharded_sweeps_are_the_one_shard_pass(
             pages in 1u32..(7 * RUN_PAGES as u32 + 40),
@@ -561,19 +1095,14 @@ mod tests {
             boundaries in any::<bool>(),
         ) {
             let ps = 24usize; // not a multiple of 8: the lane tail runs too
-            let bytes: Vec<u8> = (0..pages as usize * ps)
-                .map(|i| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64) >> 5) as u8)
-                .collect();
-            let mem = MemFile::from_bytes(&bytes, ps);
+            let mem = seeded_file(pages, ps, seed);
             // duplicates come from the modulus; with `boundaries`, also the
             // pages either side of every cut of every plan, and the last
             // page of a partial last run
             let mut reqs: Vec<u32> = picks.iter().map(|p| p % pages).collect();
             if boundaries && !reqs.is_empty() {
                 for shards in [2usize, 3, 7] {
-                    for r in Sweep::new(pages, ps, shards).shard_ranges() {
-                        reqs.extend([r.start, r.end - 1]);
-                    }
+                    reqs.extend(boundary_pages(&Sweep::with_segments(pages, ps, 2 * RUN_PAGES, shards)));
                 }
                 reqs.push(pages - 1);
                 reqs.push(reqs[0]);
@@ -592,19 +1121,123 @@ mod tests {
 
             let dir = temp_dir("prop");
             for (name, driver) in drivers(&dir, &mem) {
-                for shards in [1usize, 2, 3, 7] {
-                    let mut store = LinearScanStore::with_shards(Arc::clone(&driver), shards);
+                for (segment, shards) in [(SEGMENT_PAGES, 1usize), (SEGMENT_PAGES, 3), (2 * RUN_PAGES, 2), (RUN_PAGES, 7)] {
+                    let mut store = LinearScanStore::with_plan(Arc::clone(&driver), segment, shards);
                     let mut got = vec![PageBuf::zeroed(ps); k];
                     // two rounds: the reused scratch must not carry over
                     for round in 0..2 {
                         store.fetch_batch(&reqs, &mut got).unwrap();
-                        prop_assert_eq!(&got, &want, "{} x{} round {}", name, shards, round);
+                        prop_assert_eq!(&got, &want, "{} {}x{} round {}", name, segment, shards, round);
                     }
                     prop_assert_eq!(
                         store.physical_log(),
                         &[&round_log[..], &round_log[..]].concat()[..],
-                        "{} x{} log", name, shards
+                        "{} {}x{} log", name, segment, shards
                     );
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        /// The rotation as a plain structure, under any join schedule: every
+        /// ride comes out with the pages a one-shot fetch returns, every
+        /// rider is aboard for exactly one lap of consecutive segments from
+        /// the one it joined at, and the host sweeps the segments that were
+        /// run and nothing else.
+        #[test]
+        fn rides_of_any_join_schedule_are_one_shot_fetches(
+            pages in 1u32..(7 * RUN_PAGES as u32 + 40),
+            seed in any::<u64>(),
+            segment_runs in 1usize..4,
+            riders in proptest::collection::vec(
+                // requests, boundary pages too, passes run before it joins
+                (proptest::collection::vec(any::<u32>(), 0..7), any::<bool>(), 0usize..12),
+                1..5,
+            ),
+        ) {
+            let ps = 24usize;
+            let mem = seeded_file(pages, ps, seed);
+            let segment = segment_runs * RUN_PAGES;
+            let dir = temp_dir("ride");
+            for (name, driver) in drivers(&dir, &mem) {
+                for shards in [1usize, 2, 3] {
+                    let mut store = LinearScanStore::with_plan(Arc::clone(&driver), segment, shards);
+                    let mut crew = store.crew();
+                    let mut rotation = store.rotation();
+                    let segments = rotation.segments().to_vec();
+                    let k = segments.len();
+                    let requests: Vec<Vec<u32>> = riders
+                        .iter()
+                        .map(|(picks, boundaries, _)| {
+                            let mut reqs: Vec<u32> = picks.iter().map(|p| p % pages).collect();
+                            if *boundaries {
+                                reqs.extend(boundary_pages(store.sweep()));
+                                reqs.push(pages - 1);
+                            }
+                            reqs
+                        })
+                        .collect();
+                    // riders in the order of the boundary they join at
+                    let mut waiting: Vec<usize> = (0..riders.len()).collect();
+                    waiting.sort_by_key(|&r| riders[r].2);
+
+                    let mut run: Vec<usize> = Vec::new(); // segment of every pass
+                    let mut aboard_at: Vec<Vec<usize>> = Vec::new(); // riders of every pass
+                    let mut first_pass = vec![0usize; riders.len()];
+                    let mut done = Vec::new();
+                    let mut finished = 0usize;
+                    let mut next = 0usize;
+                    while finished < riders.len() {
+                        // an idle rotation waits for its next rider
+                        let boundary = if rotation.is_idle() {
+                            riders[waiting[next]].2.max(run.len())
+                        } else {
+                            run.len()
+                        };
+                        while next < waiting.len() && riders[waiting[next]].2 <= boundary {
+                            let r = waiting[next];
+                            rotation.join(r as u64, &requests[r]);
+                            first_pass[r] = run.len();
+                            next += 1;
+                        }
+                        aboard_at.push(rotation.riders().map(|id| id as usize).collect());
+                        rotation
+                            .step(
+                                |seg, wanted, slots| {
+                                    run.push(seg);
+                                    store.pass(&mut crew, seg, wanted, slots)
+                                },
+                                &mut done,
+                            )
+                            .unwrap();
+                        for ride in done.drain(..) {
+                            let r = ride.id() as usize;
+                            for (i, &p) in requests[r].iter().enumerate() {
+                                prop_assert_eq!(ride.page(i), mem.page(p).unwrap(), "{} x{} rider {} request {}", name, shards, r, i);
+                            }
+                            prop_assert_eq!(ride.pages().len(), requests[r].len() * ps);
+                            // aboard for the K passes from its first, over
+                            // consecutive segments from the one it joined at
+                            let lap = &run[first_pass[r]..];
+                            prop_assert_eq!(lap.len(), k, "{} x{} rider {}", name, shards, r);
+                            for (j, &seg) in lap.iter().enumerate() {
+                                prop_assert_eq!(seg, (ride.joined_at() + j) % k);
+                            }
+                            let company = aboard_at[first_pass[r]..].iter().any(|a| a.len() > 1);
+                            prop_assert_eq!(ride.shared(), company);
+                            if !company {
+                                prop_assert_eq!(ride.joined_at(), 0, "a lone lap starts at segment 0");
+                            }
+                            rotation.recycle(ride);
+                            finished += 1;
+                        }
+                    }
+                    prop_assert!(rotation.is_idle());
+                    // pages swept = segments run, and they are what was logged
+                    let logged: Vec<u32> = run.iter().flat_map(|&seg| segments[seg].clone()).collect();
+                    prop_assert_eq!(store.physical_log(), &logged[..], "{} x{}", name, shards);
+                    let swept: u64 = store.sweep().shard_pages_swept().sum();
+                    prop_assert_eq!(swept, logged.len() as u64);
                 }
             }
             std::fs::remove_dir_all(&dir).ok();

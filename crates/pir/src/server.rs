@@ -40,13 +40,13 @@ use crate::backend::{LinearScanStore, ObliviousStore, ShuffledStore};
 use crate::cost::{plain_read_cost, retrieval_cost, CostBreakdown};
 use crate::error::PirError;
 use crate::meter::Meter;
+use crate::scan::{Crew, Rotation};
 use crate::spec::SystemSpec;
 use crate::trace::{AccessTrace, TraceEvent};
 use crate::transport::Transport;
 use crate::Result;
 use privpath_storage::{ByteReader, ByteWriter, MemFile, PageBuf, PagedFile, StorageError};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies a registered database file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,17 +125,23 @@ struct ServedFile {
     /// `None` for externally supplied stores — those cannot be reproduced
     /// from a snapshot, so servers holding them are not persistable.
     mode: Option<PirMode>,
-    /// Functional oblivious store, if any. Stores mutate on fetch (epoch
-    /// reshuffles), so concurrent sessions serialize on this lock; the
-    /// cost-only default (`None`) reads `plain` without locking.
-    store: Option<Mutex<Box<dyn ObliviousStore>>>,
-    /// True when a fetch of this file is a pure function of the request —
-    /// a linear-scan store whose one-pass sweep reads state-independent
-    /// content — so requests from *different* sessions may be merged into
-    /// one batched sweep without changing any reply. Stateful stores
-    /// (shuffled epochs, fault injectors) and externally supplied stores
-    /// are never coalescable.
-    coalescable: bool,
+    store: Store,
+}
+
+/// What stands between a file's pages and a fetch. Functional stores mutate
+/// on fetch (epoch reshuffles, sweep scratch, the physical log), so
+/// concurrent sessions serialize on their lock.
+enum Store {
+    /// Cost-only: `plain` is read without locking.
+    None,
+    /// The linear-scan store. A fetch of it is a pure function of the
+    /// request — every sweep reads the same state-independent content — so
+    /// rounds of *different* sessions may share the segment passes of one
+    /// [`Rotation`] without changing any reply.
+    Scan(Box<Mutex<LinearScanStore>>),
+    /// Any other store: stateful (shuffled epochs, fault injectors) or
+    /// externally supplied, so its rounds are served one at a time.
+    Other(Mutex<Box<dyn ObliviousStore>>),
 }
 
 /// The LBS: database files + SCP. Immutable once built; share with `Arc`.
@@ -183,25 +189,26 @@ impl PirServer {
                 max_pages: self.spec.max_file_pages(),
             });
         }
-        let coalescable = matches!(mode, PirMode::LinearScan);
-        let store: Option<Box<dyn ObliviousStore>> = match &mode {
-            PirMode::CostOnly => None,
-            PirMode::LinearScan => Some(Box::new(LinearScanStore::from_driver(Arc::clone(&file)))),
-            PirMode::Shuffled { seed } => Some(Box::new(ShuffledStore::from_driver(
+        let store = match &mode {
+            PirMode::CostOnly => Store::None,
+            PirMode::LinearScan => Store::Scan(Box::new(Mutex::new(LinearScanStore::from_driver(
                 Arc::clone(&file),
-                *seed,
-            )?)),
-            PirMode::Faulty { corrupt_fetches } => Some(Box::new(crate::fault::FaultyStore::new(
-                LinearScanStore::from_driver(Arc::clone(&file)),
-                corrupt_fetches.clone(),
+            )))),
+            PirMode::Shuffled { seed } => Store::Other(Mutex::new(Box::new(
+                ShuffledStore::from_driver(Arc::clone(&file), *seed)?,
             ))),
+            PirMode::Faulty { corrupt_fetches } => {
+                Store::Other(Mutex::new(Box::new(crate::fault::FaultyStore::new(
+                    LinearScanStore::from_driver(Arc::clone(&file)),
+                    corrupt_fetches.clone(),
+                ))))
+            }
         };
         self.files.push(ServedFile {
             name: name.to_string(),
             plain: file,
             mode: Some(mode),
-            store: store.map(Mutex::new),
-            coalescable,
+            store,
         });
         Ok(FileId((self.files.len() - 1) as u16))
     }
@@ -227,8 +234,7 @@ impl PirServer {
             name: name.to_string(),
             plain: Arc::new(file),
             mode: None,
-            store: Some(Mutex::new(store)),
-            coalescable: false,
+            store: Store::Other(Mutex::new(store)),
         });
         Ok(FileId((self.files.len() - 1) as u16))
     }
@@ -260,11 +266,55 @@ impl PirServer {
         Ok(self.file(f)?.name.as_str())
     }
 
-    /// True when fetches of file `f` may be merged across sessions into one
-    /// batched sweep (see `ServedFile::coalescable`). Unknown files are not
-    /// coalescable — the immediate serve path produces the error for them.
-    pub fn file_coalescable(&self, f: FileId) -> bool {
-        self.file(f).map(|sf| sf.coalescable).unwrap_or(false)
+    /// The linear-scan store of file `f`, locked — `None` where the file is
+    /// served any other way, or not at all.
+    fn scan_store(&self, f: FileId) -> Option<Result<MutexGuard<'_, LinearScanStore>>> {
+        let file = self.file(f).ok()?;
+        match &file.store {
+            Store::Scan(store) => Some(store.lock().map_err(|_| poisoned(&file.name))),
+            _ => None,
+        }
+    }
+
+    /// An idle rotation over file `f`, whose steps are to be served by
+    /// [`PirServer::scan_pass`] — `None` unless rounds of `f` may share laps
+    /// across sessions (see `Store::Scan`) and its store can still be locked;
+    /// the immediate serve path produces the error where it cannot.
+    pub(crate) fn scan_rotation(&self, f: FileId) -> Option<Rotation> {
+        Some(self.scan_store(f)?.ok()?.rotation())
+    }
+
+    /// The helping hands for the passes of a rotation over file `f`; nobody
+    /// where `f` has no linear-scan store to lock.
+    pub(crate) fn scan_crew(&self, f: FileId) -> Crew {
+        match self.scan_store(f) {
+            Some(Ok(store)) => store.crew(),
+            _ => Crew::none(),
+        }
+    }
+
+    /// One segment pass over file `f` on behalf of a rotation from
+    /// [`PirServer::scan_rotation`], under the store's lock: laps of
+    /// different drivers interleave pass by pass.
+    pub(crate) fn scan_pass(
+        &self,
+        f: FileId,
+        crew: &mut Crew,
+        seg: usize,
+        wanted: &[u32],
+        slots: &mut [PageBuf],
+    ) -> Result<()> {
+        self.scan_store(f)
+            .ok_or(PirError::UnknownFile(f.0))??
+            .pass(crew, seg, wanted, slots)
+    }
+
+    /// Reads the linear-scan store of file `f` — its physical log, its sweep
+    /// plan and per-range page counts — for audits of what the host observed.
+    /// `None` where the file is served any other way or its store is
+    /// poisoned.
+    pub fn audit_scan<R>(&self, f: FileId, read: impl FnOnce(&LinearScanStore) -> R) -> Option<R> {
+        Some(read(&*self.scan_store(f)?.ok()?))
     }
 
     /// Number of registered files.
@@ -329,16 +379,15 @@ impl PirServer {
         debug_assert_eq!(pages.len(), out.len());
         let file = self.file(f)?;
         match &file.store {
-            Some(store) => store
+            Store::Scan(store) => store
                 .lock()
-                .map_err(|_| {
-                    PirError::Poisoned(format!(
-                        "oblivious store of file '{}' poisoned by an earlier panic",
-                        file.name
-                    ))
-                })?
+                .map_err(|_| poisoned(&file.name))?
                 .fetch_batch(pages, out),
-            None => {
+            Store::Other(store) => store
+                .lock()
+                .map_err(|_| poisoned(&file.name))?
+                .fetch_batch(pages, out),
+            Store::None => {
                 for (&page, buf) in pages.iter().zip(out.iter_mut()) {
                     file.plain.read_page_into(page, buf)?;
                 }
@@ -346,6 +395,12 @@ impl PirServer {
             }
         }
     }
+}
+
+fn poisoned(file: &str) -> PirError {
+    PirError::Poisoned(format!(
+        "oblivious store of file '{file}' poisoned by an earlier panic"
+    ))
 }
 
 /// One client's protocol session: cost meter, access trace, round counter,

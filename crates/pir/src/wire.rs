@@ -91,6 +91,32 @@
 //! [`PirError::StaleGeneration`] ([`WireChannel::handshake_expecting`])
 //! instead of silently re-planning against changed data.
 //!
+//! # Shared laps
+//!
+//! The paper charges the server one pass over the file per round. Rounds of
+//! *different* sessions over one linear-scan file need not each pay it: the
+//! front keeps one rotating, segment-wise sweep per file in use
+//! ([`crate::scan::Rotation`]), and a round that may share it — fresh, in
+//! order, every fetch an in-range page of that one file, same generation —
+//! **joins at the next segment boundary and leaves after exactly one lap**.
+//! A round that finds nobody aboard is a lap from segment 0: the same
+//! answers, the same `0..N` physical log and the same cost as serving it on
+//! the spot, which is what every other round gets (several files in one
+//! round, a stateful store, another file or generation than the lap in
+//! progress). There is no window and nothing to tune: nobody waits for
+//! company, and company that turns up mid-lap waits for one segment pass at
+//! most. The riders' replies, masked streams, counters and replay caches are
+//! settled by the loop thread in arrival order, exactly as the immediate
+//! path would have — [`SessionStats::coalesced_rounds`] is the only trace a
+//! shared lap leaves, and it is server-side accounting. What the *host*
+//! observes is laps: which segments were swept in which order, a function of
+//! when rounds arrived and never of what they asked for (`tests/leakage.rs`
+//! pins both differentials). The passes run on a driver thread that lives
+//! as long as somebody is aboard, so the loop keeps answering small
+//! exchanges meanwhile; where the process has one CPU, or the file one
+//! segment, the loop thread runs them itself, between frames (see the `lap`
+//! submodule).
+//!
 //! # The adversary's view of the wire
 //!
 //! In the real protocol the page index inside a PIR request is hidden by the
@@ -108,9 +134,12 @@
 //! carries no new bytes and its timing depends only on the link, not the
 //! query.
 
+mod lap;
 pub mod tcp;
 
+use self::lap::{Lap, Riding, Turn};
 use crate::error::PirError;
+use crate::scan::Ride;
 use crate::server::FileId;
 use crate::spec::SystemSpec;
 use crate::transport::{GenerationSource, ServeHost, StaticSource, Transport};
@@ -361,12 +390,16 @@ fn encode_round_request(
     finish_frame(w)
 }
 
-fn encode_round_response(seq: u32, pages: &[PageBuf], page_size: usize) -> Vec<u8> {
+fn encode_round_response<'a>(
+    seq: u32,
+    page_size: usize,
+    pages: impl ExactSizeIterator<Item = &'a [u8]>,
+) -> Vec<u8> {
     let mut w = begin_frame(K_ROUND_RESP, seq);
     w.u32(pages.len() as u32);
     w.u32(page_size as u32);
     for p in pages {
-        w.bytes(p.as_slice());
+        w.bytes(p);
     }
     finish_frame(w)
 }
@@ -635,10 +668,11 @@ pub struct SessionStats {
     /// Retransmitted requests answered from the reply cache (no store
     /// access, no epoch advance).
     pub retransmits: u64,
-    /// Rounds of this session that were served from a sweep shared with at
-    /// least one *other* session's round (see
-    /// [`FrontConfig::coalesce_window`]). Purely server-side accounting:
-    /// the reply and the observable stream are unaffected.
+    /// Rounds of this session that shared at least one segment pass of
+    /// their sweep with another session's round: both were aboard the same
+    /// lap of the file's rotation (see the module docs, "Shared laps").
+    /// Purely server-side accounting: the reply and the observable stream
+    /// are unaffected.
     pub coalesced_rounds: u64,
     /// Frames that failed structural validation (crc mismatch, truncation).
     pub malformed: u64,
@@ -705,6 +739,8 @@ pub(crate) enum ToServer {
         client: u64,
     },
     Shutdown,
+    /// What a pass of the lap's driver thread came to.
+    Lap(Turn),
 }
 
 /// Degradation and throughput knobs for a [`ServerFront`].
@@ -714,21 +750,6 @@ pub struct FrontConfig {
     /// is marked closed + evicted and the client observes a severed channel
     /// on its next request. `None` (the default) disables eviction.
     pub idle_timeout: Option<Duration>,
-    /// Hold a coalescable round request (every fetch targets a
-    /// linear-scan-served file) for up to this long, merging concurrently
-    /// pending rounds from *other* sessions into one batched sweep before
-    /// serving them all. `None` (the default) serves every round
-    /// immediately — the exact legacy behavior. The paper charges the
-    /// server one linear scan per round, so a shared sweep divides the scan
-    /// cost across every client in the batch; replies are demultiplexed per
-    /// session and each client's observable stream and reply bytes are
-    /// bit-identical to a solo run (see the leakage differential in
-    /// `tests/leakage.rs`).
-    pub coalesce_window: Option<Duration>,
-    /// Flush a pending coalesced batch as soon as it holds this many page
-    /// fetches, without waiting out the window. `0` means no fetch-count
-    /// bound (the window alone flushes).
-    pub coalesce_max_batch: usize,
     /// Stream server replies larger than this as [`K_CHUNK`]-framed slices
     /// (each with its own crc), bounding the peak bytes a transport buffers
     /// per reply. `None` (the default) sends every reply as one frame.
@@ -745,8 +766,9 @@ pub struct FrontConfig {
 /// gets [`ERR_INTERNAL`], everyone else keeps being served), poisoned locks
 /// are recovered instead of cascading, idle sessions can be evicted on a
 /// deadline ([`FrontConfig::idle_timeout`]), and
-/// [`ServerFront::shutdown`] drains every frame already queued before the
-/// loop exits, so in-flight rounds complete.
+/// [`ServerFront::shutdown`] finishes every ride of the lap in progress and
+/// drains every frame already queued before the loop exits, so in-flight
+/// rounds complete.
 pub struct ServerFront {
     to_server: mpsc::Sender<ToServer>,
     shared: Arc<Mutex<FrontShared>>,
@@ -777,10 +799,34 @@ impl ServerFront {
     /// publishes a new generation serve from the new one. See the module
     /// docs ("Generations and hot swap").
     pub fn spawn_swappable(source: Arc<dyn GenerationSource>, cfg: FrontConfig) -> ServerFront {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::spawn_on(source, cfg, cpus)
+    }
+
+    /// [`ServerFront::spawn_swappable`] with the CPU count given instead of
+    /// asked of the host: with one, the loop thread drives every shared lap
+    /// itself; with more, laps of several segments get a driver thread.
+    fn spawn_on(source: Arc<dyn GenerationSource>, cfg: FrontConfig, cpus: usize) -> ServerFront {
         let (tx, rx) = mpsc::channel();
         let shared = Arc::new(Mutex::new(FrontShared::default()));
-        let loop_shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || server_loop(source, rx, loop_shared, cfg));
+        let front = Front {
+            latest: GenEntry::resolve(&*source),
+            source,
+            shared: Arc::clone(&shared),
+            cfg,
+            cpus,
+            events: tx.clone(),
+            clients: BTreeMap::new(),
+            next_session: 1,
+            reqs: Vec::new(),
+            run_pages: Vec::new(),
+            arena: Vec::new(),
+            lap: None,
+            spare: Vec::new(),
+            next_ride: 0,
+            draining: false,
+        };
+        let handle = std::thread::spawn(move || front.run(rx));
         ServerFront {
             to_server: tx,
             shared,
@@ -857,7 +903,8 @@ impl ServerFront {
 
     /// Stops the loop thread gracefully and returns the final session
     /// table. Frames already queued when the shutdown lands are drained and
-    /// served first (in-flight rounds complete); sessions still open are
+    /// served first, and rounds riding a shared lap ride it to its end
+    /// (in-flight rounds complete); sessions still open are
     /// then marked closed and their clients get a transport error on their
     /// next request instead of a hang.
     pub fn shutdown(mut self) -> BTreeMap<u64, SessionStats> {
@@ -968,595 +1015,509 @@ struct ClientState {
     last_active: Instant,
 }
 
-fn server_loop(
+/// The loop thread's state: the sessions, the serving scratch and the lap
+/// rounds share.
+struct Front {
     source: Arc<dyn GenerationSource>,
-    rx: mpsc::Receiver<ToServer>,
     shared: Arc<Mutex<FrontShared>>,
     cfg: FrontConfig,
-) {
-    let mut latest = GenEntry::resolve(&*source);
-    let mut clients: BTreeMap<u64, ClientState> = BTreeMap::new();
-    let mut next_session: u64 = 1;
-    // serving scratch, reused across every client and frame
-    let mut reqs: Vec<(FileId, u32)> = Vec::new();
-    let mut run_pages: Vec<u32> = Vec::new();
-    let mut arena: Vec<PageBuf> = Vec::new();
-    // rounds parked in the coalesce window, flushed as one batched sweep
-    let mut pending: Vec<PendingRound> = Vec::new();
-    let mut flush_at: Option<Instant> = None;
-    let max_batch = match cfg.coalesce_max_batch {
-        0 => usize::MAX,
-        n => n,
-    };
+    /// CPUs the process may use. With one, no lap gets a driver thread: the
+    /// loop thread runs every pass itself.
+    cpus: usize,
+    /// The loop's own queue, for a lap's driver thread to report to.
+    events: mpsc::Sender<ToServer>,
+    latest: Arc<GenEntry>,
+    clients: BTreeMap<u64, ClientState>,
+    next_session: u64,
+    // serving scratch of the immediate path, reused across clients and frames
+    reqs: Vec<(FileId, u32)>,
+    run_pages: Vec<u32>,
+    arena: Vec<PageBuf>,
+    /// The rotation in progress, or the last one.
+    lap: Option<Lap>,
+    /// Settled rides, kept for their buffers: the next round to join any lap
+    /// rides in one, so that rounds that alternate between files allocate
+    /// no page buffers either.
+    spare: Vec<Ride>,
+    /// The id the last round rode under. One numbering for every lap, so
+    /// that a late report of a lap since replaced names nobody.
+    next_ride: u64,
+    /// Shutdown received: serve what is queued and owed, then stop.
+    draining: bool,
+}
 
-    // Eviction needs the loop to wake even when no frames arrive — and it
-    // must also run while frames *do* arrive (a busy neighbour must not
-    // keep an idle session alive), so the deadline is rechecked between
-    // frames too, rate-limited to one sweep per tick.
-    let tick = cfg
-        .idle_timeout
-        .map(|t| (t / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
-    let mut last_sweep = Instant::now();
-
-    let mut draining = false;
-    loop {
-        if let Some(tick) = tick {
-            if !draining && last_sweep.elapsed() >= tick {
-                // A round parked by a client that is about to be evicted
-                // (or whose channel already vanished) must not stall its
-                // co-parked neighbours until window expiry: flush the batch
-                // first, mirroring the flush-on-disconnect path, then
-                // evict. The idle owner still gets its reply if its channel
-                // is alive — eviction severs the channel, not the frames
-                // already owed to it.
-                if let Some(deadline) = cfg.idle_timeout {
-                    let now = Instant::now();
-                    let stalling = pending.iter().any(|p| {
-                        clients
-                            .get(&p.client)
-                            .is_none_or(|s| now.duration_since(s.last_active) >= deadline)
-                    });
-                    if stalling {
-                        flush_pending(
-                            &shared,
-                            &mut clients,
-                            &mut pending,
-                            &mut run_pages,
-                            &mut arena,
-                            cfg.chunk_bytes,
-                        );
-                        flush_at = None;
+impl Front {
+    fn run(mut self, rx: mpsc::Receiver<ToServer>) {
+        // Eviction needs the loop to wake even when no frames arrive — and
+        // it must also run while frames *do* arrive and while a lap is being
+        // ridden (a busy neighbour must not keep an idle session alive), so
+        // the deadline is rechecked on every turn of the loop, rate-limited
+        // to one sweep per tick.
+        let tick = self
+            .cfg
+            .idle_timeout
+            .map(|t| (t / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
+        let mut last_sweep = Instant::now();
+        loop {
+            if let Some(tick) = tick {
+                if !self.draining && last_sweep.elapsed() >= tick {
+                    self.evict_idle();
+                    last_sweep = Instant::now();
+                }
+            }
+            let riding = self.lap.as_ref().is_some_and(|l| !l.riding.is_empty());
+            let msg = if self.lap.as_ref().is_some_and(Lap::wants_turn) {
+                // The loop thread drives the lap: every queued frame first —
+                // rounds among them ride from this boundary on — then one
+                // segment pass.
+                match rx.try_recv() {
+                    Ok(m) => m,
+                    Err(_) => {
+                        let lap = self.lap.as_mut().expect("a lap wants its turn");
+                        if let Some(turn) = lap.turn() {
+                            self.settle(turn);
+                        }
+                        continue;
                     }
                 }
-                evict_idle(&mut clients, &shared, cfg.idle_timeout);
-                last_sweep = Instant::now();
-            }
-        }
-        let msg = if draining {
-            // Shutdown received: serve everything already queued, then stop.
-            match rx.try_recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        } else {
-            // Sleep until the next frame, capped by the eviction tick and
-            // by the coalesce-window deadline when a batch is parked.
-            let wait = match (tick, flush_at) {
-                (None, None) => None,
-                (Some(t), None) => Some(t),
-                (t, Some(at)) => {
-                    let until = at.saturating_duration_since(Instant::now());
-                    Some(t.map_or(until, |t| t.min(until)))
-                }
-            };
-            match wait {
-                None => match rx.recv() {
+            } else if self.draining && !riding {
+                match rx.try_recv() {
                     Ok(m) => m,
                     Err(_) => break,
-                },
-                Some(w) => match rx.recv_timeout(w) {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if flush_at.is_some_and(|at| Instant::now() >= at) {
-                            flush_pending(
-                                &shared,
-                                &mut clients,
-                                &mut pending,
-                                &mut run_pages,
-                                &mut arena,
-                                cfg.chunk_bytes,
-                            );
-                            flush_at = None;
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                },
-            }
-        };
-        match msg {
-            ToServer::Connect { client, resp } => {
-                clients.insert(
-                    client,
-                    ClientState {
-                        resp,
-                        session: None,
-                        gen: Arc::clone(&latest),
-                        last_round: 0,
-                        last_seq: 0,
-                        last_reply: Vec::new(),
-                        last_observed: None,
-                        last_active: Instant::now(),
-                    },
-                );
-            }
-            ToServer::Disconnect { client } => {
-                if pending.iter().any(|p| p.client == client) {
-                    // serve the parked batch before the participant goes
-                    // away, so neighbours' rounds are unaffected
-                    flush_pending(
-                        &shared,
-                        &mut clients,
-                        &mut pending,
-                        &mut run_pages,
-                        &mut arena,
-                        cfg.chunk_bytes,
-                    );
-                    flush_at = None;
                 }
-                if let Some(state) = clients.remove(&client) {
-                    if let Some(sid) = state.session {
-                        if let Some(stats) = lock_shared(&shared).sessions.get_mut(&sid) {
-                            stats.closed = true;
-                        }
-                    }
-                }
-            }
-            ToServer::Shutdown => {
-                flush_pending(
-                    &shared,
-                    &mut clients,
-                    &mut pending,
-                    &mut run_pages,
-                    &mut arena,
-                    cfg.chunk_bytes,
-                );
-                flush_at = None;
-                draining = true;
-            }
-            ToServer::Frame { client, bytes } => {
-                if let Some(idx) = pending.iter().position(|p| p.client == client) {
-                    if pending[idx].bytes == bytes {
-                        // Retransmission of the parked request (the client's
-                        // attempt window elapsed inside the coalesce
-                        // window): the flush will answer it; resending now
-                        // would serve the round twice.
-                        let sid = pending[idx].sid;
-                        if let Some(stats) = lock_shared(&shared).sessions.get_mut(&sid) {
-                            stats.retransmits += 1;
-                        }
-                        if let Some(state) = clients.get_mut(&client) {
-                            state.last_active = Instant::now();
-                        }
-                        continue;
-                    }
-                    // Any other frame from a client with a parked round
-                    // would reorder its channel: serve the batch first.
-                    flush_pending(
-                        &shared,
-                        &mut clients,
-                        &mut pending,
-                        &mut run_pages,
-                        &mut arena,
-                        cfg.chunk_bytes,
-                    );
-                    flush_at = None;
-                }
-                // The cutover point: a SessionOpen on a channel with no open
-                // session re-resolves the source and re-pins the channel, so
-                // sessions opened after a swap serve the new generation.
-                // The open-session guard keeps a *retransmitted* SessionOpen
-                // from re-pinning a live session; the unvalidated kind-byte
-                // peek is only a hint — worst case a malformed frame
-                // re-pins a sessionless channel, which changes nothing.
-                if bytes.len() >= HEADER_BYTES && bytes[11] == K_SESSION_OPEN {
-                    if let Some(state) = clients.get_mut(&client) {
-                        if state.session.is_none() {
-                            let (cur_id, cur_host) = source.current_generation();
-                            if cur_id != latest.id {
-                                latest = Arc::new(GenEntry::new(cur_id, cur_host));
-                            }
-                            state.gen = Arc::clone(&latest);
-                        }
-                    }
-                }
-                if cfg.coalesce_window.is_some() && !draining {
-                    let Some(state) = clients.get_mut(&client) else {
-                        continue; // unknown client: nowhere to reply
-                    };
-                    state.last_active = Instant::now();
-                    let gen = Arc::clone(&state.gen);
-                    // A batch never spans generations: a parked sweep from
-                    // an older generation flushes before a newer-generation
-                    // round may park (swaps are rare; the lost batching
-                    // window is one flush).
-                    if pending.first().is_some_and(|p| p.gen.id != gen.id) {
-                        flush_pending(
-                            &shared,
-                            &mut clients,
-                            &mut pending,
-                            &mut run_pages,
-                            &mut arena,
-                            cfg.chunk_bytes,
-                        );
-                        flush_at = None;
-                    }
-                    let Some(state) = clients.get_mut(&client) else {
-                        continue; // the flush found this client's channel dead
-                    };
-                    if let Some(p) = try_defer_round(&gen, state, client, &bytes) {
-                        pending.push(p);
-                        if flush_at.is_none() {
-                            flush_at =
-                                Some(Instant::now() + cfg.coalesce_window.unwrap_or_default());
-                        }
-                        if pending.iter().map(|p| p.reqs.len()).sum::<usize>() >= max_batch {
-                            flush_pending(
-                                &shared,
-                                &mut clients,
-                                &mut pending,
-                                &mut run_pages,
-                                &mut arena,
-                                cfg.chunk_bytes,
-                            );
-                            flush_at = None;
-                        }
-                        continue;
-                    }
-                }
-                let Some(state) = clients.get_mut(&client) else {
-                    continue; // unknown client: nowhere to reply
+            } else {
+                // Sleep until the next frame (or the next report of the
+                // lap's driver thread), capped by the eviction tick.
+                let received = match tick {
+                    Some(t) if !self.draining => rx.recv_timeout(t),
+                    _ => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
                 };
-                state.last_active = Instant::now();
-                let session_before = state.session;
-                let gen = Arc::clone(&state.gen);
-                // A panicking handler (a buggy or sabotaged store) must not
-                // kill the loop: catch it, tear down this session only, and
-                // keep serving everyone else. The scratch vectors are safe
-                // to reuse — every handler clears them before use.
-                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_frame(
-                        &gen,
-                        &shared,
-                        state,
-                        &mut next_session,
-                        &bytes,
-                        &mut reqs,
-                        &mut run_pages,
-                        &mut arena,
-                    )
-                }));
-                match reply {
-                    Ok(reply) => {
-                        let frames = chunk_reply(reply, cfg.chunk_bytes);
-                        let out_len: usize = frames.iter().map(|f| f.len()).sum();
-                        // attribute bytes to the frame's session: the one
-                        // open before the frame (covers SessionClose, which
-                        // clears it) or the one it just opened (SessionOpen)
-                        if let Some(sid) = session_before.or(state.session) {
-                            let mut lock = lock_shared(&shared);
-                            if let Some(stats) = lock.sessions.get_mut(&sid) {
-                                stats.bytes_in += bytes.len() as u64;
-                                stats.bytes_out += out_len as u64;
-                            }
-                        }
-                        let mut dead = false;
-                        for f in frames {
-                            if state.resp.send(f).is_err() {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        if dead {
-                            clients.remove(&client);
-                        }
-                    }
-                    Err(_) => {
-                        if let Some(sid) = session_before.or(state.session) {
-                            let mut lock = lock_shared(&shared);
-                            if let Some(stats) = lock.sessions.get_mut(&sid) {
-                                stats.panics += 1;
-                                stats.closed = true;
-                            }
-                        }
-                        let _ = state.resp.send(encode_error(
-                            SEQ_UNPARSED,
-                            ERR_INTERNAL,
-                            "handler panicked; session torn down",
-                        ));
-                        clients.remove(&client);
-                    }
+                match received {
+                    Ok(m) => m,
+                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                }
+            };
+            match msg {
+                ToServer::Connect { client, resp } => {
+                    self.clients.insert(
+                        client,
+                        ClientState {
+                            resp,
+                            session: None,
+                            gen: Arc::clone(&self.latest),
+                            last_round: 0,
+                            last_seq: 0,
+                            last_reply: Vec::new(),
+                            last_observed: None,
+                            last_active: Instant::now(),
+                        },
+                    );
+                }
+                ToServer::Disconnect { client } => self.drop_client(client, |stats| {
+                    stats.closed = true;
+                }),
+                // every ride is finished before the loop stops: `riding`
+                // keeps it from breaking, and the queue is served meanwhile
+                ToServer::Shutdown => self.draining = true,
+                ToServer::Frame { client, bytes } => self.on_frame(client, bytes),
+                ToServer::Lap(turn) => self.settle(turn),
+            }
+        }
+        if let Some(lap) = &mut self.lap {
+            lap.retire();
+        }
+        // graceful shutdown: mark every open session closed
+        let mut lock = lock_shared(&self.shared);
+        for state in self.clients.values() {
+            if let Some(sid) = state.session {
+                if let Some(stats) = lock.sessions.get_mut(&sid) {
+                    stats.closed = true;
                 }
             }
         }
     }
-    // a batch can still be parked if every sender vanished mid-window
-    flush_pending(
-        &shared,
-        &mut clients,
-        &mut pending,
-        &mut run_pages,
-        &mut arena,
-        cfg.chunk_bytes,
-    );
-    // graceful shutdown: mark every open session closed
-    let mut lock = lock_shared(&shared);
-    for state in clients.values() {
-        if let Some(sid) = state.session {
-            if let Some(stats) = lock.sessions.get_mut(&sid) {
+
+    /// Forgets `client`: its channel is gone or must go. Its round, if it
+    /// rides the lap, is dropped at the next boundary and delays nobody; its
+    /// session, if open, is marked by `mark`.
+    fn drop_client(&mut self, client: u64, mark: impl FnOnce(&mut SessionStats)) {
+        if let Some(lap) = &mut self.lap {
+            lap.leave(client);
+        }
+        let Some(sid) = self.clients.remove(&client).and_then(|s| s.session) else {
+            return;
+        };
+        if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
+            mark(stats);
+        }
+    }
+
+    /// Drops clients idle past the deadline: their sessions are marked
+    /// closed + evicted and their response senders are dropped, so the
+    /// client observes a severed channel on its next request.
+    fn evict_idle(&mut self) {
+        let Some(deadline) = self.cfg.idle_timeout else {
+            return;
+        };
+        let now = Instant::now();
+        let idle: Vec<u64> = self
+            .clients
+            .iter()
+            .filter(|(_, state)| now.duration_since(state.last_active) >= deadline)
+            .map(|(&client, _)| client)
+            .collect();
+        for client in idle {
+            self.drop_client(client, |stats| {
                 stats.closed = true;
-            }
+                stats.evicted = true;
+            });
         }
     }
-}
 
-/// One round request parked in the coalesce window, with everything the
-/// flush needs to mirror the immediate path exactly: the observation is
-/// recorded, the stats advance and the replay cache updates at flush time,
-/// in arrival order, so a coalesced session's stream and counters are
-/// bit-identical to a solo run's.
-struct PendingRound {
-    client: u64,
-    sid: u64,
-    seq: u32,
-    /// The generation the owning session is pinned to. Every round in one
-    /// batch shares it (the loop flushes before parking across a swap), so
-    /// the flush serves from exactly one generation's stores.
-    gen: Arc<GenEntry>,
-    /// Original frame bytes (retransmit detection + `bytes_in` accounting).
-    bytes: Vec<u8>,
-    /// Whether the round number advanced (counts toward `rounds`).
-    new_round: bool,
-    /// The parsed fetch list, pre-validated against the file table.
-    reqs: Vec<(FileId, u32)>,
-    /// The masked observation, recorded at flush.
-    masked: Vec<u8>,
-}
+    /// Sends a reply's frames; a dead channel forgets the client.
+    fn send(&mut self, client: u64, frames: Vec<Vec<u8>>) {
+        let Some(state) = self.clients.get(&client) else {
+            return;
+        };
+        if frames.into_iter().any(|f| state.resp.send(f).is_err()) {
+            self.drop_client(client, |_| {});
+        }
+    }
 
-/// Decides whether a frame can join the coalesce batch: it must be a fresh,
-/// well-formed `RoundRequest` for this channel's open session, in round
-/// order, whose every fetch is an in-range page of a linear-scan-served
-/// file. Anything else — retransmissions, protocol errors, stateful stores
-/// (a shuffled store's epoch must advance per-client, in order), pages out
-/// of range (one client's bad fetch must never fail a neighbour's batch) —
-/// returns `None` and takes the immediate path, which produces the
-/// authoritative reply. On success the round-order cursor advances; every
-/// other side effect happens at flush.
-fn try_defer_round(
-    gen: &Arc<GenEntry>,
-    state: &mut ClientState,
-    client: u64,
-    bytes: &[u8],
-) -> Option<PendingRound> {
-    let server = gen.server();
-    if bytes.len() > MAX_REQUEST_BYTES {
-        return None;
-    }
-    let frame = split_frame(bytes).ok()?;
-    if frame.kind != K_ROUND_REQ || !frame.rest.is_empty() {
-        return None;
-    }
-    let seq = frame.seq;
-    if seq == 0 || seq == SEQ_UNPARSED || seq != advance_seq(state.last_seq) {
-        return None;
-    }
-    let mut r = ByteReader::new(frame.payload);
-    let (sid, round, k) = match (r.u64(), r.u32(), r.u32()) {
-        (Ok(s), Ok(ro), Ok(k)) => (s, ro, k as usize),
-        _ => return None,
-    };
-    if state.session != Some(sid) {
-        return None;
-    }
-    let mut reqs = Vec::with_capacity(k.min(bytes.len() / 6 + 1));
-    for _ in 0..k {
-        match (r.u16(), r.u32()) {
-            (Ok(f), Ok(p)) => reqs.push((FileId(f), p)),
-            _ => return None,
-        }
-    }
-    if reqs.is_empty() {
-        return None;
-    }
-    if round != state.last_round && round != state.last_round + 1 {
-        return None;
-    }
-    for &(f, page) in &reqs {
-        if !server.file_coalescable(f) || page >= server.file_pages(f).ok()? {
-            return None;
-        }
-    }
-    let new_round = round == state.last_round + 1;
-    state.last_round = round;
-    let masked = encode_round_request(seq, 0, round, &reqs, true);
-    Some(PendingRound {
-        client,
-        sid,
-        seq,
-        gen: Arc::clone(gen),
-        bytes: bytes.to_vec(),
-        new_round,
-        reqs,
-        masked,
-    })
-}
-
-/// Serves a parked batch as one merged sweep and demultiplexes the replies.
-/// The flat fetch list is stably grouped by file, so the batched serve path
-/// folds every same-file request — across sessions — into a single store
-/// `fetch_batch` (for a linear-scan store: one pass over the file). Each
-/// participant is then settled in arrival order exactly as the immediate
-/// path would have: observation recorded, stats advanced, replay cache
-/// updated, reply (chunked if configured) sent.
-fn flush_pending(
-    shared: &Arc<Mutex<FrontShared>>,
-    clients: &mut BTreeMap<u64, ClientState>,
-    pending: &mut Vec<PendingRound>,
-    run_pages: &mut Vec<u32>,
-    arena: &mut Vec<PageBuf>,
-    chunk_bytes: Option<usize>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let batch: Vec<PendingRound> = std::mem::take(pending);
-    // single-generation invariant: the park path flushes before admitting a
-    // round from a different generation, so batch[0] speaks for all
-    let gen = Arc::clone(&batch[0].gen);
-    let server = gen.server();
-    let page_size = gen.page_size;
-    // provenance-tagged flat fetch list: (file, page, entry, slot)
-    let mut flat: Vec<(FileId, u32, usize, usize)> = Vec::new();
-    for (e, p) in batch.iter().enumerate() {
-        for (s, &(f, page)) in p.reqs.iter().enumerate() {
-            flat.push((f, page, e, s));
-        }
-    }
-    // stable by file: same-file requests become one run, per-entry fetch
-    // order within a file is preserved
-    flat.sort_by_key(|&(f, _, _, _)| f.0);
-    let merged: Vec<(FileId, u32)> = flat.iter().map(|&(f, p, _, _)| (f, p)).collect();
-    let mut slot_of: Vec<Vec<usize>> = batch.iter().map(|p| vec![0usize; p.reqs.len()]).collect();
-    for (pos, &(_, _, e, s)) in flat.iter().enumerate() {
-        slot_of[e][s] = pos;
-    }
-    while arena.len() < merged.len() {
-        arena.push(PageBuf::zeroed(page_size));
-    }
-    for buf in arena.iter_mut().take(merged.len()) {
-        if buf.len() != page_size {
-            *buf = PageBuf::zeroed(page_size);
-        }
-    }
-    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        server.serve_requests(&merged, run_pages, &mut arena[..merged.len()])
-    }));
-    let Ok(result) = served else {
-        // a panicking store tears down every participating session — the
-        // same degradation the immediate path applies to one
-        for p in &batch {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&p.sid) {
+    /// Tears down the session a panic was caught on: the client gets
+    /// [`ERR_INTERNAL`] and is forgotten; everyone else keeps being served.
+    fn tear_down(&mut self, client: u64, sid: Option<u64>) {
+        if let Some(sid) = sid {
+            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
                 stats.panics += 1;
                 stats.closed = true;
             }
-            if let Some(state) = clients.get(&p.client) {
-                let _ = state.resp.send(encode_error(
-                    SEQ_UNPARSED,
-                    ERR_INTERNAL,
-                    "handler panicked; session torn down",
-                ));
-            }
-            clients.remove(&p.client);
         }
-        return;
-    };
-    // pre-validation makes per-entry serve errors impossible, so any error
-    // here is store-global (poisoning, a disk fault) and every participant
-    // sees it. A *transient* storage fault is answered with the retryable
-    // ERR_SERVE_TRANSIENT and deliberately NOT cached: the round cursor is
-    // rolled back so each participant's retransmission re-enters the serve
-    // path (park or immediate) and re-executes against the recovered disk.
-    let transient = matches!(&result, Err(e) if e.is_transient_storage());
-    let shared_sweep = {
-        let mut sids: Vec<u64> = batch.iter().map(|p| p.sid).collect();
-        sids.sort_unstable();
-        sids.dedup();
-        sids.len() > 1
-    };
-    for (e, p) in batch.iter().enumerate() {
-        let reply = match &result {
-            Ok(()) => {
-                let pages: Vec<PageBuf> =
-                    slot_of[e].iter().map(|&pos| arena[pos].clone()).collect();
-                encode_round_response(p.seq, &pages, page_size)
+        if let Some(state) = self.clients.get(&client) {
+            let _ = state.resp.send(encode_error(
+                SEQ_UNPARSED,
+                ERR_INTERNAL,
+                "handler panicked; session torn down",
+            ));
+        }
+        self.drop_client(client, |_| {});
+    }
+
+    fn on_frame(&mut self, client: u64, bytes: Vec<u8>) {
+        let Some(state) = self.clients.get_mut(&client) else {
+            return; // unknown client: nowhere to reply
+        };
+        state.last_active = Instant::now();
+        if let Some(lap) = &mut self.lap {
+            if let Some(riding) = lap.riding.iter_mut().find(|r| r.client == client) {
+                if riding.bytes == bytes {
+                    // Retransmission of the riding request (the client's
+                    // attempt window elapsed mid-lap): the end of the ride
+                    // will answer it; serving it now would serve the round
+                    // twice.
+                    if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&riding.sid) {
+                        stats.retransmits += 1;
+                    }
+                } else {
+                    riding.after.push(bytes);
+                }
+                return;
             }
-            Err(err) => {
+        }
+        // The cutover point: a SessionOpen on a channel with no open session
+        // re-resolves the source and re-pins the channel, so sessions opened
+        // after a swap serve the new generation. The open-session guard
+        // keeps a *retransmitted* SessionOpen from re-pinning a live
+        // session; the unvalidated kind-byte peek is only a hint — worst
+        // case a malformed frame re-pins a sessionless channel, which
+        // changes nothing.
+        if bytes.len() >= HEADER_BYTES && bytes[11] == K_SESSION_OPEN && state.session.is_none() {
+            let (cur_id, cur_host) = self.source.current_generation();
+            if cur_id != self.latest.id {
+                self.latest = Arc::new(GenEntry::new(cur_id, cur_host));
+            }
+            state.gen = Arc::clone(&self.latest);
+        }
+        let bytes = match self.try_join(client, bytes) {
+            Ok(()) => return,
+            Err(bytes) => bytes,
+        };
+        let Some(state) = self.clients.get_mut(&client) else {
+            return;
+        };
+        let session_before = state.session;
+        let gen = Arc::clone(&state.gen);
+        // A panicking handler (a buggy or sabotaged store) must not kill the
+        // loop: catch it, tear down this session only, and keep serving
+        // everyone else. The scratch vectors are safe to reuse — every
+        // handler clears them before use.
+        let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_frame(
+                &gen,
+                &self.shared,
+                state,
+                &mut self.next_session,
+                &bytes,
+                &mut self.reqs,
+                &mut self.run_pages,
+                &mut self.arena,
+            )
+        }));
+        // attribute the frame to its session: the one open before it (covers
+        // SessionClose, which clears it) or the one it just opened
+        let sid = session_before.or(state.session);
+        match reply {
+            Ok(reply) => {
+                let frames = chunk_reply(reply, self.cfg.chunk_bytes);
+                let out_len: usize = frames.iter().map(|f| f.len()).sum();
+                if let Some(sid) = sid {
+                    if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
+                        stats.bytes_in += bytes.len() as u64;
+                        stats.bytes_out += out_len as u64;
+                    }
+                }
+                self.send(client, frames);
+            }
+            Err(_) => self.tear_down(client, sid),
+        }
+    }
+
+    /// Takes a round aboard the lap instead of serving it on the spot, when
+    /// it can share one: a fresh, well-formed `RoundRequest` for this
+    /// channel's open session, in round order, whose every fetch is an
+    /// in-range page of one file that shares laps — the file and generation
+    /// the lap in progress is over, or any while nobody rides. Anything else
+    /// — retransmissions, protocol errors, stateful stores (a shuffled
+    /// store's epoch must advance per-client, in order), rounds over several
+    /// files, pages out of range (one client's bad fetch must never fail a
+    /// neighbour's lap) — gets its frame back and takes the immediate path,
+    /// which produces the authoritative reply. On success the round-order
+    /// cursor advances; every other side effect happens when the ride ends.
+    fn try_join(&mut self, client: u64, bytes: Vec<u8>) -> std::result::Result<(), Vec<u8>> {
+        let mut joinable = self.joinable(client, &bytes);
+        if let Some(Err(InTheWay)) = joinable {
+            // A lap over another file that the loop thread drives itself is a
+            // pass or so from its end (a small file's only one, typically,
+            // waiting for the queue to empty). Serving this round on the spot
+            // instead — a whole sweep with the loop blocked, and nobody able
+            // to join it — would cost more than finishing that lap first.
+            let own = |lap: &mut Lap| lap.wants_turn().then(|| lap.turn()).flatten();
+            while let Some(turn) = self.lap.as_mut().and_then(own) {
+                self.settle(turn);
+            }
+            joinable = self.joinable(client, &bytes);
+        }
+        let Some(Ok((mut riding, pages))) = joinable else {
+            return Err(bytes);
+        };
+        riding.bytes = bytes;
+        let lap = self.lap.as_mut().expect("a joinable round has its lap");
+        if let Some(ride) = self.spare.pop() {
+            lap.recycle(ride);
+        }
+        lap.join(riding, pages, &self.events);
+        Ok(())
+    }
+
+    /// The checks of [`Front::try_join`]: `None` for a round that may not
+    /// share a lap, `InTheWay` for one that could if the loop thread's own
+    /// lap over another file were over. On success the lap is the one to
+    /// join and the round cursor has advanced.
+    fn joinable(
+        &mut self,
+        client: u64,
+        bytes: &[u8],
+    ) -> Option<std::result::Result<(Riding, Vec<u32>), InTheWay>> {
+        if self.draining || bytes.len() > MAX_REQUEST_BYTES {
+            return None;
+        }
+        let state = self.clients.get_mut(&client)?;
+        let frame = split_frame(bytes).ok()?;
+        if frame.kind != K_ROUND_REQ || !frame.rest.is_empty() {
+            return None;
+        }
+        let seq = frame.seq;
+        if seq == 0 || seq == SEQ_UNPARSED || seq != advance_seq(state.last_seq) {
+            return None;
+        }
+        let mut r = ByteReader::new(frame.payload);
+        let (sid, round, k) = (r.u64().ok()?, r.u32().ok()?, r.u32().ok()? as usize);
+        if state.session != Some(sid) {
+            return None;
+        }
+        if round != state.last_round && round != state.last_round + 1 {
+            return None;
+        }
+        let server = state.gen.server();
+        let mut pages = Vec::with_capacity(k.min(bytes.len() / 6 + 1));
+        self.reqs.clear();
+        for _ in 0..k {
+            let (f, page) = (FileId(r.u16().ok()?), r.u32().ok()?);
+            if page >= server.file_pages(f).ok()? {
+                return None;
+            }
+            self.reqs.push((f, page));
+            pages.push(page);
+        }
+        let file = self.reqs.first()?.0;
+        if self.reqs.iter().any(|&(f, _)| f != file) {
+            return None;
+        }
+        // a lap is over one file of one generation: while somebody rides it,
+        // rounds for any other are served on the spot
+        let fits = |lap: &Lap| lap.file == file && lap.gen.id == state.gen.id;
+        match &mut self.lap {
+            Some(lap) if fits(lap) => {}
+            Some(lap) if lap.wants_turn() => return Some(Err(InTheWay)),
+            Some(lap) if !lap.riding.is_empty() => return None,
+            stale => {
+                let next = Lap::new(&state.gen, file, self.cpus)?;
+                if let Some(old) = stale {
+                    old.retire();
+                }
+                *stale = Some(next);
+            }
+        }
+        let new_round = round == state.last_round + 1;
+        state.last_round = round;
+        self.next_ride += 1;
+        let riding = Riding {
+            ride: self.next_ride,
+            client,
+            sid,
+            seq,
+            bytes: Vec::new(),
+            new_round,
+            fetches: k,
+            masked: encode_round_request(seq, 0, round, &self.reqs, true),
+            after: Vec::new(),
+        };
+        Some(Ok((riding, pages)))
+    }
+
+    /// Settles what one pass of the lap came to, every round in arrival
+    /// order and exactly as the immediate path would have: observation
+    /// recorded, stats advanced, replay cache updated, reply (chunked if
+    /// configured) sent — then the frames the client sent meanwhile.
+    fn settle(&mut self, turn: Turn) {
+        let Some(lap) = &mut self.lap else { return };
+        let page_size = lap.gen.page_size;
+        // every round of the turn comes off the lap before any is settled:
+        // settling hands the client's waiting frames on, which must find the
+        // lap as the turn left it
+        let mut landed: Vec<Landed> = Vec::new();
+        match turn {
+            Turn::Done(rides) => {
+                for ride in &rides {
+                    if let Some(riding) = lap.landed(ride.id()) {
+                        let reply = encode_round_response(
+                            riding.seq,
+                            page_size,
+                            ride.pages().chunks_exact(page_size),
+                        );
+                        landed.push(Landed {
+                            riding,
+                            reply,
+                            shared: Some(ride.shared()),
+                            transient: false,
+                        });
+                    }
+                }
+                self.spare.extend(rides);
+            }
+            // A failed pass is store-wide (a disk fault, a poisoned lock) —
+            // bad requests never get aboard — so every rider sees the one
+            // error. A *transient* storage fault is answered with the
+            // retryable ERR_SERVE_TRANSIENT and deliberately NOT cached: the
+            // round cursor is rolled back so each rider's retransmission
+            // rides again against the recovered disk.
+            Turn::Failed { riders, error } => {
+                let transient = error.is_transient_storage();
                 let code = if transient {
                     ERR_SERVE_TRANSIENT
                 } else {
                     ERR_SERVE
                 };
-                encode_error(p.seq, code, &format!("{err}"))
-            }
-        };
-        let frames = chunk_reply(reply.clone(), chunk_bytes);
-        let out_len: usize = frames.iter().map(|f| f.len()).sum();
-        {
-            let mut lock = lock_shared(shared);
-            if let Some(stats) = lock.sessions.get_mut(&p.sid) {
-                stats.record_observed(&p.masked);
-                stats.bytes_in += p.bytes.len() as u64;
-                stats.bytes_out += out_len as u64;
-                if result.is_ok() {
-                    stats.fetches += p.reqs.len() as u64;
-                    if p.new_round {
-                        stats.rounds += 1;
-                    }
-                    if shared_sweep {
-                        stats.coalesced_rounds += 1;
+                let message = error.to_string();
+                for id in riders {
+                    if let Some(riding) = lap.landed(id) {
+                        let reply = encode_error(riding.seq, code, &message);
+                        landed.push(Landed {
+                            riding,
+                            reply,
+                            shared: None,
+                            transient,
+                        });
                     }
                 }
             }
+            // a panicking pass tears down every rider's session — the same
+            // degradation the immediate path applies to one
+            Turn::Panicked { riders } => {
+                let lost: Vec<Riding> =
+                    riders.into_iter().filter_map(|id| lap.landed(id)).collect();
+                for riding in lost {
+                    self.tear_down(riding.client, Some(riding.sid));
+                }
+                return;
+            }
         }
-        if let Some(state) = clients.get_mut(&p.client) {
+        for Landed {
+            riding,
+            reply,
+            shared,
+            transient,
+        } in landed
+        {
+            let frames = chunk_reply(reply.clone(), self.cfg.chunk_bytes);
+            let out_len: usize = frames.iter().map(|f| f.len()).sum();
+            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&riding.sid) {
+                stats.record_observed(&riding.masked);
+                stats.bytes_in += riding.bytes.len() as u64;
+                stats.bytes_out += out_len as u64;
+                if let Some(shared) = shared {
+                    stats.fetches += riding.fetches as u64;
+                    stats.rounds += u64::from(riding.new_round);
+                    stats.coalesced_rounds += u64::from(shared);
+                }
+            }
+            let Some(state) = self.clients.get_mut(&riding.client) else {
+                continue;
+            };
             if transient {
                 // not cached: the retransmit must re-execute, not replay the
-                // failure. Roll the round cursor back to where the park
-                // advanced it from so the retry passes the round-order check.
-                if p.new_round {
+                // failure; it passes the round-order check from where the
+                // join advanced the cursor
+                if riding.new_round {
                     state.last_round -= 1;
                 }
             } else {
-                state.last_seq = p.seq;
+                state.last_seq = riding.seq;
                 state.last_reply = reply;
-                state.last_observed = Some((p.sid, p.masked.clone()));
+                state.last_observed = Some((riding.sid, riding.masked));
             }
-            let mut dead = false;
-            for f in frames {
-                if state.resp.send(f).is_err() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                clients.remove(&p.client);
+            self.send(riding.client, frames);
+            for bytes in riding.after {
+                self.on_frame(riding.client, bytes);
             }
         }
     }
 }
 
-/// Drops clients idle past the deadline: their sessions are marked closed +
-/// evicted and their response senders are dropped, so the client observes a
-/// severed channel on its next request.
-fn evict_idle(
-    clients: &mut BTreeMap<u64, ClientState>,
-    shared: &Mutex<FrontShared>,
-    idle_timeout: Option<Duration>,
-) {
-    let Some(deadline) = idle_timeout else { return };
-    let now = Instant::now();
-    clients.retain(|_, state| {
-        if now.duration_since(state.last_active) < deadline {
-            return true;
-        }
-        if let Some(sid) = state.session {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.closed = true;
-                stats.evicted = true;
-            }
-        }
-        false
-    });
+/// Why a round that could share a lap cannot join one yet: the lap in
+/// progress is over another file and the loop thread has passes of it to run.
+struct InTheWay;
+
+/// A round off the lap, with what it is owed.
+struct Landed {
+    riding: Riding,
+    reply: Vec<u8>,
+    /// `Some` when the ride ended with its pages: whether another round was
+    /// aboard for a segment of it. `None` when its pass failed.
+    shared: Option<bool>,
+    /// The pass failed with a fault a retransmission may not meet again.
+    transient: bool,
 }
 
 /// Serves one client frame and produces the reply frame. Never panics on
@@ -1773,7 +1734,8 @@ fn serve_fresh(
                     }
                 }
             }
-            encode_round_response(seq, &arena[..reqs.len()], page_size)
+            let pages = arena[..reqs.len()].iter().map(PageBuf::as_slice);
+            encode_round_response(seq, page_size, pages)
         }
         K_DOWNLOAD_REQ => {
             let (sid, file) = match (r.u64(), r.u16()) {
@@ -2942,154 +2904,6 @@ mod tests {
         );
     }
 
-    fn coalescing_front(window_ms: u64, max_batch: usize) -> ServerFront {
-        ServerFront::spawn_with(
-            server(),
-            FrontConfig {
-                coalesce_window: Some(Duration::from_millis(window_ms)),
-                coalesce_max_batch: max_batch,
-                ..FrontConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn coalesced_rounds_merge_into_one_sweep_with_correct_replies() {
-        // max_batch 2 flushes deterministically on the second parked fetch;
-        // the huge window proves the flush came from the batch bound.
-        let front = coalescing_front(10_000, 2);
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let open = |link: &mut ChannelLink| -> u64 {
-            link.send(&encode_session_open(1)).unwrap();
-            let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&accept).unwrap();
-            assert_eq!(f.kind, K_SESSION_ACCEPT);
-            ByteReader::new(f.payload).u64().unwrap()
-        };
-        let sid_a = open(&mut a);
-        let sid_b = open(&mut b);
-        for (link, sid) in [(&mut a, sid_a), (&mut b, sid_b)] {
-            link.send(&encode_query_open(2, sid)).unwrap();
-            let ack = link.recv(Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(split_frame(&ack).unwrap().kind, K_ACK);
-        }
-        // both rounds target the linear-scan file: the first parks, the
-        // second reaches the batch bound and both flush as one sweep
-        a.send(&encode_round_request(3, sid_a, 2, &[(FileId(1), 5)], false))
-            .unwrap();
-        b.send(&encode_round_request(3, sid_b, 2, &[(FileId(1), 9)], false))
-            .unwrap();
-        let ra = a.recv(Some(Duration::from_secs(5))).unwrap();
-        let rb = b.recv(Some(Duration::from_secs(5))).unwrap();
-        for (reply, want) in [(&ra, 5u32), (&rb, 9u32)] {
-            let f = split_frame(reply).unwrap();
-            assert_eq!(f.kind, K_ROUND_RESP);
-            assert_eq!(f.seq, 3);
-            let mut r = ByteReader::new(f.payload);
-            assert_eq!(r.u32().unwrap(), 1);
-            let page_size = r.u32().unwrap() as usize;
-            let page = r.bytes(page_size).unwrap();
-            assert_eq!(u32::from_le_bytes(page[..4].try_into().unwrap()), want);
-        }
-        drop((a, b));
-        let stats = front.shutdown();
-        let (sa, sb) = (stats.get(&sid_a).unwrap(), stats.get(&sid_b).unwrap());
-        assert_eq!(sa.fetches, 1);
-        assert_eq!(sb.fetches, 1);
-        assert_eq!(sa.rounds, 2);
-        assert_eq!(sa.coalesced_rounds, 1, "served from a shared sweep");
-        assert_eq!(sb.coalesced_rounds, 1);
-        // the observable stream is exactly what a solo run records
-        let events = parse_observed(&sa.observed).unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[2],
-            ObservedEvent::Round {
-                round: 2,
-                fetches: vec![FileId(1)],
-            }
-        );
-    }
-
-    #[test]
-    fn solo_round_flushes_at_window_expiry() {
-        let front = coalescing_front(30, 0);
-        let mut chan = front.connect().unwrap();
-        chan.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 1];
-        let t0 = Instant::now();
-        chan.serve_round(2, &[(FileId(1), 6)], &mut out).unwrap();
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "a parked round with no batch partner flushes at window expiry"
-        );
-        assert_eq!(
-            u32::from_le_bytes(out[0].as_slice()[..4].try_into().unwrap()),
-            6
-        );
-        let sid = chan.session_id();
-        drop(chan);
-        let stats = front.shutdown();
-        let s = stats.get(&sid).unwrap();
-        assert_eq!(s.fetches, 1);
-        assert_eq!(s.coalesced_rounds, 0, "a solo flush is not a shared sweep");
-    }
-
-    #[test]
-    fn non_coalescable_rounds_bypass_the_window() {
-        // a window so long a wrongly-deferred round would visibly stall
-        let front = coalescing_front(10_000, 0);
-        let mut chan = front.connect().unwrap();
-        chan.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 2];
-        let t0 = Instant::now();
-        // Fh is cost-only (no linear-scan store): served immediately
-        chan.serve_round(2, &[(FileId(0), 1), (FileId(0), 0)], &mut out)
-            .unwrap();
-        // a mixed round (any non-coalescable fetch) is immediate too
-        chan.serve_round(3, &[(FileId(1), 2), (FileId(0), 1)], &mut out)
-            .unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "non-coalescable rounds must not wait out the window"
-        );
-        let sid = chan.session_id();
-        drop(chan);
-        let stats = front.shutdown();
-        let s = stats.get(&sid).unwrap();
-        assert_eq!(s.coalesced_rounds, 0);
-        assert_eq!(s.fetches, 4);
-    }
-
-    #[test]
-    fn retransmit_of_a_parked_round_is_answered_once_by_the_flush() {
-        let front = coalescing_front(10_000, 0);
-        let mut link = front.raw_link().unwrap();
-        link.send(&encode_session_open(1)).unwrap();
-        let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-        let sid = ByteReader::new(split_frame(&accept).unwrap().payload)
-            .u64()
-            .unwrap();
-        link.send(&encode_query_open(2, sid)).unwrap();
-        let ack = link.recv(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(split_frame(&ack).unwrap().kind, K_ACK);
-        let round = encode_round_request(3, sid, 2, &[(FileId(1), 4)], false);
-        link.send(&round).unwrap(); // parks in the coalesce window
-        link.send(&round).unwrap(); // retransmit while parked: absorbed
-                                    // shutdown flushes the parked batch, then drains
-        let stats = front.shutdown();
-        let reply = link.recv(Some(Duration::from_secs(5))).unwrap();
-        let f = split_frame(&reply).unwrap();
-        assert_eq!(f.kind, K_ROUND_RESP);
-        assert_eq!(f.seq, 3);
-        let s = stats.get(&sid).unwrap();
-        assert_eq!(s.fetches, 1, "the parked round is served exactly once");
-        assert_eq!(s.retransmits, 1);
-        // exactly one reply: the duplicate was absorbed, not double-served
-        assert!(link.recv(Some(Duration::from_millis(200))).is_err());
-    }
-
     #[test]
     fn chunked_replies_work_over_the_inproc_link() {
         // 100-byte chunks: even the handshake's SessionAccept is chunked
@@ -3245,155 +3059,6 @@ mod tests {
     }
 
     #[test]
-    fn a_parked_batch_never_spans_generations() {
-        let source = SwapSource::starting_at(1, marked_server(0));
-        let front = ServerFront::spawn_swappable(
-            source.clone() as Arc<dyn GenerationSource>,
-            FrontConfig {
-                coalesce_window: Some(Duration::from_secs(10)),
-                ..FrontConfig::default()
-            },
-        );
-        let open = |link: &mut ChannelLink| -> (u64, u64) {
-            link.send(&encode_session_open(1)).unwrap();
-            let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&accept).unwrap();
-            assert_eq!(f.kind, K_SESSION_ACCEPT);
-            let mut r = ByteReader::new(f.payload);
-            let sid = r.u64().unwrap();
-            let info = ServerInfo::deserialize(&mut r).unwrap();
-            (sid, info.generation)
-        };
-        let mut a = front.raw_link().unwrap();
-        let (sid_a, gen_a) = open(&mut a);
-        assert_eq!(gen_a, 1);
-        a.send(&encode_query_open(2, sid_a)).unwrap();
-        assert_eq!(
-            split_frame(&a.recv(Some(Duration::from_secs(5))).unwrap())
-                .unwrap()
-                .kind,
-            K_ACK
-        );
-        // park a generation-1 round in the (huge) coalesce window
-        a.send(&encode_round_request(3, sid_a, 2, &[(FileId(1), 5)], false))
-            .unwrap();
-
-        source.publish(2, marked_server(1000));
-
-        // B opens after the swap: its SessionOpen re-pins the channel to
-        // generation 2, which must flush A's parked generation-1 batch
-        // rather than ever co-batching across the swap
-        let mut b = front.raw_link().unwrap();
-        let (sid_b, gen_b) = open(&mut b);
-        assert_eq!(gen_b, 2);
-        let ra = a.recv(Some(Duration::from_secs(5))).unwrap();
-        let f = split_frame(&ra).unwrap();
-        assert_eq!(f.kind, K_ROUND_RESP);
-        let mut r = ByteReader::new(f.payload);
-        assert_eq!(r.u32().unwrap(), 1);
-        let page_size = r.u32().unwrap() as usize;
-        let page = r.bytes(page_size).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(page[..4].try_into().unwrap()),
-            5,
-            "A's parked round serves from generation 1"
-        );
-
-        b.send(&encode_query_open(2, sid_b)).unwrap();
-        assert_eq!(
-            split_frame(&b.recv(Some(Duration::from_secs(5))).unwrap())
-                .unwrap()
-                .kind,
-            K_ACK
-        );
-        b.send(&encode_round_request(3, sid_b, 2, &[(FileId(1), 9)], false))
-            .unwrap();
-        // B's generation-2 round parks solo; shutdown flushes it
-        let stats = front.shutdown();
-        let rb = b.recv(Some(Duration::from_secs(5))).unwrap();
-        let f = split_frame(&rb).unwrap();
-        assert_eq!(f.kind, K_ROUND_RESP);
-        let mut r = ByteReader::new(f.payload);
-        assert_eq!(r.u32().unwrap(), 1);
-        let page_size = r.u32().unwrap() as usize;
-        let page = r.bytes(page_size).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(page[..4].try_into().unwrap()),
-            1009,
-            "B's round serves from generation 2"
-        );
-        // neither round shared a sweep: the generations were kept apart
-        assert_eq!(stats.get(&sid_a).unwrap().coalesced_rounds, 0);
-        assert_eq!(stats.get(&sid_b).unwrap().coalesced_rounds, 0);
-    }
-
-    #[test]
-    fn idle_evicted_owner_does_not_stall_co_parked_rounds() {
-        // Regression: a round parked by a client that then goes idle used
-        // to sit in the coalescer until window expiry (10 s here), stalling
-        // its co-parked neighbour. The eviction tick must flush first.
-        let front = ServerFront::spawn_with(
-            server(),
-            FrontConfig {
-                coalesce_window: Some(Duration::from_secs(10)),
-                idle_timeout: Some(Duration::from_millis(120)),
-                ..FrontConfig::default()
-            },
-        );
-        let open = |link: &mut ChannelLink| -> u64 {
-            link.send(&encode_session_open(1)).unwrap();
-            let accept = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&accept).unwrap();
-            assert_eq!(f.kind, K_SESSION_ACCEPT);
-            ByteReader::new(f.payload).u64().unwrap()
-        };
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let sid_a = open(&mut a);
-        let sid_b = open(&mut b);
-        for (link, sid) in [(&mut a, sid_a), (&mut b, sid_b)] {
-            link.send(&encode_query_open(2, sid)).unwrap();
-            assert_eq!(
-                split_frame(&link.recv(Some(Duration::from_secs(5))).unwrap())
-                    .unwrap()
-                    .kind,
-                K_ACK
-            );
-        }
-        let t0 = Instant::now();
-        a.send(&encode_round_request(3, sid_a, 2, &[(FileId(1), 2)], false))
-            .unwrap();
-        b.send(&encode_round_request(
-            3,
-            sid_b,
-            2,
-            &[(FileId(1), 11)],
-            false,
-        ))
-        .unwrap();
-        // both owners now go silent; the idle sweep must flush the batch
-        // (the owed replies still go out) and only then evict
-        for (link, want) in [(&mut a, 2u32), (&mut b, 11)] {
-            let reply = link.recv(Some(Duration::from_secs(5))).unwrap();
-            let f = split_frame(&reply).unwrap();
-            assert_eq!(f.kind, K_ROUND_RESP);
-            assert_eq!(f.seq, 3);
-            let mut r = ByteReader::new(f.payload);
-            assert_eq!(r.u32().unwrap(), 1);
-            let page_size = r.u32().unwrap() as usize;
-            let page = r.bytes(page_size).unwrap();
-            assert_eq!(u32::from_le_bytes(page[..4].try_into().unwrap()), want);
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "the idle flush must beat the 10 s coalesce window"
-        );
-        let stats = front.shutdown();
-        assert_eq!(stats.get(&sid_a).unwrap().fetches, 1);
-        assert_eq!(stats.get(&sid_b).unwrap().fetches, 1);
-    }
-
-    #[test]
     fn degenerate_front_configs_serve_without_hanging() {
         let serve_one = |front: &ServerFront| {
             let mut chan = front.connect().unwrap();
@@ -3408,21 +3073,6 @@ mod tests {
             );
             chan.close().unwrap();
         };
-        // a zero-length coalesce window: parks flush at the already-expired
-        // deadline instead of waiting (or hanging)
-        let front = ServerFront::spawn_with(
-            server(),
-            FrontConfig {
-                coalesce_window: Some(Duration::ZERO),
-                ..FrontConfig::default()
-            },
-        );
-        serve_one(&front);
-        front.shutdown();
-        // batch bound of one: the first parked fetch is already a full batch
-        let front = coalescing_front(10_000, 1);
-        serve_one(&front);
-        front.shutdown();
         // one-byte chunks (far smaller than any header): every reply is a
         // maximal chunk train and must still reassemble
         let front = ServerFront::spawn_with(
@@ -3444,5 +3094,604 @@ mod tests {
         );
         serve_one(&front);
         front.shutdown();
+    }
+
+    // ---------------------------------------------------------- shared laps
+
+    use crate::backend::ObliviousStore;
+    use crate::chaos::GateDisk;
+    use crate::scan::SEGMENT_PAGES;
+
+    /// Page size of the lap files: small, so that a file of several
+    /// segments is a few hundred KiB.
+    const SMALL: usize = 64;
+    /// Three segments, the last one partial.
+    const LAP_PAGES: u32 = 3 * SEGMENT_PAGES as u32 - 100;
+    const SEG: u32 = SEGMENT_PAGES as u32;
+    const WAIT: Option<Duration> = Some(Duration::from_secs(20));
+
+    fn small_file(pages: u32, marker: u32) -> MemFile {
+        let mut f = MemFile::empty(SMALL);
+        for p in 0..pages {
+            let mut page = PageBuf::zeroed(SMALL);
+            page.as_mut_slice()[..4].copy_from_slice(&(p + marker).to_le_bytes());
+            f.push_page(page);
+        }
+        f
+    }
+
+    /// A server of 64-byte pages: file 0 a cost-only header, file 1 ("Fd")
+    /// `LAP_PAGES` linear-scan pages served through `driver(pages)`, file 2
+    /// ("Fx") sixteen linear-scan pages. Page `p` is tagged `p + marker`.
+    fn lap_server(
+        marker: u32,
+        driver: impl FnOnce(MemFile) -> Arc<dyn privpath_storage::PagedFile>,
+    ) -> Arc<PirServer> {
+        let mut srv = PirServer::new(SystemSpec {
+            page_size: SMALL,
+            ..SystemSpec::default()
+        });
+        srv.add_file("Fh", small_file(2, marker), PirMode::CostOnly)
+            .unwrap();
+        srv.add_file_with_driver(
+            "Fd",
+            driver(small_file(LAP_PAGES, marker)),
+            PirMode::LinearScan,
+        )
+        .unwrap();
+        srv.add_file("Fx", small_file(16, marker), PirMode::LinearScan)
+            .unwrap();
+        Arc::new(srv)
+    }
+
+    /// [`lap_server`] with "Fd" behind a gate.
+    fn gated_server(marker: u32) -> (Arc<PirServer>, Arc<GateDisk>) {
+        let mut gate = None;
+        let srv = lap_server(marker, |file| {
+            let gated = Arc::new(GateDisk::new(Arc::new(file)));
+            gate = Some(Arc::clone(&gated));
+            gated
+        });
+        (srv, gate.expect("the driver was built"))
+    }
+
+    /// A front whose loop believes the process has `cpus` CPUs: with one it
+    /// drives every lap itself, with two "Fd"'s laps get a driver thread.
+    /// Every lap test runs both ways, whatever the host has.
+    fn front_on(srv: &Arc<PirServer>, cfg: FrontConfig, cpus: usize) -> ServerFront {
+        ServerFront::spawn_on(Arc::new(StaticSource::new(Arc::clone(srv))), cfg, cpus)
+    }
+
+    /// Opens the gate a lap of "Fd" is held at, once the loop has seen every
+    /// frame sent so far. A loop that runs the held pass itself (one CPU)
+    /// finds them queued when the pass ends; one that left the pass to a
+    /// driver thread is free to take them, and is asked something and waited
+    /// for first — its queue is first in, first out.
+    fn release(gate: &GateDisk, front: &ServerFront, cpus: usize) {
+        if cpus > 1 {
+            let mut probe = front.raw_link().unwrap();
+            probe.send(&[0u8; 4]).unwrap();
+            probe
+                .recv(WAIT)
+                .expect("a malformed frame earns a typed error");
+        }
+        gate.release();
+    }
+
+    /// Opens a session and its first query on a raw link; returns the
+    /// session id and the generation it is pinned to. The next request is
+    /// seq 3, round 2.
+    fn open_query(link: &mut ChannelLink) -> (u64, u64) {
+        link.send(&encode_session_open(1)).unwrap();
+        let accept = link.recv(WAIT).unwrap();
+        let f = split_frame(&accept).unwrap();
+        assert_eq!(f.kind, K_SESSION_ACCEPT);
+        let mut r = ByteReader::new(f.payload);
+        let sid = r.u64().unwrap();
+        let generation = ServerInfo::deserialize(&mut r).unwrap().generation;
+        link.send(&encode_query_open(2, sid)).unwrap();
+        let ack = link.recv(WAIT).unwrap();
+        assert_eq!(split_frame(&ack).unwrap().kind, K_ACK);
+        (sid, generation)
+    }
+
+    fn fd_round(sid: u64, pages: &[u32]) -> Vec<u8> {
+        let reqs: Vec<_> = pages.iter().map(|&p| (FileId(1), p)).collect();
+        encode_round_request(3, sid, 2, &reqs, false)
+    }
+
+    /// The page tags of the `RoundResponse` to request 3.
+    fn reply_tags(reply: &[u8]) -> Vec<u32> {
+        let f = split_frame(reply).unwrap();
+        assert_eq!(f.kind, K_ROUND_RESP, "{:?}", decode_error_frame(f.payload));
+        assert_eq!(f.seq, 3);
+        let mut r = ByteReader::new(f.payload);
+        let k = r.u32().unwrap();
+        let page_size = r.u32().unwrap() as usize;
+        (0..k)
+            .map(|_| u32::from_le_bytes(r.bytes(page_size).unwrap()[..4].try_into().unwrap()))
+            .collect()
+    }
+
+    fn scan_log(srv: &PirServer, f: FileId) -> Vec<u32> {
+        srv.audit_scan(f, |s| s.physical_log().to_vec()).unwrap()
+    }
+
+    #[test]
+    fn coalesced_rounds_merge_into_one_sweep_with_correct_replies() {
+        for cpus in [1usize, 2] {
+            let (srv, gate) = gated_server(0);
+            let front = front_on(&srv, FrontConfig::default(), cpus);
+            let mut a = front.raw_link().unwrap();
+            let mut b = front.raw_link().unwrap();
+            let (sid_a, _) = open_query(&mut a);
+            let (sid_b, _) = open_query(&mut b);
+            // A's lap is held at its first run; B's round arrives meanwhile
+            // and rides from the boundary after segment 0
+            gate.arm(0);
+            a.send(&fd_round(sid_a, &[5, LAP_PAGES - 1])).unwrap();
+            gate.wait_parked();
+            b.send(&fd_round(sid_b, &[9, 2 * SEG, 9])).unwrap();
+            release(&gate, &front, cpus);
+            assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [5, LAP_PAGES - 1]);
+            // page 9 lies behind B's join: its lap wraps round to it
+            assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [9, 2 * SEG, 9]);
+            drop((a, b));
+            let stats = front.shutdown();
+            let (sa, sb) = (&stats[&sid_a], &stats[&sid_b]);
+            assert_eq!((sa.fetches, sb.fetches), (2, 3), "x{cpus}");
+            assert_eq!((sa.rounds, sb.rounds), (2, 2));
+            assert_eq!(sa.coalesced_rounds, 1, "A shared segments 1 and 2");
+            assert_eq!(sb.coalesced_rounds, 1);
+            // the host swept segments 0 1 2 0: four passes for two rounds
+            let want: Vec<u32> = (0..LAP_PAGES).chain(0..SEG).collect();
+            assert_eq!(scan_log(&srv, FileId(1)), want, "x{cpus}");
+            // the observable stream is exactly what a solo run records
+            let events = parse_observed(&sa.observed).unwrap();
+            assert_eq!(events.len(), 3);
+            assert_eq!(
+                events[2],
+                ObservedEvent::Round {
+                    round: 2,
+                    fetches: vec![FileId(1); 2],
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_round_rides_from_segment_zero_and_shares_nothing() {
+        for cpus in [1usize, 2] {
+            let (srv, _gate) = gated_server(0);
+            let front = front_on(&srv, FrontConfig::default(), cpus);
+            let mut chan = front.connect().unwrap();
+            chan.begin_query().unwrap();
+            let mut out = vec![PageBuf::zeroed(SMALL); 2];
+            for (round, pages) in [(2u32, [2 * SEG + 1, 3]), (3, [0, LAP_PAGES - 1])] {
+                let reqs = pages.map(|p| (FileId(1), p));
+                chan.serve_round(round, &reqs, &mut out).unwrap();
+                assert_eq!([page_marker(&out[0]), page_marker(&out[1])], pages);
+            }
+            let sid = chan.session_id();
+            drop(chan);
+            let stats = front.shutdown();
+            assert_eq!(stats[&sid].fetches, 4);
+            assert_eq!(stats[&sid].coalesced_rounds, 0, "a lone lap is not shared");
+            let want: Vec<u32> = (0..LAP_PAGES).chain(0..LAP_PAGES).collect();
+            assert_eq!(
+                scan_log(&srv, FileId(1)),
+                want,
+                "x{cpus}: two laps, 0..N each"
+            );
+        }
+    }
+
+    #[test]
+    fn non_coalescable_rounds_bypass_the_rotation() {
+        // a driver thread sweeps, so the loop is free while the lap is held
+        let (srv, gate) = gated_server(0);
+        let front = front_on(&srv, FrontConfig::default(), 2);
+        let mut a = front.raw_link().unwrap();
+        let (sid_a, _) = open_query(&mut a);
+        let mut b = front.connect().unwrap();
+        b.begin_query().unwrap();
+        gate.arm(0);
+        a.send(&fd_round(sid_a, &[7])).unwrap();
+        gate.wait_parked();
+        // "Fd"'s lap is held at its first run, and B is answered meanwhile:
+        // a cost-only file has no sweep to share, another file's round is
+        // served on the spot, and so is a round over several files
+        let mut out = vec![PageBuf::zeroed(SMALL); 2];
+        b.serve_round(2, &[(FileId(0), 1), (FileId(0), 0)], &mut out)
+            .unwrap();
+        assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [1, 0]);
+        b.serve_round(3, &[(FileId(2), 15), (FileId(2), 4)], &mut out)
+            .unwrap();
+        assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [15, 4]);
+        b.serve_round(4, &[(FileId(2), 2), (FileId(0), 1)], &mut out)
+            .unwrap();
+        assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [2, 1]);
+        release(&gate, &front, 2);
+        assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [7]);
+        assert_eq!(scan_log(&srv, FileId(1)).len(), LAP_PAGES as usize);
+        assert_eq!(
+            scan_log(&srv, FileId(2)).len(),
+            2 * 16,
+            "two laps of Fx for B"
+        );
+        let sid_b = b.session_id();
+        drop((a, b));
+        let stats = front.shutdown();
+        assert_eq!(stats[&sid_b].fetches, 6);
+        assert_eq!(stats[&sid_b].coalesced_rounds, 0);
+        assert_eq!(stats[&sid_a].coalesced_rounds, 0);
+    }
+
+    #[test]
+    fn retransmit_of_a_riding_round_is_absorbed_once() {
+        for cpus in [1usize, 2] {
+            let (srv, gate) = gated_server(0);
+            let front = front_on(&srv, FrontConfig::default(), cpus);
+            let mut link = front.raw_link().unwrap();
+            let (sid, _) = open_query(&mut link);
+            let round = fd_round(sid, &[4]);
+            gate.arm(0);
+            link.send(&round).unwrap();
+            gate.wait_parked();
+            link.send(&round).unwrap(); // retransmit mid-lap: absorbed
+                                        // shutdown finishes the ride before the loop stops
+            gate.arm(SEG);
+            release(&gate, &front, cpus);
+            gate.wait_parked(); // segment 1: the duplicate has been absorbed
+            let stats = std::thread::scope(|scope| {
+                let stopping = scope.spawn(|| front.shutdown());
+                gate.release();
+                stopping.join().unwrap()
+            });
+            assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [4]);
+            assert_eq!(stats[&sid].fetches, 1, "the round is served exactly once");
+            assert_eq!(stats[&sid].retransmits, 1);
+            // exactly one reply: the duplicate was absorbed, not double-served
+            assert!(link.recv(Some(Duration::from_millis(200))).is_err());
+            assert_eq!(
+                scan_log(&srv, FileId(1)).len(),
+                LAP_PAGES as usize,
+                "x{cpus}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_behind_a_riding_round_waits_for_its_reply() {
+        for cpus in [1usize, 2] {
+            let (srv, gate) = gated_server(0);
+            let front = front_on(&srv, FrontConfig::default(), cpus);
+            let mut link = front.raw_link().unwrap();
+            let (sid, _) = open_query(&mut link);
+            gate.arm(0);
+            link.send(&fd_round(sid, &[4])).unwrap();
+            gate.wait_parked();
+            // the client does not wait for its reply: the close must not
+            // overtake the round it follows
+            link.send(&encode_session_close(4, sid)).unwrap();
+            release(&gate, &front, cpus);
+            assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [4]);
+            let ack = link.recv(WAIT).unwrap();
+            let f = split_frame(&ack).unwrap();
+            assert_eq!((f.kind, f.seq), (K_ACK, 4), "x{cpus}");
+            let stats = front.shutdown();
+            assert!(stats[&sid].closed);
+            assert_eq!(stats[&sid].fetches, 1);
+        }
+    }
+
+    #[test]
+    fn a_rotation_never_mixes_generations() {
+        for cpus in [1usize, 2] {
+            let (old, gate) = gated_server(0);
+            let (new, _) = gated_server(1000);
+            let source = SwapSource::starting_at(1, Arc::clone(&old));
+            let front = ServerFront::spawn_on(
+                source.clone() as Arc<dyn GenerationSource>,
+                FrontConfig::default(),
+                cpus,
+            );
+            let mut a = front.raw_link().unwrap();
+            let (sid_a, gen_a) = open_query(&mut a);
+            source.publish(2, Arc::clone(&new));
+            let mut b = front.raw_link().unwrap();
+            let (sid_b, gen_b) = open_query(&mut b);
+            assert_eq!((gen_a, gen_b), (1, 2));
+            // generation 1's lap is held at its first run when a round for
+            // the same file id of generation 2 arrives: it must not ride it
+            gate.arm(0);
+            a.send(&fd_round(sid_a, &[5])).unwrap();
+            gate.wait_parked();
+            b.send(&fd_round(sid_b, &[9])).unwrap();
+            release(&gate, &front, cpus);
+            assert_eq!(
+                reply_tags(&a.recv(WAIT).unwrap()),
+                [5],
+                "A drains on generation 1"
+            );
+            assert_eq!(
+                reply_tags(&b.recv(WAIT).unwrap()),
+                [1009],
+                "B reads generation 2"
+            );
+            drop((a, b));
+            let stats = front.shutdown();
+            // neither round shared a segment: the generations were kept apart,
+            // each swept by a lap of its own
+            assert_eq!(stats[&sid_a].coalesced_rounds, 0);
+            assert_eq!(stats[&sid_b].coalesced_rounds, 0);
+            let lap: Vec<u32> = (0..LAP_PAGES).collect();
+            assert_eq!(scan_log(&old, FileId(1)), lap, "x{cpus}");
+            assert_eq!(scan_log(&new, FileId(1)), lap, "x{cpus}");
+        }
+    }
+
+    #[test]
+    fn a_small_files_lap_gives_way_to_rounds_that_can_share_another() {
+        // file 0: sixteen pages behind a gate, swept by the loop thread
+        // itself, which is how the test holds the loop while frames queue
+        let gate = Arc::new(GateDisk::new(Arc::new(small_file(16, 0))));
+        let mut srv = PirServer::new(SystemSpec {
+            page_size: SMALL,
+            ..SystemSpec::default()
+        });
+        srv.add_file_with_driver("Fg", gate.clone(), PirMode::LinearScan)
+            .unwrap();
+        srv.add_file("Fd", small_file(LAP_PAGES, 0), PirMode::LinearScan)
+            .unwrap();
+        srv.add_file("Fx", small_file(16, 0), PirMode::LinearScan)
+            .unwrap();
+        let srv = Arc::new(srv);
+        let front = front_on(&srv, FrontConfig::default(), 2);
+        let mut links: Vec<ChannelLink> = (0..4).map(|_| front.raw_link().unwrap()).collect();
+        let sids: Vec<u64> = links.iter_mut().map(|l| open_query(l).0).collect();
+        let round = |sid: u64, file: u16, page: u32| {
+            encode_round_request(3, sid, 2, &[(FileId(file), page)], false)
+        };
+        gate.arm(0);
+        links[0].send(&round(sids[0], 0, 3)).unwrap();
+        gate.wait_parked();
+        // queued behind the held pass: a round over little "Fx", whose lap
+        // the loop drives itself, then two over "Fd". Serving the first of
+        // those on the spot because "Fx"'s lap is not over yet would leave
+        // the second nobody to share with.
+        links[1].send(&round(sids[1], 2, 7)).unwrap();
+        links[2].send(&round(sids[2], 1, 5)).unwrap();
+        links[3].send(&round(sids[3], 1, 2 * SEG)).unwrap();
+        gate.release(); // the loop runs this pass itself: it finds them queued
+        for (link, want) in links.iter_mut().zip([3, 7, 5, 2 * SEG]) {
+            assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [want]);
+        }
+        drop(links);
+        let stats = front.shutdown();
+        assert_eq!(stats[&sids[1]].coalesced_rounds, 0);
+        assert_eq!(
+            stats[&sids[2]].coalesced_rounds, 1,
+            "the two Fd rounds rode together"
+        );
+        assert_eq!(stats[&sids[3]].coalesced_rounds, 1);
+        assert_eq!(
+            scan_log(&srv, FileId(1)).len(),
+            LAP_PAGES as usize,
+            "in one lap"
+        );
+    }
+
+    /// How a rider is lost mid-lap.
+    enum Lost {
+        Disconnects,
+        IdlesOut,
+    }
+
+    /// A and B ride "Fd" together; A is lost while the lap is held in
+    /// segment 1. B must come out of its lap with its pages, one segment
+    /// pass after the other, and the host must have swept 0 1 2 0.
+    fn rider_lost_mid_lap(cpus: usize, lost: Lost) {
+        let deadline = Duration::from_millis(400);
+        let cfg = FrontConfig {
+            idle_timeout: matches!(lost, Lost::IdlesOut).then_some(deadline),
+            ..FrontConfig::default()
+        };
+        let (srv, gate) = gated_server(0);
+        let front = front_on(&srv, cfg, cpus);
+        let mut a = front.raw_link().unwrap();
+        let mut b = front.raw_link().unwrap();
+        let (sid_a, _) = open_query(&mut a);
+        let (sid_b, _) = open_query(&mut b);
+        gate.arm(0);
+        a.send(&fd_round(sid_a, &[5])).unwrap();
+        gate.wait_parked();
+        if let Lost::IdlesOut = lost {
+            // B's round is the frame that keeps B warm past A's deadline
+            std::thread::sleep(deadline * 5 / 8);
+        }
+        b.send(&fd_round(sid_b, &[2 * SEG + 3, 1])).unwrap();
+        gate.arm(SEG);
+        release(&gate, &front, cpus);
+        gate.wait_parked(); // segment 1, A and B aboard
+        match lost {
+            Lost::Disconnects => drop(a),
+            Lost::IdlesOut => {
+                // A has been silent since its round, B only since its own
+                std::thread::sleep(deadline * 5 / 8);
+                release(&gate, &front, cpus);
+                let err = a.recv(WAIT).unwrap_err();
+                assert!(err.to_string().contains("disconnected"), "{err}");
+            }
+        }
+        release(&gate, &front, cpus);
+        assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [2 * SEG + 3, 1]);
+        drop(b);
+        let stats = front.shutdown();
+        let (sa, sb) = (&stats[&sid_a], &stats[&sid_b]);
+        assert!(sa.closed, "x{cpus}");
+        assert_eq!(sa.evicted, matches!(lost, Lost::IdlesOut), "x{cpus}");
+        assert_eq!(sa.fetches, 0, "A's round was dropped, not served");
+        assert_eq!((sb.fetches, sb.coalesced_rounds), (2, 1));
+        let want: Vec<u32> = (0..LAP_PAGES).chain(0..SEG).collect();
+        assert_eq!(
+            scan_log(&srv, FileId(1)),
+            want,
+            "x{cpus}: B's lap ran on undelayed"
+        );
+    }
+
+    #[test]
+    fn idle_evicted_rider_is_dropped_at_the_next_boundary() {
+        // the eviction tick runs between the passes of a lap in progress
+        rider_lost_mid_lap(1, Lost::IdlesOut);
+        rider_lost_mid_lap(2, Lost::IdlesOut);
+    }
+
+    #[test]
+    fn disconnected_rider_is_dropped_at_the_next_boundary() {
+        rider_lost_mid_lap(1, Lost::Disconnects);
+        rider_lost_mid_lap(2, Lost::Disconnects);
+    }
+
+    /// Serves `inner`, except that the first read of page `at` after
+    /// [`FailAt::arm`] fails with a transient (`Interrupted`) I/O error.
+    struct FailAt {
+        inner: MemFile,
+        at: u32,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl privpath_storage::PagedFile for FailAt {
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, page: u32) -> privpath_storage::Result<PageBuf> {
+            if page == self.at && self.armed.swap(false, Ordering::SeqCst) {
+                return Err(privpath_storage::StorageError::Io(std::io::Error::new(
+                    std::io::ErrorKind::Interrupted,
+                    format!("flaky read of page {page}"),
+                )));
+            }
+            self.inner.read_page(page)
+        }
+    }
+
+    fn error_code(reply: &[u8]) -> u16 {
+        let f = split_frame(reply).unwrap();
+        assert_eq!((f.kind, f.seq), (K_ERROR, 3));
+        ByteReader::new(f.payload).u16().unwrap()
+    }
+
+    #[test]
+    fn a_failed_segment_fails_every_rider_and_the_rotation_rides_on() {
+        for cpus in [1usize, 2] {
+            // transient: a read in segment 1 is interrupted once, with A and
+            // B aboard
+            let mut handles = None;
+            let srv = lap_server(0, |file| {
+                let flaky = Arc::new(FailAt {
+                    inner: file,
+                    at: SEG + 70,
+                    armed: false.into(),
+                });
+                let gated = Arc::new(GateDisk::new(flaky.clone()));
+                handles = Some((flaky, Arc::clone(&gated)));
+                gated
+            });
+            let (flaky, gate) = handles.unwrap();
+            let front = front_on(&srv, FrontConfig::default(), cpus);
+            let mut a = front.raw_link().unwrap();
+            let mut b = front.raw_link().unwrap();
+            let (sid_a, _) = open_query(&mut a);
+            let (sid_b, _) = open_query(&mut b);
+            let (round_a, round_b) = (
+                fd_round(sid_a, &[5, SEG]),
+                fd_round(sid_b, &[LAP_PAGES - 1]),
+            );
+            gate.arm(0);
+            a.send(&round_a).unwrap();
+            gate.wait_parked();
+            b.send(&round_b).unwrap();
+            flaky.armed.store(true, Ordering::SeqCst);
+            release(&gate, &front, cpus);
+            // one typed, retryable error for both; nothing cached
+            assert_eq!(error_code(&a.recv(WAIT).unwrap()), ERR_SERVE_TRANSIENT);
+            assert_eq!(error_code(&b.recv(WAIT).unwrap()), ERR_SERVE_TRANSIENT);
+            // the retransmits ride again — the rotation is idle and reusable,
+            // the round cursors were rolled back — to bit-exact answers
+            a.send(&round_a).unwrap();
+            b.send(&round_b).unwrap();
+            assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [5, SEG]);
+            assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [LAP_PAGES - 1]);
+            drop((a, b));
+            let stats = front.shutdown();
+            for (sid, fetches) in [(sid_a, 2), (sid_b, 1)] {
+                let s = &stats[&sid];
+                assert_eq!(s.fetches, fetches, "the failed lap served nothing");
+                assert_eq!(s.rounds, 2);
+                assert_eq!(s.retransmits, 0, "x{cpus}: re-ridden, not replayed");
+            }
+            // the failed lap stopped on the run of the bad page
+            let log = scan_log(&srv, FileId(1));
+            assert_eq!(
+                &log[..(SEG + 64) as usize],
+                &(0..SEG + 64).collect::<Vec<_>>()[..]
+            );
+            assert_eq!(
+                log[(SEG + 64) as usize],
+                0,
+                "the next lap starts at segment 0"
+            );
+
+            // fatal: a page of segment 2 fails its checksum on every lap
+            let mut bad_gate = None;
+            let srv = lap_server(0, |file| {
+                let mut crcs: Vec<u32> = (0..LAP_PAGES)
+                    .map(|p| crc32(file.page(p).unwrap()))
+                    .collect();
+                crcs[(2 * SEG + 9) as usize] ^= 1;
+                let guarded = privpath_storage::ChecksumFile::new("Fd", Arc::new(file), crcs);
+                let gated = Arc::new(GateDisk::new(Arc::new(guarded)));
+                bad_gate = Some(Arc::clone(&gated));
+                gated
+            });
+            let gate = bad_gate.unwrap();
+            let front = front_on(&srv, FrontConfig::default(), cpus);
+            let mut a = front.raw_link().unwrap();
+            let mut b = front.raw_link().unwrap();
+            let (sid_a, _) = open_query(&mut a);
+            let (sid_b, _) = open_query(&mut b);
+            let round_a = fd_round(sid_a, &[5]);
+            gate.arm(0);
+            a.send(&round_a).unwrap();
+            gate.wait_parked();
+            b.send(&fd_round(sid_b, &[6])).unwrap();
+            release(&gate, &front, cpus);
+            let (fail_a, fail_b) = (a.recv(WAIT).unwrap(), b.recv(WAIT).unwrap());
+            assert_eq!(error_code(&fail_a), ERR_SERVE);
+            assert_eq!(error_code(&fail_b), ERR_SERVE);
+            let f = split_frame(&fail_a).unwrap();
+            let msg = decode_error_frame(f.payload).to_string();
+            assert!(msg.contains("page corrupt"), "{msg}");
+            // fatal errors are the sequence's cached reply
+            a.send(&round_a).unwrap();
+            assert_eq!(a.recv(WAIT).unwrap(), fail_a);
+            // and the front still serves: another file, and the same one again
+            let mut c = front.connect().unwrap();
+            c.begin_query().unwrap();
+            let mut out = vec![PageBuf::zeroed(SMALL)];
+            c.serve_round(2, &[(FileId(2), 3)], &mut out).unwrap();
+            assert_eq!(page_marker(&out[0]), 3);
+            let err = c.serve_round(3, &[(FileId(1), 3)], &mut out).unwrap_err();
+            assert!(err.to_string().contains("page corrupt"), "{err}");
+            drop((a, b, c));
+            let stats = front.shutdown();
+            assert_eq!(stats[&sid_a].retransmits, 1, "x{cpus}");
+            assert_eq!((stats[&sid_a].fetches, stats[&sid_b].fetches), (0, 0));
+        }
     }
 }

@@ -79,8 +79,8 @@ impl TcpFront {
         Self::spawn_with(host, FrontConfig::default())
     }
 
-    /// Binds and spawns with explicit front-end knobs (coalescing window,
-    /// chunked responses, idle eviction).
+    /// Binds and spawns with explicit front-end knobs (chunked responses,
+    /// idle eviction).
     pub fn spawn_with<H: ServeHost + Send + Sync + 'static>(
         host: H,
         cfg: FrontConfig,

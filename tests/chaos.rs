@@ -565,6 +565,133 @@ fn panic_in_a_sweep_shard_tears_down_only_the_offending_session() {
     assert_serve_panic_costs_one_session(srv);
 }
 
+/// A panic inside a pass of a *shared* lap costs the sessions aboard it and
+/// nobody else. A and B ride the bad file together — A's lap held at its
+/// first run until B's round is on the link, so B rides from segment 1 —
+/// and the read that panics is in the file's last run, which both laps still
+/// have ahead. Both get the typed internal error and are torn down; a
+/// bystander on another file of the same front is served before and after;
+/// a later round on the bad file meets its poisoned store as a typed serve
+/// error.
+#[test]
+fn panic_in_a_shared_lap_tears_down_its_riders_only() {
+    use privpath::pir::wire::FrameLink;
+    use privpath::pir::{GateDisk, WireChannel};
+    use std::sync::mpsc;
+
+    /// Panics on any read of its last page.
+    struct PanicDisk(MemFile);
+    impl PagedFile for PanicDisk {
+        fn num_pages(&self) -> u32 {
+            self.0.num_pages()
+        }
+        fn page_size(&self) -> usize {
+            self.0.page_size()
+        }
+        fn read_page(&self, page: u32) -> privpath::storage::Result<PageBuf> {
+            assert_ne!(page + 1, self.0.num_pages(), "chaos: sabotaged page");
+            self.0.read_page(page)
+        }
+    }
+    /// Tells the test when the client has put a frame on the link.
+    struct Announce<L>(L, mpsc::Sender<()>);
+    impl<L: FrameLink> FrameLink for Announce<L> {
+        fn send(&mut self, frame: &[u8]) -> privpath::pir::Result<()> {
+            self.0.send(frame)?;
+            let _ = self.1.send(());
+            Ok(())
+        }
+        fn recv(&mut self, timeout: Option<Duration>) -> privpath::pir::Result<Vec<u8>> {
+            self.0.recv(timeout)
+        }
+    }
+
+    let gate = Arc::new(GateDisk::new(Arc::new(PanicDisk(tagged_pages(
+        SHARDED_PAGES,
+        SMALL_PAGE,
+    )))));
+    let mut srv = PirServer::new(small_page_spec());
+    srv.add_file("Fgood", tagged_pages(16, SMALL_PAGE), PirMode::LinearScan)
+        .unwrap();
+    srv.add_file_with_driver("Fbad", gate.clone(), PirMode::LinearScan)
+        .unwrap();
+    let front = ServerFront::spawn(Arc::new(srv));
+
+    let (sent, sends) = mpsc::channel();
+    let rider = || {
+        let link = Announce(front.raw_link().unwrap(), sent.clone());
+        let mut chan = WireChannel::handshake(Box::new(link), RetryPolicy::none()).unwrap();
+        chan.begin_query().unwrap();
+        chan
+    };
+    let (mut a, mut b) = (rider(), rider()); // sessions 1 and 2
+    let mut bystander = front.connect().unwrap(); // session 3
+    bystander.begin_query().unwrap();
+    let mut out = vec![PageBuf::zeroed(SMALL_PAGE)];
+    bystander
+        .serve_round(2, &[(FileId(0), 5)], &mut out)
+        .unwrap();
+    assert_eq!(page_tag(&out[0]), 5);
+    while sends.try_recv().is_ok() {} // the riders' four frames so far
+
+    let ride = |chan: &mut WireChannel, page: u32| {
+        let mut out = vec![PageBuf::zeroed(SMALL_PAGE)];
+        let err = chan
+            .serve_round(2, &[(FileId(1), page)], &mut out)
+            .expect_err("the lap panics under both riders");
+        assert!(!err.is_retryable(), "a handler panic is fatal: {err}");
+        assert!(
+            err.to_string().contains("server error 7"),
+            "want ERR_INTERNAL from the caught panic, got: {err}"
+        );
+    };
+    gate.arm(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| ride(&mut a, 3));
+        gate.wait_parked();
+        scope.spawn(|| ride(&mut b, 4));
+        sends.recv().unwrap(); // A's round
+        sends.recv().unwrap(); // B's round is on the link
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            // a driver thread is at the gate and the loop is free: it must
+            // have taken B's round off its queue (first in, first out)
+            // before the lap moves on. With one CPU the loop runs the held
+            // pass itself and finds the round queued after it.
+            let mut probe = front.raw_link().unwrap();
+            probe.send(&[0u8; 4]).unwrap();
+            probe
+                .recv(None)
+                .expect("a malformed frame earns a typed error");
+        }
+        gate.release();
+    });
+
+    bystander
+        .serve_round(2, &[(FileId(0), 11)], &mut out)
+        .unwrap();
+    assert_eq!(page_tag(&out[0]), 11);
+    let err = bystander
+        .serve_round(3, &[(FileId(1), 3)], &mut out)
+        .expect_err("poisoned store must fail the round");
+    assert!(
+        err.to_string().contains("server error 5"),
+        "want ERR_SERVE from the poisoned store, got: {err}"
+    );
+    bystander
+        .serve_round(3, &[(FileId(0), 7)], &mut out)
+        .unwrap();
+    assert_eq!(page_tag(&out[0]), 7);
+    bystander.close().unwrap();
+    let stats = front.shutdown();
+    for sid in [1, 2] {
+        assert_eq!(stats[&sid].panics, 1, "rider {sid} recorded the panic");
+        assert!(stats[&sid].closed, "rider {sid} torn down");
+        assert_eq!(stats[&sid].fetches, 0);
+    }
+    assert_eq!(stats[&3].panics, 0, "the bystander is unaffected");
+    assert_eq!(stats[&3].fetches, 3);
+}
+
 /// Transient disk faults under a sharded sweep: whichever pass meets one,
 /// the round fails retryably, nothing of it is cached, and the retransmit
 /// re-runs the whole sweep, until the round is bit-identical to the clean

@@ -244,8 +244,8 @@ fn many_wire_clients_one_server_stress_and_graceful_shutdown() {
 
 /// PR 7 network stress: the same many-clients shape as the wire stress,
 /// but over real loopback TCP sockets into a [`privpath::pir::TcpFront`]
-/// accept loop — with cross-session round coalescing enabled, so the
-/// interleaved rounds actually land in shared linear-scan sweeps. Half the
+/// accept loop — over linear-scan stores, so interleaved rounds of one
+/// file ride the laps of its rotation together. Half the
 /// clients close their sessions, half just drop them (dropping a TCP
 /// session closes its socket, i.e. a mid-session disconnect the reader
 /// thread must turn into a clean server-side teardown). Then two more
@@ -254,20 +254,12 @@ fn many_wire_clients_one_server_stress_and_graceful_shutdown() {
 /// with a clean error, not a hang.
 #[test]
 fn many_tcp_clients_one_server_stress_and_graceful_shutdown() {
-    use privpath::pir::FrontConfig;
-    use std::time::Duration;
     let net = test_net(250, 9);
     let mut cfg = small_cfg();
-    // linear-scan stores: the one mode whose rounds are coalescable
+    // linear-scan stores: the one mode whose rounds share laps
     cfg.pir_mode = PirMode::LinearScan;
     let db = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).expect("build"));
-    let front = db
-        .serve_tcp_with(FrontConfig {
-            coalesce_window: Some(Duration::from_millis(2)),
-            coalesce_max_batch: 32,
-            ..Default::default()
-        })
-        .expect("bind loopback front");
+    let front = db.serve_tcp().expect("bind loopback front");
     let n = net.num_nodes() as u32;
     let counts = [2usize, 5, 3, 6, 2, 4];
     let per_thread: Vec<Vec<(u32, u32, QueryOutput)>> = std::thread::scope(|scope| {

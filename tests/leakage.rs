@@ -688,30 +688,30 @@ fn chaos_link_with_retries_is_observably_identical_to_clean_link() {
     );
 }
 
-/// Theorem 1 under cross-session round coalescing (PR 7's decisive check):
-/// whether or not a neighbour's concurrent round shared the server's
-/// linear-scan sweep must be invisible in everything the client computes
-/// and everything the adversary observes. For every PIR scheme, the same
-/// query sequence runs twice over the wire with the same dummy-RNG seed:
+/// Theorem 1 under shared laps (PR 7's decisive check, re-pointed at the
+/// rotation): whether or not a neighbour's concurrent round rode the same
+/// lap of the server's linear-scan rotation must be invisible in everything
+/// the client computes and everything the adversary observes. For every PIR
+/// scheme, the same query sequence runs twice over the wire with the same
+/// dummy-RNG seed:
 ///
-/// 1. **Solo.** A front with coalescing off — the reference.
-/// 2. **Coalesced.** A front with a coalescing window, the target client
-///    connecting first (session 1, as in the solo run) while three
-///    neighbour sessions hammer the same workload concurrently, so the
-///    target's rounds land in shared sweeps.
+/// 1. **Solo.** The only client of its front: every round a lap of its own —
+///    the reference.
+/// 2. **Shared.** The target client connecting first (session 1, as in the
+///    solo run) while three neighbour sessions hammer the same workload
+///    concurrently, so the target's rounds ride laps with theirs.
 ///
 /// The target's answers, paths, traces and deterministic meter components
 /// must be bit-identical between the runs, and its *masked observable
-/// frame stream* must be byte-identical — coalescing is pure server-side
+/// frame stream* must be byte-identical — sharing a lap is pure server-side
 /// scheduling, invisible at the trust boundary. The stream must still
-/// conform to the published plan. Sweep sharing is asserted to have
-/// actually happened (`coalesced_rounds > 0` summed over sessions, with
-/// the run repeated a few times in case scheduling never overlapped), so
-/// the test cannot pass vacuously.
+/// conform to the published plan. Sharing is asserted to have actually
+/// happened (`coalesced_rounds > 0` summed over sessions, with the run
+/// repeated a few times in case scheduling never overlapped), so the test
+/// cannot pass vacuously.
 #[test]
 fn coalesced_serving_is_observably_identical_to_solo_serving() {
-    use privpath::pir::{FrontConfig, PirMode};
-    use std::time::Duration;
+    use privpath::pir::PirMode;
     let net = road_like(&RoadGenConfig {
         nodes: 150,
         seed: 7777,
@@ -724,14 +724,14 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
         .collect();
     for kind in PIR_SCHEMES {
         let mut cfg = cfg_small();
-        // linear-scan stores: the one mode whose rounds are coalescable
+        // linear-scan stores: the one mode whose rounds share laps
         cfg.pir_mode = PirMode::LinearScan;
         let db = Arc::new(
             Database::build(&net, kind, &cfg)
                 .unwrap_or_else(|e| panic!("{} build failed: {e}", kind.name())),
         );
 
-        // solo reference: no coalescing
+        // solo reference: nobody to share a lap with
         let solo_front = db.serve_wire();
         let mut solo = db
             .wire_session_with_seed(&solo_front, 0x5eed)
@@ -750,11 +750,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            let front = db.serve_wire_with(FrontConfig {
-                coalesce_window: Some(Duration::from_millis(5)),
-                coalesce_max_batch: 0, // no batch cap: flush on the window
-                ..Default::default()
-            });
+            let front = db.serve_wire();
             // the target connects first, so it is session 1 — the same id
             // (and thus the same recorded stream slot) as the solo run
             let mut target = db.wire_session_with_seed(&front, 0x5eed).expect("connect");
@@ -779,7 +775,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
                     .map(|&(s, t)| {
                         target
                             .query_nodes(&net, s, t)
-                            .unwrap_or_else(|e| panic!("{} coalesced {s}->{t}: {e}", kind.name()))
+                            .unwrap_or_else(|e| panic!("{} shared {s}->{t}: {e}", kind.name()))
                     })
                     .collect();
                 for h in neighbours {
@@ -791,12 +787,12 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
             drop(target);
             let stats = front.shutdown();
             let shared: u64 = stats.values().map(|s| s.coalesced_rounds).sum();
-            if shared == 0 && attempt < 3 {
+            if shared == 0 && attempt < 5 {
                 continue; // scheduling never overlapped any rounds; rerun
             }
             assert!(
                 shared > 0,
-                "{}: no rounds ever coalesced in {attempt} attempts",
+                "{}: no rounds ever shared a lap in {attempt} attempts",
                 kind.name()
             );
 
@@ -815,7 +811,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
                 assert_eq!(
                     got_m,
                     want_m,
-                    "{}: the meter must not see the coalescer for {s}->{t}",
+                    "{}: the meter must not see the rotation for {s}->{t}",
                     kind.name()
                 );
             }
@@ -824,7 +820,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
             assert_eq!(
                 stream,
                 solo_stream,
-                "{}: coalescing changed the observable stream",
+                "{}: sharing laps changed the observable stream",
                 kind.name()
             );
             // 3. ... and still conforms to the published plan
@@ -840,7 +836,7 @@ fn coalesced_serving_is_observably_identical_to_solo_serving() {
                 &file_of,
             )
             .unwrap_or_else(|e| {
-                panic!("{}: coalesced wire stream violates plan: {e}", kind.name())
+                panic!("{}: shared-lap wire stream violates plan: {e}", kind.name())
             });
             break;
         }
@@ -1176,13 +1172,14 @@ fn disk_backed_serving_is_observably_identical_to_in_memory() {
 }
 
 /// The sharded sweep adds nothing to the adversary's view. How a sweep is
-/// split — into how many page ranges, cut where — is fixed when the store is
-/// built, from the file's page count and the CPUs of the host, both of which
-/// the host knows anyway; what each range then does is sweep all of its
-/// pages. So two request sets of one shape, as unlike as they can be (every
-/// page in the first range and twice the same page, against every page in
-/// the last), leave identical physical logs and identical per-range page
-/// counts, on the plan this host gives a file large enough to shard.
+/// split — into which segments, each into how many page ranges, cut where —
+/// is fixed when the store is built, from the file's page count and the CPUs
+/// of the host, both of which the host knows anyway; what each range then
+/// does is sweep all of its pages. So two request sets of one shape, as
+/// unlike as they can be (every page in the first range and twice the same
+/// page, against every page in the last), leave identical physical logs and
+/// identical per-range page counts, on the plan this host gives a file large
+/// enough to shard.
 #[test]
 fn sharded_sweeps_log_and_split_independently_of_the_requests() {
     use privpath::pir::scan::MIN_SHARD_PAGES;
@@ -1200,11 +1197,17 @@ fn sharded_sweeps_log_and_split_independently_of_the_requests() {
         LinearScanStore::from_driver(Arc::new(guarded))
     };
     let (mut low, mut high) = (store(), store());
-    let ranges: Vec<_> = low.sweep().shard_ranges().collect();
-    if ranges.len() < 2 {
+    let plan = |s: &LinearScanStore| -> Vec<Vec<std::ops::Range<u32>>> {
+        (0..s.sweep().segments().count())
+            .map(|seg| s.sweep().shard_ranges(seg).to_vec())
+            .collect()
+    };
+    let ranges = plan(&low);
+    assert_eq!(ranges.len(), 3, "two whole segments and a partial one");
+    if ranges[0].len() < 2 {
         println!("note: 1 CPU available, the sweep under test is one shard");
     }
-    assert_eq!(ranges, high.sweep().shard_ranges().collect::<Vec<_>>());
+    assert_eq!(ranges, plan(&high));
 
     let rounds_low = [[0u32, 1, 1, 63, 64], [5, 5, 5, 5, 5]];
     let rounds_high = [
@@ -1226,14 +1229,208 @@ fn sharded_sweeps_log_and_split_independently_of_the_requests() {
     assert_eq!(low.physical_log().len(), 2 * pages as usize);
     let swept: Vec<u64> = low.sweep().shard_pages_swept().collect();
     assert_eq!(swept, high.sweep().shard_pages_swept().collect::<Vec<_>>());
-    let whole: Vec<u64> = ranges
-        .iter()
-        .map(|r| 2 * u64::from(r.end - r.start))
+    let whole: Vec<u64> = (0..swept.len())
+        .map(|lane| {
+            let per_lap: usize = ranges
+                .iter()
+                .filter_map(|seg| seg.get(lane))
+                .map(|r| r.len())
+                .sum();
+            2 * per_lap as u64
+        })
         .collect();
     assert_eq!(
         swept, whole,
         "every range sweeps all of its pages, every round"
     );
+}
+
+/// A shared rotation adds nothing to the adversary's view either. What the
+/// host sees of it — which segments were swept in which order, hence where
+/// every round joined and that it left one lap later, and how many pages
+/// each range swept — is fixed by *when* rounds arrived, never by what they
+/// asked for. Under one arrival schedule, pinned by a gate on the file's
+/// reads (the second round arrives while the first one's lap is in segment
+/// 0, and rides from segment 1), two pairs of request sets of one shape, as
+/// unlike as they can be, leave identical plans, join points, physical logs,
+/// per-range page counts, masked streams and counters — through a front, and
+/// on the rotation as a plain structure.
+#[test]
+fn shared_laps_are_scheduled_independently_of_the_requests() {
+    use privpath::pir::scan::{Rotation, Sweep, SEGMENT_PAGES};
+    use privpath::pir::wire::FrameLink;
+    use privpath::pir::{
+        GateDisk, ObliviousStore, PirMode, PirServer, RetryPolicy, ServerFront, SystemSpec,
+        Transport, WireChannel,
+    };
+    use privpath::storage::{crc32, ChecksumFile, MemFile, PageBuf, PagedFile};
+    use std::sync::mpsc;
+
+    let (pages, ps) = (3 * SEGMENT_PAGES as u32 - 50, 64usize);
+    let seg = SEGMENT_PAGES as u32;
+    let bytes: Vec<u8> = (0..pages as usize * ps)
+        .map(|i| (i * 31 % 251) as u8)
+        .collect();
+    let file = MemFile::from_bytes(&bytes, ps);
+    let crcs: Vec<u32> = (0..pages).map(|p| crc32(file.page(p).unwrap())).collect();
+    // the first round's pages, the second round's: all in the first runs of
+    // the file and repeated, against all in its last runs and distinct
+    let low = [[0u32, 1, 1, 63], [5, 5, 5, 5]];
+    let high = [
+        [pages - 1, pages - 2, pages - 70, pages - 71],
+        [pages - 3, pages - 9, pages - 27, pages - 81],
+    ];
+
+    /// Tells the test when the client has put a frame on the link.
+    struct Announce<L>(L, mpsc::Sender<()>);
+    impl<L: FrameLink> FrameLink for Announce<L> {
+        fn send(&mut self, frame: &[u8]) -> privpath::pir::Result<()> {
+            self.0.send(frame)?;
+            let _ = self.1.send(());
+            Ok(())
+        }
+        fn recv(&mut self, timeout: Option<std::time::Duration>) -> privpath::pir::Result<Vec<u8>> {
+            self.0.recv(timeout)
+        }
+    }
+
+    // what the host saw of one schedule: plan, log, per-range counts, and of
+    // each session its masked stream and its counters
+    type Seen = (
+        Vec<Vec<std::ops::Range<u32>>>,
+        Vec<u32>,
+        Vec<u64>,
+        Vec<(Vec<u8>, u64, u64, u64)>,
+    );
+    let through_a_front = |sets: &[[u32; 4]; 2]| -> Seen {
+        let guarded = ChecksumFile::new("Fi", Arc::new(file.clone()), crcs.clone());
+        let gate = Arc::new(GateDisk::new(Arc::new(guarded)));
+        let mut srv = PirServer::new(SystemSpec {
+            page_size: ps,
+            ..SystemSpec::default()
+        });
+        let fi = srv
+            .add_file_with_driver("Fi", gate.clone(), PirMode::LinearScan)
+            .unwrap();
+        let srv = Arc::new(srv);
+        let front = ServerFront::spawn(Arc::clone(&srv));
+        let (sent, sends) = mpsc::channel();
+        let connect = || {
+            let link = Announce(front.raw_link().unwrap(), sent.clone());
+            let mut chan = WireChannel::handshake(Box::new(link), RetryPolicy::none()).unwrap();
+            chan.begin_query().unwrap();
+            chan
+        };
+        let (mut a, mut b) = (connect(), connect());
+        while sends.try_recv().is_ok() {} // the four frames so far
+        let ask = |chan: &mut WireChannel, set: [u32; 4]| {
+            let mut out = vec![PageBuf::zeroed(ps); 4];
+            chan.serve_round(2, &set.map(|p| (fi, p)), &mut out)
+                .unwrap();
+            for (buf, p) in out.iter().zip(set) {
+                assert_eq!(buf.as_slice(), file.page(p).unwrap());
+            }
+        };
+        gate.arm(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| ask(&mut a, sets[0]));
+            gate.wait_parked(); // A's lap is held at its first run
+            scope.spawn(|| ask(&mut b, sets[1]));
+            sends.recv().unwrap(); // A's round
+            sends.recv().unwrap(); // B's round is on the link
+            if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+                // a driver thread is at the gate and the loop is free: it
+                // must have taken B's round off its queue (first in, first
+                // out) before the lap moves on. With one CPU the loop runs
+                // the held pass itself and finds the round queued after it.
+                let mut probe = front.raw_link().unwrap();
+                probe.send(&[0u8; 4]).unwrap();
+                probe
+                    .recv(None)
+                    .expect("a malformed frame earns a typed error");
+            }
+            gate.release();
+        });
+        let (sid_a, sid_b) = (a.session_id(), b.session_id());
+        drop((a, b));
+        let stats = front.shutdown();
+        let sessions = [sid_a, sid_b]
+            .map(|sid| {
+                let s = &stats[&sid];
+                (s.observed.clone(), s.fetches, s.rounds, s.coalesced_rounds)
+            })
+            .to_vec();
+        srv.audit_scan(fi, |store| {
+            let plan = (0..store.sweep().segments().count())
+                .map(|seg| store.sweep().shard_ranges(seg).to_vec())
+                .collect();
+            let counts = store.sweep().shard_pages_swept().collect();
+            (plan, store.physical_log().to_vec(), counts, sessions)
+        })
+        .unwrap()
+    };
+    let (seen_low, seen_high) = (through_a_front(&low), through_a_front(&high));
+    assert_eq!(seen_low, seen_high);
+    let (plan, log, counts, sessions) = seen_low;
+    assert_eq!(plan.len(), 3);
+    // segments 0 1 2 0: the second round joined at segment 1, and both rode
+    // exactly one lap
+    let want: Vec<u32> = (0..pages).chain(0..seg).collect();
+    assert_eq!(log, want);
+    assert_eq!(counts.iter().sum::<u64>(), want.len() as u64);
+    for (_, fetches, rounds, shared) in &sessions {
+        assert_eq!((*fetches, *rounds, *shared), (4, 2, 1));
+    }
+    assert_eq!(
+        sessions[0].0, sessions[1].0,
+        "the masked streams are page-blind"
+    );
+
+    // the same schedule on the plain structure, under plans of 1-3 ranges
+    for shards in 1..=3usize {
+        let guarded: Arc<dyn PagedFile> = Arc::new(ChecksumFile::new(
+            "Fi",
+            Arc::new(file.clone()),
+            crcs.clone(),
+        ));
+        let on_the_structure = |sets: &[[u32; 4]; 2]| {
+            let mut sweep = Sweep::new(pages, ps, shards);
+            let mut crew = sweep.crew(&guarded);
+            let mut rotation = Rotation::over(&sweep);
+            let (mut run, mut joined, mut done) = (Vec::new(), Vec::new(), Vec::new());
+            rotation.join(0, &sets[0]);
+            while !rotation.is_idle() {
+                if run.len() == 1 {
+                    rotation.join(1, &sets[1]);
+                }
+                rotation
+                    .step(
+                        |seg, wanted, slots| {
+                            run.push(seg);
+                            sweep.pass(&mut crew, &*guarded, seg, wanted, slots)
+                        },
+                        &mut done,
+                    )
+                    .unwrap();
+                for ride in done.drain(..) {
+                    for (i, &p) in sets[ride.id() as usize].iter().enumerate() {
+                        assert_eq!(ride.page(i), file.page(p).unwrap());
+                    }
+                    joined.push((ride.id(), ride.joined_at(), run.len(), ride.shared()));
+                    rotation.recycle(ride);
+                }
+            }
+            let counts: Vec<u64> = sweep.shard_pages_swept().collect();
+            (run, joined, counts)
+        };
+        let (seen_low, seen_high) = (on_the_structure(&low), on_the_structure(&high));
+        assert_eq!(seen_low, seen_high, "x{shards}");
+        let (run, joined, counts) = seen_low;
+        assert_eq!(run, [0, 1, 2, 0]);
+        assert_eq!(joined, [(0, 0, 3, true), (1, 1, 4, true)]);
+        assert_eq!(counts.len(), shards);
+        assert_eq!(counts.iter().sum::<u64>(), u64::from(pages + seg));
+    }
 }
 
 /// The scheme-kind predicate and the trace shape agree: PIR schemes fetch
