@@ -4,11 +4,12 @@
 //! experiments <id|all> [--scale F] [--queries N] [--threads T]
 //! ```
 
-use privpath_bench::experiments::{run, ExpCtx, ALL_EXPERIMENTS};
+use privpath_bench::experiments::{parse_args, run, ALL_EXPERIMENTS};
 
-fn usage() -> ! {
+fn usage(error: &str) -> ! {
     eprintln!(
-        "usage: experiments <id|all> [--scale F|full] [--queries N] [--threads T]\n  \
+        "error: {error}\n\
+         usage: experiments <id|all> [--scale F|full] [--queries N] [--threads T]\n  \
          ids: {}\n  --scale full (or paper) runs every network at its exact Table 1 size",
         ALL_EXPERIMENTS.join(" ")
     );
@@ -17,38 +18,7 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let id = args[0].clone();
-    let mut ctx = ExpCtx::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                ctx.scale_factor = args
-                    .get(i + 1)
-                    .and_then(|v| privpath_bench::scales::parse_scale_arg(v))
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--queries" => {
-                ctx.queries = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--threads" => {
-                ctx.threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+    let (id, ctx) = parse_args(&args).unwrap_or_else(|e| usage(&e));
     let t0 = std::time::Instant::now();
     if let Err(e) = run(&id, &ctx) {
         eprintln!("experiment '{id}' failed: {e}");

@@ -3,12 +3,12 @@
 //! Every function prints an aligned table (plus the paper's reference values
 //! where the paper reports absolute numbers) and writes a CSV under
 //! `results/`. Networks are seeded synthetic stand-ins at the scales of
-//! [`crate::scales`]; DESIGN.md §2 documents the substitution and
-//! EXPERIMENTS.md the committed runs.
+//! [`crate::scales`]; EXPERIMENTS.md ("Network scales") documents the
+//! substitution and the scales.
 
 use crate::report::{mb, secs, Table};
 use crate::runner::{run_workload, WorkloadResult};
-use crate::scales::effective_scale;
+use crate::scales::{effective_scale, parse_scale_arg};
 use privpath_core::config::BuildConfig;
 use privpath_core::engine::SchemeKind;
 use privpath_core::{CoreError, Result};
@@ -65,6 +65,46 @@ impl ExpCtx {
 pub const ALL_EXPERIMENTS: [&str; 11] = [
     "table1", "table2", "fig5", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 ];
+
+/// Parses the `experiments` command line (everything after the program
+/// name): an experiment id — one of [`ALL_EXPERIMENTS`] or `all` — then
+/// `--scale F|full`, `--queries N` (at least 1) and `--threads T` in any
+/// order. Every `Err` is a usage error, raised before any network is
+/// generated.
+pub fn parse_args(args: &[String]) -> std::result::Result<(String, ExpCtx), String> {
+    let (id, flags) = args.split_first().ok_or("missing experiment id")?;
+    if id != "all" && !ALL_EXPERIMENTS.contains(&id.as_str()) {
+        return Err(format!("unknown experiment '{id}'"));
+    }
+    let mut ctx = ExpCtx::default();
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--scale" => {
+                let v = value()?;
+                ctx.scale_factor = parse_scale_arg(v)
+                    .ok_or_else(|| format!("--scale: not a positive factor or 'full': '{v}'"))?;
+            }
+            "--queries" => {
+                let v = value()?;
+                ctx.queries = v
+                    .parse()
+                    .ok()
+                    .filter(|&q| q >= 1)
+                    .ok_or_else(|| format!("--queries: not an integer >= 1: '{v}'"))?;
+            }
+            "--threads" => {
+                let v = value()?;
+                ctx.threads = v
+                    .parse()
+                    .map_err(|_| format!("--threads: not a non-negative integer: '{v}'"))?;
+            }
+            other => return Err(format!("unknown flag '{other}'")),
+        }
+    }
+    Ok((id.clone(), ctx))
+}
 
 /// Runs one experiment by id (or `all`).
 pub fn run(id: &str, ctx: &ExpCtx) -> Result<()> {
@@ -638,4 +678,56 @@ pub fn fig12(ctx: &ExpCtx) -> Result<()> {
     }
     t.emit("fig12");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scales::FULL_SCALE;
+
+    fn parse(line: &str) -> std::result::Result<(String, ExpCtx), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parse_args_rejects_usage_errors() {
+        for (line, needle) in [
+            ("", "missing experiment id"),
+            ("bogus", "unknown experiment 'bogus'"),
+            ("--queries 4", "unknown experiment '--queries'"),
+            ("table3 --queries 0", "--queries"),
+            ("table3 --queries many", "--queries"),
+            ("table3 --queries", "--queries needs a value"),
+            ("fig7 --scale bogus", "--scale"),
+            ("fig7 --scale 0", "--scale"),
+            ("fig7 --threads -1", "--threads"),
+            ("fig7 --nodes 5", "unknown flag '--nodes'"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(needle), "'{line}' gave: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_args_accepts_ids_and_flags() {
+        let (id, ctx) = parse("all").unwrap();
+        assert_eq!(id, "all");
+        let d = ExpCtx::default();
+        assert_eq!(
+            (ctx.scale_factor, ctx.queries, ctx.threads),
+            (d.scale_factor, d.queries, d.threads)
+        );
+
+        let (id, ctx) = parse("fig7 --scale full --queries 1 --threads 2").unwrap();
+        assert_eq!(id, "fig7");
+        assert_eq!(ctx.scale_factor, FULL_SCALE);
+        assert_eq!((ctx.queries, ctx.threads), (1, 2));
+
+        for id in ALL_EXPERIMENTS {
+            let (parsed, ctx) = parse(&format!("{id} --threads 3 --scale 0.1")).unwrap();
+            assert_eq!(parsed, id);
+            assert_eq!((ctx.scale_factor, ctx.threads), (0.1, 3));
+        }
+    }
 }

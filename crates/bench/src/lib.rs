@@ -13,13 +13,9 @@
 //! CSV under `results/`.
 
 pub mod experiments;
-pub mod perf;
 pub mod report;
 pub mod runner;
 pub mod scales;
 
 pub use report::Table;
-pub use runner::{
-    run_shared_workload, run_shared_workload_with, run_workload, workload_pairs,
-    SharedWorkloadResult, TransportKind, WorkloadResult,
-};
+pub use runner::{run_workload, workload_pairs, WorkloadResult};

@@ -38,7 +38,8 @@ pub struct AugGraph {
     /// The two regions each border node touches (indexed by border id).
     pub border_regions: Vec<(RegionId, RegionId)>,
     /// Region of the *tail* of each original arc — the region whose `Fd`
-    /// page stores the arc (S_ij correctness definition, DESIGN.md §4).
+    /// page stores the arc, and so the region `S_ij` has to name for every
+    /// shortest path that uses it (§5.2).
     pub arc_tail_region: Vec<RegionId>,
 }
 

@@ -4,7 +4,8 @@
 //! Every page carries a leading CRC-32 over its payload. The paper's
 //! honest-but-curious server never corrupts data, so the checksum costs 4
 //! bytes of capacity and buys detection when the fault-injection extension
-//! breaks that assumption (DESIGN.md §7).
+//! (`pir::fault::FaultyStore`) or a failing disk (README, "Failure
+//! containment on the disk path") breaks that assumption.
 
 pub mod fd;
 pub mod fh;

@@ -59,10 +59,11 @@ pub struct IndexScheme {
     pub data_file: FileId,
 }
 
-/// Wall-clock seconds per offline build stage — the `build_breakdown_ms`
-/// the perf baseline records. Stages not applicable to a scheme stay `0.0`
-/// (e.g. LM/AF have no border computation; for them `precompute` covers
-/// their own substrate: landmark vectors / arc flags).
+/// Wall-clock seconds per offline build stage — what `experiments` prints
+/// per build and the reference benchmark reports as `core.build.*_s`.
+/// Stages not applicable to a scheme stay `0.0` (e.g. LM/AF have no border
+/// computation; for them `precompute` covers their own substrate: landmark
+/// vectors / arc flags).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
     /// KD-tree partitioning (§5.1/§5.6).

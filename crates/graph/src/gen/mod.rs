@@ -9,8 +9,8 @@
 //! locality of real road graphs — the two properties every measured quantity
 //! in the paper depends on (page counts, region-set sizes, search effort).
 //!
-//! See DESIGN.md §2 for the substitution rationale. Real datasets can be
-//! loaded through [`crate::io`] instead.
+//! EXPERIMENTS.md ("Network scales") records the sizes the stand-ins are run
+//! at. Real datasets can be loaded through [`crate::io`] instead.
 
 mod grid;
 mod paper;

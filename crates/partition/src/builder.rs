@@ -7,11 +7,11 @@
 //! §5.6: splits at byte position `2^i·(B−z)` along the sorted byte stream,
 //! guaranteeing high utilization.
 //!
-//! Deviation from the paper (documented in DESIGN.md §2): the paper's
-//! byte-split argument can overflow a page by up to `z` bytes in adversarial
-//! inputs, so we split against an effective target of `B − 2z` and keep a
-//! plain-split fallback for any leaf that still exceeds `B`; no page ever
-//! overflows and measured utilization stays >95%.
+//! Deviation from the paper: the paper's byte-split argument can overflow a
+//! page by up to `z` bytes in adversarial inputs, so we split against an
+//! effective target of `B − 2z` and keep a plain-split fallback for any leaf
+//! that still exceeds `B`; no page ever overflows and measured utilization
+//! stays >95%.
 
 use crate::kdtree::{KdNode, KdTree, RegionId};
 use privpath_graph::network::RoadNetwork;
@@ -385,7 +385,7 @@ pub fn partition_packed(
     );
     // The paper's target B − z; leaves that still overflow after straddler
     // pushes and coordinate-boundary adjustments fall back to a further
-    // median split (DESIGN.md §2), so `capacity` is a hard bound either way.
+    // median split (module docs), so `capacity` is a hard bound either way.
     let target = capacity.saturating_sub(z).max(z.max(1));
     let mut ctx = BuildCtx {
         nodes: Vec::new(),

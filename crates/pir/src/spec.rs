@@ -26,7 +26,8 @@ pub struct SystemSpec {
     /// N-page file; `c` is "a parameter with a typical value of 10" (§3.2).
     pub scp_mem_factor: f64,
     /// Fixed page-operations per retrieval (session/request overhead) in the
-    /// cost model — calibration constant (DESIGN.md §2).
+    /// cost model — calibration constant, fixed together with
+    /// `pir_ops_per_log2sq` so the 1 GB anchor holds (see [`crate::cost`]).
     pub pir_fixed_ops: f64,
     /// Page-operations per `log2(N)²` in the cost model — calibrated so a
     /// 1 GB file costs ≈1 s per retrieval, the paper's IBM 4764 anchor.

@@ -1,7 +1,8 @@
 //! CRC-32 (IEEE 802.3 polynomial) over page payloads.
 //!
 //! The paper's adversary is honest-but-curious and never tampers with data
-//! (§3.1). Our fault-injection extension (DESIGN.md §7) lets a PIR backend
+//! (§3.1). Our fault-injection extension (`pir::fault::FaultyStore`, and the
+//! seeded disk faults of `pir::chaos::FaultyDisk`) lets a PIR backend
 //! corrupt pages; checksums let the client detect that the trust assumption
 //! was violated rather than silently returning a wrong path.
 //!

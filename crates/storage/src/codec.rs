@@ -2,8 +2,8 @@
 //!
 //! All on-"disk" records (header, look-up entries, region sets, subgraphs,
 //! region data) are serialized through [`ByteWriter`] and decoded through
-//! [`ByteReader`]. Varint encoding is used by the optional region-data
-//! compression extension (DESIGN.md §7).
+//! [`ByteReader`]. Every format in the tree writes fixed-width integers; the
+//! varint and zig-zag helpers have no caller outside this module's tests.
 
 use crate::error::StorageError;
 use crate::Result;

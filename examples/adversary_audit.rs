@@ -4,7 +4,8 @@
 //! Part 1 runs many different queries and audits the observable traces
 //! (Theorem 1). Part 2 replaces the PIR backend with a tampering one and
 //! shows the client detecting the corruption through page checksums — the
-//! extension beyond the paper's honest-but-curious model (DESIGN.md §7).
+//! extension beyond the paper's honest-but-curious model
+//! (`pir::fault::FaultyStore`).
 //!
 //! ```text
 //! cargo run --release --example adversary_audit
