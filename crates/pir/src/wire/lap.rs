@@ -30,7 +30,7 @@
 //! stream, the counters and the replay cache are settled by the loop thread,
 //! in arrival order, exactly as the immediate path would have.
 
-use super::{GenEntry, ToServer};
+use super::front::{GenEntry, ToServer};
 use crate::error::PirError;
 use crate::scan::{Crew, Ride, Rotation};
 use crate::server::FileId;

@@ -30,9 +30,8 @@
 //! live clients get their in-flight responses and observe a clean
 //! disconnect on their *next* request.
 
-use super::{
-    FrameLink, FrontConfig, RetryPolicy, ServerFront, SessionStats, ToServer, WireChannel,
-};
+use super::front::ToServer;
+use super::{FrameLink, FrontConfig, RetryPolicy, ServerFront, SessionStats, WireChannel};
 use crate::chaos::{ChaosLink, FaultPlan};
 use crate::error::PirError;
 use crate::transport::ServeHost;
@@ -383,7 +382,7 @@ impl FrameLink for TcpLink {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{split_frame, K_ERROR};
+    use super::super::codec::{split_frame, K_ERROR};
     use super::*;
     use crate::server::{FileId, PirMode, PirServer};
     use crate::spec::SystemSpec;
