@@ -1,4 +1,4 @@
-//! The OBF obfuscation baseline (§7.3), based on Lee et al. [22].
+//! The OBF obfuscation baseline (§7.3), based on Lee et al. \[22\].
 //!
 //! "Instead of the query source s, this scheme sends to the LBS a set S that
 //! includes s and a number of fake source locations. Similarly, it sends a

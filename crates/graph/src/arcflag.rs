@@ -1,6 +1,6 @@
 //! Arc-flag pre-computation — the substrate of the AF baseline (§4).
 //!
-//! Arc-flag [21] "requires partitioning the road network into regions. For
+//! Arc-flag \[21\] "requires partitioning the road network into regions. For
 //! each edge e ∈ E, it keeps a bit-vector where every bit corresponds to a
 //! region – the bit for a region is set to 1 only if there is a shortest path
 //! from one endpoint of e to a node in that region that passes through e."

@@ -10,7 +10,9 @@
 //! in the paper depends on (page counts, region-set sizes, search effort).
 //!
 //! EXPERIMENTS.md ("Network scales") records the sizes the stand-ins are run
-//! at. Real datasets can be loaded through [`crate::io`] instead.
+//! at. No loader for real datasets ships: the DIMACS and node/edge-list
+//! parsers that had no caller were removed, and come back from git history
+//! with the first dataset the repository holds.
 
 mod grid;
 mod paper;

@@ -3,7 +3,7 @@
 //!
 //! Both the offline build path (the border-node searches of the §5.2
 //! pre-computation, landmark vectors, the canonical trees of
-//! [`crate::dijkstra`]) and the client query hot path run Dijkstra in tight
+//! [`crate::dijkstra`](mod@crate::dijkstra)) and the client query hot path run Dijkstra in tight
 //! loops; a `BinaryHeap<Reverse<(Dist, u32)>>` with lazy deletion allocates
 //! per run and carries stale entries. This kernel is the alternative every
 //! caller shares: dense slots, decrease-key (never a stale entry), keys

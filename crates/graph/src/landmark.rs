@@ -1,6 +1,6 @@
 //! Landmark (ALT) pre-computation — the substrate of the LM baseline (§4).
 //!
-//! Landmark [13] "chooses a number of anchor nodes in G and pre-computes for
+//! Landmark \[13\] "chooses a number of anchor nodes in G and pre-computes for
 //! each v ∈ V the shortest path costs (from v) to the anchors. The vector of
 //! costs, called Landmark vector, is kept with v and helps compute estimates
 //! for the cost of SP(v, t)". The estimates feed an A* search.

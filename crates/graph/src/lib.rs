@@ -6,7 +6,7 @@
 //!
 //! * [`network`] — the compressed-sparse-row [`network::RoadNetwork`] and its
 //!   builder;
-//! * [`dijkstra`] / [`astar`] — shortest-path algorithms with deterministic
+//! * [`dijkstra`](mod@dijkstra) / [`astar`] — shortest-path algorithms with deterministic
 //!   tie-breaking (canonical shortest-path trees drive the pre-computation of
 //!   §5.2);
 //! * [`path`] — path extraction and verification;
@@ -14,8 +14,6 @@
 //!   sparsity of the paper's six datasets (Table 1);
 //! * [`heap`] — the indexed binary-heap kernel (decrease-key, reusable
 //!   buffers) shared by every Dijkstra in the system, offline and online;
-//! * [`io`] — parsers for DIMACS `.gr`/`.co` and a simple node/edge text
-//!   format so the original datasets drop in when available;
 //! * [`landmark`] — Landmark (ALT) pre-computation used by the LM baseline;
 //! * [`arcflag`] — Arc-flag pre-computation used by the AF baseline;
 //! * [`bitset`] — fixed-width bitsets shared by arc flags and the region-set
@@ -27,7 +25,6 @@ pub mod bitset;
 pub mod dijkstra;
 pub mod gen;
 pub mod heap;
-pub mod io;
 pub mod landmark;
 pub mod network;
 pub mod path;

@@ -3,7 +3,7 @@
 //! The cost model (used by the large-scale experiments) charges simulated
 //! time without doing oblivious work; these backends complement it by
 //! actually *being* oblivious, so the test suite can verify the property the
-//! security argument delegates to [36]: the physical access sequence reveals
+//! security argument delegates to \[36\]: the physical access sequence reveals
 //! nothing about the logical one.
 
 use crate::prp::Prp;
@@ -376,7 +376,7 @@ impl ObliviousStore for LinearScanStore {
 }
 
 /// Square-root-ORAM-style shuffled store — a faithful miniature of the
-/// hierarchy-of-shuffles idea behind Usable PIR [36].
+/// hierarchy-of-shuffles idea behind Usable PIR \[36\].
 ///
 /// Layout: `N` real pages plus `m = ⌈√N⌉` dummies, permuted by a fresh keyed
 /// PRP each epoch. A fetch reads exactly one physical slot: the PRP image of

@@ -1,6 +1,6 @@
 //! The PIR retrieval cost model.
 //!
-//! [36] retrieves a page with amortized `O(log² N)` computation, where `N` is
+//! \[36\] retrieves a page with amortized `O(log² N)` computation, where `N` is
 //! the number of pages in the accessed file; "a real implementation on IBM
 //! 4764 takes around one second to retrieve a page from a Gigabyte file"
 //! (§3.2). We model a retrieval as

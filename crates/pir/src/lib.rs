@@ -1,7 +1,7 @@
 //! PIR substrate: the "black box" the paper builds on.
 //!
 //! The paper relies on hardware-aided PIR — the Williams–Sion *Usable PIR*
-//! protocol [36] running on an IBM 4764 secure co-processor (SCP) — and,
+//! protocol \[36\] running on an IBM 4764 secure co-processor (SCP) — and,
 //! exactly like the paper's own evaluation, we "strictly simulate its
 //! performance" rather than require the hardware:
 //!

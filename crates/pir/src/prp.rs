@@ -5,7 +5,7 @@
 //! network over the smallest even bit-width covering the domain, with
 //! cycle-walking to stay inside `[0, domain)`. The round function is a
 //! splitmix64-style mix — *not* cryptographically strong, which is fine for a
-//! simulation: the paper uses the PIR protocol of [36] as a black box and
+//! simulation: the paper uses the PIR protocol of \[36\] as a black box and
 //! rests its security argument on that protocol (§3.2), not on this stand-in.
 
 /// A keyed permutation over `0..domain`.

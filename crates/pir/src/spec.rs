@@ -22,7 +22,7 @@ pub struct SystemSpec {
     pub comm_rate_bps: f64,
     /// SCP RAM in bytes (IBM 4764: 32 MByte).
     pub scp_memory_bytes: u64,
-    /// The protocol of [36] needs at least `c·√N` pages of SCP memory for an
+    /// The protocol of \[36\] needs at least `c·√N` pages of SCP memory for an
     /// N-page file; `c` is "a parameter with a typical value of 10" (§3.2).
     pub scp_mem_factor: f64,
     /// Fixed page-operations per retrieval (session/request overhead) in the

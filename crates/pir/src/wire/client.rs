@@ -3,10 +3,8 @@
 //! transport that drives every exchange through them.
 
 use super::codec::{
-    advance_seq, decode_error_frame, encode_download_request, encode_query_open,
-    encode_round_request, encode_session_close, encode_session_open, split_frame, transport_err,
-    ServerInfo, K_ACK, K_CHUNK, K_DOWNLOAD_RESP, K_ERROR, K_ROUND_RESP, K_SESSION_ACCEPT,
-    SEQ_UNPARSED,
+    advance_seq, decode_error_frame, split_frame, transport_err, Request, ServerInfo, HEADER_BYTES,
+    K_ACK, K_CHUNK, K_DOWNLOAD_RESP, K_ERROR, K_ROUND_RESP, K_SESSION_ACCEPT, SEQ_UNPARSED,
 };
 use super::front::ToServer;
 use crate::error::PirError;
@@ -17,13 +15,6 @@ use crate::Result;
 use privpath_storage::{ByteReader, PageBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-fn decode_unexpected<T>(kind: u8, payload: &[u8], wanted: &str) -> Result<T> {
-    if kind == K_ERROR {
-        return Err(decode_error_frame(payload));
-    }
-    transport_err(format!("expected {wanted}, got frame kind {kind}"))
-}
 
 // -------------------------------------------------------------- frame link
 
@@ -152,6 +143,15 @@ enum AttemptOutcome {
     Retry(PirError),
 }
 
+/// A failed attempt: retried if the error is retryable, else the exchange's.
+fn retry_or_fail(e: PirError) -> Result<AttemptOutcome> {
+    if e.is_retryable() {
+        Ok(AttemptOutcome::Retry(e))
+    } else {
+        Err(e)
+    }
+}
+
 enum ChunkStep {
     /// Chunk absorbed (or ignored as stale); keep waiting for more frames.
     Wait,
@@ -162,10 +162,10 @@ enum ChunkStep {
     Bad(PirError),
 }
 
-/// Folds one structurally-valid `Chunk` frame into the per-attempt
-/// reassembly buffer. Chunks echoing a stale seq are ignored. Inconsistent
-/// indexing (a gap, or a total that changed mid-stream) drops the partial
-/// buffer: a retransmitted reply restarts cleanly at index 0.
+/// Folds one `Chunk` frame into the per-attempt reassembly buffer. Chunks
+/// echoing a stale seq are ignored. Inconsistent indexing (a gap, or a total
+/// that changed mid-stream) drops the partial buffer: a retransmitted reply
+/// restarts cleanly at index 0.
 fn absorb_chunk(
     frame: &[u8],
     want_seq: u32,
@@ -173,7 +173,10 @@ fn absorb_chunk(
     next: &mut u32,
     total: &mut u32,
 ) -> ChunkStep {
-    let f = split_frame(frame).expect("caller validated the frame");
+    let f = match split_frame(frame) {
+        Ok(f) => f,
+        Err(e) => return ChunkStep::Bad(e),
+    };
     if f.seq != want_seq {
         return ChunkStep::Wait; // stale chunk from an earlier exchange
     }
@@ -246,13 +249,8 @@ impl WireChannel {
             policy,
             retries: 0,
         };
-        let seq = chan.next_seq();
-        let reply = chan.exchange(encode_session_open(seq))?;
-        let f = split_frame(&reply)?;
-        if f.kind != K_SESSION_ACCEPT {
-            return decode_unexpected(f.kind, f.payload, "SessionAccept");
-        }
-        let mut r = ByteReader::new(f.payload);
+        let reply = chan.request(Request::SessionOpen, &[], K_SESSION_ACCEPT)?;
+        let mut r = ByteReader::new(&reply[HEADER_BYTES..]);
         chan.session = r.u64().map_err(PirError::from)?;
         chan.info = Some(ServerInfo::deserialize(&mut r)?);
         if let Some(held) = expected {
@@ -276,11 +274,6 @@ impl WireChannel {
         self.info().generation
     }
 
-    /// Replaces the retry policy (applies to subsequent requests).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
     /// Retransmissions performed so far on this channel.
     pub fn retries(&self) -> u64 {
         self.retries
@@ -291,9 +284,28 @@ impl WireChannel {
         self.seq
     }
 
+    /// Sends `request` as the next sequence number and returns its reply:
+    /// a whole, verified frame of kind `want`, whose payload starts at
+    /// [`HEADER_BYTES`].
+    fn request(
+        &mut self,
+        request: Request,
+        fetches: &[(FileId, u32)],
+        want: u8,
+    ) -> Result<Vec<u8>> {
+        let seq = self.next_seq();
+        let reply = self.exchange(request.encode(seq, fetches, false))?;
+        // `exchange` verified the whole frame: byte 11 is its kind
+        match reply[11] {
+            kind if kind == want => Ok(reply),
+            kind => transport_err(format!("expected frame kind {want}, got {kind}")),
+        }
+    }
+
     /// One logical request/response exchange, retried per the policy. The
     /// retransmitted bytes are always identical to the original frame — the
-    /// server dedups by `seq` and replays its cached reply.
+    /// server dedups by `seq` and replays its cached reply. The reply is a
+    /// whole frame, verified once, that answers this `seq` and is no error.
     pub(super) fn exchange(&mut self, frame: Vec<u8>) -> Result<Vec<u8>> {
         let attempts = self.policy.max_attempts.max(1);
         let deadline = self.policy.deadline.map(|d| Instant::now() + d);
@@ -336,10 +348,8 @@ impl WireChannel {
     /// the current request's) are duplicates from an earlier exchange and
     /// are discarded without consuming the attempt.
     fn attempt_once(&mut self, frame: &[u8], deadline: Option<Instant>) -> Result<AttemptOutcome> {
-        match self.link.send(frame) {
-            Ok(()) => {}
-            Err(e) if e.is_retryable() => return Ok(AttemptOutcome::Retry(e)),
-            Err(e) => return Err(e),
+        if let Err(e) = self.link.send(frame) {
+            return retry_or_fail(e);
         }
         let attempt_deadline = match (self.policy.attempt_timeout, deadline) {
             (None, None) => None,
@@ -372,19 +382,13 @@ impl WireChannel {
             };
             let raw = match self.link.recv(timeout) {
                 Ok(r) => r,
-                Err(e) if e.is_retryable() => return Ok(AttemptOutcome::Retry(e)),
-                Err(e) => return Err(e),
+                Err(e) => return retry_or_fail(e),
             };
-            let first_kind = match split_frame(&raw) {
-                Ok(f) => f.kind,
-                Err(e) if e.is_retryable() => {
-                    // A corrupted response: re-request and the server will
-                    // replay its cached reply bytes.
-                    return Ok(AttemptOutcome::Retry(e));
-                }
-                Err(e) => return Err(e),
-            };
-            let reply = if first_kind == K_CHUNK {
+            // The kind byte is read before any crc is checked: whichever way
+            // a corrupted one sends the frame, its check below fails there,
+            // and the request is re-sent for the server to replay its
+            // cache. Every frame is verified once.
+            let reply = if raw.get(11) == Some(&K_CHUNK) {
                 match absorb_chunk(
                     &raw,
                     self.seq,
@@ -393,32 +397,25 @@ impl WireChannel {
                     &mut chunk_total,
                 ) {
                     ChunkStep::Wait => continue,
-                    ChunkStep::Bad(e) => return Ok(AttemptOutcome::Retry(e)),
+                    ChunkStep::Bad(e) => return retry_or_fail(e),
                     ChunkStep::Done(inner) => inner,
                 }
             } else {
                 raw
             };
-            let (kind, seq, trailing) = match split_frame(&reply) {
-                Ok(f) => (f.kind, f.seq, !f.rest.is_empty()),
-                Err(e) if e.is_retryable() => return Ok(AttemptOutcome::Retry(e)),
-                Err(e) => return Err(e),
+            let f = match split_frame(&reply) {
+                Ok(f) => f,
+                Err(e) => return retry_or_fail(e),
             };
-            if trailing {
+            if !f.rest.is_empty() {
                 return Ok(AttemptOutcome::Retry(PirError::CorruptFrame(
                     "trailing bytes after response frame".into(),
                 )));
             }
-            if kind == K_ERROR && (seq == self.seq || seq == SEQ_UNPARSED) {
-                let f = split_frame(&reply).expect("validated above");
-                let e = decode_error_frame(f.payload);
-                return if e.is_retryable() {
-                    Ok(AttemptOutcome::Retry(e))
-                } else {
-                    Err(e)
-                };
+            if f.kind == K_ERROR && (f.seq == self.seq || f.seq == SEQ_UNPARSED) {
+                return retry_or_fail(decode_error_frame(f.payload));
             }
-            if kind != K_ERROR && seq == self.seq {
+            if f.kind != K_ERROR && f.seq == self.seq {
                 return Ok(AttemptOutcome::Reply(reply));
             }
             // stale duplicate from an earlier exchange: discard, keep waiting
@@ -437,16 +434,6 @@ impl WireChannel {
     fn info(&self) -> &ServerInfo {
         self.info.as_ref().expect("handshake completed at connect")
     }
-
-    /// Sends `frame`, expecting an `Ack`.
-    fn request_ack(&mut self, frame: Vec<u8>) -> Result<()> {
-        let reply = self.exchange(frame)?;
-        let f = split_frame(&reply)?;
-        if f.kind != K_ACK {
-            return decode_unexpected(f.kind, f.payload, "Ack");
-        }
-        Ok(())
-    }
 }
 
 impl Transport for WireChannel {
@@ -463,9 +450,9 @@ impl Transport for WireChannel {
     }
 
     fn begin_query(&mut self) -> Result<()> {
-        let seq = self.next_seq();
-        let frame = encode_query_open(seq, self.session);
-        self.request_ack(frame)
+        let session = self.session;
+        self.request(Request::QueryOpen { session }, &[], K_ACK)
+            .map(drop)
     }
 
     fn serve_round(
@@ -475,14 +462,9 @@ impl Transport for WireChannel {
         out: &mut [PageBuf],
     ) -> Result<()> {
         debug_assert_eq!(requests.len(), out.len());
-        let seq = self.next_seq();
-        let frame = encode_round_request(seq, self.session, round, requests, false);
-        let reply = self.exchange(frame)?;
-        let f = split_frame(&reply)?;
-        if f.kind != K_ROUND_RESP {
-            return decode_unexpected(f.kind, f.payload, "RoundResponse");
-        }
-        let mut r = ByteReader::new(f.payload);
+        let session = self.session;
+        let reply = self.request(Request::Round { session, round }, requests, K_ROUND_RESP)?;
+        let mut r = ByteReader::new(&reply[HEADER_BYTES..]);
         let k = r.u32().map_err(PirError::from)? as usize;
         let page_size = r.u32().map_err(PirError::from)? as usize;
         if k != out.len() {
@@ -498,22 +480,17 @@ impl Transport for WireChannel {
         Ok(())
     }
 
-    fn download(&mut self, f: FileId) -> Result<Vec<u8>> {
-        let seq = self.next_seq();
-        let frame = encode_download_request(seq, self.session, f);
-        let reply = self.exchange(frame)?;
-        let fr = split_frame(&reply)?;
-        if fr.kind != K_DOWNLOAD_RESP {
-            return decode_unexpected(fr.kind, fr.payload, "DownloadResponse");
-        }
-        let mut r = ByteReader::new(fr.payload);
+    fn download(&mut self, file: FileId) -> Result<Vec<u8>> {
+        let session = self.session;
+        let reply = self.request(Request::Download { session, file }, &[], K_DOWNLOAD_RESP)?;
+        let mut r = ByteReader::new(&reply[HEADER_BYTES..]);
         Ok(r.len_bytes().map_err(PirError::from)?.to_vec())
     }
 
     fn close(&mut self) -> Result<()> {
-        let seq = self.next_seq();
-        let frame = encode_session_close(seq, self.session);
-        self.request_ack(frame)
+        let session = self.session;
+        self.request(Request::SessionClose { session }, &[], K_ACK)
+            .map(drop)
     }
 
     fn retries(&self) -> u64 {

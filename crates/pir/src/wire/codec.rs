@@ -204,8 +204,108 @@ pub(super) fn finish_frame(mut w: ByteWriter) -> Vec<u8> {
     w.into_vec()
 }
 
-pub(super) fn encode_session_open(seq: u32) -> Vec<u8> {
-    finish_frame(begin_frame(K_SESSION_OPEN, seq))
+/// A client→server request: the one place its frame is encoded and its
+/// payload decoded, for the client that sends it, the front that serves it
+/// and the audits that parse the recorded stream.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Request {
+    SessionOpen,
+    QueryOpen { session: u64 },
+    Round { session: u64, round: u32 },
+    Download { session: u64, file: FileId },
+    SessionClose { session: u64 },
+}
+
+impl Request {
+    /// The request as frame `seq`; a round asks for `fetches`. `masked`
+    /// writes the session id and every page index as 0: the observable
+    /// projection the server records (a real PIR encoding hides the page
+    /// index; see the module docs, "The adversary's view of the wire").
+    pub(super) fn encode(self, seq: u32, fetches: &[(FileId, u32)], masked: bool) -> Vec<u8> {
+        let kind = match self {
+            Request::SessionOpen => K_SESSION_OPEN,
+            Request::QueryOpen { .. } => K_QUERY_OPEN,
+            Request::Round { .. } => K_ROUND_REQ,
+            Request::Download { .. } => K_DOWNLOAD_REQ,
+            Request::SessionClose { .. } => K_SESSION_CLOSE,
+        };
+        let mut w = begin_frame(kind, seq);
+        if let Some(session) = self.session() {
+            w.u64(if masked { 0 } else { session });
+        }
+        match self {
+            Request::Round { round, .. } => {
+                w.u32(round);
+                w.u32(fetches.len() as u32);
+                for &(file, page) in fetches {
+                    w.u16(file.0);
+                    w.u32(if masked { 0 } else { page });
+                }
+            }
+            Request::Download { file, .. } => {
+                w.u16(file.0);
+            }
+            _ => {}
+        }
+        finish_frame(w)
+    }
+
+    /// Decodes the payload of a frame of `kind`. `fetches` is cleared, then
+    /// holds a round's fetch list. A payload that does not decode is the
+    /// returned [`ERR_MALFORMED`] message; bytes after a complete payload
+    /// are ignored.
+    pub(super) fn decode(
+        kind: u8,
+        payload: &[u8],
+        fetches: &mut Vec<(FileId, u32)>,
+    ) -> std::result::Result<Request, String> {
+        fetches.clear();
+        let mut r = ByteReader::new(payload);
+        let truncated = |what: &str| format!("truncated {what}");
+        match kind {
+            K_SESSION_OPEN => Ok(Request::SessionOpen),
+            K_QUERY_OPEN => r
+                .u64()
+                .map(|session| Request::QueryOpen { session })
+                .map_err(|_| truncated("QueryOpen")),
+            K_ROUND_REQ => {
+                let (Ok(session), Ok(round), Ok(k)) = (r.u64(), r.u32(), r.u32()) else {
+                    return Err(truncated("RoundRequest"));
+                };
+                for _ in 0..k {
+                    let (Ok(file), Ok(page)) = (r.u16(), r.u32()) else {
+                        return Err(truncated("fetch list"));
+                    };
+                    fetches.push((FileId(file), page));
+                }
+                Ok(Request::Round { session, round })
+            }
+            K_DOWNLOAD_REQ => match (r.u64(), r.u16()) {
+                (Ok(session), Ok(file)) => Ok(Request::Download {
+                    session,
+                    file: FileId(file),
+                }),
+                _ => Err(truncated("DownloadRequest")),
+            },
+            K_SESSION_CLOSE => r
+                .u64()
+                .map(|session| Request::SessionClose { session })
+                .map_err(|_| truncated("SessionClose")),
+            k => Err(format!("unknown frame kind {k}")),
+        }
+    }
+
+    /// The session the request names; `None` for the `SessionOpen` that
+    /// asks for one.
+    pub(super) fn session(self) -> Option<u64> {
+        match self {
+            Request::SessionOpen => None,
+            Request::QueryOpen { session }
+            | Request::Round { session, .. }
+            | Request::Download { session, .. }
+            | Request::SessionClose { session } => Some(session),
+        }
+    }
 }
 
 pub(super) fn encode_session_accept(seq: u32, session: u64, info: &ServerInfo) -> Vec<u8> {
@@ -215,35 +315,8 @@ pub(super) fn encode_session_accept(seq: u32, session: u64, info: &ServerInfo) -
     finish_frame(w)
 }
 
-pub(super) fn encode_query_open(seq: u32, session: u64) -> Vec<u8> {
-    let mut w = begin_frame(K_QUERY_OPEN, seq);
-    w.u64(session);
-    finish_frame(w)
-}
-
 pub(super) fn encode_ack(seq: u32) -> Vec<u8> {
     finish_frame(begin_frame(K_ACK, seq))
-}
-
-/// Encodes a round request. `mask_pages` replaces every page index with 0 —
-/// the observable projection the server records (the PIR encoding hides the
-/// page index from a real server; see the module docs).
-pub(super) fn encode_round_request(
-    seq: u32,
-    session: u64,
-    round: u32,
-    fetches: &[(FileId, u32)],
-    mask_pages: bool,
-) -> Vec<u8> {
-    let mut w = begin_frame(K_ROUND_REQ, seq);
-    w.u64(session);
-    w.u32(round);
-    w.u32(fetches.len() as u32);
-    for &(f, page) in fetches {
-        w.u16(f.0);
-        w.u32(if mask_pages { 0 } else { page });
-    }
-    finish_frame(w)
 }
 
 pub(super) fn encode_round_response<'a>(
@@ -260,22 +333,9 @@ pub(super) fn encode_round_response<'a>(
     finish_frame(w)
 }
 
-pub(super) fn encode_download_request(seq: u32, session: u64, file: FileId) -> Vec<u8> {
-    let mut w = begin_frame(K_DOWNLOAD_REQ, seq);
-    w.u64(session);
-    w.u16(file.0);
-    finish_frame(w)
-}
-
 pub(super) fn encode_download_response(seq: u32, bytes: &[u8]) -> Vec<u8> {
     let mut w = begin_frame(K_DOWNLOAD_RESP, seq);
     w.len_bytes(bytes);
-    finish_frame(w)
-}
-
-pub(super) fn encode_session_close(seq: u32, session: u64) -> Vec<u8> {
-    let mut w = begin_frame(K_SESSION_CLOSE, seq);
-    w.u64(session);
     finish_frame(w)
 }
 
@@ -375,25 +435,24 @@ pub fn split_frame(bytes: &[u8]) -> Result<Frame<'_>> {
     })
 }
 
-/// True if `bytes` is best explained as a well-formed frame from a
-/// different protocol version (a deployment bug), as opposed to link
-/// corruption: either a pre-v2 layout (magic at offset 4) or a v2-layout
-/// frame whose crc *validates* but whose version byte is unknown. A crc
-/// mismatch always classifies as corruption, so a bit flip on the version
-/// byte stays retryable.
-pub(super) fn looks_like_version_mismatch(bytes: &[u8]) -> bool {
-    if bytes.len() >= HEADER_BYTES && bytes[8..10] == WIRE_MAGIC.to_le_bytes() {
-        if bytes[10] == WIRE_VERSION {
-            return false;
-        }
-        let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        return len >= HEADER_BYTES - 4
-            && bytes.len() - 4 >= len
-            && crc32(&bytes[8..4 + len]) == crc;
-    }
+/// The error code for `bytes`, which [`split_frame`] refused with `error`:
+/// [`ERR_VERSION`] when they are best explained as a well-formed frame of
+/// another protocol version (a deployment bug) — a frame whose crc
+/// *validates* but whose version byte is unknown, the one refusal that is
+/// not retryable, or a pre-v2 layout (magic at offset 4) — and
+/// [`ERR_MALFORMED`] (link corruption) otherwise. A crc mismatch always
+/// classifies as corruption, so a bit flip on the version byte stays
+/// retryable.
+pub(super) fn refusal_code(bytes: &[u8], error: &PirError) -> u16 {
+    let v2 = bytes.len() >= HEADER_BYTES && bytes[8..10] == WIRE_MAGIC.to_le_bytes();
     // pre-v2 layout: [len][magic][version][kind]
-    bytes.len() >= 7 && bytes[4..6] == WIRE_MAGIC.to_le_bytes() && bytes[6] != WIRE_VERSION
+    let pre_v2 =
+        bytes.len() >= 7 && bytes[4..6] == WIRE_MAGIC.to_le_bytes() && bytes[6] != WIRE_VERSION;
+    if !error.is_retryable() || (!v2 && pre_v2) {
+        ERR_VERSION
+    } else {
+        ERR_MALFORMED
+    }
 }
 
 // ------------------------------------------------------- observable stream
@@ -423,28 +482,17 @@ pub enum ObservedEvent {
 }
 
 fn decode_observed_event(kind: u8, payload: &[u8]) -> Result<ObservedEvent> {
-    let mut r = ByteReader::new(payload);
-    Ok(match kind {
-        K_SESSION_OPEN => ObservedEvent::SessionOpen,
-        K_QUERY_OPEN => ObservedEvent::QueryOpen,
-        K_ROUND_REQ => {
-            let _session = r.u64().map_err(PirError::from)?;
-            let round = r.u32().map_err(PirError::from)?;
-            let k = r.u32().map_err(PirError::from)? as usize;
-            let mut fetches = Vec::with_capacity(k.min(payload.len() / 6 + 1));
-            for _ in 0..k {
-                let f = r.u16().map_err(PirError::from)?;
-                let _page = r.u32().map_err(PirError::from)?;
-                fetches.push(FileId(f));
-            }
-            ObservedEvent::Round { round, fetches }
-        }
-        K_DOWNLOAD_REQ => {
-            let _session = r.u64().map_err(PirError::from)?;
-            ObservedEvent::Download(FileId(r.u16().map_err(PirError::from)?))
-        }
-        K_SESSION_CLOSE => ObservedEvent::SessionClose,
-        k => return transport_err(format!("unexpected kind {k} in observed stream")),
+    let mut fetches = Vec::new();
+    let request = Request::decode(kind, payload, &mut fetches).map_err(PirError::Transport)?;
+    Ok(match request {
+        Request::SessionOpen => ObservedEvent::SessionOpen,
+        Request::QueryOpen { .. } => ObservedEvent::QueryOpen,
+        Request::Round { round, .. } => ObservedEvent::Round {
+            round,
+            fetches: fetches.into_iter().map(|(file, _)| file).collect(),
+        },
+        Request::Download { file, .. } => ObservedEvent::Download(file),
+        Request::SessionClose { .. } => ObservedEvent::SessionClose,
     })
 }
 

@@ -1,24 +1,33 @@
 //! The server front: the [`ServerFront`] handle and the loop thread behind it
 //! ([`Front`]), which owns the session table, the replay caches, generation
 //! pinning, idle eviction, panic containment and the shared lap.
+//!
+//! Every client frame takes one path through the loop. [`Front::admit`]
+//! decodes and validates it, once, and answers what is not a fresh request
+//! its session accepts: rejections, and retransmissions replayed from the
+//! cache. An accepted round whose shape lets it share a sweep rides the lap
+//! ([`Front::try_join`]); everything else is served on the spot
+//! ([`Front::serve`]). However it was served, [`Front::settle`] completes it:
+//! the observation recorded, then each retransmission absorbed while it
+//! rode; the counters advanced; the reply cached — or withheld after a
+//! transient fault, the round cursor rolled back — chunked and sent; and
+//! the frames that queued behind it handed on.
 
 use super::client::{ChannelLink, RetryPolicy, WireChannel};
 use super::codec::{
-    advance_seq, chunk_reply, encode_ack, encode_download_request, encode_download_response,
-    encode_error, encode_query_open, encode_round_request, encode_round_response,
-    encode_session_accept, encode_session_close, encode_session_open, looks_like_version_mismatch,
-    split_frame, ServerInfo, ERR_INTERNAL, ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE,
-    ERR_SERVE_TRANSIENT, ERR_SESSION, ERR_VERSION, HEADER_BYTES, K_DOWNLOAD_REQ, K_QUERY_OPEN,
-    K_ROUND_REQ, K_SESSION_CLOSE, K_SESSION_OPEN, MAX_REQUEST_BYTES, SEQ_UNPARSED,
+    advance_seq, chunk_reply, encode_ack, encode_download_response, encode_error,
+    encode_round_response, encode_session_accept, refusal_code, split_frame, Request, ServerInfo,
+    ERR_INTERNAL, ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE, ERR_SERVE_TRANSIENT,
+    ERR_SESSION, MAX_REQUEST_BYTES, SEQ_UNPARSED,
 };
-use super::lap::{Lap, Riding, Turn};
+use super::lap::{Lap, Turn};
 use crate::error::PirError;
 use crate::scan::Ride;
 use crate::server::FileId;
 use crate::transport::{GenerationSource, ServeHost, StaticSource};
 use crate::Result;
-use privpath_storage::{ByteReader, PageBuf};
-use std::collections::BTreeMap;
+use privpath_storage::PageBuf;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -30,7 +39,7 @@ use std::time::{Duration, Instant};
 /// Per-session accounting the server keeps on its side of the wire (the
 /// client keeps its own meter; the two views must agree, and tests check
 /// they do).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
     /// Queries observed (QueryOpen frames).
     pub queries: u64,
@@ -90,17 +99,15 @@ impl SessionStats {
     }
 }
 
-#[derive(Default)]
-pub(super) struct FrontShared {
-    pub(super) sessions: BTreeMap<u64, SessionStats>,
-}
+/// The per-session accounting table, keyed by session id.
+type Sessions = BTreeMap<u64, SessionStats>;
 
 /// Poison-recovering lock: a panicking session handler must not take the
 /// accounting table (and with it the whole front) down, so a poisoned
 /// mutex's data is recovered and used as-is — the table holds only
 /// monotonic counters and append-only streams, all valid at any
 /// interleaving point.
-pub(super) fn lock_shared(shared: &Mutex<FrontShared>) -> MutexGuard<'_, FrontShared> {
+fn lock_shared(shared: &Mutex<Sessions>) -> MutexGuard<'_, Sessions> {
     shared
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -130,7 +137,7 @@ pub struct FrontConfig {
     /// is marked closed + evicted and the client observes a severed channel
     /// on its next request. `None` (the default) disables eviction.
     pub idle_timeout: Option<Duration>,
-    /// Stream server replies larger than this as [`K_CHUNK`]-framed slices
+    /// Stream server replies larger than this as `Chunk`-framed slices
     /// (each with its own crc), bounding the peak bytes a transport buffers
     /// per reply. `None` (the default) sends every reply as one frame.
     pub chunk_bytes: Option<usize>,
@@ -151,7 +158,7 @@ pub struct FrontConfig {
 /// rounds complete.
 pub struct ServerFront {
     to_server: mpsc::Sender<ToServer>,
-    shared: Arc<Mutex<FrontShared>>,
+    shared: Arc<Mutex<Sessions>>,
     next_client: AtomicU64,
     handle: Option<JoinHandle<()>>,
 }
@@ -192,24 +199,8 @@ impl ServerFront {
         cpus: usize,
     ) -> ServerFront {
         let (tx, rx) = mpsc::channel();
-        let shared = Arc::new(Mutex::new(FrontShared::default()));
-        let front = Front {
-            latest: GenEntry::resolve(&*source),
-            source,
-            shared: Arc::clone(&shared),
-            cfg,
-            cpus,
-            events: tx.clone(),
-            clients: BTreeMap::new(),
-            next_session: 1,
-            reqs: Vec::new(),
-            run_pages: Vec::new(),
-            arena: Vec::new(),
-            lap: None,
-            spare: Vec::new(),
-            next_ride: 0,
-            draining: false,
-        };
+        let shared = Arc::default();
+        let front = Front::new(source, Arc::clone(&shared), cfg, cpus, tx.clone());
         let handle = std::thread::spawn(move || front.run(rx));
         ServerFront {
             to_server: tx,
@@ -273,14 +264,13 @@ impl ServerFront {
 
     /// Snapshot of the per-session accounting table, keyed by session id.
     pub fn session_stats(&self) -> BTreeMap<u64, SessionStats> {
-        lock_shared(&self.shared).sessions.clone()
+        lock_shared(&self.shared).clone()
     }
 
     /// The recorded observable frame stream of one session (None if the
     /// session id was never opened).
     pub fn observed_stream(&self, session: u64) -> Option<Vec<u8>> {
         lock_shared(&self.shared)
-            .sessions
             .get(&session)
             .map(|s| s.observed.clone())
     }
@@ -296,7 +286,7 @@ impl ServerFront {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        lock_shared(&self.shared).sessions.clone()
+        lock_shared(&self.shared).clone()
     }
 }
 
@@ -322,7 +312,7 @@ pub(super) struct GenEntry {
 }
 
 impl GenEntry {
-    pub(super) fn new(id: u64, host: Arc<dyn ServeHost + Send + Sync>) -> GenEntry {
+    fn new(id: u64, host: Arc<dyn ServeHost + Send + Sync>) -> GenEntry {
         let (info, page_size) = {
             let server = host.pir_server();
             (
@@ -338,43 +328,91 @@ impl GenEntry {
         }
     }
 
-    fn resolve(source: &dyn GenerationSource) -> Arc<GenEntry> {
-        let (id, host) = source.current_generation();
-        Arc::new(GenEntry::new(id, host))
-    }
-
     pub(super) fn server(&self) -> &crate::server::PirServer {
         self.host.pir_server()
     }
 }
 
+/// One client channel as the loop sees it.
 pub(super) struct ClientState {
-    pub(super) resp: mpsc::Sender<Vec<u8>>,
-    pub(super) session: Option<u64>,
+    resp: mpsc::Sender<Vec<u8>>,
+    session: Option<u64>,
     /// The generation this channel is pinned to: resolved at connect and
     /// re-resolved at each `SessionOpen` on a channel with no open session,
     /// never mid-session — a swap must not mix generations inside one
     /// session.
-    pub(super) gen: Arc<GenEntry>,
-    pub(super) last_round: u32,
+    gen: Arc<GenEntry>,
+    last_round: u32,
     /// Sequence of the last accepted request (0 = none yet) and the exact
     /// reply bytes produced for it — the replay cache answering
     /// retransmissions without touching any store.
     pub(super) last_seq: u32,
-    pub(super) last_reply: Vec<u8>,
-    /// The masked observation recorded for the last accepted request, if it
-    /// was recorded, so a retransmission is observed again (the adversary
-    /// sees it) on the right session's stream.
-    pub(super) last_observed: Option<(u64, Vec<u8>)>,
+    last_reply: Vec<u8>,
+    /// The session the last accepted request was charged to and its masked
+    /// observation, when it had one, so that a retransmission is observed
+    /// again (the adversary sees it) on the right session's stream.
+    last_observed: Option<(u64, Vec<u8>)>,
     /// When the client last sent a frame (idle-eviction clock).
-    pub(super) last_active: Instant,
+    last_active: Instant,
+    /// The client's round aboard the lap, while it rides: its one record.
+    riding: Option<Pending>,
+}
+
+/// A fresh request its session accepted, on its way to a reply: served on
+/// the spot, or riding the lap in [`ClientState::riding`].
+struct Pending {
+    sid: u64,
+    seq: u32,
+    request: Request,
+    /// The frame, moved in: a bit-identical frame that arrives while the
+    /// round rides is its retransmission.
+    bytes: Vec<u8>,
+    /// The observable projection, recorded when the request settles.
+    masked: Vec<u8>,
+    /// The round's fetch count (0 for the other kinds).
+    fetches: usize,
+    /// The round cursor before this request, restored after a transient
+    /// fault so that the retransmission passes the round-order check again.
+    prev_round: u32,
+    /// Retransmissions absorbed while the round rode.
+    dups: u32,
+    /// Frames the client sent while the round rode: handling them before
+    /// its reply would reorder the channel, so they wait for it.
+    after: Vec<Vec<u8>>,
+}
+
+/// What serving an accepted request came to.
+enum Served {
+    /// Its reply, and whether the round shared a pass of its lap with
+    /// another session's round.
+    Done { reply: Vec<u8>, shared: bool },
+    /// The store failed. A transient fault's error is not the sequence's
+    /// reply: the retransmission is served afresh.
+    Failed { reply: Vec<u8>, transient: bool },
+    /// The store panicked: the session is torn down.
+    Panicked,
+}
+
+impl Served {
+    fn failed(seq: u32, error: &PirError) -> Served {
+        let transient = error.is_transient_storage();
+        let code = if transient {
+            ERR_SERVE_TRANSIENT
+        } else {
+            ERR_SERVE
+        };
+        Served::Failed {
+            reply: encode_error(seq, code, &error.to_string()),
+            transient,
+        }
+    }
 }
 
 /// The loop thread's state: the sessions, the serving scratch and the lap
 /// rounds share.
-struct Front {
+pub(super) struct Front {
     source: Arc<dyn GenerationSource>,
-    shared: Arc<Mutex<FrontShared>>,
+    shared: Arc<Mutex<Sessions>>,
     cfg: FrontConfig,
     /// CPUs the process may use. With one, no lap gets a driver thread: the
     /// loop thread runs every pass itself.
@@ -382,9 +420,11 @@ struct Front {
     /// The loop's own queue, for a lap's driver thread to report to.
     events: mpsc::Sender<ToServer>,
     latest: Arc<GenEntry>,
-    clients: BTreeMap<u64, ClientState>,
+    pub(super) clients: BTreeMap<u64, ClientState>,
     next_session: u64,
-    // serving scratch of the immediate path, reused across clients and frames
+    /// The fetch list of the last round admitted, served from here on the
+    /// spot; with the rest of the serving scratch, reused across clients
+    /// and frames.
     reqs: Vec<(FileId, u32)>,
     run_pages: Vec<u32>,
     arena: Vec<PageBuf>,
@@ -394,14 +434,42 @@ struct Front {
     /// rides in one, so that rounds that alternate between files allocate
     /// no page buffers either.
     spare: Vec<Ride>,
-    /// The id the last round rode under. One numbering for every lap, so
-    /// that a late report of a lap since replaced names nobody.
-    next_ride: u64,
+    /// Frames that waited behind a round that rode, handed on when it
+    /// settled. The loop takes them before anything new, and nothing else
+    /// re-enters the frame path.
+    backlog: VecDeque<(u64, Vec<u8>)>,
     /// Shutdown received: serve what is queued and owed, then stop.
     draining: bool,
 }
 
 impl Front {
+    pub(super) fn new(
+        source: Arc<dyn GenerationSource>,
+        shared: Arc<Mutex<Sessions>>,
+        cfg: FrontConfig,
+        cpus: usize,
+        events: mpsc::Sender<ToServer>,
+    ) -> Front {
+        let (id, host) = source.current_generation();
+        Front {
+            latest: Arc::new(GenEntry::new(id, host)),
+            source,
+            shared,
+            cfg,
+            cpus,
+            events,
+            clients: BTreeMap::new(),
+            next_session: 1,
+            reqs: Vec::new(),
+            run_pages: Vec::new(),
+            arena: Vec::new(),
+            lap: None,
+            spare: Vec::new(),
+            backlog: VecDeque::new(),
+            draining: false,
+        }
+    }
+
     fn run(mut self, rx: mpsc::Receiver<ToServer>) {
         // Eviction needs the loop to wake even when no frames arrive — and
         // it must also run while frames *do* arrive and while a lap is being
@@ -414,13 +482,16 @@ impl Front {
             .map(|t| (t / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
         let mut last_sweep = Instant::now();
         loop {
+            while let Some((client, bytes)) = self.backlog.pop_front() {
+                self.on_frame(client, bytes);
+            }
             if let Some(tick) = tick {
                 if !self.draining && last_sweep.elapsed() >= tick {
                     self.evict_idle();
                     last_sweep = Instant::now();
                 }
             }
-            let riding = self.lap.as_ref().is_some_and(|l| !l.riding.is_empty());
+            let ridden = self.lap.as_ref().is_some_and(Lap::is_ridden);
             let msg = if self.lap.as_ref().is_some_and(Lap::wants_turn) {
                 // The loop thread drives the lap: every queued frame first —
                 // rounds among them ride from this boundary on — then one
@@ -428,14 +499,13 @@ impl Front {
                 match rx.try_recv() {
                     Ok(m) => m,
                     Err(_) => {
-                        let lap = self.lap.as_mut().expect("a lap wants its turn");
-                        if let Some(turn) = lap.turn() {
-                            self.settle(turn);
+                        if let Some(turn) = self.lap.as_mut().and_then(Lap::turn) {
+                            self.on_turn(turn);
                         }
                         continue;
                     }
                 }
-            } else if self.draining && !riding {
+            } else if self.draining && !ridden {
                 match rx.try_recv() {
                     Ok(m) => m,
                     Err(_) => break,
@@ -454,29 +524,15 @@ impl Front {
                 }
             };
             match msg {
-                ToServer::Connect { client, resp } => {
-                    self.clients.insert(
-                        client,
-                        ClientState {
-                            resp,
-                            session: None,
-                            gen: Arc::clone(&self.latest),
-                            last_round: 0,
-                            last_seq: 0,
-                            last_reply: Vec::new(),
-                            last_observed: None,
-                            last_active: Instant::now(),
-                        },
-                    );
-                }
+                ToServer::Connect { client, resp } => self.connect(client, resp),
                 ToServer::Disconnect { client } => self.drop_client(client, |stats| {
                     stats.closed = true;
                 }),
-                // every ride is finished before the loop stops: `riding`
+                // every ride is finished before the loop stops: `ridden`
                 // keeps it from breaking, and the queue is served meanwhile
                 ToServer::Shutdown => self.draining = true,
                 ToServer::Frame { client, bytes } => self.on_frame(client, bytes),
-                ToServer::Lap(turn) => self.settle(turn),
+                ToServer::Lap(turn) => self.on_turn(turn),
             }
         }
         if let Some(lap) = &mut self.lap {
@@ -486,11 +542,27 @@ impl Front {
         let mut lock = lock_shared(&self.shared);
         for state in self.clients.values() {
             if let Some(sid) = state.session {
-                if let Some(stats) = lock.sessions.get_mut(&sid) {
+                if let Some(stats) = lock.get_mut(&sid) {
                     stats.closed = true;
                 }
             }
         }
+    }
+
+    /// Registers a client's reply channel, pinned to the latest generation.
+    pub(super) fn connect(&mut self, client: u64, resp: mpsc::Sender<Vec<u8>>) {
+        let state = ClientState {
+            resp,
+            session: None,
+            gen: Arc::clone(&self.latest),
+            last_round: 0,
+            last_seq: 0,
+            last_reply: Vec::new(),
+            last_observed: None,
+            last_active: Instant::now(),
+            riding: None,
+        };
+        self.clients.insert(client, state);
     }
 
     /// Forgets `client`: its channel is gone or must go. Its round, if it
@@ -503,7 +575,7 @@ impl Front {
         let Some(sid) = self.clients.remove(&client).and_then(|s| s.session) else {
             return;
         };
-        if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
+        if let Some(stats) = lock_shared(&self.shared).get_mut(&sid) {
             mark(stats);
         }
     }
@@ -530,8 +602,25 @@ impl Front {
         }
     }
 
-    /// Sends a reply's frames; a dead channel forgets the client.
-    fn send(&mut self, client: u64, frames: Vec<Vec<u8>>) {
+    /// Sends `reply` (chunked if configured) for a frame of `bytes_in`
+    /// bytes, and charges both — with whatever `charge` adds — to session
+    /// `sid`. A dead channel forgets the client.
+    fn answer(
+        &mut self,
+        client: u64,
+        sid: Option<u64>,
+        bytes_in: usize,
+        reply: Vec<u8>,
+        charge: impl FnOnce(&mut SessionStats),
+    ) {
+        let frames = chunk_reply(reply, self.cfg.chunk_bytes);
+        if let Some(sid) = sid {
+            let mut lock = lock_shared(&self.shared);
+            let stats = lock.entry(sid).or_default();
+            stats.bytes_in += bytes_in as u64;
+            stats.bytes_out += frames.iter().map(|f| f.len() as u64).sum::<u64>();
+            charge(stats);
+        }
         let Some(state) = self.clients.get(&client) else {
             return;
         };
@@ -540,612 +629,385 @@ impl Front {
         }
     }
 
-    /// Tears down the session a panic was caught on: the client gets
-    /// [`ERR_INTERNAL`] and is forgotten; everyone else keeps being served.
-    fn tear_down(&mut self, client: u64, sid: Option<u64>) {
-        if let Some(sid) = sid {
-            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
-                stats.panics += 1;
-                stats.closed = true;
-            }
-        }
-        if let Some(state) = self.clients.get(&client) {
-            let _ = state.resp.send(encode_error(
-                SEQ_UNPARSED,
-                ERR_INTERNAL,
-                "handler panicked; session torn down",
-            ));
-        }
-        self.drop_client(client, |_| {});
-    }
-
-    fn on_frame(&mut self, client: u64, bytes: Vec<u8>) {
+    /// Every client frame's one path: the frames behind a riding round wait
+    /// for its reply; the rest are admitted, and what is accepted rides the
+    /// lap or is served on the spot, then settled.
+    pub(super) fn on_frame(&mut self, client: u64, bytes: Vec<u8>) {
         let Some(state) = self.clients.get_mut(&client) else {
             return; // unknown client: nowhere to reply
         };
         state.last_active = Instant::now();
-        if let Some(lap) = &mut self.lap {
-            if let Some(riding) = lap.riding.iter_mut().find(|r| r.client == client) {
-                if riding.bytes == bytes {
-                    // Retransmission of the riding request (the client's
-                    // attempt window elapsed mid-lap): the end of the ride
-                    // will answer it; serving it now would serve the round
-                    // twice.
-                    if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&riding.sid) {
-                        stats.retransmits += 1;
-                    }
-                } else {
-                    riding.after.push(bytes);
-                }
-                return;
+        if let Some(riding) = &mut state.riding {
+            // A bit-identical copy of the riding request is its
+            // retransmission (the client's attempt window elapsed mid-lap):
+            // the reply at the end of the ride answers it, and serving it
+            // now would serve the round twice.
+            if riding.bytes == bytes {
+                riding.dups += 1;
+            } else {
+                riding.after.push(bytes);
             }
+            return;
         }
-        // The cutover point: a SessionOpen on a channel with no open session
-        // re-resolves the source and re-pins the channel, so sessions opened
-        // after a swap serve the new generation. The open-session guard
-        // keeps a *retransmitted* SessionOpen from re-pinning a live
-        // session; the unvalidated kind-byte peek is only a hint — worst
-        // case a malformed frame re-pins a sessionless channel, which
-        // changes nothing.
-        if bytes.len() >= HEADER_BYTES && bytes[11] == K_SESSION_OPEN && state.session.is_none() {
-            let (cur_id, cur_host) = self.source.current_generation();
-            if cur_id != self.latest.id {
-                self.latest = Arc::new(GenEntry::new(cur_id, cur_host));
-            }
-            state.gen = Arc::clone(&self.latest);
-        }
-        let bytes = match self.try_join(client, bytes) {
-            Ok(()) => return,
-            Err(bytes) => bytes,
-        };
-        let Some(state) = self.clients.get_mut(&client) else {
+        let Some(pending) = self.admit(client, bytes) else {
             return;
         };
-        let session_before = state.session;
-        let gen = Arc::clone(&state.gen);
-        // A panicking handler (a buggy or sabotaged store) must not kill the
-        // loop: catch it, tear down this session only, and keep serving
-        // everyone else. The scratch vectors are safe to reuse — every
-        // handler clears them before use.
-        let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_frame(
-                &gen,
-                &self.shared,
-                state,
-                &mut self.next_session,
-                &bytes,
-                &mut self.reqs,
-                &mut self.run_pages,
-                &mut self.arena,
-            )
-        }));
-        // attribute the frame to its session: the one open before it (covers
-        // SessionClose, which clears it) or the one it just opened
-        let sid = session_before.or(state.session);
-        match reply {
-            Ok(reply) => {
-                let frames = chunk_reply(reply, self.cfg.chunk_bytes);
-                let out_len: usize = frames.iter().map(|f| f.len()).sum();
-                if let Some(sid) = sid {
-                    if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&sid) {
-                        stats.bytes_in += bytes.len() as u64;
-                        stats.bytes_out += out_len as u64;
-                    }
-                }
-                self.send(client, frames);
-            }
-            Err(_) => self.tear_down(client, sid),
-        }
-    }
-
-    /// Takes a round aboard the lap instead of serving it on the spot, when
-    /// it can share one: a fresh, well-formed `RoundRequest` for this
-    /// channel's open session, in round order, whose every fetch is an
-    /// in-range page of one file that shares laps — the file and generation
-    /// the lap in progress is over, or any while nobody rides. Anything else
-    /// — retransmissions, protocol errors, stateful stores (a shuffled
-    /// store's epoch must advance per-client, in order), rounds over several
-    /// files, pages out of range (one client's bad fetch must never fail a
-    /// neighbour's lap) — gets its frame back and takes the immediate path,
-    /// which produces the authoritative reply. On success the round-order
-    /// cursor advances; every other side effect happens when the ride ends.
-    fn try_join(&mut self, client: u64, bytes: Vec<u8>) -> std::result::Result<(), Vec<u8>> {
-        let mut joinable = self.joinable(client, &bytes);
-        if let Some(Err(InTheWay)) = joinable {
-            // A lap over another file that the loop thread drives itself is a
-            // pass or so from its end (a small file's only one, typically,
-            // waiting for the queue to empty). Serving this round on the spot
-            // instead — a whole sweep with the loop blocked, and nobody able
-            // to join it — would cost more than finishing that lap first.
-            let own = |lap: &mut Lap| lap.wants_turn().then(|| lap.turn()).flatten();
-            while let Some(turn) = self.lap.as_mut().and_then(own) {
-                self.settle(turn);
-            }
-            joinable = self.joinable(client, &bytes);
-        }
-        let Some(Ok((mut riding, pages))) = joinable else {
-            return Err(bytes);
+        let Some(pending) = self.try_join(client, pending) else {
+            return;
         };
-        riding.bytes = bytes;
-        let lap = self.lap.as_mut().expect("a joinable round has its lap");
-        if let Some(ride) = self.spare.pop() {
-            lap.recycle(ride);
-        }
-        lap.join(riding, pages, &self.events);
-        Ok(())
+        let served = self.serve(client, &pending);
+        self.settle(client, pending, served);
     }
 
-    /// The checks of [`Front::try_join`]: `None` for a round that may not
-    /// share a lap, `InTheWay` for one that could if the loop thread's own
-    /// lap over another file were over. On success the lap is the one to
-    /// join and the round cursor has advanced.
-    fn joinable(
-        &mut self,
-        client: u64,
-        bytes: &[u8],
-    ) -> Option<std::result::Result<(Riding, Vec<u32>), InTheWay>> {
-        if self.draining || bytes.len() > MAX_REQUEST_BYTES {
-            return None;
-        }
+    /// Decodes and validates a frame, once, in this order: structure, size,
+    /// reserved seq, replay, seq order, payload, session, round order.
+    /// Answers here every frame that is not a fresh request its session
+    /// accepts — rejections, and retransmissions replayed from the cache —
+    /// and returns the accepted ones, with the channel's session, pinning
+    /// and round cursor moved on and a round's fetches in `self.reqs`.
+    fn admit(&mut self, client: u64, bytes: Vec<u8>) -> Option<Pending> {
         let state = self.clients.get_mut(&client)?;
-        let frame = split_frame(bytes).ok()?;
-        if frame.kind != K_ROUND_REQ || !frame.rest.is_empty() {
-            return None;
-        }
-        let seq = frame.seq;
-        if seq == 0 || seq == SEQ_UNPARSED || seq != advance_seq(state.last_seq) {
-            return None;
-        }
-        let mut r = ByteReader::new(frame.payload);
-        let (sid, round, k) = (r.u64().ok()?, r.u32().ok()?, r.u32().ok()? as usize);
-        if state.session != Some(sid) {
-            return None;
-        }
-        if round != state.last_round && round != state.last_round + 1 {
-            return None;
-        }
-        let server = state.gen.server();
-        let mut pages = Vec::with_capacity(k.min(bytes.len() / 6 + 1));
-        self.reqs.clear();
-        for _ in 0..k {
-            let (f, page) = (FileId(r.u16().ok()?), r.u32().ok()?);
-            if page >= server.file_pages(f).ok()? {
+        let session = state.session;
+        let frame = match split_frame(&bytes) {
+            Ok(frame) => frame,
+            Err(e) => {
+                let code = refusal_code(&bytes, &e);
+                let reply = encode_error(SEQ_UNPARSED, code, &e.to_string());
+                self.answer(client, session, bytes.len(), reply, |stats| {
+                    stats.malformed += 1;
+                });
                 return None;
             }
-            self.reqs.push((f, page));
-            pages.push(page);
-        }
-        let file = self.reqs.first()?.0;
-        if self.reqs.iter().any(|&(f, _)| f != file) {
+        };
+        let seq = frame.seq;
+        let refused = if !frame.rest.is_empty() {
+            Some((ERR_MALFORMED, "trailing bytes after frame".to_string()))
+        } else if bytes.len() > MAX_REQUEST_BYTES {
+            Some((ERR_MALFORMED, "oversized request frame".to_string()))
+        } else if seq == 0 || seq == SEQ_UNPARSED {
+            Some((ERR_SEQ, format!("reserved sequence number {seq}")))
+        } else if seq != state.last_seq && seq != advance_seq(state.last_seq) {
+            // Not the cached request and not the next fresh one: the channel
+            // lost sync (or a stale duplicate outlived its window). Fatal —
+            // do not advance the cache. The expected successor skips the
+            // reserved values, so a channel that wraps past `u32::MAX` stays
+            // in sync with a client advancing by the same rule.
+            Some((ERR_SEQ, format!("sequence {seq} after {}", state.last_seq)))
+        } else {
+            None
+        };
+        if let Some((code, message)) = refused {
+            let reply = encode_error(seq, code, &message);
+            self.answer(client, session, bytes.len(), reply, |_| {});
             return None;
         }
-        // a lap is over one file of one generation: while somebody rides it,
-        // rounds for any other are served on the spot
-        let fits = |lap: &Lap| lap.file == file && lap.gen.id == state.gen.id;
+        if seq == state.last_seq {
+            // Retransmission: the reply (or the request) was lost in flight.
+            // Replay the cached reply bytes verbatim — no store access, no
+            // epoch advance — and record the duplicate observation (the
+            // adversary saw the resend too).
+            let observed = state.last_observed.clone();
+            let reply = state.last_reply.clone();
+            let sid = observed.as_ref().map(|&(sid, _)| sid).or(session);
+            self.answer(client, sid, bytes.len(), reply, |stats| {
+                stats.retransmits += 1;
+                if let Some((_, masked)) = &observed {
+                    stats.record_observed(masked);
+                }
+            });
+            return None;
+        }
+        // A fresh request: whatever it is answered with is its sequence
+        // number's reply, cached for the retransmission to replay.
+        let checked = match Request::decode(frame.kind, frame.payload, &mut self.reqs) {
+            Err(message) => Err((ERR_MALFORMED, message)),
+            Ok(request) if request.session() != session => Err((
+                ERR_SESSION,
+                match request {
+                    Request::SessionOpen => "session already open on this channel",
+                    _ => "frame for a session not open on this channel",
+                }
+                .to_string(),
+            )),
+            // A round either continues (same number — a sub-round exchange,
+            // e.g. the HY continuation walk) or advances by exactly one.
+            Ok(Request::Round { round, .. }) if round.wrapping_sub(state.last_round) > 1 => Err((
+                ERR_ROUND_ORDER,
+                format!("round {round} after round {}", state.last_round),
+            )),
+            Ok(request) => Ok(request),
+        };
+        let request = match checked {
+            Ok(request) => request,
+            Err((code, message)) => {
+                let reply = encode_error(seq, code, &message);
+                state.last_seq = seq;
+                state.last_reply.clone_from(&reply);
+                state.last_observed = None;
+                self.answer(client, session, bytes.len(), reply, |_| {});
+                return None;
+            }
+        };
+        let prev_round = state.last_round;
+        let sid = request.session().unwrap_or(self.next_session);
+        match request {
+            Request::SessionOpen => {
+                // The cutover point: a SessionOpen on a channel with no open
+                // session re-resolves the source and re-pins the channel, so
+                // sessions opened after a swap serve the new generation.
+                let (id, host) = self.source.current_generation();
+                if id != self.latest.id {
+                    self.latest = Arc::new(GenEntry::new(id, host));
+                }
+                state.gen = Arc::clone(&self.latest);
+                self.next_session += 1;
+                state.session = Some(sid);
+                state.last_round = 0;
+            }
+            // Round 1 is the query-open exchange itself.
+            Request::QueryOpen { .. } => state.last_round = 1,
+            Request::Round { round, .. } => state.last_round = round,
+            Request::Download { .. } => {}
+            Request::SessionClose { .. } => state.session = None,
+        }
+        Some(Pending {
+            sid,
+            seq,
+            request,
+            masked: request.encode(seq, &self.reqs, true),
+            fetches: self.reqs.len(),
+            prev_round,
+            bytes,
+            dups: 0,
+            after: Vec::new(),
+        })
+    }
+
+    /// Takes an accepted round aboard the lap when its shape lets it share
+    /// one: every fetch an in-range page of one file that shares laps — the
+    /// file and generation of the lap in progress, or any while nobody rides
+    /// it. Everything else comes back, to be served on the spot: other
+    /// requests, rounds over several files, pages out of range (one
+    /// client's bad fetch must never fail a neighbour's lap), stateful
+    /// stores (a shuffled store's epoch must advance per client, in order),
+    /// and rounds that arrive after a shutdown.
+    fn try_join(&mut self, client: u64, pending: Pending) -> Option<Pending> {
+        let gen = match (&pending.request, self.clients.get(&client)) {
+            (Request::Round { .. }, Some(state)) if !self.draining => Arc::clone(&state.gen),
+            _ => return Some(pending),
+        };
+        let Some(&(file, _)) = self.reqs.first() else {
+            return Some(pending);
+        };
+        let Ok(pages) = gen.server().file_pages(file) else {
+            return Some(pending);
+        };
+        if self
+            .reqs
+            .iter()
+            .any(|&(f, page)| f != file || page >= pages)
+        {
+            return Some(pending);
+        }
+        let fits = |lap: &Lap| lap.file == file && lap.gen.id == gen.id;
+        // A lap over another file that the loop thread drives itself is a
+        // pass or so from its end (a small file's only one, typically,
+        // waiting for the queue to empty). Serving this round on the spot
+        // instead — a whole sweep with the loop blocked, and nobody able to
+        // join it — would cost more than finishing that lap first. Its riders
+        // settle meanwhile; the frames behind them wait in the backlog, so
+        // `self.reqs` is still this round's.
+        while let Some(turn) = self
+            .lap
+            .as_mut()
+            .filter(|l| !fits(l) && l.wants_turn())
+            .and_then(Lap::turn)
+        {
+            self.on_turn(turn);
+        }
         match &mut self.lap {
             Some(lap) if fits(lap) => {}
-            Some(lap) if lap.wants_turn() => return Some(Err(InTheWay)),
-            Some(lap) if !lap.riding.is_empty() => return None,
+            // a lap is over one file of one generation: while somebody rides
+            // it, rounds for any other are served on the spot
+            Some(lap) if lap.is_ridden() => return Some(pending),
             stale => {
-                let next = Lap::new(&state.gen, file, self.cpus)?;
+                let Some(next) = Lap::new(&gen, file, self.cpus) else {
+                    return Some(pending);
+                };
                 if let Some(old) = stale {
                     old.retire();
                 }
                 *stale = Some(next);
             }
         }
-        let new_round = round == state.last_round + 1;
-        state.last_round = round;
-        self.next_ride += 1;
-        let riding = Riding {
-            ride: self.next_ride,
+        let lap = self
+            .lap
+            .as_mut()
+            .expect("the lap to join was just found or made");
+        if let Some(ride) = self.spare.pop() {
+            lap.recycle(ride);
+        }
+        lap.join(
             client,
-            sid,
-            seq,
-            bytes: Vec::new(),
-            new_round,
-            fetches: k,
-            masked: encode_round_request(seq, 0, round, &self.reqs, true),
-            after: Vec::new(),
-        };
-        Some(Ok((riding, pages)))
+            self.reqs.iter().map(|&(_, page)| page).collect(),
+            &self.events,
+        );
+        if let Some(state) = self.clients.get_mut(&client) {
+            state.riding = Some(pending);
+        }
+        None
     }
 
-    /// Settles what one pass of the lap came to, every round in arrival
-    /// order and exactly as the immediate path would have: observation
-    /// recorded, stats advanced, replay cache updated, reply (chunked if
-    /// configured) sent — then the frames the client sent meanwhile.
-    fn settle(&mut self, turn: Turn) {
-        let Some(lap) = &mut self.lap else { return };
-        let page_size = lap.gen.page_size;
-        // every round of the turn comes off the lap before any is settled:
-        // settling hands the client's waiting frames on, which must find the
-        // lap as the turn left it
-        let mut landed: Vec<Landed> = Vec::new();
-        match turn {
+    /// Serves an accepted request on the spot, from the generation its
+    /// channel is pinned to. A panicking store (a buggy or sabotaged one)
+    /// must not kill the loop: the panic is caught and costs this session
+    /// only. The scratch is safe to reuse after one — every serve sizes it
+    /// first.
+    fn serve(&mut self, client: u64, p: &Pending) -> Served {
+        let gen = &self.clients.get(&client).expect("an admitted client").gen;
+        let (reqs, run_pages, arena) = (&self.reqs, &mut self.run_pages, &mut self.arena);
+        let served =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<Vec<u8>> {
+                Ok(match p.request {
+                    Request::SessionOpen => encode_session_accept(p.seq, p.sid, &gen.info),
+                    Request::QueryOpen { .. } | Request::SessionClose { .. } => encode_ack(p.seq),
+                    Request::Round { .. } => {
+                        let page_size = gen.page_size;
+                        while arena.len() < reqs.len() {
+                            arena.push(PageBuf::zeroed(page_size));
+                        }
+                        let bufs = &mut arena[..reqs.len()];
+                        for buf in bufs.iter_mut().filter(|b| b.len() != page_size) {
+                            *buf = PageBuf::zeroed(page_size);
+                        }
+                        gen.server().serve_requests(reqs, run_pages, bufs)?;
+                        encode_round_response(p.seq, page_size, bufs.iter().map(PageBuf::as_slice))
+                    }
+                    Request::Download { file, .. } => {
+                        encode_download_response(p.seq, &gen.server().read_full(file)?)
+                    }
+                })
+            }));
+        match served {
+            Ok(Ok(reply)) => Served::Done {
+                reply,
+                shared: false,
+            },
+            Ok(Err(e)) => Served::failed(p.seq, &e),
+            Err(_) => Served::Panicked,
+        }
+    }
+
+    /// Settles what one pass of the lap came to: every round whose lap it
+    /// ended, in the order they joined.
+    fn on_turn(&mut self, turn: Turn) {
+        let Some(page_size) = self.lap.as_ref().map(|lap| lap.gen.page_size) else {
+            return;
+        };
+        let (riders, error) = match turn {
             Turn::Done(rides) => {
                 for ride in &rides {
-                    if let Some(riding) = lap.landed(ride.id()) {
-                        let reply = encode_round_response(
-                            riding.seq,
-                            page_size,
-                            ride.pages().chunks_exact(page_size),
-                        );
-                        landed.push(Landed {
-                            riding,
-                            reply,
-                            shared: Some(ride.shared()),
-                            transient: false,
-                        });
+                    if let Some(p) = self.land(ride.id()) {
+                        let pages = ride.pages().chunks_exact(page_size);
+                        let reply = encode_round_response(p.seq, page_size, pages);
+                        let shared = ride.shared();
+                        self.settle(ride.id(), p, Served::Done { reply, shared });
                     }
                 }
                 self.spare.extend(rides);
+                return;
             }
             // A failed pass is store-wide (a disk fault, a poisoned lock) —
             // bad requests never get aboard — so every rider sees the one
-            // error. A *transient* storage fault is answered with the
-            // retryable ERR_SERVE_TRANSIENT and deliberately NOT cached: the
-            // round cursor is rolled back so each rider's retransmission
-            // rides again against the recovered disk.
-            Turn::Failed { riders, error } => {
-                let transient = error.is_transient_storage();
-                let code = if transient {
-                    ERR_SERVE_TRANSIENT
-                } else {
-                    ERR_SERVE
-                };
-                let message = error.to_string();
-                for id in riders {
-                    if let Some(riding) = lap.landed(id) {
-                        let reply = encode_error(riding.seq, code, &message);
-                        landed.push(Landed {
-                            riding,
-                            reply,
-                            shared: None,
-                            transient,
-                        });
-                    }
-                }
+            // error; a pass that panicked costs every rider its session.
+            Turn::Failed { riders, error } => (riders, Some(error)),
+            Turn::Panicked { riders } => (riders, None),
+        };
+        for client in riders {
+            if let Some(p) = self.land(client) {
+                let served = error
+                    .as_ref()
+                    .map_or(Served::Panicked, |e| Served::failed(p.seq, e));
+                self.settle(client, p, served);
             }
-            // a panicking pass tears down every rider's session — the same
-            // degradation the immediate path applies to one
-            Turn::Panicked { riders } => {
-                let lost: Vec<Riding> =
-                    riders.into_iter().filter_map(|id| lap.landed(id)).collect();
-                for riding in lost {
-                    self.tear_down(riding.client, Some(riding.sid));
-                }
+        }
+    }
+
+    /// Takes `client`'s round off the lap, if it still rides it.
+    fn land(&mut self, client: u64) -> Option<Pending> {
+        if !self.lap.as_mut()?.landed(client) {
+            return None;
+        }
+        self.clients.get_mut(&client)?.riding.take()
+    }
+
+    /// Settles an accepted request, however it was served — on the spot or
+    /// at the end of its ride: records its observation and then each
+    /// retransmission absorbed while it rode, advances the counters,
+    /// installs the reply as its sequence number's replay-cache entry (or
+    /// withholds it after a transient fault and rolls the round cursor back,
+    /// so that the retransmission is served afresh), sends it, and hands on
+    /// the frames that queued behind it. A store that panicked tears the
+    /// session down instead: the client gets [`ERR_INTERNAL`] and is
+    /// forgotten, and everyone else keeps being served.
+    fn settle(&mut self, client: u64, p: Pending, served: Served) {
+        let panicked = matches!(served, Served::Panicked);
+        let (reply, shared, cached) = match served {
+            Served::Done { reply, shared } => (reply, Some(shared), true),
+            Served::Failed { reply, transient } => (reply, None, !transient),
+            Served::Panicked => {
+                let message = "handler panicked; session torn down";
+                (
+                    encode_error(SEQ_UNPARSED, ERR_INTERNAL, message),
+                    None,
+                    false,
+                )
+            }
+        };
+        if let Some(state) = self.clients.get_mut(&client) {
+            if cached {
+                state.last_seq = p.seq;
+                state.last_reply.clone_from(&reply);
+            } else {
+                state.last_round = p.prev_round;
+            }
+        }
+        let bytes_in = p.bytes.len() * (1 + p.dups as usize);
+        self.answer(client, Some(p.sid), bytes_in, reply, |stats| {
+            for _ in 0..=p.dups {
+                stats.record_observed(&p.masked);
+            }
+            stats.retransmits += u64::from(p.dups);
+            if panicked {
+                stats.panics += 1;
+                stats.closed = true;
+            }
+            let Some(shared) = shared else {
                 return;
-            }
-        }
-        for Landed {
-            riding,
-            reply,
-            shared,
-            transient,
-        } in landed
-        {
-            let frames = chunk_reply(reply.clone(), self.cfg.chunk_bytes);
-            let out_len: usize = frames.iter().map(|f| f.len()).sum();
-            if let Some(stats) = lock_shared(&self.shared).sessions.get_mut(&riding.sid) {
-                stats.record_observed(&riding.masked);
-                stats.bytes_in += riding.bytes.len() as u64;
-                stats.bytes_out += out_len as u64;
-                if let Some(shared) = shared {
-                    stats.fetches += riding.fetches as u64;
-                    stats.rounds += u64::from(riding.new_round);
-                    stats.coalesced_rounds += u64::from(shared);
-                }
-            }
-            let Some(state) = self.clients.get_mut(&riding.client) else {
-                continue;
             };
-            if transient {
-                // not cached: the retransmit must re-execute, not replay the
-                // failure; it passes the round-order check from where the
-                // join advanced the cursor
-                if riding.new_round {
-                    state.last_round -= 1;
-                }
-            } else {
-                state.last_seq = riding.seq;
-                state.last_reply = reply;
-                state.last_observed = Some((riding.sid, riding.masked));
-            }
-            self.send(riding.client, frames);
-            for bytes in riding.after {
-                self.on_frame(riding.client, bytes);
-            }
-        }
-    }
-}
-
-/// Why a round that could share a lap cannot join one yet: the lap in
-/// progress is over another file and the loop thread has passes of it to run.
-struct InTheWay;
-
-/// A round off the lap, with what it is owed.
-struct Landed {
-    riding: Riding,
-    reply: Vec<u8>,
-    /// `Some` when the ride ended with its pages: whether another round was
-    /// aboard for a segment of it. `None` when its pass failed.
-    shared: Option<bool>,
-    /// The pass failed with a fault a retransmission may not meet again.
-    transient: bool,
-}
-
-/// Serves one client frame and produces the reply frame. Never panics on
-/// malformed input — every failure becomes an `Error` frame. Duplicate
-/// sequence numbers are answered from the per-client reply cache without
-/// touching any store (idempotent replay).
-#[allow(clippy::too_many_arguments)]
-pub(super) fn handle_frame(
-    gen: &GenEntry,
-    shared: &Arc<Mutex<FrontShared>>,
-    state: &mut ClientState,
-    next_session: &mut u64,
-    bytes: &[u8],
-    reqs: &mut Vec<(FileId, u32)>,
-    run_pages: &mut Vec<u32>,
-    arena: &mut Vec<PageBuf>,
-) -> Vec<u8> {
-    let frame = match split_frame(bytes) {
-        Ok(f) => f,
-        Err(e) => {
-            let code = if looks_like_version_mismatch(bytes) {
-                ERR_VERSION
-            } else {
-                ERR_MALFORMED
-            };
-            if let Some(sid) = state.session {
-                if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                    stats.malformed += 1;
-                }
-            }
-            return encode_error(SEQ_UNPARSED, code, &format!("{e}"));
-        }
-    };
-    if !frame.rest.is_empty() {
-        return encode_error(frame.seq, ERR_MALFORMED, "trailing bytes after frame");
-    }
-    if bytes.len() > MAX_REQUEST_BYTES {
-        return encode_error(frame.seq, ERR_MALFORMED, "oversized request frame");
-    }
-    let seq = frame.seq;
-    if seq == 0 || seq == SEQ_UNPARSED {
-        return encode_error(seq, ERR_SEQ, &format!("reserved sequence number {seq}"));
-    }
-    if seq == state.last_seq {
-        // Retransmission: the reply (or the request) was lost in flight.
-        // Replay the cached reply bytes verbatim — no store access, no
-        // epoch advance — and record the duplicate observation (the
-        // adversary saw the resend too).
-        if let Some((sid, masked)) = &state.last_observed {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(sid) {
-                stats.retransmits += 1;
-                let masked = masked.clone();
-                stats.record_observed(&masked);
-            }
-        } else if let Some(sid) = state.session {
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.retransmits += 1;
-            }
-        }
-        return state.last_reply.clone();
-    }
-    if seq != advance_seq(state.last_seq) {
-        // Not the cached request and not the next fresh one: the channel
-        // lost sync (or a stale duplicate outlived its window). Fatal —
-        // do not advance the cache. The expected successor skips the
-        // reserved values, so a channel that wraps past `u32::MAX` stays
-        // in sync with a client advancing by the same rule.
-        return encode_error(
-            seq,
-            ERR_SEQ,
-            &format!("sequence {seq} after {}", state.last_seq),
-        );
-    }
-    state.last_observed = None;
-    let mut cache_reply = true;
-    let reply = serve_fresh(
-        gen,
-        shared,
-        state,
-        next_session,
-        frame.kind,
-        seq,
-        frame.payload,
-        reqs,
-        run_pages,
-        arena,
-        &mut cache_reply,
-    );
-    if cache_reply {
-        state.last_seq = seq;
-        state.last_reply = reply.clone();
-    }
-    reply
-}
-
-/// The fresh-request body of [`handle_frame`]: every path through here is
-/// reached exactly once per accepted sequence number — except a transient
-/// storage fault, which clears `cache_reply` so the caller does not install
-/// the error as the sequence's reply and the client's retransmission
-/// re-executes the serve.
-#[allow(clippy::too_many_arguments)]
-fn serve_fresh(
-    gen: &GenEntry,
-    shared: &Arc<Mutex<FrontShared>>,
-    state: &mut ClientState,
-    next_session: &mut u64,
-    kind: u8,
-    seq: u32,
-    payload: &[u8],
-    reqs: &mut Vec<(FileId, u32)>,
-    run_pages: &mut Vec<u32>,
-    arena: &mut Vec<PageBuf>,
-    cache_reply: &mut bool,
-) -> Vec<u8> {
-    let server = gen.server();
-    let info = &gen.info;
-    let page_size = gen.page_size;
-    let mut r = ByteReader::new(payload);
-    match kind {
-        K_SESSION_OPEN => {
-            if state.session.is_some() {
-                return encode_error(seq, ERR_SESSION, "session already open on this channel");
-            }
-            let sid = *next_session;
-            *next_session += 1;
-            state.session = Some(sid);
-            state.last_round = 0;
-            let masked = encode_session_open(seq);
-            {
-                let mut lock = lock_shared(shared);
-                let stats = lock.sessions.entry(sid).or_default();
-                stats.record_observed(&masked);
-            }
-            state.last_observed = Some((sid, masked));
-            encode_session_accept(seq, sid, info)
-        }
-        K_QUERY_OPEN => {
-            let Ok(sid) = r.u64() else {
-                return encode_error(seq, ERR_MALFORMED, "truncated QueryOpen");
-            };
-            if state.session != Some(sid) {
-                return encode_error(seq, ERR_SESSION, "QueryOpen for a session not open here");
-            }
-            // Round 1 is the query-open exchange itself.
-            state.last_round = 1;
-            let masked = encode_query_open(seq, 0);
-            {
-                let mut lock = lock_shared(shared);
-                if let Some(stats) = lock.sessions.get_mut(&sid) {
+            match p.request {
+                Request::SessionOpen => {}
+                Request::QueryOpen { .. } => {
                     stats.queries += 1;
                     stats.rounds += 1;
-                    stats.record_observed(&masked);
                 }
+                Request::Round { round, .. } => {
+                    stats.fetches += p.fetches as u64;
+                    stats.rounds += u64::from(round != p.prev_round);
+                    stats.coalesced_rounds += u64::from(shared);
+                }
+                Request::Download { .. } => stats.downloads += 1,
+                Request::SessionClose { .. } => stats.closed = true,
             }
-            state.last_observed = Some((sid, masked));
-            encode_ack(seq)
+        });
+        if panicked {
+            self.drop_client(client, |_| {});
+        } else if let Some(state) = self.clients.get_mut(&client) {
+            if cached {
+                state.last_observed = Some((p.sid, p.masked));
+            }
+            let after = p.after.into_iter().map(|bytes| (client, bytes));
+            self.backlog.extend(after);
         }
-        K_ROUND_REQ => {
-            let (sid, round, k) = match (r.u64(), r.u32(), r.u32()) {
-                (Ok(s), Ok(ro), Ok(k)) => (s, ro, k as usize),
-                _ => return encode_error(seq, ERR_MALFORMED, "truncated RoundRequest"),
-            };
-            if state.session != Some(sid) {
-                return encode_error(seq, ERR_SESSION, "RoundRequest for a session not open here");
-            }
-            reqs.clear();
-            for _ in 0..k {
-                match (r.u16(), r.u32()) {
-                    (Ok(f), Ok(p)) => reqs.push((FileId(f), p)),
-                    _ => return encode_error(seq, ERR_MALFORMED, "truncated fetch list"),
-                }
-            }
-            // A round either continues (same number — a sub-round exchange,
-            // e.g. the HY continuation walk) or advances by exactly one.
-            if round != state.last_round && round != state.last_round + 1 {
-                return encode_error(
-                    seq,
-                    ERR_ROUND_ORDER,
-                    &format!("round {round} after round {}", state.last_round),
-                );
-            }
-            let new_round = round == state.last_round + 1;
-            let prev_round = state.last_round;
-            state.last_round = round;
-            let masked = encode_round_request(seq, 0, round, reqs, true);
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.record_observed(&masked);
-            }
-            state.last_observed = Some((sid, masked));
-            while arena.len() < reqs.len() {
-                arena.push(PageBuf::zeroed(page_size));
-            }
-            for buf in arena.iter_mut().take(reqs.len()) {
-                if buf.len() != page_size {
-                    *buf = PageBuf::zeroed(page_size);
-                }
-            }
-            if let Err(e) = server.serve_requests(reqs, run_pages, &mut arena[..reqs.len()]) {
-                if e.is_transient_storage() {
-                    // Retryable: un-advance the round cursor and leave the
-                    // replay cache untouched so the retransmit re-serves.
-                    state.last_round = prev_round;
-                    *cache_reply = false;
-                    return encode_error(seq, ERR_SERVE_TRANSIENT, &format!("{e}"));
-                }
-                return encode_error(seq, ERR_SERVE, &format!("{e}"));
-            }
-            {
-                let mut lock = lock_shared(shared);
-                if let Some(stats) = lock.sessions.get_mut(&sid) {
-                    stats.fetches += reqs.len() as u64;
-                    if new_round {
-                        stats.rounds += 1;
-                    }
-                }
-            }
-            let pages = arena[..reqs.len()].iter().map(PageBuf::as_slice);
-            encode_round_response(seq, page_size, pages)
-        }
-        K_DOWNLOAD_REQ => {
-            let (sid, file) = match (r.u64(), r.u16()) {
-                (Ok(s), Ok(f)) => (s, FileId(f)),
-                _ => return encode_error(seq, ERR_MALFORMED, "truncated DownloadRequest"),
-            };
-            if state.session != Some(sid) {
-                return encode_error(
-                    seq,
-                    ERR_SESSION,
-                    "DownloadRequest for a session not open here",
-                );
-            }
-            let masked = encode_download_request(seq, 0, file);
-            if let Some(stats) = lock_shared(shared).sessions.get_mut(&sid) {
-                stats.record_observed(&masked);
-            }
-            state.last_observed = Some((sid, masked));
-            let bytes = match server.read_full(file) {
-                Ok(b) => b,
-                Err(e) => {
-                    if e.is_transient_storage() {
-                        *cache_reply = false;
-                        return encode_error(seq, ERR_SERVE_TRANSIENT, &format!("{e}"));
-                    }
-                    return encode_error(seq, ERR_SERVE, &format!("{e}"));
-                }
-            };
-            {
-                let mut lock = lock_shared(shared);
-                if let Some(stats) = lock.sessions.get_mut(&sid) {
-                    stats.downloads += 1;
-                }
-            }
-            encode_download_response(seq, &bytes)
-        }
-        K_SESSION_CLOSE => {
-            let Ok(sid) = r.u64() else {
-                return encode_error(seq, ERR_MALFORMED, "truncated SessionClose");
-            };
-            if state.session != Some(sid) {
-                return encode_error(seq, ERR_SESSION, "SessionClose for a session not open here");
-            }
-            state.session = None;
-            let masked = encode_session_close(seq, 0);
-            {
-                let mut lock = lock_shared(shared);
-                if let Some(stats) = lock.sessions.get_mut(&sid) {
-                    stats.closed = true;
-                    stats.record_observed(&masked);
-                }
-            }
-            state.last_observed = Some((sid, masked));
-            encode_ack(seq)
-        }
-        k => encode_error(seq, ERR_MALFORMED, &format!("unknown frame kind {k}")),
     }
 }

@@ -1,18 +1,20 @@
-//! Rounds that share laps: the front's side of [`crate::scan::Rotation`].
+//! Rounds that share laps: the front's side of [`crate::scan::Rotation`]
+//! (see the parent module, "Shared laps").
 //!
-//! The paper charges the server one pass over the file per round. Rounds of
-//! different sessions that want the same linear-scan file need not each pay
-//! it: a round **joins the sweep in progress** at the next segment boundary,
-//! rides one lap and leaves with its pages, so `R` overlapping rounds cost
-//! the host about one lap between them, and none of them waits for more
-//! than one segment pass before its own lap begins. A round that finds the
-//! rotation idle rides alone, from segment 0 — the front-to-back sweep the
-//! immediate path runs, through the same code.
+//! A round joins the sweep in progress at the next segment boundary, rides
+//! one lap and leaves with its pages, so `R` overlapping rounds cost the host
+//! about one lap between them, and none of them waits for more than one
+//! segment pass before its own lap begins. A round that finds the rotation
+//! idle rides alone, from segment 0 — the front-to-back sweep a round served
+//! on the spot gets, through the same code.
 //!
 //! The front serves one [`Lap`] at a time: one rotation over one file of one
-//! generation, so a lap never mixes generations. The loop thread keeps the
-//! sessions — who rides, what they are owed, their replay caches — and the
-//! lap's *driver* runs the passes:
+//! generation, so a lap never mixes generations. A lap knows only which
+//! clients ride it; the loop thread keeps everything else — each client's
+//! riding request and the frames behind it, the replay caches — and settles
+//! each round, when its lap ends, through the one path every request takes,
+//! so nothing a rider observes depends on who drove. The *driver* runs the
+//! passes:
 //!
 //! * where the process has one CPU, or the file one segment, the loop thread
 //!   is the driver: it takes every queued frame, runs one pass
@@ -25,10 +27,6 @@
 //!   long as it lasts, picks up joins and leaves from the [`Inbox`] at every
 //!   boundary, and reports to the loop's own queue every pass that ended
 //!   somebody's lap.
-//!
-//! Nothing a rider observes depends on who drives: replies, the masked
-//! stream, the counters and the replay cache are settled by the loop thread,
-//! in arrival order, exactly as the immediate path would have.
 
 use super::front::{GenEntry, ToServer};
 use crate::error::PirError;
@@ -36,28 +34,6 @@ use crate::scan::{Crew, Ride, Rotation};
 use crate::server::FileId;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-/// One round aboard the lap (or about to be), with everything the loop needs
-/// to settle it as the immediate path would have: the observation is
-/// recorded, the stats advance and the replay cache updates when the ride
-/// ends.
-pub(super) struct Riding {
-    /// The id the round rides under in the rotation, unique on its front.
-    pub ride: u64,
-    pub client: u64,
-    pub sid: u64,
-    pub seq: u32,
-    /// Original frame bytes (retransmit detection + `bytes_in` accounting).
-    pub bytes: Vec<u8>,
-    /// Whether the round number advanced (counts toward `rounds`).
-    pub new_round: bool,
-    pub fetches: usize,
-    /// The masked observation, recorded when the ride ends.
-    pub masked: Vec<u8>,
-    /// Frames the client sent after this round: handling them before its
-    /// reply would reorder the channel, so they wait for it.
-    pub after: Vec<Vec<u8>>,
-}
 
 /// What one pass came to.
 pub(crate) enum Turn {
@@ -142,8 +118,11 @@ pub(super) struct Lap {
     /// The generation every rider is pinned to.
     pub gen: Arc<GenEntry>,
     pub file: FileId,
-    /// In arrival order.
-    pub riding: Vec<Riding>,
+    /// The clients whose rounds ride, in arrival order. A round rides under
+    /// its client's id: a client has one round in flight at most and ids
+    /// are never reused, and a lap is replaced only once nobody rides it,
+    /// so a late report of a lap since replaced names nobody aboard.
+    aboard: Vec<u64>,
     shared: Arc<Shared>,
     /// Whether passes run on a driver thread (else on the loop thread).
     threaded: bool,
@@ -159,7 +138,7 @@ impl Lap {
         Some(Lap {
             gen: Arc::clone(gen),
             file,
-            riding: Vec::new(),
+            aboard: Vec::new(),
             threaded: cpus > 1 && rotation.segments().len() > 1,
             shared: Arc::new(Shared {
                 inbox: Mutex::default(),
@@ -169,23 +148,29 @@ impl Lap {
         })
     }
 
+    /// True while somebody rides.
+    pub fn is_ridden(&self) -> bool {
+        !self.aboard.is_empty()
+    }
+
     /// True when the loop thread has a pass to run: somebody rides and no
     /// driver thread does it.
     pub fn wants_turn(&self) -> bool {
-        !self.threaded && !self.riding.is_empty()
+        !self.threaded && self.is_ridden()
     }
 
-    /// Takes a round aboard from the next boundary on. `events` is the
-    /// loop's own queue, for a driver thread to report to.
-    pub fn join(&mut self, riding: Riding, pages: Vec<u32>, events: &mpsc::Sender<ToServer>) {
+    /// Takes `client`'s round, which asks for `pages` of the file, aboard
+    /// from the next boundary on. `events` is the loop's own queue, for a
+    /// driver thread to report to.
+    pub fn join(&mut self, client: u64, pages: Vec<u32>, events: &mpsc::Sender<ToServer>) {
         let start = {
             let mut inbox = relock(&self.shared.inbox);
-            inbox.joins.push((riding.ride, pages));
+            inbox.joins.push((client, pages));
             let start = self.threaded && !inbox.driven;
             inbox.driven |= start;
             start
         };
-        self.riding.push(riding);
+        self.aboard.push(client);
         if start {
             self.start_driver(events);
         }
@@ -236,17 +221,20 @@ impl Lap {
             .then(|| pass(&mut rotation, &mut Crew::none(), &self.gen, self.file))
     }
 
-    /// Takes the round of `ride` off the list of riders, if it is still on.
-    pub fn landed(&mut self, ride: u64) -> Option<Riding> {
-        let i = self.riding.iter().position(|r| r.ride == ride)?;
-        Some(self.riding.remove(i))
+    /// Takes `client`'s round off the list of riders; false if it was not
+    /// on it.
+    pub fn landed(&mut self, client: u64) -> bool {
+        let Some(i) = self.aboard.iter().position(|&c| c == client) else {
+            return false;
+        };
+        self.aboard.remove(i);
+        true
     }
 
     /// Drops `client`'s round at the next boundary: its channel is gone.
     pub fn leave(&mut self, client: u64) {
-        if let Some(i) = self.riding.iter().position(|r| r.client == client) {
-            let gone = self.riding.remove(i);
-            relock(&self.shared.inbox).leaves.push(gone.ride);
+        if self.landed(client) {
+            relock(&self.shared.inbox).leaves.push(client);
         }
     }
 

@@ -1,5 +1,8 @@
-//! The wire protocol: a versioned, length-prefixed binary frame codec and a
-//! multi-client server front end serving frames from a loop thread.
+//! The wire protocol: a versioned, length-prefixed binary frame codec
+//! (`codec`), a multi-client server front end serving frames from a loop
+//! thread (`front`, with the shared lap in `lap`), the client channel that
+//! drives it (`client`), and the same frames over loopback sockets
+//! ([`tcp`]).
 //!
 //! # Frame layout (version 4)
 //!
@@ -66,8 +69,8 @@
 //! replay semantics above; version 3 added the `Chunk` frame kind (chunked
 //! response streaming); version 4 prefixed [`ServerInfo`] with the database
 //! generation id (hot-swap staleness detection — see
-//! [`crate::transport::GenerationSource`]). A server receiving a frame with an unknown
-//! version (or bad magic) replies [`ERR_VERSION`]/[`ERR_MALFORMED`] and
+//! [`crate::transport::GenerationSource`]). A server receiving a frame with
+//! an unknown version (or bad magic) replies [`ERR_VERSION`]/[`ERR_MALFORMED`] and
 //! serves nothing — there is no negotiation, by design: client and server
 //! ship from one workspace, so a mismatch is a deployment bug to surface,
 //! not paper over. A frame whose crc does not match is classified as
@@ -96,28 +99,18 @@
 //! # Shared laps
 //!
 //! The paper charges the server one pass over the file per round. Rounds of
-//! *different* sessions over one linear-scan file need not each pay it: the
-//! front keeps one rotating, segment-wise sweep per file in use
-//! ([`crate::scan::Rotation`]), and a round that may share it — fresh, in
-//! order, every fetch an in-range page of that one file, same generation —
-//! **joins at the next segment boundary and leaves after exactly one lap**.
-//! A round that finds nobody aboard is a lap from segment 0: the same
-//! answers, the same `0..N` physical log and the same cost as serving it on
-//! the spot, which is what every other round gets (several files in one
-//! round, a stateful store, another file or generation than the lap in
-//! progress). There is no window and nothing to tune: nobody waits for
-//! company, and company that turns up mid-lap waits for one segment pass at
-//! most. The riders' replies, masked streams, counters and replay caches are
-//! settled by the loop thread in arrival order, exactly as the immediate
-//! path would have — [`SessionStats::coalesced_rounds`] is the only trace a
-//! shared lap leaves, and it is server-side accounting. What the *host*
-//! observes is laps: which segments were swept in which order, a function of
-//! when rounds arrived and never of what they asked for (`tests/leakage.rs`
-//! pins both differentials). The passes run on a driver thread that lives
-//! as long as somebody is aboard, so the loop keeps answering small
-//! exchanges meanwhile; where the process has one CPU, or the file one
-//! segment, the loop thread runs them itself, between frames (see the `lap`
-//! submodule).
+//! *different* sessions over one linear-scan file need not each pay it: a
+//! round whose every fetch is an in-range page of one such file, of the
+//! generation and file of the lap in progress, **joins the rotating sweep
+//! ([`crate::scan::Rotation`]) at the next segment boundary and leaves after
+//! exactly one lap**; every other request is served on the spot. A ridden
+//! round and one served on the spot then settle through the same code, so
+//! nothing a session observes tells them apart —
+//! [`SessionStats::coalesced_rounds`] is the only trace a shared lap leaves,
+//! and it is server-side accounting. What the *host* observes is laps: which
+//! segments were swept in which order, a function of when rounds arrived and
+//! never of what they asked for (`tests/leakage.rs` pins both
+//! differentials). The `lap` submodule says who runs the passes.
 //!
 //! # The adversary's view of the wire
 //!

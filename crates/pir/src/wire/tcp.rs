@@ -19,7 +19,7 @@
 //! mangled message arrives intact as one mangled message, gets a typed
 //! error frame, and is retried — instead of desyncing the byte stream and
 //! killing the connection for good. A recv that times out mid-message
-//! keeps the partial prefix buffered ([`TcpLink::pending`]) so the stream
+//! keeps the partial prefix buffered (`TcpLink::pending`) so the stream
 //! never desyncs; an outer length that cannot be real (desync or hostile
 //! peer) still kills the connection rather than risking an unbounded
 //! allocation.

@@ -2,8 +2,7 @@
 //!
 //! All on-"disk" records (header, look-up entries, region sets, subgraphs,
 //! region data) are serialized through [`ByteWriter`] and decoded through
-//! [`ByteReader`]. Every format in the tree writes fixed-width integers; the
-//! varint and zig-zag helpers have no caller outside this module's tests.
+//! [`ByteReader`]. Every format in the tree writes fixed-width integers.
 
 use crate::error::StorageError;
 use crate::Result;
@@ -87,19 +86,6 @@ impl ByteWriter {
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
         self
-    }
-
-    /// Writes a `u64` as a LEB128 varint (1–10 bytes).
-    pub fn varint(&mut self, mut v: u64) -> &mut Self {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return self;
-            }
-            self.buf.push(byte | 0x80);
-        }
     }
 
     /// Writes a length-prefixed (u32) byte string.
@@ -213,38 +199,11 @@ impl<'a> ByteReader<'a> {
         self.take(n)
     }
 
-    /// Reads a LEB128 varint (inverse of [`ByteWriter::varint`]).
-    pub fn varint(&mut self) -> Result<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(StorageError::Corrupt("varint longer than 10 bytes".into()));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
     /// Reads a length-prefixed (u32) byte string.
     pub fn len_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
     }
-}
-
-/// Zig-zag encodes a signed value so small magnitudes produce small varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 #[cfg(test)]
@@ -316,51 +275,7 @@ mod tests {
         assert_eq!(r.len_bytes().unwrap(), b"hello");
     }
 
-    #[test]
-    fn varint_known_values() {
-        for (v, expect) in [
-            (0u64, vec![0u8]),
-            (127, vec![127]),
-            (128, vec![0x80, 1]),
-            (300, vec![0xac, 2]),
-        ] {
-            let mut w = ByteWriter::new();
-            w.varint(v);
-            assert_eq!(w.as_slice(), expect.as_slice(), "encoding of {v}");
-        }
-    }
-
-    #[test]
-    fn corrupt_varint_detected() {
-        let buf = [0xffu8; 11];
-        let mut r = ByteReader::new(&buf);
-        assert!(matches!(r.varint(), Err(StorageError::Corrupt(_))));
-    }
-
     proptest! {
-        #[test]
-        fn varint_round_trip(v in any::<u64>()) {
-            let mut w = ByteWriter::new();
-            w.varint(v);
-            let buf = w.into_vec();
-            let mut r = ByteReader::new(&buf);
-            prop_assert_eq!(r.varint().unwrap(), v);
-            prop_assert_eq!(r.remaining(), 0);
-        }
-
-        #[test]
-        fn zigzag_round_trip(v in any::<i64>()) {
-            prop_assert_eq!(unzigzag(zigzag(v)), v);
-        }
-
-        #[test]
-        fn zigzag_small_values_small(v in -1000i64..1000) {
-            // small magnitudes encode to <= 2 varint bytes
-            let mut w = ByteWriter::new();
-            w.varint(zigzag(v));
-            prop_assert!(w.len() <= 2);
-        }
-
         #[test]
         fn mixed_sequence_round_trip(vals in proptest::collection::vec(any::<u32>(), 0..100)) {
             let mut w = ByteWriter::new();

@@ -5,8 +5,8 @@
 //! per request. This crate provides:
 //!
 //! * [`page`] — page-size constants and the [`page::PageBuf`] fixed-size buffer;
-//! * [`codec`] — little-endian byte readers/writers plus varint helpers used by
-//!   every file format in the system;
+//! * [`codec`] — the little-endian byte readers/writers every file format in
+//!   the system is written through;
 //! * [`pagefile`] — the [`pagefile::PagedFile`] abstraction with in-memory and
 //!   on-disk backends (the paper's framework "applies to storage in main
 //!   memory or a solid state drive" as well, §3.1);
