@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use privpath_core::config::BuildConfig;
-use privpath_core::engine::{Engine, SchemeKind};
+use privpath_core::engine::{Database, SchemeKind};
 use privpath_graph::gen::{road_like, RoadGenConfig};
+use std::sync::Arc;
 
 fn bench_net() -> privpath_graph::network::RoadNetwork {
     road_like(&RoadGenConfig {
@@ -36,7 +37,7 @@ fn bench_scheme_queries(c: &mut Criterion) {
         SchemeKind::Lm,
         SchemeKind::Af,
     ] {
-        let mut engine = Engine::build(&net, kind, &cfg()).expect("build");
+        let mut session = Arc::new(Database::build(&net, kind, &cfg()).expect("build")).session();
         let n = net.num_nodes() as u32;
         let mut k = 0u32;
         g.bench_function(kind.name(), |b| {
@@ -47,7 +48,7 @@ fn bench_scheme_queries(c: &mut Criterion) {
                 if s == t {
                     return;
                 }
-                engine.query_nodes(&net, s, t).expect("query");
+                session.query_nodes(&net, s, t).expect("query");
             });
         });
     }
@@ -67,7 +68,7 @@ fn bench_scheme_builds(c: &mut Criterion) {
         SchemeKind::Af,
     ] {
         g.bench_function(kind.name(), |b| {
-            b.iter(|| Engine::build(&net, kind, &cfg()).expect("build"));
+            b.iter(|| Database::build(&net, kind, &cfg()).expect("build"));
         });
     }
     g.finish();
@@ -83,12 +84,13 @@ fn bench_obf(c: &mut Criterion) {
         g.bench_function(format!("decoys_{decoys}"), |b| {
             let mut cfg = cfg();
             cfg.obf_decoys = decoys;
-            let mut engine = Engine::build(&net, SchemeKind::Obf, &cfg).expect("build");
+            let mut session =
+                Arc::new(Database::build(&net, SchemeKind::Obf, &cfg).expect("build")).session();
             let n = net.num_nodes() as u32;
             let mut k = 0u32;
             b.iter(|| {
                 k = k.wrapping_add(1);
-                engine
+                session
                     .query_nodes(&net, (k * 97) % n, (k * 31 + 7) % n)
                     .expect("query")
             });

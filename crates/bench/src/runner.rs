@@ -4,7 +4,7 @@
 //! queries", §7.1).
 
 use privpath_core::config::BuildConfig;
-use privpath_core::engine::{Engine, SchemeKind};
+use privpath_core::engine::{Database, SchemeKind};
 use privpath_core::error::CoreError;
 use privpath_core::schemes::index_scheme::BuildStats;
 use privpath_core::Result;
@@ -12,6 +12,7 @@ use privpath_graph::network::RoadNetwork;
 use privpath_pir::Meter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Aggregated outcome of a workload run.
@@ -72,12 +73,12 @@ pub fn run_workload(
     seed: u64,
 ) -> Result<WorkloadResult> {
     let t0 = Instant::now();
-    let mut engine = Engine::build(net, kind, cfg)?;
+    let db = Arc::new(Database::build(net, kind, cfg)?);
     let build_wall_s = t0.elapsed().as_secs_f64();
     // The offline build profile, one line per database built (stderr, so
     // the tables on stdout stay as they are): `experiments fig7 --scale
     // full` is the paper-scale reading of the five stages.
-    let st = engine.stats().stage_s;
+    let st = db.stats().stage_s;
     eprintln!(
         "[build {} @ {} nodes: {:.3} s = partition {:.3} + borders {:.3} + precompute {:.3} + files {:.3} + plan {:.3}]",
         kind.name(),
@@ -93,8 +94,9 @@ pub fn run_workload(
     let mut total = Meter::new();
     let mut violations = 0usize;
     let pairs = workload_pairs(net, queries, seed)?;
+    let mut session = db.session();
     for (s, t) in &pairs {
-        let out = engine.query_nodes(net, *s, *t)?;
+        let out = session.query_nodes(net, *s, *t)?;
         total.add(&out.meter);
         violations += usize::from(out.plan_violation);
     }
@@ -102,8 +104,8 @@ pub fn run_workload(
         kind,
         avg: total.scale_down(queries.max(1) as u64),
         queries,
-        db_bytes: engine.db_bytes(),
-        stats: engine.stats().clone(),
+        db_bytes: db.db_bytes(),
+        stats: db.stats().clone(),
         build_wall_s,
         violations,
     })

@@ -12,17 +12,17 @@ use privpath_graph::types::{Dist, EdgeId};
 use privpath_partition::{Borders, RegionId};
 
 /// Sentinel for "no node" in parent arrays.
-pub const NO_NODE: u32 = u32::MAX;
+pub(crate) const NO_NODE: u32 = u32::MAX;
 
 /// An augmented arc: a piece of an original arc.
 #[derive(Debug, Clone, Copy)]
-pub struct AugArc {
+pub(crate) struct AugArc {
     /// Head (augmented node id).
-    pub to: u32,
+    pub(crate) to: u32,
     /// Piece weight.
-    pub w: u32,
+    pub(crate) w: u32,
     /// The original arc this piece belongs to.
-    pub orig: EdgeId,
+    pub(crate) orig: EdgeId,
 }
 
 /// The augmented graph: original nodes `0..n_orig`, border nodes
@@ -30,40 +30,35 @@ pub struct AugArc {
 #[derive(Debug, Clone)]
 pub struct AugGraph {
     /// Number of original network nodes.
-    pub n_orig: usize,
+    pub(crate) n_orig: usize,
     /// Total nodes (original + border).
-    pub n_total: usize,
+    pub(crate) n_total: usize,
     offsets: Vec<u32>,
     arcs: Vec<AugArc>,
     /// The two regions each border node touches (indexed by border id).
-    pub border_regions: Vec<(RegionId, RegionId)>,
+    pub(crate) border_regions: Vec<(RegionId, RegionId)>,
     /// Region of the *tail* of each original arc — the region whose `Fd`
     /// page stores the arc, and so the region `S_ij` has to name for every
     /// shortest path that uses it (§5.2).
-    pub arc_tail_region: Vec<RegionId>,
+    pub(crate) arc_tail_region: Vec<RegionId>,
 }
 
 impl AugGraph {
     /// Augmented node id of border node `b`.
-    pub fn border_node(&self, b: u32) -> u32 {
+    pub(crate) fn border_node(&self, b: u32) -> u32 {
         (self.n_orig as u32) + b
     }
 
     /// Number of border nodes.
-    pub fn num_borders(&self) -> usize {
+    pub(crate) fn num_borders(&self) -> usize {
         self.n_total - self.n_orig
     }
 
     /// Arcs leaving augmented node `u`.
-    pub fn arcs_from(&self, u: u32) -> &[AugArc] {
+    pub(crate) fn arcs_from(&self, u: u32) -> &[AugArc] {
         let lo = self.offsets[u as usize] as usize;
         let hi = self.offsets[u as usize + 1] as usize;
         &self.arcs[lo..hi]
-    }
-
-    /// Total augmented arcs.
-    pub fn num_arcs(&self) -> usize {
-        self.arcs.len()
     }
 
     /// Builds the augmented graph for `net` under `borders` (computed by
@@ -153,20 +148,6 @@ impl AugGraph {
     }
 }
 
-/// A shortest-path tree over the augmented graph.
-#[derive(Debug)]
-pub struct AugSpTree {
-    /// Distance from the source per augmented node (`u64::MAX` unreachable).
-    pub dist: Vec<Dist>,
-    /// Parent augmented node (`NO_NODE` for source/unreachable).
-    pub parent: Vec<u32>,
-    /// Original arc of the tree edge into each node.
-    pub parent_orig_arc: Vec<EdgeId>,
-    /// Settle (pop) order — chronological, so parents always precede
-    /// children even across zero-weight augmented pieces.
-    pub settled: Vec<u32>,
-}
-
 /// Reusable scratch buffers for repeated Dijkstra runs (one per worker).
 ///
 /// [`aug_dijkstra_into`] leaves its whole result here — distances, parents,
@@ -174,18 +155,18 @@ pub struct AugSpTree {
 /// instead of paying three `O(n_total)` array clones per border source.
 /// Entries of `dist`/`parent`/`parent_orig` are meaningful only for nodes the
 /// last run touched; everything else still holds the reset sentinels.
-pub struct DijkstraScratch {
+pub(crate) struct DijkstraScratch {
     /// Tentative/final distance per augmented node.
-    pub dist: Vec<Dist>,
+    pub(crate) dist: Vec<Dist>,
     /// Tree parent per augmented node (`NO_NODE` = source/untouched).
-    pub parent: Vec<u32>,
+    pub(crate) parent: Vec<u32>,
     /// Original arc of the tree edge into each node.
-    pub parent_orig: Vec<EdgeId>,
+    pub(crate) parent_orig: Vec<EdgeId>,
     /// Settle (pop) order of the last run — chronological, so parents always
     /// precede children even across zero-weight augmented pieces. With
     /// border pruning this is exactly the settled *prefix*: it ends the
     /// moment the last reachable border node settles.
-    pub settled: Vec<u32>,
+    pub(crate) settled: Vec<u32>,
     /// Nodes whose `dist`/`parent` entries the last run wrote (reset list).
     touched: Vec<u32>,
     heap: privpath_graph::IndexedMinHeap,
@@ -193,7 +174,7 @@ pub struct DijkstraScratch {
 
 impl DijkstraScratch {
     /// Buffers for a graph with `n_total` augmented nodes.
-    pub fn new(n_total: usize) -> Self {
+    pub(crate) fn new(n_total: usize) -> Self {
         let mut heap = privpath_graph::IndexedMinHeap::new();
         heap.reset(n_total);
         DijkstraScratch {
@@ -224,7 +205,7 @@ impl DijkstraScratch {
 /// Zero-weight pieces (crossings rounding to the same cumulative weight) are
 /// handled; `settled` stays a valid children-after-parents order because a
 /// node can only be pushed after its final parent was popped.
-pub fn aug_dijkstra_into(
+pub(crate) fn aug_dijkstra_into(
     g: &AugGraph,
     source: u32,
     scratch: &mut DijkstraScratch,
@@ -275,20 +256,6 @@ pub fn aug_dijkstra_into(
     scratch.heap.clear_drained();
 }
 
-/// Dijkstra over the augmented graph from `source`, returning an owned
-/// [`AugSpTree`] (unpruned). The pre-computation hot loop uses
-/// [`aug_dijkstra_into`] and reads the scratch directly; this wrapper serves
-/// the differential suites and one-shot callers.
-pub fn aug_dijkstra(g: &AugGraph, source: u32, scratch: &mut DijkstraScratch) -> AugSpTree {
-    aug_dijkstra_into(g, source, scratch, false);
-    AugSpTree {
-        dist: scratch.dist.clone(),
-        parent: scratch.parent.clone(),
-        parent_orig_arc: scratch.parent_orig.clone(),
-        settled: scratch.settled.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +264,34 @@ mod tests {
     use privpath_graph::network::NetworkBuilder;
     use privpath_graph::types::Point;
     use privpath_partition::{compute_borders, partition_packed};
+
+    /// A shortest-path tree over the augmented graph.
+    #[derive(Debug)]
+    struct AugSpTree {
+        /// Distance from the source per augmented node (`u64::MAX` unreachable).
+        dist: Vec<Dist>,
+        /// Parent augmented node (`NO_NODE` for source/unreachable).
+        parent: Vec<u32>,
+        /// Original arc of the tree edge into each node.
+        parent_orig_arc: Vec<EdgeId>,
+        /// Settle (pop) order — chronological, so parents always precede
+        /// children even across zero-weight augmented pieces.
+        settled: Vec<u32>,
+    }
+
+    /// Dijkstra over the augmented graph from `source`, returning an owned
+    /// [`AugSpTree`] (unpruned). The pre-computation hot loop uses
+    /// [`aug_dijkstra_into`] and reads the scratch directly; these tests read
+    /// the copy.
+    fn aug_dijkstra(g: &AugGraph, source: u32, scratch: &mut DijkstraScratch) -> AugSpTree {
+        aug_dijkstra_into(g, source, scratch, false);
+        AugSpTree {
+            dist: scratch.dist.clone(),
+            parent: scratch.parent.clone(),
+            parent_orig_arc: scratch.parent_orig.clone(),
+            settled: scratch.settled.clone(),
+        }
+    }
 
     fn setup(net: &RoadNetwork, cap: usize) -> (AugGraph, privpath_partition::Partition) {
         let p = partition_packed(net, cap, &|u| net.node_record_bytes(u));
@@ -468,7 +463,7 @@ mod tests {
         assert_eq!(borders.len(), 1);
         let region_of = vec![0u16, 1u16];
         let g = AugGraph::build(&net, &borders, &region_of);
-        assert_eq!(g.num_arcs(), 2); // two pieces
+        assert_eq!(g.arcs.len(), 2); // two pieces
         let mut scratch = DijkstraScratch::new(g.n_total);
         let tree = aug_dijkstra(&g, 0, &mut scratch);
         assert_eq!(tree.dist[1], 100);

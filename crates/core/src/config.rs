@@ -66,7 +66,7 @@ impl Default for BuildConfig {
 
 impl BuildConfig {
     /// Resolved worker-thread count.
-    pub fn resolved_threads(&self) -> usize {
+    pub(crate) fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
@@ -74,11 +74,6 @@ impl BuildConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
-    }
-
-    /// Payload bytes available in one page after the CRC-32 page trailer.
-    pub fn page_payload(&self) -> usize {
-        self.spec.page_size - crate::files::PAGE_CRC_BYTES
     }
 }
 
@@ -92,7 +87,6 @@ mod tests {
         assert!(c.packed_partition);
         assert!(c.compress_index);
         assert_eq!(c.cluster_pages, 1);
-        assert_eq!(c.page_payload(), 4096 - 4);
         assert!(c.resolved_threads() >= 1);
     }
 }

@@ -11,8 +11,6 @@
 //!   reusable client-side scratch (subgraph arena + Dijkstra buffers).
 //!   Sessions are cheap to create and fully independent; `N` sessions over
 //!   one shared database run `N` queries concurrently.
-//! * [`Engine`] — a convenience facade bundling one database with one
-//!   session for the common single-threaded case.
 
 use crate::config::BuildConfig;
 use crate::error::CoreError;
@@ -58,9 +56,9 @@ pub enum SchemeKind {
 
 impl SchemeKind {
     /// All seven scheme kinds, in the paper's presentation order — the one
-    /// canonical list for "sweep every scheme" call sites (the perf
-    /// baseline's `--scheme all`, the consistency suites), so adding an
-    /// eighth kind updates them all at once.
+    /// canonical list for "sweep every scheme" call sites (the consistency
+    /// and leakage suites, snapshot reopening), so adding an eighth kind
+    /// updates them all at once.
     pub const ALL: [SchemeKind; 7] = [
         SchemeKind::Ci,
         SchemeKind::Pi,
@@ -86,7 +84,7 @@ impl SchemeKind {
 
     /// Inverse of [`SchemeKind::byte`] — used when reopening a persisted
     /// snapshot, whose meta block records the scheme as its header byte.
-    pub fn from_byte(b: u8) -> Option<SchemeKind> {
+    pub(crate) fn from_byte(b: u8) -> Option<SchemeKind> {
         SchemeKind::ALL.into_iter().find(|k| k.byte() == b)
     }
 
@@ -159,23 +157,23 @@ pub(crate) enum SchemeState {
 /// RNG, and the reusable client compute buffers. The buffers are cleared —
 /// not reallocated — between queries, so steady-state queries stay off the
 /// allocator.
-pub struct QueryCtx {
+pub(crate) struct QueryCtx {
     /// PIR protocol accounting (meter, trace, rounds) and the batched-round
     /// executor with its reusable page arena.
-    pub pir: PirSession,
+    pub(crate) pir: PirSession,
     /// Dummy-request page choices.
-    pub rng: SmallRng,
+    pub(crate) rng: SmallRng,
     /// Client-side subgraph arena (CSR adjacency, interner, region runs).
-    pub sub: ClientSubgraph,
+    pub(crate) sub: ClientSubgraph,
     /// Client-side Dijkstra solver state (distances, heap, path buffer).
-    pub scratch: QueryScratch,
+    pub(crate) scratch: QueryScratch,
     /// Round-assembly scratch: the `(file, page)` list a scheme builds up
     /// before issuing the round as one batch. Cleared — never reallocated —
     /// between rounds.
-    pub reqs: Vec<(FileId, u32)>,
+    pub(crate) reqs: Vec<(FileId, u32)>,
     /// Region-payload scratch for multi-page region groups. Cleared between
     /// regions.
-    pub region_bytes: Vec<u8>,
+    pub(crate) region_bytes: Vec<u8>,
 }
 
 impl QueryCtx {
@@ -305,19 +303,13 @@ impl Database {
         }
     }
 
-    /// Wraps this database as generation 1 of a hot-swappable
-    /// [`crate::generation::DbRegistry`]: the entry point to background
-    /// rebuilds and atomic generation cutover (see [`crate::generation`]).
-    pub fn registry(self: &Arc<Self>) -> Arc<crate::generation::DbRegistry> {
-        crate::generation::DbRegistry::new(Arc::clone(self))
-    }
-
     /// Stands up a wire server front for this database: a loop thread that
     /// owns an `Arc` of it and serves any number of [`QuerySession`]s
     /// connected through [`Database::wire_session_with_seed`] (or raw
     /// [`privpath_pir::WireChannel`]s) over the versioned frame protocol.
     /// A front stood up this way serves this database forever; for live
-    /// rebuild-and-swap serving, go through [`Database::registry`] and
+    /// rebuild-and-swap serving, wrap it in a
+    /// [`crate::generation::DbRegistry`] and serve through
     /// [`crate::generation::DbRegistry::serve_wire`] instead.
     pub fn serve_wire(self: &Arc<Self>) -> ServerFront {
         ServerFront::spawn(Arc::clone(self))
@@ -343,7 +335,7 @@ impl Database {
     /// [`FrontConfig::chunk_bytes`] for chunked response streaming. How
     /// concurrent rounds share linear-scan sweeps is not one of them: they
     /// always join the lap in progress (see `privpath_pir::wire`).
-    pub fn serve_tcp_with(self: &Arc<Self>, cfg: FrontConfig) -> Result<TcpFront> {
+    pub(crate) fn serve_tcp_with(self: &Arc<Self>, cfg: FrontConfig) -> Result<TcpFront> {
         Ok(TcpFront::spawn_with(Arc::clone(self), cfg)?)
     }
 
@@ -394,8 +386,9 @@ impl Database {
         }
     }
 
-    /// Opens a query session with the database's default RNG stream (the
-    /// same dummy-page choices a freshly built [`Engine`] makes).
+    /// Opens a query session with the database's default RNG stream, derived
+    /// from [`BuildConfig::seed`]: two sessions opened this way make the same
+    /// dummy-page choices.
     pub fn session(self: &Arc<Self>) -> QuerySession {
         self.session_with_seed(self.seed ^ 0x9e37)
     }
@@ -470,11 +463,6 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// The shared database this session queries.
-    pub fn database(&self) -> &Arc<Database> {
-        &self.db
-    }
-
     /// Switches between batched round execution (default) and the per-fetch
     /// reference path. Answers, meters and traces are identical either way —
     /// the differential suite in `tests/leakage.rs` enforces it — so this
@@ -519,58 +507,5 @@ impl QuerySession {
             return Err(CoreError::Query("node id out of range".into()));
         }
         self.query(net.node_point(s), net.node_point(t))
-    }
-}
-
-/// A built database bundled with a single query session — the convenience
-/// facade for single-threaded use. For concurrent querying, build a
-/// [`Database`], wrap it in an [`Arc`], and open one [`QuerySession`] per
-/// thread.
-pub struct Engine {
-    session: QuerySession,
-}
-
-impl Engine {
-    /// Builds the database for `kind` over `net` and opens a session.
-    pub fn build(net: &RoadNetwork, kind: SchemeKind, cfg: &BuildConfig) -> Result<Engine> {
-        let db = Arc::new(Database::build(net, kind, cfg)?);
-        Ok(Engine {
-            session: db.session(),
-        })
-    }
-
-    /// The scheme this engine serves.
-    pub fn kind(&self) -> SchemeKind {
-        self.session.db.kind()
-    }
-
-    /// Build statistics (regions, borders, m, utilization, page counts).
-    pub fn stats(&self) -> &BuildStats {
-        self.session.db.stats()
-    }
-
-    /// Total database size in bytes.
-    pub fn db_bytes(&self) -> u64 {
-        self.session.db.db_bytes()
-    }
-
-    /// The fixed query plan.
-    pub fn plan(&self) -> &QueryPlan {
-        self.session.db.plan()
-    }
-
-    /// The shared database (clone the `Arc` to open more sessions).
-    pub fn database(&self) -> &Arc<Database> {
-        self.session.database()
-    }
-
-    /// Runs one private query from `s` to `t`.
-    pub fn query(&mut self, s: Point, t: Point) -> Result<QueryOutput> {
-        self.session.query(s, t)
-    }
-
-    /// Convenience: query between two node ids of the original network.
-    pub fn query_nodes(&mut self, net: &RoadNetwork, s: NodeId, t: NodeId) -> Result<QueryOutput> {
-        self.session.query_nodes(net, s, t)
     }
 }

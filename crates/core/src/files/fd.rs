@@ -16,25 +16,25 @@ use privpath_storage::{ByteReader, ByteWriter, MemFile};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecordFormat {
     /// Landmark vector length per node (LM baseline; 0 otherwise).
-    pub lm_count: u16,
+    pub(crate) lm_count: u16,
     /// Store each adjacency entry's head-node region (LM/AF baselines need
     /// it to know which page to fetch when the search frontier leaves the
     /// fetched area).
-    pub with_regions: bool,
+    pub(crate) with_regions: bool,
     /// Arc-flag bytes per adjacency entry (AF baseline; 0 otherwise).
-    pub flag_bytes: u16,
+    pub(crate) flag_bytes: u16,
 }
 
 impl RecordFormat {
     /// Serialized bytes of one node record with the given degree.
-    pub fn node_bytes(&self, degree: usize) -> usize {
+    pub(crate) fn node_bytes(&self, degree: usize) -> usize {
         14 + 4 * self.lm_count as usize
             + degree * (8 + usize::from(self.with_regions) * 2 + self.flag_bytes as usize)
     }
 }
 
 /// Per-node / per-edge extras supplied by baseline builders.
-pub trait NodeExtra {
+pub(crate) trait NodeExtra {
     /// Landmark vector of `node` (`lm_count` entries).
     fn lm_vec(&self, _node: u32) -> Vec<u32> {
         Vec::new()
@@ -46,47 +46,47 @@ pub trait NodeExtra {
 }
 
 /// No extras (CI/PI/HY/PI*).
-pub struct NoExtra;
+pub(crate) struct NoExtra;
 impl NodeExtra for NoExtra {}
 
 /// A decoded adjacency entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdjEntry {
+pub(crate) struct AdjEntry {
     /// Head node.
-    pub to: u32,
+    pub(crate) to: u32,
     /// Weight.
-    pub w: u32,
+    pub(crate) w: u32,
     /// Head node's region (`u16::MAX` when not stored).
-    pub to_region: u16,
+    pub(crate) to_region: u16,
     /// Arc-flag bytes (empty when not stored).
-    pub flags: Vec<u8>,
+    pub(crate) flags: Vec<u8>,
 }
 
 /// A decoded node record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeData {
+pub(crate) struct NodeData {
     /// Node id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Coordinates.
-    pub pos: Point,
+    pub(crate) pos: Point,
     /// Landmark vector (empty unless LM).
-    pub lm_vec: Vec<u32>,
+    pub(crate) lm_vec: Vec<u32>,
     /// Outgoing adjacency.
-    pub adj: Vec<AdjEntry>,
+    pub(crate) adj: Vec<AdjEntry>,
 }
 
 /// A decoded region page group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionData {
     /// The region id.
-    pub region: RegionId,
+    pub(crate) region: RegionId,
     /// Its nodes.
-    pub nodes: Vec<NodeData>,
+    pub(crate) nodes: Vec<NodeData>,
 }
 
 /// Builds `Fd`: `cluster_pages` sealed pages per region, in region order.
 /// Region `r`'s pages are `r * cluster_pages ..`.
-pub fn build_fd(
+pub(crate) fn build_fd(
     net: &RoadNetwork,
     partition: &Partition,
     fmt: &RecordFormat,

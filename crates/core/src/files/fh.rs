@@ -17,42 +17,42 @@ const MAGIC: u32 = 0x5050_4831; // "PPH1"
 #[derive(Debug, Clone, PartialEq)]
 pub struct Header {
     /// Scheme discriminator (mirrors `engine::SchemeKind`).
-    pub scheme: u8,
+    pub(crate) scheme: u8,
     /// Disk page size.
-    pub page_size: u32,
+    pub(crate) page_size: u32,
     /// Number of regions.
-    pub num_regions: u16,
+    pub(crate) num_regions: u16,
     /// Pages per region in the data file (1 except PI*).
     pub cluster_pages: u16,
     /// Region-data record layout.
     pub record_format: RecordFormat,
     /// CI/HY: the plan bound `m` — max regions in any decoded `S_ij`.
-    pub m_regions: u16,
+    pub(crate) m_regions: u16,
     /// Max pages any index record spans (CI `span`, PI `h`, HY `r`).
-    pub index_span: u16,
+    pub(crate) index_span: u16,
     /// HY: total pages fetched in round 4.
-    pub hy_round4: u32,
+    pub(crate) hy_round4: u32,
     /// HY: page offset of the region-data section inside the combined file.
-    pub combined_fd_offset: u32,
+    pub(crate) combined_fd_offset: u32,
     /// Page counts of the PIR-served files (for dummy-request ranges and
     /// window clamping).
-    pub fl_pages: u32,
+    pub(crate) fl_pages: u32,
     /// Network index page count (or combined-file page count for HY).
-    pub fi_pages: u32,
+    pub(crate) fi_pages: u32,
     /// Region data page count.
-    pub fd_pages: u32,
+    pub(crate) fd_pages: u32,
     /// The partitioning tree.
     pub tree: KdTree,
     /// Starting data page of each region (within `Fd`, or within the
     /// combined file for HY).
     pub region_page: Vec<u32>,
     /// The fixed query plan.
-    pub plan: QueryPlan,
+    pub(crate) plan: QueryPlan,
 }
 
 impl Header {
     /// Serializes into sealed header pages.
-    pub fn to_file(&self, page_size: usize) -> MemFile {
+    pub(crate) fn to_file(&self, page_size: usize) -> MemFile {
         let mut w = ByteWriter::new();
         w.u32(MAGIC);
         w.u8(self.scheme);
@@ -89,7 +89,7 @@ impl Header {
     }
 
     /// Decodes a header from the unsealed download payload.
-    pub fn parse(payload: &[u8]) -> Result<Header> {
+    pub(crate) fn parse(payload: &[u8]) -> Result<Header> {
         let mut r = ByteReader::new(payload);
         let magic = r.u32()?;
         if magic != MAGIC {

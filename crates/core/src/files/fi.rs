@@ -27,15 +27,15 @@ const COUNT_BYTES: usize = 2;
 
 /// Where a record landed: starting page and number of pages spanned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordLocation {
+pub(crate) struct RecordLocation {
     /// First page of the record (the page with its directory entry).
-    pub page: u32,
+    pub(crate) page: u32,
     /// Pages spanned (1 for in-page records).
-    pub span: u32,
+    pub(crate) span: u32,
 }
 
 /// Builds `Fi` by appending records in `(i, j)` order.
-pub struct FiBuilder {
+pub(crate) struct FiBuilder {
     page_size: usize,
     m: usize,
     compress: bool,
@@ -51,7 +51,7 @@ pub struct FiBuilder {
 impl FiBuilder {
     /// New builder. `m` is the CI plan bound for decoded region sets;
     /// `compress` enables §5.5.
-    pub fn new(page_size: usize, m: usize, compress: bool) -> Self {
+    pub(crate) fn new(page_size: usize, m: usize, compress: bool) -> Self {
         let payload = page_size - PAGE_CRC_BYTES;
         FiBuilder {
             page_size,
@@ -97,7 +97,7 @@ impl FiBuilder {
     }
 
     /// Appends the record for pair `(i, j)`.
-    pub fn add(&mut self, i: u16, j: u16, payload: IndexPayload) -> RecordLocation {
+    pub(crate) fn add(&mut self, i: u16, j: u16, payload: IndexPayload) -> RecordLocation {
         // Try compression against records already in the current page.
         let delta = if self.compress {
             try_delta(&payload, &self.cur_decoded, self.m)
@@ -172,13 +172,8 @@ impl FiBuilder {
         }
     }
 
-    /// Largest span across all records so far.
-    pub fn max_span(&self) -> u32 {
-        self.max_span.max(1)
-    }
-
     /// Finishes the file: seals pages and returns `(file, max_span)`.
-    pub fn finish(mut self) -> (MemFile, u32) {
+    pub(crate) fn finish(mut self) -> (MemFile, u32) {
         if !self.cur_dir.is_empty() || self.finished.is_empty() {
             self.close_page();
         }
@@ -214,7 +209,7 @@ fn parse_directory(payload: &[u8]) -> Result<Vec<(u16, u16, u32)>> {
 ///
 /// `get_payload(p)` returns the unsealed payload of fetched page `p` (the
 /// client's page window); continuation pages are consumed as needed.
-pub fn decode_entry(
+pub(crate) fn decode_entry(
     get_payload: &dyn Fn(u32) -> Result<Vec<u8>>,
     start_page: u32,
     i: u16,

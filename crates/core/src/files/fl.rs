@@ -10,26 +10,26 @@ use crate::Result;
 use privpath_storage::MemFile;
 
 /// Fixed-width look-up entries: the `Fi` page number holding the record.
-pub const FL_ENTRY_BYTES: usize = 4;
+pub(crate) const FL_ENTRY_BYTES: usize = 4;
 
 /// Entries per `Fl` page for the given page size.
-pub fn entries_per_page(page_size: usize) -> usize {
+pub(crate) fn entries_per_page(page_size: usize) -> usize {
     (page_size - PAGE_CRC_BYTES) / FL_ENTRY_BYTES
 }
 
 /// Entry index of pair `(i, j)` with `R` regions.
-pub fn entry_index(i: u16, j: u16, num_regions: u16) -> usize {
+pub(crate) fn entry_index(i: u16, j: u16, num_regions: u16) -> usize {
     i as usize * num_regions as usize + j as usize
 }
 
 /// `Fl` page that holds entry `idx`.
-pub fn page_of_entry(idx: usize, page_size: usize) -> u32 {
+pub(crate) fn page_of_entry(idx: usize, page_size: usize) -> u32 {
     (idx / entries_per_page(page_size)) as u32
 }
 
 /// Builds `Fl` from the dense entry array (indexed by
 /// [`entry_index`]).
-pub fn build_fl(entries: &[u32], page_size: usize) -> MemFile {
+pub(crate) fn build_fl(entries: &[u32], page_size: usize) -> MemFile {
     let per_page = entries_per_page(page_size);
     let mut payloads = Vec::new();
     for chunk in entries.chunks(per_page) {
@@ -46,7 +46,7 @@ pub fn build_fl(entries: &[u32], page_size: usize) -> MemFile {
 }
 
 /// Reads entry `idx` from the unsealed payload of its page.
-pub fn read_entry(page_payload: &[u8], idx: usize, page_size: usize) -> Result<u32> {
+pub(crate) fn read_entry(page_payload: &[u8], idx: usize, page_size: usize) -> Result<u32> {
     let per_page = entries_per_page(page_size);
     let slot = idx % per_page;
     let off = slot * FL_ENTRY_BYTES;

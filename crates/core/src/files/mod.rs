@@ -8,9 +8,9 @@
 //! containment on the disk path") breaks that assumption.
 
 pub mod fd;
-pub mod fh;
-pub mod fi;
-pub mod fl;
+pub(crate) mod fh;
+pub(crate) mod fi;
+pub(crate) mod fl;
 
 use crate::error::CoreError;
 use crate::Result;
@@ -19,7 +19,7 @@ use privpath_storage::PagedFile;
 use privpath_storage::{crc32, MemFile, PageBuf};
 
 /// Bytes reserved at the start of each page for the CRC-32 trailer.
-pub const PAGE_CRC_BYTES: usize = 4;
+pub(crate) const PAGE_CRC_BYTES: usize = 4;
 
 /// Seals a payload into a page: `[crc32(padded payload)][payload][zeros]`.
 ///
@@ -32,7 +32,7 @@ pub const PAGE_CRC_BYTES: usize = 4;
 ///
 /// # Panics
 /// Panics if the payload exceeds `page_size - 4`.
-pub fn seal_page(payload: &[u8], page_size: usize) -> PageBuf {
+pub(crate) fn seal_page(payload: &[u8], page_size: usize) -> PageBuf {
     assert!(
         payload.len() + PAGE_CRC_BYTES <= page_size,
         "payload of {} bytes exceeds page capacity {}",
@@ -69,7 +69,7 @@ pub fn unseal_page(page: &PageBuf) -> Result<&[u8]> {
 }
 
 /// Builds a sealed [`MemFile`] from per-page payloads.
-pub fn seal_file(payloads: &[Vec<u8>], page_size: usize) -> MemFile {
+pub(crate) fn seal_file(payloads: &[Vec<u8>], page_size: usize) -> MemFile {
     let pages = payloads.iter().map(|p| seal_page(p, page_size)).collect();
     MemFile::from_pages(pages, page_size)
 }
@@ -82,7 +82,7 @@ pub fn seal_file(payloads: &[Vec<u8>], page_size: usize) -> MemFile {
 /// generation. Mixing pages from two generations fails here only if a page
 /// happens to be corrupt; the cross-generation guard is upstream, in the
 /// session's generation pinning, not in this codec.
-pub fn unseal_download(bytes: &[u8], page_size: usize) -> Result<Vec<u8>> {
+pub(crate) fn unseal_download(bytes: &[u8], page_size: usize) -> Result<Vec<u8>> {
     if !bytes.len().is_multiple_of(page_size) {
         return Err(CoreError::Query(format!(
             "download of {} bytes is not page aligned",

@@ -51,7 +51,7 @@ pub struct RebuildStats {
     pub failed: u64,
     /// Individual build attempts, across all rebuilds, including the ones
     /// that panicked or failed validation.
-    pub attempts: u64,
+    pub(crate) attempts: u64,
 }
 
 /// The generation registry: owner of the current `(id, Arc<Database>)`
@@ -282,7 +282,7 @@ impl DbRegistry {
     /// eviction, chunked replies). Shared laps compose with swaps: a lap is
     /// over one file of one generation, so rounds of sessions pinned to
     /// different generations never ride together.
-    pub fn serve_wire_with(self: &Arc<Self>, cfg: FrontConfig) -> ServerFront {
+    pub(crate) fn serve_wire_with(self: &Arc<Self>, cfg: FrontConfig) -> ServerFront {
         let source: Arc<dyn GenerationSource> = Arc::clone(self) as Arc<dyn GenerationSource>;
         ServerFront::spawn_swappable(source, cfg)
     }
@@ -294,7 +294,7 @@ impl DbRegistry {
     }
 
     /// [`DbRegistry::serve_tcp`] with explicit front-end knobs.
-    pub fn serve_tcp_with(self: &Arc<Self>, cfg: FrontConfig) -> Result<TcpFront> {
+    pub(crate) fn serve_tcp_with(self: &Arc<Self>, cfg: FrontConfig) -> Result<TcpFront> {
         let source: Arc<dyn GenerationSource> = Arc::clone(self) as Arc<dyn GenerationSource>;
         Ok(TcpFront::spawn_swappable(source, cfg)?)
     }
@@ -343,12 +343,6 @@ pub struct RebuildHandle {
 }
 
 impl RebuildHandle {
-    /// True once the worker has finished (successfully or not); `wait` will
-    /// not block.
-    pub fn is_finished(&self) -> bool {
-        self.worker.is_finished()
-    }
-
     /// Blocks until the rebuild resolves: the newly published generation id
     /// on success, [`CoreError::RebuildFailed`] when the retry budget ran
     /// out. The worker catches build panics itself, so a join error here

@@ -9,7 +9,7 @@
 //! * [`precompute`] — one Dijkstra per border node plus a bitset sweep over
 //!   each shortest-path tree yields the region sets `S_ij` (CI) and exact
 //!   subgraphs `G_ij` (PI) for every region pair;
-//! * [`records`] — the network-index record formats, including the in-page
+//! * `records` — the network-index record formats, including the in-page
 //!   delta compression of §5.5;
 //! * [`files`] — the four database files: header `Fh`, look-up `Fl`, network
 //!   index `Fi`, region data `Fd` (§5.3), plus the concatenated `Fi|Fd` used
@@ -25,16 +25,17 @@
 //!   and traces;
 //! * [`audit`] — Theorem 1 as executable checks: query indistinguishability
 //!   via trace equality and plan conformance;
-//! * [`generation`] — generation-stamped hot swap: a [`generation::DbRegistry`]
-//!   runs background rebuilds (updated edge weights) and atomically publishes
+//! * `generation` — generation-stamped hot swap: a [`DbRegistry`] runs
+//!   background rebuilds (updated edge weights) and atomically publishes
 //!   new generations while pinned sessions drain on the old one, with
 //!   crash-contained rebuild failure;
 //! * [`snapshot`] — durable snapshots: [`engine::Database::persist`] writes
 //!   a built database as one integrity-checked file (atomic rename,
 //!   per-page checksums), [`engine::Database::open_snapshot`] reopens it
-//!   memory-resident or disk-backed, and
-//!   [`generation::DbRegistry::recover`] cold-starts from the newest valid
-//!   snapshot in a directory.
+//!   memory-resident or disk-backed, and [`DbRegistry::recover`] cold-starts
+//!   from the newest valid snapshot in a directory.
+
+#![warn(unreachable_pub)]
 
 pub mod audit;
 pub mod augment;
@@ -42,16 +43,16 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod files;
-pub mod generation;
+mod generation;
 pub mod plan;
 pub mod precompute;
-pub mod records;
+mod records;
 pub mod schemes;
 pub mod snapshot;
 pub mod subgraph;
 
 pub use config::BuildConfig;
-pub use engine::{Database, Engine, PathAnswer, QueryOutput, QuerySession, SchemeKind};
+pub use engine::{Database, PathAnswer, QueryOutput, QuerySession, SchemeKind};
 pub use error::CoreError;
 pub use generation::{DbRegistry, RebuildHandle, RebuildStats};
 pub use snapshot::StorageBackend;

@@ -52,12 +52,12 @@ impl PlanFile {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RoundSpec {
     /// Steps executed in order within the round.
-    pub steps: Vec<(PlanFile, u32)>,
+    pub(crate) steps: Vec<(PlanFile, u32)>,
 }
 
 impl RoundSpec {
     /// Single-step round.
-    pub fn one(file: PlanFile, fetches: u32) -> Self {
+    pub(crate) fn one(file: PlanFile, fetches: u32) -> Self {
         RoundSpec {
             steps: vec![(file, fetches)],
         }
@@ -72,16 +72,6 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Total PIR fetches against `file` across all rounds.
-    pub fn fetches_of(&self, file: PlanFile) -> u32 {
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.steps)
-            .filter(|(f, _)| *f == file)
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
     /// Total PIR fetches (all files except the header download).
     pub fn total_fetches(&self) -> u32 {
         self.rounds
@@ -98,7 +88,7 @@ impl QueryPlan {
     }
 
     /// Serializes the plan (part of the public header).
-    pub fn serialize(&self, w: &mut ByteWriter) {
+    pub(crate) fn serialize(&self, w: &mut ByteWriter) {
         w.u16(self.rounds.len() as u16);
         for round in &self.rounds {
             w.u8(round.steps.len() as u8);
@@ -110,7 +100,7 @@ impl QueryPlan {
     }
 
     /// Decodes a plan serialized by [`QueryPlan::serialize`].
-    pub fn deserialize(r: &mut ByteReader<'_>) -> Result<QueryPlan, StorageError> {
+    pub(crate) fn deserialize(r: &mut ByteReader<'_>) -> Result<QueryPlan, StorageError> {
         let rounds = r.u16()? as usize;
         let mut plan = QueryPlan::default();
         for _ in 0..rounds {
@@ -146,8 +136,6 @@ mod tests {
     fn counts() {
         let p = ci_like_plan();
         assert_eq!(p.num_rounds(), 4);
-        assert_eq!(p.fetches_of(PlanFile::Index), 3);
-        assert_eq!(p.fetches_of(PlanFile::Data), 12);
         assert_eq!(p.total_fetches(), 16);
     }
 

@@ -141,31 +141,31 @@ impl<T> RowTable<T> {
 #[derive(Debug)]
 pub struct Precomputed {
     /// Number of regions `R`.
-    pub num_regions: u16,
+    pub(crate) num_regions: u16,
     /// `s_sets[i·R + j]` — sorted intermediate regions of `S_ij`
     /// (excluding `i` and `j` themselves, which the client always fetches).
-    pub s_sets: Vec<Vec<RegionId>>,
+    pub(crate) s_sets: Vec<Vec<RegionId>>,
     /// `g_sets[i·R + j]` — sorted original arc ids of `G_ij`
     /// (empty vectors when `compute_g` was off).
-    pub g_sets: Vec<Vec<u32>>,
+    pub(crate) g_sets: Vec<Vec<u32>>,
     /// `m` — the largest `|S_ij|`; the CI query plan fetches `m + 2` region
     /// pages (§5.4).
-    pub m: usize,
+    pub(crate) m: usize,
 }
 
 impl Precomputed {
     /// The `S_ij` set.
-    pub fn s(&self, i: RegionId, j: RegionId) -> &[RegionId] {
+    pub(crate) fn s(&self, i: RegionId, j: RegionId) -> &[RegionId] {
         &self.s_sets[i as usize * self.num_regions as usize + j as usize]
     }
 
     /// The `G_ij` arc set.
-    pub fn g(&self, i: RegionId, j: RegionId) -> &[u32] {
+    pub(crate) fn g(&self, i: RegionId, j: RegionId) -> &[u32] {
         &self.g_sets[i as usize * self.num_regions as usize + j as usize]
     }
 
     /// Histogram of `|S_ij|` cardinalities (Figure 10(a)).
-    pub fn s_cardinality_histogram(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn s_cardinality_histogram(&self) -> Vec<(usize, usize)> {
         let mut counts = std::collections::BTreeMap::new();
         for s in &self.s_sets {
             *counts.entry(s.len()).or_insert(0usize) += 1;

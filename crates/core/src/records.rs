@@ -18,30 +18,15 @@ use privpath_storage::{ByteReader, ByteWriter};
 
 /// An edge of a `G_ij` subgraph, self-contained for the client:
 /// `(tail node, head node, weight)`.
-pub type EdgeTriple = (u32, u32, u32);
+pub(crate) type EdgeTriple = (u32, u32, u32);
 
 /// A decoded index record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IndexPayload {
+pub(crate) enum IndexPayload {
     /// Region identifiers (decoded `S_ij`, possibly inflated, `<= m`).
     Regions(Vec<u16>),
     /// Edge triples (decoded `G_ij`, possibly inflated).
     Edges(Vec<EdgeTriple>),
-}
-
-impl IndexPayload {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self {
-            IndexPayload::Regions(v) => v.len(),
-            IndexPayload::Edges(v) => v.len(),
-        }
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 const KIND_REGIONS_LITERAL: u8 = 0;
@@ -50,7 +35,7 @@ const KIND_EDGES_LITERAL: u8 = 2;
 const KIND_EDGES_DELTA: u8 = 3;
 
 /// Serialized size of a literal record for `payload`.
-pub fn literal_size(payload: &IndexPayload) -> usize {
+pub(crate) fn literal_size(payload: &IndexPayload) -> usize {
     match payload {
         IndexPayload::Regions(v) => 1 + 2 + 2 * v.len(),
         IndexPayload::Edges(v) => 1 + 4 + 12 * v.len(),
@@ -58,7 +43,7 @@ pub fn literal_size(payload: &IndexPayload) -> usize {
 }
 
 /// Encodes `payload` literally.
-pub fn encode_literal(payload: &IndexPayload, w: &mut ByteWriter) {
+pub(crate) fn encode_literal(payload: &IndexPayload, w: &mut ByteWriter) {
     match payload {
         IndexPayload::Regions(v) => {
             w.u8(KIND_REGIONS_LITERAL);
@@ -77,16 +62,15 @@ pub fn encode_literal(payload: &IndexPayload, w: &mut ByteWriter) {
     }
 }
 
-/// A delta encoding decision: the chosen reference slot, the encoded bytes,
-/// and the payload the *client* will decode (possibly inflated).
+/// A delta encoding decision: the encoded bytes (which name the chosen
+/// reference slot) and the payload the *client* will decode (possibly
+/// inflated).
 #[derive(Debug)]
-pub struct DeltaEncoding {
-    /// Directory slot of the reference record within the same page.
-    pub ref_slot: u16,
+pub(crate) struct DeltaEncoding {
     /// Serialized record bytes.
-    pub bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
     /// What decoding will yield — a superset of the true payload.
-    pub decoded: IndexPayload,
+    pub(crate) decoded: IndexPayload,
 }
 
 /// How many of the most recent in-page records [`try_delta`] considers as
@@ -96,7 +80,7 @@ pub struct DeltaEncoding {
 /// dominated the whole offline pipeline. Consecutive `(i, j)` records are
 /// the spatially correlated ones, so a short recency window keeps nearly
 /// all of the compression at a small, constant per-record cost.
-pub const DELTA_WINDOW: usize = 16;
+pub(crate) const DELTA_WINDOW: usize = 16;
 
 /// Tries to delta-encode `payload` against the decoded payloads already in
 /// the page (the [`DELTA_WINDOW`] most recent ones). Returns the best
@@ -104,7 +88,7 @@ pub const DELTA_WINDOW: usize = 16;
 ///
 /// `m` bounds the decoded cardinality for region sets (the CI query plan
 /// fetches `m + 2` region pages, so decoded sets must not exceed `m`).
-pub fn try_delta(
+pub(crate) fn try_delta(
     payload: &IndexPayload,
     in_page: &[IndexPayload],
     m: usize,
@@ -215,7 +199,6 @@ fn delta_regions(mine: &[u16], refs: &[u16], slot: u16, m: usize) -> Option<Delt
         w.u16(r);
     }
     Some(DeltaEncoding {
-        ref_slot: slot,
         bytes: w.into_vec(),
         decoded: IndexPayload::Regions(decoded),
     })
@@ -247,7 +230,6 @@ fn delta_edges(mine: &[EdgeTriple], refs: &[EdgeTriple], slot: u16) -> Option<De
         w.u32(a).u32(b).u32(wt);
     }
     Some(DeltaEncoding {
-        ref_slot: slot,
         bytes: w.into_vec(),
         decoded: IndexPayload::Edges(decoded),
     })
@@ -256,7 +238,7 @@ fn delta_edges(mine: &[EdgeTriple], refs: &[EdgeTriple], slot: u16) -> Option<De
 /// Decodes one record from `r`. `resolve` maps a reference slot to its
 /// already-decoded payload (in-page references only; the page reader supplies
 /// this and guards against reference cycles).
-pub fn decode_record(
+pub(crate) fn decode_record(
     r: &mut ByteReader<'_>,
     resolve: &dyn Fn(u16) -> Result<IndexPayload>,
 ) -> Result<IndexPayload> {
@@ -440,7 +422,8 @@ mod tests {
             IndexPayload::Regions(vec![1, 2, 3]),
         ];
         let enc = try_delta(&mine, &refs, 100).unwrap();
-        assert_eq!(enc.ref_slot, 1);
+        // kind byte, then the reference's directory slot
+        assert_eq!(enc.bytes[..3], [KIND_REGIONS_DELTA, 1, 0]);
     }
 
     #[test]

@@ -28,17 +28,17 @@ use std::sync::Arc;
 pub use crate::subgraph::flag_set;
 
 /// Built AF database handles.
-pub struct AfScheme {
+pub(crate) struct AfScheme {
     /// The public header.
-    pub header: Header,
+    pub(crate) header: Header,
     /// Header file id.
-    pub header_file: FileId,
+    pub(crate) header_file: FileId,
     /// Region data file id.
-    pub data_file: FileId,
+    pub(crate) data_file: FileId,
     /// Regions any query fetches (plan budget, each `pages_per_region` pages).
-    pub max_regions: u32,
+    pub(crate) max_regions: u32,
     /// Pages per region.
-    pub pages_per_region: u32,
+    pub(crate) pages_per_region: u32,
 }
 
 struct AfExtra<'a> {
@@ -235,7 +235,7 @@ fn offline_region(fd: &MemFile, region: u16, ppr: u32, fmt: &RecordFormat) -> Re
 }
 
 /// Builds the AF database.
-pub fn build(
+pub(crate) fn build(
     net: &RoadNetwork,
     cfg: &BuildConfig,
     server: &mut PirServer,
@@ -375,7 +375,7 @@ pub fn build(
 /// fetches one region's page group as a batch, and dummy rounds batch their
 /// `pages_per_region` random pages. The trace is event-for-event identical
 /// to per-fetch execution.
-pub fn query(
+pub(crate) fn query(
     scheme: &AfScheme,
     link: &mut dyn Transport,
     ctx: &mut crate::engine::QueryCtx,

@@ -29,7 +29,7 @@ use privpath_storage::MemFile;
 
 /// Which payload the index stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexFlavor {
+pub(crate) enum IndexFlavor {
     /// Region sets (CI).
     Sets,
     /// Subgraphs (PI / PI*).
@@ -42,21 +42,21 @@ pub enum IndexFlavor {
 }
 
 /// Built database handles for an index-family scheme.
-pub struct IndexScheme {
+pub(crate) struct IndexScheme {
     /// Scheme discriminator byte stored in the header.
-    pub scheme_byte: u8,
+    pub(crate) scheme_byte: u8,
     /// The flavor.
-    pub flavor: IndexFlavor,
+    pub(crate) flavor: IndexFlavor,
     /// Header (also kept parsed for inspection).
-    pub header: Header,
+    pub(crate) header: Header,
     /// PIR file ids.
-    pub header_file: FileId,
+    pub(crate) header_file: FileId,
     /// Look-up file id.
-    pub lookup_file: FileId,
+    pub(crate) lookup_file: FileId,
     /// Index file id (for HY this is the combined `Fi|Fd` file).
-    pub index_file: FileId,
+    pub(crate) index_file: FileId,
     /// Region-data file id (same as `index_file` for HY).
-    pub data_file: FileId,
+    pub(crate) data_file: FileId,
 }
 
 /// Wall-clock seconds per offline build stage — what `experiments` prints
@@ -79,24 +79,17 @@ pub struct StageBreakdown {
     pub plan_s: f64,
 }
 
-impl StageBreakdown {
-    /// Sum of all stages.
-    pub fn total_s(&self) -> f64 {
-        self.partition_s + self.borders_s + self.precompute_s + self.files_s + self.plan_s
-    }
-}
-
 /// Statistics produced during the build (for the experiment harness).
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
     /// Number of regions.
     pub regions: u32,
     /// Number of border nodes.
-    pub borders: u32,
+    pub(crate) borders: u32,
     /// `m` — max region-set cardinality.
     pub m: u32,
     /// Max pages spanned by an index record.
-    pub index_span: u32,
+    pub(crate) index_span: u32,
     /// Fd space utilization (Figure 8(a)).
     pub fd_utilization: f64,
     /// Page counts: (Fl, Fi, Fd).
@@ -121,7 +114,11 @@ fn edge_triples(net: &RoadNetwork, edges: &[u32]) -> Vec<(u32, u32, u32)> {
 
 /// Estimates the uncompressed index size for a HY threshold, used for
 /// auto-tuning: pick the smallest threshold whose index fits the PIR limit.
-pub fn estimate_hybrid_index_bytes(_net: &RoadNetwork, pre: &Precomputed, threshold: usize) -> u64 {
+pub(crate) fn estimate_hybrid_index_bytes(
+    _net: &RoadNetwork,
+    pre: &Precomputed,
+    threshold: usize,
+) -> u64 {
     let mut total = 0u64;
     let r = pre.num_regions as usize;
     for i in 0..r {
@@ -143,7 +140,11 @@ pub fn estimate_hybrid_index_bytes(_net: &RoadNetwork, pre: &Precomputed, thresh
 /// Picks the smallest HY threshold whose estimated index stays within
 /// `limit_bytes` (Figure 10(b): "the best threshold value is the smallest for
 /// which the network index file does not exceed the maximum size supported").
-pub fn auto_hybrid_threshold(net: &RoadNetwork, pre: &Precomputed, limit_bytes: u64) -> usize {
+pub(crate) fn auto_hybrid_threshold(
+    net: &RoadNetwork,
+    pre: &Precomputed,
+    limit_bytes: u64,
+) -> usize {
     // Estimates are monotone decreasing in the threshold; binary search.
     let (mut lo, mut hi) = (0usize, pre.m + 1);
     while lo < hi {
@@ -158,7 +159,7 @@ pub fn auto_hybrid_threshold(net: &RoadNetwork, pre: &Precomputed, limit_bytes: 
 }
 
 /// Builds an index-family database and registers its files with `server`.
-pub fn build(
+pub(crate) fn build(
     net: &RoadNetwork,
     flavor: IndexFlavor,
     scheme_byte: u8,
@@ -454,7 +455,7 @@ fn decode_region_groups(
 /// way (the client knows a round's pages before requesting any of them;
 /// §5.4, §6), so batching changes the server's work per round, not the
 /// protocol: the trace and meter are bit-identical to per-fetch execution.
-pub fn query(
+pub(crate) fn query(
     scheme: &IndexScheme,
     link: &mut dyn Transport,
     ctx: &mut crate::engine::QueryCtx,

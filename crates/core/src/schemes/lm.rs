@@ -31,15 +31,15 @@ use std::sync::Arc;
 pub use crate::subgraph::lm_bound;
 
 /// Built LM database handles.
-pub struct LmScheme {
+pub(crate) struct LmScheme {
     /// The public header.
-    pub header: Header,
+    pub(crate) header: Header,
     /// Header file id.
-    pub header_file: FileId,
+    pub(crate) header_file: FileId,
     /// Region data file id.
-    pub data_file: FileId,
+    pub(crate) data_file: FileId,
     /// Total `Fd` pages any query fetches (the fixed plan budget).
-    pub max_pages: u32,
+    pub(crate) max_pages: u32,
 }
 
 struct LmExtra<'a> {
@@ -242,7 +242,7 @@ fn offline_region(fd: &MemFile, region: u16, fmt: &RecordFormat) -> Result<Regio
 
 /// Builds the LM database: packed partition with landmark-extended records,
 /// plan derived by running the search over sampled (or all) node pairs.
-pub fn build(
+pub(crate) fn build(
     net: &RoadNetwork,
     cfg: &BuildConfig,
     server: &mut PirServer,
@@ -372,7 +372,7 @@ pub fn build(
 /// first two fetch calls. Every later round of the interleaved search is
 /// data-dependent and holds one page, issued as a batch of one; the trace is
 /// event-for-event identical to per-fetch execution.
-pub fn query(
+pub(crate) fn query(
     scheme: &LmScheme,
     link: &mut dyn Transport,
     ctx: &mut crate::engine::QueryCtx,

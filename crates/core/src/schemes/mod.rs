@@ -10,5 +10,5 @@
 pub mod af;
 pub mod index_scheme;
 pub mod lm;
-pub mod obf;
+pub(crate) mod obf;
 pub(crate) mod plan_probe;

@@ -25,26 +25,26 @@ use crate::Result;
 use privpath_graph::dijkstra::dijkstra;
 use privpath_graph::network::RoadNetwork;
 use privpath_graph::path::Path;
-use privpath_graph::types::{NodeId, Point};
+use privpath_graph::types::Point;
 use privpath_pir::{PirServer, Transport};
 use rand::Rng;
 
 /// Built OBF "database": the plaintext network the LBS computes on (OBF has
 /// no PIR files) plus the obfuscation parameter.
-pub struct ObfScheme {
+pub(crate) struct ObfScheme {
     /// The road network, as the LBS stores it.
-    pub net: RoadNetwork,
+    pub(crate) net: RoadNetwork,
     /// `|S| = |T|` — the real endpoint plus `decoys - 1` fakes (the x-axis
     /// of Figure 6).
-    pub decoys: usize,
+    pub(crate) decoys: usize,
     /// Trivial fixed plan: one round, no PIR fetches. (OBF's leakage is in
     /// the uploaded candidate sets, which the trace abstraction — built for
     /// PIR access patterns — does not model.)
-    pub plan: QueryPlan,
+    pub(crate) plan: QueryPlan,
 }
 
 /// "Builds" the OBF database: the LBS just keeps the plaintext network.
-pub fn build(
+pub(crate) fn build(
     net: &RoadNetwork,
     cfg: &BuildConfig,
     _server: &mut PirServer,
@@ -69,22 +69,10 @@ pub fn build(
     ))
 }
 
-/// Nearest network node to `p` (ties broken by the lowest node id).
-fn nearest_node(net: &RoadNetwork, p: Point) -> NodeId {
-    let mut best = (i128::MAX, 0u32);
-    for u in 0..net.num_nodes() as u32 {
-        let d = net.node_point(u).dist2(&p);
-        if d < best.0 {
-            best = (d, u);
-        }
-    }
-    best.1
-}
-
 /// Executes one obfuscated query (client + LBS in one harness): uploads the
 /// decoy sets, charges one `|S|·|T|` shortest-path evaluation to the server
 /// bucket, and ships every candidate path back.
-pub fn query(
+pub(crate) fn query(
     scheme: &ObfScheme,
     link: &mut dyn Transport,
     ctx: &mut crate::engine::QueryCtx,
@@ -99,8 +87,9 @@ pub fn query(
 
     let net = &scheme.net;
     let n = net.num_nodes() as u32;
-    let s_node = nearest_node(net, s);
-    let t_node = nearest_node(net, t);
+    // `build` rejects an empty network, so there is always a nearest node
+    let s_node = net.nearest_node(s).expect("non-empty network");
+    let t_node = net.nearest_node(t).expect("non-empty network");
 
     // Client: build obfuscation sets (uniform random decoys; real pair first).
     let mut src_set = vec![s_node];
@@ -160,17 +149,18 @@ pub fn query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SchemeKind};
+    use crate::engine::{Database, QuerySession, SchemeKind};
     use privpath_graph::dijkstra::distance;
     use privpath_graph::gen::{grid_network, GridGenConfig};
+    use std::sync::Arc;
 
-    fn engine(net: &RoadNetwork, decoys: usize, seed: u64) -> Engine {
+    fn session(net: &RoadNetwork, decoys: usize, seed: u64) -> QuerySession {
         let cfg = BuildConfig {
             obf_decoys: decoys,
             seed,
             ..Default::default()
         };
-        Engine::build(net, SchemeKind::Obf, &cfg).unwrap()
+        Arc::new(Database::build(net, SchemeKind::Obf, &cfg).unwrap()).session()
     }
 
     #[test]
@@ -180,7 +170,7 @@ mod tests {
             ny: 8,
             ..Default::default()
         });
-        let out = engine(&net, 5, 42).query_nodes(&net, 0, 63).unwrap();
+        let out = session(&net, 5, 42).query_nodes(&net, 0, 63).unwrap();
         assert_eq!(out.answer.cost, Some(distance(&net, 0, 63)));
         assert_eq!(out.answer.path_nodes.first(), Some(&0));
         assert_eq!(out.answer.path_nodes.last(), Some(&63));
@@ -193,8 +183,8 @@ mod tests {
             ny: 10,
             ..Default::default()
         });
-        let small = engine(&net, 5, 1).query_nodes(&net, 0, 99).unwrap();
-        let big = engine(&net, 20, 1).query_nodes(&net, 0, 99).unwrap();
+        let small = session(&net, 5, 1).query_nodes(&net, 0, 99).unwrap();
+        let big = session(&net, 20, 1).query_nodes(&net, 0, 99).unwrap();
         assert!(big.meter.bytes_transferred > small.meter.bytes_transferred);
         assert!(big.meter.comm_s > small.meter.comm_s);
         // |S|·|T| grows quadratically
@@ -208,7 +198,7 @@ mod tests {
             ny: 12,
             ..Default::default()
         });
-        let out = engine(&net, 10, 2).query_nodes(&net, 5, 140).unwrap();
+        let out = session(&net, 10, 2).query_nodes(&net, 5, 140).unwrap();
         assert!(out.meter.server_s > 0.0);
         assert!(out.meter.response_time_s() > out.meter.server_s);
         assert_eq!(out.meter.rounds, 1);
@@ -223,7 +213,7 @@ mod tests {
             ny: 6,
             ..Default::default()
         });
-        let out = engine(&net, 1, 3).query_nodes(&net, 0, 35).unwrap();
+        let out = session(&net, 1, 3).query_nodes(&net, 0, 35).unwrap();
         assert_eq!(out.answer.cost, Some(distance(&net, 0, 35)));
     }
 
@@ -238,6 +228,6 @@ mod tests {
             obf_decoys: 0,
             ..Default::default()
         };
-        assert!(Engine::build(&net, SchemeKind::Obf, &cfg).is_err());
+        assert!(Database::build(&net, SchemeKind::Obf, &cfg).is_err());
     }
 }

@@ -57,7 +57,7 @@ pub fn flag_set(flags: &[u8], region: usize) -> bool {
 
 /// The client's partial view of the network, interned into dense node slots.
 ///
-/// Accumulate pages with [`add_region`](Self::add_region) /
+/// Accumulate pages with `add_region` /
 /// [`add_edges`](Self::add_edges), then solve with
 /// [`shortest_path_in`](Self::shortest_path_in). [`clear`](Self::clear)
 /// resets the view for the next query while keeping every buffer's capacity.
@@ -131,7 +131,7 @@ impl ClientSubgraph {
     }
 
     /// Number of interned nodes.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.ids.len()
     }
 
@@ -148,7 +148,7 @@ impl ClientSubgraph {
     }
 
     /// Merges a decoded region page.
-    pub fn add_region(&mut self, data: &RegionData) {
+    pub(crate) fn add_region(&mut self, data: &RegionData) {
         self.add_region_ext(data, None);
     }
 
@@ -160,7 +160,7 @@ impl ClientSubgraph {
     ///
     /// Idempotent per region: a region already folded in is skipped (the
     /// PIR fetch that produced `data` still happened; the caller counts it).
-    pub fn add_region_ext(&mut self, data: &RegionData, goal_flag: Option<usize>) {
+    pub(crate) fn add_region_ext(&mut self, data: &RegionData, goal_flag: Option<usize>) {
         if self.loaded.contains(&data.region) {
             return;
         }
@@ -223,7 +223,7 @@ impl ClientSubgraph {
     /// Snaps a query point to the nearest node of `region` ("our
     /// contributions apply to query sources/destinations that lie anywhere
     /// on the road network", §3.1 — we snap within the host region).
-    pub fn snap(&self, region: u16, p: Point) -> Option<NodeId> {
+    pub(crate) fn snap(&self, region: u16, p: Point) -> Option<NodeId> {
         let mut best: Option<(i128, NodeId)> = None;
         for &(r, start, end) in &self.region_runs {
             if r != region {
@@ -244,7 +244,7 @@ impl ClientSubgraph {
     /// insertion order (first minimum wins) instead of by external node id —
     /// matching the `HashMap` reference searches' `min_by_key`, so the LM/AF
     /// differential suites can require exact equality.
-    pub fn snap_first(&self, region: u16, p: Point) -> Option<NodeId> {
+    pub(crate) fn snap_first(&self, region: u16, p: Point) -> Option<NodeId> {
         let mut best: Option<(i128, NodeId)> = None;
         for &(r, start, end) in &self.region_runs {
             if r != region {
@@ -724,7 +724,6 @@ pub fn search_af(
 /// Reference implementations kept for differential tests and benchmarks: the
 /// original `HashMap`-based client view that the CSR hot path replaced.
 pub mod reference {
-    use super::RegionData;
     use privpath_graph::types::{Dist, NodeId};
     use std::collections::HashMap;
 
@@ -738,16 +737,6 @@ pub mod reference {
         /// Empty view.
         pub fn new() -> Self {
             Self::default()
-        }
-
-        /// Merges a decoded region page (adjacency only).
-        pub fn add_region(&mut self, data: &RegionData) {
-            for n in &data.nodes {
-                let entry = self.adj.entry(n.id).or_default();
-                for a in &n.adj {
-                    entry.push((a.to, a.w));
-                }
-            }
         }
 
         /// Merges subgraph edge triples.

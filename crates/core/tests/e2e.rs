@@ -4,11 +4,12 @@
 
 use privpath_core::audit::assert_indistinguishable;
 use privpath_core::config::BuildConfig;
-use privpath_core::engine::{Engine, SchemeKind};
+use privpath_core::engine::{Database, SchemeKind};
 use privpath_graph::dijkstra::{distance, INFINITY};
 use privpath_graph::gen::{road_like, RoadGenConfig};
 use privpath_graph::network::RoadNetwork;
 use privpath_pir::PirMode;
+use std::sync::Arc;
 
 fn test_net(nodes: usize, seed: u64) -> RoadNetwork {
     road_like(&RoadGenConfig {
@@ -36,11 +37,12 @@ fn query_pairs(net: &RoadNetwork, count: usize) -> Vec<(u32, u32)> {
 
 fn check_scheme(kind: SchemeKind, cfg: &BuildConfig, nodes: usize, seed: u64, queries: usize) {
     let net = test_net(nodes, seed);
-    let mut engine = Engine::build(&net, kind, cfg)
+    let db = Database::build(&net, kind, cfg)
         .unwrap_or_else(|e| panic!("{} build failed: {e}", kind.name()));
+    let mut session = Arc::new(db).session();
     let mut traces = Vec::new();
     for (s, t) in query_pairs(&net, queries) {
-        let out = engine
+        let out = session
             .query_nodes(&net, s, t)
             .unwrap_or_else(|e| panic!("{} query {s}->{t} failed: {e}", kind.name()));
         assert!(
@@ -122,9 +124,9 @@ fn obf_returns_optimal_costs_via_unified_api() {
     let net = test_net(250, 114);
     let mut cfg = small_cfg();
     cfg.obf_decoys = 6;
-    let mut engine = Engine::build(&net, SchemeKind::Obf, &cfg).unwrap();
+    let mut session = Arc::new(Database::build(&net, SchemeKind::Obf, &cfg).unwrap()).session();
     for (s, t) in query_pairs(&net, 12) {
-        let out = engine.query_nodes(&net, s, t).unwrap();
+        let out = session.query_nodes(&net, s, t).unwrap();
         let want = distance(&net, s, t);
         assert_eq!(out.answer.cost.unwrap_or(INFINITY), want, "OBF {s}->{t}");
         assert_eq!(out.meter.total_fetches(), 0, "OBF performs no PIR fetches");
@@ -160,8 +162,8 @@ fn db_sizes_are_ordered_ci_smallest() {
     // Table 3 / Figure 7(b): PI's database dwarfs CI's.
     let net = test_net(400, 111);
     let cfg = small_cfg();
-    let ci = Engine::build(&net, SchemeKind::Ci, &cfg).unwrap();
-    let pi = Engine::build(&net, SchemeKind::Pi, &cfg).unwrap();
+    let ci = Database::build(&net, SchemeKind::Ci, &cfg).unwrap();
+    let pi = Database::build(&net, SchemeKind::Pi, &cfg).unwrap();
     assert!(
         pi.db_bytes() > ci.db_bytes(),
         "PI ({}) should outweigh CI ({})",
@@ -175,8 +177,8 @@ fn pi_fetches_fewer_pages_than_ci() {
     // Table 3: CI incurs many more PIR accesses than PI.
     let net = test_net(400, 112);
     let cfg = small_cfg();
-    let mut ci = Engine::build(&net, SchemeKind::Ci, &cfg).unwrap();
-    let mut pi = Engine::build(&net, SchemeKind::Pi, &cfg).unwrap();
+    let mut ci = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).unwrap()).session();
+    let mut pi = Arc::new(Database::build(&net, SchemeKind::Pi, &cfg).unwrap()).session();
     let (s, t) = (0u32, (net.num_nodes() - 1) as u32);
     let ci_out = ci.query_nodes(&net, s, t).unwrap();
     let pi_out = pi.query_nodes(&net, s, t).unwrap();
@@ -191,9 +193,10 @@ fn pi_fetches_fewer_pages_than_ci() {
 #[test]
 fn same_query_twice_is_indistinguishable_and_consistent() {
     let net = test_net(300, 113);
-    let mut engine = Engine::build(&net, SchemeKind::Ci, &small_cfg()).unwrap();
-    let a = engine.query_nodes(&net, 3, 250).unwrap();
-    let b = engine.query_nodes(&net, 3, 250).unwrap();
+    let mut session =
+        Arc::new(Database::build(&net, SchemeKind::Ci, &small_cfg()).unwrap()).session();
+    let a = session.query_nodes(&net, 3, 250).unwrap();
+    let b = session.query_nodes(&net, 3, 250).unwrap();
     assert_eq!(a.answer.cost, b.answer.cost);
     assert_eq!(a.trace, b.trace);
 }

@@ -27,11 +27,6 @@ impl ArcFlags {
         self.regions
     }
 
-    /// Words per edge in the flat array.
-    pub fn words_per_edge(&self) -> usize {
-        self.words_per_edge
-    }
-
     /// True if edge `e` may lie on a shortest path into `region`.
     pub fn get(&self, e: EdgeId, region: usize) -> bool {
         assert!(region < self.regions);
@@ -56,13 +51,6 @@ impl ArcFlags {
     /// Serialized size of one edge's flag vector in bytes.
     pub fn flag_bytes(&self) -> usize {
         self.regions.div_ceil(8)
-    }
-
-    /// Fraction of set bits (diagnostic: sparser is better for pruning).
-    pub fn density(&self) -> f64 {
-        let ones: u64 = self.words.iter().map(|w| w.count_ones() as u64).sum();
-        let total = self.words.len() as u64 * 64;
-        ones as f64 / total as f64
     }
 
     /// Computes arc flags for `net` under the region assignment
@@ -127,54 +115,54 @@ impl ArcFlags {
     }
 }
 
-/// Runs an arc-flag-pruned Dijkstra from `s` to `t`: only arcs whose flag for
-/// `t`'s region is set are relaxed. Returns the (optimal) cost and the number
-/// of settled nodes, mirroring [`crate::astar::AStarResult`].
-pub fn arcflag_query(
-    net: &RoadNetwork,
-    flags: &ArcFlags,
-    region_of: &[u16],
-    s: NodeId,
-    t: NodeId,
-) -> (Dist, usize) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let goal_region = region_of[t as usize] as usize;
-    let n = net.num_nodes();
-    let mut dist = vec![INFINITY; n];
-    let mut closed = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[s as usize] = 0;
-    heap.push(Reverse((0 as Dist, s)));
-    let mut settled = 0usize;
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if closed[u as usize] {
-            continue;
-        }
-        closed[u as usize] = true;
-        settled += 1;
-        if u == t {
-            return (d, settled);
-        }
-        for (e, v, w) in net.arcs_from(u) {
-            if !flags.get(e, goal_region) {
-                continue;
-            }
-            let nd = d + Dist::from(w);
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    (INFINITY, settled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dijkstra::distance;
     use crate::gen::{grid_network, GridGenConfig};
+
+    /// Runs an arc-flag-pruned Dijkstra from `s` to `t`: only arcs whose
+    /// flag for `t`'s region is set are relaxed. Returns the (optimal) cost
+    /// and the number of settled nodes.
+    fn arcflag_query(
+        net: &RoadNetwork,
+        flags: &ArcFlags,
+        region_of: &[u16],
+        s: NodeId,
+        t: NodeId,
+    ) -> (Dist, usize) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let goal_region = region_of[t as usize] as usize;
+        let n = net.num_nodes();
+        let mut dist = vec![INFINITY; n];
+        let mut closed = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        dist[s as usize] = 0;
+        heap.push(Reverse((0 as Dist, s)));
+        let mut settled = 0usize;
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if closed[u as usize] {
+                continue;
+            }
+            closed[u as usize] = true;
+            settled += 1;
+            if u == t {
+                return (d, settled);
+            }
+            for (e, v, w) in net.arcs_from(u) {
+                if !flags.get(e, goal_region) {
+                    continue;
+                }
+                let nd = d + Dist::from(w);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        (INFINITY, settled)
+    }
 
     /// 2x2 block partition of a grid network.
     fn quad_regions(net: &RoadNetwork) -> Vec<u16> {
@@ -226,7 +214,6 @@ mod tests {
         };
         let (_, settled_all) = arcflag_query(&net, &all, &regions, 0, 143);
         assert!(settled_flagged <= settled_all);
-        assert!(flags.density() < 1.0);
     }
 
     #[test]

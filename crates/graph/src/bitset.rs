@@ -20,11 +20,6 @@ impl FixedBitset {
         }
     }
 
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.bits
-    }
-
     /// Sets bit `i`.
     ///
     /// # Panics
@@ -32,12 +27,6 @@ impl FixedBitset {
     pub fn set(&mut self, i: usize) {
         assert!(i < self.bits, "bit {i} out of range {}", self.bits);
         self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Clears bit `i`.
-    pub fn unset(&mut self, i: usize) {
-        assert!(i < self.bits, "bit {i} out of range {}", self.bits);
-        self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
     /// Reads bit `i`.
@@ -57,19 +46,9 @@ impl FixedBitset {
         }
     }
 
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// True if no bit is set.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// True if `self` and `other` share a set bit.
-    pub fn intersects(&self, other: &FixedBitset) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Clears all bits (keeps capacity).
@@ -92,13 +71,8 @@ impl FixedBitset {
         })
     }
 
-    /// Raw word storage (for flat-packed per-edge flag arrays).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Rebuilds a bitset from raw words.
-    pub fn from_words(bits: usize, words: Vec<u64>) -> Self {
+    pub(crate) fn from_words(bits: usize, words: Vec<u64>) -> Self {
         assert_eq!(words.len(), bits.div_ceil(64));
         FixedBitset { bits, words }
     }
@@ -108,20 +82,6 @@ impl FixedBitset {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn set_get_unset() {
-        let mut b = FixedBitset::new(130);
-        assert!(!b.get(0));
-        b.set(0);
-        b.set(64);
-        b.set(129);
-        assert!(b.get(0) && b.get(64) && b.get(129));
-        assert_eq!(b.count_ones(), 3);
-        b.unset(64);
-        assert!(!b.get(64));
-        assert_eq!(b.count_ones(), 2);
-    }
 
     #[test]
     fn ones_iterates_in_order() {
@@ -134,25 +94,13 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersects() {
-        let mut a = FixedBitset::new(100);
-        let mut b = FixedBitset::new(100);
-        a.set(1);
-        b.set(99);
-        assert!(!a.intersects(&b));
-        a.union_with(&b);
-        assert!(a.get(1) && a.get(99));
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
     fn clear_resets() {
         let mut a = FixedBitset::new(10);
         a.set(9);
         assert!(!a.is_empty());
         a.clear();
         assert!(a.is_empty());
-        assert_eq!(a.capacity(), 10);
+        assert_eq!(a.bits, 10);
     }
 
     #[test]
@@ -166,7 +114,7 @@ mod tests {
     fn words_round_trip() {
         let mut a = FixedBitset::new(70);
         a.set(69);
-        let b = FixedBitset::from_words(70, a.words().to_vec());
+        let b = FixedBitset::from_words(70, a.words.clone());
         assert_eq!(a, b);
     }
 
@@ -175,7 +123,7 @@ mod tests {
         fn matches_reference_set(idx in proptest::collection::btree_set(0usize..500, 0..100)) {
             let mut b = FixedBitset::new(500);
             for &i in &idx { b.set(i); }
-            prop_assert_eq!(b.count_ones(), idx.len());
+            prop_assert_eq!(b.ones().count(), idx.len());
             let got: Vec<usize> = b.ones().collect();
             let want: Vec<usize> = idx.iter().copied().collect();
             prop_assert_eq!(got, want);

@@ -7,42 +7,36 @@
 
 use crate::heap::IndexedMinHeap;
 use crate::network::RoadNetwork;
-use crate::types::{Dist, EdgeId, NodeId};
+use crate::types::{Dist, NodeId};
 
 /// Unreachable distance marker.
 pub const INFINITY: Dist = Dist::MAX;
 
 /// Sentinel for "no parent".
-pub const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// A shortest-path tree rooted at `source`.
 #[derive(Debug, Clone)]
 pub struct SpTree {
     /// The root.
-    pub source: NodeId,
+    pub(crate) source: NodeId,
     /// `dist[u]` — cost of the shortest path from `source` to `u`
     /// ([`INFINITY`] if unreachable).
     pub dist: Vec<Dist>,
     /// `parent[u]` — predecessor of `u` on the canonical shortest path
     /// ([`NO_PARENT`] for the source and unreachable nodes).
-    pub parent: Vec<NodeId>,
-    /// `parent_edge[u]` — the arc `(parent[u], u)` used to reach `u`.
-    pub parent_edge: Vec<EdgeId>,
-    /// Nodes in the order they were settled (ascending distance) — a valid
-    /// topological order of the tree, so iterating it *in reverse* visits
-    /// children before parents (used by the bottom-up region-set sweep).
-    pub settled: Vec<NodeId>,
+    pub(crate) parent: Vec<NodeId>,
 }
 
 impl SpTree {
     /// True if `u` was reached.
-    pub fn reached(&self, u: NodeId) -> bool {
+    pub(crate) fn reached(&self, u: NodeId) -> bool {
         self.dist[u as usize] != INFINITY
     }
 
     /// Walks the canonical path from the source to `t`, returning the node
     /// sequence, or `None` if `t` is unreachable.
-    pub fn path_nodes(&self, t: NodeId) -> Option<Vec<NodeId>> {
+    pub(crate) fn path_nodes(&self, t: NodeId) -> Option<Vec<NodeId>> {
         if !self.reached(t) {
             return None;
         }
@@ -55,22 +49,6 @@ impl SpTree {
         nodes.reverse();
         debug_assert_eq!(nodes[0], self.source);
         Some(nodes)
-    }
-
-    /// Walks the canonical path from the source to `t`, returning the edge
-    /// sequence, or `None` if `t` is unreachable.
-    pub fn path_edges(&self, t: NodeId) -> Option<Vec<EdgeId>> {
-        if !self.reached(t) {
-            return None;
-        }
-        let mut edges = Vec::new();
-        let mut cur = t;
-        while self.parent[cur as usize] != NO_PARENT {
-            edges.push(self.parent_edge[cur as usize]);
-            cur = self.parent[cur as usize];
-        }
-        edges.reverse();
-        Some(edges)
     }
 }
 
@@ -90,8 +68,6 @@ fn dijkstra_impl(net: &RoadNetwork, source: NodeId, target: Option<NodeId>) -> S
     let n = net.num_nodes();
     let mut dist = vec![INFINITY; n];
     let mut parent = vec![NO_PARENT; n];
-    let mut parent_edge = vec![NO_PARENT; n];
-    let mut settled = Vec::new();
     // Keys are `(dist, node)`: the node-id tie-break makes pop order — and
     // hence the canonical tree — independent of heap internals. Decrease-key
     // means a popped node's distance is final: settle order equals pop order
@@ -104,11 +80,10 @@ fn dijkstra_impl(net: &RoadNetwork, source: NodeId, target: Option<NodeId>) -> S
 
     while let Some(u) = heap.pop() {
         let d = dist[u as usize];
-        settled.push(u);
         if target == Some(u) {
             break;
         }
-        for (e, v, w) in net.arcs_from(u) {
+        for (_, v, w) in net.arcs_from(u) {
             let nd = d + Dist::from(w);
             let dv = &mut dist[v as usize];
             if nd < *dv || (nd == *dv && parent[v as usize] != NO_PARENT && u < parent[v as usize])
@@ -121,7 +96,6 @@ fn dijkstra_impl(net: &RoadNetwork, source: NodeId, target: Option<NodeId>) -> S
                 // its heap key only changes while it is still enqueued.
                 *dv = nd;
                 parent[v as usize] = u;
-                parent_edge[v as usize] = e;
                 heap.push_or_decrease(v, (nd, v));
             }
         }
@@ -131,15 +105,7 @@ fn dijkstra_impl(net: &RoadNetwork, source: NodeId, target: Option<NodeId>) -> S
         source,
         dist,
         parent,
-        parent_edge,
-        settled,
     }
-}
-
-/// One-to-many distances: runs a full Dijkstra and extracts `targets`.
-pub fn distances_to(net: &RoadNetwork, source: NodeId, targets: &[NodeId]) -> Vec<Dist> {
-    let tree = dijkstra(net, source);
-    targets.iter().map(|&t| tree.dist[t as usize]).collect()
 }
 
 /// Point-to-point distance, or [`INFINITY`] if unreachable.
@@ -150,44 +116,42 @@ pub fn distance(net: &RoadNetwork, s: NodeId, t: NodeId) -> Dist {
     dijkstra_to_target(net, s, t).dist[t as usize]
 }
 
-/// Weight-respecting relaxation check: verifies that `tree` is a valid
-/// shortest-path tree for `net` (every arc satisfies the triangle inequality
-/// and every parent edge is tight). Used by property tests.
-pub fn verify_sp_tree(net: &RoadNetwork, tree: &SpTree) -> bool {
-    for u in 0..net.num_nodes() as u32 {
-        let du = tree.dist[u as usize];
-        if du == INFINITY {
-            continue;
-        }
-        for (_, v, w) in net.arcs_from(u) {
-            let dv = tree.dist[v as usize];
-            if dv == INFINITY || dv > du + Dist::from(w) {
-                return false;
-            }
-        }
-        if u != tree.source {
-            let p = tree.parent[u as usize];
-            if p == NO_PARENT {
-                return false;
-            }
-            let e = tree.parent_edge[u as usize];
-            let (t, h) = net.edge_endpoints(e);
-            if t != p || h != u {
-                return false;
-            }
-            if tree.dist[p as usize] + Dist::from(net.edge_weight(e)) != du {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::NetworkBuilder;
     use crate::types::Point;
+
+    /// Weight-respecting relaxation check: verifies that `tree` is a valid
+    /// shortest-path tree for `net` (every arc satisfies the triangle inequality
+    /// and every parent arc is tight).
+    fn verify_sp_tree(net: &RoadNetwork, tree: &SpTree) -> bool {
+        for u in 0..net.num_nodes() as u32 {
+            let du = tree.dist[u as usize];
+            if du == INFINITY {
+                continue;
+            }
+            for (_, v, w) in net.arcs_from(u) {
+                let dv = tree.dist[v as usize];
+                if dv == INFINITY || dv > du + Dist::from(w) {
+                    return false;
+                }
+            }
+            if u != tree.source {
+                let p = tree.parent[u as usize];
+                if p == NO_PARENT {
+                    return false;
+                }
+                let tight = net
+                    .arcs_from(p)
+                    .any(|(_, h, w)| h == u && tree.dist[p as usize] + Dist::from(w) == du);
+                if !tight {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     fn grid3() -> RoadNetwork {
         // 3x3 grid, unit weights, undirected.
@@ -225,18 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn settled_order_is_ascending() {
-        let g = grid3();
-        let t = dijkstra(&g, 4);
-        let mut last = 0;
-        for &u in &t.settled {
-            assert!(t.dist[u as usize] >= last);
-            last = t.dist[u as usize];
-        }
-        assert_eq!(t.settled.len(), 9);
-    }
-
-    #[test]
     fn path_extraction() {
         let g = grid3();
         let t = dijkstra(&g, 0);
@@ -244,9 +196,13 @@ mod tests {
         assert_eq!(nodes.first(), Some(&0));
         assert_eq!(nodes.last(), Some(&8));
         assert_eq!(nodes.len(), 5); // 4 hops
-        let edges = t.path_edges(8).unwrap();
-        assert_eq!(edges.len(), 4);
-        let cost: Dist = edges.iter().map(|&e| Dist::from(g.edge_weight(e))).sum();
+        let cost: Dist = nodes
+            .windows(2)
+            .map(|w| {
+                let (_, _, weight) = g.arcs_from(w[0]).find(|&(_, h, _)| h == w[1]).unwrap();
+                Dist::from(weight)
+            })
+            .sum();
         assert_eq!(cost, t.dist[8]);
     }
 
@@ -255,8 +211,6 @@ mod tests {
         let g = grid3();
         let t = dijkstra_to_target(&g, 0, 4);
         assert_eq!(t.dist[4], 2);
-        // target settled last
-        assert_eq!(*t.settled.last().unwrap(), 4);
     }
 
     #[test]
@@ -270,7 +224,6 @@ mod tests {
         let t = dijkstra(&g, 0);
         assert!(!t.reached(2));
         assert!(t.path_nodes(2).is_none());
-        assert!(t.path_edges(2).is_none());
         assert_eq!(distance(&g, 0, 2), INFINITY);
     }
 
@@ -302,12 +255,5 @@ mod tests {
         let t = dijkstra(&g, 0);
         assert_eq!(t.dist[3], 2);
         assert_eq!(t.parent[3], 1);
-    }
-
-    #[test]
-    fn one_to_many() {
-        let g = grid3();
-        let d = distances_to(&g, 0, &[0, 4, 8]);
-        assert_eq!(d, vec![0, 2, 4]);
     }
 }

@@ -16,7 +16,7 @@ pub struct GridIndex<'a> {
 
 impl<'a> GridIndex<'a> {
     /// Builds an index targeting roughly `avg_per_cell` points per bucket.
-    pub fn build(points: &'a [Point], avg_per_cell: usize) -> Self {
+    pub(crate) fn build(points: &'a [Point], avg_per_cell: usize) -> Self {
         assert!(!points.is_empty(), "cannot index an empty point set");
         let mut min = points[0];
         let mut max = points[0];
@@ -83,7 +83,7 @@ impl<'a> GridIndex<'a> {
 
     /// The `k` nearest neighbours of point `i` (excluding `i` itself),
     /// ascending by distance, ties broken by id.
-    pub fn knn(&self, i: u32, k: usize) -> Vec<u32> {
+    pub(crate) fn knn(&self, i: u32, k: usize) -> Vec<u32> {
         let p = self.points[i as usize];
         let (cx, cy) = self.cell_of(p);
         let max_ring = (self.nx.max(self.ny)) as i64;
@@ -116,7 +116,11 @@ impl<'a> GridIndex<'a> {
     }
 
     /// Nearest point satisfying `pred`, or `None` if no point does.
-    pub fn nearest_matching(&self, from: Point, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn nearest_matching(
+        &self,
+        from: Point,
+        mut pred: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
         let (cx, cy) = self.cell_of(from);
         let max_ring = (self.nx.max(self.ny)) as i64 + 1;
         let mut best: Option<(i128, u32)> = None;

@@ -91,25 +91,9 @@ impl IndexedMinHeap {
         self.heap.clear();
     }
 
-    /// Number of enqueued slots.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no slot is enqueued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// True if `slot` is currently enqueued.
-    pub fn contains(&self, slot: u32) -> bool {
+    pub(crate) fn contains(&self, slot: u32) -> bool {
         self.pos[slot as usize] != NOT_IN_HEAP
-    }
-
-    /// Current key of an enqueued slot.
-    pub fn key(&self, slot: u32) -> (u64, u32) {
-        debug_assert!(self.contains(slot));
-        self.heap[self.pos[slot as usize] as usize].key
     }
 
     /// Enqueues `slot` with `key`. The slot must not be enqueued already.
@@ -207,10 +191,10 @@ mod tests {
         for (slot, key) in [(3u32, 30u64), (1, 10), (7, 70), (5, 50)] {
             h.push(slot, (key, slot));
         }
-        assert_eq!(h.len(), 4);
+        assert_eq!(h.heap.len(), 4);
         let order: Vec<u32> = std::iter::from_fn(|| h.pop()).collect();
         assert_eq!(order, vec![1, 3, 5, 7]);
-        assert!(h.is_empty());
+        assert!(h.heap.is_empty());
     }
 
     #[test]
@@ -251,7 +235,7 @@ mod tests {
         assert_eq!(h.pop(), Some(0));
         // 5 entries remain; reset must drop them all.
         h.reset(6);
-        assert!(h.is_empty());
+        assert!(h.heap.is_empty());
         for s in 0..6u32 {
             assert!(!h.contains(s), "slot {s} leaked across reset");
         }

@@ -5,7 +5,6 @@
 //! costs, called Landmark vector, is kept with v and helps compute estimates
 //! for the cost of SP(v, t)". The estimates feed an A* search.
 
-use crate::astar::Heuristic;
 use crate::dijkstra::{dijkstra, INFINITY};
 use crate::network::RoadNetwork;
 use crate::types::{Dist, NodeId};
@@ -14,11 +13,9 @@ use crate::types::{Dist, NodeId};
 #[derive(Debug, Clone)]
 pub struct Landmarks {
     /// Chosen anchor nodes.
-    pub anchors: Vec<NodeId>,
+    pub(crate) anchors: Vec<NodeId>,
     /// `to_anchor[v][a]` — distance from `v` to `anchors[a]`.
     pub to_anchor: Vec<Vec<Dist>>,
-    /// `from_anchor[v][a]` — distance from `anchors[a]` to `v`.
-    pub from_anchor: Vec<Vec<Dist>>,
 }
 
 impl Landmarks {
@@ -42,7 +39,6 @@ impl Landmarks {
         anchors.push(first);
 
         let mut to_anchor = vec![Vec::with_capacity(k); n];
-        let mut from_anchor = vec![Vec::with_capacity(k); n];
         let mut min_dist = vec![Dist::MAX; n];
 
         for ai in 0..k {
@@ -51,7 +47,6 @@ impl Landmarks {
             let fwd = dijkstra(net, a);
             let bwd = dijkstra(&rev, a);
             for u in 0..n {
-                from_anchor[u].push(fwd.dist[u]);
                 to_anchor[u].push(bwd.dist[u]);
                 let d = fwd.dist[u];
                 if d != INFINITY {
@@ -71,14 +66,10 @@ impl Landmarks {
 
         // Trim vectors if we stopped early.
         let k = anchors.len();
-        for v in to_anchor.iter_mut().chain(from_anchor.iter_mut()) {
+        for v in &mut to_anchor {
             v.truncate(k);
         }
-        Landmarks {
-            anchors,
-            to_anchor,
-            from_anchor,
-        }
+        Landmarks { anchors, to_anchor }
     }
 
     /// Number of landmarks.
@@ -90,58 +81,25 @@ impl Landmarks {
     pub fn is_empty(&self) -> bool {
         self.anchors.is_empty()
     }
-
-    /// ALT lower bound on `dist(u, t)` using the triangle inequality in both
-    /// directions:
-    /// `d(u,t) >= max_a max( d(u,a) - d(t,a), d(a,t) - d(a,u) )`.
-    pub fn lower_bound(&self, u: NodeId, t: NodeId) -> Dist {
-        let mut best: Dist = 0;
-        let (tu, ta) = (&self.to_anchor[u as usize], &self.to_anchor[t as usize]);
-        let (fu, ft) = (&self.from_anchor[u as usize], &self.from_anchor[t as usize]);
-        for a in 0..self.len() {
-            if tu[a] != INFINITY && ta[a] != INFINITY {
-                best = best.max(tu[a].saturating_sub(ta[a]));
-            }
-            if fu[a] != INFINITY && ft[a] != INFINITY {
-                best = best.max(ft[a].saturating_sub(fu[a]));
-            }
-        }
-        best
-    }
-
-    /// Serialized size in bytes of one node's landmark vector in the LM
-    /// region-data file (`to_anchor` only, 4 bytes per entry, matching the
-    /// paper's "vector of costs ... kept with v").
-    pub fn vector_bytes(&self) -> usize {
-        4 * self.len()
-    }
-}
-
-/// A* heuristic backed by landmark vectors.
-pub struct LandmarkHeuristic<'a> {
-    lm: &'a Landmarks,
-    target: NodeId,
-}
-
-impl<'a> LandmarkHeuristic<'a> {
-    /// Heuristic toward `target`.
-    pub fn new(lm: &'a Landmarks, target: NodeId) -> Self {
-        LandmarkHeuristic { lm, target }
-    }
-}
-
-impl Heuristic for LandmarkHeuristic<'_> {
-    fn estimate(&self, u: NodeId) -> Dist {
-        self.lm.lower_bound(u, self.target)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::astar::astar;
     use crate::dijkstra::distance;
     use crate::gen::{grid_network, GridGenConfig};
+
+    /// The bound the LM client computes from two stored vectors:
+    /// `d(u,t) >= max_a |d(u,a) - d(t,a)|` on an undirected network.
+    fn bound(lm: &Landmarks, u: NodeId, t: NodeId) -> Dist {
+        let (tu, tt) = (&lm.to_anchor[u as usize], &lm.to_anchor[t as usize]);
+        tu.iter()
+            .zip(tt)
+            .filter(|&(&a, &b)| a != INFINITY && b != INFINITY)
+            .map(|(&a, &b)| a.abs_diff(b))
+            .max()
+            .unwrap_or(0)
+    }
 
     #[test]
     fn lower_bound_is_admissible() {
@@ -155,7 +113,7 @@ mod tests {
         for s in (0..64u32).step_by(7) {
             for t in (0..64u32).step_by(11) {
                 let d = distance(&net, s, t);
-                assert!(lm.lower_bound(s, t) <= d, "bound exceeded for {s}->{t}");
+                assert!(bound(&lm, s, t) <= d, "bound exceeded for {s}->{t}");
             }
         }
     }
@@ -170,28 +128,9 @@ mod tests {
         let lm = Landmarks::build(&net, 3);
         let a = lm.anchors[0];
         for u in 0..36u32 {
-            // d(u, a) >= to_anchor[u][0] trivially holds with equality.
-            assert_eq!(lm.lower_bound(u, a), distance(&net, u, a));
+            // d(u, a) = to_anchor[u][0] - to_anchor[a][0]: tight at the anchor.
+            assert_eq!(bound(&lm, u, a), distance(&net, u, a));
         }
-    }
-
-    #[test]
-    fn astar_with_landmarks_is_correct_and_focused() {
-        let net = grid_network(&GridGenConfig {
-            nx: 12,
-            ny: 12,
-            ..Default::default()
-        });
-        let lm = Landmarks::build(&net, 5);
-        let (s, t) = (0u32, 143u32);
-        let h = LandmarkHeuristic::new(&lm, t);
-        let r = astar(&net, s, t, &h);
-        assert_eq!(r.cost, distance(&net, s, t));
-        let plain = astar(&net, s, t, &crate::astar::ZeroHeuristic);
-        assert!(
-            r.settled <= plain.settled,
-            "ALT should not settle more nodes"
-        );
     }
 
     #[test]
@@ -222,19 +161,8 @@ mod tests {
         assert_eq!(lm2.anchors[..], lm6.anchors[..2]);
         for s in (0..64u32).step_by(5) {
             for t in (0..64u32).step_by(9) {
-                assert!(lm6.lower_bound(s, t) >= lm2.lower_bound(s, t));
+                assert!(bound(&lm6, s, t) >= bound(&lm2, s, t));
             }
         }
-    }
-
-    #[test]
-    fn vector_bytes() {
-        let net = grid_network(&GridGenConfig {
-            nx: 4,
-            ny: 4,
-            ..Default::default()
-        });
-        let lm = Landmarks::build(&net, 3);
-        assert_eq!(lm.vector_bytes(), 12);
     }
 }

@@ -6,22 +6,23 @@
 //!
 //! * [`network`] — the compressed-sparse-row [`network::RoadNetwork`] and its
 //!   builder;
-//! * [`dijkstra`](mod@dijkstra) / [`astar`] — shortest-path algorithms with deterministic
+//! * [`dijkstra`](mod@dijkstra) — shortest paths with deterministic
 //!   tie-breaking (canonical shortest-path trees drive the pre-computation of
 //!   §5.2);
-//! * [`path`] — path extraction and verification;
+//! * [`path`] — path extraction from a shortest-path tree;
 //! * [`gen`] — synthetic road-network generators reproducing the spatial
 //!   sparsity of the paper's six datasets (Table 1);
 //! * [`heap`] — the indexed binary-heap kernel (decrease-key, reusable
 //!   buffers) shared by every Dijkstra in the system, offline and online;
 //! * [`landmark`] — Landmark (ALT) pre-computation used by the LM baseline;
 //! * [`arcflag`] — Arc-flag pre-computation used by the AF baseline;
-//! * [`bitset`] — fixed-width bitsets shared by arc flags and the region-set
-//!   pre-computation.
+//! * `bitset` — [`FixedBitset`], the fixed-width bitsets shared by arc flags
+//!   and the region-set pre-computation.
+
+#![warn(unreachable_pub)]
 
 pub mod arcflag;
-pub mod astar;
-pub mod bitset;
+mod bitset;
 pub mod dijkstra;
 pub mod gen;
 pub mod heap;

@@ -36,11 +36,6 @@ impl RoadNetwork {
         self.points[u as usize]
     }
 
-    /// All node coordinates.
-    pub fn points(&self) -> &[Point] {
-        &self.points
-    }
-
     /// Out-degree of node `u`.
     pub fn degree(&self, u: NodeId) -> usize {
         (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize
@@ -81,7 +76,7 @@ impl RoadNetwork {
     /// The reverse network: every arc `(u, v, w)` becomes `(v, u, w)`.
     /// Returns the reversed network together with a map from each reversed
     /// arc id to the original arc id (needed by arc-flag pre-computation).
-    pub fn reversed(&self) -> (RoadNetwork, Vec<EdgeId>) {
+    pub(crate) fn reversed(&self) -> (RoadNetwork, Vec<EdgeId>) {
         let n = self.num_nodes();
         let mut deg = vec![0u32; n + 1];
         for &h in &self.heads {
@@ -149,35 +144,11 @@ impl RoadNetwork {
         }
     }
 
-    /// Nearest node to `p` (linear scan; fine for query mapping in tests and
-    /// examples — partitioning uses the KD header for the real lookup).
+    /// Nearest node to `p`, ties broken by the lowest node id (linear scan:
+    /// the OBF baseline's LBS snaps query points this way; the index schemes
+    /// use the KD header for the real lookup).
     pub fn nearest_node(&self, p: Point) -> Option<NodeId> {
         (0..self.num_nodes() as u32).min_by_key(|&u| self.points[u as usize].dist2(&p))
-    }
-
-    /// True if every node can reach every other node (checked via forward and
-    /// backward BFS from node 0).
-    pub fn is_strongly_connected(&self) -> bool {
-        if self.num_nodes() == 0 {
-            return true;
-        }
-        let full = |net: &RoadNetwork| {
-            let mut seen = vec![false; net.num_nodes()];
-            let mut stack = vec![0u32];
-            seen[0] = true;
-            let mut count = 1usize;
-            while let Some(u) = stack.pop() {
-                for (_, v, _) in net.arcs_from(u) {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        count += 1;
-                        stack.push(v);
-                    }
-                }
-            }
-            count == net.num_nodes()
-        };
-        full(self) && full(&self.reversed().0)
     }
 
     /// Serialized size of node `u`'s record in the region-data file `Fd`:
@@ -186,14 +157,6 @@ impl RoadNetwork {
     /// largest such record.
     pub fn node_record_bytes(&self, u: NodeId) -> usize {
         14 + 8 * self.degree(u)
-    }
-
-    /// The largest node record (`z` in §5.6).
-    pub fn max_node_record_bytes(&self) -> usize {
-        (0..self.num_nodes() as u32)
-            .map(|u| self.node_record_bytes(u))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -226,16 +189,6 @@ impl NetworkBuilder {
     pub fn add_undirected(&mut self, u: NodeId, v: NodeId, w: Weight) {
         self.add_arc(u, v, w);
         self.add_arc(v, u, w);
-    }
-
-    /// Number of nodes added so far.
-    pub fn num_nodes(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Number of arcs added so far.
-    pub fn num_arcs(&self) -> usize {
-        self.arcs.len()
     }
 
     /// Finishes the CSR arrays. Arcs are grouped by tail and sorted by
@@ -280,6 +233,39 @@ impl NetworkBuilder {
             weights,
             tails,
         }
+    }
+}
+
+#[cfg(test)]
+impl RoadNetwork {
+    /// All node coordinates.
+    pub(crate) fn points(&self) -> &[Point] {
+        &self.points
+    }
+
+    /// True if every node can reach every other node (checked via forward and
+    /// backward BFS from node 0).
+    pub(crate) fn is_strongly_connected(&self) -> bool {
+        if self.num_nodes() == 0 {
+            return true;
+        }
+        let full = |net: &RoadNetwork| {
+            let mut seen = vec![false; net.num_nodes()];
+            let mut stack = vec![0u32];
+            seen[0] = true;
+            let mut count = 1usize;
+            while let Some(u) = stack.pop() {
+                for (_, v, _) in net.arcs_from(u) {
+                    if !seen[v as usize] {
+                        seen[v as usize] = true;
+                        count += 1;
+                        stack.push(v);
+                    }
+                }
+            }
+            count == net.num_nodes()
+        };
+        full(self) && full(&self.reversed().0)
     }
 }
 
@@ -399,7 +385,6 @@ mod tests {
         let g = diamond();
         assert_eq!(g.node_record_bytes(0), 14 + 16); // degree 2
         assert_eq!(g.node_record_bytes(3), 14); // degree 0
-        assert_eq!(g.max_node_record_bytes(), 30);
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Paths: the answer format of a shortest-path query.
 
 use crate::dijkstra::SpTree;
-use crate::network::RoadNetwork;
-use crate::types::{Dist, EdgeId, NodeId};
+use crate::types::{Dist, NodeId};
 
 /// A path through the network together with its total cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// Visited nodes, source first.
     pub nodes: Vec<NodeId>,
-    /// Traversed edges (`nodes.len() - 1` of them, possibly empty).
-    pub edges: Vec<EdgeId>,
     /// Total cost.
     pub cost: Dist,
 }
@@ -18,35 +15,10 @@ pub struct Path {
 impl Path {
     /// Extracts the canonical path to `t` from a shortest-path tree.
     pub fn from_tree(tree: &SpTree, t: NodeId) -> Option<Path> {
-        let nodes = tree.path_nodes(t)?;
-        let edges = tree.path_edges(t)?;
         Some(Path {
-            nodes,
-            edges,
+            nodes: tree.path_nodes(t)?,
             cost: tree.dist[t as usize],
         })
-    }
-
-    /// Number of hops (edges).
-    pub fn hops(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Validates the path against a network: endpoints chain correctly and
-    /// the summed edge weights equal `cost`.
-    pub fn verify(&self, net: &RoadNetwork) -> bool {
-        if self.nodes.is_empty() || self.nodes.len() != self.edges.len() + 1 {
-            return false;
-        }
-        let mut total: Dist = 0;
-        for (i, &e) in self.edges.iter().enumerate() {
-            let (t, h) = net.edge_endpoints(e);
-            if t != self.nodes[i] || h != self.nodes[i + 1] {
-                return false;
-            }
-            total += Dist::from(net.edge_weight(e));
-        }
-        total == self.cost
     }
 
     /// Serialized size of the result in bytes (one u32 node id per node plus
@@ -61,7 +33,7 @@ impl Path {
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
-    use crate::network::NetworkBuilder;
+    use crate::network::{NetworkBuilder, RoadNetwork};
     use crate::types::Point;
 
     fn chain() -> RoadNetwork {
@@ -82,26 +54,6 @@ mod tests {
         let p = Path::from_tree(&t, 4).unwrap();
         assert_eq!(p.nodes, vec![0, 1, 2, 3, 4]);
         assert_eq!(p.cost, 1 + 2 + 3 + 4);
-        assert_eq!(p.hops(), 4);
-        assert!(p.verify(&g));
-    }
-
-    #[test]
-    fn verify_rejects_wrong_cost() {
-        let g = chain();
-        let t = dijkstra(&g, 0);
-        let mut p = Path::from_tree(&t, 2).unwrap();
-        p.cost += 1;
-        assert!(!p.verify(&g));
-    }
-
-    #[test]
-    fn verify_rejects_broken_chain() {
-        let g = chain();
-        let t = dijkstra(&g, 0);
-        let mut p = Path::from_tree(&t, 3).unwrap();
-        p.nodes.swap(1, 2);
-        assert!(!p.verify(&g));
     }
 
     #[test]
@@ -110,9 +62,7 @@ mod tests {
         let t = dijkstra(&g, 2);
         let p = Path::from_tree(&t, 2).unwrap();
         assert_eq!(p.nodes, vec![2]);
-        assert_eq!(p.hops(), 0);
         assert_eq!(p.cost, 0);
-        assert!(p.verify(&g));
         assert_eq!(p.wire_bytes(), 12);
     }
 }

@@ -34,7 +34,7 @@ impl Point {
     }
 
     /// Euclidean distance to `other`.
-    pub fn dist(&self, other: &Point) -> f64 {
+    pub(crate) fn dist(&self, other: &Point) -> f64 {
         let dx = f64::from(self.x) - f64::from(other.x);
         let dy = f64::from(self.y) - f64::from(other.y);
         (dx * dx + dy * dy).sqrt()

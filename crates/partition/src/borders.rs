@@ -25,13 +25,6 @@ pub struct BorderNode {
     pub regions: (RegionId, RegionId),
 }
 
-impl BorderNode {
-    /// True if the node borders `r`.
-    pub fn borders(&self, r: RegionId) -> bool {
-        self.regions.0 == r || self.regions.1 == r
-    }
-}
-
 /// A crossing on a specific arc: border node `border` at parameter `t` from
 /// the arc's tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,13 +55,6 @@ impl Borders {
     /// True if the partition has a single region (no boundaries).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Ids of border nodes adjacent to region `r`.
-    pub fn of_region(&self, r: RegionId) -> Vec<u32> {
-        (0..self.nodes.len() as u32)
-            .filter(|&b| self.nodes[b as usize].borders(r))
-            .collect()
     }
 }
 
@@ -298,46 +284,22 @@ mod tests {
             }
             // Regions chain; direction of the `regions` pair matches the
             // canonical arc only, so compare as sets of adjacency.
-            let first = &borders.nodes[xs[0].border as usize];
+            let borders_region = |b: u32, r| {
+                let regions = borders.nodes[b as usize].regions;
+                regions.0 == r || regions.1 == r
+            };
             assert!(
-                first.borders(ru),
+                borders_region(xs[0].border, ru),
                 "first crossing of arc {e} must border tail region"
             );
-            let last = &borders.nodes[xs[xs.len() - 1].border as usize];
             assert!(
-                last.borders(rv),
+                borders_region(xs[xs.len() - 1].border, rv),
                 "last crossing of arc {e} must border head region"
             );
             for w in xs.windows(2) {
                 assert!(w[0].t <= w[1].t, "crossings must be ordered");
             }
         }
-    }
-
-    #[test]
-    fn of_region_lists_adjacent_borders() {
-        let net = grid_network(&GridGenConfig {
-            nx: 12,
-            ny: 12,
-            ..Default::default()
-        });
-        let p = partition_packed(&net, 1024, &|u| net.node_record_bytes(u));
-        let borders = compute_borders(&net, &p.tree);
-        for r in 0..p.num_regions() {
-            for b in borders.of_region(r) {
-                assert!(borders.nodes[b as usize].borders(r));
-            }
-        }
-        // every border node appears in exactly the lists of its two regions
-        let total: usize = (0..p.num_regions())
-            .map(|r| borders.of_region(r).len())
-            .sum();
-        let expected: usize = borders
-            .nodes
-            .iter()
-            .map(|n| if n.regions.0 == n.regions.1 { 1 } else { 2 })
-            .sum();
-        assert_eq!(total, expected);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct Partition {
     /// Serialized bytes of each region's node records.
     pub region_bytes: Vec<usize>,
     /// Page-payload capacity the builder packed against.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
 }
 
 impl Partition {

@@ -11,23 +11,23 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Frac {
     /// Numerator.
-    pub num: i64,
+    pub(crate) num: i64,
     /// Denominator (always positive after construction).
-    pub den: i64,
+    pub(crate) den: i64,
 }
 
 impl Frac {
     /// Zero.
-    pub const ZERO: Frac = Frac { num: 0, den: 1 };
+    pub(crate) const ZERO: Frac = Frac { num: 0, den: 1 };
     /// One.
-    pub const ONE: Frac = Frac { num: 1, den: 1 };
+    pub(crate) const ONE: Frac = Frac { num: 1, den: 1 };
 
     /// Creates `num/den`, normalizing the sign so `den > 0` and reducing by
     /// the gcd so structurally-equal fractions are value-equal (`2/4 == 1/2`).
     ///
     /// # Panics
     /// Panics if `den == 0`.
-    pub fn new(num: i64, den: i64) -> Frac {
+    pub(crate) fn new(num: i64, den: i64) -> Frac {
         assert_ne!(den, 0, "fraction denominator must be nonzero");
         let (mut num, mut den) = if den < 0 { (-num, -den) } else { (num, den) };
         let g = gcd(num.unsigned_abs(), den.unsigned_abs());
@@ -39,7 +39,7 @@ impl Frac {
     }
 
     /// `1 − self` (used to mirror crossing positions onto the reverse arc).
-    pub fn complement(self) -> Frac {
+    pub(crate) fn complement(self) -> Frac {
         Frac {
             num: self.den - self.num,
             den: self.den,
@@ -54,7 +54,7 @@ impl Frac {
 
     /// True if strictly between zero and one — i.e. an interior point of the
     /// segment, which is what makes a crossing a genuine border node.
-    pub fn is_interior(self) -> bool {
+    pub(crate) fn is_interior(self) -> bool {
         self > Frac::ZERO && self < Frac::ONE
     }
 }

@@ -101,12 +101,12 @@ impl KdTree {
     }
 
     /// Number of regions (leaves).
-    pub fn num_regions(&self) -> u16 {
+    pub(crate) fn num_regions(&self) -> u16 {
         self.num_regions
     }
 
     /// The node array (used by the border clipper).
-    pub fn nodes(&self) -> &[KdNode] {
+    pub(crate) fn nodes(&self) -> &[KdNode] {
         &self.nodes
     }
 

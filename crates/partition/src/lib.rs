@@ -11,7 +11,7 @@
 //!   an unbalanced tree whose byte-positioned splits guarantee high page
 //!   utilization (>95% measured, Figure 8).
 //!
-//! [`borders`] computes **border nodes** — the intersection points of network
+//! [`compute_borders`] computes **border nodes** — the intersection points of network
 //! edges with the (bounded) splitting segments (§5.2) — by exact-fraction
 //! clipping of each edge through the leaf cells.
 //!
@@ -22,10 +22,12 @@
 //! ("any path leaving a region passes through one of its border nodes")
 //! unconditional.
 
-pub mod borders;
-pub mod builder;
-pub mod frac;
-pub mod kdtree;
+#![warn(unreachable_pub)]
+
+mod borders;
+mod builder;
+mod frac;
+mod kdtree;
 
 pub use borders::{compute_borders, ArcCrossing, BorderNode, Borders};
 pub use builder::{partition_into, partition_packed, partition_plain, Partition};

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Default cap on physical-log entries (1 Mi slots = 4 MiB): generous for
 /// every audit in the test suite, bounded for long-lived serving sessions.
-pub const DEFAULT_LOG_CAP: usize = 1 << 20;
+pub(crate) const DEFAULT_LOG_CAP: usize = 1 << 20;
 
 /// Typed marker that a [`PhysicalLog`] hit its cap: `dropped` reads were
 /// observed but not recorded. The audit surface stays truthful — a truncated
@@ -23,9 +23,9 @@ pub const DEFAULT_LOG_CAP: usize = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogOverflow {
     /// The cap the log was bounded to.
-    pub cap: usize,
+    pub(crate) cap: usize,
     /// Physical reads observed after the cap was reached.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 /// Bounded append-only record of physical slot reads. Stores record one
@@ -42,7 +42,7 @@ pub struct PhysicalLog {
 
 impl PhysicalLog {
     /// Log bounded to `cap` recorded entries.
-    pub fn bounded(cap: usize) -> Self {
+    pub(crate) fn bounded(cap: usize) -> Self {
         PhysicalLog {
             entries: Vec::new(),
             cap,
@@ -52,7 +52,7 @@ impl PhysicalLog {
 
     /// Records one physical read (or counts it once the cap is hit).
     #[inline]
-    pub fn record(&mut self, slot: u32) {
+    pub(crate) fn record(&mut self, slot: u32) {
         if self.entries.len() < self.cap {
             self.entries.push(slot);
         } else {
@@ -62,7 +62,7 @@ impl PhysicalLog {
 
     /// Records the physical reads `slots`, in order: what one
     /// [`PhysicalLog::record`] per slot would leave.
-    pub fn record_range(&mut self, slots: std::ops::Range<u32>) {
+    pub(crate) fn record_range(&mut self, slots: std::ops::Range<u32>) {
         let room = self.cap.saturating_sub(self.entries.len());
         let kept = slots.len().min(room);
         self.entries.extend(slots.start..slots.start + kept as u32);
@@ -70,12 +70,12 @@ impl PhysicalLog {
     }
 
     /// Recorded entries, oldest first.
-    pub fn entries(&self) -> &[u32] {
+    pub(crate) fn entries(&self) -> &[u32] {
         &self.entries
     }
 
     /// The overflow marker, present iff reads were dropped.
-    pub fn overflow(&self) -> Option<LogOverflow> {
+    pub(crate) fn overflow(&self) -> Option<LogOverflow> {
         (self.dropped > 0).then_some(LogOverflow {
             cap: self.cap,
             dropped: self.dropped,
@@ -214,14 +214,6 @@ impl LinearScanStore {
             scratch: PageBuf::zeroed(page_size),
             log: PhysicalLog::default(),
         }
-    }
-
-    /// Bounds the physical log to `cap` recorded entries (the default is
-    /// [`DEFAULT_LOG_CAP`]); reads past the cap surface as
-    /// [`ObliviousStore::log_overflow`].
-    pub fn with_log_cap(mut self, cap: usize) -> Self {
-        self.log = PhysicalLog::bounded(cap);
-        self
     }
 
     /// The store's sweep: its segment and page-range plan and how many pages
@@ -396,7 +388,6 @@ pub struct ShuffledStore {
     epoch: u64,
     seed: u64,
     log: PhysicalLog,
-    reshuffles: u64,
 }
 
 impl ShuffledStore {
@@ -409,7 +400,7 @@ impl ShuffledStore {
     /// Builds the shuffled layout over any page driver. The initial shuffle
     /// reads every plain page, so a failing driver surfaces here as a typed
     /// error instead of a panic.
-    pub fn from_driver(file: Arc<dyn PagedFile>, seed: u64) -> Result<Self> {
+    pub(crate) fn from_driver(file: Arc<dyn PagedFile>, seed: u64) -> Result<Self> {
         let n = file.num_pages();
         let epoch_len = ((n as f64).sqrt().ceil() as u32).max(1);
         let mut store = ShuffledStore {
@@ -423,27 +414,9 @@ impl ShuffledStore {
             epoch: 0,
             seed,
             log: PhysicalLog::default(),
-            reshuffles: 0,
         };
         store.reshuffle()?;
         Ok(store)
-    }
-
-    /// Bounds the physical log to `cap` recorded entries, like
-    /// [`LinearScanStore::with_log_cap`].
-    pub fn with_log_cap(mut self, cap: usize) -> Self {
-        self.log = PhysicalLog::bounded(cap);
-        self
-    }
-
-    /// Epoch length (`⌈√N⌉`): fetches between reshuffles.
-    pub fn epoch_len(&self) -> u32 {
-        self.epoch_len
-    }
-
-    /// Number of reshuffles performed so far (first layout included).
-    pub fn reshuffles(&self) -> u64 {
-        self.reshuffles
     }
 
     fn total_slots(&self) -> u32 {
@@ -466,7 +439,6 @@ impl ShuffledStore {
         // dummy slots (logical N..N+m) stay zeroed — in the real protocol
         // they are encrypted and indistinguishable from real pages.
         self.epoch = epoch;
-        self.reshuffles += 1;
         self.prp = prp;
         self.shuffled = slots;
         self.cache.clear();
@@ -646,7 +618,7 @@ mod tests {
                 sequential.physical_log(),
                 "physical access sequence differs at split {split}"
             );
-            assert_eq!(batched.reshuffles(), sequential.reshuffles());
+            assert_eq!(batched.epoch, sequential.epoch);
         }
     }
 
@@ -898,7 +870,8 @@ mod tests {
 
     #[test]
     fn physical_log_caps_with_typed_overflow() {
-        let mut s = LinearScanStore::new(make_file(10)).with_log_cap(25);
+        let mut s = LinearScanStore::new(make_file(10));
+        s.log = PhysicalLog::bounded(25);
         s.fetch(3).unwrap(); // 10 entries
         s.fetch(4).unwrap(); // 20 entries
         assert!(s.log_overflow().is_none());
@@ -918,7 +891,8 @@ mod tests {
         assert_eq!(page_tag(&s.fetch(7).unwrap()), 7);
         assert_eq!(s.log_overflow().unwrap().dropped, 15);
 
-        let mut sh = ShuffledStore::new(make_file(16), 3).with_log_cap(2);
+        let mut sh = ShuffledStore::new(make_file(16), 3);
+        sh.log = PhysicalLog::bounded(2);
         for i in 0..8 {
             sh.fetch(i % 16).unwrap();
         }
@@ -951,7 +925,7 @@ mod tests {
     #[test]
     fn physical_reads_are_distinct_within_epoch() {
         let mut s = ShuffledStore::new(make_file(100), 31);
-        let epoch = s.epoch_len() as usize;
+        let epoch = s.epoch_len as usize;
         // hammer a single hot page — worst case for naive schemes
         for _ in 0..epoch {
             s.fetch(42).unwrap();
@@ -968,12 +942,12 @@ mod tests {
     #[test]
     fn reshuffle_happens_every_epoch() {
         let mut s = ShuffledStore::new(make_file(16), 7);
-        let epoch = s.epoch_len(); // 4
-        assert_eq!(s.reshuffles(), 1);
+        let epoch = s.epoch_len; // 4
+        assert_eq!(s.epoch, 1); // the first layout
         for i in 0..(3 * epoch) {
             s.fetch(i % 16).unwrap();
         }
-        assert_eq!(s.reshuffles(), 4);
+        assert_eq!(s.epoch, 4);
         // content still correct after reshuffles
         for q in 0..16 {
             assert_eq!(page_tag(&s.fetch(q).unwrap()), q);
@@ -990,7 +964,7 @@ mod tests {
         }
         assert_eq!(hot.physical_log().len(), cold.physical_log().len());
         // both logs consist of distinct slots within each epoch
-        let epoch = hot.epoch_len() as usize;
+        let epoch = hot.epoch_len as usize;
         for log in [hot.physical_log(), cold.physical_log()] {
             for chunk in log.chunks(epoch) {
                 let distinct: std::collections::HashSet<_> = chunk.iter().collect();

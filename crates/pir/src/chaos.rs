@@ -9,10 +9,6 @@
 //! * [`ChaosLink`] — wraps any [`FrameLink`] and injects frame drops,
 //!   truncation, bit corruption, delays, duplicated frames, and a scheduled
 //!   mid-session outage window, on both directions independently;
-//! * [`ChaosHost`] — the [`InProc`](crate::transport::InProc) analog: wraps
-//!   a whole [`Transport`] and injects retryable faults *before* the inner
-//!   call, recovering with its own bounded backoff, so the inner server
-//!   never sees a faulted attempt (no store access, no epoch advance);
 //! * [`PanicStore`] — an [`ObliviousStore`] that panics at a scheduled
 //!   fetch, for proving the server loop tears down only the offending
 //!   session;
@@ -34,9 +30,6 @@
 
 use crate::backend::ObliviousStore;
 use crate::error::PirError;
-use crate::server::FileId;
-use crate::spec::SystemSpec;
-use crate::transport::Transport;
 use crate::wire::{FrameLink, RetryPolicy, ServerFront, WireChannel};
 use crate::Result;
 use privpath_storage::{MemFile, PageBuf, PagedFile};
@@ -234,16 +227,11 @@ pub struct ChaosLink<L: FrameLink> {
 
 impl<L: FrameLink> ChaosLink<L> {
     /// Wraps `inner` under `plan`.
-    pub fn new(inner: L, plan: FaultPlan) -> Self {
+    pub(crate) fn new(inner: L, plan: FaultPlan) -> Self {
         ChaosLink {
             inner,
             state: FaultState::new(plan),
         }
-    }
-
-    /// Faults injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.state.faults
     }
 }
 
@@ -315,108 +303,6 @@ pub fn connect_chaos(
     WireChannel::handshake(Box::new(link), policy)
 }
 
-/// The in-process fault-injection analog: wraps a whole [`Transport`] and
-/// injects retryable faults *before* delegating, recovering with its own
-/// bounded backoff. The inner transport is never invoked on a faulted
-/// attempt, so server-side state (shuffled-store epochs, traces) advances
-/// exactly once per logical operation — the same idempotency the wire layer
-/// gets from its replay cache, obtained here by construction.
-pub struct ChaosHost<T: Transport> {
-    inner: T,
-    state: FaultState,
-    policy: RetryPolicy,
-    retries: u64,
-}
-
-impl<T: Transport> ChaosHost<T> {
-    /// Wraps `inner` under `plan`, recovering per `policy`.
-    pub fn new(inner: T, plan: FaultPlan, policy: RetryPolicy) -> Self {
-        ChaosHost {
-            inner,
-            state: FaultState::new(plan),
-            policy,
-            retries: 0,
-        }
-    }
-
-    /// The wrapped transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// Rolls the plan until an attempt comes up clean, spending the retry
-    /// budget on each faulted roll. Every fault here is retryable by
-    /// construction (drops/corruption/outage all map to pre-call failures).
-    fn weather(&mut self) -> Result<()> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut backoff = self.policy.backoff;
-        let mut last: Option<PirError> = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                self.retries += 1;
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(self.policy.backoff_cap.max(self.policy.backoff));
-            }
-            let err = match self.state.roll() {
-                Fault::None | Fault::Duplicate | Fault::Delay => return Ok(()),
-                Fault::Outage => PirError::LinkDown("chaos: outage window".into()),
-                Fault::Drop => PirError::Timeout("chaos: request dropped".into()),
-                Fault::Corrupt | Fault::Truncate => {
-                    PirError::CorruptFrame("chaos: frame mangled".into())
-                }
-            };
-            last = Some(err);
-        }
-        let last = last.expect("at least one attempt");
-        if attempts == 1 {
-            return Err(last);
-        }
-        Err(PirError::Exhausted {
-            attempts,
-            last: Box::new(last),
-        })
-    }
-}
-
-impl<T: Transport> Transport for ChaosHost<T> {
-    fn spec(&self) -> &SystemSpec {
-        self.inner.spec()
-    }
-
-    fn file_pages(&self, f: FileId) -> Result<u32> {
-        self.inner.file_pages(f)
-    }
-
-    fn begin_query(&mut self) -> Result<()> {
-        self.weather()?;
-        self.inner.begin_query()
-    }
-
-    fn serve_round(
-        &mut self,
-        round: u32,
-        requests: &[(FileId, u32)],
-        out: &mut [PageBuf],
-    ) -> Result<()> {
-        self.weather()?;
-        self.inner.serve_round(round, requests, out)
-    }
-
-    fn download(&mut self, f: FileId) -> Result<Vec<u8>> {
-        self.weather()?;
-        self.inner.download(f)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.weather()?;
-        self.inner.close()
-    }
-
-    fn retries(&self) -> u64 {
-        self.retries + self.inner.retries()
-    }
-}
-
 /// A seeded, deterministic schedule of *disk* faults for [`FaultyDisk`].
 /// Rates are per-mille per page read; `max_faults` bounds the total injected
 /// so bounded retry budgets always win and soak tests terminate.
@@ -471,17 +357,6 @@ impl DiskFaultPlan {
             flip_per_mille: 50,
             short_per_mille: 50,
             max_faults: 16,
-        }
-    }
-
-    /// The full mixed profile: transient errors, bit rot, and torn reads.
-    pub fn mixed(seed: u64) -> DiskFaultPlan {
-        DiskFaultPlan {
-            seed,
-            transient_per_mille: 80,
-            flip_per_mille: 40,
-            short_per_mille: 40,
-            max_faults: 48,
         }
     }
 }
@@ -737,8 +612,9 @@ impl ObliviousStore for PanicStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{PirMode, PirServer, PirSession};
-    use crate::transport::InProc;
+    use crate::server::{FileId, PirMode, PirServer};
+    use crate::spec::SystemSpec;
+    use crate::transport::Transport;
     use privpath_storage::DEFAULT_PAGE_SIZE;
     use std::sync::Arc;
 
@@ -818,27 +694,6 @@ mod tests {
             );
         }
         chan.close().unwrap();
-    }
-
-    #[test]
-    fn chaos_host_never_double_serves_the_inner_transport() {
-        let srv = server();
-        let inner = InProc::new(Arc::clone(&srv));
-        let mut chan = ChaosHost::new(inner, FaultPlan::lossy(99), RetryPolicy::resilient());
-        let mut sess = PirSession::new();
-        sess.begin_round(&mut chan).unwrap();
-        let pages = sess
-            .run_round(&mut chan, &[(FileId(1), 3), (FileId(1), 8)])
-            .unwrap();
-        assert_eq!(pages.len(), 2);
-        // the meter is link-blind: identical to a clean run
-        let mut clean_sess = PirSession::new();
-        let mut clean = InProc::new(Arc::clone(&srv));
-        clean_sess.begin_round(&mut clean).unwrap();
-        clean_sess
-            .run_round(&mut clean, &[(FileId(1), 3), (FileId(1), 8)])
-            .unwrap();
-        assert_eq!(sess.meter, clean_sess.meter);
     }
 
     #[test]

@@ -23,11 +23,11 @@ use crate::spec::SystemSpec;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Disk transfer time (s).
-    pub disk_s: f64,
+    pub(crate) disk_s: f64,
     /// SCP I/O time (s).
-    pub scp_io_s: f64,
+    pub(crate) scp_io_s: f64,
     /// SCP encryption/decryption time (s).
-    pub crypto_s: f64,
+    pub(crate) crypto_s: f64,
 }
 
 impl CostBreakdown {
@@ -37,7 +37,7 @@ impl CostBreakdown {
     }
 
     /// Component-wise accumulation.
-    pub fn add(&mut self, other: CostBreakdown) {
+    pub(crate) fn add(&mut self, other: CostBreakdown) {
         self.disk_s += other.disk_s;
         self.scp_io_s += other.scp_io_s;
         self.crypto_s += other.crypto_s;
@@ -45,7 +45,7 @@ impl CostBreakdown {
 }
 
 /// Amortized page-operations per retrieval from an `n_pages` file.
-pub fn ops_per_retrieval(spec: &SystemSpec, n_pages: u32) -> f64 {
+pub(crate) fn ops_per_retrieval(spec: &SystemSpec, n_pages: u32) -> f64 {
     let n = f64::from(n_pages.max(2));
     let lg = n.log2();
     spec.pir_fixed_ops + spec.pir_ops_per_log2sq * lg * lg
@@ -57,7 +57,7 @@ pub fn ops_per_retrieval(spec: &SystemSpec, n_pages: u32) -> f64 {
 /// computes it once per file and accumulates it once per page of the batch —
 /// the identical floating-point addition sequence as per-fetch execution,
 /// which is what keeps batched and unbatched meters bit-for-bit equal.
-pub fn retrieval_cost(spec: &SystemSpec, n_pages: u32) -> CostBreakdown {
+pub(crate) fn retrieval_cost(spec: &SystemSpec, n_pages: u32) -> CostBreakdown {
     let ops = ops_per_retrieval(spec, n_pages);
     let page = spec.page_size as f64;
     CostBreakdown {
@@ -73,7 +73,7 @@ pub fn retrieval_cost(spec: &SystemSpec, n_pages: u32) -> CostBreakdown {
 
 /// Cost of a plain (non-private) page read — used by the OBF baseline and by
 /// "unsecured" reference measurements: one seek plus one transfer.
-pub fn plain_read_cost(spec: &SystemSpec, pages: u64) -> f64 {
+pub(crate) fn plain_read_cost(spec: &SystemSpec, pages: u64) -> f64 {
     spec.disk_seek_s + pages as f64 * spec.page_size as f64 / spec.disk_rate_bps
 }
 

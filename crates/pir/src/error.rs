@@ -93,7 +93,7 @@ impl PirError {
     /// server front uses this to decide between the retryable
     /// `ERR_SERVE_TRANSIENT` wire code (serve not cached, retransmit
     /// re-executes) and the fatal `ERR_SERVE`.
-    pub fn is_transient_storage(&self) -> bool {
+    pub(crate) fn is_transient_storage(&self) -> bool {
         matches!(self, PirError::Storage(se) if se.is_transient())
     }
 

@@ -53,7 +53,7 @@ impl Meter {
     }
 
     /// Records `n` PIR fetches against file `file_idx`.
-    pub fn record_fetches(&mut self, file_idx: usize, n: u64) {
+    pub(crate) fn record_fetches(&mut self, file_idx: usize, n: u64) {
         if self.fetches_per_file.len() <= file_idx {
             self.fetches_per_file.resize(file_idx + 1, 0);
         }

@@ -76,11 +76,6 @@ impl Prp {
         }
         y
     }
-
-    /// Domain size.
-    pub fn domain(&self) -> u64 {
-        self.domain
-    }
 }
 
 #[cfg(test)]

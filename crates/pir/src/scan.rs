@@ -6,11 +6,11 @@
 //!
 //! * the file is streamed in multi-page **runs** through a reusable arena
 //!   ([`PagedFile::read_run_into`]), so a disk-backed scan issues one
-//!   positioned syscall per [`RUN_PAGES`] pages instead of one per page;
+//!   positioned syscall per `RUN_PAGES` pages instead of one per page;
 //! * drivers that expose their bytes zero-copy ([`PagedFile::contiguous`]:
 //!   flat in-memory files, mappings) skip the arena entirely;
 //! * each page is resolved with a branchless masked select over `u64` lanes
-//!   ([`lane_select`]): **constant work per page regardless of match** — a
+//!   (`lane_select`): **constant work per page regardless of match** — a
 //!   non-matching page is OR-accumulated under an all-zeros mask into the
 //!   arena's dummy sink, a matching one under an all-ones mask into its
 //!   output slot. The inner loop is plain slice arithmetic over 8-byte
@@ -18,7 +18,7 @@
 //!
 //! * a sweep is cut into fixed **segments** of [`SEGMENT_PAGES`] pages, and
 //!   each segment's pass into **page-range shards** ([`Sweep`]): `S` passes
-//!   over disjoint ranges cut on [`RUN_PAGES`] multiples, shard 0 on the
+//!   over disjoint ranges cut on `RUN_PAGES` multiples, shard 0 on the
 //!   calling thread and `S − 1` on the threads of a [`Crew`] that stands by
 //!   for as long as its lap lasts, all ended before the pass returns. One
 //!   core reaches neither the checksum layer's nor DRAM's bandwidth alone;
@@ -51,7 +51,7 @@ use crate::PirError;
 /// Pages per streamed run: 64 pages × 4 KiB = 256 KiB per driver call,
 /// large enough to amortize a syscall to noise, small enough to stay
 /// cache-resident while the lane kernel resolves it.
-pub const RUN_PAGES: usize = 64;
+pub(crate) const RUN_PAGES: usize = 64;
 
 /// Fewest pages worth a shard of their own: 2,048 pages × 4 KiB = 8 MiB, a
 /// few milliseconds of verified sweep against the tens of microseconds a
@@ -64,7 +64,7 @@ pub const MIN_SHARD_PAGES: usize = 2048;
 /// a seventh of a lap on the reference benchmark's 13,870-page index file.
 /// Every boundary is a hand-off between the threads of a [`Crew`]: tens of
 /// microseconds against the ≈ 3 ms a two-shard pass of this many 4 KiB
-/// pages takes. A multiple of [`RUN_PAGES`], so segments cut on runs.
+/// pages takes. A multiple of `RUN_PAGES`, so segments cut on runs.
 pub const SEGMENT_PAGES: usize = 2048;
 
 /// Shards the segment passes of a `num_pages`-page file are split into where
@@ -77,14 +77,14 @@ pub fn shard_count(num_pages: u32, cpus: usize) -> usize {
 /// Reusable scratch for the streaming scan: the run buffer (grown on first
 /// use, absent entirely for zero-copy drivers) and the dummy sink
 /// non-matching pages are masked into so per-page work stays constant.
-pub struct ScanArena {
+pub(crate) struct ScanArena {
     run: Vec<u8>,
     dummy: Vec<u8>,
 }
 
 impl ScanArena {
     /// Arena for files of `page_size`-byte pages.
-    pub fn new(page_size: usize) -> Self {
+    pub(crate) fn new(page_size: usize) -> Self {
         ScanArena {
             run: Vec::new(),
             dummy: vec![0u8; page_size],
@@ -113,7 +113,7 @@ impl ScanArena {
 /// # Panics
 /// Debug-asserts `src.len() == acc.len()`.
 #[inline]
-pub fn lane_select(src: &[u8], mask: u64, acc: &mut [u8]) {
+pub(crate) fn lane_select(src: &[u8], mask: u64, acc: &mut [u8]) {
     debug_assert_eq!(src.len(), acc.len(), "lane kernel buffers must match");
     let mask = std::hint::black_box(mask);
     #[cfg(target_arch = "x86_64")]
@@ -179,10 +179,10 @@ unsafe fn lane_words_avx2(src: &[u8], mask: u64, acc: &mut [u8]) {
 #[derive(Debug)]
 pub struct ScanStop {
     /// First page of the run that was not read.
-    pub at: u32,
+    pub(crate) at: u32,
     /// Why: the driver's error on that run, or the system's when the
     /// pass's thread could not be started.
-    pub error: PirError,
+    pub(crate) error: PirError,
 }
 
 /// One streamed pass over the pages `range` of `file`, resolving `wanted` —
@@ -191,7 +191,7 @@ pub struct ScanStop {
 /// the runs of a pass over a sub-range are runs of the pass over the whole
 /// file, and requested pages must be in range (callers bounds-check before
 /// the scan so a bad request costs no I/O).
-pub fn scan_resolve(
+pub(crate) fn scan_resolve(
     file: &dyn PagedFile,
     range: Range<u32>,
     wanted: &[u32],
@@ -401,7 +401,7 @@ fn lock_handoff(handoff: &Mutex<Handoff>) -> MutexGuard<'_, Handoff> {
 /// across the passes of a lap, polling for the next range instead of being
 /// started for it, is what makes a segment boundary cost microseconds.
 ///
-/// A crew of nobody ([`Crew::none`]) sweeps every range on the calling
+/// A crew of nobody (`Crew::none`) sweeps every range on the calling
 /// thread, one after the other: what a one-range plan needs, and what the
 /// loop thread of a front uses when it drives a lap itself.
 pub struct Crew {
@@ -410,7 +410,7 @@ pub struct Crew {
 
 impl Crew {
     /// Nobody: every range of a pass runs on the calling thread.
-    pub fn none() -> Crew {
+    pub(crate) fn none() -> Crew {
         Crew {
             helpers: Vec::new(),
         }
@@ -418,7 +418,7 @@ impl Crew {
 
     /// `hands` threads standing by to sweep ranges of `file`. A thread the
     /// system refuses is done without: its range runs on the crew's thread.
-    pub fn of(file: &Arc<dyn PagedFile>, hands: usize) -> Crew {
+    pub(crate) fn of(file: &Arc<dyn PagedFile>, hands: usize) -> Crew {
         let mut helpers = Vec::with_capacity(hands);
         for _ in 0..hands {
             let state = Arc::new(AtomicU8::new(IDLE));
@@ -510,8 +510,8 @@ impl Drop for Crew {
 }
 
 /// The sharded segment pass: a fixed partition of one file's pages into
-/// segments, of every segment into ranges cut on [`RUN_PAGES`] multiples,
-/// and the scratch every pass reuses (one [`ScanArena`] per concurrent
+/// segments, of every segment into ranges cut on `RUN_PAGES` multiples,
+/// and the scratch every pass reuses (one `ScanArena` per concurrent
 /// range), so a pass in steady state allocates no scratch.
 ///
 /// [`Sweep::pass`] sweeps one segment: its range 0 on the calling thread,
@@ -573,7 +573,7 @@ impl Sweep {
     }
 
     /// The page range of segment `seg`.
-    pub fn segment(&self, seg: usize) -> Range<u32> {
+    pub(crate) fn segment(&self, seg: usize) -> Range<u32> {
         let ranges = &self.plan[seg];
         ranges[0].start..ranges.last().expect("a segment has a range").end
     }
@@ -692,7 +692,7 @@ impl Ride {
     }
 
     /// All pages, in request order, back to back.
-    pub fn pages(&self) -> &[u8] {
+    pub(crate) fn pages(&self) -> &[u8] {
         &self.pages
     }
 
@@ -767,7 +767,7 @@ impl Rotation {
     }
 
     /// The ids aboard, in join order.
-    pub fn riders(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn riders(&self) -> impl Iterator<Item = u64> + '_ {
         self.riders.iter().map(|r| r.id)
     }
 
@@ -801,7 +801,7 @@ impl Rotation {
     }
 
     /// Drops the round that joined under `id`, if it is still aboard.
-    pub fn leave(&mut self, id: u64) {
+    pub(crate) fn leave(&mut self, id: u64) {
         if let Some(i) = self.riders.iter().position(|r| r.id == id) {
             let ride = self.riders.remove(i);
             self.spare.push(ride);
@@ -810,7 +810,7 @@ impl Rotation {
 
     /// Drops everybody: what is left to do after a pass that failed or
     /// panicked, once its riders have been told.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.spare.append(&mut self.riders);
     }
 
@@ -823,8 +823,8 @@ impl Rotation {
     /// with page `wanted[k]` (sorted, all inside the segment) or fail. The
     /// rounds whose lap this pass completes are appended to `done`, in join
     /// order, holding their pages. A failed pass fails every round aboard:
-    /// the error is the caller's to pass on to [`Rotation::riders`], who must
-    /// then all be dropped ([`Rotation::clear`]) — no page of a lap that
+    /// the error is the caller's to pass on to `Rotation::riders`, who must
+    /// then all be dropped (`Rotation::clear`) — no page of a lap that
     /// missed a segment may be served — which leaves the rotation idle and
     /// ready for the next round.
     pub fn step<E>(

@@ -451,11 +451,6 @@ impl PirSession {
         self.batched = on;
     }
 
-    /// True when rounds execute as server-side batches.
-    pub fn is_batched(&self) -> bool {
-        self.batched
-    }
-
     /// Starts a new protocol round. The client link RTT is charged once per
     /// query (connection establishment): the paper's Table 3 communication
     /// times match `bytes / bandwidth` almost exactly (LM moves 536 pages in
@@ -739,7 +734,7 @@ mod tests {
         let f = srv.add_file("Fd", file(8), PirMode::LinearScan).unwrap();
         let mut link = InProc::new(&srv);
         let mut sess = PirSession::new();
-        assert!(sess.is_batched());
+        assert!(sess.batched);
         sess.set_batched(false);
         let pages: Vec<PageBuf> = sess
             .run_round(&mut link, &[(f, 2), (f, 5)])

@@ -27,7 +27,7 @@ pub struct SystemSpec {
     pub scp_mem_factor: f64,
     /// Fixed page-operations per retrieval (session/request overhead) in the
     /// cost model — calibration constant, fixed together with
-    /// `pir_ops_per_log2sq` so the 1 GB anchor holds (see [`crate::cost`]).
+    /// `pir_ops_per_log2sq` so the 1 GB anchor holds (see the `cost` module).
     pub pir_fixed_ops: f64,
     /// Page-operations per `log2(N)²` in the cost model — calibrated so a
     /// 1 GB file costs ≈1 s per retrieval, the paper's IBM 4764 anchor.
@@ -57,19 +57,19 @@ impl SystemSpec {
     /// holds `c·√N` pages, so `N ≤ (mem_pages / c)²`. With the Table 2
     /// defaults this is ≈670 k pages ≈ 2.6 GB, matching the paper's "may
     /// support files up to 2.5 GByte".
-    pub fn max_file_pages(&self) -> u64 {
+    pub(crate) fn max_file_pages(&self) -> u64 {
         let mem_pages = self.scp_memory_bytes as f64 / self.page_size as f64;
         let root = mem_pages / self.scp_mem_factor;
         (root * root).floor() as u64
     }
 
-    /// Maximum file size in bytes under [`SystemSpec::max_file_pages`].
+    /// Maximum file size in bytes under `SystemSpec::max_file_pages`.
     pub fn max_file_bytes(&self) -> u64 {
         self.max_file_pages() * self.page_size as u64
     }
 
     /// Seconds to push `bytes` through the client link (excluding RTT).
-    pub fn transfer_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_s(&self, bytes: u64) -> f64 {
         bytes as f64 / self.comm_rate_bps
     }
 }

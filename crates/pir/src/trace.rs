@@ -72,7 +72,7 @@ impl AccessTrace {
     }
 
     /// Clears the trace (start of a new query).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.events.clear();
     }
 

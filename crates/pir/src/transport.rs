@@ -77,7 +77,7 @@ pub struct StaticSource<H: ServeHost + Send + Sync + 'static>(std::sync::Arc<H>)
 
 impl<H: ServeHost + Send + Sync + 'static> StaticSource<H> {
     /// Wraps `host` as a never-swapping generation-1 source.
-    pub fn new(host: H) -> Self {
+    pub(crate) fn new(host: H) -> Self {
         StaticSource(std::sync::Arc::new(host))
     }
 }
@@ -128,11 +128,11 @@ pub trait Transport {
     fn close(&mut self) -> Result<()>;
 
     /// Retransmissions this transport has performed so far. A perfect link
-    /// never retries; resilient transports ([`crate::wire::WireChannel`]
-    /// under a [`crate::wire::RetryPolicy`], [`crate::chaos::ChaosHost`])
-    /// report their recovery work here. Deliberately **not** part of the
-    /// [`crate::Meter`]: retry counts depend on the link, not the query, and
-    /// the meter must stay bit-identical across clean and lossy links.
+    /// never retries; a resilient one (a [`crate::wire::WireChannel`] under
+    /// a [`crate::wire::RetryPolicy`]) reports its recovery work here.
+    /// Deliberately **not** part of the [`crate::Meter`]: retry counts
+    /// depend on the link, not the query, and the meter must stay
+    /// bit-identical across clean and lossy links.
     fn retries(&self) -> u64 {
         0
     }

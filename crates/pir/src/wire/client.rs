@@ -236,7 +236,7 @@ impl WireChannel {
     /// completed — staleness is judged on the *accepted* reply, never
     /// inside the retry loop — so the caller can refresh its expectation
     /// and reconnect without any protocol cleanup.
-    pub fn handshake_expecting(
+    pub(crate) fn handshake_expecting(
         link: Box<dyn FrameLink>,
         policy: RetryPolicy,
         expected: Option<u64>,
@@ -270,13 +270,8 @@ impl WireChannel {
     /// The database generation the server stamped on this channel's accept.
     /// Sessions are pinned: this never changes over the channel's lifetime,
     /// whatever the server swaps to afterwards.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.info().generation
-    }
-
-    /// Retransmissions performed so far on this channel.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     pub(super) fn next_seq(&mut self) -> u32 {

@@ -90,32 +90,26 @@ pub struct ServerInfo {
     /// a hot-swappable front stamps the generation current at session
     /// accept). Clients compare it against a held expectation to detect a
     /// swap ([`PirError::StaleGeneration`]).
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// The server's system spec.
-    pub spec: SystemSpec,
+    pub(crate) spec: SystemSpec,
     /// Per-file metadata, indexed by `FileId.0`.
-    pub files: Vec<FileInfo>,
+    pub(crate) files: Vec<FileInfo>,
 }
 
 /// One served file's public metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileInfo {
     /// Diagnostic name ("Fh", "Fl", "Fi", "Fd", "Fi|Fd").
-    pub name: String,
+    pub(crate) name: String,
     /// Page count.
-    pub pages: u32,
+    pub(crate) pages: u32,
 }
 
 impl ServerInfo {
-    /// Snapshot of a server's public metadata, as generation 1 (the static
-    /// single-generation case).
-    pub fn of(server: &crate::server::PirServer) -> ServerInfo {
-        Self::of_generation(server, 1)
-    }
-
     /// Snapshot of a server's public metadata, stamped with an explicit
     /// generation id (hot-swappable fronts stamp each generation's entry).
-    pub fn of_generation(server: &crate::server::PirServer, generation: u64) -> ServerInfo {
+    pub(crate) fn of_generation(server: &crate::server::PirServer, generation: u64) -> ServerInfo {
         let files = (0..server.num_files() as u16)
             .map(|i| FileInfo {
                 name: server
@@ -387,11 +381,11 @@ pub struct Frame<'a> {
     /// Frame kind byte.
     pub kind: u8,
     /// Sequence number (request seq, or the echoed seq in a reply).
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Payload after the header.
-    pub payload: &'a [u8],
+    pub(crate) payload: &'a [u8],
     /// Bytes after this frame (for concatenated streams).
-    pub rest: &'a [u8],
+    pub(crate) rest: &'a [u8],
 }
 
 /// Splits one frame off `bytes`: validates length, crc, magic and version,

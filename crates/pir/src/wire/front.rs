@@ -64,7 +64,7 @@ pub struct SessionStats {
     /// are unaffected.
     pub coalesced_rounds: u64,
     /// Frames that failed structural validation (crc mismatch, truncation).
-    pub malformed: u64,
+    pub(crate) malformed: u64,
     /// Handler panics absorbed on this session (each one tears the session
     /// down; the loop survives).
     pub panics: u64,

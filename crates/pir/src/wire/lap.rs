@@ -116,8 +116,8 @@ fn pass(rotation: &mut Rotation, crew: &mut Crew, gen: &GenEntry, file: FileId) 
 /// The one rotation the front has rounds share, and who rides it.
 pub(super) struct Lap {
     /// The generation every rider is pinned to.
-    pub gen: Arc<GenEntry>,
-    pub file: FileId,
+    pub(crate) gen: Arc<GenEntry>,
+    pub(crate) file: FileId,
     /// The clients whose rounds ride, in arrival order. A round rides under
     /// its client's id: a client has one round in flight at most and ids
     /// are never reused, and a lap is replaced only once nobody rides it,
@@ -133,7 +133,7 @@ impl Lap {
     /// An idle lap over `file` of `gen`; `None` where the file does not share
     /// laps. With `cpus` of one, or a one-segment file, the loop thread
     /// drives it.
-    pub fn new(gen: &Arc<GenEntry>, file: FileId, cpus: usize) -> Option<Lap> {
+    pub(crate) fn new(gen: &Arc<GenEntry>, file: FileId, cpus: usize) -> Option<Lap> {
         let rotation = gen.server().scan_rotation(file)?;
         Some(Lap {
             gen: Arc::clone(gen),
@@ -149,20 +149,20 @@ impl Lap {
     }
 
     /// True while somebody rides.
-    pub fn is_ridden(&self) -> bool {
+    pub(crate) fn is_ridden(&self) -> bool {
         !self.aboard.is_empty()
     }
 
     /// True when the loop thread has a pass to run: somebody rides and no
     /// driver thread does it.
-    pub fn wants_turn(&self) -> bool {
+    pub(crate) fn wants_turn(&self) -> bool {
         !self.threaded && self.is_ridden()
     }
 
     /// Takes `client`'s round, which asks for `pages` of the file, aboard
     /// from the next boundary on. `events` is the loop's own queue, for a
     /// driver thread to report to.
-    pub fn join(&mut self, client: u64, pages: Vec<u32>, events: &mpsc::Sender<ToServer>) {
+    pub(crate) fn join(&mut self, client: u64, pages: Vec<u32>, events: &mpsc::Sender<ToServer>) {
         let start = {
             let mut inbox = relock(&self.shared.inbox);
             inbox.joins.push((client, pages));
@@ -214,7 +214,7 @@ impl Lap {
 
     /// One boundary and, if anybody is aboard, one pass on the calling
     /// thread and on no other.
-    pub fn turn(&mut self) -> Option<Turn> {
+    pub(crate) fn turn(&mut self) -> Option<Turn> {
         let mut rotation = relock(&self.shared.rotation);
         self.shared
             .boundary(&mut rotation)
@@ -223,7 +223,7 @@ impl Lap {
 
     /// Takes `client`'s round off the list of riders; false if it was not
     /// on it.
-    pub fn landed(&mut self, client: u64) -> bool {
+    pub(crate) fn landed(&mut self, client: u64) -> bool {
         let Some(i) = self.aboard.iter().position(|&c| c == client) else {
             return false;
         };
@@ -232,7 +232,7 @@ impl Lap {
     }
 
     /// Drops `client`'s round at the next boundary: its channel is gone.
-    pub fn leave(&mut self, client: u64) {
+    pub(crate) fn leave(&mut self, client: u64) {
         if self.landed(client) {
             relock(&self.shared.inbox).leaves.push(client);
         }
@@ -240,13 +240,13 @@ impl Lap {
 
     /// Hands a settled ride over for its buffers: the next round to join
     /// rides in them.
-    pub fn recycle(&mut self, ride: Ride) {
+    pub(crate) fn recycle(&mut self, ride: Ride) {
         relock(&self.shared.inbox).spare.push(ride);
     }
 
     /// Waits for the driver thread, if one was started, to end: it does when
     /// a boundary finds nobody aboard. No thread outlives its lap.
-    pub fn retire(&mut self) {
+    pub(crate) fn retire(&mut self) {
         if let Some(handle) = self.driver.take() {
             // a pass's panic is caught inside the thread; one that still got
             // out has nobody left to tell

@@ -2,7 +2,7 @@
 //! (`codec`), a multi-client server front end serving frames from a loop
 //! thread (`front`, with the shared lap in `lap`), the client channel that
 //! drives it (`client`), and the same frames over loopback sockets
-//! ([`tcp`]).
+//! (`tcp`).
 //!
 //! # Frame layout (version 4)
 //!
@@ -93,7 +93,7 @@
 //! leads with the generation id, so a client that held an expectation from
 //! an earlier session detects staleness as a typed
 //! [`PirError::StaleGeneration`](crate::PirError::StaleGeneration)
-//! ([`WireChannel::handshake_expecting`])
+//! (`WireChannel::handshake_expecting`)
 //! instead of silently re-planning against changed data.
 //!
 //! # Shared laps
@@ -133,7 +133,7 @@ mod client;
 mod codec;
 mod front;
 mod lap;
-pub mod tcp;
+pub(crate) mod tcp;
 
 pub use self::client::{ChannelLink, FrameLink, RetryPolicy, WireChannel};
 pub use self::codec::{

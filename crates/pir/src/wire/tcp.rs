@@ -72,12 +72,6 @@ pub struct TcpFront {
 }
 
 impl TcpFront {
-    /// Binds a listener on an ephemeral loopback port and spawns the server
-    /// loop over `host` with default config.
-    pub fn spawn<H: ServeHost + Send + Sync + 'static>(host: H) -> Result<TcpFront> {
-        Self::spawn_with(host, FrontConfig::default())
-    }
-
     /// Binds and spawns with explicit front-end knobs (chunked responses,
     /// idle eviction).
     pub fn spawn_with<H: ServeHost + Send + Sync + 'static>(
@@ -100,7 +94,7 @@ impl TcpFront {
     }
 
     /// Puts a TCP accept loop in front of an already-spawned [`ServerFront`].
-    pub fn over(front: ServerFront) -> Result<TcpFront> {
+    pub(crate) fn over(front: ServerFront) -> Result<TcpFront> {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
         let addr = listener.local_addr().map_err(io_err)?;
         let front = Arc::new(front);
@@ -124,7 +118,7 @@ impl TcpFront {
     }
 
     /// The fronted [`ServerFront`] (accounting, observable streams).
-    pub fn front(&self) -> &ServerFront {
+    pub(crate) fn front(&self) -> &ServerFront {
         self.front.as_ref().expect("front present until shutdown")
     }
 
@@ -135,7 +129,7 @@ impl TcpFront {
     }
 
     /// Connects with an explicit retry policy.
-    pub fn connect_with(&self, policy: RetryPolicy) -> Result<WireChannel> {
+    pub(crate) fn connect_with(&self, policy: RetryPolicy) -> Result<WireChannel> {
         WireChannel::handshake(Box::new(TcpLink::connect(self.addr)?), policy)
     }
 
@@ -162,11 +156,6 @@ impl TcpFront {
     /// Snapshot of the per-session accounting table.
     pub fn session_stats(&self) -> BTreeMap<u64, SessionStats> {
         self.front().session_stats()
-    }
-
-    /// The recorded observable frame stream of one session.
-    pub fn observed_stream(&self, session: u64) -> Option<Vec<u8>> {
-        self.front().observed_stream(session)
     }
 
     /// Graceful drain: stop accepting, serve every frame already queued,
@@ -408,7 +397,7 @@ mod tests {
 
     #[test]
     fn tcp_channel_serves_rounds_downloads_and_closes() {
-        let front = TcpFront::spawn(server()).unwrap();
+        let front = TcpFront::spawn_with(server(), FrontConfig::default()).unwrap();
         let mut chan = front.connect().unwrap();
         assert_eq!(chan.file_pages(FileId(1)).unwrap(), 16);
         chan.begin_query().unwrap();
@@ -466,7 +455,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_live_connections_then_disconnects() {
-        let front = TcpFront::spawn(server()).unwrap();
+        let front = TcpFront::spawn_with(server(), FrontConfig::default()).unwrap();
         let mut chan = front.connect().unwrap();
         chan.begin_query().unwrap();
         let stats = front.shutdown();
@@ -481,7 +470,7 @@ mod tests {
 
     #[test]
     fn desynced_length_prefix_drops_the_connection() {
-        let front = TcpFront::spawn(server()).unwrap();
+        let front = TcpFront::spawn_with(server(), FrontConfig::default()).unwrap();
         // a raw peer writing an outer length no message can have: the
         // reader drops the connection instead of allocating for it
         let mut raw = TcpStream::connect(front.addr()).unwrap();
@@ -502,7 +491,7 @@ mod tests {
         // message under a correct outer prefix. The connection must survive
         // it with a typed error frame, and the next well-formed request on
         // the same socket must still be served.
-        let front = TcpFront::spawn(server()).unwrap();
+        let front = TcpFront::spawn_with(server(), FrontConfig::default()).unwrap();
         let mut raw = TcpLink::connect(front.addr()).unwrap();
         raw.send(&[0x10, 0x00]).unwrap(); // 2-byte stump of a frame
         let reply = raw.recv(Some(Duration::from_secs(5))).unwrap();
@@ -516,7 +505,7 @@ mod tests {
 
     #[test]
     fn garbage_inside_a_valid_length_prefix_gets_a_typed_error() {
-        let front = TcpFront::spawn(server()).unwrap();
+        let front = TcpFront::spawn_with(server(), FrontConfig::default()).unwrap();
         let mut raw = TcpLink::connect(front.addr()).unwrap();
         // plausible length, garbage payload: forwarded to the server loop,
         // answered with an ERR frame rather than dropped

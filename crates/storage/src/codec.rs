@@ -20,7 +20,7 @@ impl ByteWriter {
     }
 
     /// Creates a writer with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         ByteWriter {
             buf: Vec::with_capacity(cap),
         }
@@ -94,15 +94,6 @@ impl ByteWriter {
         self.bytes(v)
     }
 
-    /// Overwrites 2 bytes at `pos` with a little-endian `u16` (for patching
-    /// offset directories after the fact).
-    ///
-    /// # Panics
-    /// Panics if `pos + 2` exceeds the bytes written so far.
-    pub fn patch_u16(&mut self, pos: usize, v: u16) {
-        self.buf[pos..pos + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Overwrites 4 bytes at `pos` with a little-endian `u32`.
     ///
     /// # Panics
@@ -123,23 +114,6 @@ impl<'a> ByteReader<'a> {
     /// Creates a reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
-    }
-
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Repositions the cursor (used by in-page offset directories).
-    pub fn seek(&mut self, pos: usize) -> Result<()> {
-        if pos > self.buf.len() {
-            return Err(StorageError::UnexpectedEof {
-                wanted: pos,
-                remaining: self.buf.len(),
-            });
-        }
-        self.pos = pos;
-        Ok(())
     }
 
     /// Bytes remaining after the cursor.
@@ -248,22 +222,12 @@ mod tests {
     fn patching_offsets() {
         let mut w = ByteWriter::new();
         w.u16(0).u32(0).u8(9);
-        w.patch_u16(0, 513);
         w.patch_u32(2, 0xdead_beef);
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u16().unwrap(), 513);
+        assert_eq!(r.u16().unwrap(), 0);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u8().unwrap(), 9);
-    }
-
-    #[test]
-    fn seek_within_bounds() {
-        let buf = [1u8, 2, 3, 4];
-        let mut r = ByteReader::new(&buf);
-        r.seek(2).unwrap();
-        assert_eq!(r.u8().unwrap(), 3);
-        assert!(r.seek(5).is_err());
     }
 
     #[test]

@@ -4,25 +4,30 @@
 //! the evaluation, Table 2) and the PIR interface retrieves exactly one page
 //! per request. This crate provides:
 //!
-//! * [`page`] — page-size constants and the [`page::PageBuf`] fixed-size buffer;
-//! * [`codec`] — the little-endian byte readers/writers every file format in
-//!   the system is written through;
-//! * [`pagefile`] — the [`pagefile::PagedFile`] abstraction with in-memory and
-//!   on-disk backends (the paper's framework "applies to storage in main
-//!   memory or a solid state drive" as well, §3.1);
-//! * [`mmapfile`] — the memory-mapped driver behind the same trait (raw
-//!   syscalls via the vendored `sysmap` shim, buffered fallback elsewhere);
-//! * [`checksum`] — CRC-32 used to detect tampering when running against the
-//!   fault-injecting PIR backend (extension beyond the paper's
-//!   honest-but-curious adversary).
+//! * `page` — page-size constants and the [`PageBuf`] fixed-size buffer;
+//! * `codec` — the little-endian [`ByteReader`]/[`ByteWriter`] every file
+//!   format in the system is written through;
+//! * `pagefile` — the [`PagedFile`] abstraction with in-memory and on-disk
+//!   backends (the paper's framework "applies to storage in main memory or a
+//!   solid state drive" as well, §3.1);
+//! * `mmapfile` — the memory-mapped [`MmapFile`] driver behind the same trait
+//!   (raw syscalls via the vendored `sysmap` shim, buffered fallback
+//!   elsewhere);
+//! * `checksum` — [`crc32`], used to detect tampering when running against
+//!   the fault-injecting PIR backend (extension beyond the paper's
+//!   honest-but-curious adversary);
+//! * `snapshot` — the atomic-rename, CRC-guarded snapshot container
+//!   ([`SnapshotWriter`], [`SnapshotReader`]).
 
-pub mod checksum;
-pub mod codec;
-pub mod error;
-pub mod mmapfile;
-pub mod page;
-pub mod pagefile;
-pub mod snapshot;
+#![warn(unreachable_pub)]
+
+mod checksum;
+mod codec;
+mod error;
+mod mmapfile;
+mod page;
+mod pagefile;
+mod snapshot;
 
 pub use checksum::crc32;
 pub use codec::{ByteReader, ByteWriter};

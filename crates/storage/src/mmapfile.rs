@@ -46,7 +46,7 @@ impl MmapFile {
     /// Opens a window of `num_pages` pages starting `byte_offset` bytes into
     /// `path` — the mapped twin of [`crate::pagefile::DiskFile::open_at`],
     /// with the same typed error when the window runs past the container.
-    pub fn open_at(
+    pub(crate) fn open_at(
         path: &Path,
         page_size: usize,
         byte_offset: u64,

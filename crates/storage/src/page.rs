@@ -63,11 +63,6 @@ impl PageBuf {
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
-
-    /// Consumes the page and returns the underlying bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.bytes.into_vec()
-    }
 }
 
 impl std::fmt::Debug for PageBuf {
@@ -79,12 +74,6 @@ impl std::fmt::Debug for PageBuf {
             .map_or(0, |p| p + 1);
         write!(f, "PageBuf({} bytes, ~{} used)", self.bytes.len(), used)
     }
-}
-
-/// Number of pages needed to store `bytes` bytes in pages of `page_size`.
-pub fn pages_for(bytes: usize, page_size: usize) -> u32 {
-    assert!(page_size > 0, "page size must be positive");
-    (bytes.div_ceil(page_size)) as u32
 }
 
 #[cfg(test)]
@@ -111,15 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(pages_for(0, 4096), 0);
-        assert_eq!(pages_for(1, 4096), 1);
-        assert_eq!(pages_for(4096, 4096), 1);
-        assert_eq!(pages_for(4097, 4096), 2);
-        assert_eq!(pages_for(3 * 4096, 4096), 3);
-    }
-
-    #[test]
     fn debug_reports_used_bytes() {
         let p = PageBuf::from_bytes(&[1, 0, 7], 16);
         let s = format!("{p:?}");
@@ -131,6 +111,6 @@ mod tests {
     fn mutation_round_trips() {
         let mut p = PageBuf::zeroed(4);
         p.as_mut_slice()[2] = 42;
-        assert_eq!(p.into_vec(), vec![0, 0, 42, 0]);
+        assert_eq!(p.as_slice(), [0, 0, 42, 0]);
     }
 }

@@ -243,7 +243,7 @@ impl MemFile {
     /// [`MemFile::persist`] with a fault hook called after each page write —
     /// the injection point the crash-safety regression test uses to fail the
     /// write mid-stream and observe that `path` is untouched.
-    pub fn persist_with(
+    pub(crate) fn persist_with(
         &self,
         path: &Path,
         mut after_page: impl FnMut(u32) -> Result<()>,
@@ -336,7 +336,7 @@ impl DiskFile {
     /// `path` — how snapshot files serve each embedded database file without
     /// extracting it. Fails with a typed error if the window runs past the
     /// end of the container.
-    pub fn open_at(
+    pub(crate) fn open_at(
         path: &Path,
         page_size: usize,
         byte_offset: u64,
@@ -463,11 +463,6 @@ impl ChecksumFile {
             crcs,
             name: name.into(),
         }
-    }
-
-    /// Name reported in [`StorageError::PageCorrupt`].
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     fn verify(&self, page: u32, bytes: &[u8]) -> Result<()> {

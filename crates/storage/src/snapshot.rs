@@ -32,9 +32,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic prefix, `b"PPSN"` on disk (little-endian u32).
-pub const SNAPSHOT_MAGIC: u32 = 0x4E53_5050;
+pub(crate) const SNAPSHOT_MAGIC: u32 = 0x4E53_5050;
 /// Current container format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub(crate) const SNAPSHOT_VERSION: u16 = 1;
 /// Fixed preamble size: magic + version + header_len + header_crc.
 const PREAMBLE_BYTES: u64 = 4 + 2 + 4 + 4;
 
@@ -45,20 +45,13 @@ pub struct SnapshotEntry {
     /// Opaque per-file blob (the serving layer stores the PIR mode here).
     pub mode_blob: Vec<u8>,
     /// Page size in bytes.
-    pub page_size: usize,
+    pub(crate) page_size: usize,
     /// Number of pages.
-    pub num_pages: u32,
+    pub(crate) num_pages: u32,
     /// Byte offset of the file's pages, relative to `data_start`.
     rel_offset: u64,
     /// Per-page CRC-32 table, one entry per page.
     crcs: Vec<u32>,
-}
-
-impl SnapshotEntry {
-    /// The per-page checksum table (one CRC-32 per page).
-    pub fn crcs(&self) -> &[u32] {
-        &self.crcs
-    }
 }
 
 /// Builds and writes a snapshot container.

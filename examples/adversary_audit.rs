@@ -13,10 +13,11 @@
 
 use privpath::core::audit::assert_indistinguishable;
 use privpath::core::config::BuildConfig;
-use privpath::core::engine::{Engine, SchemeKind};
+use privpath::core::engine::{Database, SchemeKind};
 use privpath::core::CoreError;
 use privpath::graph::gen::{road_like, RoadGenConfig};
 use privpath::pir::PirMode;
+use std::sync::Arc;
 
 fn main() {
     let net = road_like(&RoadGenConfig {
@@ -26,8 +27,8 @@ fn main() {
     });
 
     // ---- Part 1: indistinguishability audit across many queries ----
-    let mut engine =
-        Engine::build(&net, SchemeKind::Ci, &BuildConfig::default()).expect("build CI");
+    let db = Database::build(&net, SchemeKind::Ci, &BuildConfig::default()).expect("build CI");
+    let mut session = Arc::new(db).session();
     let mut traces = Vec::new();
     let n = net.num_nodes() as u32;
     for k in 0..30u32 {
@@ -35,7 +36,7 @@ fn main() {
         if s == t {
             continue;
         }
-        let out = engine.query_nodes(&net, s, t).expect("query");
+        let out = session.query_nodes(&net, s, t).expect("query");
         traces.push(out.trace);
     }
     println!("adversary view of every query: {}", traces[0].summary());
@@ -55,8 +56,9 @@ fn main() {
         },
         ..Default::default()
     };
-    let mut bad_engine = Engine::build(&net, SchemeKind::Ci, &cfg).expect("build");
-    match bad_engine.query_nodes(&net, 1, n - 2) {
+    let mut bad_session =
+        Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).expect("build")).session();
+    match bad_session.query_nodes(&net, 1, n - 2) {
         Err(CoreError::Storage(privpath::storage::StorageError::ChecksumMismatch { .. })) => {
             println!("tampering server: client detected page corruption via CRC-32 ✓");
         }

@@ -12,10 +12,11 @@
 
 use privpath::core::audit::assert_indistinguishable;
 use privpath::core::config::BuildConfig;
-use privpath::core::engine::{Engine, SchemeKind};
+use privpath::core::engine::{Database, SchemeKind};
 use privpath::graph::gen::{road_like, RoadGenConfig};
 use privpath::graph::types::Point;
 use privpath::pir::PirMode;
+use std::sync::Arc;
 
 fn main() {
     // The "city": a 1,500-node road network.
@@ -39,11 +40,12 @@ fn main() {
         pir_mode: PirMode::Shuffled { seed: 2024 },
         ..Default::default()
     };
-    let mut engine = Engine::build(&net, SchemeKind::Pi, &cfg).expect("build PI");
+    let db = Arc::new(Database::build(&net, SchemeKind::Pi, &cfg).expect("build PI"));
+    let mut session = db.session();
     println!(
         "PI database ready: {:.1} MB, plan = {} PIR fetches/query\n",
-        engine.db_bytes() as f64 / 1e6,
-        engine.plan().total_fetches()
+        db.db_bytes() as f64 / 1e6,
+        db.plan().total_fetches()
     );
 
     let trips = [
@@ -56,7 +58,7 @@ fn main() {
 
     let mut traces = Vec::new();
     for (label, s, t) in trips {
-        let out = engine.query(s, t).expect("query");
+        let out = session.query(s, t).expect("query");
         println!(
             "{label:<26} cost {:>8}  hops {:>4}  response {:>6.1} s  view {}",
             out.answer

@@ -7,8 +7,9 @@
 //! ```
 
 use privpath::core::config::BuildConfig;
-use privpath::core::engine::{Engine, SchemeKind};
+use privpath::core::engine::{Database, SchemeKind};
 use privpath::graph::gen::{road_like, RoadGenConfig};
+use std::sync::Arc;
 
 fn main() {
     // A ~2,000-node road-like network (deterministic for the seed).
@@ -25,25 +26,28 @@ fn main() {
 
     // Build the CI database: packed KD-tree partitioning, border-node
     // pre-computation, the four files Fh/Fl/Fi/Fd, and a fixed query plan.
+    // The database is immutable once built; a session holds one client's
+    // query state (share the `Arc` to open more, one per thread).
     let cfg = BuildConfig::default();
-    let mut engine = Engine::build(&net, SchemeKind::Ci, &cfg).expect("build CI");
+    let db = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).expect("build CI"));
+    let mut session = db.session();
     println!(
         "database: {:.2} MB across regions={} (m = {})",
-        engine.db_bytes() as f64 / 1e6,
-        engine.stats().regions,
-        engine.stats().m
+        db.db_bytes() as f64 / 1e6,
+        db.stats().regions,
+        db.stats().m
     );
     println!(
         "fixed plan: {} rounds, {} PIR fetches per query",
-        engine.plan().num_rounds(),
-        engine.plan().total_fetches()
+        db.plan().num_rounds(),
+        db.plan().total_fetches()
     );
 
     // Query between two far-apart points. The client sends only PIR page
     // requests; the server learns nothing about s, t, or the path.
     let s = net.node_point(0);
     let t = net.node_point((net.num_nodes() - 1) as u32);
-    let out = engine.query(s, t).expect("query");
+    let out = session.query(s, t).expect("query");
 
     println!(
         "\nanswer: cost = {:?}, {} hops",
@@ -59,7 +63,7 @@ fn main() {
     );
     println!("adversary view: {}", out.trace.summary());
     println!("\nRun a second, different query and compare the view:");
-    let out2 = engine
+    let out2 = session
         .query(net.node_point(17), net.node_point(18))
         .expect("query");
     println!("adversary view: {}", out2.trace.summary());

@@ -6,9 +6,10 @@
 //! ```
 
 use privpath::core::config::BuildConfig;
-use privpath::core::engine::{Engine, SchemeKind};
+use privpath::core::engine::{Database, SchemeKind};
 use privpath::graph::gen::{road_like, RoadGenConfig};
 use privpath::pir::Meter;
+use std::sync::Arc;
 
 fn main() {
     let net = road_like(&RoadGenConfig {
@@ -34,16 +35,17 @@ fn main() {
         SchemeKind::Pi,
     ] {
         let cfg = BuildConfig::default();
-        let mut engine = match Engine::build(&net, kind, &cfg) {
-            Ok(e) => e,
+        let db = match Database::build(&net, kind, &cfg) {
+            Ok(db) => Arc::new(db),
             Err(e) => {
                 println!("{:<6} inapplicable: {e}", kind.name());
                 continue;
             }
         };
+        let mut session = db.session();
         let mut total = Meter::new();
         for &(s, t) in &queries {
-            let out = engine.query_nodes(&net, s, t).expect("query");
+            let out = session.query_nodes(&net, s, t).expect("query");
             total.add(&out.meter);
         }
         let avg = total.scale_down(queries.len() as u64);
@@ -51,10 +53,10 @@ fn main() {
             "{:<6} {:>12.1} {:>12.2} {:>10} {:>9} {:>8}",
             kind.name(),
             avg.response_time_s(),
-            engine.db_bytes() as f64 / 1e6,
+            db.db_bytes() as f64 / 1e6,
             avg.total_fetches(),
             avg.rounds,
-            engine.stats().regions
+            db.stats().regions
         );
     }
 
@@ -65,10 +67,11 @@ fn main() {
             obf_decoys: decoys,
             ..Default::default()
         };
-        let mut engine = Engine::build(&net, SchemeKind::Obf, &cfg).expect("build");
+        let db = Arc::new(Database::build(&net, SchemeKind::Obf, &cfg).expect("build"));
+        let mut session = db.session();
         let mut total = Meter::new();
         for &(s, t) in &queries {
-            total.add(&engine.query_nodes(&net, s, t).expect("query").meter);
+            total.add(&session.query_nodes(&net, s, t).expect("query").meter);
         }
         let avg = total.scale_down(queries.len() as u64);
         println!(

@@ -18,25 +18,25 @@
 //! ## Quick start
 //!
 //! ```
-//! use privpath::core::engine::{Engine, SchemeKind};
+//! use privpath::core::engine::{Database, SchemeKind};
 //! use privpath::graph::gen::{road_like, RoadGenConfig};
+//! use std::sync::Arc;
 //!
 //! // A small synthetic road network (deterministic for a given seed).
 //! let net = road_like(&RoadGenConfig { nodes: 500, extra_edge_frac: 0.15, seed: 7, ..Default::default() });
 //!
-//! // Build the Concise Index database and query it privately.
-//! let mut engine = Engine::build(&net, SchemeKind::Ci, &Default::default()).unwrap();
+//! // Build the Concise Index database, then query it privately through a session.
+//! let db = Arc::new(Database::build(&net, SchemeKind::Ci, &Default::default()).unwrap());
+//! let mut session = db.session();
 //! let a = net.node_point(0);
 //! let b = net.node_point((net.num_nodes() - 1) as u32);
-//! let out = engine.query(a, b).unwrap();
+//! let out = session.query(a, b).unwrap();
 //! assert!(out.answer.found());
 //! ```
 //!
-//! ## Concurrent querying: `Database` + `QuerySession`
+//! ## Concurrent querying
 //!
-//! [`Engine`](core::engine::Engine) bundles one database with one session
-//! for the single-threaded case. To serve many clients at once, build a
-//! [`Database`](core::engine::Database) (immutable once built), share it
+//! A [`Database`](core::engine::Database) is immutable once built: share it
 //! with an [`Arc`](std::sync::Arc), and open one
 //! [`QuerySession`](core::engine::QuerySession) per thread. Sessions own all
 //! mutable query state — the cost meter, the adversary trace, the

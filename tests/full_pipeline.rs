@@ -4,10 +4,11 @@
 
 use privpath::core::audit::assert_indistinguishable;
 use privpath::core::config::BuildConfig;
-use privpath::core::engine::{Engine, SchemeKind};
+use privpath::core::engine::{Database, QuerySession, SchemeKind};
 use privpath::graph::dijkstra::{distance, INFINITY};
 use privpath::graph::gen::{grid_network, road_like, GridGenConfig, RoadGenConfig};
 use privpath::graph::network::RoadNetwork;
+use std::sync::Arc;
 
 fn cfg_small() -> BuildConfig {
     let mut cfg = BuildConfig::default();
@@ -27,15 +28,20 @@ fn all_schemes() -> [SchemeKind; 6] {
     ]
 }
 
-fn verify_costs(net: &RoadNetwork, engine: &mut Engine, pairs: &[(u32, u32)]) {
+fn verify_costs(
+    net: &RoadNetwork,
+    kind: SchemeKind,
+    session: &mut QuerySession,
+    pairs: &[(u32, u32)],
+) {
     for &(s, t) in pairs {
-        let out = engine.query_nodes(net, s, t).expect("query");
+        let out = session.query_nodes(net, s, t).expect("query");
         let want = distance(net, s, t);
         assert_eq!(
             out.answer.cost.unwrap_or(INFINITY),
             want,
             "{}: cost mismatch {s}->{t}",
-            engine.kind().name()
+            kind.name()
         );
         if out.answer.found() {
             // returned node path must chain from s to t
@@ -58,9 +64,9 @@ fn every_scheme_on_a_grid_city() {
         .map(|k| ((k * 17) % 225, (k * 101 + 60) % 225))
         .collect();
     for kind in all_schemes() {
-        let mut engine = Engine::build(&net, kind, &cfg_small())
+        let db = Database::build(&net, kind, &cfg_small())
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        verify_costs(&net, &mut engine, &pairs);
+        verify_costs(&net, kind, &mut Arc::new(db).session(), &pairs);
     }
 }
 
@@ -76,9 +82,9 @@ fn every_scheme_on_a_road_network() {
         .map(|k| ((k * 37) % n, (k * 211 + 13) % n))
         .collect();
     for kind in all_schemes() {
-        let mut engine = Engine::build(&net, kind, &cfg_small())
+        let db = Database::build(&net, kind, &cfg_small())
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        verify_costs(&net, &mut engine, &pairs);
+        verify_costs(&net, kind, &mut Arc::new(db).session(), &pairs);
     }
 }
 
@@ -100,10 +106,11 @@ fn traces_uniform_across_schemes_and_extreme_queries() {
         (3, n / 3),
     ];
     for kind in all_schemes() {
-        let mut engine = Engine::build(&net, kind, &cfg_small()).expect("build");
+        let mut session =
+            Arc::new(Database::build(&net, kind, &cfg_small()).expect("build")).session();
         let mut traces = Vec::new();
         for &(s, t) in &pairs {
-            let out = engine.query_nodes(&net, s, t).expect("query");
+            let out = session.query_nodes(&net, s, t).expect("query");
             assert!(!out.plan_violation, "{}: plan violation", kind.name());
             traces.push(out.trace);
         }
@@ -118,12 +125,13 @@ fn same_region_queries_work() {
         seed: 3,
         ..Default::default()
     });
-    let mut engine = Engine::build(&net, SchemeKind::Ci, &cfg_small()).expect("build");
+    let db = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg_small()).expect("build"));
+    let mut session = db.session();
     // find two nodes in the same region by probing close ids
-    let stats_regions = engine.stats().regions;
+    let stats_regions = db.stats().regions;
     assert!(stats_regions > 1);
     for (s, t) in [(0u32, 1u32), (10, 11), (100, 101)] {
-        let out = engine.query_nodes(&net, s, t).expect("query");
+        let out = session.query_nodes(&net, s, t).expect("query");
         assert_eq!(out.answer.cost.unwrap_or(u64::MAX), distance(&net, s, t));
     }
 }
@@ -139,8 +147,9 @@ fn tampering_is_detected() {
     cfg.pir_mode = privpath::pir::PirMode::Faulty {
         corrupt_fetches: vec![1],
     };
-    let mut engine = Engine::build(&net, SchemeKind::Ci, &cfg).expect("build");
-    let err = engine
+    let mut session =
+        Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).expect("build")).session();
+    let err = session
         .query_nodes(&net, 0, 150)
         .expect_err("corruption must surface");
     let msg = err.to_string();
@@ -149,8 +158,6 @@ fn tampering_is_detected() {
 
 #[test]
 fn tampering_mid_batch_is_detected_same_as_per_fetch() {
-    use privpath::core::engine::Database;
-    use std::sync::Arc;
     // A CI query's round four is a single server batch of (m+2) data pages.
     // Corrupt the data file's fetch sequence number 5 — a page deep inside
     // that batch — and check the client's page checksum catches it, under
@@ -182,8 +189,6 @@ fn tampering_mid_batch_is_detected_same_as_per_fetch() {
 
 #[test]
 fn tampering_mid_batch_is_detected_identically_over_the_wire() {
-    use privpath::core::engine::Database;
-    use std::sync::Arc;
     // The FaultyStore consumes one corruption sequence number per batched
     // page in issue order — and the wire transport serves a round through
     // the exact same store pass as the in-process path, so a fault
@@ -249,14 +254,15 @@ fn directed_one_way_roads() {
         }
     }
     let net = b.build();
-    let mut engine = Engine::build(&net, SchemeKind::Ci, &cfg_small()).expect("build");
+    let mut session =
+        Arc::new(Database::build(&net, SchemeKind::Ci, &cfg_small()).expect("build")).session();
     let n = net.num_nodes() as u32;
     for k in 0..8u32 {
         let (s, t) = ((k * 31) % n, (k * 73 + 11) % n);
         if s == t {
             continue;
         }
-        let out = engine.query_nodes(&net, s, t).expect("query");
+        let out = session.query_nodes(&net, s, t).expect("query");
         assert_eq!(
             out.answer.cost.unwrap_or(INFINITY),
             distance(&net, s, t),
@@ -272,12 +278,13 @@ fn arbitrary_query_points_snap_to_host_regions() {
         seed: 12,
         ..Default::default()
     });
-    let mut engine = Engine::build(&net, SchemeKind::Pi, &cfg_small()).expect("build");
+    let mut session =
+        Arc::new(Database::build(&net, SchemeKind::Pi, &cfg_small()).expect("build")).session();
     // points that are NOT node coordinates
     let (min, max) = net.bounding_box().unwrap();
     let s = privpath::graph::Point::new(min.x + 37, min.y + 91);
     let t = privpath::graph::Point::new(max.x - 53, max.y - 17);
-    let out = engine.query(s, t).expect("query");
+    let out = session.query(s, t).expect("query");
     assert!(out.answer.found());
     // the snapped endpoints must exist and the cost must match a direct
     // computation between them
@@ -293,10 +300,8 @@ fn arbitrary_query_points_snap_to_host_regions() {
 /// optimally against the *new* weights — the whole swap across a socket.
 #[test]
 fn tcp_hot_swap_serves_both_generations_end_to_end() {
-    use privpath::core::engine::Database;
     use privpath::core::DbRegistry;
     use privpath::pir::RetryPolicy;
-    use std::sync::Arc;
     use std::time::Duration;
 
     let net = road_like(&RoadGenConfig {
@@ -398,10 +403,10 @@ fn db_size_scaling_pi_vs_hy_vs_ci() {
         ..Default::default()
     });
     let mut cfg = cfg_small();
-    let ci = Engine::build(&net, SchemeKind::Ci, &cfg).expect("ci");
+    let ci = Database::build(&net, SchemeKind::Ci, &cfg).expect("ci");
     cfg.hy_threshold = Some(6);
-    let hy = Engine::build(&net, SchemeKind::Hy, &cfg).expect("hy");
-    let pi = Engine::build(&net, SchemeKind::Pi, &cfg).expect("pi");
+    let hy = Database::build(&net, SchemeKind::Hy, &cfg).expect("hy");
+    let pi = Database::build(&net, SchemeKind::Pi, &cfg).expect("pi");
     assert!(
         ci.db_bytes() < hy.db_bytes(),
         "CI {} < HY {}",
@@ -426,10 +431,10 @@ fn pir_file_limit_rejects_oversized_index() {
     });
     let mut cfg = cfg_small();
     cfg.spec.scp_memory_bytes = 48 << 10; // 48 KB SCP
-    let err = Engine::build(&net, SchemeKind::Pi, &cfg);
+    let err = Database::build(&net, SchemeKind::Pi, &cfg);
     assert!(err.is_err(), "PI should exceed the PIR file limit");
     // CI still fits
-    let ci = Engine::build(&net, SchemeKind::Ci, &cfg);
+    let ci = Database::build(&net, SchemeKind::Ci, &cfg);
     assert!(
         ci.is_ok(),
         "CI should fit: {:?}",

@@ -24,7 +24,7 @@ use privpath::core::audit::{
     assert_indistinguishable, check_plan_conformance, check_wire_conformance,
 };
 use privpath::core::config::BuildConfig;
-use privpath::core::engine::{Database, Engine, SchemeKind};
+use privpath::core::engine::{Database, SchemeKind};
 use privpath::core::files::fd::{decode_region, RegionData};
 use privpath::core::files::unseal_page;
 use privpath::core::plan::PlanFile;
@@ -380,14 +380,15 @@ fn meter_fetches_equal_trace_fetches_for_every_scheme() {
     for kind in SchemeKind::ALL {
         let mut cfg = cfg_small();
         cfg.obf_decoys = 6;
-        let mut engine = Engine::build(&net, kind, &cfg)
+        let db = Database::build(&net, kind, &cfg)
             .unwrap_or_else(|e| panic!("{} build failed: {e}", kind.name()));
+        let mut session = Arc::new(db).session();
         for k in 0..6u32 {
             let (s, t) = ((k * 37 + 5) % n, (k * 151 + 89) % n);
             if s == t {
                 continue;
             }
-            let out = engine
+            let out = session
                 .query_nodes(&net, s, t)
                 .unwrap_or_else(|e| panic!("{} query {s}->{t} failed: {e}", kind.name()));
             assert_eq!(
