@@ -64,6 +64,35 @@ proptest! {
         }
     }
 
+    /// The decoded-path cost always verifies against the edge weights the
+    /// client received (internal consistency of file formats end to end).
+    #[test]
+    fn path_costs_internally_consistent(
+        seed in 0u64..10_000,
+        nodes in 100usize..250,
+    ) {
+        let net = road_like(&RoadGenConfig { nodes, seed, ..Default::default() });
+        let n = net.num_nodes() as u32;
+        let mut session = Arc::new(Database::build(&net, SchemeKind::Hy, &cfg_small()).expect("build")).session();
+        for k in 0..4u32 {
+            let (s, t) = ((k * 13) % n, (k * 89 + 31) % n);
+            if s == t { continue; }
+            let out = session.query_nodes(&net, s, t).expect("query");
+            if let Some(cost) = out.answer.cost {
+                // recompute the cost along the returned node path using the
+                // true network weights
+                let mut total = 0u64;
+                for w in out.answer.path_nodes.windows(2) {
+                    let arc = (0..net.num_arcs() as u32)
+                        .find(|&e| net.edge_endpoints(e) == (w[0], w[1]))
+                        .expect("path edge must exist in the network");
+                    total += u64::from(net.edge_weight(arc));
+                }
+                prop_assert_eq!(total, cost);
+            }
+        }
+    }
+
     /// The CSR client Dijkstra agrees with the `HashMap` reference it
     /// replaced on arbitrary multigraph views (duplicate arcs, self-loops,
     /// disconnected nodes included).
