@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use privpath_core::augment::AugGraph;
 use privpath_core::precompute::{precompute, PrecomputeOptions};
-use privpath_core::subgraph::{reference::HashSubgraph, ClientSubgraph, QueryScratch};
+use privpath_core::subgraph::{ClientSubgraph, QueryScratch};
 use privpath_graph::dijkstra::dijkstra;
 use privpath_graph::gen::{road_like, RoadGenConfig};
 use privpath_graph::landmark::Landmarks;
@@ -44,9 +44,8 @@ fn bench_dijkstra(c: &mut Criterion) {
     g.finish();
 }
 
-/// The client hot path: CSR subgraph Dijkstra (with a reused scratch arena)
-/// vs the `HashMap`-based implementation it replaced, on a client view of
-/// the whole 10k-node network.
+/// The client hot path: CSR subgraph Dijkstra with a reused scratch arena,
+/// on a client view of the whole 10k-node network.
 fn bench_client_subgraph(c: &mut Criterion) {
     let network = net(10_000);
     let triples: Vec<(u32, u32, u32)> = (0..network.num_arcs() as u32)
@@ -70,18 +69,6 @@ fn bench_client_subgraph(c: &mut Criterion) {
             let s = (k * 997) % n;
             let t = (k * 331 + 13) % n;
             sub.shortest_path_in(&mut scratch, s, t)
-        });
-    });
-
-    g.bench_function("hashmap_reference", |b| {
-        let mut k = 0u32;
-        b.iter(|| {
-            let mut sub = HashSubgraph::new();
-            sub.add_edges(&triples);
-            k = k.wrapping_add(1);
-            let s = (k * 997) % n;
-            let t = (k * 331 + 13) % n;
-            sub.shortest_path(s, t).map(|(c, _)| c)
         });
     });
     g.finish();
@@ -148,13 +135,12 @@ fn bench_precompute(c: &mut Criterion) {
     g.finish();
 }
 
-/// PR 4's tentpole kernel: the pruned border Dijkstra + settled-prefix
-/// sweep against (a) the unpruned run of the same kernel and (b) the
-/// retained PR 3 path (`precompute::reference` — lazy `BinaryHeap`
-/// Dijkstras, cloned trees, mutex-guarded rows), on the same network and
-/// single-threaded throughout. Pruning terminates each search the moment
-/// all reachable border nodes are settled — exact, as the differential
-/// proptests in `core::precompute` prove — so both ratios are pure win.
+/// PR 4's tentpole kernel: the pruned, deduplicated border Dijkstras +
+/// settled-prefix sweep against the retained PR 3 path
+/// (`precompute::reference` — lazy `BinaryHeap` Dijkstras, full searches,
+/// cloned trees, mutex-guarded rows), on the same network and
+/// single-threaded throughout. Both build bit-identical tables, as the
+/// differential proptests in `core::precompute` prove.
 fn bench_precompute_border_sweep(c: &mut Criterion) {
     let network = net(4_000);
     let p = partition_packed(&network, 4088, &|u| network.node_record_bytes(u));
@@ -162,24 +148,21 @@ fn bench_precompute_border_sweep(c: &mut Criterion) {
     let aug = AugGraph::build(&network, &borders, &p.region_of_node);
     let mut g = c.benchmark_group("precompute_border_sweep");
     g.sample_size(10);
-    for (label, prune) in [("pruned", true), ("full", false)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                precompute(
-                    &aug,
-                    &borders,
-                    p.num_regions(),
-                    network.num_arcs(),
-                    &PrecomputeOptions {
-                        compute_g: true,
-                        threads: 1,
-                        prune,
-                        ..PrecomputeOptions::default()
-                    },
-                )
-            })
-        });
-    }
+    g.bench_function("pruned", |b| {
+        b.iter(|| {
+            precompute(
+                &aug,
+                &borders,
+                p.num_regions(),
+                network.num_arcs(),
+                &PrecomputeOptions {
+                    compute_g: true,
+                    threads: 1,
+                    ..PrecomputeOptions::default()
+                },
+            )
+        })
+    });
     g.bench_function("pr3_reference", |b| {
         b.iter(|| {
             privpath_core::precompute::reference::precompute_ref(

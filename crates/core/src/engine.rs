@@ -463,14 +463,6 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// Switches between batched round execution (default) and the per-fetch
-    /// reference path. Answers, meters and traces are identical either way —
-    /// the differential suite in `tests/leakage.rs` enforces it — so this
-    /// only matters for benchmarking the batching win itself.
-    pub fn set_batched(&mut self, on: bool) {
-        self.ctx.pir.set_batched(on);
-    }
-
     /// Runs one private query from `s` to `t` (Euclidean points anywhere on
     /// the network; they are snapped to nodes of their host regions).
     pub fn query(&mut self, s: Point, t: Point) -> Result<QueryOutput> {

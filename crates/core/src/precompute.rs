@@ -25,8 +25,7 @@
 //!   tree ancestor settles before its descendants — so each search
 //!   terminates the moment the last reachable border node settles, and the
 //!   sweep walks exactly that settled prefix (a node settled after the last
-//!   border can never carry a non-empty `J`). The unpruned path survives
-//!   behind [`PrecomputeOptions::prune`] for the differential suites.
+//!   border can never carry a non-empty `J`).
 //! * **Border dedup.** A border node adjacent to regions `(R₁, R₂)` is a
 //!   source for *both* regions' rows, and its shortest-path tree — hence
 //!   its sweep contribution — is identical both times. The first visit
@@ -53,28 +52,15 @@ use std::cell::UnsafeCell;
 #[derive(Debug, Clone)]
 pub struct PrecomputeOptions {
     /// Also compute the `G_ij` edge sets (needed by PI/HY/PI*; CI only needs
-    /// `S_ij`).
+    /// `S_ij`). Each worker then holds `num_arcs × 32` bits of slot map plus
+    /// `touched_max × r` bits of bitset pool (see `GRows::Sparse`).
     pub compute_g: bool,
     /// Worker threads (0 = all cores).
     pub threads: usize,
-    /// Terminate each border Dijkstra once all reachable border nodes are
-    /// settled (exact; see the module docs). `false` keeps the full-search
-    /// reference path for differential testing.
-    pub prune: bool,
     /// Per-worker byte budget for cached border sweep skeletons (the
-    /// search-each-border-once dedup). `0` disables the dedup entirely —
-    /// every (border, region) pair runs its own search, as in PR 3.
+    /// search-each-border-once dedup). A skeleton that does not fit is not
+    /// cached, and its border is searched again from the partner region.
     pub dedup_cache_bytes: usize,
-    /// Use the sparse per-worker `G` accumulator (the default). The dense
-    /// layout keeps one `r`-bit set per original arc per worker —
-    /// `num_arcs × r` bits, which binds memory at paper scale (a 176k-node
-    /// net with ~500k arcs and ~2000 regions costs ≈125 MB *per worker*).
-    /// The sparse layout maps only the arcs a source region's sweeps
-    /// actually touch into a recycled bitset pool (`num_arcs × 32` bits of
-    /// slot map plus `touched_max × r` bits of pool), and is bit-identical
-    /// to the dense path — a differential proptest holds them equal.
-    /// `false` keeps the dense PR 4 layout for that differential.
-    pub sparse_g: bool,
 }
 
 impl Default for PrecomputeOptions {
@@ -82,9 +68,7 @@ impl Default for PrecomputeOptions {
         PrecomputeOptions {
             compute_g: true,
             threads: 0,
-            prune: true,
             dedup_cache_bytes: 256 << 20,
-            sparse_g: true,
         }
     }
 }
@@ -190,9 +174,6 @@ struct SkelEntry {
 enum GRows {
     /// `compute_g` off: no accumulator at all.
     Off,
-    /// One `r`-bit set per arc (`num_arcs × r` bits per worker) — the PR 4
-    /// layout, kept for the sparse-vs-dense differential.
-    Dense(Vec<FixedBitset>),
     /// Slot-mapped: `slot_of[arc]` points into a recycled pool of bitsets
     /// that only ever grows to the touched-arc high-water mark. Slots are
     /// handed out in touch order and returned when the row is emitted.
@@ -212,12 +193,6 @@ impl GRows {
     fn union_touch(&mut self, e: usize, j: &FixedBitset, touched: &mut Vec<u32>) {
         match self {
             GRows::Off => {}
-            GRows::Dense(rows) => {
-                if rows[e].is_empty() {
-                    touched.push(e as u32);
-                }
-                rows[e].union_with(j);
-            }
             GRows::Sparse { slot_of, pool, r } => {
                 let slot = if slot_of[e] == NO_SLOT {
                     let s = touched.len();
@@ -239,16 +214,14 @@ impl GRows {
     fn row(&self, e: usize) -> &FixedBitset {
         match self {
             GRows::Off => unreachable!("row() on a disabled G accumulator"),
-            GRows::Dense(rows) => &rows[e],
             GRows::Sparse { slot_of, pool, .. } => &pool[slot_of[e] as usize],
         }
     }
 
-    /// Clears arc `e`'s set and (sparse) returns its slot to the pool.
+    /// Clears arc `e`'s set and returns its slot to the pool.
     fn clear_row(&mut self, e: usize) {
         match self {
             GRows::Off => {}
-            GRows::Dense(rows) => rows[e].clear(),
             GRows::Sparse { slot_of, pool, .. } => {
                 pool[slot_of[e] as usize].clear();
                 slot_of[e] = NO_SLOT;
@@ -273,27 +246,19 @@ struct SweepBufs {
 }
 
 impl SweepBufs {
-    fn new(
-        aug: &AugGraph,
-        r: usize,
-        num_orig_arcs: usize,
-        compute_g: bool,
-        sparse_g: bool,
-    ) -> Self {
+    fn new(aug: &AugGraph, r: usize, num_orig_arcs: usize, compute_g: bool) -> Self {
         SweepBufs {
             j_sets: (0..aug.n_total).map(|_| FixedBitset::new(r)).collect(),
             j_nonempty: vec![false; aug.n_total],
             s_row: (0..r).map(|_| FixedBitset::new(r)).collect(),
-            g_row: match (compute_g, sparse_g) {
-                (false, _) => GRows::Off,
-                (true, false) => {
-                    GRows::Dense((0..num_orig_arcs).map(|_| FixedBitset::new(r)).collect())
-                }
-                (true, true) => GRows::Sparse {
+            g_row: if compute_g {
+                GRows::Sparse {
                     slot_of: vec![NO_SLOT; num_orig_arcs],
                     pool: Vec::new(),
                     r,
-                },
+                }
+            } else {
+                GRows::Off
             },
             s_touched: Vec::new(),
             g_touched: Vec::new(),
@@ -501,25 +466,18 @@ pub fn precompute(
             let g_table = &g_table;
             scope.spawn(move || {
                 let mut scratch = DijkstraScratch::new(aug.n_total);
-                let mut bufs = SweepBufs::new(aug, r, num_orig_arcs, opts.compute_g, opts.sparse_g);
+                let mut bufs = SweepBufs::new(aug, r, num_orig_arcs, opts.compute_g);
                 // Border-dedup skeleton cache: filled on a border's first
                 // visit when its partner region lies later in this chunk,
                 // consumed (and freed) on the second visit.
-                let mut cache: Vec<Option<Box<[SkelEntry]>>> = vec![
-                    None;
-                    if opts.dedup_cache_bytes > 0 {
-                        borders.len()
-                    } else {
-                        0
-                    }
-                ];
+                let mut cache: Vec<Option<Box<[SkelEntry]>>> = vec![None; borders.len()];
                 let mut cache_bytes = 0usize;
                 let mut skel_buf: Vec<SkelEntry> = Vec::new();
 
                 #[allow(clippy::needless_range_loop)] // `i` is the region id, not just an index
                 for i in lo..hi {
                     for &b in &region_borders[i] {
-                        if let Some(skel) = cache.get_mut(b as usize).and_then(|slot| slot.take()) {
+                        if let Some(skel) = cache[b as usize].take() {
                             cache_bytes -= std::mem::size_of_val(&skel[..]);
                             bufs.replay(aug, &skel);
                             continue;
@@ -528,11 +486,10 @@ pub fn precompute(
                         // Pruned: the search stops at the last reachable
                         // border node and `scratch.settled` is exactly the
                         // prefix the sweep must visit.
-                        aug_dijkstra_into(aug, src, &mut scratch, opts.prune);
+                        aug_dijkstra_into(aug, src, &mut scratch, true);
                         let (r1, r2) = borders.nodes[b as usize].regions;
                         let partner = if r1 as usize == i { r2 } else { r1 } as usize;
-                        let record = opts.dedup_cache_bytes > 0 && partner > i && partner < hi;
-                        if record {
+                        if partner > i && partner < hi {
                             skel_buf.clear();
                             bufs.sweep_tree(aug, &scratch, Some(&mut skel_buf));
                             let bytes = std::mem::size_of_val(&skel_buf[..]);
@@ -1054,42 +1011,38 @@ mod tests {
         assert!(pre.g(0, 0).is_empty());
     }
 
-    /// Differential harness: the pruned border searches must reproduce both
-    /// the unpruned run of the new kernel *and* the retained PR 3
-    /// implementation ([`reference::precompute_ref`]) bit-for-bit
-    /// (`s_sets`, `g_sets`, `m`).
+    /// Differential harness: the pruned, deduplicated border searches and
+    /// the sparse `G` accumulator must reproduce the retained PR 3
+    /// implementation ([`reference::precompute_ref`], full searches and a
+    /// dense `G` layout) bit-for-bit (`s_sets`, `g_sets`, `m`), with `G` off
+    /// (what CI builds) and on (what PI/HY/PI* build).
     fn assert_prune_exact(net: &RoadNetwork, cap: usize, threads: usize) {
         let (aug, part, borders) = setup(net, cap);
-        let run = |prune: bool| {
-            precompute(
+        for compute_g in [false, true] {
+            let pruned = precompute(
                 &aug,
                 &borders,
                 part.num_regions(),
                 net.num_arcs(),
                 &PrecomputeOptions {
-                    compute_g: true,
+                    compute_g,
                     threads,
-                    prune,
                     ..PrecomputeOptions::default()
                 },
-            )
-        };
-        let full = run(false);
-        let pruned = run(true);
-        assert_eq!(full.s_sets, pruned.s_sets, "S_ij diverged under pruning");
-        assert_eq!(full.g_sets, pruned.g_sets, "G_ij diverged under pruning");
-        assert_eq!(full.m, pruned.m, "m diverged under pruning");
-        let pr3 = reference::precompute_ref(
-            &aug,
-            &borders,
-            part.num_regions(),
-            net.num_arcs(),
-            true,
-            threads,
-        );
-        assert_eq!(pr3.s_sets, pruned.s_sets, "S_ij diverged from PR 3 path");
-        assert_eq!(pr3.g_sets, pruned.g_sets, "G_ij diverged from PR 3 path");
-        assert_eq!(pr3.m, pruned.m, "m diverged from PR 3 path");
+            );
+            let pr3 = reference::precompute_ref(
+                &aug,
+                &borders,
+                part.num_regions(),
+                net.num_arcs(),
+                compute_g,
+                threads,
+            );
+            let g = if compute_g { "G on" } else { "G off" };
+            assert_eq!(pr3.s_sets, pruned.s_sets, "S_ij diverged from PR 3 ({g})");
+            assert_eq!(pr3.g_sets, pruned.g_sets, "G_ij diverged from PR 3 ({g})");
+            assert_eq!(pr3.m, pruned.m, "m diverged from PR 3 ({g})");
+        }
     }
 
     proptest::proptest! {
@@ -1097,8 +1050,8 @@ mod tests {
             cases: 6, ..Default::default()
         })]
 
-        /// Pruned ≡ unpruned on random road-like networks (the paper's
-        /// network shape), across thread counts.
+        /// Pruned ≡ PR 3 reference on random road-like networks (the
+        /// paper's network shape), across thread counts.
         #[test]
         fn pruned_precompute_is_exact_on_road_nets(
             seed in 0u64..10_000,
@@ -1109,8 +1062,8 @@ mod tests {
             assert_prune_exact(&net, 600, threads);
         }
 
-        /// Pruned ≡ unpruned on jittered grids (dense border structure —
-        /// many equal-cost ties crossing region boundaries).
+        /// Pruned ≡ PR 3 reference on jittered grids (dense border
+        /// structure — many equal-cost ties crossing region boundaries).
         #[test]
         fn pruned_precompute_is_exact_on_grids(
             nx in 6usize..13,
@@ -1122,62 +1075,9 @@ mod tests {
         }
     }
 
-    fn assert_sparse_g_exact(net: &RoadNetwork, cap: usize, threads: usize) {
-        let (aug, part, borders) = setup(net, cap);
-        let run = |sparse_g: bool| {
-            precompute(
-                &aug,
-                &borders,
-                part.num_regions(),
-                net.num_arcs(),
-                &PrecomputeOptions {
-                    compute_g: true,
-                    threads,
-                    sparse_g,
-                    ..PrecomputeOptions::default()
-                },
-            )
-        };
-        let dense = run(false);
-        let sparse = run(true);
-        assert_eq!(dense.s_sets, sparse.s_sets, "S_ij diverged under sparse G");
-        assert_eq!(dense.g_sets, sparse.g_sets, "G_ij diverged under sparse G");
-        assert_eq!(dense.m, sparse.m, "m diverged under sparse G");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 6, ..Default::default()
-        })]
-
-        /// The sparse per-worker `G` accumulator (slot-mapped pool) is
-        /// bit-identical to the dense `num_arcs × r` layout on road-like
-        /// networks, across thread counts.
-        #[test]
-        fn sparse_g_rows_match_dense_on_road_nets(
-            seed in 0u64..10_000,
-            nodes in 150usize..400,
-            threads in 1usize..4,
-        ) {
-            let net = road_like(&RoadGenConfig { nodes, seed, ..Default::default() });
-            assert_sparse_g_exact(&net, 600, threads);
-        }
-
-        /// Same differential on jittered grids (dense border structure).
-        #[test]
-        fn sparse_g_rows_match_dense_on_grids(
-            nx in 6usize..13,
-            ny in 6usize..13,
-            seed in 0u64..10_000,
-        ) {
-            let net = grid_network(&GridGenConfig { nx, ny, seed, ..Default::default() });
-            assert_sparse_g_exact(&net, 480, 2);
-        }
-    }
-
     /// The border-dedup skeleton replay must be invisible in the output:
-    /// dedup on (default), dedup off, and a tiny cache budget (forcing the
-    /// overflow fallback) all produce identical tables.
+    /// the default budget, a zero budget (nothing cached) and a tiny budget
+    /// (forcing the overflow fallback) all produce identical tables.
     #[test]
     fn border_dedup_is_exact_and_budget_safe() {
         let net = road_like(&RoadGenConfig {
@@ -1195,9 +1095,7 @@ mod tests {
                 &PrecomputeOptions {
                     compute_g: true,
                     threads,
-                    prune: true,
                     dedup_cache_bytes,
-                    ..PrecomputeOptions::default()
                 },
             )
         };
@@ -1229,7 +1127,6 @@ mod tests {
             &PrecomputeOptions {
                 compute_g: true,
                 threads: 1,
-                prune: true,
                 ..PrecomputeOptions::default()
             },
         );
@@ -1241,7 +1138,6 @@ mod tests {
             &PrecomputeOptions {
                 compute_g: true,
                 threads: 4,
-                prune: true,
                 ..PrecomputeOptions::default()
             },
         );

@@ -721,70 +721,6 @@ pub fn search_af(
     })
 }
 
-/// Reference implementations kept for differential tests and benchmarks: the
-/// original `HashMap`-based client view that the CSR hot path replaced.
-pub mod reference {
-    use privpath_graph::types::{Dist, NodeId};
-    use std::collections::HashMap;
-
-    /// `HashMap`-adjacency client view with a `HashMap`-backed Dijkstra.
-    #[derive(Debug, Default)]
-    pub struct HashSubgraph {
-        adj: HashMap<NodeId, Vec<(NodeId, u32)>>,
-    }
-
-    impl HashSubgraph {
-        /// Empty view.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Merges subgraph edge triples.
-        pub fn add_edges(&mut self, triples: &[(u32, u32, u32)]) {
-            for &(u, v, w) in triples {
-                self.adj.entry(u).or_default().push((v, w));
-            }
-        }
-
-        /// Textbook lazy-deletion Dijkstra over hash maps.
-        pub fn shortest_path(&self, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
-            use std::cmp::Reverse;
-            use std::collections::BinaryHeap;
-            let mut dist: HashMap<NodeId, Dist> = HashMap::new();
-            let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-            let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
-            dist.insert(s, 0);
-            heap.push(Reverse((0, s)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if d > *dist.get(&u).unwrap_or(&Dist::MAX) {
-                    continue;
-                }
-                if u == t {
-                    let mut path = vec![t];
-                    let mut cur = t;
-                    while let Some(&p) = parent.get(&cur) {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some((d, path));
-                }
-                if let Some(arcs) = self.adj.get(&u) {
-                    for &(v, w) in arcs {
-                        let nd = d + Dist::from(w);
-                        if nd < *dist.get(&v).unwrap_or(&Dist::MAX) {
-                            dist.insert(v, nd);
-                            parent.insert(v, u);
-                            heap.push(Reverse((nd, v)));
-                        }
-                    }
-                }
-            }
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,10 +857,15 @@ mod tests {
         assert_eq!(g.shortest_path(0, 1).unwrap().0, 2);
     }
 
+    /// On deterministic pseudo-random multigraph views, the CSR solver's
+    /// cost equals `graph::dijkstra::distance` over a `NetworkBuilder`
+    /// network of the same triples (`INFINITY` read as unreachable).
+    /// Self-loops are left out of the network: they never lie on a shortest
+    /// path, and the builder rejects them.
     #[test]
     fn matches_reference_on_dense_random_views() {
-        use super::reference::HashSubgraph;
-        // Deterministic pseudo-random multigraphs, compared edge-for-edge.
+        use privpath_graph::dijkstra::{distance, INFINITY};
+        use privpath_graph::NetworkBuilder;
         let mut state = 0x1234_5678_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -946,16 +887,23 @@ mod tests {
                 .collect();
             let mut csr = ClientSubgraph::new();
             csr.add_edges(&triples);
-            let mut href = HashSubgraph::new();
-            href.add_edges(&triples);
+            let mut net = NetworkBuilder::new();
+            for _ in 0..n {
+                net.add_node(Point::new(0, 0));
+            }
+            for &(u, v, w) in triples.iter().filter(|&&(u, v, _)| u != v) {
+                net.add_arc(u, v, w);
+            }
+            let net = net.build();
             let (s, t) = (next() as u32 % n, next() as u32 % n);
             if s == t {
-                // The reference treats an unknown s == t as a zero-cost hit;
-                // the interned view reports it unreachable. Not comparable.
+                // The oracle answers s == t with 0 whether or not s is in
+                // the view; the interned view reports an unknown s
+                // unreachable. Not comparable.
                 continue;
             }
             let got = csr.shortest_path(s, t).map(|(c, _)| c);
-            let want = href.shortest_path(s, t).map(|(c, _)| c);
+            let want = Some(distance(&net, s, t)).filter(|&d| d != INFINITY);
             assert_eq!(
                 got, want,
                 "round {round}: sp({s},{t}) over {m} arcs on {n} nodes"

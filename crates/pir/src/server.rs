@@ -415,11 +415,6 @@ pub struct PirSession {
     /// Adversary-observable trace for the current query.
     pub trace: AccessTrace,
     round: u32,
-    /// Execute rounds as server-side batches (the default). Disabled, every
-    /// batched call degrades to the per-fetch primitives — same results,
-    /// same accounting, k× the server page work; kept for the differential
-    /// suites that hold the two paths equal.
-    batched: bool,
     /// Round arena: page buffers reused across batches and queries, so
     /// steady-state batched fetches allocate nothing. Returned `&[PageBuf]`
     /// slices point in here and are valid until the next batch call.
@@ -432,23 +427,15 @@ impl Default for PirSession {
             meter: Meter::new(),
             trace: AccessTrace::new(),
             round: 0,
-            batched: true,
             arena: Vec::new(),
         }
     }
 }
 
 impl PirSession {
-    /// Fresh session with zeroed accounting (batched execution on).
+    /// Fresh session with zeroed accounting.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Switches between batched round execution (default) and the per-fetch
-    /// reference path. Observable behaviour — answers, meter, trace — is
-    /// identical either way; only the server-side page work differs.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
     }
 
     /// Starts a new protocol round. The client link RTT is charged once per
@@ -525,26 +512,10 @@ impl PirSession {
     ) -> Result<&[PageBuf]> {
         let k = requests.len();
         self.ensure_arena(link.spec().page_size, k);
-        if !self.batched {
-            // Reference path: the per-fetch primitive, verbatim. An empty
-            // round still crosses the wire as one exchange — exactly like
-            // the batched path below — so the server observes fetch-free
-            // rounds identically in both modes.
-            if requests.is_empty() {
-                self.meter.exchanges += 1;
-                link.serve_round(self.round, requests, &mut [])?;
-                return Ok(&self.arena[..0]);
-            }
-            for (i, &(f, page)) in requests.iter().enumerate() {
-                let page_buf = self.pir_fetch(link, f, page)?;
-                self.arena[i] = page_buf;
-            }
-            return Ok(&self.arena[..k]);
-        }
         // Accounting first, per request in issue order. The retrieval cost
         // depends only on the file, so it is computed once per run of
         // same-file requests and *accumulated* per fetch — the identical
-        // f64 addition sequence the unbatched path performs.
+        // f64 addition sequence `pir_fetch` performs, one call per request.
         let page_bytes = link.spec().page_size as u64;
         let transfer = link.spec().transfer_s(page_bytes);
         let mut cached: Option<(FileId, CostBreakdown)> = None;
@@ -726,30 +697,6 @@ mod tests {
             assert_eq!(batched.meter.exchanges, 2);
             assert_eq!(reference.meter.exchanges, 1 + requests.len() as u32);
         }
-    }
-
-    #[test]
-    fn unbatched_session_serves_rounds_through_the_per_fetch_path() {
-        let mut srv = PirServer::new(SystemSpec::default());
-        let f = srv.add_file("Fd", file(8), PirMode::LinearScan).unwrap();
-        let mut link = InProc::new(&srv);
-        let mut sess = PirSession::new();
-        assert!(sess.batched);
-        sess.set_batched(false);
-        let pages: Vec<PageBuf> = sess
-            .run_round(&mut link, &[(f, 2), (f, 5)])
-            .unwrap()
-            .to_vec();
-        assert_eq!(
-            u32::from_le_bytes(pages[0].as_slice()[..4].try_into().unwrap()),
-            2
-        );
-        assert_eq!(
-            u32::from_le_bytes(pages[1].as_slice()[..4].try_into().unwrap()),
-            5
-        );
-        assert_eq!(sess.meter.total_fetches(), 2);
-        assert_eq!(sess.meter.rounds, 1);
     }
 
     #[test]

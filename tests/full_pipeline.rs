@@ -157,37 +157,6 @@ fn tampering_is_detected() {
 }
 
 #[test]
-fn tampering_mid_batch_is_detected_same_as_per_fetch() {
-    // A CI query's round four is a single server batch of (m+2) data pages.
-    // Corrupt the data file's fetch sequence number 5 — a page deep inside
-    // that batch — and check the client's page checksum catches it, under
-    // both batched and per-fetch execution (a batch of k pages consumes k
-    // sequence numbers in issue order, so the same logical fetch is hit).
-    let net = road_like(&RoadGenConfig {
-        nodes: 200,
-        seed: 4,
-        ..Default::default()
-    });
-    let mut cfg = cfg_small();
-    cfg.pir_mode = privpath::pir::PirMode::Faulty {
-        corrupt_fetches: vec![5],
-    };
-    for batched in [true, false] {
-        let db = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg).expect("build"));
-        let mut session = db.session();
-        session.set_batched(batched);
-        let err = session
-            .query_nodes(&net, 0, 150)
-            .expect_err("mid-batch corruption must surface");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("checksum"),
-            "batched={batched}: unexpected error: {msg}"
-        );
-    }
-}
-
-#[test]
 fn tampering_mid_batch_is_detected_identically_over_the_wire() {
     // The FaultyStore consumes one corruption sequence number per batched
     // page in issue order — and the wire transport serves a round through

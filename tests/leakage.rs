@@ -116,80 +116,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
-
-    /// Differential: batched round execution (the default — one server
-    /// batch per round) is observably identical to the per-fetch reference
-    /// path, for every PIR scheme and for both functional oblivious store
-    /// kinds. Identical `AccessTrace`s, identical meter fetch/round/cost
-    /// totals (the f64 accumulators bit-for-bit), identical answers and
-    /// paths. This is the invariant that lets the server amortize a round's
-    /// page work without moving Theorem 1 an inch.
-    #[test]
-    fn batched_rounds_are_identical_to_per_fetch_execution(
-        seed in 0u64..10_000,
-        nodes in 100usize..170,
-        queries in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000), 4..7),
-    ) {
-        use privpath::pir::PirMode;
-        let net = road_like(&RoadGenConfig { nodes, seed, ..Default::default() });
-        let n = net.num_nodes() as u32;
-        // Alternate the functional store so both batch implementations (the
-        // one-pass linear scan and the epoch-amortized shuffled store) get
-        // coverage; cost-only serving is exercised by every other suite.
-        let mode = if seed % 2 == 0 {
-            PirMode::LinearScan
-        } else {
-            PirMode::Shuffled { seed }
-        };
-        for kind in PIR_SCHEMES {
-            let mut cfg = cfg_small();
-            cfg.pir_mode = mode.clone();
-            let db = Arc::new(
-                Database::build(&net, kind, &cfg)
-                    .unwrap_or_else(|e| panic!("{} build failed: {e}", kind.name())),
-            );
-            // Same dummy-fetch RNG seed on both sides: any divergence is the
-            // batching, not the randomness.
-            let mut batched = db.session_with_seed(seed ^ 0xbeef);
-            let mut unbatched = db.session_with_seed(seed ^ 0xbeef);
-            unbatched.set_batched(false);
-            for &(a, b) in &queries {
-                let (s, t) = (a % n, b % n);
-                if s == t {
-                    continue;
-                }
-                let want = unbatched
-                    .query_nodes(&net, s, t)
-                    .unwrap_or_else(|e| panic!("{} per-fetch {s}->{t}: {e}", kind.name()));
-                let got = batched
-                    .query_nodes(&net, s, t)
-                    .unwrap_or_else(|e| panic!("{} batched {s}->{t}: {e}", kind.name()));
-                prop_assert_eq!(&got.trace, &want.trace, "{}: trace {}->{}", kind.name(), s, t);
-                prop_assert_eq!(got.answer.cost, want.answer.cost);
-                prop_assert_eq!(&got.answer.path_nodes, &want.answer.path_nodes);
-                prop_assert_eq!(got.answer.src_node, want.answer.src_node);
-                prop_assert_eq!(got.answer.dst_node, want.answer.dst_node);
-                prop_assert_eq!(got.meter.rounds, want.meter.rounds);
-                prop_assert_eq!(got.meter.total_fetches(), want.meter.total_fetches());
-                prop_assert_eq!(&got.meter.fetches_per_file, &want.meter.fetches_per_file);
-                prop_assert_eq!(got.meter.bytes_transferred, want.meter.bytes_transferred);
-                // Exact f64 equality is intentional: the batched path must
-                // perform the same cost additions in the same order.
-                prop_assert_eq!(got.meter.pir.total_s(), want.meter.pir.total_s());
-                prop_assert_eq!(got.meter.comm_s, want.meter.comm_s);
-                prop_assert_eq!(got.meter.server_s, want.meter.server_s);
-                prop_assert_eq!(
-                    got.trace.num_rounds() as u32,
-                    got.meter.rounds,
-                    "{}: rounds vs RoundStart events", kind.name()
-                );
-            }
-        }
-    }
-}
-
 /// Fetches one LM region page through a PIR session (the differential
 /// drivers below charge a real meter so the two implementations' PIR costs
 /// can be compared exactly).
