@@ -756,7 +756,8 @@ mod tests {
         let mut cases: Vec<Vec<u32>> = ranges.iter().map(|r| vec![victim(r)]).collect();
         cases.push(vec![victim(&ranges[2]), victim(&ranges[1])]);
         for bad in cases {
-            let mut bytes = clean.contiguous().unwrap().to_vec();
+            let mut bytes = vec![0u8; clean.size_bytes() as usize];
+            clean.read_run_into(0, &mut bytes).unwrap();
             for &p in &bad {
                 bytes[p as usize * 32 + 9] ^= 0x40;
             }
@@ -793,6 +794,56 @@ mod tests {
             }
             assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
         }
+    }
+
+    #[test]
+    fn flipped_byte_in_a_mapped_snapshot_page_fails_the_round_untouched() {
+        use privpath_storage::{SnapshotReader, SnapshotWriter};
+        // a mapped snapshot file lends its runs, so the checksum layer
+        // verifies them in place: the flip must still be caught before the
+        // kernel selects a byte of that page
+        let pages = 3 * scan::RUN_PAGES as u32 + 5;
+        let ps = 32usize;
+        let (file, crcs) = small_pages(pages, ps);
+        let dir = std::env::temp_dir().join(format!("privpath-mapped-flip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.snap");
+        let mut w = SnapshotWriter::new(Vec::new());
+        w.add_file("Fi", Vec::new(), Arc::new(file));
+        w.write(&path).unwrap();
+        let bad = scan::RUN_PAGES as u32 + 9;
+        let mut bytes = std::fs::read(&path).unwrap();
+        let data_start = bytes.len() - pages as usize * ps;
+        bytes[data_start + bad as usize * ps + 13] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let snap = SnapshotReader::open(&path).unwrap();
+        let mapped: Arc<dyn PagedFile> = Arc::new(snap.open_mmap(0).unwrap());
+        let reqs = [pages - 1, bad, 2];
+        for shards in [1usize, 2] {
+            let mut store = LinearScanStore::with_shards(Arc::clone(&mapped), shards);
+            let mut out = vec![PageBuf::from_bytes(&[0x5A; 32], ps); reqs.len()];
+            match store.fetch_batch(&reqs, &mut out).unwrap_err() {
+                crate::PirError::Storage(StorageError::PageCorrupt {
+                    file,
+                    page,
+                    expected,
+                    ..
+                }) => {
+                    assert_eq!((file.as_str(), page), ("Fi", bad), "x{shards}");
+                    assert_eq!(expected, crcs[bad as usize]);
+                }
+                other => panic!("want PageCorrupt, got {other}"),
+            }
+            assert!(
+                out.iter().all(|b| b.as_slice() == [0x5A; 32]),
+                "x{shards}: a failed round leaves the output untouched"
+            );
+            // and a round that misses the page still sweeps into it
+            let mut out = vec![PageBuf::zeroed(ps); 1];
+            assert!(store.fetch_batch(&[0], &mut out).is_err(), "x{shards}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -482,13 +482,13 @@ impl PagedFile for FaultyDisk {
 }
 
 /// A [`PagedFile`] wrapper with a gate on its run reads: once
-/// [armed](GateDisk::arm) at a page, the next [`PagedFile::read_run_into`]
+/// [armed](GateDisk::arm) at a page, the next [`PagedFile::read_run`]
 /// starting there parks until the test [releases](GateDisk::release) it. A
 /// linear scan reads runs front to back, so a gate at the first page of a
 /// run holds the sweep — and the thread running it — at exactly that run,
 /// while the test lines up what the sweep is to find when it moves on.
-/// Pages are served by `inner` unchanged; like every wrapper that must see
-/// each read, it exposes no zero-copy window.
+/// Pages are served by `inner` unchanged, always copied into the caller's
+/// scratch: like every wrapper that must see each read, it lends nothing.
 pub struct GateDisk {
     inner: std::sync::Arc<dyn PagedFile>,
     gate: std::sync::Mutex<Gate>,
@@ -551,7 +551,7 @@ impl PagedFile for GateDisk {
         self.inner.read_page(page)
     }
 
-    fn read_run_into(&self, first: u32, out: &mut [u8]) -> privpath_storage::Result<()> {
+    fn read_run(&self, first: u32, scratch: &mut [u8]) -> privpath_storage::Result<Option<&[u8]>> {
         let mut gate = self.lock_gate();
         if gate.armed == Some(first) {
             gate.armed = None;
@@ -562,7 +562,8 @@ impl PagedFile for GateDisk {
             }
         }
         drop(gate);
-        self.inner.read_run_into(first, out)
+        self.inner.read_run_into(first, scratch)?;
+        Ok(None)
     }
 }
 

@@ -4,11 +4,12 @@
 //! the dominant server cost in the paper's model. This module makes that
 //! pass run at the storage medium's bandwidth:
 //!
-//! * the file is streamed in multi-page **runs** through a reusable arena
-//!   ([`PagedFile::read_run_into`]), so a disk-backed scan issues one
-//!   positioned syscall per `RUN_PAGES` pages instead of one per page;
-//! * drivers that expose their bytes zero-copy ([`PagedFile::contiguous`]:
-//!   flat in-memory files, mappings) skip the arena entirely;
+//! * the file is streamed in multi-page **runs** ([`PagedFile::read_run`]):
+//!   a disk-backed scan fills a reusable arena with one positioned syscall
+//!   per `RUN_PAGES` pages instead of one per page, and drivers that already
+//!   hold the bytes (flat in-memory files, mappings) lend each run instead —
+//!   through the checksum layer too, which verifies a lent run in place, so
+//!   a mapped page is verified and selected while it is still in cache;
 //! * each page is resolved with a branchless masked select over `u64` lanes
 //!   (`lane_select`): **constant work per page regardless of match** — a
 //!   non-matching page is OR-accumulated under an all-zeros mask into the
@@ -21,7 +22,8 @@
 //!   over disjoint ranges cut on `RUN_PAGES` multiples, shard 0 on the
 //!   calling thread and `S − 1` on the threads of a [`Crew`] that stands by
 //!   for as long as its lap lasts, all ended before the pass returns. One
-//!   core reaches neither the checksum layer's nor DRAM's bandwidth alone;
+//!   core verifies and selects a mapped file at ≈ 7.5 GB/s on the reference
+//!   2-vCPU host, a third of what it reads the mapping at alone (≈ 23 GB/s);
 //!   the passes share nothing but the read-only driver, and each request
 //!   lands in exactly one range, so merging them is a copy-out;
 //! * rounds share a sweep by **riding a rotation** ([`Rotation`]): a round
@@ -53,18 +55,19 @@ use crate::PirError;
 /// cache-resident while the lane kernel resolves it.
 pub(crate) const RUN_PAGES: usize = 64;
 
-/// Fewest pages worth a shard of their own: 2,048 pages × 4 KiB = 8 MiB, a
-/// few milliseconds of verified sweep against the tens of microseconds a
-/// thread costs to start and join. Files below twice this are swept inline
-/// by the calling thread.
+/// Fewest pages worth a shard of their own: 2,048 pages × 4 KiB = 8 MiB,
+/// about a millisecond of verified sweep on one core of the reference host
+/// against the tens of microseconds a thread costs to start and join. Files
+/// below twice this are swept inline by the calling thread.
 pub const MIN_SHARD_PAGES: usize = 2048;
 
 /// Pages per segment of a [`Rotation`]: where a round may join a sweep in
 /// progress, and how long the round waits for it — at most one segment pass,
 /// a seventh of a lap on the reference benchmark's 13,870-page index file.
 /// Every boundary is a hand-off between the threads of a [`Crew`]: tens of
-/// microseconds against the ≈ 3 ms a two-shard pass of this many 4 KiB
-/// pages takes. A multiple of `RUN_PAGES`, so segments cut on runs.
+/// microseconds against the ≈ 0.55 ms a verified two-shard pass of this many
+/// 4 KiB mapped pages takes on the reference 2-vCPU host. A multiple of
+/// `RUN_PAGES`, so segments cut on runs.
 pub const SEGMENT_PAGES: usize = 2048;
 
 /// Shards the segment passes of a `num_pages`-page file are split into where
@@ -74,9 +77,10 @@ pub fn shard_count(num_pages: u32, cpus: usize) -> usize {
     cpus.min(num_pages as usize / MIN_SHARD_PAGES).max(1)
 }
 
-/// Reusable scratch for the streaming scan: the run buffer (grown on first
-/// use, absent entirely for zero-copy drivers) and the dummy sink
-/// non-matching pages are masked into so per-page work stays constant.
+/// Reusable scratch for the streaming scan: the run buffer drivers that
+/// fill are read into (allocated on first use; a driver that lends leaves it
+/// untouched) and the dummy sink non-matching pages are masked into so
+/// per-page work stays constant.
 pub(crate) struct ScanArena {
     run: Vec<u8>,
     dummy: Vec<u8>,
@@ -208,33 +212,26 @@ pub(crate) fn scan_resolve(
     for slot in out.iter_mut() {
         slot.as_mut_slice().fill(0);
     }
+    if arena.run.len() < RUN_PAGES * ps {
+        // zeroed on allocation, so a driver that lends never touches it
+        arena.run = vec![0u8; RUN_PAGES * ps];
+    }
     let mut w = 0usize;
-    if let Some(all) = file.contiguous() {
-        debug_assert_eq!(all.len(), file.num_pages() as usize * ps);
-        for p in range {
-            let page = &all[p as usize * ps..(p as usize + 1) * ps];
+    let mut first = range.start;
+    while first < range.end {
+        let run = RUN_PAGES.min((range.end - first) as usize);
+        let scratch = &mut arena.run[..run * ps];
+        let lent = file.read_run(first, scratch).map_err(|e| ScanStop {
+            at: first,
+            error: e.into(),
+        })?;
+        let bytes = lent.unwrap_or(scratch);
+        debug_assert_eq!(bytes.len(), run * ps, "a run is lent whole");
+        for (i, page) in bytes.chunks_exact(ps).enumerate() {
+            let p = first + i as u32;
             w = resolve_page(page, p, wanted, w, out, &mut arena.dummy);
         }
-    } else {
-        if arena.run.len() < RUN_PAGES * ps {
-            arena.run.resize(RUN_PAGES * ps, 0);
-        }
-        let mut first = range.start;
-        while first < range.end {
-            let run = RUN_PAGES.min((range.end - first) as usize);
-            let buf = &mut arena.run[..run * ps];
-            if let Err(e) = file.read_run_into(first, buf) {
-                return Err(ScanStop {
-                    at: first,
-                    error: e.into(),
-                });
-            }
-            for (i, page) in buf.chunks_exact(ps).enumerate() {
-                let p = first + i as u32;
-                w = resolve_page(page, p, wanted, w, out, &mut arena.dummy);
-            }
-            first += run as u32;
-        }
+        first += run as u32;
     }
     debug_assert_eq!(w, wanted.len(), "in-range sorted requests all resolve");
     Ok(())
@@ -336,8 +333,10 @@ fn segment_ranges(num_pages: u32, segment_pages: usize) -> Vec<Range<u32>> {
 /// two ranges of one segment — tens of microseconds — and a thread that
 /// slept through that gap is what made a segment pass cost 150 µs more than
 /// its pages on the reference host (an idle virtual CPU takes ≈ 100 µs to
-/// wake), seven times a lap. A gap longer than this is the end of the lap,
-/// or a CPU given to somebody else: not worth burning.
+/// wake), seven times a lap — measured when a pass took ≈ 3.6 ms; against
+/// the ≈ 0.55 ms a verified pass takes now it would be over a quarter. A gap
+/// longer than this is the end of the lap, or a CPU given to somebody else:
+/// not worth burning.
 const HANDOFF_SPIN: Duration = Duration::from_micros(200);
 
 /// Nothing posted: the helper waits.
@@ -913,7 +912,9 @@ mod tests {
         let path = dir.join("f.bin");
         mem.persist(&path).unwrap();
         let disk = DiskFile::open(&path, ps).unwrap();
-        assert!(mem.contiguous().is_some() && disk.contiguous().is_none());
+        let mut scratch = vec![0u8; ps];
+        assert!(mem.read_run(0, &mut scratch).unwrap().is_some(), "lends");
+        assert!(disk.read_run(0, &mut scratch).unwrap().is_none(), "fills");
 
         let wanted = [0u32, 5, 5, 5, RUN_PAGES as u32, pages - 1];
         let drivers: [&dyn PagedFile; 2] = [&mem, &disk];

@@ -3,15 +3,16 @@
 //! [`MmapFile`] serves the same read-only page windows as
 //! [`crate::pagefile::DiskFile`], but through a [`sysmap::Mapping`] so a
 //! linear scan runs at memory bandwidth with zero syscalls and zero copies
-//! (the mapping doubles as a [`PagedFile::contiguous`] source for the scan
-//! kernel). On targets without raw-syscall mappings the driver transparently
-//! falls back to reading the window into an owned buffer at open time — the
-//! observable behavior (pages served, errors, determinism) is identical
-//! either way, which the driver differential suite pins.
+//! ([`PagedFile::read_run`] lends each run straight from the mapping, and a
+//! [`crate::ChecksumFile`] above verifies it there). On targets without
+//! raw-syscall mappings the driver transparently falls back to reading the
+//! window into an owned buffer at open time — the observable behavior (pages
+//! served, errors, determinism) is identical either way, which the driver
+//! differential suite pins.
 
 use crate::error::StorageError;
 use crate::page::PageBuf;
-use crate::pagefile::{check_run, PagedFile};
+use crate::pagefile::{check_run, lend_run, PagedFile};
 use crate::Result;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -127,24 +128,9 @@ impl PagedFile for MmapFile {
         Ok(())
     }
 
-    fn read_run_into(&self, first: u32, out: &mut [u8]) -> Result<()> {
-        assert_eq!(
-            out.len() % self.page_size,
-            0,
-            "run buffer must hold whole pages"
-        );
-        if out.is_empty() {
-            return Ok(());
-        }
-        let count = (out.len() / self.page_size) as u32;
-        check_run(first, count, self.num_pages)?;
-        let start = first as usize * self.page_size;
-        out.copy_from_slice(&self.bytes()[start..start + out.len()]);
-        Ok(())
-    }
-
-    fn contiguous(&self) -> Option<&[u8]> {
-        Some(self.bytes())
+    /// Lends the run from the mapping (or the fallback buffer).
+    fn read_run(&self, first: u32, scratch: &mut [u8]) -> Result<Option<&[u8]>> {
+        lend_run(self.bytes(), self.page_size, first, scratch.len())
     }
 }
 
@@ -181,7 +167,8 @@ mod tests {
             mapped.read_page(9),
             Err(StorageError::PageOutOfRange { .. })
         ));
-        assert_eq!(mapped.contiguous().unwrap(), &bytes[..]);
+        let mut scratch = vec![0u8; 9 * 256];
+        assert_eq!(mapped.read_run(0, &mut scratch).unwrap(), Some(&bytes[..]));
         // On Linux this is a real mapping; elsewhere the fallback buffer
         // must behave identically (the assertions above already checked it).
         assert_eq!(mapped.is_mapped(), sysmap::supported());

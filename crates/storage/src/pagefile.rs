@@ -94,42 +94,49 @@ pub trait PagedFile: Send + Sync {
         Ok(())
     }
 
-    /// Reads the contiguous run of pages starting at `first` into `out`,
-    /// which must hold a whole number of pages (`out.len()` a multiple of
-    /// [`PagedFile::page_size`]; a zero-length `out` is a no-op). This is the
-    /// batch primitive the linear-scan PIR kernel streams the file through:
-    /// backends that can serve a run cheaper than page-by-page override it —
-    /// [`DiskFile`] with one positioned read per run instead of one syscall
-    /// per page, in-memory and mapped backends with one straight copy.
+    /// Reads the contiguous run of as many pages as `scratch` holds, starting
+    /// at `first` (`scratch.len()` a multiple of [`PagedFile::page_size`]; a
+    /// zero-length run is a no-op). This is the batch primitive the
+    /// linear-scan PIR kernel streams the file through. A driver either
+    /// fills `scratch` and returns `None`, or leaves it alone and lends the
+    /// run's bytes it already holds — `Some`, exactly `scratch.len()` of
+    /// them: flat in-memory files and mappings lend, so a sweep over them
+    /// copies nothing. [`DiskFile`] fills with one positioned read per run
+    /// instead of one syscall per page.
     ///
-    /// The default loops [`PagedFile::read_page`] per page, which keeps
-    /// per-page wrappers (fault injection, checksumming) faithful without
-    /// their own override.
+    /// The default fills page by page through [`PagedFile::read_page`],
+    /// which keeps per-page wrappers (fault injection) faithful without an
+    /// override of their own. A wrapper that overrides it must apply itself
+    /// to lent bytes as well as filled ones: [`ChecksumFile`] verifies every
+    /// page of the run, whichever way its inner driver returned it.
+    ///
+    /// # Panics
+    /// Panics if `scratch.len()` is not a multiple of the page size.
+    fn read_run(&self, first: u32, scratch: &mut [u8]) -> Result<Option<&[u8]>> {
+        let ps = self.page_size();
+        assert_eq!(scratch.len() % ps, 0, "run buffer must hold whole pages");
+        let count = (scratch.len() / ps) as u32;
+        if count == 0 {
+            return Ok(None);
+        }
+        check_run(first, count, self.num_pages())?;
+        for (i, chunk) in scratch.chunks_exact_mut(ps).enumerate() {
+            let buf = self.read_page(first + i as u32)?;
+            chunk.copy_from_slice(buf.as_slice());
+        }
+        Ok(None)
+    }
+
+    /// [`PagedFile::read_run`] into `out`, whichever way the driver serves
+    /// the run: lent bytes are copied out.
     ///
     /// # Panics
     /// Panics if `out.len()` is not a multiple of the page size.
     fn read_run_into(&self, first: u32, out: &mut [u8]) -> Result<()> {
-        let ps = self.page_size();
-        assert_eq!(out.len() % ps, 0, "run buffer must hold whole pages");
-        let count = (out.len() / ps) as u32;
-        if count == 0 {
-            return Ok(());
-        }
-        check_run(first, count, self.num_pages())?;
-        for (i, chunk) in out.chunks_exact_mut(ps).enumerate() {
-            let buf = self.read_page(first + i as u32)?;
-            chunk.copy_from_slice(buf.as_slice());
+        if let Some(lent) = self.read_run(first, out)? {
+            out.copy_from_slice(lent);
         }
         Ok(())
-    }
-
-    /// Borrows the whole file as one contiguous byte slice, when the backend
-    /// can expose it without copying (flat in-memory buffers, mappings).
-    /// `None` means callers must go through the read methods. Integrity- and
-    /// fault-layer wrappers deliberately return `None` so per-read
-    /// verification can never be bypassed.
-    fn contiguous(&self) -> Option<&[u8]> {
-        None
     }
 
     /// Total file size in bytes.
@@ -157,8 +164,8 @@ pub(crate) fn check_run(first: u32, count: u32, pages: u32) -> Result<()> {
 /// in-memory form keeps experiments deterministic and fast while the *cost*
 /// of disk access is charged by the PIR cost model.
 ///
-/// Pages are stored as one flat byte buffer, so the file doubles as a
-/// zero-copy [`PagedFile::contiguous`] source for the linear-scan kernel.
+/// Pages are stored as one flat byte buffer, so [`PagedFile::read_run`]
+/// lends each run to the linear-scan kernel instead of copying it.
 #[derive(Clone)]
 pub struct MemFile {
     bytes: Vec<u8>,
@@ -277,25 +284,32 @@ impl PagedFile for MemFile {
         Ok(())
     }
 
-    fn read_run_into(&self, first: u32, out: &mut [u8]) -> Result<()> {
-        assert_eq!(
-            out.len() % self.page_size.max(1),
-            0,
-            "run buffer must hold whole pages"
-        );
-        if out.is_empty() {
-            return Ok(());
-        }
-        let count = (out.len() / self.page_size) as u32;
-        check_run(first, count, self.num_pages())?;
-        let start = first as usize * self.page_size;
-        out.copy_from_slice(&self.bytes[start..start + out.len()]);
-        Ok(())
+    /// Lends the run from the file's own buffer.
+    fn read_run(&self, first: u32, scratch: &mut [u8]) -> Result<Option<&[u8]>> {
+        lend_run(&self.bytes, self.page_size, first, scratch.len())
     }
+}
 
-    fn contiguous(&self) -> Option<&[u8]> {
-        Some(&self.bytes)
+/// The `len`-byte run from page `first` of `all`, a whole file of
+/// `page_size`-byte pages held in memory: how the drivers that hold one
+/// serve [`PagedFile::read_run`], lending instead of filling.
+///
+/// # Panics
+/// Panics if `len` is not a multiple of the page size.
+pub(crate) fn lend_run(
+    all: &[u8],
+    page_size: usize,
+    first: u32,
+    len: usize,
+) -> Result<Option<&[u8]>> {
+    let ps = page_size.max(1);
+    assert_eq!(len % ps, 0, "run buffer must hold whole pages");
+    if len == 0 {
+        return Ok(None);
     }
+    check_run(first, (len / ps) as u32, (all.len() / ps) as u32)?;
+    let start = first as usize * ps;
+    Ok(Some(&all[start..start + len]))
 }
 
 /// Disk-backed paged file (read-only), for databases persisted with
@@ -416,21 +430,21 @@ impl PagedFile for DiskFile {
         self.read_at(page, out.as_mut_slice())
     }
 
-    /// One positioned read serves the whole run — the syscall batching the
+    /// One positioned read fills the whole run — the syscall batching the
     /// linear-scan kernel's streaming pass is built on (one read per 64-page
     /// run instead of one per page).
-    fn read_run_into(&self, first: u32, out: &mut [u8]) -> Result<()> {
+    fn read_run(&self, first: u32, scratch: &mut [u8]) -> Result<Option<&[u8]>> {
         assert_eq!(
-            out.len() % self.page_size,
+            scratch.len() % self.page_size,
             0,
             "run buffer must hold whole pages"
         );
-        if out.is_empty() {
-            return Ok(());
+        if !scratch.is_empty() {
+            let count = (scratch.len() / self.page_size) as u32;
+            check_run(first, count, self.num_pages)?;
+            self.read_at(first, scratch)?;
         }
-        let count = (out.len() / self.page_size) as u32;
-        check_run(first, count, self.num_pages)?;
-        self.read_at(first, out)
+        Ok(None)
     }
 }
 
@@ -439,6 +453,14 @@ impl PagedFile for DiskFile {
 /// mismatch as [`StorageError::PageCorrupt`] with file/page identity. Layered
 /// *outside* any fault-injecting wrapper, it turns injected bit-flips and
 /// short reads into typed corruption errors instead of wrong answers.
+///
+/// Runs an inner driver lends ([`PagedFile::read_run`]: in-memory files,
+/// mappings) are verified in place and lent on, not copied first. That is
+/// sound because the bytes verified are the bytes the caller then reads:
+/// a [`PagedFile`] is immutable once served, and a snapshot is only ever
+/// replaced by writing a new file and renaming it over the old path
+/// ([`atomic_write`]) — a new inode, which leaves the pages an existing
+/// mapping shows untouched.
 pub struct ChecksumFile {
     inner: Arc<dyn PagedFile>,
     crcs: Vec<u32>,
@@ -500,24 +522,19 @@ impl PagedFile for ChecksumFile {
         self.verify(page, out.as_slice())
     }
 
-    /// The run read is delegated to the inner driver (so its batching is
-    /// kept), then every page of the run is verified individually — a run is
-    /// never cheaper to corrupt than a page.
-    fn read_run_into(&self, first: u32, out: &mut [u8]) -> Result<()> {
+    /// The run read is delegated to the inner driver (so its batching, and
+    /// its lending, are kept), then every page of the run is verified
+    /// individually before any of it is returned — a run is never cheaper to
+    /// corrupt than a page, and lent bytes are verified in place.
+    fn read_run(&self, first: u32, scratch: &mut [u8]) -> Result<Option<&[u8]>> {
         let ps = self.page_size();
-        assert_eq!(out.len() % ps, 0, "run buffer must hold whole pages");
-        if out.is_empty() {
-            return Ok(());
+        let lent = self.inner.read_run(first, scratch)?;
+        let run = lent.unwrap_or(scratch);
+        for (i, page) in run.chunks_exact(ps).enumerate() {
+            self.verify(first + i as u32, page)?;
         }
-        self.inner.read_run_into(first, out)?;
-        for (i, chunk) in out.chunks_exact(ps).enumerate() {
-            self.verify(first + i as u32, chunk)?;
-        }
-        Ok(())
+        Ok(lent)
     }
-
-    // Deliberately NOT forwarding `contiguous`: handing out the raw inner
-    // bytes would let scan kernels bypass per-read CRC verification.
 }
 
 #[cfg(test)]
@@ -779,18 +796,44 @@ mod tests {
         f.read_run_into(1, &mut run).unwrap();
         assert_eq!(&run[..], &bytes[64..4 * 64]);
         assert!(f.read_run_into(3, &mut run).is_err());
-        assert!(f.contiguous().is_none(), "default is no zero-copy exposure");
+        run.fill(0);
+        assert!(
+            f.read_run(1, &mut run).unwrap().is_none(),
+            "the default fills, it never lends"
+        );
+        assert_eq!(&run[..], &bytes[64..4 * 64]);
     }
 
     #[test]
     fn contiguous_is_exposed_only_where_verification_allows() {
         let bytes: Vec<u8> = (0..3 * 64).map(|i| (i % 97) as u8).collect();
         let mem = MemFile::from_bytes(&bytes, 64);
-        assert_eq!(mem.contiguous().unwrap(), &bytes[..]);
+        let mut scratch = vec![0u8; 2 * 64];
+        assert_eq!(mem.read_run(1, &mut scratch).unwrap(), Some(&bytes[64..]));
+        assert_eq!(
+            scratch,
+            [0u8; 2 * 64],
+            "a lent run leaves the scratch alone"
+        );
         let crcs: Vec<u32> = (0..3).map(|p| crc32(mem.page(p).unwrap())).collect();
-        let guarded = ChecksumFile::new("F", Arc::new(mem), crcs);
-        // the integrity wrapper must not hand out unverified raw bytes
-        assert!(guarded.contiguous().is_none());
+
+        // the integrity wrapper lends what it has verified
+        let guarded = ChecksumFile::new("F", Arc::new(mem), crcs.clone());
+        assert_eq!(
+            guarded.read_run(1, &mut scratch).unwrap(),
+            Some(&bytes[64..])
+        );
+
+        // and lends nothing it has not: a lent page that fails its CRC is an
+        // error, not a run
+        let mut rotten = bytes.clone();
+        rotten[2 * 64 + 5] ^= 0x10;
+        let bad = ChecksumFile::new("F", Arc::new(MemFile::from_bytes(&rotten, 64)), crcs);
+        match bad.read_run(1, &mut scratch) {
+            Err(StorageError::PageCorrupt { page, .. }) => assert_eq!(page, 2),
+            other => panic!("expected PageCorrupt, got {other:?}"),
+        }
+        assert!(bad.read_run(0, &mut scratch).unwrap().is_some());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Driver differential: every `PagedFile` backend serves bit-identical
 //! bytes for every read shape.
 //!
-//! The PR 10 scan kernel leans on two new trait surfaces — contiguous run
-//! reads (`read_run_into`) and zero-copy exposure (`contiguous`) — and adds
-//! a third driver (`MmapFile`). This suite pins the driver contract the
-//! leakage argument assumes: `MemFile` ≡ `DiskFile` ≡ `MmapFile` ≡ their
+//! The scan kernel streams files through one run primitive, `read_run`,
+//! which a driver serves by filling the caller's scratch (`DiskFile`) or by
+//! lending bytes it already holds (`MemFile`, `MmapFile`), and its copy-out
+//! `read_run_into`. This suite pins the driver contract the leakage argument
+//! assumes: `MemFile` ≡ `DiskFile` ≡ `MmapFile` ≡ their
 //! `ChecksumFile`-wrapped forms, for single pages, page-into reads, and
 //! runs of every alignment (run boundaries, the zero-length run, and the
-//! partial run ending exactly at the last page), with identical typed
-//! errors past the end — and for several threads reading one handle at once,
-//! as the page-range passes of a sharded sweep do.
+//! partial run ending exactly at the last page), lent or filled, with
+//! identical typed errors past the end — and for several threads reading
+//! one handle at once, as the page-range passes of a sharded sweep do.
 
 use privpath_storage::{
     crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, StorageError,
@@ -133,10 +134,26 @@ proptest! {
                 prop_assert_eq!(&tail[..], reference.page(tail_first).unwrap(), "{} tail", name);
             }
 
-            // zero-copy exposure, where offered, is the exact content
-            if let Some(all) = f.contiguous() {
-                prop_assert_eq!(all.len(), len, "{}", name);
-                prop_assert_eq!(all, &bytes[..], "{} contiguous", name);
+            // the run primitive itself: lent by the drivers that hold the
+            // bytes (checksum-wrapped or not), filled by the others, and
+            // either way the reference bytes; a lent run leaves the scratch
+            // alone
+            if count > 0 && in_range {
+                let mut scratch = vec![0xAAu8; count as usize * page_size];
+                let lent = f.read_run(first, &mut scratch).unwrap();
+                let lends = !name.contains("disk");
+                prop_assert_eq!(lent.is_some(), lends, "{} lends", name);
+                let at = first as usize * page_size;
+                let want = &bytes[at..at + scratch.len()];
+                match lent {
+                    Some(run) => {
+                        prop_assert_eq!(run, want, "{} lent run ({}, {})", name, first, count);
+                        prop_assert!(scratch.iter().all(|&b| b == 0xAA), "{} scratch", name);
+                    }
+                    None => {
+                        prop_assert_eq!(&scratch[..], want, "{} filled run ({}, {})", name, first, count)
+                    }
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -189,15 +206,39 @@ fn concurrent_readers_get_the_bytes_a_lone_reader_gets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The checksum wrapper never exposes raw bytes, whatever the inner driver.
+/// The checksum wrapper never exposes unverified bytes, whatever the inner
+/// driver and whether it lends or fills: over a file with a flipped bit and
+/// the clean CRC table, every run that covers the bad page is refused, and
+/// the runs either side of it are served.
 #[test]
 fn checksum_wrapper_never_exposes_contiguous() {
     let dir = temp_dir("noexpose");
     let bytes: Vec<u8> = (0..4 * 64).map(|i| (i % 251) as u8).collect();
-    for (name, f) in drivers(&dir, &bytes, 64) {
+    let crcs: Vec<u32> = bytes.chunks_exact(64).map(crc32).collect();
+    let mut rotten = bytes.clone();
+    rotten[2 * 64 + 17] ^= 0x04;
+    for (name, inner) in drivers(&dir, &rotten, 64) {
         if name.starts_with("crc") {
-            assert!(f.contiguous().is_none(), "{name} must not bypass CRCs");
+            continue;
         }
+        let guarded = ChecksumFile::new("F", Arc::clone(&inner), crcs.clone());
+        let mut scratch = vec![0u8; 2 * 64];
+        // the bare driver serves the flipped bit ...
+        let raw = inner.read_run(1, &mut scratch).unwrap().map(<[u8]>::to_vec);
+        assert_eq!(raw.unwrap_or_else(|| scratch.clone()), &rotten[64..3 * 64]);
+        // ... the guard serves no run that holds it
+        for first in [1u32, 2] {
+            let run = &mut scratch[..(3 - first as usize) * 64];
+            match guarded.read_run(first, run) {
+                Err(StorageError::PageCorrupt { page: 2, .. }) => {}
+                other => panic!("crc({name}) run at {first}: want PageCorrupt, got {other:?}"),
+            }
+        }
+        let mut two = vec![0u8; 2 * 64];
+        guarded.read_run_into(0, &mut two).unwrap();
+        assert_eq!(two, &bytes[..2 * 64], "crc({name})");
+        guarded.read_run_into(3, &mut two[..64]).unwrap();
+        assert_eq!(&two[..64], &bytes[3 * 64..], "crc({name})");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -742,15 +742,15 @@ fn flaky_disk_under_a_sharded_sweep_is_retried_to_identical_answers() {
     front.shutdown();
 }
 
-/// PR 10's batched run reads must not create a bypass around chaos
-/// injection or integrity checking. [`FaultyDisk`] only overrides per-page
-/// reads, so the trait's default `read_run_into` loop routes every page of
-/// a multi-page run through the injector; the [`ChecksumFile`] guard
-/// verifies each page of the run and refuses the zero-copy `contiguous`
-/// window. Bit rot landing anywhere inside a run therefore surfaces as the
-/// same typed, fatal `PageCorrupt` the per-page path raises, transient
-/// faults stay transient and recover on retry of the identical run, and
-/// every clean run serves bit-exact tagged pages.
+/// Batched run reads must not create a bypass around chaos injection or
+/// integrity checking. [`FaultyDisk`] only overrides per-page reads, so the
+/// trait's default `read_run` fills the run page by page through the
+/// injector and never lends it; the [`ChecksumFile`] guard verifies each
+/// page of the run before returning any of it. Bit rot landing anywhere
+/// inside a run therefore surfaces as the same typed, fatal `PageCorrupt`
+/// the per-page path raises, transient faults stay transient and recover on
+/// retry of the identical run, and every clean run serves bit-exact tagged
+/// pages.
 #[test]
 fn run_reads_keep_per_page_fault_injection_and_verification() {
     use privpath::storage::StorageError;
@@ -761,17 +761,17 @@ fn run_reads_keep_per_page_fault_injection_and_verification() {
     // Bit rot: the corrupting plan must fire *through the run path* and
     // surface as PageCorrupt with an in-run page identity.
     let (guarded, faulty) = guarded_faulty_file(pages, DiskFaultPlan::corrupting(0x5ca_bad));
-    assert!(
-        guarded.contiguous().is_none(),
-        "the checksum guard must never expose a verification-free window"
-    );
     let ps = guarded.page_size();
     let mut run = vec![0u8; run_pages * ps];
     let mut fatal = None;
     for k in 0..400usize {
         let first = (k * 5 % (pages as usize - run_pages + 1)) as u32;
-        match guarded.read_run_into(first, &mut run) {
-            Ok(()) => {
+        match guarded.read_run(first, &mut run) {
+            Ok(lent) => {
+                assert!(
+                    lent.is_none(),
+                    "a run under the fault layer must be filled through its injector, never lent"
+                );
                 for (i, page) in run.chunks_exact(ps).enumerate() {
                     let tag = u32::from_le_bytes(page[..4].try_into().unwrap());
                     assert_eq!(tag, first + i as u32, "clean run served a wrong page");
