@@ -13,7 +13,8 @@ use privpath_partition::{compute_borders, partition_packed, partition_plain};
 use privpath_pir::scan::{shard_count, Crew, Ride, Rotation, Sweep, MIN_SHARD_PAGES};
 use privpath_pir::{LinearScanStore, ObliviousStore, Prp, ShuffledStore};
 use privpath_storage::{
-    crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, DEFAULT_PAGE_SIZE,
+    crc32, crc32_select, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile,
+    DEFAULT_PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -428,6 +429,12 @@ fn bench_prp_and_crc(c: &mut Criterion) {
     });
     let page = vec![0xA5u8; DEFAULT_PAGE_SIZE];
     c.bench_function("crc32_page", |b| b.iter(|| crc32(&page)));
+    // what the sweep pays per page under the checksum layer: the CRC and
+    // the masked select into the page's slot, one pass
+    let mut acc = vec![0u8; DEFAULT_PAGE_SIZE];
+    c.bench_function("crc32_select_page", |b| {
+        b.iter(|| crc32_select(&page, u64::MAX, &mut acc))
+    });
 }
 
 criterion_group!(

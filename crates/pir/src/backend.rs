@@ -746,54 +746,99 @@ mod tests {
 
     #[test]
     fn corrupt_page_fails_every_plan_like_one_shard() {
-        // 7 runs and a partial one; three ranges of 2-3 runs each
-        let pages = 7 * scan::RUN_PAGES as u32 + 9;
-        let (clean, crcs) = small_pages(pages, 32);
-        let ranges = scan::Sweep::new(pages, 32, 3).shard_ranges(0).to_vec();
-        assert_eq!(ranges.len(), 3);
-        let victim = |r: &std::ops::Range<u32>| r.start + (r.end - r.start) / 2 + 1;
-        // a flipped bit in each range in turn, then in two ranges at once
-        let mut cases: Vec<Vec<u32>> = ranges.iter().map(|r| vec![victim(r)]).collect();
-        cases.push(vec![victim(&ranges[2]), victim(&ranges[1])]);
-        for bad in cases {
-            let mut bytes = vec![0u8; clean.size_bytes() as usize];
-            clean.read_run_into(0, &mut bytes).unwrap();
-            for &p in &bad {
-                bytes[p as usize * 32 + 9] ^= 0x40;
-            }
-            let rotten = guard(Arc::new(MemFile::from_bytes(&bytes, 32)), crcs.clone());
-            let lowest = *bad.iter().min().unwrap();
-            let reqs = [pages - 1, 3, lowest];
-            let mut outcomes = Vec::new();
-            for shards in [1usize, 2, 3, 7] {
-                let mut store = LinearScanStore::with_shards(Arc::clone(&rotten), shards);
-                let mut out = vec![PageBuf::zeroed(32); reqs.len()];
-                let err = store.fetch_batch(&reqs, &mut out).unwrap_err();
-                match &err {
-                    crate::PirError::Storage(StorageError::PageCorrupt {
-                        file,
-                        page,
-                        expected,
-                        actual,
-                    }) => {
-                        assert_eq!((file.as_str(), *page), ("Fi", lowest), "x{shards}");
-                        assert_eq!(*expected, crcs[lowest as usize]);
-                        assert_ne!(actual, expected);
+        use privpath_storage::{DiskFile, MmapFile};
+        let dir =
+            std::env::temp_dir().join(format!("privpath-corrupt-plans-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run = scan::RUN_PAGES as u32;
+        // 32-byte pages: 7 runs and a partial one, three ranges of 2-3 runs
+        // each; 4 KiB pages, the size the wide fold verifies and selects in
+        // one pass: 2 runs and a partial one, two ranges
+        for (ps, pages, split, plans) in [
+            (32usize, 7 * run + 9, 3usize, &[1usize, 2, 3, 7][..]),
+            (4096, 2 * run + 9, 2, &[1, 2][..]),
+        ] {
+            let (clean, crcs) = small_pages(pages, ps);
+            let ranges = scan::Sweep::new(pages, ps, split).shard_ranges(0).to_vec();
+            assert_eq!(ranges.len(), split);
+            let victim = |r: &std::ops::Range<u32>| r.start + (r.end - r.start) / 2 + 1;
+            // a flipped bit in each range in turn, then in the last two at once
+            let mut cases: Vec<Vec<u32>> = ranges.iter().map(|r| vec![victim(r)]).collect();
+            cases.push(vec![victim(&ranges[split - 1]), victim(&ranges[split - 2])]);
+            // in the first 32 bytes of the page, and in its last 32
+            for at in [9, ps - 7] {
+                for bad in &cases {
+                    let mut bytes = vec![0u8; clean.size_bytes() as usize];
+                    clean.read_run_into(0, &mut bytes).unwrap();
+                    for &p in bad {
+                        bytes[p as usize * ps + at] ^= 0x40;
                     }
-                    other => panic!("want PageCorrupt, got {other}"),
+                    let path = dir.join("rotten.bin");
+                    let rotten = MemFile::from_bytes(&bytes, ps);
+                    rotten.persist(&path).unwrap();
+                    let drivers: [(&str, Arc<dyn PagedFile>); 3] = [
+                        ("mem", Arc::new(rotten)),
+                        ("disk", Arc::new(DiskFile::open(&path, ps).unwrap())),
+                        ("mmap", Arc::new(MmapFile::open(&path, ps).unwrap())),
+                    ];
+                    let lowest = *bad.iter().min().unwrap();
+                    // the bad page requested, not requested, requested twice
+                    let requests = [
+                        vec![pages - 1, 3, lowest],
+                        vec![pages - 1, 3],
+                        vec![lowest, pages - 1, lowest],
+                    ];
+                    let mut outcomes = Vec::new();
+                    for (name, driver) in drivers {
+                        let rotten = guard(driver, crcs.clone());
+                        for reqs in &requests {
+                            for &shards in plans {
+                                let case = format!(
+                                    "{ps} B, flip at {at} of {bad:?}, {name}, {reqs:?}, x{shards}"
+                                );
+                                let mut store =
+                                    LinearScanStore::with_shards(Arc::clone(&rotten), shards);
+                                let untouched = PageBuf::from_bytes(&vec![0x5A; ps], ps);
+                                let mut out = vec![untouched.clone(); reqs.len()];
+                                let err = store.fetch_batch(reqs, &mut out).unwrap_err();
+                                match &err {
+                                    crate::PirError::Storage(StorageError::PageCorrupt {
+                                        file,
+                                        page,
+                                        expected,
+                                        actual,
+                                    }) => {
+                                        assert_eq!(
+                                            (file.as_str(), *page),
+                                            ("Fi", lowest),
+                                            "{case}"
+                                        );
+                                        assert_eq!(*expected, crcs[lowest as usize], "{case}");
+                                        assert_ne!(actual, expected, "{case}");
+                                    }
+                                    other => panic!("{case}: want PageCorrupt, got {other}"),
+                                }
+                                assert!(
+                                    out.iter().all(|b| *b == untouched),
+                                    "{case}: output touched"
+                                );
+                                // what a front-to-back pass logs: every run
+                                // before the bad one
+                                let run_start = lowest - lowest % run;
+                                assert_eq!(
+                                    store.physical_log(),
+                                    &(0..run_start).collect::<Vec<_>>()[..],
+                                    "{case}"
+                                );
+                                outcomes.push(err.to_string());
+                            }
+                        }
+                    }
+                    assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
                 }
-                assert!(out.iter().all(|b| b.as_slice().iter().all(|&x| x == 0)));
-                // what a front-to-back pass logs: every run before the bad one
-                let run_start = lowest - lowest % scan::RUN_PAGES as u32;
-                assert_eq!(
-                    store.physical_log(),
-                    &(0..run_start).collect::<Vec<_>>()[..],
-                    "x{shards}"
-                );
-                outcomes.push(err.to_string());
             }
-            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -801,47 +846,52 @@ mod tests {
         use privpath_storage::{SnapshotReader, SnapshotWriter};
         // a mapped snapshot file lends its runs, so the checksum layer
         // verifies them in place: the flip must still be caught before the
-        // kernel selects a byte of that page
+        // kernel selects a byte of that page into anything served — at
+        // 4 KiB pages too, where a page is verified and selected in one pass,
+        // with the flip in its first 32 bytes and in its last 32
         let pages = 3 * scan::RUN_PAGES as u32 + 5;
-        let ps = 32usize;
-        let (file, crcs) = small_pages(pages, ps);
+        let bad = scan::RUN_PAGES as u32 + 9;
         let dir = std::env::temp_dir().join(format!("privpath-mapped-flip-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.snap");
-        let mut w = SnapshotWriter::new(Vec::new());
-        w.add_file("Fi", Vec::new(), Arc::new(file));
-        w.write(&path).unwrap();
-        let bad = scan::RUN_PAGES as u32 + 9;
-        let mut bytes = std::fs::read(&path).unwrap();
-        let data_start = bytes.len() - pages as usize * ps;
-        bytes[data_start + bad as usize * ps + 13] ^= 0x20;
-        std::fs::write(&path, &bytes).unwrap();
+        for (ps, at) in [(32usize, 13usize), (4096, 13), (4096, 4096 - 7)] {
+            let (file, crcs) = small_pages(pages, ps);
+            let path = dir.join("db.snap");
+            let mut w = SnapshotWriter::new(Vec::new());
+            w.add_file("Fi", Vec::new(), Arc::new(file));
+            w.write(&path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let data_start = bytes.len() - pages as usize * ps;
+            bytes[data_start + bad as usize * ps + at] ^= 0x20;
+            std::fs::write(&path, &bytes).unwrap();
 
-        let snap = SnapshotReader::open(&path).unwrap();
-        let mapped: Arc<dyn PagedFile> = Arc::new(snap.open_mmap(0).unwrap());
-        let reqs = [pages - 1, bad, 2];
-        for shards in [1usize, 2] {
-            let mut store = LinearScanStore::with_shards(Arc::clone(&mapped), shards);
-            let mut out = vec![PageBuf::from_bytes(&[0x5A; 32], ps); reqs.len()];
-            match store.fetch_batch(&reqs, &mut out).unwrap_err() {
-                crate::PirError::Storage(StorageError::PageCorrupt {
-                    file,
-                    page,
-                    expected,
-                    ..
-                }) => {
-                    assert_eq!((file.as_str(), page), ("Fi", bad), "x{shards}");
-                    assert_eq!(expected, crcs[bad as usize]);
+            let snap = SnapshotReader::open(&path).unwrap();
+            let mapped: Arc<dyn PagedFile> = Arc::new(snap.open_mmap(0).unwrap());
+            let reqs = [pages - 1, bad, 2];
+            for shards in [1usize, 2] {
+                let case = format!("{ps} B, flip at {at}, x{shards}");
+                let mut store = LinearScanStore::with_shards(Arc::clone(&mapped), shards);
+                let untouched = PageBuf::from_bytes(&vec![0x5A; ps], ps);
+                let mut out = vec![untouched.clone(); reqs.len()];
+                match store.fetch_batch(&reqs, &mut out).unwrap_err() {
+                    crate::PirError::Storage(StorageError::PageCorrupt {
+                        file,
+                        page,
+                        expected,
+                        ..
+                    }) => {
+                        assert_eq!((file.as_str(), page), ("Fi", bad), "{case}");
+                        assert_eq!(expected, crcs[bad as usize], "{case}");
+                    }
+                    other => panic!("{case}: want PageCorrupt, got {other}"),
                 }
-                other => panic!("want PageCorrupt, got {other}"),
+                assert!(
+                    out.iter().all(|b| *b == untouched),
+                    "{case}: a failed round leaves the output untouched"
+                );
+                // and a round that misses the page still sweeps into it
+                let mut out = vec![PageBuf::zeroed(ps); 1];
+                assert!(store.fetch_batch(&[0], &mut out).is_err(), "{case}");
             }
-            assert!(
-                out.iter().all(|b| b.as_slice() == [0x5A; 32]),
-                "x{shards}: a failed round leaves the output untouched"
-            );
-            // and a round that misses the page still sweeps into it
-            let mut out = vec![PageBuf::zeroed(ps); 1];
-            assert!(store.fetch_batch(&[0], &mut out).is_err(), "x{shards}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

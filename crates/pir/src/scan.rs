@@ -4,26 +4,26 @@
 //! the dominant server cost in the paper's model. This module makes that
 //! pass run at the storage medium's bandwidth:
 //!
-//! * the file is streamed in multi-page **runs** ([`PagedFile::read_run`]):
-//!   a disk-backed scan fills a reusable arena with one positioned syscall
-//!   per `RUN_PAGES` pages instead of one per page, and drivers that already
-//!   hold the bytes (flat in-memory files, mappings) lend each run instead —
-//!   through the checksum layer too, which verifies a lent run in place, so
-//!   a mapped page is verified and selected while it is still in cache;
-//! * each page is resolved with a branchless masked select over `u64` lanes
-//!   (`lane_select`): **constant work per page regardless of match** — a
-//!   non-matching page is OR-accumulated under an all-zeros mask into the
-//!   arena's dummy sink, a matching one under an all-ones mask into its
-//!   output slot. The inner loop is plain slice arithmetic over 8-byte
-//!   words, which the compiler auto-vectorizes.
+//! * the file is streamed in multi-page **runs**
+//!   ([`PagedFile::select_run`]): a disk-backed scan fills a reusable arena
+//!   with one positioned syscall per `RUN_PAGES` pages instead of one per
+//!   page, and drivers that already hold the bytes (flat in-memory files,
+//!   mappings) lend each run instead;
+//! * each page of a run is resolved with a branchless masked select
+//!   (`crc32_select` under the checksum layer, which verifies the page in
+//!   the same pass, the lane kernel elsewhere): **constant work per page
+//!   regardless of match** — a non-matching page is OR-accumulated under an
+//!   all-zeros mask into the arena's dummy sink, a matching one under an
+//!   all-ones mask into its output slot, and a duplicate request is copied
+//!   from its twin's slot only once the page is verified.
 //!
 //! * a sweep is cut into fixed **segments** of [`SEGMENT_PAGES`] pages, and
 //!   each segment's pass into **page-range shards** ([`Sweep`]): `S` passes
 //!   over disjoint ranges cut on `RUN_PAGES` multiples, shard 0 on the
 //!   calling thread and `S − 1` on the threads of a [`Crew`] that stands by
 //!   for as long as its lap lasts, all ended before the pass returns. One
-//!   core verifies and selects a mapped file at ≈ 7.5 GB/s on the reference
-//!   2-vCPU host, a third of what it reads the mapping at alone (≈ 23 GB/s);
+//!   core verifies and selects a mapped file at ≈ 20 GB/s on the reference
+//!   2-vCPU host, about what it reads the mapping at alone (≈ 23 GB/s);
 //!   the passes share nothing but the read-only driver, and each request
 //!   lands in exactly one range, so merging them is a copy-out;
 //! * rounds share a sweep by **riding a rotation** ([`Rotation`]): a round
@@ -41,7 +41,7 @@
 //! did. Only the per-page resolution got cheaper, the driver call
 //! granularity coarser, the ranges concurrent and the laps shared.
 
-use privpath_storage::{PageBuf, PagedFile};
+use privpath_storage::{PageBuf, PagedFile, RunSink};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -52,11 +52,11 @@ use crate::PirError;
 
 /// Pages per streamed run: 64 pages × 4 KiB = 256 KiB per driver call,
 /// large enough to amortize a syscall to noise, small enough to stay
-/// cache-resident while the lane kernel resolves it.
+/// cache-resident while the kernel resolves it.
 pub(crate) const RUN_PAGES: usize = 64;
 
 /// Fewest pages worth a shard of their own: 2,048 pages × 4 KiB = 8 MiB,
-/// about a millisecond of verified sweep on one core of the reference host
+/// about 0.4 ms of verified sweep on one core of the reference host
 /// against the tens of microseconds a thread costs to start and join. Files
 /// below twice this are swept inline by the calling thread.
 pub const MIN_SHARD_PAGES: usize = 2048;
@@ -65,7 +65,7 @@ pub const MIN_SHARD_PAGES: usize = 2048;
 /// progress, and how long the round waits for it — at most one segment pass,
 /// a seventh of a lap on the reference benchmark's 13,870-page index file.
 /// Every boundary is a hand-off between the threads of a [`Crew`]: tens of
-/// microseconds against the ≈ 0.55 ms a verified two-shard pass of this many
+/// microseconds against the ≈ 0.2 ms a verified two-shard pass of this many
 /// 4 KiB mapped pages takes on the reference 2-vCPU host. A multiple of
 /// `RUN_PAGES`, so segments cut on runs.
 pub const SEGMENT_PAGES: usize = 2048;
@@ -94,88 +94,6 @@ impl ScanArena {
             dummy: vec![0u8; page_size],
         }
     }
-}
-
-/// OR-accumulates `src & mask` into `acc`, 8 bytes per lane, `mask` being
-/// all-ones or all-zeros. The scan calls this once per page with `acc`
-/// pointing at either the page's output slot (match) or the dummy sink
-/// (no match), so the work per page is independent of the request set.
-///
-/// The mask is laundered through [`std::hint::black_box`] before the loop:
-/// `resolve_page` picks `acc` with a branch on the same predicate the mask
-/// is derived from, so without the fence the optimizer specializes the
-/// no-match arm to `mask = 0`, folds `acc |= src & 0` to nothing, and
-/// deletes the loads — a compiled scan whose per-page work (and timing)
-/// depends on the request set. The fence keeps the work constant per page.
-///
-/// On x86-64 the word loop is dispatched to an AVX2 build when the CPU has
-/// it (the portable baseline is SSE2-only, which leaves the scan compute
-/// bound below the memory bandwidth memcpy reaches); everywhere else the
-/// plain invariant-scalar-mask word loop auto-vectorizes as the target
-/// allows.
-///
-/// # Panics
-/// Debug-asserts `src.len() == acc.len()`.
-#[inline]
-pub(crate) fn lane_select(src: &[u8], mask: u64, acc: &mut [u8]) {
-    debug_assert_eq!(src.len(), acc.len(), "lane kernel buffers must match");
-    let mask = std::hint::black_box(mask);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the `avx2` requirement of `lane_words_avx2` was just
-            // verified at runtime; the function is otherwise safe code.
-            unsafe { lane_words_avx2(src, mask, acc) };
-            return;
-        }
-    }
-    lane_words(src, mask, acc);
-}
-
-/// The portable lane loop: OR-accumulate 8-byte words under the mask, then
-/// the byte tail. `#[inline(always)]` so the AVX2 wrapper recompiles this
-/// exact body with wider instructions instead of duplicating it.
-#[inline(always)]
-fn lane_words(src: &[u8], mask: u64, acc: &mut [u8]) {
-    let mut s = src.chunks_exact(8);
-    let mut a = acc.chunks_exact_mut(8);
-    for (sc, ac) in (&mut s).zip(&mut a) {
-        let w = u64::from_le_bytes(sc.try_into().unwrap());
-        let v = u64::from_le_bytes((&*ac).try_into().unwrap());
-        ac.copy_from_slice(&(v | (w & mask)).to_le_bytes());
-    }
-    let mb = (mask & 0xFF) as u8;
-    for (sb, ab) in s.remainder().iter().zip(a.into_remainder()) {
-        *ab |= sb & mb;
-    }
-}
-
-/// The AVX2 lane loop: 32-byte `vpand`/`vpor` blocks with the broadcast
-/// mask, tail delegated to [`lane_words`]. Separate from the dispatch so
-/// the whole-page loop is compiled once with the feature enabled.
-///
-/// # Safety
-/// Callers must have verified the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_words_avx2(src: &[u8], mask: u64, acc: &mut [u8]) {
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_storeu_si256,
-    };
-    let blocks = src.len().min(acc.len()) / 32;
-    let m = _mm256_set1_epi64x(mask as i64);
-    let sp = src.as_ptr();
-    let ap = acc.as_mut_ptr();
-    for i in 0..blocks {
-        // SAFETY (enclosing fn): `i * 32 + 32 <= blocks * 32 <= len` of both
-        // slices, and `loadu`/`storeu` carry no alignment requirement.
-        let s = _mm256_loadu_si256(sp.add(i * 32) as *const __m256i);
-        let a = _mm256_loadu_si256(ap.add(i * 32) as *mut __m256i as *const __m256i);
-        let r = _mm256_or_si256(a, _mm256_and_si256(s, m));
-        _mm256_storeu_si256(ap.add(i * 32) as *mut __m256i, r);
-    }
-    lane_words(&src[blocks * 32..], mask, &mut acc[blocks * 32..]);
 }
 
 /// A pass that ended before the end of its range: pages `range.start..at`
@@ -216,58 +134,64 @@ pub(crate) fn scan_resolve(
         // zeroed on allocation, so a driver that lends never touches it
         arena.run = vec![0u8; RUN_PAGES * ps];
     }
-    let mut w = 0usize;
+    let ScanArena { run, dummy } = arena;
+    let mut sink = Resolve {
+        wanted,
+        w: 0,
+        out,
+        dummy,
+    };
     let mut first = range.start;
     while first < range.end {
-        let run = RUN_PAGES.min((range.end - first) as usize);
-        let scratch = &mut arena.run[..run * ps];
-        let lent = file.read_run(first, scratch).map_err(|e| ScanStop {
-            at: first,
-            error: e.into(),
-        })?;
-        let bytes = lent.unwrap_or(scratch);
-        debug_assert_eq!(bytes.len(), run * ps, "a run is lent whole");
-        for (i, page) in bytes.chunks_exact(ps).enumerate() {
-            let p = first + i as u32;
-            w = resolve_page(page, p, wanted, w, out, &mut arena.dummy);
-        }
-        first += run as u32;
+        let pages = RUN_PAGES.min((range.end - first) as usize);
+        file.select_run(first, &mut run[..pages * ps], &mut sink)
+            .map_err(|e| ScanStop {
+                at: first,
+                error: e.into(),
+            })?;
+        first += pages as u32;
     }
-    debug_assert_eq!(w, wanted.len(), "in-range sorted requests all resolve");
+    debug_assert_eq!(sink.w, wanted.len(), "in-range sorted requests all resolve");
     Ok(())
 }
 
-/// Resolves one scanned page against the sorted request cursor `w`:
-/// exactly one [`lane_select`] pass (into the wanted slot or the dummy
-/// sink), then slot-to-slot copies for duplicate requests of the same page.
-/// Returns the advanced cursor.
-#[inline]
-fn resolve_page(
-    page: &[u8],
-    p: u32,
-    wanted: &[u32],
-    mut w: usize,
-    out: &mut [PageBuf],
-    dummy: &mut [u8],
-) -> usize {
-    let hit = wanted.get(w) == Some(&p);
-    let mask = (hit as u64).wrapping_neg();
-    let acc: &mut [u8] = if hit {
-        out[w].as_mut_slice()
-    } else {
-        &mut dummy[..]
-    };
-    lane_select(page, mask, acc);
-    w += hit as usize;
-    while wanted.get(w) == Some(&p) {
-        // Duplicate request: its slot follows the one just resolved.
-        let (done, rest) = out.split_at_mut(w);
-        rest[0]
-            .as_mut_slice()
-            .copy_from_slice(done[w - 1].as_slice());
-        w += 1;
+/// Resolves the pages of a pass against the sorted requests: each page is
+/// selected exactly once, into its wanted slot under an all-ones mask or
+/// into the dummy sink under an all-zeros one, and once it is in (and
+/// verified, where the file verifies) the slots of duplicate requests of
+/// the same page are copied from it.
+struct Resolve<'a> {
+    wanted: &'a [u32],
+    /// The request cursor: `wanted[..w]` are resolved.
+    w: usize,
+    out: &'a mut [PageBuf],
+    dummy: &'a mut [u8],
+}
+
+impl RunSink for Resolve<'_> {
+    fn slot(&mut self, page: u32) -> (u64, &mut [u8]) {
+        let hit = self.wanted.get(self.w) == Some(&page);
+        let mask = (hit as u64).wrapping_neg();
+        let acc = if hit {
+            self.out[self.w].as_mut_slice()
+        } else {
+            &mut self.dummy[..]
+        };
+        (mask, acc)
     }
-    w
+
+    fn selected(&mut self, page: u32) {
+        let w = &mut self.w;
+        *w += (self.wanted.get(*w) == Some(&page)) as usize;
+        while self.wanted.get(*w) == Some(&page) {
+            // Duplicate request: its slot follows the one just resolved.
+            let (done, rest) = self.out.split_at_mut(*w);
+            rest[0]
+                .as_mut_slice()
+                .copy_from_slice(done[*w - 1].as_slice());
+            *w += 1;
+        }
+    }
 }
 
 /// What one concurrent range of a segment pass alone touches: its scratch
@@ -334,7 +258,7 @@ fn segment_ranges(num_pages: u32, segment_pages: usize) -> Vec<Range<u32>> {
 /// slept through that gap is what made a segment pass cost 150 µs more than
 /// its pages on the reference host (an idle virtual CPU takes ≈ 100 µs to
 /// wake), seven times a lap — measured when a pass took ≈ 3.6 ms; against
-/// the ≈ 0.55 ms a verified pass takes now it would be over a quarter. A gap
+/// the ≈ 0.2 ms a verified pass takes now it would be most of it. A gap
 /// longer than this is the end of the lap, or a CPU given to somebody else:
 /// not worth burning.
 const HANDOFF_SPIN: Duration = Duration::from_micros(200);
@@ -882,20 +806,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("privpath-scan-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn lane_select_masks_and_accumulates() {
-        let src = [0xFFu8; 20];
-        let mut acc = [0u8; 20];
-        lane_select(&src, 0, &mut acc);
-        assert_eq!(acc, [0u8; 20], "zero mask contributes nothing");
-        let src: Vec<u8> = (0..20).collect();
-        lane_select(&src, u64::MAX, &mut acc);
-        assert_eq!(&acc[..], &src[..], "ones mask ORs the page in");
-        // accumulation is an OR, so re-selecting is idempotent
-        lane_select(&src, u64::MAX, &mut acc);
-        assert_eq!(&acc[..], &src[..]);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   elsewhere);
 //! * `checksum` — [`crc32`], used to detect tampering when running against
 //!   the fault-injecting PIR backend (extension beyond the paper's
-//!   honest-but-curious adversary);
+//!   honest-but-curious adversary), and [`crc32_select`], the linear
+//!   sweep's verify-and-select pass over a page;
 //! * `snapshot` — the atomic-rename, CRC-guarded snapshot container
 //!   ([`SnapshotWriter`], [`SnapshotReader`]).
 
@@ -29,12 +30,12 @@ mod page;
 mod pagefile;
 mod snapshot;
 
-pub use checksum::crc32;
+pub use checksum::{crc32, crc32_select};
 pub use codec::{ByteReader, ByteWriter};
 pub use error::StorageError;
 pub use mmapfile::MmapFile;
 pub use page::{PageBuf, DEFAULT_PAGE_SIZE};
-pub use pagefile::{atomic_write, ChecksumFile, DiskFile, MemFile, PagedFile};
+pub use pagefile::{atomic_write, ChecksumFile, DiskFile, MemFile, PagedFile, RunSink};
 pub use snapshot::{SnapshotEntry, SnapshotReader, SnapshotWriter};
 
 /// Convenient result alias used throughout the crate.

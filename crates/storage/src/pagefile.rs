@@ -6,7 +6,7 @@
 //! total number of pages in the file, so the file abstraction exposes exactly
 //! `num_pages`, `page_size`, and `read_page`.
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, crc32_select, lane_select};
 use crate::error::StorageError;
 use crate::page::PageBuf;
 use crate::Result;
@@ -139,10 +139,45 @@ pub trait PagedFile: Send + Sync {
         Ok(())
     }
 
+    /// Selects the run [`PagedFile::read_run`] would return into `sink`,
+    /// page by page in file order: each page is OR-ed under the mask
+    /// [`RunSink::slot`] gives into the accumulator it gives, and
+    /// [`RunSink::selected`] is told once the page is done — the linear
+    /// sweep's one pass over the bytes of a run. On an error the pages from
+    /// the failing one on are not reported selected.
+    ///
+    /// The default reads the run and selects each page with the lane kernel.
+    /// [`ChecksumFile`] verifies each page in the same pass instead.
+    ///
+    /// # Panics
+    /// Panics if `scratch.len()` is not a multiple of the page size, or if
+    /// an accumulator is not page-sized.
+    fn select_run(&self, first: u32, scratch: &mut [u8], sink: &mut dyn RunSink) -> Result<()> {
+        let ps = self.page_size();
+        let lent = self.read_run(first, scratch)?;
+        for (i, page) in lent.unwrap_or(scratch).chunks_exact(ps).enumerate() {
+            let p = first + i as u32;
+            let (mask, acc) = sink.slot(p);
+            assert_eq!(acc.len(), ps, "accumulator size mismatch");
+            lane_select(page, mask, acc);
+            sink.selected(p);
+        }
+        Ok(())
+    }
+
     /// Total file size in bytes.
     fn size_bytes(&self) -> u64 {
         self.num_pages() as u64 * self.page_size() as u64
     }
+}
+
+/// Where [`PagedFile::select_run`] puts the pages of a run.
+pub trait RunSink {
+    /// The mask (all-ones or all-zeros) page `page` is selected under and
+    /// the page-sized accumulator it is OR-ed into.
+    fn slot(&mut self, page: u32) -> (u64, &mut [u8]);
+    /// Page `page` is in its slot, verified if the file verifies.
+    fn selected(&mut self, page: u32);
 }
 
 /// Validates that the run `first .. first + count` lies inside a file of
@@ -461,6 +496,17 @@ impl PagedFile for DiskFile {
 /// replaced by writing a new file and renaming it over the old path
 /// ([`atomic_write`]) — a new inode, which leaves the pages an existing
 /// mapping shows untouched.
+///
+/// [`PagedFile::select_run`] verifies and selects each page in one pass
+/// ([`crc32_select`]) and checks the page's CRC before it touches the next
+/// page, so a page's bytes are OR-ed into its slot *before* they are known
+/// good. That is the one way unverified bytes leave this wrapper: into the
+/// slot of a page whose run then fails with [`StorageError::PageCorrupt`],
+/// never reported [selected](RunSink::selected) — and a failed pass serves
+/// nothing (the linear-scan store leaves its output untouched, a shared
+/// lap fails every round aboard). Copies for duplicate requests of a page
+/// are the sink's to make once the page is reported selected, that is
+/// verified.
 pub struct ChecksumFile {
     inner: Arc<dyn PagedFile>,
     crcs: Vec<u32>,
@@ -487,9 +533,9 @@ impl ChecksumFile {
         }
     }
 
-    fn verify(&self, page: u32, bytes: &[u8]) -> Result<()> {
+    /// Checks `actual`, the CRC of page `page` as read, against the table.
+    fn verify(&self, page: u32, actual: u32) -> Result<()> {
         let expected = self.crcs[page as usize];
-        let actual = crc32(bytes);
         if actual != expected {
             return Err(StorageError::PageCorrupt {
                 file: self.name.clone(),
@@ -513,13 +559,13 @@ impl PagedFile for ChecksumFile {
 
     fn read_page(&self, page: u32) -> Result<PageBuf> {
         let buf = self.inner.read_page(page)?;
-        self.verify(page, buf.as_slice())?;
+        self.verify(page, crc32(buf.as_slice()))?;
         Ok(buf)
     }
 
     fn read_page_into(&self, page: u32, out: &mut PageBuf) -> Result<()> {
         self.inner.read_page_into(page, out)?;
-        self.verify(page, out.as_slice())
+        self.verify(page, crc32(out.as_slice()))
     }
 
     /// The run read is delegated to the inner driver (so its batching, and
@@ -531,9 +577,26 @@ impl PagedFile for ChecksumFile {
         let lent = self.inner.read_run(first, scratch)?;
         let run = lent.unwrap_or(scratch);
         for (i, page) in run.chunks_exact(ps).enumerate() {
-            self.verify(first + i as u32, page)?;
+            self.verify(first + i as u32, crc32(page))?;
         }
         Ok(lent)
+    }
+
+    /// The inner driver's run, lent or filled (so per-page wrappers below
+    /// still see each read), verified and selected one page at a time in
+    /// one pass: a page's CRC is checked before the next page is touched,
+    /// and a page that fails it fails the run and is never reported
+    /// selected.
+    fn select_run(&self, first: u32, scratch: &mut [u8], sink: &mut dyn RunSink) -> Result<()> {
+        let ps = self.page_size();
+        let lent = self.inner.read_run(first, scratch)?;
+        for (i, page) in lent.unwrap_or(scratch).chunks_exact(ps).enumerate() {
+            let p = first + i as u32;
+            let (mask, acc) = sink.slot(p);
+            self.verify(p, crc32_select(page, mask, acc))?;
+            sink.selected(p);
+        }
+        Ok(())
     }
 }
 

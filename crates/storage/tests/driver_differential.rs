@@ -10,10 +10,13 @@
 //! runs of every alignment (run boundaries, the zero-length run, and the
 //! partial run ending exactly at the last page), lent or filled, with
 //! identical typed errors past the end — and for several threads reading
-//! one handle at once, as the page-range passes of a sharded sweep do.
+//! one handle at once, as the page-range passes of a sharded sweep do. The
+//! sweep's own primitive, `select_run`, is held to `read_run` followed by a
+//! masked select of each page, whichever way the run is served and whether
+//! the wrapper verifies it in the same pass or not.
 
 use privpath_storage::{
-    crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, StorageError,
+    crc32, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, RunSink, StorageError,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -67,18 +70,71 @@ fn drivers(
     ]
 }
 
+/// The slots of one `select_run`: page `first + i` is selected under
+/// `masks[i]` into `accs[i]`; the pages reported selected are recorded.
+struct Slots {
+    first: u32,
+    masks: Vec<u64>,
+    accs: Vec<Vec<u8>>,
+    selected: Vec<u32>,
+}
+
+impl Slots {
+    /// Slots for `count` pages from `first`, masks and prior accumulator
+    /// bytes (the select ORs) following `seed`.
+    fn new(first: u32, count: u32, page_size: usize, seed: u64) -> Self {
+        let noise = |i: usize| (seed.rotate_left(i as u32 % 64) ^ (i as u64 * 0x2545_F491)) as u8;
+        Slots {
+            first,
+            masks: (0..count)
+                .map(|i| ((seed >> (i % 64)) & 1).wrapping_neg())
+                .collect(),
+            accs: (0..count as usize)
+                .map(|i| (0..page_size).map(|b| noise(i * page_size + b)).collect())
+                .collect(),
+            selected: Vec::new(),
+        }
+    }
+
+    /// What selecting `run` (the run's bytes) into these slots must leave.
+    fn expected(&self, run: &[u8]) -> Vec<Vec<u8>> {
+        let pages = self.accs.iter().zip(&self.masks).enumerate();
+        pages
+            .map(|(i, (acc, &m))| {
+                let page = &run[i * acc.len()..][..acc.len()];
+                acc.iter()
+                    .zip(page)
+                    .map(|(a, b)| a | (b & m as u8))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+impl RunSink for Slots {
+    fn slot(&mut self, page: u32) -> (u64, &mut [u8]) {
+        let i = (page - self.first) as usize;
+        (self.masks[i], &mut self.accs[i])
+    }
+
+    fn selected(&mut self, page: u32) {
+        self.selected.push(page);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
     fn all_drivers_serve_identical_bytes(
         pages in 1u32..12,
-        page_size_sel in 0usize..3,
+        page_size_sel in 0usize..5,
         seed in any::<u64>(),
         first in 0u32..14,
         count in 0u32..14,
     ) {
-        let page_size = [32usize, 64, 96][page_size_sel];
+        // 300 and 4,096 bytes reach the wide fold (and 300 its tail)
+        let page_size = [32usize, 64, 96, 300, 4096][page_size_sel];
         let len = pages as usize * page_size;
         let bytes: Vec<u8> = (0..len)
             .map(|i| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64) >> 7) as u8)
@@ -154,6 +210,15 @@ proptest! {
                         prop_assert_eq!(&scratch[..], want, "{} filled run ({}, {})", name, first, count)
                     }
                 }
+
+                // the sweep's primitive: `read_run`, then each page OR-ed
+                // under its mask into its slot, every page reported selected
+                // in file order
+                let mut slots = Slots::new(first, count, page_size, seed);
+                let expected = slots.expected(want);
+                f.select_run(first, &mut scratch, &mut slots).unwrap();
+                prop_assert_eq!(&slots.accs, &expected, "{} select_run ({}, {})", name, first, count);
+                prop_assert_eq!(slots.selected, (first..first + count).collect::<Vec<_>>(), "{}", name);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -209,36 +274,56 @@ fn concurrent_readers_get_the_bytes_a_lone_reader_gets() {
 /// The checksum wrapper never exposes unverified bytes, whatever the inner
 /// driver and whether it lends or fills: over a file with a flipped bit and
 /// the clean CRC table, every run that covers the bad page is refused, and
-/// the runs either side of it are served.
+/// the runs either side of it are served. Selecting such a run fails on the
+/// bad page and reports no page from it on selected — at a page size the
+/// wide fold takes too, where verifying and selecting are one pass.
 #[test]
 fn checksum_wrapper_never_exposes_contiguous() {
     let dir = temp_dir("noexpose");
-    let bytes: Vec<u8> = (0..4 * 64).map(|i| (i % 251) as u8).collect();
-    let crcs: Vec<u32> = bytes.chunks_exact(64).map(crc32).collect();
-    let mut rotten = bytes.clone();
-    rotten[2 * 64 + 17] ^= 0x04;
-    for (name, inner) in drivers(&dir, &rotten, 64) {
-        if name.starts_with("crc") {
-            continue;
-        }
-        let guarded = ChecksumFile::new("F", Arc::clone(&inner), crcs.clone());
-        let mut scratch = vec![0u8; 2 * 64];
-        // the bare driver serves the flipped bit ...
-        let raw = inner.read_run(1, &mut scratch).unwrap().map(<[u8]>::to_vec);
-        assert_eq!(raw.unwrap_or_else(|| scratch.clone()), &rotten[64..3 * 64]);
-        // ... the guard serves no run that holds it
-        for first in [1u32, 2] {
-            let run = &mut scratch[..(3 - first as usize) * 64];
-            match guarded.read_run(first, run) {
-                Err(StorageError::PageCorrupt { page: 2, .. }) => {}
-                other => panic!("crc({name}) run at {first}: want PageCorrupt, got {other:?}"),
+    for ps in [64usize, 4096] {
+        let bytes: Vec<u8> = (0..4 * ps).map(|i| (i % 251) as u8).collect();
+        let crcs: Vec<u32> = bytes.chunks_exact(ps).map(crc32).collect();
+        let mut rotten = bytes.clone();
+        rotten[2 * ps + 17] ^= 0x04;
+        for (name, inner) in drivers(&dir, &rotten, ps) {
+            if name.starts_with("crc") {
+                continue;
             }
+            let guarded = ChecksumFile::new("F", Arc::clone(&inner), crcs.clone());
+            let mut scratch = vec![0u8; 2 * ps];
+            // the bare driver serves the flipped bit ...
+            let raw = inner.read_run(1, &mut scratch).unwrap().map(<[u8]>::to_vec);
+            assert_eq!(raw.unwrap_or_else(|| scratch.clone()), &rotten[ps..3 * ps]);
+            // ... the guard serves no run that holds it
+            for first in [1u32, 2] {
+                let run = &mut scratch[..(3 - first as usize) * ps];
+                match guarded.read_run(first, run) {
+                    Err(StorageError::PageCorrupt { page: 2, .. }) => {}
+                    other => panic!("crc({name}) run at {first}: want PageCorrupt, got {other:?}"),
+                }
+                let mut slots = Slots::new(first, 3 - first, ps, 0x5EED);
+                match guarded.select_run(first, run, &mut slots) {
+                    Err(StorageError::PageCorrupt { page: 2, .. }) => {}
+                    other => {
+                        panic!("crc({name}) select at {first}: want PageCorrupt, got {other:?}")
+                    }
+                }
+                assert_eq!(
+                    slots.selected,
+                    (first..2).collect::<Vec<_>>(),
+                    "crc({name})"
+                );
+            }
+            let mut two = vec![0u8; 2 * ps];
+            guarded.read_run_into(0, &mut two).unwrap();
+            assert_eq!(two, &bytes[..2 * ps], "crc({name})");
+            guarded.read_run_into(3, &mut two[..ps]).unwrap();
+            assert_eq!(&two[..ps], &bytes[3 * ps..], "crc({name})");
+            let mut slots = Slots::new(0, 2, ps, 0x5EED);
+            let expected = slots.expected(&bytes[..2 * ps]);
+            guarded.select_run(0, &mut two, &mut slots).unwrap();
+            assert_eq!(slots.accs, expected, "crc({name})");
         }
-        let mut two = vec![0u8; 2 * 64];
-        guarded.read_run_into(0, &mut two).unwrap();
-        assert_eq!(two, &bytes[..2 * 64], "crc({name})");
-        guarded.read_run_into(3, &mut two[..64]).unwrap();
-        assert_eq!(&two[..64], &bytes[3 * 64..], "crc({name})");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
