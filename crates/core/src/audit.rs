@@ -31,9 +31,10 @@ pub enum AuditError {
         reason: String,
     },
     /// The recorded observable stream hit its size cap
-    /// ([`privpath_pir::wire::OBSERVED_CAP_BYTES`]): the events cover only
-    /// a prefix of the session, so conformance cannot be certified — a
-    /// truncated stream must fail loudly, not vacuously pass on the prefix.
+    /// ([`privpath_pir::wire::OBSERVED_CAP_BYTES`], 1 MiB per session): the
+    /// events cover only a prefix of the session, so conformance cannot be
+    /// certified — a truncated stream must fail loudly, not vacuously pass
+    /// on the prefix. A session audited whole must stay under the cap.
     ObservedTruncated {
         /// Session index.
         session: usize,

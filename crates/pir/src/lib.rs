@@ -48,8 +48,11 @@
 //!   sweep in progress and ride one lap of its rotation together) and
 //!   chunked response streaming;
 //! * `wire::tcp` — the same frames over real loopback sockets: a
-//!   [`TcpFront`] accept loop with per-connection reader/writer threads and
-//!   graceful drain, and the [`TcpLink`] client [`FrameLink`];
+//!   [`TcpFront`] accept loop with a reader thread per connection, replies
+//!   written onto the socket by the server loop itself (one non-blocking
+//!   send per frame, a per-connection writer thread taking over only what
+//!   the socket does not take at once) and graceful drain, and the
+//!   [`TcpLink`] client [`FrameLink`], one write per frame;
 //! * `chaos` — deterministic fault injection for the transport stack:
 //!   seeded [`FaultPlan`]s driving lossy [`ChaosLink`]s under any
 //!   [`WireChannel`], and sabotage stores and disks for degradation tests.

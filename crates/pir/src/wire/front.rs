@@ -21,6 +21,7 @@ use super::codec::{
     ERR_SESSION, MAX_REQUEST_BYTES, SEQ_UNPARSED,
 };
 use super::lap::{Lap, Turn};
+use super::tcp::SocketReplies;
 use crate::error::PirError;
 use crate::scan::Ride;
 use crate::server::FileId;
@@ -76,18 +77,20 @@ pub struct SessionStats {
     /// The recorded observable projection of every client→server frame, in
     /// order — retransmissions included, since the adversary sees those too
     /// (see the module docs for what is masked). Bounded by
-    /// [`OBSERVED_CAP_BYTES`] so long-running fronts don't grow without
-    /// limit; `observed_truncated` reports when the cap was hit (recording
-    /// stops at a frame boundary, the counters above keep counting).
+    /// [`OBSERVED_CAP_BYTES`] (1 MiB) so that a long-lived session on an
+    /// always-recording front stays small; `observed_truncated` reports when
+    /// the cap was hit (recording stops at a frame boundary, the counters
+    /// above keep counting).
     pub observed: Vec<u8>,
     /// True if `observed` stopped recording at the cap.
     pub observed_truncated: bool,
 }
 
-/// Per-session cap on the recorded observable stream (the leakage audits
-/// read a few kilobytes; this only exists to bound server memory on
-/// long-running fronts).
-pub const OBSERVED_CAP_BYTES: usize = 16 << 20;
+/// Per-session cap on the recorded observable stream: 1 MiB, more than any
+/// session the audits certify records. Every session of every front
+/// records (a few kilobytes per query: an LM query is 119 frames), so the
+/// cap is what bounds the server's memory for a session that lives on.
+pub const OBSERVED_CAP_BYTES: usize = 1 << 20;
 
 impl SessionStats {
     fn record_observed(&mut self, masked: &[u8]) {
@@ -116,7 +119,7 @@ fn lock_shared(shared: &Mutex<Sessions>) -> MutexGuard<'_, Sessions> {
 pub(crate) enum ToServer {
     Connect {
         client: u64,
-        resp: mpsc::Sender<Vec<u8>>,
+        replies: Replies,
     },
     Frame {
         client: u64,
@@ -128,6 +131,26 @@ pub(crate) enum ToServer {
     Shutdown,
     /// What a pass of the lap's driver thread came to.
     Lap(Turn),
+}
+
+/// Where the loop sends one client's replies.
+pub(crate) enum Replies {
+    /// An in-process channel, read by a [`ChannelLink`].
+    Channel(mpsc::Sender<Vec<u8>>),
+    /// A TCP connection: written onto the socket by the loop thread itself
+    /// when it takes them at once, by the connection's writer thread when
+    /// not (see [`super::tcp`]).
+    Socket(SocketReplies),
+}
+
+impl Replies {
+    /// Sends one reply frame; false when the client's channel is dead.
+    fn send(&self, frame: Vec<u8>) -> bool {
+        match self {
+            Replies::Channel(tx) => tx.send(frame).is_ok(),
+            Replies::Socket(socket) => socket.send(frame),
+        }
+    }
 }
 
 /// Degradation and throughput knobs for a [`ServerFront`].
@@ -214,7 +237,8 @@ impl ServerFront {
     /// (no handshake performed). Chaos wrappers interpose here, between the
     /// link and the [`WireChannel`] built by [`WireChannel::handshake`].
     pub fn raw_link(&self) -> Result<ChannelLink> {
-        let (to_server, client, resp) = self.raw_parts()?;
+        let (replies, resp) = mpsc::channel();
+        let (to_server, client) = self.register(Replies::Channel(replies))?;
         Ok(ChannelLink {
             to_server,
             resp,
@@ -222,22 +246,16 @@ impl ServerFront {
         })
     }
 
-    /// Registers a new client and returns the raw channel halves, for
-    /// transports (the TCP bridge) that pump the two directions from
-    /// separate threads and manage disconnect notification themselves —
-    /// unlike [`ChannelLink`], whose `Drop` sends the disconnect.
-    pub(crate) fn raw_parts(
-        &self,
-    ) -> Result<(mpsc::Sender<ToServer>, u64, mpsc::Receiver<Vec<u8>>)> {
+    /// Registers a new client whose replies go to `replies`, and returns
+    /// its id with a sender into the loop — for [`ChannelLink`], and for
+    /// transports (the TCP bridge) that pump the requests from a thread of
+    /// their own and manage disconnect notification themselves.
+    pub(crate) fn register(&self, replies: Replies) -> Result<(mpsc::Sender<ToServer>, u64)> {
         let client = self.next_client.fetch_add(1, Ordering::Relaxed);
-        let (resp_tx, resp_rx) = mpsc::channel();
         self.to_server
-            .send(ToServer::Connect {
-                client,
-                resp: resp_tx,
-            })
+            .send(ToServer::Connect { client, replies })
             .map_err(|_| PirError::Transport("server front is shut down".into()))?;
-        Ok((self.to_server.clone(), client, resp_rx))
+        Ok((self.to_server.clone(), client))
     }
 
     /// Connects a new client: registers its response channel and performs
@@ -335,7 +353,7 @@ impl GenEntry {
 
 /// One client channel as the loop sees it.
 pub(super) struct ClientState {
-    resp: mpsc::Sender<Vec<u8>>,
+    replies: Replies,
     session: Option<u64>,
     /// The generation this channel is pinned to: resolved at connect and
     /// re-resolved at each `SessionOpen` on a channel with no open session,
@@ -524,7 +542,7 @@ impl Front {
                 }
             };
             match msg {
-                ToServer::Connect { client, resp } => self.connect(client, resp),
+                ToServer::Connect { client, replies } => self.connect(client, replies),
                 ToServer::Disconnect { client } => self.drop_client(client, |stats| {
                     stats.closed = true;
                 }),
@@ -550,9 +568,9 @@ impl Front {
     }
 
     /// Registers a client's reply channel, pinned to the latest generation.
-    pub(super) fn connect(&mut self, client: u64, resp: mpsc::Sender<Vec<u8>>) {
+    pub(super) fn connect(&mut self, client: u64, replies: Replies) {
         let state = ClientState {
-            resp,
+            replies,
             session: None,
             gen: Arc::clone(&self.latest),
             last_round: 0,
@@ -604,7 +622,9 @@ impl Front {
 
     /// Sends `reply` (chunked if configured) for a frame of `bytes_in`
     /// bytes, and charges both — with whatever `charge` adds — to session
-    /// `sid`. A dead channel forgets the client.
+    /// `sid`. Every reply the front makes leaves here, and a TCP client's
+    /// goes straight onto its socket when the socket takes it
+    /// ([`Replies::Socket`]). A dead channel forgets the client.
     fn answer(
         &mut self,
         client: u64,
@@ -624,7 +644,7 @@ impl Front {
         let Some(state) = self.clients.get(&client) else {
             return;
         };
-        if frames.into_iter().any(|f| state.resp.send(f).is_err()) {
+        if frames.into_iter().any(|f| !state.replies.send(f)) {
             self.drop_client(client, |_| {});
         }
     }

@@ -509,7 +509,7 @@ fn sequence_numbers_survive_wraparound() {
     let source = Arc::new(StaticSource::new(server()));
     let mut front = Front::new(source, Arc::default(), FrontConfig::default(), 1, events);
     let (resp, replies) = mpsc::channel();
-    front.connect(7, resp);
+    front.connect(7, Replies::Channel(resp));
     front.on_frame(7, encode_session_open(1));
     let accept = replies.recv().unwrap();
     let sid = ByteReader::new(split_frame(&accept).unwrap().payload)

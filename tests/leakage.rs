@@ -18,7 +18,9 @@
 //! * the theorem survives bad weather: a session over a fault-injected link
 //!   with retries is observably identical — answers, traces, meters, and
 //!   the logical server-observed frame stream — to a clean-link session
-//!   (the chaos differential at the bottom of this file).
+//!   (the chaos differential at the bottom of this file);
+//! * the theorem survives a real socket: serving over loopback TCP is
+//!   observably identical to serving over the in-process channel.
 
 use privpath::core::audit::{
     assert_indistinguishable, check_plan_conformance, check_wire_conformance,
@@ -474,6 +476,82 @@ fn wire_execution_is_differentially_equal_and_frame_uniform() {
         }
         drop((wire_a, wire_b));
         front.shutdown();
+    }
+}
+
+/// Theorem 1 over a real socket: for every PIR scheme, the same queries with
+/// the same dummy-RNG seed, served once through the in-process channel front
+/// ([`Database::serve_wire`]) and once over loopback TCP
+/// ([`Database::serve_tcp`], whose loop thread writes each reply onto the
+/// socket itself and leaves only what the socket does not take to a writer
+/// thread), give bit-identical answers, traces and meters (the wall-measured
+/// `client_s` excluded), and the server records byte-identical masked
+/// observable streams, conformant to the published plan. How a reply leaves
+/// the server must be invisible on both sides of the trust boundary.
+#[test]
+fn tcp_serving_is_observably_identical_to_channel_serving() {
+    let net = road_like(&RoadGenConfig {
+        nodes: 160,
+        seed: 2468,
+        ..Default::default()
+    });
+    let n = net.num_nodes() as u32;
+    let pairs: Vec<(u32, u32)> = (0..6u32)
+        .map(|k| ((k * 59 + 7) % n, (k * 127 + 89) % n))
+        .filter(|(s, t)| s != t)
+        .collect();
+    for kind in PIR_SCHEMES {
+        let db = Arc::new(
+            Database::build(&net, kind, &cfg_small())
+                .unwrap_or_else(|e| panic!("{} build failed: {e}", kind.name())),
+        );
+        let channel = db.serve_wire();
+        let tcp = db.serve_tcp().expect("bind loopback");
+        // each the first session of its front: both get session id 1
+        let mut over_channel = db
+            .wire_session_with_seed(&channel, 0x5eed)
+            .expect("connect");
+        let mut over_tcp = db.tcp_session_with_seed(&tcp, 0x5eed).expect("connect");
+        for &(s, t) in &pairs {
+            let want = over_channel
+                .query_nodes(&net, s, t)
+                .unwrap_or_else(|e| panic!("{} channel {s}->{t}: {e}", kind.name()));
+            let got = over_tcp
+                .query_nodes(&net, s, t)
+                .unwrap_or_else(|e| panic!("{} tcp {s}->{t}: {e}", kind.name()));
+            assert_eq!(got.trace, want.trace, "{}: trace {s}->{t}", kind.name());
+            assert_eq!(got.answer.cost, want.answer.cost, "{}", kind.name());
+            assert_eq!(got.answer.path_nodes, want.answer.path_nodes);
+            assert_eq!(got.answer.src_node, want.answer.src_node);
+            assert_eq!(got.answer.dst_node, want.answer.dst_node);
+            assert!(!got.plan_violation && !want.plan_violation);
+            let (mut got_m, mut want_m) = (got.meter.clone(), want.meter.clone());
+            got_m.client_s = 0.0;
+            want_m.client_s = 0.0;
+            assert_eq!(got_m, want_m, "{}: meter {s}->{t}", kind.name());
+        }
+        drop((over_channel, over_tcp));
+        let channel_stats = channel.shutdown();
+        let tcp_stats = tcp.shutdown();
+        let (via_channel, via_tcp) = (&channel_stats[&1], &tcp_stats[&1]);
+        assert!(!via_channel.observed_truncated && !via_tcp.observed_truncated);
+        assert_eq!(
+            via_tcp.observed,
+            via_channel.observed,
+            "{}: masked streams differ between TCP and channel serving",
+            kind.name()
+        );
+        assert_eq!(
+            (via_tcp.bytes_in, via_tcp.bytes_out, via_tcp.retransmits),
+            (via_channel.bytes_in, via_channel.bytes_out, 0),
+            "{}",
+            kind.name()
+        );
+        let events = privpath::pir::wire::parse_observed(&via_tcp.observed)
+            .unwrap_or_else(|e| panic!("{}: unparseable stream: {e}", kind.name()));
+        let file_of = |f: PlanFile| db.file_of(f).expect("plan file registered");
+        check_wire_conformance(1, &events, false, pairs.len(), db.plan(), &file_of)
+            .unwrap_or_else(|e| panic!("{}: tcp stream violates plan: {e}", kind.name()));
     }
 }
 
