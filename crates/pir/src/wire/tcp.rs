@@ -158,7 +158,8 @@ pub struct TcpFront {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<Vec<Conn>>>,
-    #[cfg(test)]
+    /// Read by the tests alone.
+    #[cfg_attr(not(test), allow(dead_code))]
     paths: Arc<ReplyPaths>,
 }
 
@@ -202,7 +203,6 @@ impl TcpFront {
             addr,
             stop,
             accept: Some(accept),
-            #[cfg(test)]
             paths,
         })
     }
