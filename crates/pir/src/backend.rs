@@ -156,6 +156,11 @@ pub struct LinearScanStore {
     /// ([`LinearScanStore::fetch_batch_reference`]).
     scratch: PageBuf,
     log: PhysicalLog,
+    /// The helper threads that sweep every range of a pass after the first,
+    /// built once from the sweep plan and kept for the store's whole life:
+    /// every lap, whoever drives it, hands its ranges to them. Dropped with
+    /// the store, which dismisses and joins them.
+    crew: Crew,
 }
 
 /// One segment pass of `sweep` over `file`, logged as the front-to-back
@@ -208,6 +213,7 @@ impl LinearScanStore {
         let sweep = Sweep::with_segments(file.num_pages(), page_size, segment_pages, shards);
         LinearScanStore {
             lap: Rotation::over(&sweep),
+            crew: sweep.crew(&file),
             sweep,
             done: Vec::new(),
             file,
@@ -229,26 +235,14 @@ impl LinearScanStore {
         Rotation::over(&self.sweep)
     }
 
-    /// The helping hands a driver of [`LinearScanStore::rotation`] keeps
-    /// for as long as somebody rides it.
-    pub(crate) fn crew(&self) -> Crew {
-        self.sweep.crew(&self.file)
-    }
-
     /// One logged segment pass on behalf of a rotation: the `pass` of
-    /// [`Rotation::step`], with a `crew` of this store's.
-    pub(crate) fn pass(
-        &mut self,
-        crew: &mut Crew,
-        seg: usize,
-        wanted: &[u32],
-        slots: &mut [PageBuf],
-    ) -> Result<()> {
+    /// [`Rotation::step`].
+    pub(crate) fn pass(&mut self, seg: usize, wanted: &[u32], slots: &mut [PageBuf]) -> Result<()> {
         logged_pass(
             &*self.file,
             &mut self.sweep,
             &mut self.log,
-            crew,
+            &mut self.crew,
             seg,
             wanted,
             slots,
@@ -333,16 +327,13 @@ impl ObliviousStore for LinearScanStore {
             lap,
             done,
             log,
+            crew,
             ..
         } = self;
-        // the lap's hands are its own: started here, joined when it is over
-        let mut crew = sweep.crew(file);
         lap.join(0, pages);
         while !lap.is_idle() {
             let stepped = lap.step(
-                |seg, wanted, slots| {
-                    logged_pass(&**file, sweep, log, &mut crew, seg, wanted, slots)
-                },
+                |seg, wanted, slots| logged_pass(&**file, sweep, log, crew, seg, wanted, slots),
                 done,
             );
             if let Err(e) = stepped {
@@ -924,6 +915,123 @@ mod tests {
             let msg = payload.downcast_ref::<String>().expect("assert message");
             assert!(msg.contains("sabotaged page"), "x{shards}: {msg}");
         }
+    }
+
+    #[test]
+    fn a_store_keeps_one_crew_for_its_whole_life() {
+        /// Records the thread of every page read.
+        struct Readers(MemFile, std::sync::Mutex<Vec<(u32, std::thread::ThreadId)>>);
+        impl PagedFile for Readers {
+            fn num_pages(&self) -> u32 {
+                self.0.num_pages()
+            }
+            fn page_size(&self) -> usize {
+                self.0.page_size()
+            }
+            fn read_page(&self, page: u32) -> privpath_storage::Result<PageBuf> {
+                let me = std::thread::current().id();
+                self.1.lock().unwrap().push((page, me));
+                self.0.read_page(page)
+            }
+        }
+        let pages = 4 * scan::RUN_PAGES as u32 + 5;
+        let mem = small_pages(pages, 16).0;
+        let driver = Arc::new(Readers(mem.clone(), Default::default()));
+        let mut store = LinearScanStore::with_shards(driver.clone(), 2);
+        let range1 = store.sweep().shard_ranges(0)[1].clone();
+        assert_eq!(
+            Arc::strong_count(&driver),
+            3,
+            "the store's and its helper's"
+        );
+        let reqs = |i: u32| [(i * 37 + 3) % pages, (i * 101 + 250) % pages];
+        for round in 0..20u32 {
+            let mut out = vec![PageBuf::zeroed(16); 2];
+            store.fetch_batch(&reqs(round), &mut out).unwrap();
+            for (buf, p) in out.iter().zip(reqs(round)) {
+                assert_eq!(buf.as_slice(), mem.page(p).unwrap(), "round {round}");
+            }
+        }
+        let mut rotation = store.rotation();
+        let mut done = Vec::new();
+        for lap in 0..20u32 {
+            rotation.join(u64::from(lap), &reqs(lap));
+            while !rotation.is_idle() {
+                rotation
+                    .step(|seg, w, s| store.pass(seg, w, s), &mut done)
+                    .unwrap();
+            }
+            let ride = done.pop().expect("a lone lap ends with its rider");
+            for (i, p) in reqs(lap).into_iter().enumerate() {
+                assert_eq!(ride.page(i), mem.page(p).unwrap(), "lap {lap}");
+            }
+            rotation.recycle(ride);
+        }
+        let sweepers: std::collections::HashSet<_> = driver
+            .1
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(p, _)| range1.contains(p))
+            .map(|&(_, thread)| thread)
+            .collect();
+        assert_eq!(sweepers.len(), 1, "range 1 has one sweeper: {sweepers:?}");
+        assert!(!sweepers.contains(&std::thread::current().id()));
+        drop(store);
+        assert_eq!(Arc::strong_count(&driver), 1, "the helper was joined");
+    }
+
+    #[test]
+    fn helpers_meet_their_next_range_polling_and_parked() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pages = 4 * scan::RUN_PAGES as u32 + 5;
+        let mem = small_pages(pages, 16).0;
+        let (done_tx, done_rx) = mpsc::channel();
+        // Pauses of 0-600 us between laps: below `HANDOFF_SPIN` (200 us) a
+        // helper meets its next range while polling, above it once parked.
+        // Segments of two runs make every lap three passes, back to back.
+        let laps = std::thread::spawn(move || {
+            let file = Arc::new(mem.clone());
+            let mut store = LinearScanStore::with_plan(file, 2 * scan::RUN_PAGES, 2);
+            let mut rotation = store.rotation();
+            let mut done = Vec::new();
+            let mut seed = 0x5eed_u64;
+            for lap in 0..200u64 {
+                // splitmix64
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                std::thread::sleep(Duration::from_micros(z % 601));
+                let reqs = [(z >> 20) as u32 % pages, (z >> 40) as u32 % pages];
+                rotation.join(lap, &reqs);
+                while !rotation.is_idle() {
+                    rotation
+                        .step(|seg, w, s| store.pass(seg, w, s), &mut done)
+                        .unwrap();
+                }
+                let ride = done.pop().expect("a lone lap ends with its rider");
+                for (i, &p) in reqs.iter().enumerate() {
+                    assert_eq!(ride.page(i), mem.page(p).unwrap(), "lap {lap}");
+                }
+                rotation.recycle(ride);
+            }
+            let _ = done_tx.send(());
+            store.physical_log().len()
+        });
+        // the watchdog: a lost wake-up fails here instead of hanging; a
+        // failed lap drops the sender and its panic is re-raised by the join
+        let waited = done_rx.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(waited, Err(mpsc::RecvTimeoutError::Timeout)),
+            "a hand-off hung"
+        );
+        let logged = laps
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        assert_eq!(logged, 200 * pages as usize);
     }
 
     #[test]

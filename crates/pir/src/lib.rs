@@ -22,9 +22,9 @@
 //! * [`scan`] — the vectorized linear-scan kernel: multi-page run streaming
 //!   through a reusable arena plus a branchless `u64`-lane masked select
 //!   with constant work per page, the sharded [`scan::Sweep`] that runs
-//!   one pass per page range, segment by segment, on the threads of a
-//!   lap's [`scan::Crew`], and the [`scan::Rotation`] rounds ride to share
-//!   those passes;
+//!   one pass per page range, segment by segment, on the threads of the
+//!   [`scan::Crew`] each linear-scan store keeps for its whole life, and the
+//!   [`scan::Rotation`] rounds ride to share those passes;
 //! * `fault` — a fault-injecting store wrapper (extension beyond the paper's
 //!   honest-but-curious adversary);
 //! * `trace` — the adversary-observable [`AccessTrace`] (which file was

@@ -21,7 +21,7 @@
 //!   each segment's pass into **page-range shards** ([`Sweep`]): `S` passes
 //!   over disjoint ranges cut on `RUN_PAGES` multiples, shard 0 on the
 //!   calling thread and `S − 1` on the threads of a [`Crew`] that stands by
-//!   for as long as its lap lasts, all ended before the pass returns. One
+//!   for as long as its store lives, all ended before the pass returns. One
 //!   core verifies and selects a mapped file at ≈ 20 GB/s on the reference
 //!   2-vCPU host, about what it reads the mapping at alone (≈ 23 GB/s);
 //!   the passes share nothing but the read-only driver, and each request
@@ -64,10 +64,12 @@ pub const MIN_SHARD_PAGES: usize = 2048;
 /// Pages per segment of a [`Rotation`]: where a round may join a sweep in
 /// progress, and how long the round waits for it — at most one segment pass,
 /// a seventh of a lap on the reference benchmark's 13,870-page index file.
-/// Every boundary is a hand-off between the threads of a [`Crew`]: tens of
-/// microseconds against the ≈ 0.2 ms a verified two-shard pass of this many
-/// 4 KiB mapped pages takes on the reference 2-vCPU host. A multiple of
-/// `RUN_PAGES`, so segments cut on runs.
+/// It is also how long a front's loop thread, which drives every lap, leaves
+/// the frames of other sessions queued. Every boundary is a hand-off between
+/// that thread and the threads of the store's [`Crew`]: tens of microseconds
+/// against the ≈ 0.2 ms a verified two-shard pass of this many 4 KiB mapped
+/// pages takes on the reference 2-vCPU host. A multiple of `RUN_PAGES`, so
+/// segments cut on runs.
 pub const SEGMENT_PAGES: usize = 2048;
 
 /// Shards the segment passes of a `num_pages`-page file are split into where
@@ -316,29 +318,19 @@ fn lock_handoff(handoff: &Mutex<Handoff>) -> MutexGuard<'_, Handoff> {
     handoff.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The helping hands of a lap: threads that stand by for as long as the lap
-/// (or the run of laps of a busy rotation) lasts and sweep the ranges after
-/// the first of every segment pass, while the crew's own thread sweeps the
-/// first. They are started by whoever drives the lap and joined when it
-/// drops the crew — no pool, no thread that outlives its lap. Keeping them
-/// across the passes of a lap, polling for the next range instead of being
-/// started for it, is what makes a segment boundary cost microseconds.
-///
-/// A crew of nobody (`Crew::none`) sweeps every range on the calling
-/// thread, one after the other: what a one-range plan needs, and what the
-/// loop thread of a front uses when it drives a lap itself.
+/// The helping hands of a store: threads that stand by for as long as the
+/// store lives and sweep the ranges after the first of every segment pass,
+/// while the thread that calls the pass sweeps the first. They are started
+/// with the store and joined when it drops the crew — no pool, no queue, no
+/// size to choose. Keeping them across passes and laps, polling for the next
+/// range instead of being started for it, is what makes a segment boundary
+/// cost microseconds. A one-range plan's crew has nobody in it: every range
+/// runs on the calling thread.
 pub struct Crew {
     helpers: Vec<Helper>,
 }
 
 impl Crew {
-    /// Nobody: every range of a pass runs on the calling thread.
-    pub(crate) fn none() -> Crew {
-        Crew {
-            helpers: Vec::new(),
-        }
-    }
-
     /// `hands` threads standing by to sweep ranges of `file`. A thread the
     /// system refuses is done without: its range runs on the crew's thread.
     pub(crate) fn of(file: &Arc<dyn PagedFile>, hands: usize) -> Crew {
@@ -848,11 +840,10 @@ mod tests {
     #[test]
     fn empty_request_set_still_scans_everything() {
         let ps = 16usize;
-        let mem = MemFile::from_bytes(&vec![7u8; 5 * ps], ps);
+        let mem: Arc<dyn PagedFile> = Arc::new(MemFile::from_bytes(&vec![7u8; 5 * ps], ps));
         let mut sweep = Sweep::new(5, ps, 1);
-        sweep
-            .pass(&mut Crew::none(), &mem, 0, &[], &mut [])
-            .unwrap();
+        let mut crew = sweep.crew(&mem);
+        sweep.pass(&mut crew, &*mem, 0, &[], &mut []).unwrap();
         assert_eq!(sweep.shard_pages_swept().collect::<Vec<_>>(), [5]);
     }
 
@@ -1073,7 +1064,6 @@ mod tests {
             for (name, driver) in drivers(&dir, &mem) {
                 for shards in [1usize, 2, 3] {
                     let mut store = LinearScanStore::with_plan(Arc::clone(&driver), segment, shards);
-                    let mut crew = store.crew();
                     let mut rotation = store.rotation();
                     let segments = rotation.segments().to_vec();
                     let k = segments.len();
@@ -1116,7 +1106,7 @@ mod tests {
                             .step(
                                 |seg, wanted, slots| {
                                     run.push(seg);
-                                    store.pass(&mut crew, seg, wanted, slots)
+                                    store.pass(seg, wanted, slots)
                                 },
                                 &mut done,
                             )

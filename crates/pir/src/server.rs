@@ -40,7 +40,7 @@ use crate::backend::{LinearScanStore, ObliviousStore, ShuffledStore};
 use crate::cost::{plain_read_cost, retrieval_cost, CostBreakdown};
 use crate::error::PirError;
 use crate::meter::Meter;
-use crate::scan::{Crew, Rotation};
+use crate::scan::Rotation;
 use crate::spec::SystemSpec;
 use crate::trace::{AccessTrace, TraceEvent};
 use crate::transport::Transport;
@@ -284,29 +284,19 @@ impl PirServer {
         Some(self.scan_store(f)?.ok()?.rotation())
     }
 
-    /// The helping hands for the passes of a rotation over file `f`; nobody
-    /// where `f` has no linear-scan store to lock.
-    pub(crate) fn scan_crew(&self, f: FileId) -> Crew {
-        match self.scan_store(f) {
-            Some(Ok(store)) => store.crew(),
-            _ => Crew::none(),
-        }
-    }
-
     /// One segment pass over file `f` on behalf of a rotation from
     /// [`PirServer::scan_rotation`], under the store's lock: laps of
     /// different drivers interleave pass by pass.
     pub(crate) fn scan_pass(
         &self,
         f: FileId,
-        crew: &mut Crew,
         seg: usize,
         wanted: &[u32],
         slots: &mut [PageBuf],
     ) -> Result<()> {
         self.scan_store(f)
             .ok_or(PirError::UnknownFile(f.0))??
-            .pass(crew, seg, wanted, slots)
+            .pass(seg, wanted, slots)
     }
 
     /// Reads the linear-scan store of file `f` — its physical log, its sweep

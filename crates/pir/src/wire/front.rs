@@ -117,20 +117,10 @@ fn lock_shared(shared: &Mutex<Sessions>) -> MutexGuard<'_, Sessions> {
 }
 
 pub(crate) enum ToServer {
-    Connect {
-        client: u64,
-        replies: Replies,
-    },
-    Frame {
-        client: u64,
-        bytes: Vec<u8>,
-    },
-    Disconnect {
-        client: u64,
-    },
+    Connect { client: u64, replies: Replies },
+    Frame { client: u64, bytes: Vec<u8> },
+    Disconnect { client: u64 },
     Shutdown,
-    /// What a pass of the lap's driver thread came to.
-    Lap(Turn),
 }
 
 /// Where the loop sends one client's replies.
@@ -207,23 +197,13 @@ impl ServerFront {
     /// each session is pinned to the generation current at its
     /// `SessionOpen` and drains on it; sessions opened after the source
     /// publishes a new generation serve from the new one. See the module
-    /// docs ("Generations and hot swap").
+    /// docs ("Generations and hot swap"). The loop thread is the only
+    /// thread the front starts: it also drives every shared lap, one segment
+    /// pass between the frames it takes, whatever the host's CPU count.
     pub fn spawn_swappable(source: Arc<dyn GenerationSource>, cfg: FrontConfig) -> ServerFront {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::spawn_on(source, cfg, cpus)
-    }
-
-    /// [`ServerFront::spawn_swappable`] with the CPU count given instead of
-    /// asked of the host: with one, the loop thread drives every shared lap
-    /// itself; with more, laps of several segments get a driver thread.
-    pub(super) fn spawn_on(
-        source: Arc<dyn GenerationSource>,
-        cfg: FrontConfig,
-        cpus: usize,
-    ) -> ServerFront {
         let (tx, rx) = mpsc::channel();
         let shared = Arc::default();
-        let front = Front::new(source, Arc::clone(&shared), cfg, cpus, tx.clone());
+        let front = Front::new(source, Arc::clone(&shared), cfg);
         let handle = std::thread::spawn(move || front.run(rx));
         ServerFront {
             to_server: tx,
@@ -432,11 +412,6 @@ pub(super) struct Front {
     source: Arc<dyn GenerationSource>,
     shared: Arc<Mutex<Sessions>>,
     cfg: FrontConfig,
-    /// CPUs the process may use. With one, no lap gets a driver thread: the
-    /// loop thread runs every pass itself.
-    cpus: usize,
-    /// The loop's own queue, for a lap's driver thread to report to.
-    events: mpsc::Sender<ToServer>,
     latest: Arc<GenEntry>,
     pub(super) clients: BTreeMap<u64, ClientState>,
     next_session: u64,
@@ -465,8 +440,6 @@ impl Front {
         source: Arc<dyn GenerationSource>,
         shared: Arc<Mutex<Sessions>>,
         cfg: FrontConfig,
-        cpus: usize,
-        events: mpsc::Sender<ToServer>,
     ) -> Front {
         let (id, host) = source.current_generation();
         Front {
@@ -474,8 +447,6 @@ impl Front {
             source,
             shared,
             cfg,
-            cpus,
-            events,
             clients: BTreeMap::new(),
             next_session: 1,
             reqs: Vec::new(),
@@ -509,11 +480,10 @@ impl Front {
                     last_sweep = Instant::now();
                 }
             }
-            let ridden = self.lap.as_ref().is_some_and(Lap::is_ridden);
-            let msg = if self.lap.as_ref().is_some_and(Lap::wants_turn) {
+            let msg = if self.lap.as_ref().is_some_and(Lap::is_ridden) {
                 // The loop thread drives the lap: every queued frame first —
                 // rounds among them ride from this boundary on — then one
-                // segment pass.
+                // segment pass. Every ride is finished before the loop stops.
                 match rx.try_recv() {
                     Ok(m) => m,
                     Err(_) => {
@@ -523,14 +493,13 @@ impl Front {
                         continue;
                     }
                 }
-            } else if self.draining && !ridden {
+            } else if self.draining {
                 match rx.try_recv() {
                     Ok(m) => m,
                     Err(_) => break,
                 }
             } else {
-                // Sleep until the next frame (or the next report of the
-                // lap's driver thread), capped by the eviction tick.
+                // Sleep until the next frame, capped by the eviction tick.
                 let received = match tick {
                     Some(t) if !self.draining => rx.recv_timeout(t),
                     _ => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
@@ -546,15 +515,9 @@ impl Front {
                 ToServer::Disconnect { client } => self.drop_client(client, |stats| {
                     stats.closed = true;
                 }),
-                // every ride is finished before the loop stops: `ridden`
-                // keeps it from breaking, and the queue is served meanwhile
                 ToServer::Shutdown => self.draining = true,
                 ToServer::Frame { client, bytes } => self.on_frame(client, bytes),
-                ToServer::Lap(turn) => self.on_turn(turn),
             }
-        }
-        if let Some(lap) = &mut self.lap {
-            lap.retire();
         }
         // graceful shutdown: mark every open session closed
         let mut lock = lock_shared(&self.shared);
@@ -584,7 +547,7 @@ impl Front {
     }
 
     /// Forgets `client`: its channel is gone or must go. Its round, if it
-    /// rides the lap, is dropped at the next boundary and delays nobody; its
+    /// rides the lap, is dropped before the next pass and delays nobody; its
     /// session, if open, is marked by `mark`.
     fn drop_client(&mut self, client: u64, mark: impl FnOnce(&mut SessionStats)) {
         if let Some(lap) = &mut self.lap {
@@ -830,17 +793,16 @@ impl Front {
             return Some(pending);
         }
         let fits = |lap: &Lap| lap.file == file && lap.gen.id == gen.id;
-        // A lap over another file that the loop thread drives itself is a
-        // pass or so from its end (a small file's only one, typically,
-        // waiting for the queue to empty). Serving this round on the spot
-        // instead — a whole sweep with the loop blocked, and nobody able to
-        // join it — would cost more than finishing that lap first. Its riders
-        // settle meanwhile; the frames behind them wait in the backlog, so
-        // `self.reqs` is still this round's.
+        // A lap over another one-segment file is one pass from its end.
+        // Serving this round on the spot instead — a whole sweep with the
+        // loop blocked, and nobody able to join it — would cost more than
+        // finishing that lap first. Its riders settle meanwhile; the frames
+        // behind them wait in the backlog, so `self.reqs` is still this
+        // round's.
         while let Some(turn) = self
             .lap
             .as_mut()
-            .filter(|l| !fits(l) && l.wants_turn())
+            .filter(|l| !fits(l) && l.is_one_segment())
             .and_then(Lap::turn)
         {
             self.on_turn(turn);
@@ -848,15 +810,13 @@ impl Front {
         match &mut self.lap {
             Some(lap) if fits(lap) => {}
             // a lap is over one file of one generation: while somebody rides
-            // it, rounds for any other are served on the spot
+            // one of several segments, rounds for any other are served on
+            // the spot, between its passes
             Some(lap) if lap.is_ridden() => return Some(pending),
             stale => {
-                let Some(next) = Lap::new(&gen, file, self.cpus) else {
+                let Some(next) = Lap::new(&gen, file) else {
                     return Some(pending);
                 };
-                if let Some(old) = stale {
-                    old.retire();
-                }
                 *stale = Some(next);
             }
         }
@@ -867,11 +827,10 @@ impl Front {
         if let Some(ride) = self.spare.pop() {
             lap.recycle(ride);
         }
-        lap.join(
-            client,
-            self.reqs.iter().map(|&(_, page)| page).collect(),
-            &self.events,
-        );
+        self.run_pages.clear();
+        self.run_pages
+            .extend(self.reqs.iter().map(|&(_, page)| page));
+        lap.join(client, &self.run_pages);
         if let Some(state) = self.clients.get_mut(&client) {
             state.riding = Some(pending);
         }
@@ -955,9 +914,6 @@ impl Front {
 
     /// Takes `client`'s round off the lap, if it still rides it.
     fn land(&mut self, client: u64) -> Option<Pending> {
-        if !self.lap.as_mut()?.landed(client) {
-            return None;
-        }
         self.clients.get_mut(&client)?.riding.take()
     }
 

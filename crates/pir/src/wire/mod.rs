@@ -110,7 +110,8 @@
 //! and it is server-side accounting. What the *host* observes is laps: which
 //! segments were swept in which order, a function of when rounds arrived and
 //! never of what they asked for (`tests/leakage.rs` pins both
-//! differentials). The `lap` submodule says who runs the passes.
+//! differentials). The front's loop thread runs every pass, between the
+//! frames it takes (the `lap` submodule).
 //!
 //! # The adversary's view of the wire
 //!

@@ -505,9 +505,8 @@ fn sequence_numbers_survive_wraparound() {
 
     // Server side: a channel sitting one step below the sentinel. File 0 is
     // cost-only, so every round is served on the spot.
-    let (events, _) = mpsc::channel();
     let source = Arc::new(StaticSource::new(server()));
-    let mut front = Front::new(source, Arc::default(), FrontConfig::default(), 1, events);
+    let mut front = Front::new(source, Arc::default(), FrontConfig::default());
     let (resp, replies) = mpsc::channel();
     front.connect(7, Replies::Channel(resp));
     front.on_frame(7, encode_session_open(1));
@@ -851,27 +850,10 @@ fn gated_server(marker: u32) -> (Arc<PirServer>, Arc<GateDisk>) {
     (srv, gate.expect("the driver was built"))
 }
 
-/// A front whose loop believes the process has `cpus` CPUs: with one it
-/// drives every lap itself, with two "Fd"'s laps get a driver thread.
-/// Every lap test runs both ways, whatever the host has.
-fn front_on(srv: &Arc<PirServer>, cfg: FrontConfig, cpus: usize) -> ServerFront {
-    ServerFront::spawn_on(Arc::new(StaticSource::new(Arc::clone(srv))), cfg, cpus)
-}
-
-/// Opens the gate a lap of "Fd" is held at, once the loop has seen every
-/// frame sent so far. A loop that runs the held pass itself (one CPU)
-/// finds them queued when the pass ends; one that left the pass to a
-/// driver thread is free to take them, and is asked something and waited
-/// for first — its queue is first in, first out.
-fn release(gate: &GateDisk, front: &ServerFront, cpus: usize) {
-    if cpus > 1 {
-        let mut probe = front.raw_link().unwrap();
-        probe.send(&[0u8; 4]).unwrap();
-        probe
-            .recv(WAIT)
-            .expect("a malformed frame earns a typed error");
-    }
-    gate.release();
+/// A front over `srv`. Its loop thread drives every lap itself, so a frame
+/// sent while a pass is held at a gate is queued when the pass ends.
+fn front_on(srv: &Arc<PirServer>, cfg: FrontConfig) -> ServerFront {
+    ServerFront::spawn_with(Arc::clone(srv), cfg)
 }
 
 /// Opens a session and its first query on a raw link; returns the
@@ -915,78 +897,69 @@ fn scan_log(srv: &PirServer, f: FileId) -> Vec<u32> {
 
 #[test]
 fn coalesced_rounds_merge_into_one_sweep_with_correct_replies() {
-    for cpus in [1usize, 2] {
-        let (srv, gate) = gated_server(0);
-        let front = front_on(&srv, FrontConfig::default(), cpus);
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let (sid_a, _) = open_query(&mut a);
-        let (sid_b, _) = open_query(&mut b);
-        // A's lap is held at its first run; B's round arrives meanwhile
-        // and rides from the boundary after segment 0
-        gate.arm(0);
-        a.send(&fd_round(sid_a, &[5, LAP_PAGES - 1])).unwrap();
-        gate.wait_parked();
-        b.send(&fd_round(sid_b, &[9, 2 * SEG, 9])).unwrap();
-        release(&gate, &front, cpus);
-        assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [5, LAP_PAGES - 1]);
-        // page 9 lies behind B's join: its lap wraps round to it
-        assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [9, 2 * SEG, 9]);
-        drop((a, b));
-        let stats = front.shutdown();
-        let (sa, sb) = (&stats[&sid_a], &stats[&sid_b]);
-        assert_eq!((sa.fetches, sb.fetches), (2, 3), "x{cpus}");
-        assert_eq!((sa.rounds, sb.rounds), (2, 2));
-        assert_eq!(sa.coalesced_rounds, 1, "A shared segments 1 and 2");
-        assert_eq!(sb.coalesced_rounds, 1);
-        // the host swept segments 0 1 2 0: four passes for two rounds
-        let want: Vec<u32> = (0..LAP_PAGES).chain(0..SEG).collect();
-        assert_eq!(scan_log(&srv, FileId(1)), want, "x{cpus}");
-        // the observable stream is exactly what a solo run records
-        let events = parse_observed(&sa.observed).unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[2],
-            ObservedEvent::Round {
-                round: 2,
-                fetches: vec![FileId(1); 2],
-            }
-        );
-    }
+    let (srv, gate) = gated_server(0);
+    let front = front_on(&srv, FrontConfig::default());
+    let mut a = front.raw_link().unwrap();
+    let mut b = front.raw_link().unwrap();
+    let (sid_a, _) = open_query(&mut a);
+    let (sid_b, _) = open_query(&mut b);
+    // A's lap is held at its first run; B's round arrives meanwhile
+    // and rides from the boundary after segment 0
+    gate.arm(0);
+    a.send(&fd_round(sid_a, &[5, LAP_PAGES - 1])).unwrap();
+    gate.wait_parked();
+    b.send(&fd_round(sid_b, &[9, 2 * SEG, 9])).unwrap();
+    gate.release();
+    assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [5, LAP_PAGES - 1]);
+    // page 9 lies behind B's join: its lap wraps round to it
+    assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [9, 2 * SEG, 9]);
+    drop((a, b));
+    let stats = front.shutdown();
+    let (sa, sb) = (&stats[&sid_a], &stats[&sid_b]);
+    assert_eq!((sa.fetches, sb.fetches), (2, 3));
+    assert_eq!((sa.rounds, sb.rounds), (2, 2));
+    assert_eq!(sa.coalesced_rounds, 1, "A shared segments 1 and 2");
+    assert_eq!(sb.coalesced_rounds, 1);
+    // the host swept segments 0 1 2 0: four passes for two rounds
+    let want: Vec<u32> = (0..LAP_PAGES).chain(0..SEG).collect();
+    assert_eq!(scan_log(&srv, FileId(1)), want);
+    // the observable stream is exactly what a solo run records
+    let events = parse_observed(&sa.observed).unwrap();
+    assert_eq!(events.len(), 3);
+    assert_eq!(
+        events[2],
+        ObservedEvent::Round {
+            round: 2,
+            fetches: vec![FileId(1); 2],
+        }
+    );
 }
 
 #[test]
 fn a_lone_round_rides_from_segment_zero_and_shares_nothing() {
-    for cpus in [1usize, 2] {
-        let (srv, _gate) = gated_server(0);
-        let front = front_on(&srv, FrontConfig::default(), cpus);
-        let mut chan = front.connect().unwrap();
-        chan.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(SMALL); 2];
-        for (round, pages) in [(2u32, [2 * SEG + 1, 3]), (3, [0, LAP_PAGES - 1])] {
-            let reqs = pages.map(|p| (FileId(1), p));
-            chan.serve_round(round, &reqs, &mut out).unwrap();
-            assert_eq!([page_marker(&out[0]), page_marker(&out[1])], pages);
-        }
-        let sid = chan.session_id();
-        drop(chan);
-        let stats = front.shutdown();
-        assert_eq!(stats[&sid].fetches, 4);
-        assert_eq!(stats[&sid].coalesced_rounds, 0, "a lone lap is not shared");
-        let want: Vec<u32> = (0..LAP_PAGES).chain(0..LAP_PAGES).collect();
-        assert_eq!(
-            scan_log(&srv, FileId(1)),
-            want,
-            "x{cpus}: two laps, 0..N each"
-        );
+    let (srv, _gate) = gated_server(0);
+    let front = front_on(&srv, FrontConfig::default());
+    let mut chan = front.connect().unwrap();
+    chan.begin_query().unwrap();
+    let mut out = vec![PageBuf::zeroed(SMALL); 2];
+    for (round, pages) in [(2u32, [2 * SEG + 1, 3]), (3, [0, LAP_PAGES - 1])] {
+        let reqs = pages.map(|p| (FileId(1), p));
+        chan.serve_round(round, &reqs, &mut out).unwrap();
+        assert_eq!([page_marker(&out[0]), page_marker(&out[1])], pages);
     }
+    let sid = chan.session_id();
+    drop(chan);
+    let stats = front.shutdown();
+    assert_eq!(stats[&sid].fetches, 4);
+    assert_eq!(stats[&sid].coalesced_rounds, 0, "a lone lap is not shared");
+    let want: Vec<u32> = (0..LAP_PAGES).chain(0..LAP_PAGES).collect();
+    assert_eq!(scan_log(&srv, FileId(1)), want, "two laps, 0..N each");
 }
 
 #[test]
 fn non_coalescable_rounds_bypass_the_rotation() {
-    // a driver thread sweeps, so the loop is free while the lap is held
     let (srv, gate) = gated_server(0);
-    let front = front_on(&srv, FrontConfig::default(), 2);
+    let front = front_on(&srv, FrontConfig::default());
     let mut a = front.raw_link().unwrap();
     let (sid_a, _) = open_query(&mut a);
     let mut b = front.connect().unwrap();
@@ -994,26 +967,33 @@ fn non_coalescable_rounds_bypass_the_rotation() {
     gate.arm(0);
     a.send(&fd_round(sid_a, &[7])).unwrap();
     gate.wait_parked();
-    // "Fd"'s lap is held at its first run, and B is answered meanwhile:
-    // a cost-only file has no sweep to share, another file's round is
-    // served on the spot, and so is a round over several files
-    let mut out = vec![PageBuf::zeroed(SMALL); 2];
-    b.serve_round(2, &[(FileId(0), 1), (FileId(0), 0)], &mut out)
-        .unwrap();
-    assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [1, 0]);
-    b.serve_round(3, &[(FileId(2), 15), (FileId(2), 4)], &mut out)
-        .unwrap();
-    assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [15, 4]);
-    b.serve_round(4, &[(FileId(2), 2), (FileId(0), 1)], &mut out)
-        .unwrap();
-    assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [2, 1]);
-    release(&gate, &front, 2);
+    // "Fd"'s lap is held at its first run while B sends its rounds; the
+    // loop drives the lap, so they wait for that pass to end. Then none of
+    // them rides: a cost-only file has no sweep to share, a round over
+    // another file is served on the spot between the passes of "Fd"'s lap
+    // (or rides alone once it is over), and so is a round over several files
+    std::thread::scope(|scope| {
+        let rounds = scope.spawn(|| {
+            let mut out = vec![PageBuf::zeroed(SMALL); 2];
+            b.serve_round(2, &[(FileId(0), 1), (FileId(0), 0)], &mut out)
+                .unwrap();
+            assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [1, 0]);
+            b.serve_round(3, &[(FileId(2), 15), (FileId(2), 4)], &mut out)
+                .unwrap();
+            assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [15, 4]);
+            b.serve_round(4, &[(FileId(2), 2), (FileId(0), 1)], &mut out)
+                .unwrap();
+            assert_eq!([page_marker(&out[0]), page_marker(&out[1])], [2, 1]);
+        });
+        gate.release();
+        rounds.join().unwrap();
+    });
     assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [7]);
     assert_eq!(scan_log(&srv, FileId(1)).len(), LAP_PAGES as usize);
     assert_eq!(
         scan_log(&srv, FileId(2)).len(),
         2 * 16,
-        "two laps of Fx for B"
+        "two lone laps of Fx for B"
     );
     let sid_b = b.session_id();
     drop((a, b));
@@ -1025,106 +1005,95 @@ fn non_coalescable_rounds_bypass_the_rotation() {
 
 #[test]
 fn retransmit_of_a_riding_round_is_absorbed_once() {
-    for cpus in [1usize, 2] {
-        let (srv, gate) = gated_server(0);
-        let front = front_on(&srv, FrontConfig::default(), cpus);
-        let mut link = front.raw_link().unwrap();
-        let (sid, _) = open_query(&mut link);
-        let round = fd_round(sid, &[4]);
-        gate.arm(0);
-        link.send(&round).unwrap();
-        gate.wait_parked();
-        link.send(&round).unwrap(); // retransmit mid-lap: absorbed
-                                    // shutdown finishes the ride before the loop stops
-        gate.arm(SEG);
-        release(&gate, &front, cpus);
-        gate.wait_parked(); // segment 1: the duplicate has been absorbed
-        let stats = std::thread::scope(|scope| {
-            let stopping = scope.spawn(|| front.shutdown());
-            gate.release();
-            stopping.join().unwrap()
-        });
-        assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [4]);
-        assert_eq!(stats[&sid].fetches, 1, "the round is served exactly once");
-        assert_eq!(stats[&sid].retransmits, 1);
-        // exactly one reply: the duplicate was absorbed, not double-served
-        assert!(link.recv(Some(Duration::from_millis(200))).is_err());
-        assert_eq!(
-            scan_log(&srv, FileId(1)).len(),
-            LAP_PAGES as usize,
-            "x{cpus}"
-        );
-    }
+    let (srv, gate) = gated_server(0);
+    let front = front_on(&srv, FrontConfig::default());
+    let mut link = front.raw_link().unwrap();
+    let (sid, _) = open_query(&mut link);
+    let round = fd_round(sid, &[4]);
+    gate.arm(0);
+    link.send(&round).unwrap();
+    gate.wait_parked();
+    link.send(&round).unwrap(); // retransmit mid-lap: absorbed
+                                // shutdown finishes the ride before the loop stops
+    gate.arm(SEG);
+    gate.release();
+    gate.wait_parked(); // segment 1: the duplicate has been absorbed
+    let stats = std::thread::scope(|scope| {
+        let stopping = scope.spawn(|| front.shutdown());
+        gate.release();
+        stopping.join().unwrap()
+    });
+    assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [4]);
+    assert_eq!(stats[&sid].fetches, 1, "the round is served exactly once");
+    assert_eq!(stats[&sid].retransmits, 1);
+    // exactly one reply: the duplicate was absorbed, not double-served
+    assert!(link.recv(Some(Duration::from_millis(200))).is_err());
+    assert_eq!(scan_log(&srv, FileId(1)).len(), LAP_PAGES as usize);
 }
 
 #[test]
 fn a_frame_behind_a_riding_round_waits_for_its_reply() {
-    for cpus in [1usize, 2] {
-        let (srv, gate) = gated_server(0);
-        let front = front_on(&srv, FrontConfig::default(), cpus);
-        let mut link = front.raw_link().unwrap();
-        let (sid, _) = open_query(&mut link);
-        gate.arm(0);
-        link.send(&fd_round(sid, &[4])).unwrap();
-        gate.wait_parked();
-        // the client does not wait for its reply: the close must not
-        // overtake the round it follows
-        link.send(&encode_session_close(4, sid)).unwrap();
-        release(&gate, &front, cpus);
-        assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [4]);
-        let ack = link.recv(WAIT).unwrap();
-        let f = split_frame(&ack).unwrap();
-        assert_eq!((f.kind, f.seq), (K_ACK, 4), "x{cpus}");
-        let stats = front.shutdown();
-        assert!(stats[&sid].closed);
-        assert_eq!(stats[&sid].fetches, 1);
-    }
+    let (srv, gate) = gated_server(0);
+    let front = front_on(&srv, FrontConfig::default());
+    let mut link = front.raw_link().unwrap();
+    let (sid, _) = open_query(&mut link);
+    gate.arm(0);
+    link.send(&fd_round(sid, &[4])).unwrap();
+    gate.wait_parked();
+    // the client does not wait for its reply: the close must not
+    // overtake the round it follows
+    link.send(&encode_session_close(4, sid)).unwrap();
+    gate.release();
+    assert_eq!(reply_tags(&link.recv(WAIT).unwrap()), [4]);
+    let ack = link.recv(WAIT).unwrap();
+    let f = split_frame(&ack).unwrap();
+    assert_eq!((f.kind, f.seq), (K_ACK, 4));
+    let stats = front.shutdown();
+    assert!(stats[&sid].closed);
+    assert_eq!(stats[&sid].fetches, 1);
 }
 
 #[test]
 fn a_rotation_never_mixes_generations() {
-    for cpus in [1usize, 2] {
-        let (old, gate) = gated_server(0);
-        let (new, _) = gated_server(1000);
-        let source = SwapSource::starting_at(1, Arc::clone(&old));
-        let front = ServerFront::spawn_on(
-            source.clone() as Arc<dyn GenerationSource>,
-            FrontConfig::default(),
-            cpus,
-        );
-        let mut a = front.raw_link().unwrap();
-        let (sid_a, gen_a) = open_query(&mut a);
-        source.publish(2, Arc::clone(&new));
-        let mut b = front.raw_link().unwrap();
-        let (sid_b, gen_b) = open_query(&mut b);
-        assert_eq!((gen_a, gen_b), (1, 2));
-        // generation 1's lap is held at its first run when a round for
-        // the same file id of generation 2 arrives: it must not ride it
-        gate.arm(0);
-        a.send(&fd_round(sid_a, &[5])).unwrap();
-        gate.wait_parked();
-        b.send(&fd_round(sid_b, &[9])).unwrap();
-        release(&gate, &front, cpus);
-        assert_eq!(
-            reply_tags(&a.recv(WAIT).unwrap()),
-            [5],
-            "A drains on generation 1"
-        );
-        assert_eq!(
-            reply_tags(&b.recv(WAIT).unwrap()),
-            [1009],
-            "B reads generation 2"
-        );
-        drop((a, b));
-        let stats = front.shutdown();
-        // neither round shared a segment: the generations were kept apart,
-        // each swept by a lap of its own
-        assert_eq!(stats[&sid_a].coalesced_rounds, 0);
-        assert_eq!(stats[&sid_b].coalesced_rounds, 0);
-        let lap: Vec<u32> = (0..LAP_PAGES).collect();
-        assert_eq!(scan_log(&old, FileId(1)), lap, "x{cpus}");
-        assert_eq!(scan_log(&new, FileId(1)), lap, "x{cpus}");
-    }
+    let (old, gate) = gated_server(0);
+    let (new, _) = gated_server(1000);
+    let source = SwapSource::starting_at(1, Arc::clone(&old));
+    let front = ServerFront::spawn_swappable(
+        source.clone() as Arc<dyn GenerationSource>,
+        FrontConfig::default(),
+    );
+    let mut a = front.raw_link().unwrap();
+    let (sid_a, gen_a) = open_query(&mut a);
+    source.publish(2, Arc::clone(&new));
+    let mut b = front.raw_link().unwrap();
+    let (sid_b, gen_b) = open_query(&mut b);
+    assert_eq!((gen_a, gen_b), (1, 2));
+    // generation 1's lap is held at its first run when a round for
+    // the same file id of generation 2 arrives: it must not ride it
+    gate.arm(0);
+    a.send(&fd_round(sid_a, &[5])).unwrap();
+    gate.wait_parked();
+    b.send(&fd_round(sid_b, &[9])).unwrap();
+    gate.release();
+    assert_eq!(
+        reply_tags(&a.recv(WAIT).unwrap()),
+        [5],
+        "A drains on generation 1"
+    );
+    assert_eq!(
+        reply_tags(&b.recv(WAIT).unwrap()),
+        [1009],
+        "B reads generation 2"
+    );
+    drop((a, b));
+    let stats = front.shutdown();
+    // neither round shared a segment: the generations were kept apart,
+    // each swept by a lap of its own
+    assert_eq!(stats[&sid_a].coalesced_rounds, 0);
+    assert_eq!(stats[&sid_b].coalesced_rounds, 0);
+    let lap: Vec<u32> = (0..LAP_PAGES).collect();
+    assert_eq!(scan_log(&old, FileId(1)), lap);
+    assert_eq!(scan_log(&new, FileId(1)), lap);
 }
 
 #[test]
@@ -1143,7 +1112,7 @@ fn a_small_files_lap_gives_way_to_rounds_that_can_share_another() {
     srv.add_file("Fx", small_file(16, 0), PirMode::LinearScan)
         .unwrap();
     let srv = Arc::new(srv);
-    let front = front_on(&srv, FrontConfig::default(), 2);
+    let front = front_on(&srv, FrontConfig::default());
     let mut links: Vec<ChannelLink> = (0..4).map(|_| front.raw_link().unwrap()).collect();
     let sids: Vec<u64> = links.iter_mut().map(|l| open_query(l).0).collect();
     let round =
@@ -1186,14 +1155,14 @@ enum Lost {
 /// A and B ride "Fd" together; A is lost while the lap is held in
 /// segment 1. B must come out of its lap with its pages, one segment
 /// pass after the other, and the host must have swept 0 1 2 0.
-fn rider_lost_mid_lap(cpus: usize, lost: Lost) {
+fn rider_lost_mid_lap(lost: Lost) {
     let deadline = Duration::from_millis(400);
     let cfg = FrontConfig {
         idle_timeout: matches!(lost, Lost::IdlesOut).then_some(deadline),
         ..FrontConfig::default()
     };
     let (srv, gate) = gated_server(0);
-    let front = front_on(&srv, cfg, cpus);
+    let front = front_on(&srv, cfg);
     let mut a = front.raw_link().unwrap();
     let mut b = front.raw_link().unwrap();
     let (sid_a, _) = open_query(&mut a);
@@ -1207,46 +1176,40 @@ fn rider_lost_mid_lap(cpus: usize, lost: Lost) {
     }
     b.send(&fd_round(sid_b, &[2 * SEG + 3, 1])).unwrap();
     gate.arm(SEG);
-    release(&gate, &front, cpus);
+    gate.release();
     gate.wait_parked(); // segment 1, A and B aboard
     match lost {
         Lost::Disconnects => drop(a),
         Lost::IdlesOut => {
             // A has been silent since its round, B only since its own
             std::thread::sleep(deadline * 5 / 8);
-            release(&gate, &front, cpus);
+            gate.release();
             let err = a.recv(WAIT).unwrap_err();
             assert!(err.to_string().contains("disconnected"), "{err}");
         }
     }
-    release(&gate, &front, cpus);
+    gate.release();
     assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [2 * SEG + 3, 1]);
     drop(b);
     let stats = front.shutdown();
     let (sa, sb) = (&stats[&sid_a], &stats[&sid_b]);
-    assert!(sa.closed, "x{cpus}");
-    assert_eq!(sa.evicted, matches!(lost, Lost::IdlesOut), "x{cpus}");
+    assert!(sa.closed);
+    assert_eq!(sa.evicted, matches!(lost, Lost::IdlesOut));
     assert_eq!(sa.fetches, 0, "A's round was dropped, not served");
     assert_eq!((sb.fetches, sb.coalesced_rounds), (2, 1));
     let want: Vec<u32> = (0..LAP_PAGES).chain(0..SEG).collect();
-    assert_eq!(
-        scan_log(&srv, FileId(1)),
-        want,
-        "x{cpus}: B's lap ran on undelayed"
-    );
+    assert_eq!(scan_log(&srv, FileId(1)), want, "B's lap ran on undelayed");
 }
 
 #[test]
 fn idle_evicted_rider_is_dropped_at_the_next_boundary() {
     // the eviction tick runs between the passes of a lap in progress
-    rider_lost_mid_lap(1, Lost::IdlesOut);
-    rider_lost_mid_lap(2, Lost::IdlesOut);
+    rider_lost_mid_lap(Lost::IdlesOut);
 }
 
 #[test]
 fn disconnected_rider_is_dropped_at_the_next_boundary() {
-    rider_lost_mid_lap(1, Lost::Disconnects);
-    rider_lost_mid_lap(2, Lost::Disconnects);
+    rider_lost_mid_lap(Lost::Disconnects);
 }
 
 /// Serves `inner`, except that the first read of page `at` after
@@ -1283,111 +1246,109 @@ fn error_code(reply: &[u8]) -> u16 {
 
 #[test]
 fn a_failed_segment_fails_every_rider_and_the_rotation_rides_on() {
-    for cpus in [1usize, 2] {
-        // transient: a read in segment 1 is interrupted once, with A and
-        // B aboard
-        let mut handles = None;
-        let srv = lap_server(0, |file| {
-            let flaky = Arc::new(FailAt {
-                inner: file,
-                at: SEG + 70,
-                armed: false.into(),
-            });
-            let gated = Arc::new(GateDisk::new(flaky.clone()));
-            handles = Some((flaky, Arc::clone(&gated)));
-            gated
+    // transient: a read in segment 1 is interrupted once, with A and
+    // B aboard
+    let mut handles = None;
+    let srv = lap_server(0, |file| {
+        let flaky = Arc::new(FailAt {
+            inner: file,
+            at: SEG + 70,
+            armed: false.into(),
         });
-        let (flaky, gate) = handles.unwrap();
-        let front = front_on(&srv, FrontConfig::default(), cpus);
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let (sid_a, _) = open_query(&mut a);
-        let (sid_b, _) = open_query(&mut b);
-        let (round_a, round_b) = (
-            fd_round(sid_a, &[5, SEG]),
-            fd_round(sid_b, &[LAP_PAGES - 1]),
-        );
-        gate.arm(0);
-        a.send(&round_a).unwrap();
-        gate.wait_parked();
-        b.send(&round_b).unwrap();
-        flaky.armed.store(true, Ordering::SeqCst);
-        release(&gate, &front, cpus);
-        // one typed, retryable error for both; nothing cached
-        assert_eq!(error_code(&a.recv(WAIT).unwrap()), ERR_SERVE_TRANSIENT);
-        assert_eq!(error_code(&b.recv(WAIT).unwrap()), ERR_SERVE_TRANSIENT);
-        // the retransmits ride again — the rotation is idle and reusable,
-        // the round cursors were rolled back — to bit-exact answers
-        a.send(&round_a).unwrap();
-        b.send(&round_b).unwrap();
-        assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [5, SEG]);
-        assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [LAP_PAGES - 1]);
-        drop((a, b));
-        let stats = front.shutdown();
-        for (sid, fetches) in [(sid_a, 2), (sid_b, 1)] {
-            let s = &stats[&sid];
-            assert_eq!(s.fetches, fetches, "the failed lap served nothing");
-            assert_eq!(s.rounds, 2);
-            assert_eq!(s.retransmits, 0, "x{cpus}: re-ridden, not replayed");
-        }
-        // the failed lap stopped on the run of the bad page
-        let log = scan_log(&srv, FileId(1));
-        assert_eq!(
-            &log[..(SEG + 64) as usize],
-            &(0..SEG + 64).collect::<Vec<_>>()[..]
-        );
-        assert_eq!(
-            log[(SEG + 64) as usize],
-            0,
-            "the next lap starts at segment 0"
-        );
-
-        // fatal: a page of segment 2 fails its checksum on every lap
-        let mut bad_gate = None;
-        let srv = lap_server(0, |file| {
-            let mut crcs: Vec<u32> = (0..LAP_PAGES)
-                .map(|p| crc32(file.page(p).unwrap()))
-                .collect();
-            crcs[(2 * SEG + 9) as usize] ^= 1;
-            let guarded = privpath_storage::ChecksumFile::new("Fd", Arc::new(file), crcs);
-            let gated = Arc::new(GateDisk::new(Arc::new(guarded)));
-            bad_gate = Some(Arc::clone(&gated));
-            gated
-        });
-        let gate = bad_gate.unwrap();
-        let front = front_on(&srv, FrontConfig::default(), cpus);
-        let mut a = front.raw_link().unwrap();
-        let mut b = front.raw_link().unwrap();
-        let (sid_a, _) = open_query(&mut a);
-        let (sid_b, _) = open_query(&mut b);
-        let round_a = fd_round(sid_a, &[5]);
-        gate.arm(0);
-        a.send(&round_a).unwrap();
-        gate.wait_parked();
-        b.send(&fd_round(sid_b, &[6])).unwrap();
-        release(&gate, &front, cpus);
-        let (fail_a, fail_b) = (a.recv(WAIT).unwrap(), b.recv(WAIT).unwrap());
-        assert_eq!(error_code(&fail_a), ERR_SERVE);
-        assert_eq!(error_code(&fail_b), ERR_SERVE);
-        let f = split_frame(&fail_a).unwrap();
-        let msg = decode_error_frame(f.payload).to_string();
-        assert!(msg.contains("page corrupt"), "{msg}");
-        // fatal errors are the sequence's cached reply
-        a.send(&round_a).unwrap();
-        assert_eq!(a.recv(WAIT).unwrap(), fail_a);
-        // and the front still serves: another file, and the same one again
-        let mut c = front.connect().unwrap();
-        c.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(SMALL)];
-        c.serve_round(2, &[(FileId(2), 3)], &mut out).unwrap();
-        assert_eq!(page_marker(&out[0]), 3);
-        let err = c.serve_round(3, &[(FileId(1), 3)], &mut out).unwrap_err();
-        assert!(err.to_string().contains("page corrupt"), "{err}");
-        drop((a, b, c));
-        let stats = front.shutdown();
-        assert_eq!(stats[&sid_a].retransmits, 1, "x{cpus}");
-        assert_eq!((stats[&sid_a].fetches, stats[&sid_b].fetches), (0, 0));
+        let gated = Arc::new(GateDisk::new(flaky.clone()));
+        handles = Some((flaky, Arc::clone(&gated)));
+        gated
+    });
+    let (flaky, gate) = handles.unwrap();
+    let front = front_on(&srv, FrontConfig::default());
+    let mut a = front.raw_link().unwrap();
+    let mut b = front.raw_link().unwrap();
+    let (sid_a, _) = open_query(&mut a);
+    let (sid_b, _) = open_query(&mut b);
+    let (round_a, round_b) = (
+        fd_round(sid_a, &[5, SEG]),
+        fd_round(sid_b, &[LAP_PAGES - 1]),
+    );
+    gate.arm(0);
+    a.send(&round_a).unwrap();
+    gate.wait_parked();
+    b.send(&round_b).unwrap();
+    flaky.armed.store(true, Ordering::SeqCst);
+    gate.release();
+    // one typed, retryable error for both; nothing cached
+    assert_eq!(error_code(&a.recv(WAIT).unwrap()), ERR_SERVE_TRANSIENT);
+    assert_eq!(error_code(&b.recv(WAIT).unwrap()), ERR_SERVE_TRANSIENT);
+    // the retransmits ride again — the rotation is idle and reusable,
+    // the round cursors were rolled back — to bit-exact answers
+    a.send(&round_a).unwrap();
+    b.send(&round_b).unwrap();
+    assert_eq!(reply_tags(&a.recv(WAIT).unwrap()), [5, SEG]);
+    assert_eq!(reply_tags(&b.recv(WAIT).unwrap()), [LAP_PAGES - 1]);
+    drop((a, b));
+    let stats = front.shutdown();
+    for (sid, fetches) in [(sid_a, 2), (sid_b, 1)] {
+        let s = &stats[&sid];
+        assert_eq!(s.fetches, fetches, "the failed lap served nothing");
+        assert_eq!(s.rounds, 2);
+        assert_eq!(s.retransmits, 0, "re-ridden, not replayed");
     }
+    // the failed lap stopped on the run of the bad page
+    let log = scan_log(&srv, FileId(1));
+    assert_eq!(
+        &log[..(SEG + 64) as usize],
+        &(0..SEG + 64).collect::<Vec<_>>()[..]
+    );
+    assert_eq!(
+        log[(SEG + 64) as usize],
+        0,
+        "the next lap starts at segment 0"
+    );
+
+    // fatal: a page of segment 2 fails its checksum on every lap
+    let mut bad_gate = None;
+    let srv = lap_server(0, |file| {
+        let mut crcs: Vec<u32> = (0..LAP_PAGES)
+            .map(|p| crc32(file.page(p).unwrap()))
+            .collect();
+        crcs[(2 * SEG + 9) as usize] ^= 1;
+        let guarded = privpath_storage::ChecksumFile::new("Fd", Arc::new(file), crcs);
+        let gated = Arc::new(GateDisk::new(Arc::new(guarded)));
+        bad_gate = Some(Arc::clone(&gated));
+        gated
+    });
+    let gate = bad_gate.unwrap();
+    let front = front_on(&srv, FrontConfig::default());
+    let mut a = front.raw_link().unwrap();
+    let mut b = front.raw_link().unwrap();
+    let (sid_a, _) = open_query(&mut a);
+    let (sid_b, _) = open_query(&mut b);
+    let round_a = fd_round(sid_a, &[5]);
+    gate.arm(0);
+    a.send(&round_a).unwrap();
+    gate.wait_parked();
+    b.send(&fd_round(sid_b, &[6])).unwrap();
+    gate.release();
+    let (fail_a, fail_b) = (a.recv(WAIT).unwrap(), b.recv(WAIT).unwrap());
+    assert_eq!(error_code(&fail_a), ERR_SERVE);
+    assert_eq!(error_code(&fail_b), ERR_SERVE);
+    let f = split_frame(&fail_a).unwrap();
+    let msg = decode_error_frame(f.payload).to_string();
+    assert!(msg.contains("page corrupt"), "{msg}");
+    // fatal errors are the sequence's cached reply
+    a.send(&round_a).unwrap();
+    assert_eq!(a.recv(WAIT).unwrap(), fail_a);
+    // and the front still serves: another file, and the same one again
+    let mut c = front.connect().unwrap();
+    c.begin_query().unwrap();
+    let mut out = vec![PageBuf::zeroed(SMALL)];
+    c.serve_round(2, &[(FileId(2), 3)], &mut out).unwrap();
+    assert_eq!(page_marker(&out[0]), 3);
+    let err = c.serve_round(3, &[(FileId(1), 3)], &mut out).unwrap_err();
+    assert!(err.to_string().contains("page corrupt"), "{err}");
+    drop((a, b, c));
+    let stats = front.shutdown();
+    assert_eq!(stats[&sid_a].retransmits, 1);
+    assert_eq!((stats[&sid_a].fetches, stats[&sid_b].fetches), (0, 0));
 }
 
 /// What one differential run feeds the front.
@@ -1407,7 +1368,7 @@ enum Input {
 /// says behind a [`GateDisk`]: a `LinearScan` file rides a lap the gate
 /// holds, a `CostOnly` one is served on the spot. Returns every frame the
 /// client received after the handshake, and the session's record.
-fn scripted(mode: PirMode, input: Input, cpus: usize) -> (Vec<Vec<u8>>, SessionStats) {
+fn scripted(mode: PirMode, input: Input) -> (Vec<Vec<u8>>, SessionStats) {
     let rides = matches!(mode, PirMode::LinearScan);
     let pages = small_file(LAP_PAGES, 0);
     let driver: Arc<dyn privpath_storage::PagedFile> = match input {
@@ -1437,7 +1398,7 @@ fn scripted(mode: PirMode, input: Input, cpus: usize) -> (Vec<Vec<u8>>, SessionS
     srv.add_file("Fh", small_file(2, 0), PirMode::CostOnly)
         .unwrap();
     srv.add_file_with_driver("Fd", gate.clone(), mode).unwrap();
-    let front = front_on(&Arc::new(srv), FrontConfig::default(), cpus);
+    let front = front_on(&Arc::new(srv), FrontConfig::default());
     let mut link = front.raw_link().unwrap();
     let (sid, _) = open_query(&mut link);
     let round = fd_round(sid, &[5, SEG + 7]);
@@ -1452,7 +1413,7 @@ fn scripted(mode: PirMode, input: Input, cpus: usize) -> (Vec<Vec<u8>>, SessionS
         link.send(&round).unwrap();
     }
     if rides {
-        release(&gate, &front, cpus);
+        gate.release();
     }
     let mut replies = vec![link.recv(WAIT).unwrap()];
     if let Input::Transient | Input::Fatal = input {
@@ -1469,25 +1430,23 @@ fn scripted(mode: PirMode, input: Input, cpus: usize) -> (Vec<Vec<u8>>, SessionS
 
 #[test]
 fn a_riding_round_settles_exactly_as_one_served_on_the_spot() {
-    for cpus in [1usize, 2] {
-        for input in [
-            Input::Clean,
-            Input::Retransmit,
-            Input::Transient,
-            Input::Fatal,
-        ] {
-            let ridden = scripted(PirMode::LinearScan, input, cpus);
-            let (mut replies, mut stats) = scripted(PirMode::CostOnly, input, cpus);
-            if let Input::Retransmit = input {
-                // The one difference the paths show: the ride's reply
-                // answers a retransmission that arrives while it rides, and
-                // an answer sent on the spot before the retransmission
-                // arrived can only be replayed to it, bit-identical.
-                let replay = replies.remove(1);
-                assert_eq!(replay, replies[0]);
-                stats.bytes_out -= replay.len() as u64;
-            }
-            assert_eq!(ridden, (replies, stats), "x{cpus} {input:?}");
+    for input in [
+        Input::Clean,
+        Input::Retransmit,
+        Input::Transient,
+        Input::Fatal,
+    ] {
+        let ridden = scripted(PirMode::LinearScan, input);
+        let (mut replies, mut stats) = scripted(PirMode::CostOnly, input);
+        if let Input::Retransmit = input {
+            // The one difference the paths show: the ride's reply
+            // answers a retransmission that arrives while it rides, and
+            // an answer sent on the spot before the retransmission
+            // arrived can only be replayed to it, bit-identical.
+            let replay = replies.remove(1);
+            assert_eq!(replay, replies[0]);
+            stats.bytes_out -= replay.len() as u64;
         }
+        assert_eq!(ridden, (replies, stats), "{input:?}");
     }
 }
