@@ -16,9 +16,8 @@ use crate::config::BuildConfig;
 use crate::error::CoreError;
 use crate::files::fh::Header;
 use crate::plan::{PlanFile, QueryPlan};
-use crate::schemes::af::AfScheme;
+use crate::schemes::baseline::{self, BaselineScheme};
 use crate::schemes::index_scheme::{self, BuildStats, IndexFlavor, IndexScheme};
-use crate::schemes::lm::LmScheme;
 use crate::schemes::obf::ObfScheme;
 use crate::subgraph::{ClientSubgraph, QueryScratch};
 use crate::Result;
@@ -146,8 +145,7 @@ pub struct QueryOutput {
 
 pub(crate) enum SchemeState {
     Index(IndexScheme),
-    Lm(LmScheme),
-    Af(AfScheme),
+    Baseline(BaselineScheme),
     Obf(ObfScheme),
 }
 
@@ -238,13 +236,9 @@ impl Database {
                 )?;
                 (SchemeState::Index(s), st)
             }
-            SchemeKind::Lm => {
-                let (s, st) = crate::schemes::lm::build(net, &cfg, &mut server)?;
-                (SchemeState::Lm(s), st)
-            }
-            SchemeKind::Af => {
-                let (s, st) = crate::schemes::af::build(net, &cfg, &mut server)?;
-                (SchemeState::Af(s), st)
+            SchemeKind::Lm | SchemeKind::Af => {
+                let (s, st) = baseline::build(net, kind, &cfg, &mut server)?;
+                (SchemeState::Baseline(s), st)
             }
             SchemeKind::Obf => {
                 let (s, st) = crate::schemes::obf::build(net, &cfg, &mut server)?;
@@ -285,8 +279,7 @@ impl Database {
     pub fn plan(&self) -> &QueryPlan {
         match &self.state {
             SchemeState::Index(s) => &s.header.plan,
-            SchemeState::Lm(s) => &s.header.plan,
-            SchemeState::Af(s) => &s.header.plan,
+            SchemeState::Baseline(s) => &s.header.plan,
             SchemeState::Obf(s) => &s.plan,
         }
     }
@@ -297,8 +290,7 @@ impl Database {
     pub fn header(&self) -> Option<&Header> {
         match &self.state {
             SchemeState::Index(s) => Some(&s.header),
-            SchemeState::Lm(s) => Some(&s.header),
-            SchemeState::Af(s) => Some(&s.header),
+            SchemeState::Baseline(s) => Some(&s.header),
             SchemeState::Obf(_) => None,
         }
     }
@@ -378,10 +370,8 @@ impl Database {
             (SchemeState::Index(s), PlanFile::Data) => Some(s.data_file),
             // HY registers one combined `Fi|Fd` file under the index id.
             (SchemeState::Index(s), PlanFile::Combined) => Some(s.index_file),
-            (SchemeState::Lm(s), PlanFile::Header) => Some(s.header_file),
-            (SchemeState::Lm(s), PlanFile::Data) => Some(s.data_file),
-            (SchemeState::Af(s), PlanFile::Header) => Some(s.header_file),
-            (SchemeState::Af(s), PlanFile::Data) => Some(s.data_file),
+            (SchemeState::Baseline(s), PlanFile::Header) => Some(s.header_file),
+            (SchemeState::Baseline(s), PlanFile::Data) => Some(s.data_file),
             _ => None,
         }
     }
@@ -470,8 +460,7 @@ impl QuerySession {
         let link = self.link.as_mut();
         match &db.state {
             SchemeState::Index(scheme) => index_scheme::query(scheme, link, &mut self.ctx, s, t),
-            SchemeState::Lm(scheme) => crate::schemes::lm::query(scheme, link, &mut self.ctx, s, t),
-            SchemeState::Af(scheme) => crate::schemes::af::query(scheme, link, &mut self.ctx, s, t),
+            SchemeState::Baseline(scheme) => baseline::query(scheme, link, &mut self.ctx, s, t),
             SchemeState::Obf(scheme) => {
                 crate::schemes::obf::query(scheme, link, &mut self.ctx, s, t)
             }

@@ -4,13 +4,13 @@
 //! LM/AF baselines extend the node records with landmark vectors / arc
 //! flags (§4).
 
-use super::{seal_file, PAGE_CRC_BYTES};
+use super::{seal_file, unseal_page, PAGE_CRC_BYTES};
 use crate::error::CoreError;
 use crate::Result;
 use privpath_graph::network::RoadNetwork;
 use privpath_graph::types::Point;
 use privpath_partition::{Partition, RegionId};
-use privpath_storage::{ByteReader, ByteWriter, MemFile};
+use privpath_storage::{ByteReader, ByteWriter, MemFile, PageBuf};
 
 /// Record layout options (fixed per database, stored in the header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,6 +150,23 @@ pub(crate) fn build_fd(
         }
     }
     Ok(seal_file(&payloads, page_size))
+}
+
+/// Unseals and decodes one region's page group. A one-page group is decoded
+/// straight from its page; a longer one is concatenated through `buf`.
+pub(crate) fn decode_group(
+    pages: &[PageBuf],
+    fmt: &RecordFormat,
+    buf: &mut Vec<u8>,
+) -> Result<RegionData> {
+    if let [page] = pages {
+        return decode_region(unseal_page(page)?, fmt);
+    }
+    buf.clear();
+    for page in pages {
+        buf.extend_from_slice(unseal_page(page)?);
+    }
+    decode_region(buf, fmt)
 }
 
 /// Decodes a region from its concatenated (unsealed) page payloads.

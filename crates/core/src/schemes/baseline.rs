@@ -1,0 +1,498 @@
+//! The region-fetch baselines of §4 — LM (landmark vectors + A*) and AF
+//! (arc flags + flag-pruned Dijkstra) — as two flavours of one protocol.
+//!
+//! LM: "In the first round of processing, the querying client requests for
+//! and receives a header file ... In round two, she fetches from Fd the
+//! pages that hold the data of these two regions ... When the search
+//! encounters a node that belongs to another region, a new round of
+//! processing is initiated and the corresponding Fd page is fetched via the
+//! PIR interface, and so on, until the destination t is reached. ... upon
+//! reaching t, the client may need to make dummy requests until the
+//! necessary number of page retrievals is reached."
+//!
+//! AF: "Arc-flag requires partitioning the road network into regions. ...
+//! processing a shortest path query only considers edges whose bit for the
+//! destination region is 1. ... we allocate for each region a fixed number
+//! of pages, to be retrieved together during query processing."
+//!
+//! Both run the same fixed plan over a header `Fh` and a region file `Fd`
+//! holding `ppr` pages per region:
+//!
+//! 1. download the header and locate the source and target regions;
+//! 2. fetch both host regions' page groups (`2·ppr` pages, even if the
+//!    regions coincide);
+//! 3. one round per region the interleaved search reaches, `ppr` pages
+//!    each;
+//! 4. dummy rounds of `ppr` random pages until the budget of regions —
+//!    the maximum any probed query needs — is reached.
+//!
+//! A [`BaselineFlavor`] fixes only what differs: the record extra (landmark
+//! vectors or per-arc flag bytes), the partitioner, the search
+//! ([`search_lm`] or [`search_af`]) and the plan-sample seed. LM is AF at
+//! one page per region: its partitioner caps every region at one page's
+//! payload less the 4-byte region stream header, so the shared
+//! pages-per-region rule gives `ppr = 1` and every round above draws its
+//! pages exactly as a one-page protocol would.
+
+use crate::config::BuildConfig;
+use crate::engine::{PathAnswer, QueryCtx, QueryOutput, SchemeKind};
+use crate::error::CoreError;
+use crate::files::fd::{build_fd, decode_group, NodeExtra, RecordFormat, RegionData};
+use crate::files::fh::Header;
+use crate::files::{unseal_download, PAGE_CRC_BYTES};
+use crate::plan::{PlanFile, QueryPlan, RoundSpec};
+use crate::schemes::index_scheme::{BuildStats, StageBreakdown};
+use crate::schemes::plan_probe::{probe_max, sample_pairs, ProbePairs};
+use crate::subgraph::{search_af, search_lm, ClientSubgraph, FetchOutcome, QueryScratch};
+use crate::Result;
+use privpath_graph::arcflag::ArcFlags;
+use privpath_graph::landmark::Landmarks;
+use privpath_graph::network::RoadNetwork;
+use privpath_graph::types::Point;
+use privpath_partition::{partition_into, partition_packed, partition_plain, Partition};
+use privpath_pir::{FileId, PirMode, PirServer, Transport};
+use privpath_storage::{MemFile, PagedFile};
+use rand::Rng;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Which baseline a [`BaselineScheme`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BaselineFlavor {
+    /// Landmark vectors + A* ([`search_lm`]), one page per region.
+    Lm,
+    /// Arc flags + flag-pruned Dijkstra ([`search_af`]), a fixed page
+    /// group per region.
+    Af,
+}
+
+/// The signature [`search_lm`] and [`search_af`] share.
+type Search = fn(
+    &mut ClientSubgraph,
+    &mut QueryScratch,
+    u16,
+    u16,
+    Point,
+    Point,
+    &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+) -> Result<FetchOutcome>;
+
+/// Built LM or AF database handles.
+pub(crate) struct BaselineScheme {
+    /// Which baseline.
+    pub(crate) flavor: BaselineFlavor,
+    /// The public header.
+    pub(crate) header: Header,
+    /// Header file id.
+    pub(crate) header_file: FileId,
+    /// Region data file id.
+    pub(crate) data_file: FileId,
+    /// Regions any query fetches (the fixed plan budget), each
+    /// `pages_per_region` pages.
+    pub(crate) max_regions: u32,
+    /// Pages per region (1 for LM).
+    pub(crate) pages_per_region: u32,
+}
+
+impl NodeExtra for Landmarks {
+    fn lm_vec(&self, node: u32) -> Vec<u32> {
+        self.to_anchor[node as usize]
+            .iter()
+            .map(|&d| {
+                if d == privpath_graph::INFINITY {
+                    u32::MAX
+                } else {
+                    d.min(u64::from(u32::MAX - 1)) as u32
+                }
+            })
+            .collect()
+    }
+}
+
+impl NodeExtra for ArcFlags {
+    fn edge_flags(&self, edge: u32) -> Vec<u8> {
+        let bits = ArcFlags::edge_flags(self, edge);
+        let mut out = vec![0u8; self.flag_bytes()];
+        for r in 0..self.num_regions() {
+            if bits.get(r) {
+                out[r / 8] |= 1 << (r % 8);
+            }
+        }
+        out
+    }
+}
+
+impl BaselineFlavor {
+    /// The interleaved fetch-and-search this flavour runs.
+    pub(crate) fn search(self) -> Search {
+        match self {
+            BaselineFlavor::Lm => search_lm,
+            BaselineFlavor::Af => search_af,
+        }
+    }
+
+    /// Mixed into the build seed to draw the sampled probe pairs.
+    fn sample_salt(self) -> u64 {
+        match self {
+            BaselineFlavor::Lm => 0x1a2b,
+            BaselineFlavor::Af => 0x33aa,
+        }
+    }
+
+    /// Partitions `net`, computes the flavour's record extra and lays out
+    /// `Fd` with a fixed page group per region — enough for the largest.
+    /// Returns the record format, the partition, the pages per region and
+    /// `Fd`.
+    fn region_file(
+        self,
+        net: &RoadNetwork,
+        cfg: &BuildConfig,
+        stage_s: &mut StageBreakdown,
+    ) -> Result<(RecordFormat, Partition, u32, MemFile)> {
+        let page_size = cfg.spec.page_size;
+        let payload = page_size - PAGE_CRC_BYTES;
+        let (fmt, partition, extra): (_, _, Box<dyn NodeExtra>) = match self {
+            BaselineFlavor::Lm => {
+                let t0 = Instant::now();
+                let lm = Landmarks::build(net, cfg.landmarks.max(1));
+                stage_s.precompute_s = t0.elapsed().as_secs_f64();
+                let fmt = RecordFormat {
+                    lm_count: lm.len() as u16,
+                    with_regions: true,
+                    flag_bytes: 0,
+                };
+                let bytes_of = |u: u32| fmt.node_bytes(net.degree(u));
+                let t0 = Instant::now();
+                // one page per region: its payload less the stream header
+                let partition = if cfg.packed_partition {
+                    partition_packed(net, payload - 4, &bytes_of)
+                } else {
+                    partition_plain(net, payload - 4, &bytes_of)
+                };
+                stage_s.partition_s = t0.elapsed().as_secs_f64();
+                (fmt, partition, Box::new(lm))
+            }
+            BaselineFlavor::Af => {
+                let regions = cfg.af_regions.max(2).min(net.num_nodes());
+                let fmt = RecordFormat {
+                    lm_count: 0,
+                    with_regions: true,
+                    flag_bytes: regions.div_ceil(8) as u16,
+                };
+                let bytes_of = |u: u32| fmt.node_bytes(net.degree(u));
+                let t0 = Instant::now();
+                let partition = partition_into(net, regions, &bytes_of);
+                stage_s.partition_s = t0.elapsed().as_secs_f64();
+                let t0 = Instant::now();
+                let r = partition.num_regions() as usize;
+                let flags = ArcFlags::compute(net, &partition.region_of_node, r);
+                stage_s.precompute_s = t0.elapsed().as_secs_f64();
+                (fmt, partition, Box::new(flags))
+            }
+        };
+        let ppr = partition
+            .region_bytes
+            .iter()
+            .map(|&b| (b + 4).div_ceil(payload))
+            .max()
+            .unwrap_or(1)
+            .max(1) as u32;
+        let t0 = Instant::now();
+        let fd = build_fd(net, &partition, &fmt, &*extra, ppr as u16, page_size)?;
+        stage_s.files_s = t0.elapsed().as_secs_f64();
+        Ok((fmt, partition, ppr, fd))
+    }
+}
+
+/// Reads and decodes region `region`'s page group from the built `Fd`.
+fn offline_region(fd: &MemFile, region: u16, ppr: u32, fmt: &RecordFormat) -> Result<RegionData> {
+    let base = u32::from(region) * ppr;
+    let pages = (base..base + ppr)
+        .map(|p| fd.read_page(p))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    decode_group(&pages, fmt, &mut Vec::new())
+}
+
+/// Builds an LM or AF database (`kind` is one of the two): the flavour's
+/// partition and records, then the plan derived by running the search over
+/// sampled (or all) node pairs.
+pub(crate) fn build(
+    net: &RoadNetwork,
+    kind: SchemeKind,
+    cfg: &BuildConfig,
+    server: &mut PirServer,
+) -> Result<(BaselineScheme, BuildStats)> {
+    let flavor = match kind {
+        SchemeKind::Lm => BaselineFlavor::Lm,
+        _ => BaselineFlavor::Af,
+    };
+    let mut stage_s = StageBreakdown::default();
+    let (fmt, partition, ppr, fd) = flavor.region_file(net, cfg, &mut stage_s)?;
+    let r = partition.num_regions();
+
+    // ---- plan derivation: max regions over (sampled or all) node pairs ----
+    // Runs the same CSR-arena search the online query path uses, so the
+    // derived budget matches the online fetch counts exactly. Each region
+    // is unsealed and decoded once into the probe cache; the probe loop
+    // itself is striped across `cfg.threads` workers with a deterministic
+    // max-reduction (see [`crate::schemes::plan_probe`]).
+    let t0 = Instant::now();
+    let cache: Vec<Arc<RegionData>> = (0..r)
+        .map(|reg| offline_region(&fd, reg, ppr, &fmt).map(Arc::new))
+        .collect::<Result<_>>()?;
+    let n = net.num_nodes() as u32;
+    let pairs = if cfg.plan_sample == 0 {
+        // The paper's exhaustive derivation ("from all possible sources s ∈ V
+        // to all possible destinations t ∈ V") — quadratic, small nets only.
+        ProbePairs::Exhaustive
+    } else {
+        let seed = cfg.seed ^ flavor.sample_salt();
+        ProbePairs::Sampled(sample_pairs(n, cfg.plan_sample, seed))
+    };
+    let region_of = &partition.region_of_node;
+    let threads = cfg.resolved_threads();
+    let mut max_regions = probe_max(net, region_of, &cache, flavor, &pairs, threads)?.max(2);
+    if cfg.plan_sample != 0 {
+        // safety margin over the sampled maximum
+        max_regions = ((f64::from(max_regions) * (1.0 + cfg.plan_margin)).ceil() as u32)
+            .min(u32::from(r) + 2);
+    }
+    drop(cache);
+    stage_s.plan_s = t0.elapsed().as_secs_f64();
+
+    let mut rounds = vec![
+        RoundSpec::one(PlanFile::Header, 0),
+        RoundSpec::one(PlanFile::Data, 2 * ppr),
+    ];
+    rounds.extend((2..max_regions).map(|_| RoundSpec::one(PlanFile::Data, ppr)));
+    let page_size = cfg.spec.page_size;
+    let fd_pages = fd.num_pages();
+    let header = Header {
+        scheme: kind.byte(),
+        page_size: page_size as u32,
+        num_regions: r,
+        cluster_pages: ppr as u16,
+        record_format: fmt,
+        m_regions: 0,
+        index_span: 0,
+        hy_round4: 0,
+        combined_fd_offset: 0,
+        fl_pages: 0,
+        fi_pages: 0,
+        fd_pages,
+        tree: partition.tree.clone(),
+        region_page: (0..u32::from(r)).map(|x| x * ppr).collect(),
+        plan: QueryPlan { rounds },
+    };
+    let t0 = Instant::now();
+    let header_file = server.add_file("Fh", header.to_file(page_size), PirMode::CostOnly)?;
+    let data_file = server.add_file("Fd", fd, cfg.pir_mode.clone())?;
+    stage_s.files_s += t0.elapsed().as_secs_f64();
+
+    let fd_utilization = match flavor {
+        // the mean fill of the partitioner's one-page capacity
+        BaselineFlavor::Lm => partition.utilization(),
+        BaselineFlavor::Af => {
+            let payload = page_size - PAGE_CRC_BYTES;
+            partition.region_bytes.iter().sum::<usize>() as f64 / (fd_pages as f64 * payload as f64)
+        }
+    };
+    let stats = BuildStats {
+        regions: u32::from(r),
+        borders: 0,
+        m: 0,
+        index_span: 0,
+        fd_utilization,
+        pages: (0, 0, fd_pages),
+        s_histogram: Vec::new(),
+        stage_s,
+    };
+    let scheme = BaselineScheme {
+        flavor,
+        header,
+        header_file,
+        data_file,
+        max_regions,
+        pages_per_region: ppr,
+    };
+    Ok((scheme, stats))
+}
+
+/// Executes one private LM or AF query. `link` is the session's transport
+/// to the shared page host; all mutation happens in `ctx` — the
+/// interleaved search runs on the session's CSR arena and scratch buffers,
+/// so the search itself allocates nothing in steady state.
+///
+/// Round batching: round two's page list — both host regions' page groups
+/// — is known before the search starts, so it is issued as one
+/// [`privpath_pir::PirSession::run_round`] batch and handed to the search's
+/// first two fetch calls. Every later round fetches one region's page
+/// group as a batch, and dummy rounds batch `pages_per_region` random
+/// pages. The trace is event-for-event identical to per-fetch execution.
+pub(crate) fn query(
+    scheme: &BaselineScheme,
+    link: &mut dyn Transport,
+    ctx: &mut QueryCtx,
+    s: Point,
+    t: Point,
+) -> Result<QueryOutput> {
+    let QueryCtx {
+        pir,
+        rng,
+        sub,
+        scratch,
+        reqs,
+        region_bytes,
+    } = ctx;
+    pir.reset_query();
+    sub.clear();
+
+    pir.begin_round(link)?;
+    let raw = pir.download_full(link, scheme.header_file)?;
+    let page_size = link.spec().page_size;
+    let t0 = Instant::now();
+    let header = Header::parse(&unseal_download(&raw, page_size)?)?;
+    let (rs, rt) = (header.tree.region_of(s), header.tree.region_of(t));
+    let client_s = t0.elapsed().as_secs_f64();
+
+    let ppr = scheme.pages_per_region;
+    let fmt = &header.record_format;
+    let group = |region: u16| {
+        let base = header.region_page[region as usize];
+        (base..base + ppr).map(|p| (scheme.data_file, p))
+    };
+    // Round 2: both host regions' page groups, one batch.
+    reqs.clear();
+    reqs.extend(group(rs).chain(group(rt)));
+    let pages = pir.run_round(link, reqs)?;
+    let mut prefetched = VecDeque::with_capacity(2);
+    for (region, pages) in [rs, rt].into_iter().zip(pages.chunks(ppr as usize)) {
+        prefetched.push_back((region, Arc::new(decode_group(pages, fmt, region_bytes)?)));
+    }
+    let mut fetch = |region: u16| -> Result<Arc<RegionData>> {
+        if let Some((prefetched_region, data)) = prefetched.pop_front() {
+            if prefetched_region != region {
+                return Err(CoreError::Query(format!(
+                    "search requested region {region} but round two prefetched \
+                     {prefetched_region}"
+                )));
+            }
+            return Ok(data);
+        }
+        // rounds 3, 4, ...: one region's page group per round
+        reqs.clear();
+        reqs.extend(group(region));
+        let pages = pir.run_round(link, reqs)?;
+        Ok(Arc::new(decode_group(pages, fmt, region_bytes)?))
+    };
+    let out = scheme.flavor.search()(sub, scratch, rs, rt, s, t, &mut fetch)?;
+
+    // Dummy rounds to reach the plan budget, one page group each.
+    let mut regions = out.fetches;
+    let plan_violation = regions > scheme.max_regions;
+    while regions < scheme.max_regions {
+        reqs.clear();
+        reqs.extend((0..ppr).map(|_| (scheme.data_file, rng.gen_range(0..header.fd_pages.max(1)))));
+        pir.run_round(link, reqs)?;
+        regions += 1;
+    }
+    pir.add_client_compute(client_s);
+
+    Ok(QueryOutput {
+        answer: PathAnswer {
+            cost: out.cost,
+            path_nodes: out.cost.map_or(Vec::new(), |_| scratch.path.clone()),
+            src_node: out.s_node,
+            dst_node: out.t_node,
+        },
+        meter: pir.meter.clone(),
+        trace: pir.trace.clone(),
+        plan_violation,
+    })
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use privpath_graph::gen::{road_like, RoadGenConfig};
+
+    /// The cached + threaded probe loop must derive exactly the plan the
+    /// old uncached serial loop derived — for either flavour, in the
+    /// exhaustive mode and the sampled mode, across thread counts. The
+    /// `lm` and `af` modules each run it on their own flavour and net.
+    pub(crate) fn check_cached_probe_plan(flavor: BaselineFlavor, seed: u64) {
+        let net = road_like(&RoadGenConfig {
+            nodes: 70,
+            seed,
+            ..Default::default()
+        });
+        let mut cfg = BuildConfig::default();
+        cfg.spec.page_size = 512;
+        cfg.landmarks = 3;
+        cfg.af_regions = 6;
+        let mut stage_s = StageBreakdown::default();
+        let (fmt, partition, ppr, fd) = flavor.region_file(&net, &cfg, &mut stage_s).unwrap();
+        let r = partition.num_regions();
+        assert!(r >= 3, "need a multi-region net for a meaningful plan");
+        let cache: Vec<Arc<RegionData>> = (0..r)
+            .map(|reg| offline_region(&fd, reg, ppr, &fmt).map(Arc::new))
+            .collect::<Result<_>>()
+            .unwrap();
+
+        // The uncached serial reference: decode through `offline_region`
+        // on every fetch, exactly like the pre-cache derivation loop.
+        let n = net.num_nodes() as u32;
+        let uncached_max = |probe_pairs: &[(u32, u32)]| -> u32 {
+            let mut max_regions = 0u32;
+            let mut sub = ClientSubgraph::new();
+            let mut scratch = QueryScratch::new();
+            for &(s, t) in probe_pairs {
+                let rs = partition.region_of_node[s as usize];
+                let rt = partition.region_of_node[t as usize];
+                let mut fetch = |region: u16| offline_region(&fd, region, ppr, &fmt).map(Arc::new);
+                sub.clear();
+                let (ps, pt) = (net.node_point(s), net.node_point(t));
+                let out =
+                    flavor.search()(&mut sub, &mut scratch, rs, rt, ps, pt, &mut fetch).unwrap();
+                max_regions = max_regions.max(out.fetches);
+            }
+            max_regions
+        };
+        let probe = |pairs: &ProbePairs, threads: usize| {
+            probe_max(
+                &net,
+                &partition.region_of_node,
+                &cache,
+                flavor,
+                pairs,
+                threads,
+            )
+            .unwrap()
+        };
+
+        // exhaustive mode
+        let all_pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|s| (0..n).filter(move |&t| t != s).map(move |t| (s, t)))
+            .collect();
+        let want = uncached_max(&all_pairs);
+        for threads in [1usize, 3] {
+            let got = probe(&ProbePairs::Exhaustive, threads);
+            assert_eq!(
+                got, want,
+                "{flavor:?}: exhaustive plan diverged at {threads} threads"
+            );
+        }
+
+        // sampled mode (the pre-drawn pair list is the shared input)
+        let sampled = sample_pairs(n, 96, 0x5eed ^ flavor.sample_salt());
+        let want = uncached_max(&sampled);
+        for threads in [1usize, 4] {
+            let got = probe(&ProbePairs::Sampled(sampled.clone()), threads);
+            assert_eq!(
+                got, want,
+                "{flavor:?}: sampled plan diverged at {threads} threads"
+            );
+        }
+    }
+}

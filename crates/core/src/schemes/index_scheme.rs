@@ -14,7 +14,7 @@
 use crate::augment::AugGraph;
 use crate::config::BuildConfig;
 use crate::error::CoreError;
-use crate::files::fd::{build_fd, decode_region, NoExtra, RecordFormat};
+use crate::files::fd::{build_fd, decode_group, NoExtra, RecordFormat};
 use crate::files::fh::Header;
 use crate::files::fi::FiBuilder;
 use crate::files::{fl, unseal_page, PAGE_CRC_BYTES};
@@ -423,10 +423,9 @@ impl MemFileExt for MemFile {
     }
 }
 
-/// Unseals a batch's region page groups (`cluster` pages each, concatenated
-/// through `region_bytes`) and folds each decoded region into the subgraph
-/// arena. Works straight off the session arena slices — no per-page
-/// allocation.
+/// Unseals a batch's region page groups (`cluster` pages each, see
+/// [`decode_group`]) and folds each decoded region into the subgraph arena.
+/// Works straight off the session arena slices — no per-page allocation.
 fn decode_region_groups(
     pages: &[privpath_storage::PageBuf],
     cluster: usize,
@@ -435,11 +434,7 @@ fn decode_region_groups(
     sub: &mut crate::subgraph::ClientSubgraph,
 ) -> Result<()> {
     for group in pages.chunks(cluster) {
-        region_bytes.clear();
-        for page in group {
-            region_bytes.extend_from_slice(unseal_page(page)?);
-        }
-        sub.add_region(&decode_region(region_bytes, fmt)?);
+        sub.add_region(&decode_group(group, fmt, region_bytes)?);
     }
     Ok(())
 }

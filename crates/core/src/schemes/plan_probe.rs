@@ -20,7 +20,8 @@
 //!   set) never depends on the worker count either.
 
 use crate::files::fd::RegionData;
-use crate::subgraph::{search_af, search_lm, ClientSubgraph, QueryScratch};
+use crate::schemes::baseline::BaselineFlavor;
+use crate::subgraph::{ClientSubgraph, QueryScratch};
 use crate::Result;
 use privpath_graph::network::RoadNetwork;
 use privpath_graph::types::NodeId;
@@ -28,15 +29,6 @@ use privpath_partition::RegionId;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Which interleaved search drives the probes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeSearch {
-    /// Landmark A* ([`search_lm`]).
-    Lm,
-    /// Arc-flag Dijkstra ([`search_af`]).
-    Af,
-}
 
 /// The probe set.
 pub(crate) enum ProbePairs {
@@ -70,12 +62,13 @@ const SAMPLED_STRIDE: usize = 32;
 
 /// Runs every probe in `pairs` and returns the maximum region-fetch count
 /// observed (`0` when there are no probes). `cache[r]` must hold region
-/// `r`'s decoded data; `threads` ≤ 1 runs inline.
+/// `r`'s decoded data; `flavor` picks the search; `threads` ≤ 1 runs
+/// inline.
 pub(crate) fn probe_max(
     net: &RoadNetwork,
     region_of: &[RegionId],
     cache: &[Arc<RegionData>],
-    search: ProbeSearch,
+    flavor: BaselineFlavor,
     pairs: &ProbePairs,
     threads: usize,
 ) -> Result<u32> {
@@ -85,6 +78,7 @@ pub(crate) fn probe_max(
         ProbePairs::Sampled(v) => v.len().div_ceil(SAMPLED_STRIDE),
     };
     let threads = threads.max(1).min(claims.max(1));
+    let search = flavor.search();
 
     let run_stripe = |claim: usize,
                       sub: &mut ClientSubgraph,
@@ -97,10 +91,7 @@ pub(crate) fn probe_max(
             let mut fetch = |region: u16| Ok(Arc::clone(&cache[region as usize]));
             sub.clear();
             let (ps, pt) = (net.node_point(s), net.node_point(t));
-            let out = match search {
-                ProbeSearch::Lm => search_lm(sub, scratch, rs, rt, ps, pt, &mut fetch)?,
-                ProbeSearch::Af => search_af(sub, scratch, rs, rt, ps, pt, &mut fetch)?,
-            };
+            let out = search(sub, scratch, rs, rt, ps, pt, &mut fetch)?;
             *best = (*best).max(out.fetches);
             Ok(())
         };

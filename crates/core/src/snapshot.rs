@@ -34,9 +34,8 @@
 use crate::engine::{Database, SchemeKind, SchemeState};
 use crate::error::CoreError;
 use crate::files::fh::Header;
-use crate::schemes::af::AfScheme;
+use crate::schemes::baseline::{BaselineFlavor, BaselineScheme};
 use crate::schemes::index_scheme::{BuildStats, IndexFlavor, IndexScheme, StageBreakdown};
-use crate::schemes::lm::LmScheme;
 use crate::Result;
 use privpath_pir::{FileId, PirMode, PirServer, SystemSpec};
 use privpath_storage::{
@@ -187,12 +186,8 @@ enum StateMeta {
         index_file: FileId,
         data_file: FileId,
     },
-    Lm {
-        header_file: FileId,
-        data_file: FileId,
-        max_pages: u32,
-    },
-    Af {
+    Baseline {
+        flavor: BaselineFlavor,
         header_file: FileId,
         data_file: FileId,
         max_regions: u32,
@@ -222,18 +217,19 @@ fn encode_state(w: &mut ByteWriter, state: &SchemeState) -> Result<()> {
             w.u16(s.index_file.0);
             w.u16(s.data_file.0);
         }
-        SchemeState::Lm(s) => {
-            w.u8(STATE_LM);
-            w.u16(s.header_file.0);
-            w.u16(s.data_file.0);
-            w.u32(s.max_pages);
-        }
-        SchemeState::Af(s) => {
-            w.u8(STATE_AF);
+        SchemeState::Baseline(s) => {
+            let tag = match s.flavor {
+                BaselineFlavor::Lm => STATE_LM,
+                BaselineFlavor::Af => STATE_AF,
+            };
+            w.u8(tag);
             w.u16(s.header_file.0);
             w.u16(s.data_file.0);
             w.u32(s.max_regions);
-            w.u32(s.pages_per_region);
+            // LM's encoding has no page-group field: it is always one page
+            if s.flavor == BaselineFlavor::Af {
+                w.u32(s.pages_per_region);
+            }
         }
         SchemeState::Obf(_) => {
             return Err(CoreError::Build(
@@ -271,16 +267,16 @@ fn decode_state(r: &mut ByteReader) -> std::result::Result<StateMeta, StorageErr
                 data_file: FileId(r.u16()?),
             })
         }
-        STATE_LM => Ok(StateMeta::Lm {
-            header_file: FileId(r.u16()?),
-            data_file: FileId(r.u16()?),
-            max_pages: r.u32()?,
-        }),
-        STATE_AF => Ok(StateMeta::Af {
+        tag @ (STATE_LM | STATE_AF) => Ok(StateMeta::Baseline {
+            flavor: if tag == STATE_LM {
+                BaselineFlavor::Lm
+            } else {
+                BaselineFlavor::Af
+            },
             header_file: FileId(r.u16()?),
             data_file: FileId(r.u16()?),
             max_regions: r.u32()?,
-            pages_per_region: r.u32()?,
+            pages_per_region: if tag == STATE_AF { r.u32()? } else { 1 },
         }),
         t => Err(StorageError::Corrupt(format!(
             "snapshot meta: unknown scheme-state tag {t}"
@@ -457,22 +453,8 @@ impl Database {
                     data_file,
                 })
             }
-            StateMeta::Lm {
-                header_file,
-                data_file,
-                max_pages,
-            } => {
-                check_file(&server, header_file, "header")?;
-                check_file(&server, data_file, "data")?;
-                let header = parse_header(&server, header_file)?;
-                SchemeState::Lm(LmScheme {
-                    header,
-                    header_file,
-                    data_file,
-                    max_pages,
-                })
-            }
-            StateMeta::Af {
+            StateMeta::Baseline {
+                flavor,
                 header_file,
                 data_file,
                 max_regions,
@@ -481,7 +463,8 @@ impl Database {
                 check_file(&server, header_file, "header")?;
                 check_file(&server, data_file, "data")?;
                 let header = parse_header(&server, header_file)?;
-                SchemeState::Af(AfScheme {
+                SchemeState::Baseline(BaselineScheme {
+                    flavor,
                     header,
                     header_file,
                     data_file,
@@ -522,15 +505,38 @@ mod tests {
         d
     }
 
+    /// AF at 512-byte pages on an 8x8 grid split in two: several pages per
+    /// region, so the shared LM/AF driver's multi-page path runs.
+    fn af_multi_page() -> (RoadNetwork, BuildConfig) {
+        let net = grid_network(&GridGenConfig {
+            nx: 8,
+            ny: 8,
+            ..Default::default()
+        });
+        let mut cfg = BuildConfig::default();
+        cfg.spec.page_size = 512;
+        cfg.af_regions = 2;
+        (net, cfg)
+    }
+
     #[test]
     fn persist_reopen_round_trip_answers_identically() {
-        let n = net();
         let dir = tmpdir("roundtrip");
-        for kind in [SchemeKind::Ci, SchemeKind::Lm] {
-            let db = Arc::new(Database::build(&n, kind, &BuildConfig::default()).unwrap());
+        let (af_net, af_cfg) = af_multi_page();
+        for (kind, n, cfg) in [
+            (SchemeKind::Ci, net(), BuildConfig::default()),
+            (SchemeKind::Lm, net(), BuildConfig::default()),
+            (SchemeKind::Af, af_net, af_cfg),
+        ] {
+            let db = Arc::new(Database::build(&n, kind, &cfg).unwrap());
+            if kind == SchemeKind::Af {
+                let ppr = db.header().unwrap().cluster_pages;
+                assert!(ppr >= 2, "AF built {ppr} page(s) per region");
+            }
             let path = dir.join(format!("{}.snap", kind.name().replace('*', "s")));
             db.persist(&path).unwrap();
-            let want = db.session_with_seed(11).query_nodes(&n, 0, 15).unwrap();
+            let last = n.num_nodes() as u32 - 1;
+            let want = db.session_with_seed(11).query_nodes(&n, 0, last).unwrap();
             for backend in [
                 StorageBackend::Mem,
                 StorageBackend::Disk,
@@ -541,13 +547,58 @@ mod tests {
                 assert_eq!(re.stats().regions, db.stats().regions);
                 assert_eq!(re.db_bytes(), db.db_bytes());
                 assert_eq!(re.plan(), db.plan());
-                let got = re.session_with_seed(11).query_nodes(&n, 0, 15).unwrap();
+                let got = re.session_with_seed(11).query_nodes(&n, 0, last).unwrap();
                 assert_eq!(got.answer.cost, want.answer.cost);
                 assert_eq!(got.answer.path_nodes, want.answer.path_nodes);
                 assert_eq!(got.trace, want.trace, "{} {:?}", kind.name(), backend);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// LM's scheme state encodes as tag + header file + data file + budget
+    /// (9 bytes) and AF's as the same + pages per region (13 bytes) — the
+    /// layouts existing snapshots carry, and part of `snapshot_bytes` — and
+    /// each decodes back to its budget and page group.
+    #[test]
+    fn baseline_state_encodings_are_pinned() {
+        let (af_net, af_cfg) = af_multi_page();
+        for (kind, n, cfg, tag) in [
+            (SchemeKind::Lm, net(), BuildConfig::default(), STATE_LM),
+            (SchemeKind::Af, af_net, af_cfg, STATE_AF),
+        ] {
+            let db = Database::build(&n, kind, &cfg).unwrap();
+            let SchemeState::Baseline(s) = &db.state else {
+                panic!("{} is not a baseline", kind.name());
+            };
+            let mut want = vec![tag];
+            want.extend_from_slice(&s.header_file.0.to_le_bytes());
+            want.extend_from_slice(&s.data_file.0.to_le_bytes());
+            want.extend_from_slice(&s.max_regions.to_le_bytes());
+            if kind == SchemeKind::Af {
+                assert!(s.pages_per_region >= 2);
+                want.extend_from_slice(&s.pages_per_region.to_le_bytes());
+            }
+            assert_eq!(want.len(), if kind == SchemeKind::Lm { 9 } else { 13 });
+            let mut w = ByteWriter::new();
+            encode_state(&mut w, &db.state).unwrap();
+            assert_eq!(w.as_slice(), &want[..], "{} state encoding", kind.name());
+
+            let mut r = ByteReader::new(&want);
+            let StateMeta::Baseline {
+                flavor,
+                max_regions,
+                pages_per_region,
+                ..
+            } = decode_state(&mut r).unwrap()
+            else {
+                panic!("{} decoded to another state", kind.name());
+            };
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(flavor, s.flavor);
+            assert_eq!(max_regions, s.max_regions);
+            assert_eq!(pages_per_region, s.pages_per_region);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// every audit in the test suite, bounded for long-lived serving sessions.
 pub(crate) const DEFAULT_LOG_CAP: usize = 1 << 20;
 
-/// Typed marker that a [`PhysicalLog`] hit its cap: `dropped` reads were
+/// Typed marker that a `PhysicalLog` hit its cap: `dropped` reads were
 /// observed but not recorded. The audit surface stays truthful — a truncated
 /// log announces itself instead of silently looking like a short session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub struct LogOverflow {
 /// [`LogOverflow`] — so a store serving forever holds at most
 /// `cap * 4` bytes of audit state.
 #[derive(Debug, Clone)]
-pub struct PhysicalLog {
+pub(crate) struct PhysicalLog {
     entries: Vec<u32>,
     cap: usize,
     dropped: u64,

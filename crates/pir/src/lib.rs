@@ -17,7 +17,7 @@
 //! * `backend` — *functional* oblivious stores: a [`LinearScanStore`]
 //!   (information-theoretically oblivious) and a square-root-ORAM-style
 //!   [`ShuffledStore`] with per-epoch reshuffles, both exposing their
-//!   physical access sequence (bounded by [`PhysicalLog`]) so tests can
+//!   physical access sequence (bounded by `PhysicalLog`) so tests can
 //!   check obliviousness;
 //! * [`scan`] — the vectorized linear-scan kernel: multi-page run streaming
 //!   through a reusable arena plus a branchless `u64`-lane masked select
@@ -73,7 +73,7 @@ mod trace;
 mod transport;
 pub mod wire;
 
-pub use backend::{LinearScanStore, LogOverflow, ObliviousStore, PhysicalLog, ShuffledStore};
+pub use backend::{LinearScanStore, LogOverflow, ObliviousStore, ShuffledStore};
 pub use chaos::{
     connect_chaos, ChaosLink, DiskFaultPlan, FaultPlan, FaultyDisk, GateDisk, PanicStore,
 };
@@ -84,11 +84,10 @@ pub use prp::Prp;
 pub use server::{FileId, PirMode, PirServer, PirSession};
 pub use spec::SystemSpec;
 pub use trace::{AccessTrace, TraceEvent};
-pub use transport::{GenerationSource, InProc, ServeHost, StaticSource, Transport};
+pub use transport::{GenerationSource, InProc, ServeHost, Transport};
 pub use wire::tcp::{TcpFront, TcpLink};
 pub use wire::{
-    FrameLink, FrontConfig, ObservedEvent, RetryPolicy, ServerFront, ServerInfo, SessionStats,
-    WireChannel,
+    FrameLink, FrontConfig, ObservedEvent, RetryPolicy, ServerFront, SessionStats, WireChannel,
 };
 
 /// Result alias for PIR operations.

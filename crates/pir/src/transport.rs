@@ -73,7 +73,7 @@ pub trait GenerationSource: Send + Sync {
 /// The degenerate single-generation source wrapping a static host: always
 /// generation 1. This is what [`crate::wire::ServerFront::spawn`] serves
 /// from, so legacy callers get hot-swap-shaped plumbing at zero cost.
-pub struct StaticSource<H: ServeHost + Send + Sync + 'static>(std::sync::Arc<H>);
+pub(crate) struct StaticSource<H: ServeHost + Send + Sync + 'static>(std::sync::Arc<H>);
 
 impl<H: ServeHost + Send + Sync + 'static> StaticSource<H> {
     /// Wraps `host` as a never-swapping generation-1 source.

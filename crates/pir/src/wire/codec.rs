@@ -85,7 +85,7 @@ pub const ERR_SERVE_TRANSIENT: u16 = 8;
 /// leaks nothing and lets the client compute bit-identical simulated costs
 /// on either side of the wire.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServerInfo {
+pub(crate) struct ServerInfo {
     /// The database generation this server is serving (1 for a static host;
     /// a hot-swappable front stamps the generation current at session
     /// accept). Clients compare it against a held expectation to detect a
@@ -99,7 +99,7 @@ pub struct ServerInfo {
 
 /// One served file's public metadata.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FileInfo {
+pub(crate) struct FileInfo {
     /// Diagnostic name ("Fh", "Fl", "Fi", "Fd", "Fi|Fd").
     pub(crate) name: String,
     /// Page count.

@@ -185,7 +185,7 @@ impl ServerFront {
     }
 
     /// Spawns the server loop with explicit degradation knobs. The host is
-    /// wrapped as a never-swapping generation-1 [`StaticSource`].
+    /// wrapped as a never-swapping generation-1 `StaticSource`.
     pub fn spawn_with<H: ServeHost + Send + Sync + 'static>(
         host: H,
         cfg: FrontConfig,

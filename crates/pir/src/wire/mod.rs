@@ -27,7 +27,7 @@
 //! | kind | frame              | dir | payload                                        |
 //! |------|--------------------|-----|------------------------------------------------|
 //! | 1    | `SessionOpen`      | c→s | —                                              |
-//! | 2    | `SessionAccept`    | s→c | `u64 session`, [`ServerInfo`] (leads with the `u64` generation id) |
+//! | 2    | `SessionAccept`    | s→c | `u64 session`, `ServerInfo` (leads with the `u64` generation id) |
 //! | 3    | `QueryOpen`        | c→s | `u64 session`                                  |
 //! | 4    | `Ack`              | s→c | —                                              |
 //! | 5    | `RoundRequest`     | c→s | `u64 session`, `u32 round`, `u32 k`, k × (`u16 file`, `u32 page`) |
@@ -67,7 +67,7 @@
 //! layout, a new frame kind, or a semantic change to an existing kind bumps
 //! [`WIRE_VERSION`]. Version 2 added the crc and seq header fields plus the
 //! replay semantics above; version 3 added the `Chunk` frame kind (chunked
-//! response streaming); version 4 prefixed [`ServerInfo`] with the database
+//! response streaming); version 4 prefixed `ServerInfo` with the database
 //! generation id (hot-swap staleness detection — see
 //! [`crate::transport::GenerationSource`]). A server receiving a frame with
 //! an unknown version (or bad magic) replies [`ERR_VERSION`]/[`ERR_MALFORMED`] and
@@ -138,9 +138,9 @@ pub(crate) mod tcp;
 
 pub use self::client::{ChannelLink, FrameLink, RetryPolicy, WireChannel};
 pub use self::codec::{
-    parse_observed, parse_observed_raw, split_frame, FileInfo, Frame, ObservedEvent, ServerInfo,
-    ERR_INTERNAL, ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE, ERR_SERVE_TRANSIENT,
-    ERR_SESSION, ERR_VERSION, SEQ_UNPARSED, WIRE_MAGIC, WIRE_VERSION,
+    parse_observed, parse_observed_raw, split_frame, Frame, ObservedEvent, ERR_INTERNAL,
+    ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE, ERR_SERVE_TRANSIENT, ERR_SESSION,
+    ERR_VERSION, SEQ_UNPARSED, WIRE_MAGIC, WIRE_VERSION,
 };
 pub use self::front::{FrontConfig, ServerFront, SessionStats, OBSERVED_CAP_BYTES};
 

@@ -118,29 +118,15 @@ proptest! {
     }
 }
 
-/// Fetches one LM region page through a PIR session (the differential
-/// drivers below charge a real meter so the two implementations' PIR costs
-/// can be compared exactly).
-fn lm_fetch<'a>(
-    db: &'a Arc<Database>,
-    pir: &'a mut PirSession,
-    data_file: FileId,
-) -> impl FnMut(u16) -> Result<RegionData> + 'a {
-    let header = db.header().expect("LM database has a header").clone();
-    let mut link = InProc::new(Arc::clone(db));
-    move |region: u16| {
-        let page = pir.pir_fetch(&mut link, data_file, header.region_page[region as usize])?;
-        decode_region(unseal_page(&page)?, &header.record_format)
-    }
-}
-
-/// Fetches one AF region (all of its pages) through a PIR session.
+/// Fetches one LM or AF region — all `cluster_pages` of its pages, one for
+/// LM — through a PIR session (the differential drivers below charge a real
+/// meter so the two implementations' PIR costs can be compared exactly).
 fn af_fetch<'a>(
     db: &'a Arc<Database>,
     pir: &'a mut PirSession,
     data_file: FileId,
 ) -> impl FnMut(u16) -> Result<RegionData> + 'a {
-    let header = db.header().expect("AF database has a header").clone();
+    let header = db.header().expect("LM/AF database has a header").clone();
     let mut link = InProc::new(Arc::clone(db));
     move |region: u16| {
         let ppr = u32::from(header.cluster_pages.max(1));
@@ -186,7 +172,7 @@ proptest! {
 
             let mut ref_pir = PirSession::new();
             let want = {
-                let mut fetch = lm_fetch(&db, &mut ref_pir, data_file);
+                let mut fetch = af_fetch(&db, &mut ref_pir, data_file);
                 lm::reference::lm_search(rs, rt, ps, pt, &mut fetch).expect("reference search")
             };
 
@@ -196,7 +182,7 @@ proptest! {
                 // The CSR search hands decoded pages around as `Arc`s (so
                 // the offline probe cache can satisfy fetches for free);
                 // wrapping here keeps the PIR charges identical.
-                let mut inner = lm_fetch(&db, &mut csr_pir, data_file);
+                let mut inner = af_fetch(&db, &mut csr_pir, data_file);
                 let mut fetch = |region: u16| inner(region).map(Arc::new);
                 search_lm(&mut sub, &mut scratch, rs, rt, ps, pt, &mut fetch)
                     .expect("CSR search")
