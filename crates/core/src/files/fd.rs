@@ -8,9 +8,10 @@ use super::{seal_file, unseal_page, PAGE_CRC_BYTES};
 use crate::error::CoreError;
 use crate::Result;
 use privpath_graph::network::RoadNetwork;
-use privpath_graph::types::Point;
+use privpath_graph::types::{NodeId, Point};
 use privpath_partition::{Partition, RegionId};
 use privpath_storage::{ByteReader, ByteWriter, MemFile, PageBuf};
+use std::collections::HashMap;
 
 /// Record layout options (fixed per database, stored in the header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,7 +51,7 @@ pub(crate) struct NoExtra;
 impl NodeExtra for NoExtra {}
 
 /// A decoded adjacency entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AdjEntry {
     /// Head node.
     pub(crate) to: u32,
@@ -58,30 +59,128 @@ pub(crate) struct AdjEntry {
     pub(crate) w: u32,
     /// Head node's region (`u16::MAX` when not stored).
     pub(crate) to_region: u16,
-    /// Arc-flag bytes (empty when not stored).
-    pub(crate) flags: Vec<u8>,
 }
 
-/// A decoded node record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct NodeData {
+/// The fixed part of a decoded node record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeHead {
     /// Node id.
-    pub(crate) id: u32,
+    id: NodeId,
     /// Coordinates.
-    pub(crate) pos: Point,
-    /// Landmark vector (empty unless LM).
-    pub(crate) lm_vec: Vec<u32>,
-    /// Outgoing adjacency.
-    pub(crate) adj: Vec<AdjEntry>,
+    pos: Point,
+    /// End of its entries in [`RegionData::adj`]; they start where the
+    /// previous record's end.
+    adj_end: u32,
 }
 
-/// A decoded region page group.
+/// A decoded region page group, flat: one array of node heads, one of
+/// landmark entries (`lm_count` per node), one of adjacency entries and
+/// one of arc-flag bytes (`flag_bytes` per entry), so a decode allocates
+/// four buffers at most, whatever the region holds. Read a record through
+/// `node` or `nodes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionData {
     /// The region id.
-    pub(crate) region: RegionId,
-    /// Its nodes.
-    pub(crate) nodes: Vec<NodeData>,
+    region: RegionId,
+    /// Landmark entries per node (0 unless LM).
+    lm_count: usize,
+    /// Arc-flag bytes per adjacency entry (0 unless AF).
+    flag_bytes: usize,
+    heads: Vec<NodeHead>,
+    lm: Vec<u32>,
+    adj: Vec<AdjEntry>,
+    flags: Vec<u8>,
+}
+
+/// One node record of a [`RegionData`], borrowed from its arrays.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeRecord<'a> {
+    /// Node id.
+    pub(crate) id: NodeId,
+    /// Coordinates.
+    pub(crate) pos: Point,
+    /// Landmark vector (empty unless LM).
+    pub(crate) lm_vec: &'a [u32],
+    /// Outgoing adjacency.
+    pub(crate) adj: &'a [AdjEntry],
+    /// Arc-flag bytes of `adj`, `flag_bytes` per entry.
+    flags: &'a [u8],
+    flag_bytes: usize,
+}
+
+impl<'a> NodeRecord<'a> {
+    /// Arc-flag bytes of adjacency entry `k` (empty when not stored).
+    pub(crate) fn flags(&self, k: usize) -> &'a [u8] {
+        &self.flags[k * self.flag_bytes..(k + 1) * self.flag_bytes]
+    }
+}
+
+impl RegionData {
+    /// The region id.
+    pub(crate) fn region(&self) -> RegionId {
+        self.region
+    }
+
+    /// Landmark entries per node record (0 unless LM).
+    pub(crate) fn lm_count(&self) -> usize {
+        self.lm_count
+    }
+
+    /// Node record `i`, in page order.
+    pub(crate) fn node(&self, i: usize) -> NodeRecord<'_> {
+        let head = self.heads[i];
+        let lo = if i == 0 {
+            0
+        } else {
+            self.heads[i - 1].adj_end as usize
+        };
+        let hi = head.adj_end as usize;
+        NodeRecord {
+            id: head.id,
+            pos: head.pos,
+            lm_vec: &self.lm[i * self.lm_count..(i + 1) * self.lm_count],
+            adj: &self.adj[lo..hi],
+            flags: &self.flags[lo * self.flag_bytes..hi * self.flag_bytes],
+            flag_bytes: self.flag_bytes,
+        }
+    }
+
+    /// Every node record, in page order.
+    pub(crate) fn nodes(&self) -> impl ExactSizeIterator<Item = NodeRecord<'_>> {
+        (0..self.heads.len()).map(|i| self.node(i))
+    }
+}
+
+/// The records of every region loaded so far, by node id: the view the
+/// `HashMap` reference searches (`schemes::{lm, af}::reference`) keep.
+#[derive(Debug, Default)]
+pub(crate) struct LoadedRecords {
+    regions: Vec<RegionData>,
+    /// Node id → (index into `regions`, record index in that region).
+    at: HashMap<NodeId, (usize, usize)>,
+}
+
+impl LoadedRecords {
+    /// Takes in a region's records (a later record of the same id wins).
+    pub(crate) fn insert(&mut self, data: RegionData) {
+        for (i, n) in data.nodes().enumerate() {
+            self.at.insert(n.id, (self.regions.len(), i));
+        }
+        self.regions.push(data);
+    }
+
+    /// The record of node `id`, if its region is loaded.
+    pub(crate) fn get(&self, id: NodeId) -> Option<NodeRecord<'_>> {
+        self.at.get(&id).map(|&(r, i)| self.regions[r].node(i))
+    }
+
+    /// The record of node `id`.
+    ///
+    /// # Panics
+    /// Panics if its region is not loaded.
+    pub(crate) fn record(&self, id: NodeId) -> NodeRecord<'_> {
+        self.get(id).expect("node record loaded")
+    }
 }
 
 /// Builds `Fd`: `cluster_pages` sealed pages per region, in region order.
@@ -169,46 +268,54 @@ pub(crate) fn decode_group(
     decode_region(buf, fmt)
 }
 
-/// Decodes a region from its concatenated (unsealed) page payloads.
+/// Decodes a region from its concatenated (unsealed) page payloads into
+/// one flat [`RegionData`]. Each array is sized up front from what the
+/// payload can hold — records of no arcs, then arcs in the bytes the
+/// records leave — never from the stored count alone, so a decode
+/// allocates at most four times, never grows a buffer, and allocates no
+/// more than a few times the payload's size whatever the page claims.
 pub fn decode_region(payloads: &[u8], fmt: &RecordFormat) -> Result<RegionData> {
     let mut r = ByteReader::new(payloads);
     let region = r.u16()?;
     let count = r.u16()? as usize;
-    let mut nodes = Vec::with_capacity(count);
+    let lm_count = fmt.lm_count as usize;
+    let flag_bytes = fmt.flag_bytes as usize;
+    let arc_bytes = fmt.node_bytes(1) - fmt.node_bytes(0);
+    let max_nodes = count.min(r.remaining() / fmt.node_bytes(0));
+    let max_arcs = r.remaining().saturating_sub(count * fmt.node_bytes(0)) / arc_bytes;
+    let mut data = RegionData {
+        region,
+        lm_count,
+        flag_bytes,
+        heads: Vec::with_capacity(max_nodes),
+        lm: Vec::with_capacity(max_nodes * lm_count),
+        adj: Vec::with_capacity(max_arcs),
+        flags: Vec::with_capacity(max_arcs * flag_bytes),
+    };
     for _ in 0..count {
         let id = r.u32()?;
         let x = r.i32()?;
         let y = r.i32()?;
-        let mut lm_vec = Vec::with_capacity(fmt.lm_count as usize);
-        for _ in 0..fmt.lm_count {
-            lm_vec.push(r.u32()?);
+        for _ in 0..lm_count {
+            data.lm.push(r.u32()?);
         }
         let deg = r.u16()? as usize;
-        let mut adj = Vec::with_capacity(deg);
         for _ in 0..deg {
             let to = r.u32()?;
             let w = r.u32()?;
             let to_region = if fmt.with_regions { r.u16()? } else { u16::MAX };
-            let flags = if fmt.flag_bytes > 0 {
-                r.bytes(fmt.flag_bytes as usize)?.to_vec()
-            } else {
-                Vec::new()
-            };
-            adj.push(AdjEntry {
-                to,
-                w,
-                to_region,
-                flags,
-            });
+            data.adj.push(AdjEntry { to, w, to_region });
+            if flag_bytes > 0 {
+                data.flags.extend_from_slice(r.bytes(flag_bytes)?);
+            }
         }
-        nodes.push(NodeData {
+        data.heads.push(NodeHead {
             id,
             pos: Point::new(x, y),
-            lm_vec,
-            adj,
+            adj_end: data.adj.len() as u32,
         });
     }
-    Ok(RegionData { region, nodes })
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -244,8 +351,8 @@ mod tests {
         let mut seen_nodes = 0usize;
         for r in 0..p.num_regions() {
             let data = decode_region(&read_region(&fd, r, 1), &fmt).unwrap();
-            assert_eq!(data.region, r);
-            for n in &data.nodes {
+            assert_eq!(data.region(), r);
+            for n in data.nodes() {
                 assert_eq!(p.region_of_node[n.id as usize], r);
                 assert_eq!(n.pos, net.node_point(n.id));
                 assert_eq!(n.adj.len(), net.degree(n.id));
@@ -254,7 +361,7 @@ mod tests {
                     assert_eq!(n.adj[k].w, w);
                 }
             }
-            seen_nodes += data.nodes.len();
+            seen_nodes += data.nodes().len();
         }
         assert_eq!(seen_nodes, net.num_nodes());
     }
@@ -277,8 +384,8 @@ mod tests {
         );
         for r in 0..p.num_regions() {
             let data = decode_region(&read_region(&fd, r, cluster), &fmt).unwrap();
-            assert_eq!(data.region, r);
-            assert!(!data.nodes.is_empty());
+            assert_eq!(data.region(), r);
+            assert_ne!(data.nodes().len(), 0);
         }
     }
 
@@ -308,10 +415,10 @@ mod tests {
         let fd = build_fd(&net, &p, &fmt, &TestExtra, 1, 4096).unwrap();
         for r in 0..p.num_regions() {
             let data = decode_region(&read_region(&fd, r, 1), &fmt).unwrap();
-            for n in &data.nodes {
-                assert_eq!(n.lm_vec, vec![n.id * 10, n.id * 10 + 1]);
+            for n in data.nodes() {
+                assert_eq!(n.lm_vec, [n.id * 10, n.id * 10 + 1]);
                 for (k, (e, v, _)) in net.arcs_from(n.id).enumerate() {
-                    assert_eq!(n.adj[k].flags, vec![(e % 251) as u8]);
+                    assert_eq!(n.flags(k), [(e % 251) as u8]);
                     assert_eq!(n.adj[k].to_region, p.region_of_node[v as usize]);
                 }
             }
@@ -350,8 +457,29 @@ mod tests {
         let raw = read_region(&fd, 0, 16);
         // decoded successfully implies the length math is consistent
         let data = decode_region(&raw, &fmt).unwrap();
-        assert_eq!(data.nodes.len(), net.num_nodes());
+        assert_eq!(data.nodes().len(), net.num_nodes());
         assert!(expected <= raw.len());
+    }
+
+    /// A record count the payload cannot hold fails to decode, and the
+    /// buffers are sized from the payload, not from the count: 65,535
+    /// records of 65,535 landmark entries would be a 17 GB array.
+    #[test]
+    fn counts_beyond_the_payload_are_an_error() {
+        let fmt = RecordFormat {
+            lm_count: u16::MAX,
+            with_regions: true,
+            flag_bytes: u16::MAX,
+        };
+        let mut w = ByteWriter::new();
+        w.u16(3).u16(u16::MAX).u32(7).i32(0).i32(0);
+        assert!(matches!(
+            decode_region(w.as_slice(), &fmt),
+            Err(CoreError::Storage(_))
+        ));
+        let mut w = ByteWriter::new();
+        w.u16(3).u16(2).u32(7).i32(0).i32(0).u16(0);
+        assert!(decode_region(w.as_slice(), &RecordFormat::default()).is_err());
     }
 
     #[test]

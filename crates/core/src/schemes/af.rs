@@ -8,15 +8,16 @@ use crate::Result;
 use privpath_graph::types::{NodeId, Point};
 
 /// The original `HashMap`-based client search, retained verbatim as the
-/// behavioural reference for the CSR-arena [`crate::subgraph::search_af`]
+/// behavioural reference for the arena search [`crate::subgraph::search_af`]
 /// that replaced it on the query path. The differential property suite
 /// (`tests/leakage.rs`) asserts both return identical answers, snapped
 /// nodes, paths and fetch counts on identical inputs.
 pub mod reference {
     use super::*;
     use crate::error::CoreError;
-    use crate::files::fd::NodeData;
+    use crate::files::fd::LoadedRecords;
     use privpath_graph::types::Dist;
+    use std::collections::hash_map::Entry;
     use std::collections::HashMap;
 
     /// What the reference search produced. `regions_fetched` counts region
@@ -46,23 +47,20 @@ pub mod reference {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let mut known: HashMap<NodeId, NodeData> = HashMap::new();
+        let mut known = LoadedRecords::default();
         let mut members: HashMap<u16, Vec<NodeId>> = HashMap::new();
         let mut regions_fetched = 0u32;
         let load = |region: u16,
-                    known: &mut HashMap<NodeId, NodeData>,
+                    known: &mut LoadedRecords,
                     members: &mut HashMap<u16, Vec<NodeId>>,
                     count: &mut u32,
                     fetch: &mut dyn FnMut(u16) -> Result<RegionData>|
          -> Result<()> {
             let data = fetch(region)?;
             *count += 1;
-            if !members.contains_key(&region) {
-                let list = members.entry(region).or_default();
-                for n in data.nodes {
-                    list.push(n.id);
-                    known.insert(n.id, n);
-                }
+            if let Entry::Vacant(list) = members.entry(region) {
+                list.insert(data.nodes().map(|n| n.id).collect());
+                known.insert(data);
             }
             Ok(())
         };
@@ -70,16 +68,14 @@ pub mod reference {
         load(rs, &mut known, &mut members, &mut regions_fetched, fetch)?;
         load(rt, &mut known, &mut members, &mut regions_fetched, fetch)?;
 
-        let snap = |region: u16,
-                    p: Point,
-                    known: &HashMap<NodeId, NodeData>,
-                    members: &HashMap<u16, Vec<NodeId>>| {
-            members.get(&region).and_then(|list| {
-                list.iter()
-                    .copied()
-                    .min_by_key(|id| known[id].pos.dist2(&p))
-            })
-        };
+        let snap =
+            |region: u16, p: Point, known: &LoadedRecords, members: &HashMap<u16, Vec<NodeId>>| {
+                members.get(&region).and_then(|list| {
+                    list.iter()
+                        .copied()
+                        .min_by_key(|&id| known.record(id).pos.dist2(&p))
+                })
+            };
         let s_node = snap(rs, s, &known, &members)
             .ok_or_else(|| CoreError::Query("empty source region".into()))?;
         let t_node = snap(rt, t, &known, &members)
@@ -107,7 +103,7 @@ pub mod reference {
             if gu > *g.get(&u).unwrap_or(&Dist::MAX) {
                 continue;
             }
-            if !known.contains_key(&u) {
+            if known.get(u).is_none() {
                 let region = *region_hint
                     .get(&u)
                     .ok_or_else(|| CoreError::Query(format!("no region hint for node {u}")))?;
@@ -125,10 +121,12 @@ pub mod reference {
                 found = Some(gu);
                 break; // Dijkstra (no heuristic): first settle is optimal
             }
-            let arcs: Vec<(u32, u32, u16, bool)> = known[&u]
+            let rec = known.record(u);
+            let arcs: Vec<(u32, u32, u16, bool)> = rec
                 .adj
                 .iter()
-                .map(|a| (a.to, a.w, a.to_region, flag_set(&a.flags, goal)))
+                .enumerate()
+                .map(|(k, a)| (a.to, a.w, a.to_region, flag_set(rec.flags(k), goal)))
                 .collect();
             for (v, w, v_region, ok) in arcs {
                 if !ok {

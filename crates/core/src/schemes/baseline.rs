@@ -232,7 +232,7 @@ pub(crate) fn build(
     let r = partition.num_regions();
 
     // ---- plan derivation: max regions over (sampled or all) node pairs ----
-    // Runs the same CSR-arena search the online query path uses, so the
+    // Runs the same arena search the online query path uses, so the
     // derived budget matches the online fetch counts exactly. Each region
     // is unsealed and decoded once into the probe cache; the probe loop
     // itself is striped across `cfg.threads` workers with a deterministic
@@ -321,8 +321,10 @@ pub(crate) fn build(
 
 /// Executes one private LM or AF query. `link` is the session's transport
 /// to the shared page host; all mutation happens in `ctx` — the
-/// interleaved search runs on the session's CSR arena and scratch buffers,
-/// so the search itself allocates nothing in steady state.
+/// interleaved search runs on the session's arena and scratch buffers and
+/// allocates nothing in steady state. Each fetched region costs one
+/// decode: a few flat buffers and the `Arc` the search takes it in,
+/// whatever the region holds.
 ///
 /// Round batching: round two's page list — both host regions' page groups
 /// — is known before the search starts, so it is issued as one

@@ -686,8 +686,8 @@ pub(crate) fn query(
         }
     }
 
-    // Assemble and solve (allocation-free in steady state: the CSR arena and
-    // Dijkstra scratch are reused across the session's queries).
+    // Assemble and solve (allocation-free in steady state: the arena, its
+    // CSR and the Dijkstra scratch are reused across the session's queries).
     let t1 = Instant::now();
     if let Some(IndexPayload::Edges(triples)) = &answer_payload {
         sub.add_edges(triples);

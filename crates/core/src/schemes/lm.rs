@@ -8,7 +8,7 @@ use crate::Result;
 use privpath_graph::types::{NodeId, Point};
 
 /// The original `HashMap`-based client search, retained verbatim as the
-/// behavioural reference for the CSR-arena [`crate::subgraph::search_lm`]
+/// behavioural reference for the arena search [`crate::subgraph::search_lm`]
 /// that replaced it on the query path. The differential property suite
 /// (`tests/leakage.rs`) asserts both return identical answers, snapped
 /// nodes, paths and fetch counts on identical inputs — which makes their
@@ -16,8 +16,9 @@ use privpath_graph::types::{NodeId, Point};
 pub mod reference {
     use super::*;
     use crate::error::CoreError;
-    use crate::files::fd::NodeData;
+    use crate::files::fd::LoadedRecords;
     use privpath_graph::types::Dist;
+    use std::collections::hash_map::Entry;
     use std::collections::HashMap;
 
     /// What the reference search produced. `pages` counts region fetches
@@ -46,23 +47,20 @@ pub mod reference {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let mut known: HashMap<NodeId, NodeData> = HashMap::new();
+        let mut known = LoadedRecords::default();
         let mut members: HashMap<u16, Vec<NodeId>> = HashMap::new();
         let mut pages = 0u32;
         let load = |region: u16,
-                    known: &mut HashMap<NodeId, NodeData>,
+                    known: &mut LoadedRecords,
                     members: &mut HashMap<u16, Vec<NodeId>>,
                     pages: &mut u32,
                     fetch: &mut dyn FnMut(u16) -> Result<RegionData>|
          -> Result<()> {
             let data = fetch(region)?;
             *pages += 1;
-            if !members.contains_key(&region) {
-                let list = members.entry(region).or_default();
-                for n in data.nodes {
-                    list.push(n.id);
-                    known.insert(n.id, n);
-                }
+            if let Entry::Vacant(list) = members.entry(region) {
+                list.insert(data.nodes().map(|n| n.id).collect());
+                known.insert(data);
             }
             Ok(())
         };
@@ -72,21 +70,19 @@ pub mod reference {
         load(rs, &mut known, &mut members, &mut pages, fetch)?;
         load(rt, &mut known, &mut members, &mut pages, fetch)?;
 
-        let snap = |region: u16,
-                    p: Point,
-                    known: &HashMap<NodeId, NodeData>,
-                    members: &HashMap<u16, Vec<NodeId>>| {
-            members.get(&region).and_then(|list| {
-                list.iter()
-                    .copied()
-                    .min_by_key(|id| known[id].pos.dist2(&p))
-            })
-        };
+        let snap =
+            |region: u16, p: Point, known: &LoadedRecords, members: &HashMap<u16, Vec<NodeId>>| {
+                members.get(&region).and_then(|list| {
+                    list.iter()
+                        .copied()
+                        .min_by_key(|&id| known.record(id).pos.dist2(&p))
+                })
+            };
         let s_node = snap(rs, s, &known, &members)
             .ok_or_else(|| CoreError::Query("empty source region".into()))?;
         let t_node = snap(rt, t, &known, &members)
             .ok_or_else(|| CoreError::Query("empty target region".into()))?;
-        let t_vec = known[&t_node].lm_vec.clone();
+        let t_vec = known.record(t_node).lm_vec.to_vec();
 
         if s_node == t_node {
             return Ok(SearchOutcome {
@@ -105,7 +101,7 @@ pub mod reference {
         let mut incumbent = Dist::MAX;
 
         g.insert(s_node, 0);
-        let h0 = lm_bound(&known[&s_node].lm_vec, &t_vec);
+        let h0 = lm_bound(known.record(s_node).lm_vec, &t_vec);
         heap.push(Reverse((h0, 0, s_node)));
 
         while let Some(&Reverse((f, _, _))) = heap.peek() {
@@ -116,14 +112,14 @@ pub mod reference {
             if gu > *g.get(&u).unwrap_or(&Dist::MAX) {
                 continue; // stale
             }
-            if !known.contains_key(&u) {
+            if known.get(u).is_none() {
                 let region = *region_hint
                     .get(&u)
                     .ok_or_else(|| CoreError::Query(format!("no region hint for node {u}")))?;
                 load(region, &mut known, &mut members, &mut pages, fetch)?;
                 let hu = known
-                    .get(&u)
-                    .map(|n| lm_bound(&n.lm_vec, &t_vec))
+                    .get(u)
+                    .map(|n| lm_bound(n.lm_vec, &t_vec))
                     .ok_or_else(|| {
                         CoreError::Query(format!("node {u} missing after region fetch"))
                     })?;
@@ -134,7 +130,7 @@ pub mod reference {
                 incumbent = incumbent.min(gu);
                 continue;
             }
-            let rec = &known[&u];
+            let rec = known.record(u);
             let arcs: Vec<(u32, u32, u16)> =
                 rec.adj.iter().map(|a| (a.to, a.w, a.to_region)).collect();
             for (v, w, v_region) in arcs {
@@ -144,8 +140,8 @@ pub mod reference {
                     parent.insert(v, u);
                     region_hint.insert(v, v_region);
                     let hv = known
-                        .get(&v)
-                        .map(|n| lm_bound(&n.lm_vec, &t_vec))
+                        .get(v)
+                        .map(|n| lm_bound(n.lm_vec, &t_vec))
                         .unwrap_or(0);
                     heap.push(Reverse((nd + hv, nd, v)));
                     if v == t_node {

@@ -11,14 +11,20 @@
 //! arc-flag-pruned Dijkstra over the same arena and pull in a region page
 //! whenever the frontier pops a node whose record has not arrived yet.
 //!
-//! This is the client hot path, so it is engineered to be allocation-free in
-//! steady state: node ids are interned into a dense range, adjacency is a
-//! CSR (compressed sparse row) built by counting sort, and Dijkstra runs
+//! This is the client hot path, so its cost follows the bytes it decodes.
+//! Node ids are interned into a dense range through a multiplicative hash;
+//! a decoded region ([`RegionData`], four flat arrays) is folded in once,
+//! and each node's arcs land as one contiguous row of the arc array, so the
+//! interleaved searches relax a node's row as soon as its record arrives
+//! and never re-sort what they gathered. [`ClientSubgraph::shortest_path_in`]
+//! alone builds a CSR (compressed sparse row) by counting sort, once per
+//! solve, because `add_edges` triples arrive in any order. Dijkstra runs
 //! over dense arrays with an indexed binary heap (decrease-key, no stale
 //! entries). All buffers live in the [`ClientSubgraph`] and [`QueryScratch`]
 //! and are cleared — not reallocated — between queries, so a long-running
-//! [`crate::engine::QuerySession`] touches the allocator only while its
-//! high-water marks still grow.
+//! [`crate::engine::QuerySession`] allocates per query only for the
+//! regions it decodes (a few buffers each, whatever their size) and its
+//! per-query outputs; `tests/alloc_budget.rs` bounds the count.
 
 use crate::error::CoreError;
 use crate::files::fd::RegionData;
@@ -26,6 +32,7 @@ use crate::Result;
 use privpath_graph::heap::IndexedMinHeap;
 use privpath_graph::types::{Dist, NodeId, Point};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Sentinel for "no dense slot".
@@ -33,6 +40,42 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel for "no region hint".
 const NO_REGION: u16 = u16::MAX;
+
+/// Multiplicative (Fx-style) hasher for the interner's node ids: one
+/// rotate, xor and multiply per key where SipHash runs its rounds. It gives
+/// up SipHash's defence against keys crafted to collide on purpose: the ids
+/// come from CRC-sealed pages of the database the server publishes, so only
+/// that server could craft them, and colliding ids would cost its client
+/// time — which the server can impose anyway by answering late — not
+/// privacy. The map is only looked up, never iterated, so no output order
+/// hangs on the hash.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// ALT-style lower bound from stored (truncated) landmark vectors: the
 /// maximum coordinate-wise `|a - b|`, ignoring `u32::MAX` sentinels
@@ -64,7 +107,7 @@ pub fn flag_set(flags: &[u8], region: usize) -> bool {
 #[derive(Debug, Default)]
 pub struct ClientSubgraph {
     /// External node id → dense slot (cleared per query, capacity kept).
-    slot_of: HashMap<NodeId, u32>,
+    slot_of: HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>,
     /// Dense slot → external node id.
     ids: Vec<NodeId>,
     /// Dense slot → coordinates (meaningful only for region-page nodes;
@@ -73,12 +116,20 @@ pub struct ClientSubgraph {
     coords: Vec<Point>,
     /// Accumulated arcs as dense `(tail, head, weight)` triples.
     arcs: Vec<(u32, u32, u32)>,
+    /// Dense slot → the `(start, end)` range of its arcs in `arcs`, set
+    /// when its record is folded in (empty until then). A node's arcs come
+    /// only from its own record, folded in once, so the range is contiguous
+    /// and equals the slot's CSR row; the interleaved searches relax it
+    /// directly and never build the CSR.
+    arc_rows: Vec<(u32, u32)>,
     /// Contiguous per-region membership runs: `(region, start, end)` into
     /// `members`.
     region_runs: Vec<(u16, u32, u32)>,
     /// Dense slots of region members, grouped per `region_runs` entry.
     members: Vec<u32>,
-    /// CSR row offsets (`num_nodes + 1` entries once built).
+    /// CSR row offsets (`num_nodes + 1` entries once built). The CSR serves
+    /// [`shortest_path_in`](Self::shortest_path_in) alone: `add_edges`
+    /// triples arrive in any order.
     csr_offsets: Vec<u32>,
     /// CSR column (head slot) array.
     csr_heads: Vec<u32>,
@@ -117,6 +168,7 @@ impl ClientSubgraph {
         self.ids.clear();
         self.coords.clear();
         self.arcs.clear();
+        self.arc_rows.clear();
         self.region_runs.clear();
         self.members.clear();
         self.csr_offsets.clear();
@@ -143,6 +195,7 @@ impl ClientSubgraph {
             self.coords.push(Point::new(0, 0));
             self.region_of.push(NO_REGION);
             self.has_record.push(false);
+            self.arc_rows.push((0, 0));
         }
         slot
     }
@@ -161,18 +214,24 @@ impl ClientSubgraph {
     /// Idempotent per region: a region already folded in is skipped (the
     /// PIR fetch that produced `data` still happened; the caller counts it).
     pub(crate) fn add_region_ext(&mut self, data: &RegionData, goal_flag: Option<usize>) {
-        if self.loaded.contains(&data.region) {
+        let region = data.region();
+        if self.loaded.contains(&region) {
             return;
         }
-        self.loaded.push(data.region);
+        self.loaded.push(region);
         if self.aux_stride == 0 {
-            self.aux_stride = data.nodes.iter().map(|n| n.lm_vec.len()).max().unwrap_or(0);
+            self.aux_stride = data.lm_count();
         }
         let start = self.members.len() as u32;
-        for n in &data.nodes {
+        for n in data.nodes() {
             let u = self.intern(n.id);
+            debug_assert!(
+                !self.has_record[u as usize],
+                "node {} folded in twice",
+                n.id
+            );
             self.coords[u as usize] = n.pos;
-            self.region_of[u as usize] = data.region;
+            self.region_of[u as usize] = region;
             self.has_record[u as usize] = true;
             if self.aux_stride > 0 && !n.lm_vec.is_empty() {
                 let lo = u as usize * self.aux_stride;
@@ -183,18 +242,27 @@ impl ClientSubgraph {
                 self.aux[lo..hi].copy_from_slice(&n.lm_vec[..self.aux_stride]);
             }
             self.members.push(u);
-            for a in &n.adj {
+            let row_start = self.arcs.len() as u32;
+            for (k, a) in n.adj.iter().enumerate() {
                 let v = self.intern(a.to);
                 if a.to_region != NO_REGION && !self.has_record[v as usize] {
                     self.region_of[v as usize] = a.to_region;
                 }
-                if goal_flag.is_none_or(|g| flag_set(&a.flags, g)) {
+                if goal_flag.is_none_or(|g| flag_set(n.flags(k), g)) {
                     self.arcs.push((u, v, a.w));
                 }
             }
+            self.arc_rows[u as usize] = (row_start, self.arcs.len() as u32);
         }
         self.region_runs
-            .push((data.region, start, self.members.len() as u32));
+            .push((region, start, self.members.len() as u32));
+    }
+
+    /// The arcs of dense slot `u`'s record, in record order (empty until
+    /// the record arrives).
+    fn arcs_of(&self, u: u32) -> &[(u32, u32, u32)] {
+        let (lo, hi) = self.arc_rows[u as usize];
+        &self.arcs[lo as usize..hi as usize]
     }
 
     /// Aux (landmark) vector of a dense slot — empty if none stored yet.
@@ -262,6 +330,7 @@ impl ClientSubgraph {
 
     /// (Re)builds the CSR adjacency from the accumulated arcs by counting
     /// sort. Idempotent: a no-op unless arcs arrived since the last build.
+    /// Runs once per [`shortest_path_in`](Self::shortest_path_in) solve.
     fn build_csr(&mut self) {
         let n = self.ids.len();
         if self.csr_arcs == self.arcs.len() && self.csr_offsets.len() == n + 1 {
@@ -498,16 +567,19 @@ fn load_region(
     Ok(())
 }
 
-/// The LM interleaved search (§4) on the CSR arena: A* under the stored
-/// landmark lower bounds, fetching a region page whenever the frontier pops
-/// a node whose record has not arrived yet.
+/// The LM interleaved search (§4) on the interned arena: A* under the
+/// stored landmark lower bounds, fetching a region page whenever the
+/// frontier pops a node whose record has not arrived yet. A settled node's
+/// arcs are its row of the arena's arc array, recorded when its region was
+/// folded in, so a fetch costs the region it brings and nothing more.
 ///
 /// Behaviourally identical — same snaps, same settle order, same fetch
 /// sequence — to the retained `HashMap` implementation
 /// [`crate::schemes::lm::reference::lm_search`]; the differential property
 /// suite in `tests/leakage.rs` asserts answers and fetch counts match
-/// exactly. Unlike the reference it allocates nothing in steady state: all
-/// search state lives in the reusable `sub` arena and `scratch` buffers.
+/// exactly. Unlike the reference, the search itself allocates nothing in
+/// steady state: its state lives in the reusable `sub` arena and `scratch`
+/// buffers, and only `fetch` allocates, for the regions it decodes.
 pub fn search_lm(
     sub: &mut ClientSubgraph,
     scratch: &mut QueryScratch,
@@ -580,14 +652,8 @@ pub fn search_lm(
             incumbent = incumbent.min(gu);
             continue;
         }
-        sub.build_csr();
-        let (lo, hi) = (
-            sub.csr_offsets[u as usize] as usize,
-            sub.csr_offsets[u as usize + 1] as usize,
-        );
-        for k in lo..hi {
-            let v = sub.csr_heads[k];
-            let nd = gu + Dist::from(sub.csr_weights[k]);
+        for &(_, v, w) in sub.arcs_of(u) {
+            let nd = gu + Dist::from(w);
             if nd < scratch.dist[v as usize] {
                 scratch.dist[v as usize] = nd;
                 scratch.parent[v as usize] = u;
@@ -617,10 +683,11 @@ pub fn search_lm(
     })
 }
 
-/// The AF interleaved search (§4) on the CSR arena: Dijkstra over arcs
+/// The AF interleaved search (§4) on the interned arena: Dijkstra over arcs
 /// whose flag bit for the destination region `goal` is set (pruned arcs are
-/// dropped at insertion), fetching a region whenever the frontier pops a
-/// node whose record has not arrived.
+/// dropped at insertion, so a node's row holds only the kept ones),
+/// fetching a region whenever the frontier pops a node whose record has
+/// not arrived.
 ///
 /// Behaviourally identical to the retained `HashMap` implementation
 /// [`crate::schemes::af::reference::af_search`]; see [`search_lm`] for the
@@ -688,14 +755,8 @@ pub fn search_af(
             found = Some(gu);
             break; // Dijkstra (no heuristic): first settle is optimal
         }
-        sub.build_csr();
-        let (lo, hi) = (
-            sub.csr_offsets[u as usize] as usize,
-            sub.csr_offsets[u as usize + 1] as usize,
-        );
-        for k in lo..hi {
-            let v = sub.csr_heads[k];
-            let nd = gu + Dist::from(sub.csr_weights[k]);
+        for &(_, v, w) in sub.arcs_of(u) {
+            let nd = gu + Dist::from(w);
             if nd < scratch.dist[v as usize] {
                 scratch.dist[v as usize] = nd;
                 scratch.parent[v as usize] = u;
@@ -724,31 +785,23 @@ pub fn search_af(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::files::fd::{AdjEntry, NodeData};
+    use crate::files::fd::{decode_region, RecordFormat};
+    use privpath_storage::ByteWriter;
 
     type TestNode = (u32, (i32, i32), Vec<(u32, u32)>);
 
+    /// Encodes `nodes` as one plain-format region record stream and decodes
+    /// it, as a client would a fetched page.
     fn region(region: u16, nodes: Vec<TestNode>) -> RegionData {
-        RegionData {
-            region,
-            nodes: nodes
-                .into_iter()
-                .map(|(id, (x, y), adj)| NodeData {
-                    id,
-                    pos: Point::new(x, y),
-                    lm_vec: vec![],
-                    adj: adj
-                        .into_iter()
-                        .map(|(to, w)| AdjEntry {
-                            to,
-                            w,
-                            to_region: u16::MAX,
-                            flags: vec![],
-                        })
-                        .collect(),
-                })
-                .collect(),
+        let mut w = ByteWriter::new();
+        w.u16(region).u16(nodes.len() as u16);
+        for (id, (x, y), adj) in nodes {
+            w.u32(id).i32(x).i32(y).u16(adj.len() as u16);
+            for (to, wt) in adj {
+                w.u32(to).u32(wt);
+            }
         }
+        decode_region(w.as_slice(), &RecordFormat::default()).unwrap()
     }
 
     #[test]
@@ -855,6 +908,80 @@ mod tests {
         // Arcs arriving after a solve must be folded into the next CSR.
         g.add_edges(&[(0, 1, 2)]);
         assert_eq!(g.shortest_path(0, 1).unwrap().0, 2);
+    }
+
+    /// Encodes `regions` regions of random LM or AF records over `n` nodes:
+    /// each node in one region, up to four arcs to any node (self-loops and
+    /// parallel arcs included), random landmark entries and flag bytes as
+    /// `fmt` asks.
+    fn random_records(seed: u64, fmt: &RecordFormat, regions: u16, n: u32) -> Vec<RegionData> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let home: Vec<u16> = (0..n).map(|_| rng.gen_range(0..regions)).collect();
+        (0..regions)
+            .map(|r| {
+                let nodes: Vec<u32> = (0..n).filter(|&u| home[u as usize] == r).collect();
+                let mut w = ByteWriter::new();
+                w.u16(r).u16(nodes.len() as u16);
+                for u in nodes {
+                    w.u32(u)
+                        .i32(rng.gen_range(0..100))
+                        .i32(rng.gen_range(0..100));
+                    for _ in 0..fmt.lm_count {
+                        w.u32(rng.gen_range(0..1000));
+                    }
+                    let deg = rng.gen_range(0..5u16);
+                    w.u16(deg);
+                    for _ in 0..deg {
+                        let v = rng.gen_range(0..n);
+                        w.u32(v).u32(rng.gen_range(1..50)).u16(home[v as usize]);
+                        for _ in 0..fmt.flag_bytes {
+                            w.u8(rng.gen_range(0..=255));
+                        }
+                    }
+                }
+                decode_region(w.as_slice(), fmt).unwrap()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// The arc range each slot's record leaves in `arcs` is its CSR
+        /// row: the same heads and weights in the same order, for LM
+        /// records and for goal-pruned AF records, after every load of any
+        /// subset of regions in any order, repeats included.
+        #[test]
+        fn arc_rows_equal_csr_rows(
+            seed in 0u64..1_000_000,
+            af in 0u8..2,
+            goal in 0usize..6,
+            loads in proptest::collection::vec(0u16..6, 1..12),
+        ) {
+            let (fmt, goal_flag) = if af == 1 {
+                let fmt = RecordFormat { lm_count: 0, with_regions: true, flag_bytes: 1 };
+                (fmt, Some(goal))
+            } else {
+                let fmt = RecordFormat { lm_count: 3, with_regions: true, flag_bytes: 0 };
+                (fmt, None)
+            };
+            let regions = random_records(seed, &fmt, 6, 48);
+            let mut sub = ClientSubgraph::new();
+            for &r in &loads {
+                sub.add_region_ext(&regions[r as usize], goal_flag);
+                sub.build_csr();
+                for u in 0..sub.num_nodes() {
+                    let (lo, hi) = (sub.csr_offsets[u] as usize, sub.csr_offsets[u + 1] as usize);
+                    let row: Vec<(u32, u32)> =
+                        (lo..hi).map(|k| (sub.csr_heads[k], sub.csr_weights[k])).collect();
+                    let arcs = sub.arcs_of(u as u32);
+                    proptest::prop_assert!(arcs.iter().all(|a| a.0 == u as u32));
+                    let arcs: Vec<(u32, u32)> = arcs.iter().map(|&(_, v, w)| (v, w)).collect();
+                    proptest::prop_assert_eq!(arcs, row, "slot {} after loading {:?}", u, loads);
+                }
+            }
+        }
     }
 
     /// On deterministic pseudo-random multigraph views, the CSR solver's

@@ -104,6 +104,10 @@ impl ByteWriter {
 }
 
 /// Sequential little-endian reader over a byte slice.
+///
+/// The fixed-width accessors and the bounds check under them are
+/// `#[inline]`: the record decoders call them from other crates once per
+/// field, and the workspace builds without LTO.
 #[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -117,10 +121,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes remaining after the cursor.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(StorageError::UnexpectedEof {
@@ -134,41 +140,48 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a single byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16> {
         let s = self.take(2)?;
         Ok(u16::from_le_bytes([s[0], s[1]]))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32> {
         let s = self.take(4)?;
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64> {
         let s = self.take(8)?;
         Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
     }
 
     /// Reads a little-endian `i32`.
+    #[inline]
     pub fn i32(&mut self) -> Result<i32> {
         let s = self.take(4)?;
         Ok(i32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     /// Reads a little-endian IEEE-754 `f64`.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64> {
         let s = self.take(8)?;
         Ok(f64::from_le_bytes(s.try_into().expect("8-byte slice")))
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
