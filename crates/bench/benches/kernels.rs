@@ -13,7 +13,7 @@ use privpath_partition::{compute_borders, partition_packed, partition_plain};
 use privpath_pir::scan::{shard_count, Crew, Ride, Rotation, Sweep, MIN_SHARD_PAGES};
 use privpath_pir::{LinearScanStore, ObliviousStore, Prp, ShuffledStore};
 use privpath_storage::{
-    crc32, crc32_select, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile,
+    crc32, crc32_select, ChecksumFile, DiskFile, MemFile, MmapFile, PageBuf, PagedFile, RunSink,
     DEFAULT_PAGE_SIZE,
 };
 use std::sync::Arc;
@@ -435,6 +435,47 @@ fn bench_prp_and_crc(c: &mut Criterion) {
     c.bench_function("crc32_select_page", |b| {
         b.iter(|| crc32_select(&page, u64::MAX, &mut acc))
     });
+    // what the server pays per `lm-rounds` exchange: one unverified select
+    // pass over a 143-page in-memory file (the workload's `Fd`, 585 KB, in
+    // cache), in the sweep's 64-page runs, one page into its slot and the
+    // rest into the dummy sink
+    let file = make_file(143);
+    let mut scratch = vec![0u8; 64 * DEFAULT_PAGE_SIZE];
+    let mut sink = OneHit {
+        hit: 0,
+        slot: PageBuf::zeroed(DEFAULT_PAGE_SIZE),
+        dummy: PageBuf::zeroed(DEFAULT_PAGE_SIZE),
+    };
+    c.bench_function("select_run_mem_143_pages", |b| {
+        b.iter(|| {
+            sink.hit = (sink.hit + 37) % file.num_pages();
+            for first in (0..file.num_pages()).step_by(64) {
+                let pages = (file.num_pages() - first).min(64) as usize;
+                let run = &mut scratch[..pages * DEFAULT_PAGE_SIZE];
+                file.select_run(first, run, &mut sink).unwrap();
+            }
+        })
+    });
+}
+
+/// A round of one request: page `hit` into `slot`, every other page into
+/// `dummy`, as the linear sweep's sink does.
+struct OneHit {
+    hit: u32,
+    slot: PageBuf,
+    dummy: PageBuf,
+}
+
+impl RunSink for OneHit {
+    fn slot(&mut self, page: u32) -> (u64, &mut [u8]) {
+        if page == self.hit {
+            (u64::MAX, self.slot.as_mut_slice())
+        } else {
+            (0, self.dummy.as_mut_slice())
+        }
+    }
+
+    fn selected(&mut self, _page: u32) {}
 }
 
 criterion_group!(

@@ -22,6 +22,9 @@
 //! other CPUs go through slicing-by-8 (≈ 1.45 GB/s): eight 256-entry
 //! tables, eight bytes an iteration. All produce zlib's value bit for bit — snapshot manifests,
 //! sealed pages and wire frames carry CRCs, so none may change one.
+//!
+//! Files served without the checksum layer are only selected, by
+//! `lane_select`: 512-bit, AVX2 or portable, whichever the CPU runs.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{__m128i, __m512i};
@@ -145,10 +148,10 @@ fn crc32_then_select(src: &[u8], mask: u64, acc: &mut [u8]) -> u32 {
     crc
 }
 
-/// OR-accumulates `src & mask` into `acc`, 8 bytes per lane, `mask` being
-/// all-ones or all-zeros. The scan calls this once per page with `acc`
-/// pointing at either the page's output slot (match) or the dummy sink
-/// (no match), so the work per page is independent of the request set.
+/// OR-accumulates `src & mask` into `acc`, `mask` being all-ones or
+/// all-zeros. The scan calls this once per page with `acc` pointing at
+/// either the page's output slot (match) or the dummy sink (no match), so
+/// the work per page is independent of the request set.
 ///
 /// The mask is laundered through [`std::hint::black_box`] before the loop:
 /// the sweep picks `acc` with a branch on the same predicate the mask is
@@ -157,11 +160,14 @@ fn crc32_then_select(src: &[u8], mask: u64, acc: &mut [u8]) -> u32 {
 /// deletes the loads — a compiled scan whose per-page work (and timing)
 /// depends on the request set. The fence keeps the work constant per page.
 ///
-/// On x86-64 the word loop is dispatched to an AVX2 build when the CPU has
-/// it (the portable baseline is SSE2-only, which leaves the scan compute
-/// bound below the memory bandwidth memcpy reaches); everywhere else the
-/// plain invariant-scalar-mask word loop auto-vectorizes as the target
-/// allows.
+/// Three tiers, chosen at run time, each with the same loads and stores
+/// per page whatever the mask: on x86-64 CPUs with AVX-512F a 512-bit loop
+/// (one zmm load of the source, one of the accumulator and one store per
+/// 64 bytes — a whole cache line when both buffers start on one, as the
+/// sweep's do), else the AVX2 loop over 32-byte blocks, else the portable
+/// word loop, which auto-vectorizes as the target allows (SSE2 on the
+/// x86-64 baseline, which leaves the sweep compute bound well below what
+/// the memory delivers).
 ///
 /// # Panics
 /// Debug-asserts `src.len() == acc.len()`.
@@ -171,6 +177,12 @@ pub(crate) fn lane_select(src: &[u8], mask: u64, acc: &mut [u8]) {
     let mask = std::hint::black_box(mask);
     #[cfg(target_arch = "x86_64")]
     {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the `avx512f` requirement of `lane_words_avx512` was
+            // just verified at runtime; the function is otherwise safe code.
+            unsafe { lane_words_avx512(src, mask, acc) };
+            return;
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the `avx2` requirement of `lane_words_avx2` was just
             // verified at runtime; the function is otherwise safe code.
@@ -182,8 +194,9 @@ pub(crate) fn lane_select(src: &[u8], mask: u64, acc: &mut [u8]) {
 }
 
 /// The portable lane loop: OR-accumulate 8-byte words under the mask, then
-/// the byte tail. `#[inline(always)]` so the AVX2 wrapper recompiles this
-/// exact body with wider instructions instead of duplicating it.
+/// the byte tail. `#[inline(always)]` so the vector loops recompile this
+/// exact body for their tails with their wider instructions instead of
+/// duplicating it.
 #[inline(always)]
 fn lane_words(src: &[u8], mask: u64, acc: &mut [u8]) {
     let mut s = src.chunks_exact(8);
@@ -197,6 +210,35 @@ fn lane_words(src: &[u8], mask: u64, acc: &mut [u8]) {
     for (sb, ab) in s.remainder().iter().zip(a.into_remainder()) {
         *ab |= sb & mb;
     }
+}
+
+/// The 512-bit lane loop: 64-byte `vpandq`/`vporq` blocks with the
+/// broadcast mask, the tail (under 64 bytes) delegated to [`lane_words`].
+/// Separate from the dispatch so the whole-page loop is compiled once with
+/// the feature enabled.
+///
+/// # Safety
+/// Callers must have verified the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_words_avx512(src: &[u8], mask: u64, acc: &mut [u8]) {
+    use std::arch::x86_64::{
+        _mm512_and_si512, _mm512_loadu_si512, _mm512_or_si512, _mm512_set1_epi64,
+        _mm512_storeu_si512,
+    };
+    let blocks = src.len().min(acc.len()) / 64;
+    let m = _mm512_set1_epi64(mask as i64);
+    let sp = src.as_ptr();
+    let ap = acc.as_mut_ptr();
+    for i in 0..blocks {
+        // SAFETY (enclosing fn): `i * 64 + 64 <= blocks * 64 <= len` of both
+        // slices, and `loadu`/`storeu` carry no alignment requirement.
+        let s = _mm512_loadu_si512(sp.add(i * 64).cast());
+        let a = _mm512_loadu_si512(ap.add(i * 64).cast_const().cast());
+        let r = _mm512_or_si512(a, _mm512_and_si512(s, m));
+        _mm512_storeu_si512(ap.add(i * 64).cast(), r);
+    }
+    lane_words(&src[blocks * 64..], mask, &mut acc[blocks * 64..]);
 }
 
 /// The AVX2 lane loop: 32-byte `vpand`/`vpor` blocks with the broadcast
@@ -533,6 +575,29 @@ mod tests {
             .collect()
     }
 
+    /// A lane select: `acc |= src & mask`.
+    type Select = fn(&[u8], u64, &mut [u8]);
+
+    /// The dispatched select and every tier of it this CPU can run.
+    fn lane_tiers() -> Vec<(&'static str, Select)> {
+        let mut tiers: Vec<(&'static str, Select)> = vec![
+            ("dispatched", lane_select),
+            ("portable", |s, m, a| lane_words(s, m, a)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: `avx512f` was just verified at runtime.
+                tiers.push(("512-bit", |s, m, a| unsafe { lane_words_avx512(s, m, a) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `avx2` was just verified at runtime.
+                tiers.push(("AVX2", |s, m, a| unsafe { lane_words_avx2(s, m, a) }));
+            }
+        }
+        tiers
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -587,6 +652,36 @@ mod tests {
                 acc.copy_from_slice(prior);
                 prop_assert_eq!(kernel(src, mask, acc), want_crc, "{} crc, len {} at {}", name, len, start);
                 prop_assert_eq!(&*acc, &want_acc[..], "{} select, len {} at {}", name, len, start);
+            }
+        }
+
+        /// Every lane tier the CPU has — 512-bit, AVX2, portable — called
+        /// directly, and the dispatched `lane_select`, against a byte-wise
+        /// `acc |= src & mask` over an accumulator that already holds noise:
+        /// both masks, lengths around every tier's block and tail and either
+        /// side of a 4 KiB page, and source and accumulator at any offset
+        /// within a cache line, so callers on misaligned buffers stay
+        /// covered.
+        #[test]
+        fn lane_select_matches_a_bytewise_select_at_every_width(
+            sel in 0u8..4,
+            raw in 0usize..=9000,
+            start in 0usize..64,
+            acc_start in 0usize..64,
+            ones in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let len = weighted_len(sel, raw);
+            let buf = noise(seed, start + 2 * len);
+            let (src, prior) = buf[start..].split_at(len);
+            let mask = if ones { u64::MAX } else { 0 };
+            let want: Vec<u8> = src.iter().zip(prior).map(|(s, a)| a | (s & mask as u8)).collect();
+            let mut acc_buf = vec![0u8; acc_start + len];
+            for (name, tier) in lane_tiers() {
+                let acc = &mut acc_buf[acc_start..];
+                acc.copy_from_slice(prior);
+                tier(src, mask, acc);
+                prop_assert_eq!(&*acc, &want[..], "{}, len {} at {} / {}", name, len, start, acc_start);
             }
         }
     }

@@ -11,7 +11,7 @@
 //! differential suite pins.
 
 use crate::error::StorageError;
-use crate::page::PageBuf;
+use crate::page::{AlignedBytes, PageBuf};
 use crate::pagefile::{check_run, lend_run, PagedFile};
 use crate::Result;
 use std::io::{Read, Seek, SeekFrom};
@@ -19,7 +19,7 @@ use std::path::Path;
 
 enum Backing {
     Map(sysmap::Mapping),
-    Buf(Vec<u8>),
+    Buf(AlignedBytes),
 }
 
 /// Read-only memory-mapped (or buffered-fallback) paged file window.
@@ -73,8 +73,9 @@ impl MmapFile {
         let backing = match sysmap::Mapping::map(&file, byte_offset, span as usize) {
             Some(map) => Backing::Map(map),
             None => {
-                // Buffered fallback: one read of the whole window up front.
-                let mut buf = vec![0u8; span as usize];
+                // Buffered fallback: one read of the whole window up front,
+                // into a buffer on a cache line like the mapping's pages.
+                let mut buf = AlignedBytes::zeroed(span as usize);
                 file.seek(SeekFrom::Start(byte_offset))?;
                 file.read_exact(&mut buf)?;
                 Backing::Buf(buf)

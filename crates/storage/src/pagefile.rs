@@ -8,7 +8,7 @@
 
 use crate::checksum::{crc32, crc32_select, lane_select};
 use crate::error::StorageError;
-use crate::page::PageBuf;
+use crate::page::{AlignedBytes, PageBuf};
 use crate::Result;
 use std::io::Write;
 use std::path::Path;
@@ -200,10 +200,15 @@ pub(crate) fn check_run(first: u32, count: u32, pages: u32) -> Result<()> {
 /// of disk access is charged by the PIR cost model.
 ///
 /// Pages are stored as one flat byte buffer, so [`PagedFile::read_run`]
-/// lends each run to the linear-scan kernel instead of copying it.
+/// lends each run to the linear-scan kernel instead of copying it. The
+/// buffer starts on a cache line (`AlignedBytes`; every page does too when
+/// the page size is a multiple of 64, as 4 KiB is), so the runs it lends —
+/// the sweep's source — are as aligned as the slots they are selected into;
+/// clones, and growth by [`MemFile::push_page`] and [`MemFile::concat`],
+/// keep it so.
 #[derive(Clone)]
 pub struct MemFile {
-    bytes: Vec<u8>,
+    bytes: AlignedBytes,
     page_size: usize,
 }
 
@@ -213,7 +218,7 @@ impl MemFile {
     /// # Panics
     /// Panics if pages disagree on size.
     pub fn from_pages(pages: Vec<PageBuf>, page_size: usize) -> Self {
-        let mut bytes = Vec::with_capacity(pages.len() * page_size);
+        let mut bytes = AlignedBytes::with_capacity(pages.len() * page_size);
         for p in &pages {
             assert_eq!(p.len(), page_size, "all pages must have the declared size");
             bytes.extend_from_slice(p.as_slice());
@@ -224,18 +229,18 @@ impl MemFile {
     /// Builds a file by slicing a flat byte buffer into pages (last page
     /// zero-padded).
     pub fn from_bytes(bytes: &[u8], page_size: usize) -> Self {
-        let mut bytes = bytes.to_vec();
-        let rem = bytes.len() % page_size;
-        if rem != 0 {
-            bytes.resize(bytes.len() + page_size - rem, 0);
+        let mut padded = AlignedBytes::zeroed(bytes.len().next_multiple_of(page_size));
+        padded[..bytes.len()].copy_from_slice(bytes);
+        MemFile {
+            bytes: padded,
+            page_size,
         }
-        MemFile { bytes, page_size }
     }
 
     /// Empty file.
     pub fn empty(page_size: usize) -> Self {
         MemFile {
-            bytes: Vec::new(),
+            bytes: AlignedBytes::with_capacity(0),
             page_size,
         }
     }
