@@ -322,11 +322,11 @@ impl Database {
         self.serve_tcp_with(FrontConfig::default())
     }
 
-    /// [`Database::serve_tcp`] with explicit front-end knobs:
-    /// [`FrontConfig::idle_timeout`] for idle eviction and
-    /// [`FrontConfig::chunk_bytes`] for chunked response streaming. How
-    /// concurrent rounds share linear-scan sweeps is not one of them: they
-    /// always join the lap in progress (see `privpath_pir::wire`).
+    /// [`Database::serve_tcp`] with an explicit [`FrontConfig`], whose one
+    /// knob is [`FrontConfig::idle_timeout`] for idle eviction. Every reply
+    /// is one frame, however large, and how concurrent rounds share
+    /// linear-scan sweeps is not a knob either: they always join the lap in
+    /// progress (see `privpath_pir::wire`).
     pub(crate) fn serve_tcp_with(self: &Arc<Self>, cfg: FrontConfig) -> Result<TcpFront> {
         Ok(TcpFront::spawn_with(Arc::clone(self), cfg)?)
     }

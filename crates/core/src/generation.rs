@@ -278,8 +278,8 @@ impl DbRegistry {
         self.serve_wire_with(FrontConfig::default())
     }
 
-    /// [`DbRegistry::serve_wire`] with explicit front-end knobs (idle
-    /// eviction, chunked replies). Shared laps compose with swaps: a lap is
+    /// [`DbRegistry::serve_wire`] with an explicit [`FrontConfig`] (idle
+    /// eviction). Shared laps compose with swaps: a lap is
     /// over one file of one generation, so rounds of sessions pinned to
     /// different generations never ride together.
     pub(crate) fn serve_wire_with(self: &Arc<Self>, cfg: FrontConfig) -> ServerFront {

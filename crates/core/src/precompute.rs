@@ -40,13 +40,13 @@
 //! count — contiguity is what lets the dedup cache pair a border's two
 //! host regions inside one worker) with `std::thread::scope`; each worker
 //! owns its scratch buffers and writes its regions' rows straight into the
-//! final `s_sets`/`g_sets` tables — ranges are disjoint by construction,
-//! so the row writes are lock-free (no result mutex, no reassembly pass).
+//! final `s_sets`/`g_sets` tables, whose rows are split off for it — ranges
+//! are disjoint and in order by construction, so the row writes are
+//! lock-free (no result mutex, no reassembly pass).
 
 use crate::augment::{aug_dijkstra_into, AugGraph, DijkstraScratch, NO_NODE};
 use privpath_graph::FixedBitset;
 use privpath_partition::{Borders, RegionId};
-use std::cell::UnsafeCell;
 
 /// Options for [`precompute`].
 #[derive(Debug, Clone)]
@@ -70,54 +70,6 @@ impl Default for PrecomputeOptions {
             threads: 0,
             dedup_cache_bytes: 256 << 20,
         }
-    }
-}
-
-/// Shared output table handing each worker exclusive `&mut` access to the
-/// rows of the regions it owns.
-///
-/// Safety contract: a row index must be owned by exactly one worker (the
-/// disjoint contiguous region ranges of [`region_chunks`] guarantee it), so
-/// concurrent `row_mut` calls always alias disjoint memory.
-struct RowTable<T> {
-    cells: UnsafeCell<Vec<Vec<T>>>,
-    /// Data pointer of `cells`' backing allocation, captured once at
-    /// construction (the Vec is never resized afterwards). `row_mut` works
-    /// from this pointer alone so concurrent calls never materialize
-    /// aliasing `&mut` references to the Vec header.
-    base: *mut Vec<T>,
-    rows: usize,
-    row_len: usize,
-}
-
-// SAFETY: disjoint rows, enforced by the disjoint contiguous region ranges
-// of `region_chunks` (each worker only touches rows in its own range).
-unsafe impl<T: Send> Sync for RowTable<T> {}
-
-impl<T> RowTable<T> {
-    fn new(rows: usize, row_len: usize) -> Self {
-        let mut cells: Vec<Vec<T>> = (0..rows * row_len).map(|_| Vec::new()).collect();
-        let base = cells.as_mut_ptr();
-        RowTable {
-            cells: UnsafeCell::new(cells),
-            base,
-            rows,
-            row_len,
-        }
-    }
-
-    /// Exclusive access to row `i`.
-    ///
-    /// # Safety
-    /// `i` must be owned by exactly one worker for the table's lifetime.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, i: usize) -> &mut [Vec<T>] {
-        debug_assert!(i < self.rows);
-        std::slice::from_raw_parts_mut(self.base.add(i * self.row_len), self.row_len)
-    }
-
-    fn into_inner(self) -> Vec<Vec<T>> {
-        self.cells.into_inner()
     }
 }
 
@@ -456,14 +408,18 @@ pub fn precompute(
     }
 
     let chunks = region_chunks(&region_borders, threads);
-    let s_table: RowTable<RegionId> = RowTable::new(r, r);
-    let g_table: RowTable<u32> = RowTable::new(if opts.compute_g { r } else { 0 }, r);
+    let mut s_sets: Vec<Vec<RegionId>> = vec![Vec::new(); r * r];
+    let mut g_sets: Vec<Vec<u32>> = vec![Vec::new(); r * r];
 
     std::thread::scope(|scope| {
+        // Each worker takes the rows of its own region range: the ranges
+        // are contiguous and in order, so the tables split front to back.
+        let (mut s_rest, mut g_rest) = (&mut s_sets[..], &mut g_sets[..]);
         for &(lo, hi) in &chunks {
+            let rows = ..(hi - lo) * r;
+            let s_rows = s_rest.split_off_mut(rows).expect("the ranges tile 0..r");
+            let g_rows = g_rest.split_off_mut(rows).expect("the ranges tile 0..r");
             let region_borders = &region_borders;
-            let s_table = &s_table;
-            let g_table = &g_table;
             scope.spawn(move || {
                 let mut scratch = DijkstraScratch::new(aug.n_total);
                 let mut bufs = SweepBufs::new(aug, r, num_orig_arcs, opts.compute_g);
@@ -503,27 +459,15 @@ pub fn precompute(
                         }
                     }
 
-                    // Emit row i straight into the output tables. SAFETY:
-                    // the chunks are disjoint contiguous ranges and region
-                    // i lies in this worker's range alone, so the row
-                    // borrow is exclusive.
-                    let s_lists = unsafe { s_table.row_mut(i) };
-                    let g_lists = if opts.compute_g {
-                        Some(unsafe { g_table.row_mut(i) })
-                    } else {
-                        None
-                    };
-                    bufs.emit_row(aug, i, s_lists, g_lists);
+                    // Emit row i straight into the output tables.
+                    let row = (i - lo) * r..(i - lo + 1) * r;
+                    let g_lists = opts.compute_g.then(|| &mut g_rows[row.clone()]);
+                    bufs.emit_row(aug, i, &mut s_rows[row], g_lists);
                 }
             });
         }
     });
 
-    let s_sets = s_table.into_inner();
-    let mut g_sets = g_table.into_inner();
-    if !opts.compute_g {
-        g_sets = vec![Vec::new(); r * r];
-    }
     let m = s_sets.iter().map(|s| s.len()).max().unwrap_or(0);
     Precomputed {
         num_regions,

@@ -45,8 +45,8 @@
 //!   recorded adversary-observable frame streams, retry policies and
 //!   graceful degradation (panic teardown, idle eviction, shutdown drains),
 //!   plus shared laps (concurrent rounds of one linear-scan file join the
-//!   sweep in progress and ride one lap of its rotation together) and
-//!   chunked response streaming;
+//!   sweep in progress and ride one lap of its rotation together), one
+//!   reply frame per request;
 //! * `wire::tcp` — the same frames over real loopback sockets: a
 //!   [`TcpFront`] accept loop with a reader thread per connection, replies
 //!   written onto the socket by the server loop itself (one non-blocking

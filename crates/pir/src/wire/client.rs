@@ -4,7 +4,7 @@
 
 use super::codec::{
     advance_seq, decode_error_frame, split_frame, transport_err, Request, ServerInfo, HEADER_BYTES,
-    K_ACK, K_CHUNK, K_DOWNLOAD_RESP, K_ERROR, K_ROUND_RESP, K_SESSION_ACCEPT, SEQ_UNPARSED,
+    K_ACK, K_DOWNLOAD_RESP, K_ERROR, K_ROUND_RESP, K_SESSION_ACCEPT, SEQ_UNPARSED,
 };
 use super::front::ToServer;
 use crate::error::PirError;
@@ -152,62 +152,6 @@ fn retry_or_fail(e: PirError) -> Result<AttemptOutcome> {
     }
 }
 
-enum ChunkStep {
-    /// Chunk absorbed (or ignored as stale); keep waiting for more frames.
-    Wait,
-    /// All chunks seen: the reassembled inner reply frame.
-    Done(Vec<u8>),
-    /// Structurally broken chunk; fail the attempt so the request is
-    /// retransmitted and the server re-chunks its cached reply.
-    Bad(PirError),
-}
-
-/// Folds one `Chunk` frame into the per-attempt reassembly buffer. Chunks
-/// echoing a stale seq are ignored. Inconsistent indexing (a gap, or a total
-/// that changed mid-stream) drops the partial buffer: a retransmitted reply
-/// restarts cleanly at index 0.
-fn absorb_chunk(
-    frame: &[u8],
-    want_seq: u32,
-    buf: &mut Vec<u8>,
-    next: &mut u32,
-    total: &mut u32,
-) -> ChunkStep {
-    let f = match split_frame(frame) {
-        Ok(f) => f,
-        Err(e) => return ChunkStep::Bad(e),
-    };
-    if f.seq != want_seq {
-        return ChunkStep::Wait; // stale chunk from an earlier exchange
-    }
-    if !f.rest.is_empty() {
-        return ChunkStep::Bad(PirError::CorruptFrame(
-            "trailing bytes after chunk frame".into(),
-        ));
-    }
-    let mut r = ByteReader::new(f.payload);
-    let ((Ok(index), Ok(t)), Ok(part)) = ((r.u32(), r.u32()), r.len_bytes()) else {
-        return ChunkStep::Bad(PirError::CorruptFrame("truncated chunk frame".into()));
-    };
-    if index == 0 {
-        buf.clear();
-        *next = 0;
-        *total = t;
-    }
-    if t == 0 || index != *next || t != *total {
-        buf.clear();
-        *next = 0;
-        *total = 0;
-        return ChunkStep::Wait;
-    }
-    buf.extend_from_slice(part);
-    *next += 1;
-    if *next < *total {
-        return ChunkStep::Wait;
-    }
-    ChunkStep::Done(std::mem::take(buf))
-}
-
 /// One client's end of the wire: a [`Transport`] whose every operation is a
 /// frame exchange with the [`ServerFront`](super::ServerFront) loop thread over a pluggable
 /// [`FrameLink`], recovered per its [`RetryPolicy`].
@@ -352,12 +296,6 @@ impl WireChannel {
             (None, Some(d)) => Some(d),
             (Some(t), Some(d)) => Some((Instant::now() + t).min(d)),
         };
-        // Chunk reassembly state, scoped to this attempt: a retried request
-        // makes the server re-chunk its cached reply from index 0, so a
-        // partial reassembly never survives into the next attempt.
-        let mut chunk_buf: Vec<u8> = Vec::new();
-        let mut chunk_next: u32 = 0;
-        let mut chunk_total: u32 = 0;
         loop {
             let timeout = match attempt_deadline {
                 None => None,
@@ -375,28 +313,9 @@ impl WireChannel {
                     Some(ad - now)
                 }
             };
-            let raw = match self.link.recv(timeout) {
+            let reply = match self.link.recv(timeout) {
                 Ok(r) => r,
                 Err(e) => return retry_or_fail(e),
-            };
-            // The kind byte is read before any crc is checked: whichever way
-            // a corrupted one sends the frame, its check below fails there,
-            // and the request is re-sent for the server to replay its
-            // cache. Every frame is verified once.
-            let reply = if raw.get(11) == Some(&K_CHUNK) {
-                match absorb_chunk(
-                    &raw,
-                    self.seq,
-                    &mut chunk_buf,
-                    &mut chunk_next,
-                    &mut chunk_total,
-                ) {
-                    ChunkStep::Wait => continue,
-                    ChunkStep::Bad(e) => return retry_or_fail(e),
-                    ChunkStep::Done(inner) => inner,
-                }
-            } else {
-                raw
             };
             let f = match split_frame(&reply) {
                 Ok(f) => f,

@@ -1,6 +1,6 @@
 //! The frame codec: the protocol's constants, [`ServerInfo`], the frame
-//! encoders, [`split_frame`], reply chunking, error-frame decoding and the
-//! parsing of recorded observable streams back into events.
+//! encoders, [`split_frame`], error-frame decoding and the parsing of
+//! recorded observable streams back into events.
 
 use crate::error::PirError;
 use crate::server::FileId;
@@ -14,7 +14,8 @@ pub const WIRE_MAGIC: u16 = 0x5057;
 /// v2: per-frame CRC-32 + sequence numbers with idempotent server replay.
 /// v3: `Chunk` frames — large server replies streamed as crc'd slices.
 /// v4: `ServerInfo` leads with the database generation id (hot swap).
-pub const WIRE_VERSION: u8 = 4;
+/// v5: kind 11 (`Chunk`) retired — every reply is one frame.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Full header size: len + crc + magic + version + kind + seq.
 pub(super) const HEADER_BYTES: usize = 16;
@@ -52,7 +53,6 @@ pub(super) const K_DOWNLOAD_REQ: u8 = 7;
 pub(super) const K_DOWNLOAD_RESP: u8 = 8;
 pub(super) const K_SESSION_CLOSE: u8 = 9;
 pub(super) const K_ERROR: u8 = 10;
-pub(super) const K_CHUNK: u8 = 11;
 
 /// Error frame codes.
 pub const ERR_VERSION: u16 = 1;
@@ -338,31 +338,6 @@ pub(super) fn encode_error(seq: u32, code: u16, message: &str) -> Vec<u8> {
     w.u16(code);
     w.len_bytes(message.as_bytes());
     finish_frame(w)
-}
-
-/// Splits one server reply into the frames actually put on the link: the
-/// reply itself when it fits `chunk_bytes` (or chunking is off), else a run
-/// of `Chunk` frames whose concatenated payload slices reassemble into the
-/// complete reply frame. Deterministic, so a retransmitted reply re-chunks
-/// into bit-identical frames.
-pub(super) fn chunk_reply(reply: Vec<u8>, chunk_bytes: Option<usize>) -> Vec<Vec<u8>> {
-    let cap = match chunk_bytes {
-        Some(cap) if cap > 0 && reply.len() > cap => cap,
-        _ => return vec![reply],
-    };
-    let seq = u32::from_le_bytes([reply[12], reply[13], reply[14], reply[15]]);
-    let total = reply.len().div_ceil(cap) as u32;
-    reply
-        .chunks(cap)
-        .enumerate()
-        .map(|(i, part)| {
-            let mut w = begin_frame(K_CHUNK, seq);
-            w.u32(i as u32);
-            w.u32(total);
-            w.len_bytes(part);
-            finish_frame(w)
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------- decoding

@@ -10,15 +10,20 @@
 //! ([`Front::serve`]). However it was served, [`Front::settle`] completes it:
 //! the observation recorded, then each retransmission absorbed while it
 //! rode; the counters advanced; the reply cached — or withheld after a
-//! transient fault, the round cursor rolled back — chunked and sent; and
+//! transient fault, the round cursor rolled back — sent as one frame; and
 //! the frames that queued behind it handed on.
+//!
+//! [`Front::run`] is the one driver, the only code of the loop that reads
+//! the clock or waits; the rest takes `now` from it, so a test steps it on
+//! a virtual clock (`wire::tests::stepper`). The loop thread owns the
+//! session table: [`ServerFront::session_stats`] asks it for a copy.
 
 use super::client::{ChannelLink, RetryPolicy, WireChannel};
 use super::codec::{
-    advance_seq, chunk_reply, encode_ack, encode_download_response, encode_error,
-    encode_round_response, encode_session_accept, refusal_code, split_frame, Request, ServerInfo,
-    ERR_INTERNAL, ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE, ERR_SERVE_TRANSIENT,
-    ERR_SESSION, MAX_REQUEST_BYTES, SEQ_UNPARSED,
+    advance_seq, encode_ack, encode_download_response, encode_error, encode_round_response,
+    encode_session_accept, refusal_code, split_frame, Request, ServerInfo, ERR_INTERNAL,
+    ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE, ERR_SERVE_TRANSIENT, ERR_SESSION,
+    MAX_REQUEST_BYTES, SEQ_UNPARSED,
 };
 use super::lap::{Lap, Turn};
 use super::tcp::SocketReplies;
@@ -31,7 +36,7 @@ use privpath_storage::PageBuf;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -105,21 +110,13 @@ impl SessionStats {
 /// The per-session accounting table, keyed by session id.
 type Sessions = BTreeMap<u64, SessionStats>;
 
-/// Poison-recovering lock: a panicking session handler must not take the
-/// accounting table (and with it the whole front) down, so a poisoned
-/// mutex's data is recovered and used as-is — the table holds only
-/// monotonic counters and append-only streams, all valid at any
-/// interleaving point.
-fn lock_shared(shared: &Mutex<Sessions>) -> MutexGuard<'_, Sessions> {
-    shared
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
+/// What the loop takes off its channel; `Stats` asks for a copy of the
+/// session table.
 pub(crate) enum ToServer {
     Connect { client: u64, replies: Replies },
     Frame { client: u64, bytes: Vec<u8> },
     Disconnect { client: u64 },
+    Stats(mpsc::Sender<Sessions>),
     Shutdown,
 }
 
@@ -143,17 +140,13 @@ impl Replies {
     }
 }
 
-/// Degradation and throughput knobs for a [`ServerFront`].
+/// The degradation knob of a [`ServerFront`].
 #[derive(Debug, Clone, Default)]
 pub struct FrontConfig {
     /// Evict sessions that have not sent a frame for this long: the session
     /// is marked closed + evicted and the client observes a severed channel
     /// on its next request. `None` (the default) disables eviction.
     pub idle_timeout: Option<Duration>,
-    /// Stream server replies larger than this as `Chunk`-framed slices
-    /// (each with its own crc), bounding the peak bytes a transport buffers
-    /// per reply. `None` (the default) sends every reply as one frame.
-    pub chunk_bytes: Option<usize>,
 }
 
 /// The multi-client server front end: one loop thread owns the database
@@ -163,17 +156,16 @@ pub struct FrontConfig {
 ///
 /// The loop degrades gracefully rather than dying: a panicking handler
 /// tears down only the offending session (the panic is caught, the client
-/// gets [`ERR_INTERNAL`], everyone else keeps being served), poisoned locks
-/// are recovered instead of cascading, idle sessions can be evicted on a
-/// deadline ([`FrontConfig::idle_timeout`]), and
+/// gets [`ERR_INTERNAL`], everyone else keeps being served), idle sessions
+/// can be evicted on a deadline ([`FrontConfig::idle_timeout`]), and
 /// [`ServerFront::shutdown`] finishes every ride of the lap in progress and
 /// drains every frame already queued before the loop exits, so in-flight
 /// rounds complete.
 pub struct ServerFront {
     to_server: mpsc::Sender<ToServer>,
-    shared: Arc<Mutex<Sessions>>,
     next_client: AtomicU64,
-    handle: Option<JoinHandle<()>>,
+    /// The loop thread, which hands back the final session table.
+    handle: Option<JoinHandle<Sessions>>,
 }
 
 impl ServerFront {
@@ -202,12 +194,10 @@ impl ServerFront {
     /// pass between the frames it takes, whatever the host's CPU count.
     pub fn spawn_swappable(source: Arc<dyn GenerationSource>, cfg: FrontConfig) -> ServerFront {
         let (tx, rx) = mpsc::channel();
-        let shared = Arc::default();
-        let front = Front::new(source, Arc::clone(&shared), cfg);
+        let front = Front::new(source, cfg);
         let handle = std::thread::spawn(move || front.run(rx));
         ServerFront {
             to_server: tx,
-            shared,
             next_client: AtomicU64::new(1),
             handle: Some(handle),
         }
@@ -260,17 +250,19 @@ impl ServerFront {
         WireChannel::handshake_expecting(Box::new(self.raw_link()?), policy, Some(expected))
     }
 
-    /// Snapshot of the per-session accounting table, keyed by session id.
+    /// Snapshot of the per-session accounting table, keyed by session id:
+    /// the loop's copy once it has taken every message sent before this
+    /// call (empty if the loop is gone).
     pub fn session_stats(&self) -> BTreeMap<u64, SessionStats> {
-        lock_shared(&self.shared).clone()
+        let (tx, rx) = mpsc::channel();
+        let _ = self.to_server.send(ToServer::Stats(tx));
+        rx.recv().unwrap_or_default()
     }
 
     /// The recorded observable frame stream of one session (None if the
     /// session id was never opened).
     pub fn observed_stream(&self, session: u64) -> Option<Vec<u8>> {
-        lock_shared(&self.shared)
-            .get(&session)
-            .map(|s| s.observed.clone())
+        self.session_stats().remove(&session).map(|s| s.observed)
     }
 
     /// Stops the loop thread gracefully and returns the final session
@@ -280,20 +272,20 @@ impl ServerFront {
     /// then marked closed and their clients get a transport error on their
     /// next request instead of a hang.
     pub fn shutdown(mut self) -> BTreeMap<u64, SessionStats> {
+        self.stop()
+    }
+
+    /// Stops the loop, once, and takes the final table from it.
+    fn stop(&mut self) -> Sessions {
         let _ = self.to_server.send(ToServer::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        lock_shared(&self.shared).clone()
+        let handle = self.handle.take();
+        handle.and_then(|h| h.join().ok()).unwrap_or_default()
     }
 }
 
 impl Drop for ServerFront {
     fn drop(&mut self) {
-        let _ = self.to_server.send(ToServer::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 
@@ -350,7 +342,7 @@ pub(super) struct ClientState {
     /// observation, when it had one, so that a retransmission is observed
     /// again (the adversary sees it) on the right session's stream.
     last_observed: Option<(u64, Vec<u8>)>,
-    /// When the client last sent a frame (idle-eviction clock).
+    /// When the client last sent a frame, as the driver told the core.
     last_active: Instant,
     /// The client's round aboard the lap, while it rides: its one record.
     riding: Option<Pending>,
@@ -410,7 +402,7 @@ impl Served {
 /// rounds share.
 pub(super) struct Front {
     source: Arc<dyn GenerationSource>,
-    shared: Arc<Mutex<Sessions>>,
+    pub(super) sessions: Sessions,
     cfg: FrontConfig,
     latest: Arc<GenEntry>,
     pub(super) clients: BTreeMap<u64, ClientState>,
@@ -436,16 +428,12 @@ pub(super) struct Front {
 }
 
 impl Front {
-    pub(super) fn new(
-        source: Arc<dyn GenerationSource>,
-        shared: Arc<Mutex<Sessions>>,
-        cfg: FrontConfig,
-    ) -> Front {
+    pub(super) fn new(source: Arc<dyn GenerationSource>, cfg: FrontConfig) -> Front {
         let (id, host) = source.current_generation();
         Front {
             latest: Arc::new(GenEntry::new(id, host)),
             source,
-            shared,
+            sessions: Sessions::new(),
             cfg,
             clients: BTreeMap::new(),
             next_session: 1,
@@ -459,37 +447,26 @@ impl Front {
         }
     }
 
-    fn run(mut self, rx: mpsc::Receiver<ToServer>) {
-        // Eviction needs the loop to wake even when no frames arrive — and
-        // it must also run while frames *do* arrive and while a lap is being
-        // ridden (a busy neighbour must not keep an idle session alive), so
-        // the deadline is rechecked on every turn of the loop, rate-limited
-        // to one sweep per tick.
-        let tick = self
-            .cfg
-            .idle_timeout
-            .map(|t| (t / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
-        let mut last_sweep = Instant::now();
+    /// The driver. Each turn serves the frames that waited behind a ride,
+    /// checks eviction when an idle timeout is set — on every turn, also
+    /// while frames arrive and while a lap is ridden, so that a busy
+    /// neighbour cannot keep an idle session alive — and takes one message.
+    /// While a lap is ridden it takes every queued message before each
+    /// segment pass (rounds among them ride from that boundary on), and
+    /// finishes every ride before it stops; otherwise it sleeps until the
+    /// next message or eviction deadline. Returns the final session table.
+    fn run(mut self, rx: mpsc::Receiver<ToServer>) -> Sessions {
+        let mut deadline = None;
         loop {
-            while let Some((client, bytes)) = self.backlog.pop_front() {
-                self.on_frame(client, bytes);
-            }
-            if let Some(tick) = tick {
-                if !self.draining && last_sweep.elapsed() >= tick {
-                    self.evict_idle();
-                    last_sweep = Instant::now();
-                }
+            self.take_backlog(Instant::now());
+            if self.cfg.idle_timeout.is_some() && !self.draining {
+                deadline = self.evict_idle(Instant::now());
             }
             let msg = if self.lap.as_ref().is_some_and(Lap::is_ridden) {
-                // The loop thread drives the lap: every queued frame first —
-                // rounds among them ride from this boundary on — then one
-                // segment pass. Every ride is finished before the loop stops.
                 match rx.try_recv() {
                     Ok(m) => m,
                     Err(_) => {
-                        if let Some(turn) = self.lap.as_mut().and_then(Lap::turn) {
-                            self.on_turn(turn);
-                        }
+                        self.pass();
                         continue;
                     }
                 }
@@ -499,10 +476,9 @@ impl Front {
                     Err(_) => break,
                 }
             } else {
-                // Sleep until the next frame, capped by the eviction tick.
-                let received = match tick {
-                    Some(t) if !self.draining => rx.recv_timeout(t),
-                    _ => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+                let received = match deadline {
+                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
                 };
                 match received {
                     Ok(m) => m,
@@ -510,28 +486,47 @@ impl Front {
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
             };
+            let now = Instant::now();
             match msg {
-                ToServer::Connect { client, replies } => self.connect(client, replies),
+                ToServer::Connect { client, replies } => self.connect(client, replies, now),
                 ToServer::Disconnect { client } => self.drop_client(client, |stats| {
                     stats.closed = true;
                 }),
+                ToServer::Stats(reply) => {
+                    let _ = reply.send(self.sessions.clone());
+                }
                 ToServer::Shutdown => self.draining = true,
-                ToServer::Frame { client, bytes } => self.on_frame(client, bytes),
+                ToServer::Frame { client, bytes } => self.on_frame(client, bytes, now),
             }
         }
         // graceful shutdown: mark every open session closed
-        let mut lock = lock_shared(&self.shared);
-        for state in self.clients.values() {
-            if let Some(sid) = state.session {
-                if let Some(stats) = lock.get_mut(&sid) {
-                    stats.closed = true;
-                }
+        for sid in self.clients.values().filter_map(|state| state.session) {
+            if let Some(stats) = self.sessions.get_mut(&sid) {
+                stats.closed = true;
             }
+        }
+        self.sessions
+    }
+
+    /// Serves the frames that waited behind a ride, in arrival order.
+    pub(super) fn take_backlog(&mut self, now: Instant) {
+        while let Some((client, bytes)) = self.backlog.pop_front() {
+            self.on_frame(client, bytes, now);
         }
     }
 
+    /// Runs one segment pass of the lap, if anybody rides it, and settles
+    /// the rounds whose lap it ended. False when nobody rides.
+    pub(super) fn pass(&mut self) -> bool {
+        let Some(turn) = self.lap.as_mut().and_then(Lap::turn) else {
+            return false;
+        };
+        self.on_turn(turn);
+        true
+    }
+
     /// Registers a client's reply channel, pinned to the latest generation.
-    pub(super) fn connect(&mut self, client: u64, replies: Replies) {
+    pub(super) fn connect(&mut self, client: u64, replies: Replies, now: Instant) {
         let state = ClientState {
             replies,
             session: None,
@@ -540,7 +535,7 @@ impl Front {
             last_seq: 0,
             last_reply: Vec::new(),
             last_observed: None,
-            last_active: Instant::now(),
+            last_active: now,
             riding: None,
         };
         self.clients.insert(client, state);
@@ -556,23 +551,22 @@ impl Front {
         let Some(sid) = self.clients.remove(&client).and_then(|s| s.session) else {
             return;
         };
-        if let Some(stats) = lock_shared(&self.shared).get_mut(&sid) {
+        if let Some(stats) = self.sessions.get_mut(&sid) {
             mark(stats);
         }
     }
 
-    /// Drops clients idle past the deadline: their sessions are marked
-    /// closed + evicted and their response senders are dropped, so the
-    /// client observes a severed channel on its next request.
-    fn evict_idle(&mut self) {
-        let Some(deadline) = self.cfg.idle_timeout else {
-            return;
-        };
-        let now = Instant::now();
+    /// Drops the clients whose deadline, `last_active + idle_timeout`, is
+    /// `now` or earlier: their sessions are marked closed + evicted and
+    /// their response senders are dropped, so the client observes a severed
+    /// channel on its next request. Returns the next deadline, if any.
+    pub(super) fn evict_idle(&mut self, now: Instant) -> Option<Instant> {
+        let timeout = self.cfg.idle_timeout?;
+        let due = |state: &ClientState| state.last_active.checked_add(timeout);
         let idle: Vec<u64> = self
             .clients
             .iter()
-            .filter(|(_, state)| now.duration_since(state.last_active) >= deadline)
+            .filter(|(_, state)| due(state).is_some_and(|at| at <= now))
             .map(|(&client, _)| client)
             .collect();
         for client in idle {
@@ -581,11 +575,11 @@ impl Front {
                 stats.evicted = true;
             });
         }
+        self.clients.values().filter_map(due).min()
     }
 
-    /// Sends `reply` (chunked if configured) for a frame of `bytes_in`
-    /// bytes, and charges both — with whatever `charge` adds — to session
-    /// `sid`. Every reply the front makes leaves here, and a TCP client's
+    /// Sends `reply` for a frame of `bytes_in` bytes, and charges both —
+    /// with whatever `charge` adds — to session `sid`. Every reply the front makes leaves here, and a TCP client's
     /// goes straight onto its socket when the socket takes it
     /// ([`Replies::Socket`]). A dead channel forgets the client.
     fn answer(
@@ -596,18 +590,16 @@ impl Front {
         reply: Vec<u8>,
         charge: impl FnOnce(&mut SessionStats),
     ) {
-        let frames = chunk_reply(reply, self.cfg.chunk_bytes);
         if let Some(sid) = sid {
-            let mut lock = lock_shared(&self.shared);
-            let stats = lock.entry(sid).or_default();
+            let stats = self.sessions.entry(sid).or_default();
             stats.bytes_in += bytes_in as u64;
-            stats.bytes_out += frames.iter().map(|f| f.len() as u64).sum::<u64>();
+            stats.bytes_out += reply.len() as u64;
             charge(stats);
         }
         let Some(state) = self.clients.get(&client) else {
             return;
         };
-        if frames.into_iter().any(|f| !state.replies.send(f)) {
+        if !state.replies.send(reply) {
             self.drop_client(client, |_| {});
         }
     }
@@ -615,11 +607,11 @@ impl Front {
     /// Every client frame's one path: the frames behind a riding round wait
     /// for its reply; the rest are admitted, and what is accepted rides the
     /// lap or is served on the spot, then settled.
-    pub(super) fn on_frame(&mut self, client: u64, bytes: Vec<u8>) {
+    pub(super) fn on_frame(&mut self, client: u64, bytes: Vec<u8>, now: Instant) {
         let Some(state) = self.clients.get_mut(&client) else {
             return; // unknown client: nowhere to reply
         };
-        state.last_active = Instant::now();
+        state.last_active = now;
         if let Some(riding) = &mut state.riding {
             // A bit-identical copy of the riding request is its
             // retransmission (the client's attempt window elapsed mid-lap):

@@ -4,7 +4,7 @@
 //! drives it (`client`), and the same frames over loopback sockets
 //! (`tcp`).
 //!
-//! # Frame layout (version 4)
+//! # Frame layout (version 5)
 //!
 //! Every frame is self-delimiting, versioned and integrity-checked (all
 //! integers little-endian, hand-rolled through the same
@@ -12,7 +12,7 @@
 //! codecs as the on-disk file formats):
 //!
 //! ```text
-//! [ u32 len ][ u32 crc ][ u16 magic = 0x5057 "PW" ][ u8 version = 4 ]
+//! [ u32 len ][ u32 crc ][ u16 magic = 0x5057 "PW" ][ u8 version = 5 ]
 //! [ u8 kind ][ u32 seq ][ payload ... ]
 //! ```
 //!
@@ -36,17 +36,11 @@
 //! | 8    | `DownloadResponse` | s→c | `u32 n`, n bytes                               |
 //! | 9    | `SessionClose`     | c→s | `u64 session`                                  |
 //! | 10   | `Error`            | s→c | `u16 code`, `u32 n`, n message bytes           |
-//! | 11   | `Chunk`            | s→c | `u32 index`, `u32 total`, `u32 n`, n bytes     |
 //!
-//! A `Chunk` frame carries one slice of a large server reply when the front
-//! is configured with [`FrontConfig::chunk_bytes`]: the concatenated chunk
-//! payloads (in index order, all echoing the request's `seq`) reassemble
-//! into one complete inner frame — a full `RoundResponse` or
-//! `DownloadResponse` with its own header and crc — so each chunk is
-//! integrity-checked on the link by the outer crc and the whole reply is
-//! checked once more by the inner one. Chunking bounds the peak bytes the
-//! transport must buffer per reply; it never applies to client→server
-//! frames, so the adversary-observable stream is unaffected.
+//! Every request gets exactly one reply frame, however large: a download
+//! of a whole file is one `DownloadResponse`. Kind 11 is retired (it was
+//! `Chunk`, versions 3 and 4: a reply cut into slices that the client
+//! reassembled); a frame of that kind is refused like any unknown kind.
 //!
 //! # Retransmission and idempotent replay
 //!
@@ -69,11 +63,12 @@
 //! replay semantics above; version 3 added the `Chunk` frame kind (chunked
 //! response streaming); version 4 prefixed `ServerInfo` with the database
 //! generation id (hot-swap staleness detection — see
-//! [`crate::transport::GenerationSource`]). A server receiving a frame with
-//! an unknown version (or bad magic) replies [`ERR_VERSION`]/[`ERR_MALFORMED`] and
-//! serves nothing — there is no negotiation, by design: client and server
-//! ship from one workspace, so a mismatch is a deployment bug to surface,
-//! not paper over. A frame whose crc does not match is classified as
+//! [`crate::transport::GenerationSource`]); version 5 retired `Chunk`: every
+//! reply is one frame. A retired kind number is never reused. A server
+//! receiving a frame with an unknown version (or bad magic) replies
+//! [`ERR_VERSION`]/[`ERR_MALFORMED`] and serves nothing — there is no
+//! negotiation, by design: client and server ship from one workspace, so a
+//! mismatch is a deployment bug to surface, not paper over. A frame whose crc does not match is classified as
 //! malformed (link corruption), never as a version mismatch — only a frame
 //! with a *valid* crc and an unknown version byte earns [`ERR_VERSION`].
 //!
@@ -112,6 +107,16 @@
 //! never of what they asked for (`tests/leakage.rs` pins both
 //! differentials). The front's loop thread runs every pass, between the
 //! frames it takes (the `lap` submodule).
+//!
+//! # The loop and its clock
+//!
+//! The loop thread's function is the front's one driver and its only
+//! reader of the clock: it hands each message to the core (sessions,
+//! replay caches, generation pins, the lap) with the time it took it,
+//! checks idle eviction on every turn, and sleeps until the next message
+//! or the next eviction deadline, which the core returns. The core never
+//! reads a clock, so a test steps it on a virtual one, without threads
+//! (`wire::tests::stepper`).
 //!
 //! # The adversary's view of the wire
 //!

@@ -6,8 +6,8 @@
 //! replies go back the other way with one hop: the loop thread writes each
 //! one straight onto the socket, prefix and frame in one non-blocking
 //! `sendmsg` ([`sysmap::send_nowait`]). Only what the socket does not take
-//! at once — a slow reader, a chunk train larger than the send buffer —
-//! goes to the connection's writer thread: the unsent tail of that frame,
+//! at once — a slow reader, a reply larger than the send buffer — goes to
+//! the connection's writer thread: the unsent tail of that frame,
 //! and every reply after it until the writer has drained, so replies keep
 //! their order and the server loop never blocks on a slow peer.
 //! [`TcpLink`] is the client half: a [`FrameLink`] over a persistent
@@ -164,8 +164,7 @@ pub struct TcpFront {
 }
 
 impl TcpFront {
-    /// Binds and spawns with explicit front-end knobs (chunked responses,
-    /// idle eviction).
+    /// Binds and spawns with an explicit [`FrontConfig`] (idle eviction).
     pub fn spawn_with<H: ServeHost + Send + Sync + 'static>(
         host: H,
         cfg: FrontConfig,
@@ -510,19 +509,15 @@ mod tests {
     /// peer's receive window), so its reply cannot leave in one go.
     const BIG_PAGES: u32 = 2048;
 
-    /// [`server`] plus a file whose download outgrows the socket buffers,
-    /// served by a front that streams it as a train of 512-byte chunks.
+    /// [`server`] plus a file whose download, one frame, outgrows the
+    /// socket buffers.
     fn big_front() -> TcpFront {
         let mut srv = PirServer::new(SystemSpec::default());
         srv.add_file("Fh", file(2), PirMode::CostOnly).unwrap();
         srv.add_file("Fd", file(16), PirMode::LinearScan).unwrap();
         srv.add_file("Fbig", file(BIG_PAGES), PirMode::CostOnly)
             .unwrap();
-        let cfg = FrontConfig {
-            chunk_bytes: Some(512),
-            ..FrontConfig::default()
-        };
-        TcpFront::spawn_with(Arc::new(srv), cfg).unwrap()
+        TcpFront::spawn_with(Arc::new(srv), FrontConfig::default()).unwrap()
     }
 
     /// Frames the front handed to a writer thread so far.
@@ -632,16 +627,10 @@ mod tests {
         chan.begin_query().unwrap();
         exchange(&mut chan, 2);
         assert_eq!(handed(&paths), 0, "a reading client's replies went direct");
-        // The socket fills mid-train; where it stops is the kernel's choice,
-        // a frame boundary about once in five hundred trains. A train that
-        // stopped on one is downloaded again.
-        for _ in 0..4 {
-            stall.store(true, Ordering::SeqCst);
-            assert_tagged(&chan.download(FileId(2)).unwrap(), BIG_PAGES);
-            if paths.split.load(Ordering::SeqCst) > 0 {
-                break;
-            }
-        }
+        // The socket, drained by the client so far, takes the head of the
+        // download's one frame and fills up: the writer gets its tail.
+        stall.store(true, Ordering::SeqCst);
+        assert_tagged(&chan.download(FileId(2)).unwrap(), BIG_PAGES);
         assert!(paths.split.load(Ordering::SeqCst) > 0, "no frame split");
         let direct = paths.direct.load(Ordering::SeqCst);
         for round in 3..13 {
@@ -666,9 +655,10 @@ mod tests {
         neighbour.begin_query().unwrap();
         exchange(&mut neighbour, 2);
 
-        // A raw peer asks for the big train and reads none of it. Once the
-        // front has handed the rest to the writer thread, the peer closes
-        // with the train unread, which resets the connection mid-reply.
+        // A raw peer asks for the big download and reads none of it. Once
+        // the front has handed the rest to the writer thread, the peer
+        // closes with the reply unread, which resets the connection
+        // mid-reply.
         let (mut peer, session) = open_raw(&front);
         let floor = handed(&paths);
         request_big(&mut peer, session);
@@ -771,34 +761,6 @@ mod tests {
         assert_eq!(s.fetches, 3);
         assert_eq!(s.downloads, 1);
         assert!(s.closed);
-    }
-
-    #[test]
-    fn chunked_replies_reassemble_over_tcp() {
-        // chunk size far below one page: every response crosses many chunks
-        let front = TcpFront::spawn_with(
-            server(),
-            FrontConfig {
-                chunk_bytes: Some(512),
-                ..FrontConfig::default()
-            },
-        )
-        .unwrap();
-        let mut chan = front.connect().unwrap();
-        chan.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 2];
-        chan.serve_round(2, &[(FileId(1), 7), (FileId(1), 11)], &mut out)
-            .unwrap();
-        for (buf, want) in out.iter().zip([7u32, 11]) {
-            assert_eq!(
-                u32::from_le_bytes(buf.as_slice()[..4].try_into().unwrap()),
-                want
-            );
-        }
-        let header = chan.download(FileId(0)).unwrap();
-        assert_eq!(header.len(), 2 * DEFAULT_PAGE_SIZE);
-        chan.close().unwrap();
-        front.shutdown();
     }
 
     #[test]

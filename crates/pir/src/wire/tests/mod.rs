@@ -425,7 +425,6 @@ fn idle_sessions_are_evicted() {
         server(),
         FrontConfig {
             idle_timeout: Some(Duration::from_millis(40)),
-            ..FrontConfig::default()
         },
     );
     let mut chan = front.connect().unwrap();
@@ -506,19 +505,20 @@ fn sequence_numbers_survive_wraparound() {
     // Server side: a channel sitting one step below the sentinel. File 0 is
     // cost-only, so every round is served on the spot.
     let source = Arc::new(StaticSource::new(server()));
-    let mut front = Front::new(source, Arc::default(), FrontConfig::default());
+    let mut front = Front::new(source, FrontConfig::default());
     let (resp, replies) = mpsc::channel();
-    front.connect(7, Replies::Channel(resp));
-    front.on_frame(7, encode_session_open(1));
+    let now = Instant::now();
+    front.connect(7, Replies::Channel(resp), now);
+    front.on_frame(7, encode_session_open(1), now);
     let accept = replies.recv().unwrap();
     let sid = ByteReader::new(split_frame(&accept).unwrap().payload)
         .u64()
         .unwrap();
-    front.on_frame(7, encode_query_open(2, sid));
+    front.on_frame(7, encode_query_open(2, sid), now);
     replies.recv().unwrap();
     front.clients.get_mut(&7).unwrap().last_seq = u32::MAX - 1;
     let mut drive = |seq: u32| {
-        front.on_frame(7, encode_round_request(seq, sid, 2, &[(FileId(0), 1)]));
+        front.on_frame(7, encode_round_request(seq, sid, 2, &[(FileId(0), 1)]), now);
         let reply = replies.recv().unwrap();
         let f = split_frame(&reply).unwrap();
         (f.kind, f.seq, front.clients[&7].last_seq)
@@ -597,28 +597,6 @@ fn expired_attempt_deadline_times_out_without_spinning() {
         0,
         "an expired deadline must fail before recv, not spin through it"
     );
-}
-
-#[test]
-fn chunked_replies_work_over_the_inproc_link() {
-    // 100-byte chunks: even the handshake's SessionAccept is chunked
-    let front = ServerFront::spawn_with(
-        server(),
-        FrontConfig {
-            chunk_bytes: Some(100),
-            ..FrontConfig::default()
-        },
-    );
-    let mut chan = front.connect().unwrap();
-    chan.begin_query().unwrap();
-    let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 1];
-    chan.serve_round(2, &[(FileId(1), 13)], &mut out).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(out[0].as_slice()[..4].try_into().unwrap()),
-        13
-    );
-    chan.close().unwrap();
-    front.shutdown();
 }
 
 #[test]
@@ -750,44 +728,6 @@ fn sessions_pin_their_generation_across_a_swap() {
     a.close().unwrap();
     b.close().unwrap();
     c.close().unwrap();
-    front.shutdown();
-}
-
-#[test]
-fn degenerate_front_configs_serve_without_hanging() {
-    let serve_one = |front: &ServerFront| {
-        let mut chan = front.connect().unwrap();
-        chan.begin_query().unwrap();
-        let mut out = vec![PageBuf::zeroed(DEFAULT_PAGE_SIZE); 1];
-        let t0 = Instant::now();
-        chan.serve_round(2, &[(FileId(1), 13)], &mut out).unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(5), "round must not hang");
-        assert_eq!(
-            u32::from_le_bytes(out[0].as_slice()[..4].try_into().unwrap()),
-            13
-        );
-        chan.close().unwrap();
-    };
-    // one-byte chunks (far smaller than any header): every reply is a
-    // maximal chunk train and must still reassemble
-    let front = ServerFront::spawn_with(
-        server(),
-        FrontConfig {
-            chunk_bytes: Some(1),
-            ..FrontConfig::default()
-        },
-    );
-    serve_one(&front);
-    front.shutdown();
-    // chunk cap zero is the documented "chunking off" degenerate
-    let front = ServerFront::spawn_with(
-        server(),
-        FrontConfig {
-            chunk_bytes: Some(0),
-            ..FrontConfig::default()
-        },
-    );
-    serve_one(&front);
     front.shutdown();
 }
 
@@ -1159,7 +1099,6 @@ fn rider_lost_mid_lap(lost: Lost) {
     let deadline = Duration::from_millis(400);
     let cfg = FrontConfig {
         idle_timeout: matches!(lost, Lost::IdlesOut).then_some(deadline),
-        ..FrontConfig::default()
     };
     let (srv, gate) = gated_server(0);
     let front = front_on(&srv, cfg);
@@ -1450,3 +1389,5 @@ fn a_riding_round_settles_exactly_as_one_served_on_the_spot() {
         assert_eq!(ridden, (replies, stats), "{input:?}");
     }
 }
+
+mod stepper;

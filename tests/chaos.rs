@@ -832,7 +832,6 @@ fn idle_sessions_are_evicted_while_active_ones_survive() {
     let db = Arc::new(Database::build(&net, SchemeKind::Ci, &cfg_small()).expect("build"));
     let front = db.serve_wire_with(FrontConfig {
         idle_timeout: Some(Duration::from_millis(120)),
-        ..Default::default()
     });
     let mut idle = db.wire_session_with_seed(&front, 1).expect("connect"); // session 1
     let mut active = db.wire_session_with_seed(&front, 2).expect("connect"); // session 2

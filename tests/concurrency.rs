@@ -356,13 +356,13 @@ fn many_tcp_clients_one_server_stress_and_graceful_shutdown() {
     }
 }
 
-/// PR 8 drain regression: a graceful TCP shutdown must flush *every*
-/// `Chunk` frame of a partially-written chunked response before the writer
-/// closes the socket. A slow-reading client requests a download far larger
-/// than the loopback socket buffers (so most of the chunk train is still
-/// buffered server-side when the drain starts), the front shuts down the
-/// moment the server loop has served the request, and the client must
-/// still reassemble the complete, byte-correct file.
+/// Drain regression: a graceful TCP shutdown must flush the whole of
+/// a partially-written response before the writer closes the socket. A
+/// client that is slow to read requests a download far larger than the
+/// loopback socket buffers (so most of its one frame is still buffered
+/// server-side when the drain starts), the front shuts down the moment the
+/// server loop has served the request, and the client must still receive
+/// the complete, byte-correct file.
 #[test]
 fn tcp_shutdown_flushes_partially_written_chunk_trains() {
     use privpath::pir::{
@@ -372,12 +372,13 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
     use privpath::storage::{MemFile, PageBuf, DEFAULT_PAGE_SIZE};
     use std::time::{Duration, Instant};
 
-    /// A [`TcpLink`] whose first `slow_frames` receives are delayed, pinning
-    /// the client far behind the writer so the shutdown drain races a
-    /// mostly-unwritten response train.
+    /// A [`TcpLink`] whose `slow`-th receive (counting from 1) waits
+    /// `delay` first, pinning the client far behind the writer so the
+    /// shutdown drain races a mostly-unwritten response.
     struct SlowLink {
         inner: TcpLink,
-        slow_frames: u32,
+        recvs: u32,
+        slow: u32,
         delay: Duration,
     }
     impl FrameLink for SlowLink {
@@ -385,18 +386,18 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
             self.inner.send(frame)
         }
         fn recv(&mut self, timeout: Option<Duration>) -> privpath::pir::Result<Vec<u8>> {
-            if self.slow_frames > 0 {
-                self.slow_frames -= 1;
+            self.recvs += 1;
+            if self.recvs == self.slow {
                 std::thread::sleep(self.delay);
             }
             self.inner.recv(timeout)
         }
     }
 
-    // 256 tagged pages = 1 MiB: larger than both loopback socket buffers
-    // combined, so the writer cannot have flushed the train when the drain
-    // begins. chunk_bytes far below a page puts >1000 chunks on the wire.
-    const PAGES: u32 = 256;
+    // 2,048 tagged pages = 8 MiB in one frame: twice what a loopback socket
+    // pair holds for a peer that does not read, so the writer cannot have
+    // flushed it when the drain begins.
+    const PAGES: u32 = 2048;
     let mut srv = PirServer::new(SystemSpec::default());
     let mut f = MemFile::empty(DEFAULT_PAGE_SIZE);
     for p in 0..PAGES {
@@ -405,19 +406,15 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
         f.push_page(page);
     }
     srv.add_file("Fd", f, PirMode::LinearScan).unwrap();
-    let front = TcpFront::spawn_with(
-        Arc::new(srv),
-        FrontConfig {
-            chunk_bytes: Some(1024),
-            ..FrontConfig::default()
-        },
-    )
-    .unwrap();
+    let front = TcpFront::spawn_with(Arc::new(srv), FrontConfig::default()).unwrap();
 
+    // receives 1 and 2 are the handshake's and the query's; 3 is the
+    // download's
     let link = SlowLink {
         inner: TcpLink::connect(front.addr()).unwrap(),
-        slow_frames: 40,
-        delay: Duration::from_millis(3),
+        recvs: 0,
+        slow: 3,
+        delay: Duration::from_millis(500),
     };
     let mut chan = WireChannel::handshake(Box::new(link), RetryPolicy::none()).unwrap();
     let sid = chan.session_id();
@@ -425,7 +422,7 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
     let downloader = std::thread::spawn(move || chan.download(FileId(0)));
 
     // Shut down the instant the server loop has served the download — the
-    // slow client has consumed only a sliver of the chunk train by then.
+    // slow client has not begun to read it by then.
     let deadline = Instant::now() + Duration::from_secs(10);
     while front.session_stats().get(&sid).map_or(0, |s| s.downloads) == 0 {
         assert!(
@@ -439,7 +436,7 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
     let bytes = downloader
         .join()
         .expect("downloader thread panicked")
-        .expect("the drain must deliver the full chunk train, not a severed socket");
+        .expect("the drain must deliver the full reply, not a severed socket");
     assert_eq!(bytes.len(), PAGES as usize * DEFAULT_PAGE_SIZE);
     for p in 0..PAGES as usize {
         let tag = u32::from_le_bytes(
