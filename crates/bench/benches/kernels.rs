@@ -65,7 +65,7 @@ fn bench_client_subgraph(c: &mut Criterion) {
         let mut k = 0u32;
         b.iter(|| {
             sub.clear();
-            sub.add_edges(&triples);
+            sub.add_edges(&triples).unwrap();
             k = k.wrapping_add(1);
             let s = (k * 997) % n;
             let t = (k * 331 + 13) % n;

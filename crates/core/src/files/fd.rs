@@ -4,13 +4,13 @@
 //! LM/AF baselines extend the node records with landmark vectors / arc
 //! flags (§4).
 
-use super::{seal_file, unseal_page, PAGE_CRC_BYTES};
+use super::{seal_file, PAGE_CRC_BYTES};
 use crate::error::CoreError;
 use crate::Result;
 use privpath_graph::network::RoadNetwork;
 use privpath_graph::types::{NodeId, Point};
 use privpath_partition::{Partition, RegionId};
-use privpath_storage::{ByteReader, ByteWriter, MemFile, PageBuf};
+use privpath_storage::{ByteReader, ByteWriter, MemFile};
 use std::collections::HashMap;
 
 /// Record layout options (fixed per database, stored in the header).
@@ -31,6 +31,15 @@ impl RecordFormat {
     pub(crate) fn node_bytes(&self, degree: usize) -> usize {
         14 + 4 * self.lm_count as usize
             + degree * (8 + usize::from(self.with_regions) * 2 + self.flag_bytes as usize)
+    }
+
+    /// A bound every node id of a region file of `fd_pages` pages of
+    /// `page_size` bytes stays below: every node has exactly one record in
+    /// `Fd`, and a record is at least [`node_bytes(0)`](Self::node_bytes)
+    /// bytes of some page's payload.
+    pub(crate) fn id_bound(&self, fd_pages: u32, page_size: usize) -> u32 {
+        let payload = (page_size.saturating_sub(PAGE_CRC_BYTES)) as u64;
+        (u64::from(fd_pages) * payload / self.node_bytes(0) as u64).min(u64::from(u32::MAX)) as u32
     }
 }
 
@@ -75,17 +84,24 @@ struct NodeHead {
 
 /// A decoded region page group, flat: one array of node heads, one of
 /// landmark entries (`lm_count` per node), one of adjacency entries and
-/// one of arc-flag bytes (`flag_bytes` per entry), so a decode allocates
-/// four buffers at most, whatever the region holds. Read a record through
+/// one of arc-flag bytes (`flag_bytes` per entry). Read a record through
 /// `node` or `nodes`.
+///
+/// This is the decoder of the retained reference searches
+/// (`schemes::{lm, af}::reference`) and of the differential suite in
+/// `tests/leakage.rs`, independent of the client's query path, which folds
+/// region bytes straight into its arena
+/// ([`crate::subgraph::ClientSubgraph`]). It keeps the payload it was
+/// decoded from, so [`crate::subgraph::search_lm`] and
+/// [`crate::subgraph::search_af`] can fold the same bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionData {
     /// The region id.
     region: RegionId,
-    /// Landmark entries per node (0 unless LM).
-    lm_count: usize,
-    /// Arc-flag bytes per adjacency entry (0 unless AF).
-    flag_bytes: usize,
+    /// The record layout.
+    fmt: RecordFormat,
+    /// The unsealed payload the region was decoded from.
+    payload: Vec<u8>,
     heads: Vec<NodeHead>,
     lm: Vec<u32>,
     adj: Vec<AdjEntry>,
@@ -116,18 +132,19 @@ impl<'a> NodeRecord<'a> {
 }
 
 impl RegionData {
-    /// The region id.
-    pub(crate) fn region(&self) -> RegionId {
-        self.region
+    /// The record layout the region was decoded in.
+    pub(crate) fn format(&self) -> &RecordFormat {
+        &self.fmt
     }
 
-    /// Landmark entries per node record (0 unless LM).
-    pub(crate) fn lm_count(&self) -> usize {
-        self.lm_count
+    /// The unsealed payload the region was decoded from.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
     }
 
     /// Node record `i`, in page order.
     pub(crate) fn node(&self, i: usize) -> NodeRecord<'_> {
+        let (lm_count, flag_bytes) = (self.fmt.lm_count as usize, self.fmt.flag_bytes as usize);
         let head = self.heads[i];
         let lo = if i == 0 {
             0
@@ -138,10 +155,10 @@ impl RegionData {
         NodeRecord {
             id: head.id,
             pos: head.pos,
-            lm_vec: &self.lm[i * self.lm_count..(i + 1) * self.lm_count],
+            lm_vec: &self.lm[i * lm_count..(i + 1) * lm_count],
             adj: &self.adj[lo..hi],
-            flags: &self.flags[lo * self.flag_bytes..hi * self.flag_bytes],
-            flag_bytes: self.flag_bytes,
+            flags: &self.flags[lo * flag_bytes..hi * flag_bytes],
+            flag_bytes,
         }
     }
 
@@ -251,29 +268,13 @@ pub(crate) fn build_fd(
     Ok(seal_file(&payloads, page_size))
 }
 
-/// Unseals and decodes one region's page group. A one-page group is decoded
-/// straight from its page; a longer one is concatenated through `buf`.
-pub(crate) fn decode_group(
-    pages: &[PageBuf],
-    fmt: &RecordFormat,
-    buf: &mut Vec<u8>,
-) -> Result<RegionData> {
-    if let [page] = pages {
-        return decode_region(unseal_page(page)?, fmt);
-    }
-    buf.clear();
-    for page in pages {
-        buf.extend_from_slice(unseal_page(page)?);
-    }
-    decode_region(buf, fmt)
-}
-
 /// Decodes a region from its concatenated (unsealed) page payloads into
 /// one flat [`RegionData`]. Each array is sized up front from what the
 /// payload can hold — records of no arcs, then arcs in the bytes the
 /// records leave — never from the stored count alone, so a decode
-/// allocates at most four times, never grows a buffer, and allocates no
-/// more than a few times the payload's size whatever the page claims.
+/// allocates five times at most (the four arrays and its copy of the
+/// payload), never grows a buffer, and allocates no more than a few times
+/// the payload's size whatever the page claims.
 pub fn decode_region(payloads: &[u8], fmt: &RecordFormat) -> Result<RegionData> {
     let mut r = ByteReader::new(payloads);
     let region = r.u16()?;
@@ -285,8 +286,8 @@ pub fn decode_region(payloads: &[u8], fmt: &RecordFormat) -> Result<RegionData> 
     let max_arcs = r.remaining().saturating_sub(count * fmt.node_bytes(0)) / arc_bytes;
     let mut data = RegionData {
         region,
-        lm_count,
-        flag_bytes,
+        fmt: *fmt,
+        payload: payloads.to_vec(),
         heads: Vec::with_capacity(max_nodes),
         lm: Vec::with_capacity(max_nodes * lm_count),
         adj: Vec::with_capacity(max_arcs),
@@ -351,7 +352,7 @@ mod tests {
         let mut seen_nodes = 0usize;
         for r in 0..p.num_regions() {
             let data = decode_region(&read_region(&fd, r, 1), &fmt).unwrap();
-            assert_eq!(data.region(), r);
+            assert_eq!(data.region, r);
             for n in data.nodes() {
                 assert_eq!(p.region_of_node[n.id as usize], r);
                 assert_eq!(n.pos, net.node_point(n.id));
@@ -384,7 +385,7 @@ mod tests {
         );
         for r in 0..p.num_regions() {
             let data = decode_region(&read_region(&fd, r, cluster), &fmt).unwrap();
-            assert_eq!(data.region(), r);
+            assert_eq!(data.region, r);
             assert_ne!(data.nodes().len(), 0);
         }
     }

@@ -88,6 +88,28 @@ impl Header {
         )
     }
 
+    /// The bound every node id the region data can name stays below
+    /// ([`RecordFormat::id_bound`] of `fd_pages` pages of `page_size`
+    /// bytes), once the header's page counts are checked against
+    /// `data_file_pages`, the page count the session learned at accept for
+    /// the file holding `Fd`. For HY (`combined`) that file is `Fi|Fd`,
+    /// `fi_pages` of index followed by `fd_pages` of region data.
+    pub(crate) fn node_id_bound(
+        &self,
+        data_file_pages: u32,
+        combined: bool,
+        page_size: usize,
+    ) -> Result<u32> {
+        let index = if combined { self.fi_pages } else { 0 };
+        if u64::from(index) + u64::from(self.fd_pages) != u64::from(data_file_pages) {
+            return Err(CoreError::Query(format!(
+                "header counts {index} + {} pages where the region file has {data_file_pages}",
+                self.fd_pages
+            )));
+        }
+        Ok(self.record_format.id_bound(self.fd_pages, page_size))
+    }
+
     /// Decodes a header from the unsealed download payload.
     pub(crate) fn parse(payload: &[u8]) -> Result<Header> {
         let mut r = ByteReader::new(payload);

@@ -28,22 +28,24 @@
 //!
 //! A [`BaselineFlavor`] fixes only what differs: the record extra (landmark
 //! vectors or per-arc flag bytes), the partitioner, the search
-//! ([`search_lm`] or [`search_af`]) and the plan-sample seed. LM is AF at
-//! one page per region: its partitioner caps every region at one page's
-//! payload less the 4-byte region stream header, so the shared
+//! ([`search_lm_in`] or [`search_af_in`]) and the plan-sample seed. LM is
+//! AF at one page per region: its partitioner caps every region at one
+//! page's payload less the 4-byte region stream header, so the shared
 //! pages-per-region rule gives `ppr = 1` and every round above draws its
 //! pages exactly as a one-page protocol would.
 
 use crate::config::BuildConfig;
 use crate::engine::{PathAnswer, QueryCtx, QueryOutput, SchemeKind};
 use crate::error::CoreError;
-use crate::files::fd::{build_fd, decode_group, NodeExtra, RecordFormat, RegionData};
+use crate::files::fd::{build_fd, NodeExtra, RecordFormat};
 use crate::files::fh::Header;
-use crate::files::{unseal_download, PAGE_CRC_BYTES};
+use crate::files::{unseal_download, unseal_page, PAGE_CRC_BYTES};
 use crate::plan::{PlanFile, QueryPlan, RoundSpec};
 use crate::schemes::index_scheme::{BuildStats, StageBreakdown};
 use crate::schemes::plan_probe::{probe_max, sample_pairs, ProbePairs};
-use crate::subgraph::{search_af, search_lm, ClientSubgraph, FetchOutcome, QueryScratch};
+use crate::subgraph::{
+    search_af_in, search_lm_in, ClientSubgraph, FetchOutcome, FoldRegion, QueryScratch,
+};
 use crate::Result;
 use privpath_graph::arcflag::ArcFlags;
 use privpath_graph::landmark::Landmarks;
@@ -53,21 +55,19 @@ use privpath_partition::{partition_into, partition_packed, partition_plain, Part
 use privpath_pir::{FileId, PirMode, PirServer, Transport};
 use privpath_storage::{MemFile, PagedFile};
 use rand::Rng;
-use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Which baseline a [`BaselineScheme`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BaselineFlavor {
-    /// Landmark vectors + A* ([`search_lm`]), one page per region.
+    /// Landmark vectors + A* ([`search_lm_in`]), one page per region.
     Lm,
-    /// Arc flags + flag-pruned Dijkstra ([`search_af`]), a fixed page
+    /// Arc flags + flag-pruned Dijkstra ([`search_af_in`]), a fixed page
     /// group per region.
     Af,
 }
 
-/// The signature [`search_lm`] and [`search_af`] share.
+/// The signature [`search_lm_in`] and [`search_af_in`] share.
 type Search = fn(
     &mut ClientSubgraph,
     &mut QueryScratch,
@@ -75,7 +75,7 @@ type Search = fn(
     u16,
     Point,
     Point,
-    &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+    &mut FoldRegion<'_>,
 ) -> Result<FetchOutcome>;
 
 /// Built LM or AF database handles.
@@ -127,8 +127,17 @@ impl BaselineFlavor {
     /// The interleaved fetch-and-search this flavour runs.
     pub(crate) fn search(self) -> Search {
         match self {
-            BaselineFlavor::Lm => search_lm,
-            BaselineFlavor::Af => search_af,
+            BaselineFlavor::Lm => search_lm_in,
+            BaselineFlavor::Af => search_af_in,
+        }
+    }
+
+    /// The flag bit a region is folded in under for a query whose target
+    /// lies in region `rt`: AF keeps only the arcs flagged for it.
+    pub(crate) fn goal(self, rt: u16) -> Option<usize> {
+        match self {
+            BaselineFlavor::Lm => None,
+            BaselineFlavor::Af => Some(rt as usize),
         }
     }
 
@@ -205,13 +214,15 @@ impl BaselineFlavor {
     }
 }
 
-/// Reads and decodes region `region`'s page group from the built `Fd`.
-fn offline_region(fd: &MemFile, region: u16, ppr: u32, fmt: &RecordFormat) -> Result<RegionData> {
+/// Reads and unseals region `region`'s page group from the built `Fd`:
+/// its payloads, concatenated.
+fn offline_region(fd: &MemFile, region: u16, ppr: u32) -> Result<Vec<u8>> {
     let base = u32::from(region) * ppr;
-    let pages = (base..base + ppr)
-        .map(|p| fd.read_page(p))
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    decode_group(&pages, fmt, &mut Vec::new())
+    let mut payload = Vec::new();
+    for p in base..base + ppr {
+        payload.extend_from_slice(unseal_page(&fd.read_page(p)?)?);
+    }
+    Ok(payload)
 }
 
 /// Builds an LM or AF database (`kind` is one of the two): the flavour's
@@ -234,12 +245,12 @@ pub(crate) fn build(
     // ---- plan derivation: max regions over (sampled or all) node pairs ----
     // Runs the same arena search the online query path uses, so the
     // derived budget matches the online fetch counts exactly. Each region
-    // is unsealed and decoded once into the probe cache; the probe loop
-    // itself is striped across `cfg.threads` workers with a deterministic
+    // is unsealed once into the probe cache; the probe loop itself is
+    // striped across `cfg.threads` workers with a deterministic
     // max-reduction (see [`crate::schemes::plan_probe`]).
     let t0 = Instant::now();
-    let cache: Vec<Arc<RegionData>> = (0..r)
-        .map(|reg| offline_region(&fd, reg, ppr, &fmt).map(Arc::new))
+    let cache: Vec<Vec<u8>> = (0..r)
+        .map(|reg| offline_region(&fd, reg, ppr))
         .collect::<Result<_>>()?;
     let n = net.num_nodes() as u32;
     let pairs = if cfg.plan_sample == 0 {
@@ -252,7 +263,7 @@ pub(crate) fn build(
     };
     let region_of = &partition.region_of_node;
     let threads = cfg.resolved_threads();
-    let mut max_regions = probe_max(net, region_of, &cache, flavor, &pairs, threads)?.max(2);
+    let mut max_regions = probe_max(net, region_of, &cache, &fmt, flavor, &pairs, threads)?.max(2);
     if cfg.plan_sample != 0 {
         // safety margin over the sampled maximum
         max_regions = ((f64::from(max_regions) * (1.0 + cfg.plan_margin)).ceil() as u32)
@@ -321,17 +332,17 @@ pub(crate) fn build(
 
 /// Executes one private LM or AF query. `link` is the session's transport
 /// to the shared page host; all mutation happens in `ctx` — the
-/// interleaved search runs on the session's arena and scratch buffers and
-/// allocates nothing in steady state. Each fetched region costs one
-/// decode: a few flat buffers and the `Arc` the search takes it in,
-/// whatever the region holds.
+/// interleaved search runs on the session's arena and scratch buffers, and
+/// each fetched region's bytes are folded straight into the arena, so a
+/// warm query allocates nothing per region.
 ///
 /// Round batching: round two's page list — both host regions' page groups
 /// — is known before the search starts, so it is issued as one
-/// [`privpath_pir::PirSession::run_round`] batch and handed to the search's
-/// first two fetch calls. Every later round fetches one region's page
-/// group as a batch, and dummy rounds batch `pages_per_region` random
-/// pages. The trace is event-for-event identical to per-fetch execution.
+/// [`privpath_pir::PirSession::run_round`] batch and both groups are folded
+/// in from it; the search's first two fetch calls find them there. Every
+/// later round fetches one region's page group as a batch, and dummy
+/// rounds batch `pages_per_region` random pages. The trace is
+/// event-for-event identical to per-fetch execution.
 pub(crate) fn query(
     scheme: &BaselineScheme,
     link: &mut dyn Transport,
@@ -355,38 +366,42 @@ pub(crate) fn query(
     let page_size = link.spec().page_size;
     let t0 = Instant::now();
     let header = Header::parse(&unseal_download(&raw, page_size)?)?;
+    sub.set_id_bound(header.node_id_bound(link.file_pages(scheme.data_file)?, false, page_size)?);
     let (rs, rt) = (header.tree.region_of(s), header.tree.region_of(t));
     let client_s = t0.elapsed().as_secs_f64();
 
     let ppr = scheme.pages_per_region;
     let fmt = &header.record_format;
-    let group = |region: u16| {
-        let base = header.region_page[region as usize];
-        (base..base + ppr).map(|p| (scheme.data_file, p))
+    let goal = scheme.flavor.goal(rt);
+    let group = |region: u16| -> Result<_> {
+        let base = *header
+            .region_page
+            .get(region as usize)
+            .ok_or_else(|| CoreError::Query(format!("no region {region} in the header")))?;
+        Ok((base..base + ppr).map(|p| (scheme.data_file, p)))
     };
-    // Round 2: both host regions' page groups, one batch.
+    // Round 2: both host regions' page groups, one batch, folded in as the
+    // search's first two fetches would fold them.
     reqs.clear();
-    reqs.extend(group(rs).chain(group(rt)));
+    reqs.extend(group(rs)?.chain(group(rt)?));
     let pages = pir.run_round(link, reqs)?;
-    let mut prefetched = VecDeque::with_capacity(2);
-    for (region, pages) in [rs, rt].into_iter().zip(pages.chunks(ppr as usize)) {
-        prefetched.push_back((region, Arc::new(decode_group(pages, fmt, region_bytes)?)));
-    }
-    let mut fetch = |region: u16| -> Result<Arc<RegionData>> {
-        if let Some((prefetched_region, data)) = prefetched.pop_front() {
+    sub.add_page_groups(pages, ppr as usize, fmt, goal, region_bytes)?;
+    let mut prefetched = [rs, rt].into_iter();
+    let mut fetch = |region: u16, sub: &mut ClientSubgraph| -> Result<()> {
+        if let Some(prefetched_region) = prefetched.next() {
             if prefetched_region != region {
                 return Err(CoreError::Query(format!(
                     "search requested region {region} but round two prefetched \
                      {prefetched_region}"
                 )));
             }
-            return Ok(data);
+            return Ok(());
         }
         // rounds 3, 4, ...: one region's page group per round
         reqs.clear();
-        reqs.extend(group(region));
+        reqs.extend(group(region)?);
         let pages = pir.run_round(link, reqs)?;
-        Ok(Arc::new(decode_group(pages, fmt, region_bytes)?))
+        sub.add_page_groups(pages, ppr as usize, fmt, goal, region_bytes)
     };
     let out = scheme.flavor.search()(sub, scratch, rs, rt, s, t, &mut fetch)?;
 
@@ -437,13 +452,14 @@ pub(crate) mod tests {
         let (fmt, partition, ppr, fd) = flavor.region_file(&net, &cfg, &mut stage_s).unwrap();
         let r = partition.num_regions();
         assert!(r >= 3, "need a multi-region net for a meaningful plan");
-        let cache: Vec<Arc<RegionData>> = (0..r)
-            .map(|reg| offline_region(&fd, reg, ppr, &fmt).map(Arc::new))
+        let cache: Vec<Vec<u8>> = (0..r)
+            .map(|reg| offline_region(&fd, reg, ppr))
             .collect::<Result<_>>()
             .unwrap();
 
-        // The uncached serial reference: decode through `offline_region`
-        // on every fetch, exactly like the pre-cache derivation loop.
+        // The uncached serial reference: read and unseal through
+        // `offline_region` on every fetch, exactly like the pre-cache
+        // derivation loop.
         let n = net.num_nodes() as u32;
         let uncached_max = |probe_pairs: &[(u32, u32)]| -> u32 {
             let mut max_regions = 0u32;
@@ -452,7 +468,10 @@ pub(crate) mod tests {
             for &(s, t) in probe_pairs {
                 let rs = partition.region_of_node[s as usize];
                 let rt = partition.region_of_node[t as usize];
-                let mut fetch = |region: u16| offline_region(&fd, region, ppr, &fmt).map(Arc::new);
+                let goal = flavor.goal(rt);
+                let mut fetch = |region: u16, sub: &mut ClientSubgraph| {
+                    sub.add_region(&offline_region(&fd, region, ppr)?, &fmt, goal)
+                };
                 sub.clear();
                 let (ps, pt) = (net.node_point(s), net.node_point(t));
                 let out =
@@ -466,6 +485,7 @@ pub(crate) mod tests {
                 &net,
                 &partition.region_of_node,
                 &cache,
+                &fmt,
                 flavor,
                 pairs,
                 threads,

@@ -14,7 +14,7 @@
 use crate::augment::AugGraph;
 use crate::config::BuildConfig;
 use crate::error::CoreError;
-use crate::files::fd::{build_fd, decode_group, NoExtra, RecordFormat};
+use crate::files::fd::{build_fd, NoExtra, RecordFormat};
 use crate::files::fh::Header;
 use crate::files::fi::FiBuilder;
 use crate::files::{fl, unseal_page, PAGE_CRC_BYTES};
@@ -300,7 +300,7 @@ pub(crate) fn build(
                 // one physical file: Fi section followed by Fd section, so the
                 // adversary cannot tell set queries from subgraph queries (§6)
                 let r_span = max_set_span;
-                let fd_offset = fi.num_pages_mem();
+                let fd_offset = index_mem_pages(&fi);
                 let mut combined = fi;
                 combined.concat(&fd);
                 // Round 4 has a fixed two-phase shape so even the *wire
@@ -412,33 +412,6 @@ fn index_mem_pages(f: &MemFile) -> u32 {
     f.num_pages()
 }
 
-/// Extension used above to get page counts before moving the MemFile.
-trait MemFileExt {
-    fn num_pages_mem(&self) -> u32;
-}
-impl MemFileExt for MemFile {
-    fn num_pages_mem(&self) -> u32 {
-        use privpath_storage::PagedFile;
-        self.num_pages()
-    }
-}
-
-/// Unseals a batch's region page groups (`cluster` pages each, see
-/// [`decode_group`]) and folds each decoded region into the subgraph arena.
-/// Works straight off the session arena slices — no per-page allocation.
-fn decode_region_groups(
-    pages: &[privpath_storage::PageBuf],
-    cluster: usize,
-    region_bytes: &mut Vec<u8>,
-    fmt: &RecordFormat,
-    sub: &mut crate::subgraph::ClientSubgraph,
-) -> Result<()> {
-    for group in pages.chunks(cluster) {
-        sub.add_region(&decode_group(group, fmt, region_bytes)?);
-    }
-    Ok(())
-}
-
 /// Executes one private query against an index-family database. `link` is
 /// the session's [`Transport`] — the shared in-process server or a wire
 /// channel; all mutation happens in `ctx`.
@@ -479,6 +452,12 @@ pub(crate) fn query(
     let t0 = Instant::now();
     let payload = crate::files::unseal_download(&raw, page_size)?;
     let header = Header::parse(&payload)?;
+    let combined = matches!(scheme.flavor, IndexFlavor::Hybrid { .. });
+    sub.set_id_bound(header.node_id_bound(
+        link.file_pages(scheme.data_file)?,
+        combined,
+        page_size,
+    )?);
     let rs = header.tree.region_of(s);
     let rt = header.tree.region_of(t);
     let mut client_s = t0.elapsed().as_secs_f64();
@@ -519,12 +498,12 @@ pub(crate) fn query(
             {
                 let pages = pir.fetch_batch(link, reqs)?;
                 let t1 = Instant::now();
-                decode_region_groups(
+                sub.add_page_groups(
                     pages,
                     cluster as usize,
-                    region_bytes,
                     &header.record_format,
-                    sub,
+                    None,
+                    region_bytes,
                 )?;
                 client_s += t1.elapsed().as_secs_f64();
             }
@@ -571,12 +550,12 @@ pub(crate) fn query(
                 let pages = pir.run_round(link, reqs)?;
                 let real = real_groups * cluster as usize;
                 let t1 = Instant::now();
-                decode_region_groups(
+                sub.add_page_groups(
                     &pages[..real],
                     cluster as usize,
-                    region_bytes,
                     &header.record_format,
-                    sub,
+                    None,
+                    region_bytes,
                 )?;
                 // dummy pages are discarded, but their checksums are still
                 // verified — a tampering server cannot hide in the padding
@@ -669,12 +648,12 @@ pub(crate) fn query(
                 let pages = pir.fetch_batch(link, reqs)?;
                 let real = real_groups * cluster as usize;
                 let t1 = Instant::now();
-                decode_region_groups(
+                sub.add_page_groups(
                     &pages[..real],
                     cluster as usize,
-                    region_bytes,
                     &header.record_format,
-                    sub,
+                    None,
+                    region_bytes,
                 )?;
                 // dummy padding is checksum-verified like the real pages
                 for page in &pages[real..] {
@@ -687,10 +666,11 @@ pub(crate) fn query(
     }
 
     // Assemble and solve (allocation-free in steady state: the arena, its
-    // CSR and the Dijkstra scratch are reused across the session's queries).
+    // triple rows and the Dijkstra scratch are reused across the session's
+    // queries).
     let t1 = Instant::now();
     if let Some(IndexPayload::Edges(triples)) = &answer_payload {
-        sub.add_edges(triples);
+        sub.add_edges(triples)?;
     }
     let s_node = sub
         .snap(rs, s)

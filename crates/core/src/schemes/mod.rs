@@ -10,7 +10,7 @@
 //! dummy rounds up to a fixed budget of regions. The flavours differ only
 //! in the record extra (landmark vectors or arc flags), the partitioner,
 //! the search (A* or flag-pruned Dijkstra) and AF's fixed page group per
-//! region — LM's is one page. The searches run on the CSR client arena of
+//! region — LM's is one page. The searches run on the client arena of
 //! [`crate::subgraph`]; their original `HashMap` implementations are
 //! retained under `lm::reference` / `af::reference` for the differential
 //! property suites.

@@ -7,10 +7,11 @@
 //! build time at scale — exhaustive derivation is `O(n²)` searches — so
 //! this driver removes the two per-probe overheads the naive loop pays:
 //!
-//! * **Decoded-region cache.** Every probe fetch used to re-read, unseal
-//!   (CRC) and decode the region page(s) through `offline_region`. The
-//!   driver receives each region decoded exactly once, as
-//!   `Arc<RegionData>`; a probe fetch is a reference-count bump.
+//! * **Unsealed-region cache.** Every probe fetch used to re-read and
+//!   unseal (CRC) the region page(s) through `offline_region`. The driver
+//!   receives each region's payload unsealed exactly once; a probe fetch
+//!   folds those bytes into the probe's arena, as a query folds the bytes
+//!   of the pages it fetched.
 //! * **Threaded max-reduction.** Probes are independent and the plan is a
 //!   pure maximum, so the pair space is striped across workers (each with
 //!   its own arena + scratch) and reduced with `max` — an
@@ -19,7 +20,7 @@
 //!   drawn *before* striping, so the RNG sequence (and hence the probe
 //!   set) never depends on the worker count either.
 
-use crate::files::fd::RegionData;
+use crate::files::fd::RecordFormat;
 use crate::schemes::baseline::BaselineFlavor;
 use crate::subgraph::{ClientSubgraph, QueryScratch};
 use crate::Result;
@@ -28,7 +29,6 @@ use privpath_graph::types::NodeId;
 use privpath_partition::RegionId;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The probe set.
 pub(crate) enum ProbePairs {
@@ -61,13 +61,14 @@ const EXHAUSTIVE_STRIDE: usize = 4;
 const SAMPLED_STRIDE: usize = 32;
 
 /// Runs every probe in `pairs` and returns the maximum region-fetch count
-/// observed (`0` when there are no probes). `cache[r]` must hold region
-/// `r`'s decoded data; `flavor` picks the search; `threads` ≤ 1 runs
-/// inline.
+/// observed (`0` when there are no probes). `payloads[r]` must hold region
+/// `r`'s unsealed payload in `fmt`'s layout; `flavor` picks the search;
+/// `threads` ≤ 1 runs inline.
 pub(crate) fn probe_max(
     net: &RoadNetwork,
     region_of: &[RegionId],
-    cache: &[Arc<RegionData>],
+    payloads: &[Vec<u8>],
+    fmt: &RecordFormat,
     flavor: BaselineFlavor,
     pairs: &ProbePairs,
     threads: usize,
@@ -88,7 +89,10 @@ pub(crate) fn probe_max(
         let mut probe = |s: NodeId, t: NodeId| -> Result<()> {
             let rs = region_of[s as usize];
             let rt = region_of[t as usize];
-            let mut fetch = |region: u16| Ok(Arc::clone(&cache[region as usize]));
+            let goal = flavor.goal(rt);
+            let mut fetch = |region: u16, sub: &mut ClientSubgraph| {
+                sub.add_region(&payloads[region as usize], fmt, goal)
+            };
             sub.clear();
             let (ps, pt) = (net.node_point(s), net.node_point(t));
             let out = search(sub, scratch, rs, rt, ps, pt, &mut fetch)?;

@@ -7,32 +7,37 @@
 //! this subgraph" (§5.4).
 //!
 //! The LM and AF baselines interleave fetching with the search instead
-//! (§4): their drivers — [`search_lm`] and [`search_af`] — run A* /
+//! (§4): their searches — `search_lm_in` and `search_af_in`, driven from
+//! outside the crate through [`search_lm`] and [`search_af`] — run A* /
 //! arc-flag-pruned Dijkstra over the same arena and pull in a region page
 //! whenever the frontier pops a node whose record has not arrived yet.
 //!
-//! This is the client hot path, so its cost follows the bytes it decodes.
-//! Node ids are interned into a dense range through a multiplicative hash;
-//! a decoded region ([`RegionData`], four flat arrays) is folded in once,
-//! and each node's arcs land as one contiguous row of the arc array, so the
-//! interleaved searches relax a node's row as soon as its record arrives
-//! and never re-sort what they gathered. [`ClientSubgraph::shortest_path_in`]
-//! alone builds a CSR (compressed sparse row) by counting sort, once per
-//! solve, because `add_edges` triples arrive in any order. Dijkstra runs
-//! over dense arrays with an indexed binary heap (decrease-key, no stale
-//! entries). All buffers live in the [`ClientSubgraph`] and [`QueryScratch`]
-//! and are cleared — not reallocated — between queries, so a long-running
-//! [`crate::engine::QuerySession`] allocates per query only for the
-//! regions it decodes (a few buffers each, whatever their size) and its
+//! This is the client hot path, so its cost follows the bytes it reads. A
+//! region's unsealed payload is parsed straight into the arena in one pass
+//! (`ClientSubgraph::add_region`): no decoded copy, and no hash — node ids
+//! are interned through a table indexed by id, which never grows past a
+//! bound the query driver derives from the published file shape (every
+//! node has one record in `Fd`, and a record is at least
+//! `RecordFormat::node_bytes(0)` bytes). Each node's arcs land as one
+//! contiguous row of the arc array, so every search relaxes a node's row
+//! as soon as its record arrives. [`ClientSubgraph::shortest_path_in`]
+//! relaxes that row, then the node's row of `add_edges` triples: those
+//! arrive in any order, so they alone are sorted into a CSR (compressed
+//! sparse row) by counting sort, once per solve, and a view with no triples
+//! (CI, LM, AF) builds none. Dijkstra runs over dense arrays with an
+//! indexed binary heap (decrease-key, no stale entries). All buffers live
+//! in the [`ClientSubgraph`] and [`QueryScratch`] and are cleared — not
+//! reallocated — between queries, so a long-running
+//! [`crate::engine::QuerySession`] allocates per query only for its
 //! per-query outputs; `tests/alloc_budget.rs` bounds the count.
 
 use crate::error::CoreError;
-use crate::files::fd::RegionData;
+use crate::files::fd::{RecordFormat, RegionData};
+use crate::files::unseal_page;
 use crate::Result;
 use privpath_graph::heap::IndexedMinHeap;
 use privpath_graph::types::{Dist, NodeId, Point};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use privpath_storage::{ByteReader, PageBuf};
 use std::sync::Arc;
 
 /// Sentinel for "no dense slot".
@@ -40,42 +45,6 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel for "no region hint".
 const NO_REGION: u16 = u16::MAX;
-
-/// Multiplicative (Fx-style) hasher for the interner's node ids: one
-/// rotate, xor and multiply per key where SipHash runs its rounds. It gives
-/// up SipHash's defence against keys crafted to collide on purpose: the ids
-/// come from CRC-sealed pages of the database the server publishes, so only
-/// that server could craft them, and colliding ids would cost its client
-/// time — which the server can impose anyway by answering late — not
-/// privacy. The map is only looked up, never iterated, so no output order
-/// hangs on the hash.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl IdHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// ALT-style lower bound from stored (truncated) landmark vectors: the
 /// maximum coordinate-wise `|a - b|`, ignoring `u32::MAX` sentinels
@@ -98,6 +67,21 @@ pub fn flag_set(flags: &[u8], region: usize) -> bool {
         .is_some_and(|b| b >> (region % 8) & 1 == 1)
 }
 
+#[cold]
+fn id_past_bound(id: NodeId, bound: usize) -> CoreError {
+    CoreError::Query(format!(
+        "node id {id} is not below the bound {bound} the region file allows"
+    ))
+}
+
+fn u16_at(b: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([b[at], b[at + 1]])
+}
+
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
 /// The client's partial view of the network, interned into dense node slots.
 ///
 /// Accumulate pages with `add_region` /
@@ -106,38 +90,41 @@ pub fn flag_set(flags: &[u8], region: usize) -> bool {
 /// resets the view for the next query while keeping every buffer's capacity.
 #[derive(Debug, Default)]
 pub struct ClientSubgraph {
-    /// External node id → dense slot (cleared per query, capacity kept).
-    slot_of: HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>,
+    /// External node id → dense slot (`NO_SLOT` when not interned). Grown
+    /// lazily to the largest id seen, never past `id_bound`; `clear` resets
+    /// only the entries `ids` names.
+    slot_of: Vec<u32>,
+    /// Every interned id is below this. The query drivers set it from the
+    /// header on every query; until one is set, any id is taken.
+    id_bound: Option<u32>,
     /// Dense slot → external node id.
     ids: Vec<NodeId>,
     /// Dense slot → coordinates (meaningful only for region-page nodes;
     /// edge-only nodes keep the origin placeholder and are never snapped
     /// because `snap` walks region members exclusively).
     coords: Vec<Point>,
-    /// Accumulated arcs as dense `(tail, head, weight)` triples.
+    /// The arcs of region records as dense `(tail, head, weight)` triples.
     arcs: Vec<(u32, u32, u32)>,
     /// Dense slot → the `(start, end)` range of its arcs in `arcs`, set
     /// when its record is folded in (empty until then). A node's arcs come
-    /// only from its own record, folded in once, so the range is contiguous
-    /// and equals the slot's CSR row; the interleaved searches relax it
-    /// directly and never build the CSR.
+    /// only from its own record, folded in once, so the range is contiguous.
     arc_rows: Vec<(u32, u32)>,
+    /// `add_edges` triples as dense `(tail, head, weight)`, in insertion
+    /// order.
+    edges: Vec<(u32, u32, u32)>,
     /// Contiguous per-region membership runs: `(region, start, end)` into
     /// `members`.
     region_runs: Vec<(u16, u32, u32)>,
     /// Dense slots of region members, grouped per `region_runs` entry.
     members: Vec<u32>,
-    /// CSR row offsets (`num_nodes + 1` entries once built). The CSR serves
-    /// [`shortest_path_in`](Self::shortest_path_in) alone: `add_edges`
-    /// triples arrive in any order.
-    csr_offsets: Vec<u32>,
-    /// CSR column (head slot) array.
-    csr_heads: Vec<u32>,
-    /// CSR weight array, parallel to `csr_heads`.
-    csr_weights: Vec<u32>,
-    /// Arc count already folded into the CSR (the CSR is rebuilt only when
-    /// new arcs arrived since).
-    csr_arcs: usize,
+    /// Row offsets into `edge_rows` (`num_nodes + 1` entries once built,
+    /// empty while there are no triples).
+    edge_offsets: Vec<u32>,
+    /// `edges` sorted by tail, stably (counting sort).
+    edge_rows: Vec<(u32, u32, u32)>,
+    /// Triples already sorted into `edge_rows` (rebuilt only when new
+    /// triples or nodes arrived since).
+    sorted_edges: usize,
     /// Dense slot → host-region hint (`u16::MAX` = unknown). Filled from
     /// region membership and from the `to_region` adjacency hints carried by
     /// LM/AF records.
@@ -151,8 +138,8 @@ pub struct ClientSubgraph {
     aux: Vec<u32>,
     /// Entries per slot in `aux` (0 when the data carries no aux vectors).
     aux_stride: usize,
-    /// Regions already folded in — [`add_region_ext`](Self::add_region_ext)
-    /// is idempotent per region so a re-fetch never duplicates members.
+    /// Regions already folded in — [`add_region`](Self::add_region) is
+    /// idempotent per region so a re-fetch never duplicates members.
     loaded: Vec<u16>,
 }
 
@@ -164,17 +151,21 @@ impl ClientSubgraph {
 
     /// Forgets all nodes, arcs and regions, keeping allocated capacity.
     pub fn clear(&mut self) {
-        self.slot_of.clear();
+        for &id in &self.ids {
+            if let Some(slot) = self.slot_of.get_mut(id as usize) {
+                *slot = NO_SLOT;
+            }
+        }
         self.ids.clear();
         self.coords.clear();
         self.arcs.clear();
         self.arc_rows.clear();
+        self.edges.clear();
         self.region_runs.clear();
         self.members.clear();
-        self.csr_offsets.clear();
-        self.csr_heads.clear();
-        self.csr_weights.clear();
-        self.csr_arcs = 0;
+        self.edge_offsets.clear();
+        self.edge_rows.clear();
+        self.sorted_edges = 0;
         self.region_of.clear();
         self.has_record.clear();
         self.aux.clear();
@@ -182,80 +173,161 @@ impl ClientSubgraph {
         self.loaded.clear();
     }
 
+    /// Admits only node ids below `bound` from now on (an id at or past it
+    /// is a [`CoreError::Query`]), and shortens the id table to it.
+    pub(crate) fn set_id_bound(&mut self, bound: u32) {
+        self.id_bound = Some(bound);
+        self.slot_of.truncate(bound as usize);
+    }
+
     /// Number of interned nodes.
     pub(crate) fn num_nodes(&self) -> usize {
         self.ids.len()
     }
 
-    fn intern(&mut self, id: NodeId) -> u32 {
-        let next = self.ids.len() as u32;
-        let slot = *self.slot_of.entry(id).or_insert(next);
-        if slot == next {
-            self.ids.push(id);
-            self.coords.push(Point::new(0, 0));
-            self.region_of.push(NO_REGION);
-            self.has_record.push(false);
-            self.arc_rows.push((0, 0));
+    /// The dense slot of `id`, if interned.
+    fn slot(&self, id: NodeId) -> Option<u32> {
+        self.slot_of
+            .get(id as usize)
+            .copied()
+            .filter(|&s| s != NO_SLOT)
+    }
+
+    #[inline]
+    fn intern(&mut self, id: NodeId) -> Result<u32> {
+        let bound = self.id_bound.map_or(usize::MAX, |b| b as usize);
+        let at = id as usize;
+        if at >= bound {
+            return Err(id_past_bound(id, bound));
         }
-        slot
+        if at >= self.slot_of.len() {
+            // Amortised growth, capped at the bound.
+            let len = (at + 1).max(2 * self.slot_of.len()).min(bound);
+            self.slot_of.resize(len, NO_SLOT);
+        }
+        let slot = self.slot_of[at];
+        if slot != NO_SLOT {
+            return Ok(slot);
+        }
+        let slot = self.ids.len() as u32;
+        self.slot_of[at] = slot;
+        self.ids.push(id);
+        self.coords.push(Point::new(0, 0));
+        self.region_of.push(NO_REGION);
+        self.has_record.push(false);
+        self.arc_rows.push((0, 0));
+        Ok(slot)
     }
 
-    /// Merges a decoded region page.
-    pub(crate) fn add_region(&mut self, data: &RegionData) {
-        self.add_region_ext(data, None);
-    }
-
-    /// Merges a decoded region page including the baseline extras: records
-    /// landmark vectors and region hints, and — when `goal_flag` is set —
-    /// keeps only arcs whose flag bit for that region is 1 (AF pruning,
-    /// applied at insertion instead of at relaxation; the two are
-    /// equivalent because a pruned arc is never relaxed).
+    /// Folds a region's unsealed payload (its page group's payloads,
+    /// concatenated) in `fmt`'s record layout straight into the arena, in
+    /// one pass. Records landmark vectors and region hints where `fmt`
+    /// carries them, and — when `goal_flag` is set — keeps only arcs whose
+    /// flag bit for that region is 1 (AF pruning, applied at insertion
+    /// instead of at relaxation; the two are equivalent because a pruned
+    /// arc is never relaxed).
     ///
     /// Idempotent per region: a region already folded in is skipped (the
-    /// PIR fetch that produced `data` still happened; the caller counts it).
-    pub(crate) fn add_region_ext(&mut self, data: &RegionData, goal_flag: Option<usize>) {
-        let region = data.region();
+    /// PIR fetch that produced `payload` still happened; the caller counts
+    /// it).
+    ///
+    /// # Errors
+    /// A payload shorter than its region head, a record head or an
+    /// adjacency block it announces is a [`CoreError::Storage`]; a record
+    /// or arc head whose id is not below the id bound, and a node with two
+    /// records, are a [`CoreError::Query`]. The arena may then hold part of
+    /// the region: [`clear`](Self::clear) it before the next query.
+    pub(crate) fn add_region(
+        &mut self,
+        payload: &[u8],
+        fmt: &RecordFormat,
+        goal_flag: Option<usize>,
+    ) -> Result<()> {
+        let mut r = ByteReader::new(payload);
+        let region = r.u16()?;
+        let count = r.u16()?;
         if self.loaded.contains(&region) {
-            return;
+            return Ok(());
         }
         self.loaded.push(region);
+        let lm_count = usize::from(fmt.lm_count);
         if self.aux_stride == 0 {
-            self.aux_stride = data.lm_count();
+            self.aux_stride = lm_count;
         }
+        let head_bytes = fmt.node_bytes(0);
+        let arc_bytes = fmt.node_bytes(1) - head_bytes;
+        let flags_at = arc_bytes - usize::from(fmt.flag_bytes);
         let start = self.members.len() as u32;
-        for n in data.nodes() {
-            let u = self.intern(n.id);
-            debug_assert!(
-                !self.has_record[u as usize],
-                "node {} folded in twice",
-                n.id
-            );
-            self.coords[u as usize] = n.pos;
-            self.region_of[u as usize] = region;
-            self.has_record[u as usize] = true;
-            if self.aux_stride > 0 && !n.lm_vec.is_empty() {
-                let lo = u as usize * self.aux_stride;
-                let hi = lo + self.aux_stride;
-                if self.aux.len() < hi {
-                    self.aux.resize(hi, u32::MAX);
+        for _ in 0..count {
+            let head = r.bytes(head_bytes)?;
+            let u = self.intern(u32_at(head, 0))?;
+            let slot = u as usize;
+            if self.has_record[slot] {
+                return Err(CoreError::Query(format!(
+                    "node {} has two records",
+                    self.ids[slot]
+                )));
+            }
+            self.coords[slot] = Point::new(u32_at(head, 4) as i32, u32_at(head, 8) as i32);
+            self.region_of[slot] = region;
+            self.has_record[slot] = true;
+            let stride = self.aux_stride.min(lm_count);
+            if stride > 0 {
+                let lo = slot * self.aux_stride;
+                if self.aux.len() < lo + self.aux_stride {
+                    self.aux.resize(lo + self.aux_stride, u32::MAX);
                 }
-                self.aux[lo..hi].copy_from_slice(&n.lm_vec[..self.aux_stride]);
+                for (k, entry) in self.aux[lo..lo + stride].iter_mut().enumerate() {
+                    *entry = u32_at(head, 12 + 4 * k);
+                }
             }
             self.members.push(u);
+            let degree = usize::from(u16_at(head, head_bytes - 2));
+            let block = r.bytes(degree * arc_bytes)?;
             let row_start = self.arcs.len() as u32;
-            for (k, a) in n.adj.iter().enumerate() {
-                let v = self.intern(a.to);
-                if a.to_region != NO_REGION && !self.has_record[v as usize] {
-                    self.region_of[v as usize] = a.to_region;
+            for arc in block.chunks_exact(arc_bytes) {
+                let v = self.intern(u32_at(arc, 0))?;
+                if fmt.with_regions {
+                    let to_region = u16_at(arc, 8);
+                    if to_region != NO_REGION && !self.has_record[v as usize] {
+                        self.region_of[v as usize] = to_region;
+                    }
                 }
-                if goal_flag.is_none_or(|g| flag_set(n.flags(k), g)) {
-                    self.arcs.push((u, v, a.w));
+                if goal_flag.is_none_or(|g| flag_set(&arc[flags_at..], g)) {
+                    self.arcs.push((u, v, u32_at(arc, 4)));
                 }
             }
-            self.arc_rows[u as usize] = (row_start, self.arcs.len() as u32);
+            self.arc_rows[slot] = (row_start, self.arcs.len() as u32);
         }
         self.region_runs
             .push((region, start, self.members.len() as u32));
+        Ok(())
+    }
+
+    /// Unseals a batch of region page groups, `group_pages` pages each, and
+    /// folds each in with [`add_region`](Self::add_region): a one-page
+    /// group straight from its page, a longer one concatenated through
+    /// `buf`.
+    pub(crate) fn add_page_groups(
+        &mut self,
+        pages: &[PageBuf],
+        group_pages: usize,
+        fmt: &RecordFormat,
+        goal_flag: Option<usize>,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
+        for group in pages.chunks(group_pages) {
+            if let [page] = group {
+                self.add_region(unseal_page(page)?, fmt, goal_flag)?;
+                continue;
+            }
+            buf.clear();
+            for page in group {
+                buf.extend_from_slice(unseal_page(page)?);
+            }
+            self.add_region(buf, fmt, goal_flag)?;
+        }
+        Ok(())
     }
 
     /// The arcs of dense slot `u`'s record, in record order (empty until
@@ -263,6 +335,19 @@ impl ClientSubgraph {
     fn arcs_of(&self, u: u32) -> &[(u32, u32, u32)] {
         let (lo, hi) = self.arc_rows[u as usize];
         &self.arcs[lo as usize..hi as usize]
+    }
+
+    /// What [`shortest_path_in`](Self::shortest_path_in) relaxes for dense
+    /// slot `u`, in order: its record's arcs in record order, then its
+    /// `add_edges` triples in insertion order — the row a stable sort of all
+    /// arcs by tail gives, because every driver folds records before it
+    /// adds triples. Needs the triple CSR built.
+    fn rows(&self, u: u32) -> [&[(u32, u32, u32)]; 2] {
+        let triples = match self.edge_offsets.get(u as usize..u as usize + 2) {
+            Some(&[lo, hi]) => &self.edge_rows[lo as usize..hi as usize],
+            _ => &[],
+        };
+        [self.arcs_of(u), triples]
     }
 
     /// Aux (landmark) vector of a dense slot — empty if none stored yet.
@@ -280,12 +365,17 @@ impl ClientSubgraph {
     }
 
     /// Merges subgraph edge triples (PI family).
-    pub fn add_edges(&mut self, triples: &[(u32, u32, u32)]) {
+    ///
+    /// # Errors
+    /// An endpoint id not below the id bound is a [`CoreError::Query`]; the
+    /// triples before it are merged.
+    pub fn add_edges(&mut self, triples: &[(u32, u32, u32)]) -> Result<()> {
         for &(u, v, w) in triples {
-            let du = self.intern(u);
-            let dv = self.intern(v);
-            self.arcs.push((du, dv, w));
+            let du = self.intern(u)?;
+            let dv = self.intern(v)?;
+            self.edges.push((du, dv, w));
         }
+        Ok(())
     }
 
     /// Snaps a query point to the nearest node of `region` ("our
@@ -328,40 +418,38 @@ impl ClientSubgraph {
         best.map(|(_, id)| id)
     }
 
-    /// (Re)builds the CSR adjacency from the accumulated arcs by counting
-    /// sort. Idempotent: a no-op unless arcs arrived since the last build.
-    /// Runs once per [`shortest_path_in`](Self::shortest_path_in) solve.
-    fn build_csr(&mut self) {
+    /// (Re)sorts the `add_edges` triples by tail into `edge_rows` by
+    /// counting sort. Idempotent: a no-op unless triples or nodes arrived
+    /// since the last build, and nothing at all while there are no triples.
+    fn build_edge_rows(&mut self) {
         let n = self.ids.len();
-        if self.csr_arcs == self.arcs.len() && self.csr_offsets.len() == n + 1 {
+        if self.sorted_edges == self.edges.len()
+            && (self.edges.is_empty() || self.edge_offsets.len() == n + 1)
+        {
             return;
         }
-        let m = self.arcs.len();
-        self.csr_offsets.clear();
-        self.csr_offsets.resize(n + 1, 0);
-        for &(u, _, _) in &self.arcs {
-            self.csr_offsets[u as usize + 1] += 1;
+        self.edge_offsets.clear();
+        self.edge_offsets.resize(n + 1, 0);
+        for &(u, _, _) in &self.edges {
+            self.edge_offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
-            self.csr_offsets[i + 1] += self.csr_offsets[i];
+            self.edge_offsets[i + 1] += self.edge_offsets[i];
         }
-        self.csr_heads.clear();
-        self.csr_heads.resize(m, 0);
-        self.csr_weights.clear();
-        self.csr_weights.resize(m, 0);
+        self.edge_rows.clear();
+        self.edge_rows.resize(self.edges.len(), (0, 0, 0));
         // Scatter using the offsets as cursors, then restore them by shifting
         // (after the scatter, offsets[u] holds the end of row u).
-        for &(u, v, w) in &self.arcs {
-            let at = self.csr_offsets[u as usize] as usize;
-            self.csr_heads[at] = v;
-            self.csr_weights[at] = w;
-            self.csr_offsets[u as usize] += 1;
+        for &e in &self.edges {
+            let at = &mut self.edge_offsets[e.0 as usize];
+            self.edge_rows[*at as usize] = e;
+            *at += 1;
         }
         for i in (1..=n).rev() {
-            self.csr_offsets[i] = self.csr_offsets[i - 1];
+            self.edge_offsets[i] = self.edge_offsets[i - 1];
         }
-        self.csr_offsets[0] = 0;
-        self.csr_arcs = m;
+        self.edge_offsets[0] = 0;
+        self.sorted_edges = self.edges.len();
     }
 
     /// Dijkstra from `s` to `t` over the assembled view, using (and
@@ -374,10 +462,9 @@ impl ClientSubgraph {
         s: NodeId,
         t: NodeId,
     ) -> Option<Dist> {
-        self.build_csr();
-        let (&s_slot, &t_slot) = (self.slot_of.get(&s)?, self.slot_of.get(&t)?);
-        let n = self.ids.len();
-        scratch.reset(n);
+        self.build_edge_rows();
+        let (s_slot, t_slot) = (self.slot(s)?, self.slot(t)?);
+        scratch.reset(self.ids.len());
         scratch.dist[s_slot as usize] = 0;
         scratch.heap.push(s_slot, (0, s));
         while let Some(u) = scratch.heap.pop() {
@@ -386,17 +473,14 @@ impl ClientSubgraph {
                 return Some(scratch.dist[t_slot as usize]);
             }
             let du = scratch.dist[u as usize];
-            let (lo, hi) = (
-                self.csr_offsets[u as usize] as usize,
-                self.csr_offsets[u as usize + 1] as usize,
-            );
-            for k in lo..hi {
-                let v = self.csr_heads[k];
-                let nd = du + Dist::from(self.csr_weights[k]);
-                if nd < scratch.dist[v as usize] {
-                    scratch.dist[v as usize] = nd;
-                    scratch.parent[v as usize] = u;
-                    scratch.heap.push_or_decrease(v, (nd, self.ids[v as usize]));
+            for row in self.rows(u) {
+                for &(_, v, w) in row {
+                    let nd = du + Dist::from(w);
+                    if nd < scratch.dist[v as usize] {
+                        scratch.dist[v as usize] = nd;
+                        scratch.parent[v as usize] = u;
+                        scratch.heap.push_or_decrease(v, (nd, self.ids[v as usize]));
+                    }
                 }
             }
         }
@@ -546,25 +630,67 @@ pub struct FetchOutcome {
     pub fetches: u32,
 }
 
-/// Fetches `region`, counts the fetch, and folds the page into the arena
-/// (idempotent per region — a duplicate fetch still counts, mirroring the
-/// reference searches' unconditional `load`).
-///
-/// The closure hands back an `Arc` so callers that already hold decoded
-/// pages — notably the plan-derivation probe loops, which revisit the same
-/// regions across thousands of probes — satisfy a fetch with a reference
-/// count bump instead of a decode (or a deep clone).
+/// What a search calls to bring a region's records into the arena: fetch
+/// region `r` and fold it into the arena it is handed (one fetch, counted
+/// by the search whether or not the region was folded in before).
+pub(crate) type FoldRegion<'a> = dyn FnMut(u16, &mut ClientSubgraph) -> Result<()> + 'a;
+
+/// Fetches `region` into the arena and counts the fetch (idempotent per
+/// region — a duplicate fetch still counts, mirroring the reference
+/// searches' unconditional `load`).
 fn load_region(
     sub: &mut ClientSubgraph,
     region: u16,
-    goal_flag: Option<usize>,
     fetches: &mut u32,
-    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+    fetch: &mut FoldRegion<'_>,
 ) -> Result<()> {
-    let data = fetch(region)?;
+    fetch(region, sub)?;
     *fetches += 1;
-    sub.add_region_ext(&data, goal_flag);
     Ok(())
+}
+
+/// Adapts a fetch of decoded regions to [`FoldRegion`]: each region is
+/// folded from the payload it was decoded from.
+fn fold_decoded<'a>(
+    fetch: &'a mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+    goal_flag: Option<usize>,
+) -> impl FnMut(u16, &mut ClientSubgraph) -> Result<()> + 'a {
+    move |region, sub| {
+        let data = fetch(region)?;
+        sub.add_region(data.payload(), data.format(), goal_flag)
+    }
+}
+
+/// `search_lm_in` over a fetch that hands back decoded regions — the form
+/// the differential suite in `tests/leakage.rs` drives, with the decoder
+/// of the retained reference search
+/// ([`crate::schemes::lm::reference::lm_search`]) on its side of the
+/// comparison and the arena's own fold on this one.
+pub fn search_lm(
+    sub: &mut ClientSubgraph,
+    scratch: &mut QueryScratch,
+    rs: u16,
+    rt: u16,
+    s: Point,
+    t: Point,
+    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+) -> Result<FetchOutcome> {
+    search_lm_in(sub, scratch, rs, rt, s, t, &mut fold_decoded(fetch, None))
+}
+
+/// `search_af_in` over a fetch that hands back decoded regions; see
+/// [`search_lm`].
+pub fn search_af(
+    sub: &mut ClientSubgraph,
+    scratch: &mut QueryScratch,
+    rs: u16,
+    rt: u16,
+    s: Point,
+    t: Point,
+    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+) -> Result<FetchOutcome> {
+    let goal = Some(rt as usize);
+    search_af_in(sub, scratch, rs, rt, s, t, &mut fold_decoded(fetch, goal))
 }
 
 /// The LM interleaved search (§4) on the interned arena: A* under the
@@ -577,23 +703,24 @@ fn load_region(
 /// sequence — to the retained `HashMap` implementation
 /// [`crate::schemes::lm::reference::lm_search`]; the differential property
 /// suite in `tests/leakage.rs` asserts answers and fetch counts match
-/// exactly. Unlike the reference, the search itself allocates nothing in
-/// steady state: its state lives in the reusable `sub` arena and `scratch`
-/// buffers, and only `fetch` allocates, for the regions it decodes.
-pub fn search_lm(
+/// exactly (through [`search_lm`]). Unlike the reference, the search
+/// allocates nothing in steady state: its state lives in the reusable `sub`
+/// arena and `scratch` buffers, and `fetch` folds each region's bytes
+/// straight into `sub`.
+pub(crate) fn search_lm_in(
     sub: &mut ClientSubgraph,
     scratch: &mut QueryScratch,
     rs: u16,
     rt: u16,
     s: Point,
     t: Point,
-    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+    fetch: &mut FoldRegion<'_>,
 ) -> Result<FetchOutcome> {
     let mut fetches = 0u32;
     // Round-two fetches: both host regions (two fetches even if equal, per
     // the fixed plan).
-    load_region(sub, rs, None, &mut fetches, fetch)?;
-    load_region(sub, rt, None, &mut fetches, fetch)?;
+    load_region(sub, rs, &mut fetches, fetch)?;
+    load_region(sub, rt, &mut fetches, fetch)?;
 
     let s_node = sub
         .snap_first(rs, s)
@@ -611,8 +738,8 @@ pub fn search_lm(
             fetches,
         });
     }
-    let s_slot = sub.slot_of[&s_node];
-    let t_slot = sub.slot_of[&t_node];
+    let s_slot = sub.slot_of[s_node as usize];
+    let t_slot = sub.slot_of[t_node as usize];
     scratch.aux_key.extend_from_slice(sub.aux_of(t_slot));
 
     scratch.dist[s_slot as usize] = 0;
@@ -636,7 +763,7 @@ pub fn search_lm(
                     sub.ids[u as usize]
                 )));
             }
-            load_region(sub, region, None, &mut fetches, fetch)?;
+            load_region(sub, region, &mut fetches, fetch)?;
             scratch.ensure(sub.num_nodes());
             if !sub.has_record[u as usize] {
                 return Err(CoreError::Query(format!(
@@ -690,21 +817,21 @@ pub fn search_lm(
 /// not arrived.
 ///
 /// Behaviourally identical to the retained `HashMap` implementation
-/// [`crate::schemes::af::reference::af_search`]; see [`search_lm`] for the
-/// equivalence contract.
-pub fn search_af(
+/// [`crate::schemes::af::reference::af_search`]; see [`search_lm_in`] for
+/// the equivalence contract. `fetch` applies the pruning: it folds each
+/// region with `rt` as the goal flag.
+pub(crate) fn search_af_in(
     sub: &mut ClientSubgraph,
     scratch: &mut QueryScratch,
     rs: u16,
     rt: u16,
     s: Point,
     t: Point,
-    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
+    fetch: &mut FoldRegion<'_>,
 ) -> Result<FetchOutcome> {
-    let goal = Some(rt as usize);
     let mut fetches = 0u32;
-    load_region(sub, rs, goal, &mut fetches, fetch)?;
-    load_region(sub, rt, goal, &mut fetches, fetch)?;
+    load_region(sub, rs, &mut fetches, fetch)?;
+    load_region(sub, rt, &mut fetches, fetch)?;
 
     let s_node = sub
         .snap_first(rs, s)
@@ -722,8 +849,8 @@ pub fn search_af(
             fetches,
         });
     }
-    let s_slot = sub.slot_of[&s_node];
-    let t_slot = sub.slot_of[&t_node];
+    let s_slot = sub.slot_of[s_node as usize];
+    let t_slot = sub.slot_of[t_node as usize];
     scratch.dist[s_slot as usize] = 0;
     scratch.lazy_push((0, 0, s_slot), &sub.ids);
     let mut found = None;
@@ -740,7 +867,7 @@ pub fn search_af(
                     sub.ids[u as usize]
                 )));
             }
-            load_region(sub, region, goal, &mut fetches, fetch)?;
+            load_region(sub, region, &mut fetches, fetch)?;
             scratch.ensure(sub.num_nodes());
             if !sub.has_record[u as usize] {
                 return Err(CoreError::Query(format!(
@@ -785,14 +912,13 @@ pub fn search_af(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::files::fd::{decode_region, RecordFormat};
     use privpath_storage::ByteWriter;
 
     type TestNode = (u32, (i32, i32), Vec<(u32, u32)>);
 
-    /// Encodes `nodes` as one plain-format region record stream and decodes
-    /// it, as a client would a fetched page.
-    fn region(region: u16, nodes: Vec<TestNode>) -> RegionData {
+    /// Encodes `nodes` as one plain-format region record stream, as a client
+    /// holds it once it has unsealed a fetched page.
+    fn region(region: u16, nodes: Vec<TestNode>) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u16(region).u16(nodes.len() as u16);
         for (id, (x, y), adj) in nodes {
@@ -801,17 +927,25 @@ mod tests {
                 w.u32(to).u32(wt);
             }
         }
-        decode_region(w.as_slice(), &RecordFormat::default()).unwrap()
+        w.into_vec()
+    }
+
+    fn add(g: &mut ClientSubgraph, payload: &[u8]) {
+        g.add_region(payload, &RecordFormat::default(), None)
+            .unwrap();
     }
 
     #[test]
     fn path_across_regions() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(
-            0,
-            vec![(0, (0, 0), vec![(1, 5)]), (1, (1, 0), vec![(0, 5), (2, 7)])],
-        ));
-        g.add_region(&region(1, vec![(2, (2, 0), vec![(1, 7)])]));
+        add(
+            &mut g,
+            &region(
+                0,
+                vec![(0, (0, 0), vec![(1, 5)]), (1, (1, 0), vec![(0, 5), (2, 7)])],
+            ),
+        );
+        add(&mut g, &region(1, vec![(2, (2, 0), vec![(1, 7)])]));
         let (cost, path) = g.shortest_path(0, 2).unwrap();
         assert_eq!(cost, 12);
         assert_eq!(path, vec![0, 1, 2]);
@@ -820,20 +954,20 @@ mod tests {
     #[test]
     fn unreachable_is_none() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(0, vec![(0, (0, 0), vec![])]));
-        g.add_region(&region(1, vec![(9, (9, 9), vec![])]));
+        add(&mut g, &region(0, vec![(0, (0, 0), vec![])]));
+        add(&mut g, &region(1, vec![(9, (9, 9), vec![])]));
         assert!(g.shortest_path(0, 9).is_none());
     }
 
     #[test]
     fn extra_edges_from_subgraph_records() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(
-            0,
-            vec![(0, (0, 0), vec![(1, 100)]), (1, (5, 0), vec![])],
-        ));
+        add(
+            &mut g,
+            &region(0, vec![(0, (0, 0), vec![(1, 100)]), (1, (5, 0), vec![])]),
+        );
         // A cheaper connection arrives via G_st triples.
-        g.add_edges(&[(0, 2, 1), (2, 1, 1)]);
+        g.add_edges(&[(0, 2, 1), (2, 1, 1)]).unwrap();
         let (cost, path) = g.shortest_path(0, 1).unwrap();
         assert_eq!(cost, 2);
         assert_eq!(path, vec![0, 2, 1]);
@@ -842,11 +976,11 @@ mod tests {
     #[test]
     fn duplicate_edges_are_harmless() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(
-            0,
-            vec![(0, (0, 0), vec![(1, 3)]), (1, (1, 1), vec![])],
-        ));
-        g.add_edges(&[(0, 1, 3), (0, 1, 3)]);
+        add(
+            &mut g,
+            &region(0, vec![(0, (0, 0), vec![(1, 3)]), (1, (1, 1), vec![])]),
+        );
+        g.add_edges(&[(0, 1, 3), (0, 1, 3)]).unwrap();
         let (cost, _) = g.shortest_path(0, 1).unwrap();
         assert_eq!(cost, 3);
     }
@@ -854,14 +988,17 @@ mod tests {
     #[test]
     fn snapping_picks_nearest_in_region() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(
-            3,
-            vec![
-                (10, (0, 0), vec![]),
-                (11, (100, 100), vec![]),
-                (12, (10, 10), vec![]),
-            ],
-        ));
+        add(
+            &mut g,
+            &region(
+                3,
+                vec![
+                    (10, (0, 0), vec![]),
+                    (11, (100, 100), vec![]),
+                    (12, (10, 10), vec![]),
+                ],
+            ),
+        );
         assert_eq!(g.snap(3, Point::new(9, 9)), Some(12));
         assert_eq!(g.snap(3, Point::new(-5, 0)), Some(10));
         assert_eq!(g.snap(4, Point::new(0, 0)), None);
@@ -870,7 +1007,7 @@ mod tests {
     #[test]
     fn trivial_same_node() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(0, vec![(7, (0, 0), vec![])]));
+        add(&mut g, &region(0, vec![(7, (0, 0), vec![])]));
         let (cost, path) = g.shortest_path(7, 7).unwrap();
         assert_eq!(cost, 0);
         assert_eq!(path, vec![7]);
@@ -880,19 +1017,19 @@ mod tests {
     fn clear_keeps_capacity_and_resets_view() {
         let mut g = ClientSubgraph::new();
         let mut scratch = QueryScratch::new();
-        g.add_region(&region(
-            0,
-            vec![(0, (0, 0), vec![(1, 5)]), (1, (1, 0), vec![])],
-        ));
+        add(
+            &mut g,
+            &region(0, vec![(0, (0, 0), vec![(1, 5)]), (1, (1, 0), vec![])]),
+        );
         assert_eq!(g.shortest_path_in(&mut scratch, 0, 1), Some(5));
         g.clear();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.snap(0, Point::new(0, 0)), None);
         // Same ids, different topology: stale state must not leak through.
-        g.add_region(&region(
-            0,
-            vec![(0, (0, 0), vec![(1, 9)]), (1, (1, 0), vec![])],
-        ));
+        add(
+            &mut g,
+            &region(0, vec![(0, (0, 0), vec![(1, 9)]), (1, (1, 0), vec![])]),
+        );
         assert_eq!(g.shortest_path_in(&mut scratch, 0, 1), Some(9));
         assert_eq!(scratch.path, vec![0, 1]);
     }
@@ -900,49 +1037,156 @@ mod tests {
     #[test]
     fn csr_rebuilds_after_incremental_edges() {
         let mut g = ClientSubgraph::new();
-        g.add_region(&region(
-            0,
-            vec![(0, (0, 0), vec![(1, 50)]), (1, (1, 0), vec![])],
-        ));
+        add(
+            &mut g,
+            &region(0, vec![(0, (0, 0), vec![(1, 50)]), (1, (1, 0), vec![])]),
+        );
         assert_eq!(g.shortest_path(0, 1).unwrap().0, 50);
-        // Arcs arriving after a solve must be folded into the next CSR.
-        g.add_edges(&[(0, 1, 2)]);
+        // Triples arriving after a solve must be sorted into the next one.
+        g.add_edges(&[(0, 1, 2)]).unwrap();
         assert_eq!(g.shortest_path(0, 1).unwrap().0, 2);
     }
 
-    /// Encodes `regions` regions of random LM or AF records over `n` nodes:
-    /// each node in one region, up to four arcs to any node (self-loops and
-    /// parallel arcs included), random landmark entries and flag bytes as
-    /// `fmt` asks.
-    fn random_records(seed: u64, fmt: &RecordFormat, regions: u16, n: u32) -> Vec<RegionData> {
+    /// The parent design's adjacency, kept as the oracle of the row solver:
+    /// every arc the view holds — record arcs in fold order, then the
+    /// `add_edges` triples in insertion order — sorted by tail into one
+    /// CSR by a stable counting sort. Returns the row offsets and the
+    /// `(head, weight)` column.
+    fn all_arcs_csr(sub: &ClientSubgraph) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let n = sub.num_nodes();
+        let all: Vec<(u32, u32, u32)> = sub.arcs.iter().chain(&sub.edges).copied().collect();
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, _, _) in &all {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut column = vec![(0, 0); all.len()];
+        for &(u, v, w) in &all {
+            column[cursor[u as usize] as usize] = (v, w);
+            cursor[u as usize] += 1;
+        }
+        (offsets, column)
+    }
+
+    /// The parent's solver over [`all_arcs_csr`]: Dijkstra keyed by
+    /// `(distance, external id)`. Returns the cost and the node path.
+    fn csr_solve(sub: &ClientSubgraph, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
+        let (offsets, column) = all_arcs_csr(sub);
+        let (s_slot, t_slot) = (sub.slot(s)?, sub.slot(t)?);
+        let mut scratch = QueryScratch::new();
+        scratch.reset(sub.num_nodes());
+        scratch.dist[s_slot as usize] = 0;
+        scratch.heap.push(s_slot, (0, s));
+        while let Some(u) = scratch.heap.pop() {
+            if u == t_slot {
+                scratch.emit_path(t_slot, &sub.ids);
+                return Some((scratch.dist[t_slot as usize], scratch.path.clone()));
+            }
+            let du = scratch.dist[u as usize];
+            for &(v, w) in &column[offsets[u as usize] as usize..offsets[u as usize + 1] as usize] {
+                let nd = du + Dist::from(w);
+                if nd < scratch.dist[v as usize] {
+                    scratch.dist[v as usize] = nd;
+                    scratch.parent[v as usize] = u;
+                    scratch.heap.push_or_decrease(v, (nd, sub.ids[v as usize]));
+                }
+            }
+        }
+        None
+    }
+
+    /// One node record for [`encode`]: id, coordinates and `(head, weight)`
+    /// arcs.
+    type Record = (u32, i32, i32, Vec<(u32, u32)>);
+
+    /// Encodes `records` as one region's payload in `fmt`'s layout, with
+    /// landmark entries, head-region hints and flag bytes derived from the
+    /// ids (`home` gives each head's region).
+    fn encode(
+        region: u16,
+        records: &[Record],
+        fmt: &RecordFormat,
+        home: &dyn Fn(u32) -> u16,
+    ) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u16(region).u16(records.len() as u16);
+        for (id, x, y, adj) in records {
+            w.u32(*id).i32(*x).i32(*y);
+            for k in 0..u32::from(fmt.lm_count) {
+                w.u32(id.wrapping_mul(31).wrapping_add(k * 7) % 1000);
+            }
+            w.u16(adj.len() as u16);
+            for &(to, wt) in adj {
+                w.u32(to).u32(wt);
+                if fmt.with_regions {
+                    w.u16(home(to));
+                }
+                for b in 0..fmt.flag_bytes {
+                    w.u8((to as u8).wrapping_mul(37) ^ (b as u8).wrapping_mul(101));
+                }
+            }
+        }
+        w.into_vec()
+    }
+
+    /// Random records over `n` nodes in `regions` regions: each node in one
+    /// region, up to four arcs to any node (self-loops and parallel arcs
+    /// included). Returns each region's payload.
+    fn random_records(seed: u64, fmt: &RecordFormat, regions: u16, n: u32) -> Vec<Vec<u8>> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let home: Vec<u16> = (0..n).map(|_| rng.gen_range(0..regions)).collect();
         (0..regions)
             .map(|r| {
-                let nodes: Vec<u32> = (0..n).filter(|&u| home[u as usize] == r).collect();
-                let mut w = ByteWriter::new();
-                w.u16(r).u16(nodes.len() as u16);
-                for u in nodes {
-                    w.u32(u)
-                        .i32(rng.gen_range(0..100))
-                        .i32(rng.gen_range(0..100));
-                    for _ in 0..fmt.lm_count {
-                        w.u32(rng.gen_range(0..1000));
-                    }
-                    let deg = rng.gen_range(0..5u16);
-                    w.u16(deg);
-                    for _ in 0..deg {
-                        let v = rng.gen_range(0..n);
-                        w.u32(v).u32(rng.gen_range(1..50)).u16(home[v as usize]);
-                        for _ in 0..fmt.flag_bytes {
-                            w.u8(rng.gen_range(0..=255));
-                        }
-                    }
-                }
-                decode_region(w.as_slice(), fmt).unwrap()
+                let records: Vec<Record> = (0..n)
+                    .filter(|&u| home[u as usize] == r)
+                    .map(|u| {
+                        let deg = rng.gen_range(0..5usize);
+                        let adj = (0..deg)
+                            .map(|_| (rng.gen_range(0..n), rng.gen_range(1..50u32)))
+                            .collect();
+                        (u, rng.gen_range(0..100), rng.gen_range(0..100), adj)
+                    })
+                    .collect();
+                encode(r, &records, fmt, &|v| home[v as usize])
             })
             .collect()
+    }
+
+    const PLAIN: RecordFormat = RecordFormat {
+        lm_count: 0,
+        with_regions: false,
+        flag_bytes: 0,
+    };
+    const LM: RecordFormat = RecordFormat {
+        lm_count: 3,
+        with_regions: true,
+        flag_bytes: 0,
+    };
+    const AF: RecordFormat = RecordFormat {
+        lm_count: 0,
+        with_regions: true,
+        flag_bytes: 2,
+    };
+
+    /// A forgery of an otherwise well-formed region payload.
+    #[derive(Debug, Clone, Copy)]
+    enum Forgery {
+        /// The payload cut to this many bytes (shorter than its records).
+        Truncate(usize),
+        /// Record `k`'s degree raised past what the payload holds.
+        Degree(usize, u16),
+        /// A record count beyond the records present.
+        Count(u16),
+        /// Record `k`'s id replaced.
+        RecordId(usize, u32),
+        /// Record `k`'s first arc head replaced.
+        ArcHead(usize, u32),
+        /// Record `k` a second record of record 0's node.
+        TwoRecords(usize),
     }
 
     proptest::proptest! {
@@ -969,12 +1213,10 @@ mod tests {
             let regions = random_records(seed, &fmt, 6, 48);
             let mut sub = ClientSubgraph::new();
             for &r in &loads {
-                sub.add_region_ext(&regions[r as usize], goal_flag);
-                sub.build_csr();
+                sub.add_region(&regions[r as usize], &fmt, goal_flag).unwrap();
+                let (offsets, column) = all_arcs_csr(&sub);
                 for u in 0..sub.num_nodes() {
-                    let (lo, hi) = (sub.csr_offsets[u] as usize, sub.csr_offsets[u + 1] as usize);
-                    let row: Vec<(u32, u32)> =
-                        (lo..hi).map(|k| (sub.csr_heads[k], sub.csr_weights[k])).collect();
+                    let row = column[offsets[u] as usize..offsets[u + 1] as usize].to_vec();
                     let arcs = sub.arcs_of(u as u32);
                     proptest::prop_assert!(arcs.iter().all(|a| a.0 == u as u32));
                     let arcs: Vec<(u32, u32)> = arcs.iter().map(|&(_, v, w)| (v, w)).collect();
@@ -982,9 +1224,151 @@ mod tests {
                 }
             }
         }
+
+        /// The row solver against the parent's all-arcs CSR solver on mixed
+        /// views: records of several regions, folded first as every driver
+        /// folds them, then `add_edges` triples — tails with a record and
+        /// triples both, and ids no record names. Each node's relax rows,
+        /// concatenated, are its CSR row, in order; and from any interned
+        /// source to any interned target both solvers return the same cost
+        /// and the same node path.
+        #[test]
+        fn row_solver_matches_csr_solver_on_mixed_views(
+            seed in 0u64..1_000_000,
+            loads in proptest::collection::vec(0u16..5, 1..8),
+            triples in proptest::collection::vec((0u32..48, 0u32..48, 1u32..60), 0..80),
+            ends in proptest::collection::vec((0u32..48, 0u32..48), 1..6),
+        ) {
+            let regions = random_records(seed, &PLAIN, 5, 40);
+            let mut sub = ClientSubgraph::new();
+            for &r in &loads {
+                sub.add_region(&regions[r as usize], &PLAIN, None).unwrap();
+            }
+            sub.add_edges(&triples).unwrap();
+            sub.build_edge_rows();
+            let (offsets, column) = all_arcs_csr(&sub);
+            for u in 0..sub.num_nodes() as u32 {
+                let rows: Vec<(u32, u32)> =
+                    sub.rows(u).concat().iter().map(|&(_, v, w)| (v, w)).collect();
+                let csr = &column[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];
+                proptest::prop_assert_eq!(rows.as_slice(), csr, "slot {}", u);
+            }
+            for &(s, t) in &ends {
+                let want = csr_solve(&sub, s, t);
+                let got = sub.shortest_path(s, t);
+                proptest::prop_assert_eq!(got, want, "{} -> {}", s, t);
+            }
+        }
+
+        /// Forged payloads fold to an error, never a panic, in the plain,
+        /// LM and AF layouts: random bytes (which may also happen to be
+        /// well formed), truncations, degrees and counts beyond the
+        /// payload, record ids and arc heads at, just below and far past
+        /// the id bound, and a node with two records. The id table never
+        /// outgrows the bound, and the arena answers a well-formed region
+        /// correctly after `clear`.
+        #[test]
+        fn forged_payloads_are_errors_not_panics(
+            seed in 0u64..1_000_000,
+            layout in 0u8..3,
+            noise in proptest::collection::vec(0u8..=255, 0..160),
+            forgery in 0u8..9,
+            pick in 0usize..1_000,
+            cut in 0usize..1_000,
+        ) {
+            let fmt = [PLAIN, LM, AF][layout as usize];
+            let bound = 40u32;
+            let mut sub = ClientSubgraph::new();
+            sub.set_id_bound(bound);
+
+            // Random bytes, folded as the payload of a region.
+            let _ = sub.add_region(&noise, &fmt, Some(3));
+            proptest::prop_assert!(sub.slot_of.len() <= bound as usize);
+            sub.clear();
+
+            // A well-formed region over ids below the bound, then forged.
+            let records: Vec<Record> = (0..6u32)
+                .map(|k| {
+                    let id = (seed as u32).wrapping_add(k * 7) % bound;
+                    let adj = (0..1 + k % 3)
+                        .map(|j| ((id + 1 + j * 5) % bound, 1 + j))
+                        .collect();
+                    (id, k as i32, -(k as i32), adj)
+                })
+                .collect();
+            let mut records = records;
+            records.sort_by_key(|r| r.0);
+            records.dedup_by_key(|r| r.0);
+            let k = pick % records.len();
+            let forged = match forgery {
+                0 => Forgery::Truncate(cut % encode(1, &records, &fmt, &|_| 1).len()),
+                1 => Forgery::Degree(k, u16::MAX),
+                2 => Forgery::Count(records.len() as u16 + 1 + (pick as u16 % 500)),
+                3 => Forgery::RecordId(k, bound),
+                4 => Forgery::RecordId(k, u32::MAX - (pick as u32 % 3)),
+                5 => Forgery::ArcHead(k, bound),
+                6 => Forgery::ArcHead(k, bound + 1 + pick as u32 * 1_000_003),
+                7 => Forgery::TwoRecords(k.max(1)),
+                _ => Forgery::RecordId(k, bound - 1),
+            };
+            let mut bad = records.clone();
+            match forged {
+                Forgery::RecordId(k, id) => bad[k].0 = id,
+                Forgery::ArcHead(k, id) => bad[k].3[0].0 = id,
+                Forgery::TwoRecords(k) => bad[k].0 = bad[0].0,
+                _ => {}
+            }
+            let mut payload = encode(1, &bad, &fmt, &|_| 1);
+            match forged {
+                Forgery::Truncate(len) => payload.truncate(len),
+                Forgery::Count(c) => payload[2..4].copy_from_slice(&c.to_le_bytes()),
+                Forgery::Degree(k, d) => {
+                    let at = 4 + records[..k]
+                        .iter()
+                        .map(|r| fmt.node_bytes(r.3.len()))
+                        .sum::<usize>()
+                        + fmt.node_bytes(0)
+                        - 2;
+                    payload[at..at + 2].copy_from_slice(&d.to_le_bytes());
+                }
+                _ => {}
+            }
+            let folded = sub.add_region(&payload, &fmt, None);
+            // An id just below the bound is legitimate (unless it names a
+            // node another record already has).
+            let legit = matches!(forged, Forgery::RecordId(k, id)
+                if id < bound && records.iter().enumerate().all(|(j, r)| j == k || r.0 != id));
+            proptest::prop_assert_eq!(folded.is_ok(), legit, "{:?}: {:?}", forged, folded);
+            proptest::prop_assert!(sub.slot_of.len() <= bound as usize);
+
+            // The arena is usable again after `clear`.
+            sub.clear();
+            let good = encode(2, &[(0, 0, 0, vec![(1, 4)]), (1, 1, 0, vec![(2, 5)]), (2, 2, 0, vec![])], &fmt, &|_| 2);
+            sub.add_region(&good, &fmt, None).unwrap();
+            proptest::prop_assert_eq!(sub.shortest_path(0, 2), Some((9, vec![0, 1, 2])));
+        }
     }
 
-    /// On deterministic pseudo-random multigraph views, the CSR solver's
+    /// The ids of `add_edges` triples are held to the bound too, and a
+    /// rejected id leaves the table no longer than the bound.
+    #[test]
+    fn edge_ids_past_the_bound_are_errors() {
+        let mut g = ClientSubgraph::new();
+        g.set_id_bound(10);
+        assert!(g.add_edges(&[(0, 9, 1)]).is_ok());
+        for bad in [
+            (0, 10, 1),
+            (10, 0, 1),
+            (0, u32::MAX, 1),
+            (4_000_000_000, 1, 1),
+        ] {
+            assert!(matches!(g.add_edges(&[bad]), Err(CoreError::Query(_))));
+            assert!(g.slot_of.len() <= 10);
+        }
+        assert_eq!(g.shortest_path(0, 9).map(|(c, _)| c), Some(1));
+    }
+
+    /// On deterministic pseudo-random multigraph views, the solver's
     /// cost equals `graph::dijkstra::distance` over a `NetworkBuilder`
     /// network of the same triples (`INFINITY` read as unreachable).
     /// Self-loops are left out of the network: they never lie on a shortest
@@ -1013,7 +1397,7 @@ mod tests {
                 })
                 .collect();
             let mut csr = ClientSubgraph::new();
-            csr.add_edges(&triples);
+            csr.add_edges(&triples).unwrap();
             let mut net = NetworkBuilder::new();
             for _ in 0..n {
                 net.add_node(Point::new(0, 0));

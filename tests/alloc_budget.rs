@@ -1,8 +1,8 @@
 //! Allocations per warm query, counted.
 //!
-//! The client's region path — decode a page group, fold it into the
-//! interned arena, search — is meant to cost allocations in proportion to
-//! the regions a query fetches, not to the records and arcs inside them,
+//! The client's region path — unseal a page group, fold its bytes into
+//! the interned arena, search — is meant to cost no allocations per region
+//! once the session is warm, nothing per record or arc inside a region,
 //! and nothing per search step. A counting `#[global_allocator]` makes
 //! that a checked number: each test runs a warm in-process session of one
 //! scheme and bounds the allocations (`alloc`, `alloc_zeroed` and
@@ -11,11 +11,12 @@
 //! `InProc` session serves its pages on the calling thread, so the count
 //! is client and server together.
 //!
-//! Each bound sits about 1.5x above the largest count the flat region
-//! decoder reads on its scheme (printed with `--nocapture`: CI 160, LM 139,
-//! AF 55), and below a quarter of the mean a decoder that allocated per
-//! node record and per arc read on the same sessions (CI 1,998, LM 1,668,
-//! AF 4,068).
+//! Each bound sits about 1.5x above the largest count read since the
+//! client folds region bytes straight into its arena (printed with
+//! `--nocapture`: CI 128, LM 43, AF 22; a flat decoded copy per region read
+//! CI 160, LM 139, AF 55), and far below the mean a decoder that allocated
+//! per node record and per arc read on the same sessions (CI 1,998,
+//! LM 1,668, AF 4,068).
 
 use privpath::core::config::BuildConfig;
 use privpath::core::engine::{Database, SchemeKind};
@@ -129,15 +130,15 @@ fn check(kind: SchemeKind, bound: u64) {
 
 #[test]
 fn ci_warm_query_allocations_are_bounded() {
-    check(SchemeKind::Ci, 240);
+    check(SchemeKind::Ci, 192);
 }
 
 #[test]
 fn lm_warm_query_allocations_are_bounded() {
-    check(SchemeKind::Lm, 210);
+    check(SchemeKind::Lm, 65);
 }
 
 #[test]
 fn af_warm_query_allocations_are_bounded() {
-    check(SchemeKind::Af, 90);
+    check(SchemeKind::Af, 33);
 }

@@ -111,7 +111,7 @@ proptest! {
         let (s, t) = (ends.0 % n, ends.1 % n);
         if s == t { return Ok(()); }
         let mut csr = ClientSubgraph::new();
-        csr.add_edges(&triples);
+        csr.add_edges(&triples).unwrap();
         let mut net = NetworkBuilder::new();
         for _ in 0..n {
             net.add_node(Point::new(0, 0));
