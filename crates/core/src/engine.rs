@@ -143,6 +143,30 @@ pub struct QueryOutput {
     pub plan_violation: bool,
 }
 
+impl QueryOutput {
+    /// The output of the query `pir` just ran: the answer — `path` is kept
+    /// only when a `cost` was found — and the session's meter and trace.
+    pub(crate) fn new(
+        pir: &PirSession,
+        cost: Option<Dist>,
+        path: &[NodeId],
+        (src_node, dst_node): (NodeId, NodeId),
+        plan_violation: bool,
+    ) -> Self {
+        QueryOutput {
+            answer: PathAnswer {
+                cost,
+                path_nodes: cost.map_or(Vec::new(), |_| path.to_vec()),
+                src_node,
+                dst_node,
+            },
+            meter: pir.meter.clone(),
+            trace: pir.trace.clone(),
+            plan_violation,
+        }
+    }
+}
+
 pub(crate) enum SchemeState {
     Index(IndexScheme),
     Baseline(BaselineScheme),
@@ -169,9 +193,10 @@ pub(crate) struct QueryCtx {
     /// before issuing the round as one batch. Cleared — never reallocated —
     /// between rounds.
     pub(crate) reqs: Vec<(FileId, u32)>,
-    /// Region-payload scratch for multi-page region groups. Cleared between
-    /// regions.
-    pub(crate) region_bytes: Vec<u8>,
+    /// Unsealed-payload scratch: the index family's round-3 window (and
+    /// HY's continuation pages), then each multi-page region group.
+    /// Cleared between uses.
+    pub(crate) payloads: Vec<u8>,
 }
 
 impl QueryCtx {
@@ -182,7 +207,7 @@ impl QueryCtx {
             sub: ClientSubgraph::new(),
             scratch: QueryScratch::new(),
             reqs: Vec::new(),
-            region_bytes: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 }

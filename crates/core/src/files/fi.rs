@@ -11,16 +11,26 @@
 //! bytes hold the entry count — a classic slotted page:
 //!
 //! ```text
-//! [record 0][record 1]...    ...[dir 1][dir 0][n_entries u16]
+//! [record 0][record 1]...    ...[dir 0][dir 1][n_entries u16]
 //! ```
 //!
 //! Continuation pages of spanning records are raw payload bytes.
+//!
+//! A reader takes a record's length from its head: a literal's kind and
+//! count give its bytes, and a delta — written only where it fits its page
+//! — never spans. So a record's first page says how many pages it spans
+//! ([`record_pages`]): one, or for a literal longer than the rest of its
+//! page's record area, enough whole continuation payloads to hold the
+//! remainder. [`decode_entry`] then reads it in one pass from the payloads
+//! it is handed.
 
 use super::PAGE_CRC_BYTES;
 use crate::error::CoreError;
-use crate::records::{encode_literal, try_delta, IndexPayload};
+use crate::records::{
+    apply_delta, decode_literal, encode_literal, read_head, try_delta, IndexPayload, RecordHead,
+};
 use crate::Result;
-use privpath_storage::{ByteReader, ByteWriter, MemFile};
+use privpath_storage::{ByteWriter, MemFile};
 
 const DIR_ENTRY_BYTES: usize = 8; // i u16 + j u16 + offset u32
 const COUNT_BYTES: usize = 2;
@@ -182,103 +192,108 @@ impl FiBuilder {
     }
 }
 
-/// Parses the directory of an `Fi` page payload: `(i, j, offset)` per slot.
-fn parse_directory(payload: &[u8]) -> Result<Vec<(u16, u16, u32)>> {
-    if payload.len() < COUNT_BYTES {
-        return Err(CoreError::Query("index page too small".into()));
-    }
-    let n = u16::from_le_bytes(payload[payload.len() - 2..].try_into().expect("2 bytes")) as usize;
-    let dir_bytes = n * DIR_ENTRY_BYTES + COUNT_BYTES;
-    if dir_bytes > payload.len() {
-        return Err(CoreError::Query(format!(
-            "index directory of {n} entries overflows page"
-        )));
-    }
-    let mut dir = Vec::with_capacity(n);
-    for s in 0..n {
-        let pos = payload.len() - COUNT_BYTES - (n - s) * DIR_ENTRY_BYTES;
-        let i = u16::from_le_bytes(payload[pos..pos + 2].try_into().expect("2"));
-        let j = u16::from_le_bytes(payload[pos + 2..pos + 4].try_into().expect("2"));
-        let off = u32::from_le_bytes(payload[pos + 4..pos + 8].try_into().expect("4"));
-        dir.push((i, j, off));
-    }
-    Ok(dir)
+/// The slotted directory of one `Fi` page payload, read in place.
+struct Directory<'a> {
+    payload: &'a [u8],
+    entries: usize,
 }
 
-/// Decodes the record of pair `(i, j)` starting at `start_page`.
-///
-/// `get_payload(p)` returns the unsealed payload of fetched page `p` (the
-/// client's page window); continuation pages are consumed as needed.
-pub(crate) fn decode_entry(
-    get_payload: &dyn Fn(u32) -> Result<Vec<u8>>,
-    start_page: u32,
-    i: u16,
-    j: u16,
-) -> Result<IndexPayload> {
-    let payload = get_payload(start_page)?;
-    let dir = parse_directory(&payload)?;
-    let slot = dir
-        .iter()
-        .position(|&(di, dj, _)| di == i && dj == j)
-        .ok_or_else(|| {
-            CoreError::Query(format!("pair ({i},{j}) not in index page {start_page}"))
-        })?;
-    decode_slot(get_payload, start_page, &payload, &dir, slot, 0)
-}
-
-fn decode_slot(
-    get_payload: &dyn Fn(u32) -> Result<Vec<u8>>,
-    start_page: u32,
-    payload: &[u8],
-    dir: &[(u16, u16, u32)],
-    slot: usize,
-    depth: usize,
-) -> Result<IndexPayload> {
-    if depth > dir.len() {
-        return Err(CoreError::Query("index reference cycle".into()));
-    }
-    let (_, _, off) = dir[slot];
-    // Assemble the record bytes: rest of this page's record area, plus
-    // continuation pages if the record spans (only possible for the sole
-    // record of its page, by construction).
-    let record_area_end = payload.len() - COUNT_BYTES - dir.len() * DIR_ENTRY_BYTES;
-    let mut buf: Vec<u8> = payload[off as usize..record_area_end].to_vec();
-    // A reader may need continuation pages; append lazily up to a sane cap.
-    let mut next = start_page + 1;
-    let mut result;
-    loop {
-        let mut r = ByteReader::new(&buf);
-        result = crate::records::decode_record(&mut r, &|ref_slot| {
-            if ref_slot as usize >= dir.len() {
-                return Err(CoreError::Query(format!("bad reference slot {ref_slot}")));
-            }
-            decode_slot(
-                get_payload,
-                start_page,
-                payload,
-                dir,
-                ref_slot as usize,
-                depth + 1,
-            )
-        });
-        match &result {
-            Err(CoreError::Storage(privpath_storage::StorageError::UnexpectedEof { .. }))
-                if next < start_page + 64 =>
-            {
-                // record continues on the next page
-                match get_payload(next) {
-                    Ok(more) => {
-                        buf.extend_from_slice(&more);
-                        next += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            _ => break,
+impl<'a> Directory<'a> {
+    fn of(payload: &'a [u8]) -> Result<Self> {
+        let [.., lo, hi] = *payload else {
+            return Err(CoreError::Query("index page too small".into()));
+        };
+        let entries = usize::from(u16::from_le_bytes([lo, hi]));
+        if entries * DIR_ENTRY_BYTES + COUNT_BYTES > payload.len() {
+            return Err(CoreError::Query(format!(
+                "index directory of {entries} entries overflows page"
+            )));
         }
+        Ok(Directory { payload, entries })
     }
-    result
+
+    /// Where the record area ends and the directory starts.
+    fn area_end(&self) -> usize {
+        self.payload.len() - COUNT_BYTES - self.entries * DIR_ENTRY_BYTES
+    }
+
+    /// The slot holding pair `(i, j)`.
+    fn slot_of(&self, i: u16, j: u16) -> Result<usize> {
+        let key = (u32::from(j) << 16 | u32::from(i)).to_le_bytes();
+        let dir = &self.payload[self.area_end()..self.payload.len() - COUNT_BYTES];
+        dir.chunks_exact(DIR_ENTRY_BYTES)
+            .position(|entry| entry[..4] == key)
+            .ok_or_else(|| CoreError::Query(format!("pair ({i},{j}) not in its index page")))
+    }
+
+    /// The bytes from `slot`'s record to the end of the record area.
+    fn record(&self, slot: usize) -> Result<&'a [u8]> {
+        let at = self.area_end() + slot * DIR_ENTRY_BYTES + 4;
+        let off = u32::from_le_bytes(self.payload[at..at + 4].try_into().expect("4 bytes"));
+        self.payload
+            .get(off as usize..self.area_end())
+            .ok_or_else(|| {
+                CoreError::Query(format!(
+                    "index slot {slot} starts at byte {off}, past the record area's {}",
+                    self.area_end()
+                ))
+            })
+    }
+}
+
+/// Pages the record of pair `(i, j)` spans, read from `page`, the payload
+/// of its first page: one, unless its head declares a literal longer than
+/// the rest of the page's record area (the sole record of a fresh page),
+/// which then runs on through as many whole continuation payloads as its
+/// length needs.
+pub(crate) fn record_pages(page: &[u8], i: u16, j: u16) -> Result<u32> {
+    let dir = Directory::of(page)?;
+    let rec = dir.record(dir.slot_of(i, j)?)?;
+    match read_head(rec)? {
+        RecordHead::Literal(len) if len > rec.len() => {
+            u32::try_from(1 + (len - rec.len()).div_ceil(page.len()))
+                .map_err(|_| CoreError::Query(format!("index record of {len} bytes")))
+        }
+        _ => Ok(1),
+    }
+}
+
+/// Decodes the record of pair `(i, j)` in one pass from `pages`: the
+/// payload of its first page, then those of the continuation pages
+/// [`record_pages`] counts, `page_len` bytes each.
+///
+/// A literal is read by the length its head declares; a delta's reference
+/// — always an earlier slot of the same page, so chains end — is walked
+/// down to its literal and the deltas are applied back up. Forged bytes
+/// (short pages, bad offsets, counts past the bytes, references to the
+/// same or a later slot) are a [`CoreError::Query`] or a storage error,
+/// never a panic.
+pub(crate) fn decode_entry(pages: &[u8], page_len: usize, i: u16, j: u16) -> Result<IndexPayload> {
+    let (page, rest) = pages
+        .split_at_checked(page_len)
+        .ok_or_else(|| CoreError::Query("index window ends before the record's page".into()))?;
+    let dir = Directory::of(page)?;
+    let mut slot = dir.slot_of(i, j)?;
+    let mut deltas = Vec::new();
+    let mut payload = loop {
+        let rec = dir.record(slot)?;
+        match read_head(rec)? {
+            RecordHead::Literal(_) => break decode_literal(rec, rest)?,
+            RecordHead::Delta(r) if usize::from(r) < slot => {
+                deltas.push(rec);
+                slot = usize::from(r);
+            }
+            RecordHead::Delta(r) => {
+                return Err(CoreError::Query(format!(
+                    "index slot {slot} references slot {r}, not an earlier one"
+                )))
+            }
+        }
+    };
+    for rec in deltas.iter().rev() {
+        apply_delta(rec, &mut payload)?;
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -287,8 +302,16 @@ mod tests {
     use crate::files::unseal_page;
     use privpath_storage::PagedFile;
 
-    fn getter(file: &MemFile) -> impl Fn(u32) -> Result<Vec<u8>> + '_ {
-        move |p| Ok(unseal_page(&file.read_page(p)?)?.to_vec())
+    /// The payloads of `file` from `page` to its end, as a window holds
+    /// them.
+    fn window(file: &MemFile, page: u32) -> Vec<u8> {
+        (page..file.num_pages())
+            .flat_map(|p| unseal_page(&file.read_page(p).unwrap()).unwrap().to_vec())
+            .collect()
+    }
+
+    fn decode(file: &MemFile, page: u32, i: u16, j: u16) -> Result<IndexPayload> {
+        decode_entry(&window(file, page), file.page_size() - PAGE_CRC_BYTES, i, j)
     }
 
     #[test]
@@ -302,9 +325,8 @@ mod tests {
         let (file, span) = b.finish();
         assert_eq!(span, 1);
         assert_eq!(file.num_pages(), 1, "50 tiny records fit one page");
-        let get = getter(&file);
         for (k, loc) in locs {
-            let got = decode_entry(&get, loc.page, 0, k).unwrap();
+            let got = decode(&file, loc.page, 0, k).unwrap();
             assert_eq!(
                 got,
                 IndexPayload::Regions((0..k % 7).map(|x| x * 3).collect())
@@ -326,12 +348,8 @@ mod tests {
         assert_eq!(span, 1);
         assert_eq!(pages[..4], [0, 0, 0, 0]);
         assert_eq!(pages[4..], [1, 1, 1, 1]);
-        let get = getter(&file);
         for k in 0..8u16 {
-            assert_eq!(
-                decode_entry(&get, pages[k as usize], k, 0).unwrap(),
-                payload(k)
-            );
+            assert_eq!(decode(&file, pages[k as usize], k, 0).unwrap(), payload(k));
         }
     }
 
@@ -350,11 +368,15 @@ mod tests {
             l3.page > l2.page,
             "next record starts after the spanning group"
         );
-        let get = getter(&file);
-        assert_eq!(decode_entry(&get, l1.page, 0, 0).unwrap(), small);
-        assert_eq!(decode_entry(&get, l2.page, 0, 1).unwrap(), big);
-        assert_eq!(decode_entry(&get, l3.page, 0, 2).unwrap(), small);
-        let _ = file.num_pages();
+        assert_eq!(decode(&file, l1.page, 0, 0).unwrap(), small);
+        assert_eq!(decode(&file, l2.page, 0, 1).unwrap(), big);
+        assert_eq!(decode(&file, l3.page, 0, 2).unwrap(), small);
+        // the head says how many pages each record spans, as the builder
+        // placed it
+        for (loc, j) in [(l1, 0), (l2, 1), (l3, 2)] {
+            let page = &window(&file, loc.page)[..512 - PAGE_CRC_BYTES];
+            assert_eq!(record_pages(page, 0, j).unwrap(), loc.span);
+        }
     }
 
     #[test]
@@ -381,9 +403,8 @@ mod tests {
             pfile.num_pages()
         );
         // decoded sets are supersets of the true sets, within m
-        let get = getter(&cfile);
         for (k, loc) in locs.iter().enumerate() {
-            let got = decode_entry(&get, loc.page, 1, k as u16).unwrap();
+            let got = decode(&cfile, loc.page, 1, k as u16).unwrap();
             if let (IndexPayload::Regions(d), IndexPayload::Regions(t)) = (&got, &make(k as u16)) {
                 assert!(d.len() <= 400);
                 for r in t {
@@ -409,9 +430,8 @@ mod tests {
             locs.push(comp.add(2, k as u16, make(k)));
         }
         let (cfile, _) = comp.finish();
-        let get = getter(&cfile);
         for (k, loc) in locs.iter().enumerate() {
-            let got = decode_entry(&get, loc.page, 2, k as u16).unwrap();
+            let got = decode(&cfile, loc.page, 2, k as u16).unwrap();
             if let (IndexPayload::Edges(d), IndexPayload::Edges(t)) = (&got, &make(k as u32)) {
                 for e in t {
                     assert!(d.contains(e));
@@ -427,8 +447,7 @@ mod tests {
         let mut b = FiBuilder::new(4096, 10, false);
         b.add(0, 0, IndexPayload::Regions(vec![]));
         let (file, _) = b.finish();
-        let get = getter(&file);
-        assert!(decode_entry(&get, 0, 5, 5).is_err());
+        assert!(decode(&file, 0, 5, 5).is_err());
     }
 
     #[test]
@@ -436,5 +455,105 @@ mod tests {
         let (file, span) = FiBuilder::new(4096, 0, true).finish();
         assert_eq!(file.num_pages(), 1);
         assert_eq!(span, 1);
+    }
+
+    /// Byte `at` of a page payload's directory entry for `slot`: 0 is the
+    /// pair, 4 the record offset.
+    fn entry(payload: &[u8], slot: usize, at: usize) -> usize {
+        let n = u16::from_le_bytes([payload[payload.len() - 2], payload[payload.len() - 1]]);
+        payload.len() - COUNT_BYTES - (usize::from(n) - slot) * DIR_ENTRY_BYTES + at
+    }
+
+    fn record_offset(payload: &[u8], slot: usize) -> usize {
+        let at = entry(payload, slot, 4);
+        u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Forged index pages decode to an error, never a panic: random
+        /// bytes (which may also happen to be well formed), windows cut
+        /// short, record offsets past the record area, literal and delta
+        /// counts past the bytes the pages hold, references to the same or
+        /// a later slot, directories larger than their page and unknown
+        /// record kinds.
+        #[test]
+        fn forged_records_are_errors_not_panics(
+            noise in proptest::collection::vec(0u8..=255, 0..1200),
+            forgery in 0u8..8,
+            pick in 0usize..100_000,
+        ) {
+            let _ = decode_entry(&noise, 1 + pick % 600, 0, 0);
+            let _ = record_pages(&noise, 0, 0);
+
+            // Page 0: a literal, a delta against it and a delta against
+            // that; pages 1–2: one literal spanning both.
+            let base: Vec<u16> = (0..40).collect();
+            let with = |extra: &[u16]| IndexPayload::Regions([&base[..], extra].concat());
+            let big = IndexPayload::Edges((0..80).map(|k| (k, k + 1, k)).collect());
+            let mut b = FiBuilder::new(512, 100, true);
+            b.add(0, 0, with(&[]));
+            b.add(0, 1, with(&[60]));
+            b.add(0, 2, with(&[60, 61]));
+            let spanning = b.add(0, 3, big.clone());
+            let (file, _) = b.finish();
+            let len = 512 - PAGE_CRC_BYTES;
+            let honest = window(&file, 0);
+            proptest::prop_assert_eq!(spanning, RecordLocation { page: 1, span: 2 });
+            proptest::prop_assert_eq!(decode_entry(&honest, len, 0, 2).unwrap(), with(&[60, 61]));
+            proptest::prop_assert_eq!(decode_entry(&honest[len..], len, 0, 3).unwrap(), big);
+            proptest::prop_assert_eq!(honest[record_offset(&honest[..len], 1)], 1, "slot 1 is a delta");
+
+            let mut w = honest.clone();
+            let page0 = &mut w[..len];
+            let (pages, pair) = match forgery {
+                // cut anywhere before the spanning record's last byte
+                0 => {
+                    let end = len + 5 + 12 * 80 - (len - COUNT_BYTES - DIR_ENTRY_BYTES);
+                    (&w[len..len + pick % end], 3)
+                }
+                1 => {
+                    let area_end = entry(page0, 0, 0);
+                    let at = entry(page0, pick % 3, 4);
+                    page0[at..at + 4].copy_from_slice(&((area_end + pick % 600) as u32).to_le_bytes());
+                    (&w[..len], 2)
+                }
+                // a literal count past its page, and past the window
+                2 => {
+                    let n = (len / 2 + pick % 60_000) as u16;
+                    page0[1..3].copy_from_slice(&n.to_le_bytes());
+                    (&w[..len], 0)
+                }
+                3 => {
+                    let n = (2 * len / 12 + pick) as u32 * 977;
+                    w[len + 1..len + 5].copy_from_slice(&n.to_le_bytes());
+                    (&w[len..], 3)
+                }
+                // a delta's include count past its page
+                4 => {
+                    let at = record_offset(page0, 1) + 3;
+                    page0[at..at + 2].copy_from_slice(&((len / 2 + pick % 60_000) as u16).to_le_bytes());
+                    (&w[..len], 1)
+                }
+                // a reference to itself or a later slot, in or out of range
+                5 => {
+                    let at = record_offset(page0, 1) + 1;
+                    page0[at..at + 2].copy_from_slice(&((1 + pick % 65_535) as u16).to_le_bytes());
+                    (&w[..len], 2)
+                }
+                6 => {
+                    let n = (len / DIR_ENTRY_BYTES + pick % 60_000) as u16;
+                    page0[len - 2..].copy_from_slice(&n.to_le_bytes());
+                    (&w[..len], 0)
+                }
+                _ => {
+                    page0[0] = 4 + (pick % 252) as u8;
+                    (&w[..len], 2)
+                }
+            };
+            let got = decode_entry(pages, len, 0, pair);
+            proptest::prop_assert!(got.is_err(), "forgery {}: {:?}", forgery, got);
+        }
     }
 }

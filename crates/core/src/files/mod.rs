@@ -78,8 +78,7 @@ pub(crate) fn seal_file(payloads: &[Vec<u8>], page_size: usize) -> MemFile {
 /// into the concatenated payload stream.
 ///
 /// `bytes` must be exactly the file's sealed pages in order — the
-/// `DownloadResponse` (or reassembled `Chunk` train) of one file from one
-/// generation. Mixing pages from two generations fails here only if a page
+/// `DownloadResponse` of one file from one generation. Mixing pages from two generations fails here only if a page
 /// happens to be corrupt; the cross-generation guard is upstream, in the
 /// session's generation pinning, not in this codec.
 pub(crate) fn unseal_download(bytes: &[u8], page_size: usize) -> Result<Vec<u8>> {

@@ -34,11 +34,23 @@ const KIND_REGIONS_DELTA: u8 = 1;
 const KIND_EDGES_LITERAL: u8 = 2;
 const KIND_EDGES_DELTA: u8 = 3;
 
+/// Serialized size of a literal record of `n` region ids: kind, `u16`
+/// count, ids.
+pub(crate) const fn regions_literal_size(n: usize) -> usize {
+    1 + 2 + 2 * n
+}
+
+/// Serialized size of a literal record of `n` edge triples: kind, `u32`
+/// count, triples.
+pub(crate) const fn edges_literal_size(n: usize) -> usize {
+    1 + 4 + 12 * n
+}
+
 /// Serialized size of a literal record for `payload`.
 pub(crate) fn literal_size(payload: &IndexPayload) -> usize {
     match payload {
-        IndexPayload::Regions(v) => 1 + 2 + 2 * v.len(),
-        IndexPayload::Edges(v) => 1 + 4 + 12 * v.len(),
+        IndexPayload::Regions(v) => regions_literal_size(v.len()),
+        IndexPayload::Edges(v) => edges_literal_size(v.len()),
     }
 }
 
@@ -235,81 +247,139 @@ fn delta_edges(mine: &[EdgeTriple], refs: &[EdgeTriple], slot: u16) -> Option<De
     })
 }
 
-/// Decodes one record from `r`. `resolve` maps a reference slot to its
-/// already-decoded payload (in-page references only; the page reader supplies
-/// this and guards against reference cycles).
-pub(crate) fn decode_record(
-    r: &mut ByteReader<'_>,
-    resolve: &dyn Fn(u16) -> Result<IndexPayload>,
-) -> Result<IndexPayload> {
-    let kind = r.u8()?;
-    match kind {
-        KIND_REGIONS_LITERAL => {
-            let n = r.u16()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u16()?);
-            }
-            Ok(IndexPayload::Regions(v))
+/// What a record's head says: a literal's byte length, read from its kind
+/// and count, or the in-page directory slot a delta record references.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RecordHead {
+    /// A literal record of this many bytes, head included.
+    Literal(usize),
+    /// A delta against the record of this slot of the same page.
+    Delta(u16),
+}
+
+/// Reads the head of the record `rec` starts with.
+pub(crate) fn read_head(rec: &[u8]) -> Result<RecordHead> {
+    let mut r = ByteReader::new(rec);
+    Ok(match r.u8()? {
+        KIND_REGIONS_LITERAL => RecordHead::Literal(regions_literal_size(r.u16()?.into())),
+        KIND_EDGES_LITERAL => RecordHead::Literal(edges_literal_size(r.u32()? as usize)),
+        KIND_REGIONS_DELTA | KIND_EDGES_DELTA => RecordHead::Delta(r.u16()?),
+        k => return Err(CoreError::Query(format!("unknown index record kind {k}"))),
+    })
+}
+
+/// A record's bytes in order: what its first page holds, then, for a
+/// literal that spans, its continuation pages. The caller checks the
+/// record's length against both first, so no read runs past them.
+struct Parts<'a> {
+    cur: &'a [u8],
+    next: &'a [u8],
+}
+
+impl<'a> Parts<'a> {
+    fn of(bytes: &'a [u8]) -> Self {
+        Parts {
+            cur: bytes,
+            next: &[],
         }
-        KIND_REGIONS_DELTA => {
-            let slot = r.u16()?;
-            let n_incl = r.u16()? as usize;
-            let mut incl = Vec::with_capacity(n_incl);
-            for _ in 0..n_incl {
-                incl.push(r.u16()?);
-            }
-            let n_excl = r.u16()? as usize;
-            let mut excl = Vec::with_capacity(n_excl);
-            for _ in 0..n_excl {
-                excl.push(r.u16()?);
-            }
-            match resolve(slot)? {
-                IndexPayload::Regions(refs) => {
-                    let excl_set: std::collections::BTreeSet<u16> = excl.into_iter().collect();
-                    let mut out: Vec<u16> = refs
-                        .into_iter()
-                        .filter(|x| !excl_set.contains(x))
-                        .chain(incl)
-                        .collect();
-                    out.sort_unstable();
-                    out.dedup();
-                    Ok(IndexPayload::Regions(out))
-                }
-                IndexPayload::Edges(_) => Err(CoreError::Query(
-                    "region delta references an edge record".into(),
-                )),
-            }
-        }
-        KIND_EDGES_LITERAL => {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push((r.u32()?, r.u32()?, r.u32()?));
-            }
-            Ok(IndexPayload::Edges(v))
-        }
-        KIND_EDGES_DELTA => {
-            let slot = r.u16()?;
-            let n_incl = r.u32()? as usize;
-            let mut incl = Vec::with_capacity(n_incl);
-            for _ in 0..n_incl {
-                incl.push((r.u32()?, r.u32()?, r.u32()?));
-            }
-            match resolve(slot)? {
-                IndexPayload::Edges(refs) => {
-                    let mut out: Vec<EdgeTriple> = refs.into_iter().chain(incl).collect();
-                    out.sort_unstable();
-                    out.dedup();
-                    Ok(IndexPayload::Edges(out))
-                }
-                IndexPayload::Regions(_) => Err(CoreError::Query(
-                    "edge delta references a region record".into(),
-                )),
-            }
-        }
-        k => Err(CoreError::Query(format!("unknown index record kind {k}"))),
     }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        if let Some((bytes, rest)) = self.cur.split_first_chunk::<N>() {
+            self.cur = rest;
+            return *bytes;
+        }
+        // an element split across the page boundary
+        let mut out = [0; N];
+        for b in &mut out {
+            if self.cur.is_empty() {
+                self.cur = std::mem::take(&mut self.next);
+            }
+            if let Some((&x, rest)) = self.cur.split_first() {
+                *b = x;
+                self.cur = rest;
+            }
+        }
+        out
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_le_bytes(self.take())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+}
+
+/// Decodes the literal record `rec` starts with, reading on into `rest` —
+/// the payloads of its continuation pages — where its length runs past
+/// `rec`. A length beyond what the two hold is an error before anything is
+/// reserved.
+pub(crate) fn decode_literal(rec: &[u8], rest: &[u8]) -> Result<IndexPayload> {
+    let RecordHead::Literal(len) = read_head(rec)? else {
+        return Err(CoreError::Query(
+            "index record is a delta, not a literal".into(),
+        ));
+    };
+    let (cur, next) = if len <= rec.len() {
+        (&rec[..len], &rest[..0])
+    } else {
+        let more = rest.get(..len - rec.len()).ok_or_else(|| {
+            CoreError::Query(format!(
+                "index record of {len} bytes overruns the {} its pages hold",
+                rec.len() + rest.len()
+            ))
+        })?;
+        (rec, more)
+    };
+    let mut r = Parts { cur, next };
+    Ok(match r.take() {
+        [KIND_REGIONS_LITERAL] => {
+            let n = r.u16();
+            IndexPayload::Regions((0..n).map(|_| r.u16()).collect())
+        }
+        _ => {
+            let n = r.u32();
+            IndexPayload::Edges((0..n).map(|_| (r.u32(), r.u32(), r.u32())).collect())
+        }
+    })
+}
+
+/// Applies the delta record `rec` to `base`, the decoded record of the slot
+/// it references: region deltas drop their excludes from the reference and
+/// add their includes, edge deltas add their includes; either way the
+/// result is sorted and deduplicated. Counts are checked against the
+/// record's bytes before anything is reserved.
+pub(crate) fn apply_delta(rec: &[u8], base: &mut IndexPayload) -> Result<()> {
+    let mut r = ByteReader::new(rec);
+    let kind = r.u8()?;
+    r.u16()?; // the reference slot, resolved by the caller
+    match (kind, base) {
+        (KIND_REGIONS_DELTA, IndexPayload::Regions(v)) => {
+            let n = r.u16()?;
+            let mut incl = Parts::of(r.bytes(2 * usize::from(n))?);
+            let n_excl = r.u16()?;
+            let excl = r.bytes(2 * usize::from(n_excl))?;
+            v.retain(|x| !excl.chunks_exact(2).any(|e| e == x.to_le_bytes()));
+            v.extend((0..n).map(|_| incl.u16()));
+            v.sort_unstable();
+            v.dedup();
+        }
+        (KIND_EDGES_DELTA, IndexPayload::Edges(v)) => {
+            let n = r.u32()?;
+            let mut incl = Parts::of(r.bytes(12 * n as usize)?);
+            v.extend((0..n).map(|_| (incl.u32(), incl.u32(), incl.u32())));
+            v.sort_unstable();
+            v.dedup();
+        }
+        _ => {
+            return Err(CoreError::Query(format!(
+                "index delta of kind {kind} references a record of the other kind"
+            )))
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -317,14 +387,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn decode(bytes: &[u8], refs: &[IndexPayload]) -> Result<IndexPayload> {
+        match read_head(bytes)? {
+            RecordHead::Literal(_) => decode_literal(bytes, &[]),
+            RecordHead::Delta(slot) => {
+                let mut payload = refs[slot as usize].clone();
+                apply_delta(bytes, &mut payload)?;
+                Ok(payload)
+            }
+        }
+    }
+
     fn decode_bytes(bytes: &[u8], refs: &[IndexPayload]) -> IndexPayload {
-        let mut r = ByteReader::new(bytes);
-        decode_record(&mut r, &|slot| {
-            refs.get(slot as usize)
-                .cloned()
-                .ok_or_else(|| CoreError::Query("bad slot".into()))
-        })
-        .unwrap()
+        decode(bytes, refs).unwrap()
     }
 
     #[test]
@@ -428,9 +503,7 @@ mod tests {
 
     #[test]
     fn unknown_kind_rejected() {
-        let bytes = [9u8, 0, 0];
-        let mut r = ByteReader::new(&bytes);
-        assert!(decode_record(&mut r, &|_| Ok(IndexPayload::Regions(vec![]))).is_err());
+        assert!(decode(&[9u8, 0, 0], &[]).is_err());
     }
 
     #[test]
@@ -439,9 +512,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.u8(1).u16(0).u16(1).u16(1).u16(0); // delta ref slot 0
         let refs = [IndexPayload::Edges(vec![])];
-        let mut r = ByteReader::new(w.as_slice());
-        let out = decode_record(&mut r, &|s| Ok(refs[s as usize].clone()));
-        assert!(out.is_err());
+        assert!(decode(w.as_slice(), &refs).is_err());
         let _ = mine;
     }
 

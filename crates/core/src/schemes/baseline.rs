@@ -35,7 +35,7 @@
 //! pages exactly as a one-page protocol would.
 
 use crate::config::BuildConfig;
-use crate::engine::{PathAnswer, QueryCtx, QueryOutput, SchemeKind};
+use crate::engine::{QueryCtx, QueryOutput, SchemeKind};
 use crate::error::CoreError;
 use crate::files::fd::{build_fd, NodeExtra, RecordFormat};
 use crate::files::fh::Header;
@@ -356,7 +356,7 @@ pub(crate) fn query(
         sub,
         scratch,
         reqs,
-        region_bytes,
+        payloads,
     } = ctx;
     pir.reset_query();
     sub.clear();
@@ -385,7 +385,7 @@ pub(crate) fn query(
     reqs.clear();
     reqs.extend(group(rs)?.chain(group(rt)?));
     let pages = pir.run_round(link, reqs)?;
-    sub.add_page_groups(pages, ppr as usize, fmt, goal, region_bytes)?;
+    sub.add_page_groups(pages, ppr as usize, fmt, goal, payloads)?;
     let mut prefetched = [rs, rt].into_iter();
     let mut fetch = |region: u16, sub: &mut ClientSubgraph| -> Result<()> {
         if let Some(prefetched_region) = prefetched.next() {
@@ -401,7 +401,7 @@ pub(crate) fn query(
         reqs.clear();
         reqs.extend(group(region)?);
         let pages = pir.run_round(link, reqs)?;
-        sub.add_page_groups(pages, ppr as usize, fmt, goal, region_bytes)
+        sub.add_page_groups(pages, ppr as usize, fmt, goal, payloads)
     };
     let out = scheme.flavor.search()(sub, scratch, rs, rt, s, t, &mut fetch)?;
 
@@ -416,17 +416,13 @@ pub(crate) fn query(
     }
     pir.add_client_compute(client_s);
 
-    Ok(QueryOutput {
-        answer: PathAnswer {
-            cost: out.cost,
-            path_nodes: out.cost.map_or(Vec::new(), |_| scratch.path.clone()),
-            src_node: out.s_node,
-            dst_node: out.t_node,
-        },
-        meter: pir.meter.clone(),
-        trace: pir.trace.clone(),
+    Ok(QueryOutput::new(
+        pir,
+        out.cost,
+        &scratch.path,
+        (out.s_node, out.t_node),
         plan_violation,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -13,19 +13,23 @@
 
 use crate::augment::AugGraph;
 use crate::config::BuildConfig;
+use crate::engine::{QueryCtx, QueryOutput};
 use crate::error::CoreError;
 use crate::files::fd::{build_fd, NoExtra, RecordFormat};
 use crate::files::fh::Header;
-use crate::files::fi::FiBuilder;
+use crate::files::fi::{self, FiBuilder};
 use crate::files::{fl, unseal_page, PAGE_CRC_BYTES};
 use crate::plan::{PlanFile, QueryPlan, RoundSpec};
 use crate::precompute::{precompute, PrecomputeOptions, Precomputed};
-use crate::records::{literal_size, IndexPayload};
+use crate::records::{edges_literal_size, regions_literal_size, IndexPayload};
 use crate::Result;
 use privpath_graph::network::RoadNetwork;
+use privpath_graph::types::Point;
 use privpath_partition::{compute_borders, partition_packed, partition_plain, Partition};
 use privpath_pir::{FileId, PirServer, Transport};
 use privpath_storage::MemFile;
+use rand::Rng;
+use std::time::Instant;
 
 /// Which payload the index stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,42 +118,29 @@ fn edge_triples(net: &RoadNetwork, edges: &[u32]) -> Vec<(u32, u32, u32)> {
 
 /// Estimates the uncompressed index size for a HY threshold, used for
 /// auto-tuning: pick the smallest threshold whose index fits the PIR limit.
-pub(crate) fn estimate_hybrid_index_bytes(
-    _net: &RoadNetwork,
-    pre: &Precomputed,
-    threshold: usize,
-) -> u64 {
-    let mut total = 0u64;
-    let r = pre.num_regions as usize;
-    for i in 0..r {
-        for j in 0..r {
-            let s = &pre.s_sets[i * r + j];
-            total += if s.len() > threshold {
-                literal_size(&IndexPayload::Edges(vec![
-                    (0, 0, 0);
-                    pre.g_sets[i * r + j].len()
-                ])) as u64
+pub(crate) fn estimate_hybrid_index_bytes(pre: &Precomputed, threshold: usize) -> u64 {
+    pre.s_sets
+        .iter()
+        .zip(&pre.g_sets)
+        .map(|(s, g)| {
+            if s.len() > threshold {
+                edges_literal_size(g.len()) as u64
             } else {
-                literal_size(&IndexPayload::Regions(s.clone())) as u64
-            };
-        }
-    }
-    total
+                regions_literal_size(s.len()) as u64
+            }
+        })
+        .sum()
 }
 
 /// Picks the smallest HY threshold whose estimated index stays within
 /// `limit_bytes` (Figure 10(b): "the best threshold value is the smallest for
 /// which the network index file does not exceed the maximum size supported").
-pub(crate) fn auto_hybrid_threshold(
-    net: &RoadNetwork,
-    pre: &Precomputed,
-    limit_bytes: u64,
-) -> usize {
+pub(crate) fn auto_hybrid_threshold(pre: &Precomputed, limit_bytes: u64) -> usize {
     // Estimates are monotone decreasing in the threshold; binary search.
     let (mut lo, mut hi) = (0usize, pre.m + 1);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if estimate_hybrid_index_bytes(net, pre, mid) <= limit_bytes {
+        if estimate_hybrid_index_bytes(pre, mid) <= limit_bytes {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -209,7 +200,7 @@ pub(crate) fn build(
         IndexFlavor::Hybrid {
             threshold: usize::MAX,
         } => IndexFlavor::Hybrid {
-            threshold: auto_hybrid_threshold(net, &pre, cfg.spec.max_file_bytes() / 2),
+            threshold: auto_hybrid_threshold(&pre, cfg.spec.max_file_bytes() / 2),
         },
         f => f,
     };
@@ -423,24 +414,26 @@ fn index_mem_pages(f: &MemFile) -> u32 {
 /// way (the client knows a round's pages before requesting any of them;
 /// §5.4, §6), so batching changes the server's work per round, not the
 /// protocol: the trace and meter are bit-identical to per-fetch execution.
+///
+/// The four flavours walk one path and differ only in values the header
+/// and its plan publish: the region batch's budget, whether it opens round
+/// 4 (CI, HY) or rides round 3 (PI, PI*), its dummy page range, and HY's
+/// `hy_cont` continuation singles. Whether a record names regions or carries edges
+/// is the decoded record's own property (HY mixes both).
 pub(crate) fn query(
     scheme: &IndexScheme,
     link: &mut dyn Transport,
-    ctx: &mut crate::engine::QueryCtx,
-    s: privpath_graph::types::Point,
-    t: privpath_graph::types::Point,
-) -> Result<crate::engine::QueryOutput> {
-    use rand::Rng;
-    use std::collections::HashMap;
-    use std::time::Instant;
-
-    let crate::engine::QueryCtx {
+    ctx: &mut QueryCtx,
+    s: Point,
+    t: Point,
+) -> Result<QueryOutput> {
+    let QueryCtx {
         pir,
         rng,
         sub,
         scratch,
         reqs,
-        region_bytes,
+        payloads,
     } = ctx;
     pir.reset_query();
     sub.clear();
@@ -450,14 +443,12 @@ pub(crate) fn query(
     let raw = pir.download_full(link, scheme.header_file)?;
     let page_size = link.spec().page_size;
     let t0 = Instant::now();
-    let payload = crate::files::unseal_download(&raw, page_size)?;
-    let header = Header::parse(&payload)?;
+    let header = Header::parse(&crate::files::unseal_download(&raw, page_size)?)?;
     let combined = matches!(scheme.flavor, IndexFlavor::Hybrid { .. });
-    sub.set_id_bound(header.node_id_bound(
-        link.file_pages(scheme.data_file)?,
-        combined,
-        page_size,
-    )?);
+    // `node_id_bound` checks the header's page counts against this one, the
+    // dummy pages' range
+    let data_pages = link.file_pages(scheme.data_file)?;
+    sub.set_id_bound(header.node_id_bound(data_pages, combined, page_size)?);
     let rs = header.tree.region_of(s);
     let rt = header.tree.region_of(t);
     let mut client_s = t0.elapsed().as_secs_f64();
@@ -465,211 +456,118 @@ pub(crate) fn query(
     // Round 2: one look-up page (a batch of one).
     let idx = fl::entry_index(rs, rt, header.num_regions);
     let fl_page = fl::page_of_entry(idx, header.page_size as usize);
-    let fl_payload = {
+    let fi_start = {
         let pages = pir.run_round(link, &[(scheme.lookup_file, fl_page)])?;
-        unseal_page(&pages[0])?.to_vec()
+        fl::read_entry(unseal_page(&pages[0])?, idx, header.page_size as usize)?
     };
-    let fi_start = fl::read_entry(&fl_payload, idx, header.page_size as usize)?;
 
-    // Round 3: the index window, assembled up front and issued as one batch.
+    // Round 3: the index window, unsealed once into `payloads`.
     let span = u32::from(header.index_span.max(1));
     let window_start = fi_start.min(header.fi_pages.saturating_sub(span));
+    let window_end = window_start + span;
     reqs.clear();
-    reqs.extend((window_start..window_start + span).map(|p| (scheme.index_file, p)));
-    let mut fetched: HashMap<u32, Vec<u8>> = HashMap::new();
-    {
-        let pages = pir.run_round(link, reqs)?;
-        for (&(_, p), page) in reqs.iter().zip(pages) {
-            fetched.insert(p, unseal_page(page)?.to_vec());
-        }
+    reqs.extend((window_start..window_end).map(|p| (scheme.index_file, p)));
+    payloads.clear();
+    for page in pir.run_round(link, reqs)? {
+        payloads.extend_from_slice(unseal_page(page)?);
     }
 
+    // The region batch holds `m + 2` groups (PI publishes `m` = 0) and
+    // opens round 4 where the plan has one (CI, HY) or rides round 3 (PI).
     let cluster = u32::from(header.cluster_pages.max(1));
-    let answer_payload: Option<IndexPayload>;
+    let budget = (u32::from(header.m_regions) + 2) * cluster;
+    let hy_cont = if combined {
+        header.hy_round4.checked_sub(budget).ok_or_else(|| {
+            CoreError::Query(format!(
+                "header hy_round4 {} smaller than the fixed batch of {budget}",
+                header.hy_round4
+            ))
+        })?
+    } else {
+        0
+    };
+    if header.plan.rounds.len() > 3 {
+        pir.begin_round(link)?;
+    }
 
-    match scheme.flavor {
-        IndexFlavor::Graphs => {
-            // Round 3 continues: both region page groups in one batch.
-            reqs.clear();
-            for &reg in &[rs, rt] {
-                let base = header.region_page[reg as usize];
-                reqs.extend((0..cluster).map(|c| (scheme.data_file, base + c)));
-            }
-            {
-                let pages = pir.fetch_batch(link, reqs)?;
-                let t1 = Instant::now();
-                sub.add_page_groups(
-                    pages,
-                    cluster as usize,
-                    &header.record_format,
-                    None,
-                    region_bytes,
-                )?;
-                client_s += t1.elapsed().as_secs_f64();
-            }
-            let t1 = Instant::now();
-            let getter = |p: u32| -> Result<Vec<u8>> {
-                fetched
-                    .get(&p)
-                    .cloned()
-                    .ok_or_else(|| CoreError::Query(format!("index page {p} not in window")))
-            };
-            answer_payload = Some(crate::files::fi::decode_entry(&getter, fi_start, rs, rt)?);
-            client_s += t1.elapsed().as_secs_f64();
-        }
-        IndexFlavor::Sets => {
-            let t1 = Instant::now();
-            let getter = |p: u32| -> Result<Vec<u8>> {
-                fetched
-                    .get(&p)
-                    .cloned()
-                    .ok_or_else(|| CoreError::Query(format!("index page {p} not in window")))
-            };
-            let decoded = crate::files::fi::decode_entry(&getter, fi_start, rs, rt)?;
-            client_s += t1.elapsed().as_secs_f64();
-            let regions = match &decoded {
-                IndexPayload::Regions(v) => v.clone(),
-                IndexPayload::Edges(_) => {
-                    return Err(CoreError::Query("CI index holds a subgraph record".into()))
-                }
-            };
-            // Round 4: m + 2 region page groups (real ones first, dummies
-            // after), the whole list assembled before the round is issued.
-            let budget = (u32::from(header.m_regions) + 2) * cluster;
-            reqs.clear();
-            let real_groups = 2 + regions.len();
-            for reg in [rs, rt].into_iter().chain(regions.iter().copied()) {
-                let base = header.region_page[reg as usize];
-                reqs.extend((0..cluster).map(|c| (scheme.data_file, base + c)));
-            }
-            while (reqs.len() as u32) < budget {
-                let dummy = rng.gen_range(0..header.fd_pages.max(1));
-                reqs.push((scheme.data_file, dummy));
-            }
-            {
-                let pages = pir.run_round(link, reqs)?;
-                let real = real_groups * cluster as usize;
-                let t1 = Instant::now();
-                sub.add_page_groups(
-                    &pages[..real],
-                    cluster as usize,
-                    &header.record_format,
-                    None,
-                    region_bytes,
-                )?;
-                // dummy pages are discarded, but their checksums are still
-                // verified — a tampering server cannot hide in the padding
-                for page in &pages[real..] {
-                    unseal_page(page)?;
-                }
-                client_s += t1.elapsed().as_secs_f64();
-            }
-            answer_payload = Some(decoded);
-        }
-        IndexFlavor::Hybrid { .. } => {
-            // Round 4 has a fixed two-phase shape (see the plan derivation
-            // in `build`): exactly `hy_cont` single-page continuation
-            // exchanges, then one batch of exactly `(m + 2) · cluster`
-            // pages — so the number and size of every wire exchange is
-            // query-independent, not just the fetch totals. All fetches go
-            // against the combined file.
-            pir.begin_round(link)?;
-            let q4 = header.hy_round4;
-            let batch_budget = (u32::from(header.m_regions) + 2) * cluster;
-            let hy_cont = q4.checked_sub(batch_budget).ok_or_else(|| {
+    // The record's pages past the window, named by its head: HY fetches
+    // them in ascending order, one single-page exchange each, then pads
+    // the phase to `hy_cont` with dummy singles (checksum-verified like
+    // everything else), so every query makes the same exchanges. CI and PI
+    // windows hold their widest record (`hy_cont` is 0).
+    let page_len = page_size - PAGE_CRC_BYTES;
+    let first = (fi_start - window_start) as usize * page_len;
+    let head = payloads.get(first..first + page_len).ok_or_else(|| {
+        CoreError::Query(format!(
+            "look-up entry names index page {fi_start}, past the index's {}",
+            header.fi_pages
+        ))
+    })?;
+    let end = u64::from(fi_start) + u64::from(fi::record_pages(head, rs, rt)?);
+    let past = end.saturating_sub(u64::from(window_end));
+    if past > u64::from(hy_cont) || end > u64::from(header.fi_pages) {
+        return Err(CoreError::Query(format!(
+            "index record ends at page {end}: {past} past its window, the plan allows \
+             {hy_cont}, the index has {}",
+            header.fi_pages
+        )));
+    }
+    for p in window_end..end as u32 {
+        let pages = pir.fetch_batch(link, &[(scheme.index_file, p)])?;
+        payloads.extend_from_slice(unseal_page(&pages[0])?);
+    }
+    for _ in past as u32..hy_cont {
+        let dummy = rng.gen_range(0..data_pages.max(1));
+        unseal_page(&pir.fetch_batch(link, &[(scheme.index_file, dummy)])?[0])?;
+    }
+    let t1 = Instant::now();
+    let record = fi::decode_entry(&payloads[first..], page_len, rs, rt)?;
+    client_s += t1.elapsed().as_secs_f64();
+
+    // The region batch: the groups of `rs`, `rt` and the regions the record
+    // names, real ones first, padded with dummies to the budget.
+    let named: &[u16] = match &record {
+        IndexPayload::Regions(v) => v,
+        IndexPayload::Edges(_) => &[],
+    };
+    let real = (2 + named.len()) * cluster as usize;
+    if real > budget as usize {
+        return Err(CoreError::Query(format!(
+            "index record names {} regions, more than the plan's batch of {budget} pages holds",
+            named.len()
+        )));
+    }
+    reqs.clear();
+    for &reg in [rs, rt].iter().chain(named) {
+        let group = header
+            .region_page
+            .get(usize::from(reg))
+            .and_then(|&base| Some(base..base.checked_add(cluster)?))
+            .ok_or_else(|| {
                 CoreError::Query(format!(
-                    "header hy_round4 {q4} smaller than the fixed batch of {batch_budget}"
+                    "index record names region {reg}, the header has {}",
+                    header.region_page.len()
                 ))
             })?;
-            let total_pages = header.fi_pages + header.fd_pages;
-            let mut used = 0u32;
-            // Phase one — the data-dependent continuation walk. The decoder
-            // cannot hold a mutable borrow of the session, so decode against
-            // what we have and fetch missing continuation pages between
-            // attempts (each attempt discovers one more page).
-            let mut all: HashMap<u32, Vec<u8>> = fetched.clone();
-            let decoded = loop {
-                let getter = |p: u32| -> Result<Vec<u8>> {
-                    all.get(&p)
-                        .cloned()
-                        .ok_or_else(|| CoreError::Query(format!("missing page {p}")))
-                };
-                match crate::files::fi::decode_entry(&getter, fi_start, rs, rt) {
-                    Ok(v) => break v,
-                    Err(CoreError::Query(msg)) if msg.starts_with("missing page") => {
-                        let p: u32 = msg["missing page ".len()..]
-                            .parse()
-                            .map_err(|_| CoreError::Query(msg.clone()))?;
-                        if all.contains_key(&p) {
-                            return Err(CoreError::Query(format!("page {p} repeatedly missing")));
-                        }
-                        if used >= hy_cont {
-                            return Err(CoreError::Query(format!(
-                                "record needs more than the {hy_cont} continuation pages the \
-                                 plan allows"
-                            )));
-                        }
-                        let payload = {
-                            let pages = pir.fetch_batch(link, &[(scheme.index_file, p)])?;
-                            unseal_page(&pages[0])?.to_vec()
-                        };
-                        used += 1;
-                        all.insert(p, payload);
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            // Pad the continuation phase to its fixed length with dummy
-            // single-page exchanges (checksum-verified like everything else).
-            while used < hy_cont {
-                let dummy = rng.gen_range(0..total_pages.max(1));
-                let pages = pir.fetch_batch(link, &[(scheme.index_file, dummy)])?;
-                unseal_page(&pages[0])?;
-                used += 1;
-            }
-            // Phase two — region pages for rs, rt and (for set records) the
-            // set regions, then dummies up to the fixed batch budget: one
-            // batch exchange.
-            let mut to_fetch: Vec<u16> = vec![rs, rt];
-            if let IndexPayload::Regions(v) = &decoded {
-                to_fetch.extend(v.iter().copied());
-            }
-            let real_groups = to_fetch.len();
-            reqs.clear();
-            for reg in to_fetch {
-                let base = header.region_page[reg as usize];
-                reqs.extend((0..cluster).map(|c| (scheme.index_file, base + c)));
-            }
-            while (reqs.len() as u32) < batch_budget {
-                let dummy = rng.gen_range(0..total_pages.max(1));
-                reqs.push((scheme.index_file, dummy));
-            }
-            {
-                let pages = pir.fetch_batch(link, reqs)?;
-                let real = real_groups * cluster as usize;
-                let t1 = Instant::now();
-                sub.add_page_groups(
-                    &pages[..real],
-                    cluster as usize,
-                    &header.record_format,
-                    None,
-                    region_bytes,
-                )?;
-                // dummy padding is checksum-verified like the real pages
-                for page in &pages[real..] {
-                    unseal_page(page)?;
-                }
-                client_s += t1.elapsed().as_secs_f64();
-            }
-            answer_payload = Some(decoded);
-        }
+        reqs.extend(group.map(|p| (scheme.data_file, p)));
     }
+    while (reqs.len() as u32) < budget {
+        reqs.push((scheme.data_file, rng.gen_range(0..data_pages.max(1))));
+    }
+    let pages = pir.fetch_batch(link, reqs)?;
 
     // Assemble and solve (allocation-free in steady state: the arena, its
     // triple rows and the Dijkstra scratch are reused across the session's
     // queries).
     let t1 = Instant::now();
-    if let Some(IndexPayload::Edges(triples)) = &answer_payload {
+    let fmt = &header.record_format;
+    sub.add_page_groups(&pages[..real], cluster as usize, fmt, None, payloads)?;
+    // dummy pages are discarded, but their checksums are still verified — a
+    // tampering server cannot hide in the padding
+    for page in &pages[real..] {
+        unseal_page(page)?;
+    }
+    if let IndexPayload::Edges(triples) = &record {
         sub.add_edges(triples)?;
     }
     let s_node = sub
@@ -681,28 +579,192 @@ pub(crate) fn query(
     let cost = sub.shortest_path_in(scratch, s_node, t_node);
     client_s += t1.elapsed().as_secs_f64();
     pir.add_client_compute(client_s);
-
-    let (cost, path) = match cost {
-        Some(c) => (Some(c), scratch.path.clone()),
-        None => (None, Vec::new()),
-    };
-    Ok(crate::engine::QueryOutput {
-        answer: crate::engine::PathAnswer {
-            cost,
-            path_nodes: path,
-            src_node: s_node,
-            dst_node: t_node,
-        },
-        meter: pir.meter.clone(),
-        trace: pir.trace.clone(),
-        plan_violation: false,
-    })
+    Ok(QueryOutput::new(
+        pir,
+        cost,
+        &scratch.path,
+        (s_node, t_node),
+        false,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Database, QuerySession, SchemeKind, SchemeState};
+    use privpath_graph::dijkstra::{distance, INFINITY};
     use privpath_graph::gen::{road_like, RoadGenConfig};
+    use privpath_pir::{InProc, SystemSpec};
+    use privpath_storage::{PageBuf, PagedFile};
+    use std::sync::{Arc, Mutex};
+
+    /// Every exchange a session's link served: `(round, requests)`.
+    type Exchanges = Arc<Mutex<Vec<(u32, Vec<(FileId, u32)>)>>>;
+
+    /// An in-process link that logs every exchange and, when handed a
+    /// forged page, serves it for every page round 3 asks of its file.
+    struct Logged {
+        inner: InProc<Arc<Database>>,
+        log: Exchanges,
+        forged: Option<(FileId, PageBuf)>,
+    }
+
+    impl Transport for Logged {
+        fn spec(&self) -> &SystemSpec {
+            self.inner.spec()
+        }
+
+        fn file_pages(&self, f: FileId) -> privpath_pir::Result<u32> {
+            self.inner.file_pages(f)
+        }
+
+        fn begin_query(&mut self) -> privpath_pir::Result<()> {
+            self.log.lock().unwrap().clear();
+            self.inner.begin_query()
+        }
+
+        fn serve_round(
+            &mut self,
+            round: u32,
+            requests: &[(FileId, u32)],
+            out: &mut [PageBuf],
+        ) -> privpath_pir::Result<()> {
+            self.log.lock().unwrap().push((round, requests.to_vec()));
+            self.inner.serve_round(round, requests, out)?;
+            if let (3, Some((file, page))) = (round, &self.forged) {
+                for (&(f, _), buf) in requests.iter().zip(out.iter_mut()) {
+                    if f == *file {
+                        buf.as_mut_slice().copy_from_slice(page.as_slice());
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn download(&mut self, f: FileId) -> privpath_pir::Result<Vec<u8>> {
+            self.inner.download(f)
+        }
+
+        fn close(&mut self) -> privpath_pir::Result<()> {
+            self.inner.close()
+        }
+    }
+
+    fn logged_session(
+        db: &Arc<Database>,
+        forged: Option<(FileId, PageBuf)>,
+    ) -> (QuerySession, Exchanges) {
+        let log = Exchanges::default();
+        let link = Logged {
+            inner: InProc::new(Arc::clone(db)),
+            log: Arc::clone(&log),
+            forged,
+        };
+        (db.session_over(5, Box::new(link)), log)
+    }
+
+    fn index_file_of(db: &Database) -> FileId {
+        match &db.state {
+            SchemeState::Index(scheme) => scheme.index_file,
+            _ => unreachable!("an index-family database"),
+        }
+    }
+
+    /// HY's round 4 opens with exactly `hy_cont` single-page exchanges and
+    /// then one batch, whatever the record. A record that spans past the
+    /// round-3 window is read from the pages right after it, in ascending
+    /// order: some query over every pair of regions spends all `hy_cont`
+    /// singles on them, and every answer is the network's distance.
+    #[test]
+    fn hybrid_walk_fetches_continuation_pages() {
+        let net = road_like(&RoadGenConfig {
+            nodes: 600,
+            seed: 11,
+            ..Default::default()
+        });
+        let mut cfg = BuildConfig::default();
+        cfg.spec.page_size = 512;
+        let db = Arc::new(Database::build(&net, SchemeKind::Hy, &cfg).unwrap());
+        let h = db.header().unwrap();
+        let batch = (u32::from(h.m_regions) + 2) * u32::from(h.cluster_pages);
+        let hy_cont = (h.hy_round4 - batch) as usize;
+        assert!(
+            hy_cont > 0,
+            "the 512-byte HY build has no continuation phase"
+        );
+
+        let mut one_node = vec![None; usize::from(h.num_regions)];
+        for u in 0..net.num_nodes() as u32 {
+            one_node[usize::from(h.tree.region_of(net.node_point(u)))].get_or_insert(u);
+        }
+        let nodes: Vec<u32> = one_node.into_iter().flatten().collect();
+        let (mut session, log) = logged_session(&db, None);
+        let mut walked = 0;
+        for &s in &nodes {
+            for &t in &nodes {
+                let out = session.query_nodes(&net, s, t).unwrap();
+                let want = Some(distance(&net, s, t)).filter(|&d| d != INFINITY);
+                assert_eq!(out.answer.cost, want, "{s} -> {t}");
+                let log = log.lock().unwrap();
+                let window = &log.iter().find(|(round, _)| *round == 3).unwrap().1;
+                let window_end = window.last().unwrap().1 + 1;
+                let round4: Vec<&Vec<(FileId, u32)>> = log
+                    .iter()
+                    .filter(|(round, _)| *round == 4)
+                    .map(|(_, requests)| requests)
+                    .collect();
+                assert_eq!(round4.len(), hy_cont + 1, "{s} -> {t}");
+                assert!(round4[..hy_cont].iter().all(|r| r.len() == 1));
+                assert_eq!(round4[hy_cont].len(), batch as usize);
+                let singles: Vec<u32> = round4[..hy_cont].iter().map(|r| r[0].1).collect();
+                if singles == (window_end..window_end + hy_cont as u32).collect::<Vec<_>>() {
+                    walked += 1;
+                }
+            }
+        }
+        assert!(walked > 0, "no record spanned past its window");
+    }
+
+    /// A forged index record that names a region the header does not have,
+    /// or more region groups than the plan's batch holds, ends a CI or HY
+    /// query in a `CoreError::Query`, and the round-4 batch is never
+    /// issued (HY's continuation singles are the plan's and still run).
+    #[test]
+    fn forged_region_ids_and_oversized_sets_are_query_errors() {
+        let net = road_like(&RoadGenConfig {
+            nodes: 400,
+            seed: 4,
+            ..Default::default()
+        });
+        let (s, t) = (3, 377);
+        for kind in [SchemeKind::Ci, SchemeKind::Hy] {
+            let db = Arc::new(Database::build(&net, kind, &BuildConfig::default()).unwrap());
+            let h = db.header().unwrap();
+            let (rs, rt) = (
+                h.tree.region_of(net.node_point(s)),
+                h.tree.region_of(net.node_point(t)),
+            );
+            let out_of_range = vec![h.num_regions];
+            let oversized = vec![0; usize::from(h.m_regions) + 1];
+            for regions in [out_of_range, oversized] {
+                let mut fi = FiBuilder::new(h.page_size as usize, 0, false);
+                fi.add(rs, rt, IndexPayload::Regions(regions.clone()));
+                let page = fi.finish().0.read_page(0).unwrap();
+                let (mut session, log) = logged_session(&db, Some((index_file_of(&db), page)));
+                let err = session.query_nodes(&net, s, t).unwrap_err();
+                assert!(
+                    matches!(err, CoreError::Query(_)),
+                    "{kind:?} {regions:?}: {err}"
+                );
+                let log = log.lock().unwrap();
+                assert!(
+                    log.iter()
+                        .all(|(round, r)| *round < 4 || (*round == 4 && r.len() == 1)),
+                    "{kind:?} {regions:?}: issued {log:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn edge_triples_are_sorted_and_faithful() {
@@ -745,7 +807,7 @@ mod tests {
         );
         // size estimates shrink as the threshold rises (fewer subgraphs)
         let sizes: Vec<u64> = (0..=pre.m)
-            .map(|th| estimate_hybrid_index_bytes(&net, &pre, th))
+            .map(|th| estimate_hybrid_index_bytes(&pre, th))
             .collect();
         assert!(
             sizes.windows(2).all(|w| w[0] >= w[1]),
@@ -753,11 +815,11 @@ mod tests {
         );
         // auto threshold honours a generous limit with threshold 0 (pure PI)
         let big_limit = sizes[0] + 1;
-        assert_eq!(auto_hybrid_threshold(&net, &pre, big_limit), 0);
+        assert_eq!(auto_hybrid_threshold(&pre, big_limit), 0);
         // and a tight limit forces a high threshold
         let tight = *sizes.last().unwrap();
-        let th = auto_hybrid_threshold(&net, &pre, tight);
-        assert!(estimate_hybrid_index_bytes(&net, &pre, th) <= tight.max(1));
+        let th = auto_hybrid_threshold(&pre, tight);
+        assert!(estimate_hybrid_index_bytes(&pre, th) <= tight.max(1));
     }
 
     #[test]

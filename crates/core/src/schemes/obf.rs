@@ -17,7 +17,7 @@
 //! communication, server compute) and its RNG draws the decoys.
 
 use crate::config::BuildConfig;
-use crate::engine::{PathAnswer, QueryOutput};
+use crate::engine::QueryOutput;
 use crate::error::CoreError;
 use crate::plan::QueryPlan;
 use crate::schemes::index_scheme::BuildStats;
@@ -118,32 +118,22 @@ pub(crate) fn query(
                 result_bytes += p.wire_bytes() as u64;
             }
             if sp == s_node && tp == t_node {
-                answer = Some(match path {
-                    Some(p) => PathAnswer {
-                        cost: Some(p.cost),
-                        path_nodes: p.nodes,
-                        src_node: s_node,
-                        dst_node: t_node,
-                    },
-                    None => PathAnswer {
-                        cost: None,
-                        path_nodes: Vec::new(),
-                        src_node: s_node,
-                        dst_node: t_node,
-                    },
-                });
+                answer = path;
             }
         }
     }
     ctx.pir.add_server_compute(t0.elapsed().as_secs_f64());
     ctx.pir.add_transfer(link.spec(), result_bytes);
 
-    Ok(QueryOutput {
-        answer: answer.expect("real pair is in S x T"),
-        meter: ctx.pir.meter.clone(),
-        trace: ctx.pir.trace.clone(),
-        plan_violation: false,
-    })
+    // the real pair is in S x T, so `answer` is its path unless none exists
+    let (cost, nodes) = answer.map_or((None, Vec::new()), |p| (Some(p.cost), p.nodes));
+    Ok(QueryOutput::new(
+        &ctx.pir,
+        cost,
+        &nodes,
+        (s_node, t_node),
+        false,
+    ))
 }
 
 #[cfg(test)]

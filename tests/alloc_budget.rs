@@ -11,12 +11,13 @@
 //! `InProc` session serves its pages on the calling thread, so the count
 //! is client and server together.
 //!
-//! Each bound sits about 1.5x above the largest count read since the
-//! client folds region bytes straight into its arena (printed with
-//! `--nocapture`: CI 128, LM 43, AF 22; a flat decoded copy per region read
-//! CI 160, LM 139, AF 55), and far below the mean a decoder that allocated
-//! per node record and per arc read on the same sessions (CI 1,998,
-//! LM 1,668, AF 4,068).
+//! Each bound sits about 1.5x above the largest count read since the index
+//! family reads its record straight from the unsealed window (printed with
+//! `--nocapture`: CI 21, PI 18, HY 19, LM 43, AF 22). A window copied into
+//! a page map and cloned per lookup read CI 128, PI 36, HY 39; a flat
+//! decoded copy per region read CI 160, LM 139, AF 55; and a decoder that
+//! allocated per node record and per arc read far more on the same
+//! sessions (mean CI 1,998, LM 1,668, AF 4,068).
 
 use privpath::core::config::BuildConfig;
 use privpath::core::engine::{Database, SchemeKind};
@@ -130,7 +131,7 @@ fn check(kind: SchemeKind, bound: u64) {
 
 #[test]
 fn ci_warm_query_allocations_are_bounded() {
-    check(SchemeKind::Ci, 192);
+    check(SchemeKind::Ci, 32);
 }
 
 #[test]
@@ -141,4 +142,14 @@ fn lm_warm_query_allocations_are_bounded() {
 #[test]
 fn af_warm_query_allocations_are_bounded() {
     check(SchemeKind::Af, 33);
+}
+
+#[test]
+fn pi_warm_query_allocations_are_bounded() {
+    check(SchemeKind::Pi, 27);
+}
+
+#[test]
+fn hy_warm_query_allocations_are_bounded() {
+    check(SchemeKind::Hy, 29);
 }
