@@ -185,7 +185,7 @@ pub(crate) struct QueryCtx {
     pub(crate) pir: PirSession,
     /// Dummy-request page choices.
     pub(crate) rng: SmallRng,
-    /// Client-side subgraph arena (CSR adjacency, interner, region runs).
+    /// Client-side subgraph arena (interner, arc rows, region memo).
     pub(crate) sub: ClientSubgraph,
     /// Client-side Dijkstra solver state (distances, heap, path buffer).
     pub(crate) scratch: QueryScratch,
@@ -513,5 +513,13 @@ impl QuerySession {
             return Err(CoreError::Query("node id out of range".into()));
         }
         self.query(net.node_point(s), net.node_point(t))
+    }
+}
+
+#[cfg(test)]
+impl QuerySession {
+    /// Bytes of region payload the session's region memo holds.
+    pub(crate) fn memo_len(&self) -> usize {
+        self.ctx.sub.memo_len()
     }
 }

@@ -53,6 +53,21 @@ pub struct Header {
 impl Header {
     /// Serializes into sealed header pages.
     pub(crate) fn to_file(&self, page_size: usize) -> MemFile {
+        let bytes = self.to_bytes();
+        let payload_cap = page_size - super::PAGE_CRC_BYTES;
+        let payloads: Vec<Vec<u8>> = bytes.chunks(payload_cap).map(|c| c.to_vec()).collect();
+        seal_file(
+            &if payloads.is_empty() {
+                vec![Vec::new()]
+            } else {
+                payloads
+            },
+            page_size,
+        )
+    }
+
+    /// The unsealed payload [`parse`](Self::parse) reads.
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(MAGIC);
         w.u8(self.scheme);
@@ -75,17 +90,7 @@ impl Header {
             w.u32(p);
         }
         self.plan.serialize(&mut w);
-        let bytes = w.into_vec();
-        let payload_cap = page_size - super::PAGE_CRC_BYTES;
-        let payloads: Vec<Vec<u8>> = bytes.chunks(payload_cap).map(|c| c.to_vec()).collect();
-        seal_file(
-            &if payloads.is_empty() {
-                vec![Vec::new()]
-            } else {
-                payloads
-            },
-            page_size,
-        )
+        w.into_vec()
     }
 
     /// The bound every node id the region data can name stays below
@@ -135,7 +140,8 @@ impl Header {
         let fd_pages = r.u32()?;
         let tree = KdTree::deserialize(&mut r)?;
         let n = r.u32()? as usize;
-        let mut region_page = Vec::with_capacity(n);
+        // a forged count reserves no more than the bytes can hold
+        let mut region_page = Vec::with_capacity(n.min(r.remaining() / 4));
         for _ in 0..n {
             region_page.push(r.u32()?);
         }
@@ -165,6 +171,7 @@ mod tests {
     use super::*;
     use crate::files::unseal_download;
     use crate::plan::{PlanFile, RoundSpec};
+    use privpath_partition::KdNode;
     use privpath_storage::PagedFile;
 
     fn sample() -> Header {
@@ -229,5 +236,75 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         assert!(Header::parse(&[0u8; 64]).is_err());
+    }
+
+    /// Bytes before the tree: the magic and the fixed-width fields.
+    const FIXED_BYTES: usize = 42;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// Forged header payloads parse to an error, never a panic or an
+        /// abort: random bytes behind the magic, truncations, tree node
+        /// counts and `region_page` counts anywhere up to `u32::MAX` (each
+        /// once reserved that many entries before reading one), and a chain
+        /// of splits nested thousands deep.
+        #[test]
+        fn forged_headers_are_errors_not_panics(
+            noise in proptest::collection::vec(0u8..=255, 0..400),
+            forgery in 0u8..5,
+            wide in 0u32..=u32::MAX,
+            narrow in 0u32..12,
+            cut in 0usize..10_000,
+            depth in 1usize..100_000,
+        ) {
+            let mut h = sample();
+            h.tree = KdTree::from_nodes(vec![
+                KdNode::Split { axis: 0, coord2: 19, left: 1, right: 2 },
+                KdNode::Leaf { region: 0 },
+                KdNode::Split { axis: 1, coord2: 7, left: 3, right: 4 },
+                KdNode::Leaf { region: 1 },
+                KdNode::Leaf { region: 2 },
+            ]);
+            let honest = h.to_bytes();
+            proptest::prop_assert_eq!(Header::parse(&honest).unwrap(), h.clone());
+            // the tree: its count, two splits of ten bytes, three leaves
+            let pages_at = FIXED_BYTES + 4 + 2 * 10 + 3;
+            proptest::prop_assert_eq!(&honest[pages_at..pages_at + 4], &4u32.to_le_bytes()[..]);
+            let count = if cut % 2 == 0 { wide } else { narrow };
+            let with_count = |at: usize| {
+                let mut b = honest.clone();
+                b[at..at + 4].copy_from_slice(&count.to_le_bytes());
+                b
+            };
+
+            let (forged, must_fail) = match forgery {
+                0 => ([&honest[..4], &noise[..]].concat(), false),
+                1 => (honest[..cut % honest.len()].to_vec(), true),
+                // the parse is held to the stored tree count exactly
+                2 => (with_count(FIXED_BYTES), count != 5),
+                // a count the bytes cannot hold fails; a nearby one may
+                // read the plan from other bytes
+                3 => {
+                    let room = (honest.len() - pages_at - 4) / 4;
+                    (with_count(pages_at), count as usize > room)
+                }
+                _ => {
+                    let mut b = honest[..FIXED_BYTES].to_vec();
+                    b.extend_from_slice(&u32::MAX.to_le_bytes());
+                    for _ in 0..depth {
+                        b.extend_from_slice(&[0, 0, 1, 0, 0, 0, 0, 0, 0, 0]);
+                    }
+                    b.extend_from_slice(&noise);
+                    (b, true)
+                }
+            };
+            let parsed = Header::parse(&forged);
+            if (forgery == 2 && count == 5) || (forgery == 3 && count == 4) {
+                proptest::prop_assert_eq!(parsed.unwrap(), h);
+            } else if must_fail {
+                proptest::prop_assert!(parsed.is_err(), "forgery {} with count {} parsed", forgery, count);
+            }
+        }
     }
 }

@@ -436,7 +436,8 @@ pub(crate) fn query(
         payloads,
     } = ctx;
     pir.reset_query();
-    sub.clear();
+    // The region memo outlives the query (`subgraph` module doc).
+    sub.clear_view();
 
     // Round 1: download the header in full.
     pir.begin_round(link)?;
@@ -449,6 +450,7 @@ pub(crate) fn query(
     // dummy pages' range
     let data_pages = link.file_pages(scheme.data_file)?;
     sub.set_id_bound(header.node_id_bound(data_pages, combined, page_size)?);
+    sub.set_memo_cap(header.fd_pages as usize * (page_size - PAGE_CRC_BYTES));
     let rs = header.tree.region_of(s);
     let rt = header.tree.region_of(t);
     let mut client_s = t0.elapsed().as_secs_f64();
@@ -558,7 +560,7 @@ pub(crate) fn query(
 
     // Assemble and solve (allocation-free in steady state: the arena, its
     // triple rows and the Dijkstra scratch are reused across the session's
-    // queries).
+    // queries, and a region the memo holds byte for byte is not refolded).
     let t1 = Instant::now();
     let fmt = &header.record_format;
     sub.add_page_groups(&pages[..real], cluster as usize, fmt, None, payloads)?;
@@ -601,12 +603,18 @@ mod tests {
     /// Every exchange a session's link served: `(round, requests)`.
     type Exchanges = Arc<Mutex<Vec<(u32, Vec<(FileId, u32)>)>>>;
 
+    /// A page the links sharing it serve in place of the stored one, while
+    /// it is set: `(file, page, bytes)`.
+    type Resealed = Arc<Mutex<Option<(FileId, u32, PageBuf)>>>;
+
     /// An in-process link that logs every exchange and, when handed a
-    /// forged page, serves it for every page round 3 asks of its file.
+    /// forged page, serves it for every page round 3 asks of its file;
+    /// while `resealed` is set, it serves that page in every round.
     struct Logged {
         inner: InProc<Arc<Database>>,
         log: Exchanges,
         forged: Option<(FileId, PageBuf)>,
+        resealed: Resealed,
     }
 
     impl Transport for Logged {
@@ -638,6 +646,13 @@ mod tests {
                     }
                 }
             }
+            if let Some((file, page, bytes)) = &*self.resealed.lock().unwrap() {
+                for (&request, buf) in requests.iter().zip(out.iter_mut()) {
+                    if request == (*file, *page) {
+                        buf.as_mut_slice().copy_from_slice(bytes.as_slice());
+                    }
+                }
+            }
             Ok(())
         }
 
@@ -659,8 +674,141 @@ mod tests {
             inner: InProc::new(Arc::clone(db)),
             log: Arc::clone(&log),
             forged,
+            resealed: Resealed::default(),
         };
         (db.session_over(5, Box::new(link)), log)
+    }
+
+    /// A session over a link that serves `resealed` while it is set.
+    fn resealed_session(db: &Arc<Database>, resealed: &Resealed) -> QuerySession {
+        let link = Logged {
+            inner: InProc::new(Arc::clone(db)),
+            log: Exchanges::default(),
+            forged: None,
+            resealed: Arc::clone(resealed),
+        };
+        db.session_over(5, Box::new(link))
+    }
+
+    /// The first arc `u -> v` of weight above 1, with `u` and `v` more than
+    /// 1 apart in `net`, whose weight lies on the last page of its region's
+    /// page group: `(u, v, page, that page with the weight lowered to 1)`.
+    fn arc_to_lower(db: &Database, net: &RoadNetwork) -> (u32, u32, u32, PageBuf) {
+        let h = db.header().unwrap();
+        let page_size = h.page_size as usize;
+        let page_len = page_size - PAGE_CRC_BYTES;
+        let cluster = u32::from(h.cluster_pages);
+        let fd = db
+            .server
+            .file_driver(db.file_of(PlanFile::Data).unwrap())
+            .unwrap();
+        let fmt = h.record_format;
+        let (head_bytes, arc_bytes) = (fmt.node_bytes(0), fmt.node_bytes(1) - fmt.node_bytes(0));
+        for &base in &h.region_page {
+            let mut group = Vec::new();
+            for p in base..base + cluster {
+                group.extend_from_slice(unseal_page(&fd.read_page(p).unwrap()).unwrap());
+            }
+            let count = u16::from_le_bytes([group[2], group[3]]);
+            let mut at = 4;
+            for _ in 0..count {
+                let u = u32::from_le_bytes(group[at..at + 4].try_into().unwrap());
+                let degree =
+                    u16::from_le_bytes([group[at + head_bytes - 2], group[at + head_bytes - 1]]);
+                at += head_bytes;
+                for _ in 0..degree {
+                    let v = u32::from_le_bytes(group[at..at + 4].try_into().unwrap());
+                    let w_at = at + 4;
+                    let w = u32::from_le_bytes(group[w_at..w_at + 4].try_into().unwrap());
+                    let page = w_at / page_len;
+                    at += arc_bytes;
+                    if w > 1
+                        && page == (w_at + 3) / page_len
+                        && page as u32 == cluster - 1
+                        && distance(net, u, v) > 1
+                    {
+                        let mut payload = group[page * page_len..(page + 1) * page_len].to_vec();
+                        payload[w_at % page_len..w_at % page_len + 4]
+                            .copy_from_slice(&1u32.to_le_bytes());
+                        let sealed = crate::files::seal_page(&payload, page_size);
+                        return (u, v, base + page as u32, sealed);
+                    }
+                }
+            }
+        }
+        panic!("no arc to lower");
+    }
+
+    /// The region memo never answers from bytes the link no longer serves.
+    /// From query `k` on, the link serves one region page re-sealed (a
+    /// valid CRC) with the weight of an arc `u -> v` lowered to 1; from
+    /// query `k2` on, the stored page again. At every step a warm session
+    /// equals a fresh one over the same link state — answers, paths, and
+    /// meters with `client_s` zeroed — and its memo never holds more than
+    /// one `Fd` of payload. Every query starts at `u`, so each folds the
+    /// changed region, and every other one asks for `u -> v`, whose cost the
+    /// change moves to 1: a memo that reused a region by its id alone would
+    /// answer the old cost at `k` and the new one at `k2`. CI, and PI* at
+    /// 512-byte pages (multi-page region groups, the changed page the last
+    /// of its group).
+    #[test]
+    fn memo_never_answers_from_stale_region_bytes() {
+        let net = road_like(&RoadGenConfig {
+            nodes: 600,
+            seed: 21,
+            ..Default::default()
+        });
+        let n = net.num_nodes() as u32;
+        for (kind, page_size) in [(SchemeKind::Ci, 4096), (SchemeKind::PiStar, 512)] {
+            let mut cfg = BuildConfig::default();
+            cfg.spec.page_size = page_size;
+            let db = Arc::new(Database::build(&net, kind, &cfg).unwrap());
+            let h = db.header().unwrap();
+            assert!(
+                kind == SchemeKind::Ci || h.cluster_pages > 1,
+                "PI* with one-page groups"
+            );
+            let fd_bytes = h.fd_pages as usize * (page_size - PAGE_CRC_BYTES);
+            let data = db.file_of(PlanFile::Data).unwrap();
+            let (u, v, page, lowered) = arc_to_lower(&db, &net);
+
+            let resealed = Resealed::default();
+            let mut warm = resealed_session(&db, &resealed);
+            let (k, k2) = (4, 8);
+            for step in 0..12u32 {
+                let changed = (k..k2).contains(&step);
+                *resealed.lock().unwrap() = changed.then(|| (data, page, lowered.clone()));
+                let t = if step % 2 == 0 {
+                    v
+                } else {
+                    (step * 97 + 5) % n
+                };
+                let got = warm.query_nodes(&net, u, t).unwrap();
+                let want = resealed_session(&db, &resealed)
+                    .query_nodes(&net, u, t)
+                    .unwrap();
+                let at = format!("{kind:?} step {step}: {u} -> {t}");
+                assert_eq!(got.answer.cost, want.answer.cost, "{at}");
+                assert_eq!(got.answer.path_nodes, want.answer.path_nodes, "{at}");
+                assert_eq!(
+                    (got.answer.src_node, got.answer.dst_node),
+                    (want.answer.src_node, want.answer.dst_node),
+                    "{at}"
+                );
+                let (mut got_meter, mut want_meter) = (got.meter, want.meter);
+                got_meter.client_s = 0.0;
+                want_meter.client_s = 0.0;
+                assert_eq!(got_meter, want_meter, "{at}");
+                if t == v {
+                    assert_eq!(want.answer.cost == Some(1), changed, "{at}");
+                }
+                assert!(
+                    warm.memo_len() <= fd_bytes,
+                    "{at}: memo {} > {fd_bytes}",
+                    warm.memo_len()
+                );
+            }
+        }
     }
 
     fn index_file_of(db: &Database) -> FileId {

@@ -22,14 +22,39 @@
 //! contiguous row of the arc array, so every search relaxes a node's row
 //! as soon as its record arrives. [`ClientSubgraph::shortest_path_in`]
 //! relaxes that row, then the node's row of `add_edges` triples: those
-//! arrive in any order, so they alone are sorted into a CSR (compressed
-//! sparse row) by counting sort, once per solve, and a view with no triples
-//! (CI, LM, AF) builds none. Dijkstra runs over dense arrays with an
+//! arrive in any order, so they alone are sorted into rows by counting
+//! sort, once per solve, over the triples alone, and a view with no triples
+//! (CI, LM, AF) sorts none. Dijkstra runs over dense arrays with an
 //! indexed binary heap (decrease-key, no stale entries). All buffers live
 //! in the [`ClientSubgraph`] and [`QueryScratch`] and are cleared — not
 //! reallocated — between queries, so a long-running
 //! [`crate::engine::QuerySession`] allocates per query only for its
 //! per-query outputs; `tests/alloc_budget.rs` bounds the count.
+//!
+//! **The memo and the view.** A session is pinned to one generation, so
+//! the region pages its queries fetch repeat byte for byte. The arena
+//! therefore keeps every region it folded — its members, their records
+//! and arc rows, and its unsealed payload — as the session's *memo*, and a
+//! query sees only its *view*: the regions folded or reused since
+//! `ClientSubgraph::clear_view`. Every page is still
+//! fetched, CRC-checked and unsealed as before; a region whose payload
+//! equals the memoized one byte for byte, under the same record format,
+//! goal flag and id bound, is only marked in view, and anything else folds
+//! afresh (a region whose bytes changed drops every region out of view,
+//! and the next `clear_view` starts the memo over). Searches and snaps read
+//! only in-view records and members, so they see the subgraph a fresh
+//! arena folded from the same pages, and the `(dist, id)` heap key settles
+//! it in the same order. The memo retains at most one `Fd` of payload (the
+//! cap the query driver sets), node slots stay below the id bound, and the
+//! solver's reset and the triple rows walk what the last query touched,
+//! not the memo.
+//!
+//! Only the index family (`schemes::index_scheme`) keeps the memo across
+//! queries: it folds after its last exchange, so reuse shortens only the
+//! gap before the next `QueryOpen`. LM and AF fold between exchanges,
+//! where a shorter fold would shorten a gap the server can time, so they
+//! (and the offline plan probes) [`clear`](ClientSubgraph::clear) the
+//! arena, memo included, before every query.
 
 use crate::error::CoreError;
 use crate::files::fd::{RecordFormat, RegionData};
@@ -40,7 +65,7 @@ use privpath_graph::types::{Dist, NodeId, Point};
 use privpath_storage::{ByteReader, PageBuf};
 use std::sync::Arc;
 
-/// Sentinel for "no dense slot".
+/// Sentinel for "no dense slot" (and "no region entry").
 const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel for "no region hint".
@@ -82,12 +107,32 @@ fn u32_at(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
 
+/// One region the arena folded since its last [`clear`](ClientSubgraph::clear).
+#[derive(Debug)]
+struct Folded {
+    /// The region id its payload names.
+    region: u16,
+    /// The format and AF goal flag it was folded under.
+    fmt: RecordFormat,
+    goal_flag: Option<usize>,
+    /// `(start, end)` of its members in `members`; emptied when the region
+    /// is dropped from the memo.
+    members: (u32, u32),
+    /// `(start, end)` of its unsealed payload in `memo_bytes`, if the memo
+    /// had room for it.
+    bytes: Option<(usize, usize)>,
+    /// Part of the current view.
+    in_view: bool,
+}
+
 /// The client's partial view of the network, interned into dense node slots.
 ///
 /// Accumulate pages with `add_region` /
 /// [`add_edges`](Self::add_edges), then solve with
 /// [`shortest_path_in`](Self::shortest_path_in). [`clear`](Self::clear)
-/// resets the view for the next query while keeping every buffer's capacity.
+/// forgets everything, `clear_view` only what the last query saw (the
+/// module doc says which driver calls which); both keep every buffer's
+/// capacity.
 #[derive(Debug, Default)]
 pub struct ClientSubgraph {
     /// External node id → dense slot (`NO_SLOT` when not interned). Grown
@@ -109,38 +154,47 @@ pub struct ClientSubgraph {
     /// when its record is folded in (empty until then). A node's arcs come
     /// only from its own record, folded in once, so the range is contiguous.
     arc_rows: Vec<(u32, u32)>,
+    /// Dense slot → the entry of `folded` holding its record (`NO_SLOT`
+    /// while none does). The record counts only while that entry is in
+    /// view.
+    record: Vec<u32>,
     /// `add_edges` triples as dense `(tail, head, weight)`, in insertion
     /// order.
     edges: Vec<(u32, u32, u32)>,
-    /// Contiguous per-region membership runs: `(region, start, end)` into
-    /// `members`.
-    region_runs: Vec<(u16, u32, u32)>,
-    /// Dense slots of region members, grouped per `region_runs` entry.
-    members: Vec<u32>,
-    /// Row offsets into `edge_rows` (`num_nodes + 1` entries once built,
-    /// empty while there are no triples).
-    edge_offsets: Vec<u32>,
     /// `edges` sorted by tail, stably (counting sort).
     edge_rows: Vec<(u32, u32, u32)>,
+    /// Dense slot → the `(start, end)` of its row in `edge_rows`; `(0, 0)`
+    /// for every slot no sorted triple leaves.
+    edge_spans: Vec<(u32, u32)>,
     /// Triples already sorted into `edge_rows` (rebuilt only when new
-    /// triples or nodes arrived since).
+    /// triples arrived since).
     sorted_edges: usize,
     /// Dense slot → host-region hint (`u16::MAX` = unknown). Filled from
     /// region membership and from the `to_region` adjacency hints carried by
     /// LM/AF records.
     region_of: Vec<u16>,
-    /// Dense slot → whether the full node record (coordinates + adjacency)
-    /// has been folded in via a region page.
-    has_record: Vec<bool>,
     /// Flattened per-slot auxiliary vectors (LM landmark distances),
     /// `aux_stride` entries per slot, extended lazily and `u32::MAX`-padded
     /// for slots whose records have not arrived yet.
     aux: Vec<u32>,
     /// Entries per slot in `aux` (0 when the data carries no aux vectors).
     aux_stride: usize,
-    /// Regions already folded in — [`add_region`](Self::add_region) is
-    /// idempotent per region so a re-fetch never duplicates members.
-    loaded: Vec<u16>,
+    /// Dense slots of region members, one contiguous run per `folded`
+    /// entry.
+    members: Vec<u32>,
+    /// Every region folded since the last `clear`, in fold order: the memo.
+    folded: Vec<Folded>,
+    /// Region id → its live entry in `folded` (`NO_SLOT` when none).
+    entry_of: Vec<u32>,
+    /// The entries of the current view, in the order they joined it.
+    view: Vec<u32>,
+    /// The unsealed payloads of `folded` entries, back to back.
+    memo_bytes: Vec<u8>,
+    /// Most bytes `memo_bytes` may hold (0, the default, retains none).
+    memo_cap: usize,
+    /// Some region was dropped from the memo since the last `clear`, so its
+    /// buffers hold dead rows: the next `clear_view` clears instead.
+    dropped: bool,
 }
 
 impl ClientSubgraph {
@@ -149,35 +203,75 @@ impl ClientSubgraph {
         Self::default()
     }
 
-    /// Forgets all nodes, arcs and regions, keeping allocated capacity.
+    /// Forgets all nodes, arcs and regions — the memo with the view —
+    /// keeping allocated capacity.
     pub fn clear(&mut self) {
         for &id in &self.ids {
             if let Some(slot) = self.slot_of.get_mut(id as usize) {
                 *slot = NO_SLOT;
             }
         }
+        for f in &self.folded {
+            self.entry_of[usize::from(f.region)] = NO_SLOT;
+        }
         self.ids.clear();
         self.coords.clear();
         self.arcs.clear();
         self.arc_rows.clear();
+        self.record.clear();
         self.edges.clear();
-        self.region_runs.clear();
-        self.members.clear();
-        self.edge_offsets.clear();
         self.edge_rows.clear();
+        self.edge_spans.clear();
         self.sorted_edges = 0;
         self.region_of.clear();
-        self.has_record.clear();
         self.aux.clear();
         self.aux_stride = 0;
-        self.loaded.clear();
+        self.members.clear();
+        self.folded.clear();
+        self.view.clear();
+        self.memo_bytes.clear();
+        self.dropped = false;
+    }
+
+    /// Forgets the current view — its regions and `add_edges` triples —
+    /// and keeps the memo for the next query to reuse (or clears it all if
+    /// a region was dropped from it).
+    pub(crate) fn clear_view(&mut self) {
+        if self.dropped {
+            self.clear();
+            return;
+        }
+        for &e in &self.view {
+            self.folded[e as usize].in_view = false;
+        }
+        self.view.clear();
+        for &(u, _, _) in &self.edge_rows {
+            self.edge_spans[u as usize] = (0, 0);
+        }
+        self.edge_rows.clear();
+        self.edges.clear();
+        self.sorted_edges = 0;
     }
 
     /// Admits only node ids below `bound` from now on (an id at or past it
-    /// is a [`CoreError::Query`]), and shortens the id table to it.
+    /// is a [`CoreError::Query`]), and shortens the id table to it. A bound
+    /// other than the current one clears the arena: the memo was folded
+    /// under the old one.
     pub(crate) fn set_id_bound(&mut self, bound: u32) {
-        self.id_bound = Some(bound);
-        self.slot_of.truncate(bound as usize);
+        if self.id_bound != Some(bound) {
+            self.clear();
+            self.id_bound = Some(bound);
+            self.slot_of.truncate(bound as usize);
+        }
+    }
+
+    /// Lets the memo retain up to `bytes` bytes of region payload (the
+    /// index driver sets one `Fd`); a memo already past it is cleared.
+    pub(crate) fn set_memo_cap(&mut self, bytes: usize) {
+        if self.memo_bytes.len() > bytes {
+            self.clear();
+        }
+        self.memo_cap = bytes;
     }
 
     /// Number of interned nodes.
@@ -191,6 +285,13 @@ impl ClientSubgraph {
             .get(id as usize)
             .copied()
             .filter(|&s| s != NO_SLOT)
+    }
+
+    /// True if dense slot `u`'s record is in the view.
+    #[inline]
+    fn in_view(&self, u: u32) -> bool {
+        let e = self.record[u as usize];
+        e != NO_SLOT && self.folded[e as usize].in_view
     }
 
     #[inline]
@@ -214,29 +315,31 @@ impl ClientSubgraph {
         self.ids.push(id);
         self.coords.push(Point::new(0, 0));
         self.region_of.push(NO_REGION);
-        self.has_record.push(false);
+        self.record.push(NO_SLOT);
         self.arc_rows.push((0, 0));
         Ok(slot)
     }
 
-    /// Folds a region's unsealed payload (its page group's payloads,
-    /// concatenated) in `fmt`'s record layout straight into the arena, in
-    /// one pass. Records landmark vectors and region hints where `fmt`
-    /// carries them, and — when `goal_flag` is set — keeps only arcs whose
-    /// flag bit for that region is 1 (AF pruning, applied at insertion
-    /// instead of at relaxation; the two are equivalent because a pruned
-    /// arc is never relaxed).
+    /// Brings a region's unsealed payload (its page group's payloads,
+    /// concatenated) in `fmt`'s record layout into the view: from the memo
+    /// when it holds these exact bytes under the same format and goal flag,
+    /// otherwise folded straight into the arena in one pass. Records
+    /// landmark vectors and region hints where `fmt` carries them, and —
+    /// when `goal_flag` is set — keeps only arcs whose flag bit for that
+    /// region is 1 (AF pruning, applied at insertion instead of at
+    /// relaxation; the two are equivalent because a pruned arc is never
+    /// relaxed).
     ///
-    /// Idempotent per region: a region already folded in is skipped (the
-    /// PIR fetch that produced `payload` still happened; the caller counts
-    /// it).
+    /// Idempotent per region within a view: a region already in view is
+    /// skipped (the PIR fetch that produced `payload` still happened; the
+    /// caller counts it).
     ///
     /// # Errors
     /// A payload shorter than its region head, a record head or an
     /// adjacency block it announces is a [`CoreError::Storage`]; a record
     /// or arc head whose id is not below the id bound, and a node with two
-    /// records, are a [`CoreError::Query`]. The arena may then hold part of
-    /// the region: [`clear`](Self::clear) it before the next query.
+    /// records in the view, are a [`CoreError::Query`]. The arena is then
+    /// cleared, memo and all.
     pub(crate) fn add_region(
         &mut self,
         payload: &[u8],
@@ -246,10 +349,87 @@ impl ClientSubgraph {
         let mut r = ByteReader::new(payload);
         let region = r.u16()?;
         let count = r.u16()?;
-        if self.loaded.contains(&region) {
-            return Ok(());
+        if let Some(&e) = self
+            .entry_of
+            .get(usize::from(region))
+            .filter(|&&e| e != NO_SLOT)
+        {
+            let f = &self.folded[e as usize];
+            if f.in_view {
+                return Ok(());
+            }
+            let same = f.fmt == *fmt
+                && f.goal_flag == goal_flag
+                && f.bytes
+                    .is_some_and(|(lo, hi)| self.memo_bytes[lo..hi] == *payload);
+            if same {
+                self.folded[e as usize].in_view = true;
+                self.view.push(e);
+                return Ok(());
+            }
+            self.drop_out_of_view();
         }
-        self.loaded.push(region);
+        let folded = self.fold(region, count, r, payload, fmt, goal_flag);
+        if folded.is_err() {
+            self.clear();
+        }
+        folded
+    }
+
+    /// Drops every region out of view from the memo, so a region that
+    /// changed (or a node whose record moved) folds afresh beside the view
+    /// this query has built. Their rows stay in the buffers, dead, until
+    /// the next `clear_view` clears the arena.
+    fn drop_out_of_view(&mut self) {
+        for (e, f) in self.folded.iter_mut().enumerate() {
+            if f.in_view {
+                continue;
+            }
+            for &u in &self.members[f.members.0 as usize..f.members.1 as usize] {
+                self.record[u as usize] = NO_SLOT;
+            }
+            f.members = (0, 0);
+            if self.entry_of[usize::from(f.region)] == e as u32 {
+                self.entry_of[usize::from(f.region)] = NO_SLOT;
+            }
+        }
+        self.dropped = true;
+    }
+
+    /// Folds `count` records from `r` (the rest of `payload`) into the
+    /// arena as a new in-view region, retaining `payload` if the memo has
+    /// room.
+    fn fold(
+        &mut self,
+        region: u16,
+        count: u16,
+        mut r: ByteReader<'_>,
+        payload: &[u8],
+        fmt: &RecordFormat,
+        goal_flag: Option<usize>,
+    ) -> Result<()> {
+        let entry = self.folded.len() as u32;
+        let at = usize::from(region);
+        if self.entry_of.len() <= at {
+            self.entry_of.resize(at + 1, NO_SLOT);
+        }
+        self.entry_of[at] = entry;
+        let bytes = (self.memo_bytes.len() + payload.len() <= self.memo_cap).then(|| {
+            let lo = self.memo_bytes.len();
+            self.memo_bytes.extend_from_slice(payload);
+            (lo, self.memo_bytes.len())
+        });
+        let start = self.members.len() as u32;
+        self.folded.push(Folded {
+            region,
+            fmt: *fmt,
+            goal_flag,
+            members: (start, start),
+            bytes,
+            in_view: true,
+        });
+        self.view.push(entry);
+
         let lm_count = usize::from(fmt.lm_count);
         if self.aux_stride == 0 {
             self.aux_stride = lm_count;
@@ -257,20 +437,22 @@ impl ClientSubgraph {
         let head_bytes = fmt.node_bytes(0);
         let arc_bytes = fmt.node_bytes(1) - head_bytes;
         let flags_at = arc_bytes - usize::from(fmt.flag_bytes);
-        let start = self.members.len() as u32;
         for _ in 0..count {
             let head = r.bytes(head_bytes)?;
             let u = self.intern(u32_at(head, 0))?;
             let slot = u as usize;
-            if self.has_record[slot] {
-                return Err(CoreError::Query(format!(
-                    "node {} has two records",
-                    self.ids[slot]
-                )));
+            if self.record[slot] != NO_SLOT {
+                if self.in_view(u) {
+                    return Err(CoreError::Query(format!(
+                        "node {} has two records",
+                        self.ids[slot]
+                    )));
+                }
+                self.drop_out_of_view();
             }
             self.coords[slot] = Point::new(u32_at(head, 4) as i32, u32_at(head, 8) as i32);
             self.region_of[slot] = region;
-            self.has_record[slot] = true;
+            self.record[slot] = entry;
             let stride = self.aux_stride.min(lm_count);
             if stride > 0 {
                 let lo = slot * self.aux_stride;
@@ -289,7 +471,7 @@ impl ClientSubgraph {
                 let v = self.intern(u32_at(arc, 0))?;
                 if fmt.with_regions {
                     let to_region = u16_at(arc, 8);
-                    if to_region != NO_REGION && !self.has_record[v as usize] {
+                    if to_region != NO_REGION && !self.in_view(v) {
                         self.region_of[v as usize] = to_region;
                     }
                 }
@@ -299,15 +481,14 @@ impl ClientSubgraph {
             }
             self.arc_rows[slot] = (row_start, self.arcs.len() as u32);
         }
-        self.region_runs
-            .push((region, start, self.members.len() as u32));
+        self.folded[entry as usize].members.1 = self.members.len() as u32;
         Ok(())
     }
 
     /// Unseals a batch of region page groups, `group_pages` pages each, and
-    /// folds each in with [`add_region`](Self::add_region): a one-page
-    /// group straight from its page, a longer one concatenated through
-    /// `buf`.
+    /// brings each into the view with [`add_region`](Self::add_region): a
+    /// one-page group straight from its page, a longer one concatenated
+    /// through `buf`.
     pub(crate) fn add_page_groups(
         &mut self,
         pages: &[PageBuf],
@@ -338,16 +519,22 @@ impl ClientSubgraph {
     }
 
     /// What [`shortest_path_in`](Self::shortest_path_in) relaxes for dense
-    /// slot `u`, in order: its record's arcs in record order, then its
-    /// `add_edges` triples in insertion order — the row a stable sort of all
-    /// arcs by tail gives, because every driver folds records before it
-    /// adds triples. Needs the triple CSR built.
+    /// slot `u`, in order: its record's arcs in record order if the record
+    /// is in view, then its `add_edges` triples in insertion order — the
+    /// row a stable sort of all the view's arcs by tail gives, because
+    /// every driver folds records before it adds triples. Needs the triple
+    /// rows built.
     fn rows(&self, u: u32) -> [&[(u32, u32, u32)]; 2] {
-        let triples = match self.edge_offsets.get(u as usize..u as usize + 2) {
-            Some(&[lo, hi]) => &self.edge_rows[lo as usize..hi as usize],
-            _ => &[],
+        let record: &[_] = if self.in_view(u) {
+            self.arcs_of(u)
+        } else {
+            &[]
         };
-        [self.arcs_of(u), triples]
+        let triples = match self.edge_spans.get(u as usize) {
+            Some(&(lo, hi)) => &self.edge_rows[lo as usize..hi as usize],
+            None => &[],
+        };
+        [record, triples]
     }
 
     /// Aux (landmark) vector of a dense slot — empty if none stored yet.
@@ -378,84 +565,88 @@ impl ClientSubgraph {
         Ok(())
     }
 
+    /// The members of `region` if it is in view, in record order.
+    fn members_in_view(&self, region: u16) -> &[u32] {
+        match self.entry_of.get(usize::from(region)) {
+            Some(&e) if e != NO_SLOT && self.folded[e as usize].in_view => {
+                let (lo, hi) = self.folded[e as usize].members;
+                &self.members[lo as usize..hi as usize]
+            }
+            _ => &[],
+        }
+    }
+
     /// Snaps a query point to the nearest node of `region` ("our
     /// contributions apply to query sources/destinations that lie anywhere
     /// on the road network", §3.1 — we snap within the host region).
     pub(crate) fn snap(&self, region: u16, p: Point) -> Option<NodeId> {
         let mut best: Option<(i128, NodeId)> = None;
-        for &(r, start, end) in &self.region_runs {
-            if r != region {
-                continue;
-            }
-            for &u in &self.members[start as usize..end as usize] {
-                let d = self.coords[u as usize].dist2(&p);
-                let key = (d, self.ids[u as usize]);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
+        for &u in self.members_in_view(region) {
+            let d = self.coords[u as usize].dist2(&p);
+            let key = (d, self.ids[u as usize]);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
         }
         best.map(|(_, id)| id)
     }
 
-    /// Snaps like [`snap`](Self::snap) but breaks distance ties by region
-    /// insertion order (first minimum wins) instead of by external node id —
+    /// Snaps like [`snap`](Self::snap) but breaks distance ties by record
+    /// order (first minimum wins) instead of by external node id —
     /// matching the `HashMap` reference searches' `min_by_key`, so the LM/AF
     /// differential suites can require exact equality.
     pub(crate) fn snap_first(&self, region: u16, p: Point) -> Option<NodeId> {
         let mut best: Option<(i128, NodeId)> = None;
-        for &(r, start, end) in &self.region_runs {
-            if r != region {
-                continue;
-            }
-            for &u in &self.members[start as usize..end as usize] {
-                let d = self.coords[u as usize].dist2(&p);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, self.ids[u as usize]));
-                }
+        for &u in self.members_in_view(region) {
+            let d = self.coords[u as usize].dist2(&p);
+            if best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, self.ids[u as usize]));
             }
         }
         best.map(|(_, id)| id)
     }
 
     /// (Re)sorts the `add_edges` triples by tail into `edge_rows` by
-    /// counting sort. Idempotent: a no-op unless triples or nodes arrived
-    /// since the last build, and nothing at all while there are no triples.
+    /// counting sort, in time linear in the triples. Idempotent: a no-op
+    /// unless triples arrived since the last build, and nothing at all
+    /// while there are none.
     fn build_edge_rows(&mut self) {
-        let n = self.ids.len();
-        if self.sorted_edges == self.edges.len()
-            && (self.edges.is_empty() || self.edge_offsets.len() == n + 1)
-        {
+        if self.sorted_edges == self.edges.len() {
             return;
         }
-        self.edge_offsets.clear();
-        self.edge_offsets.resize(n + 1, 0);
-        for &(u, _, _) in &self.edges {
-            self.edge_offsets[u as usize + 1] += 1;
+        for &(u, _, _) in &self.edge_rows {
+            self.edge_spans[u as usize] = (0, 0);
         }
-        for i in 0..n {
-            self.edge_offsets[i + 1] += self.edge_offsets[i];
+        if self.edge_spans.len() < self.ids.len() {
+            self.edge_spans.resize(self.ids.len(), (0, 0));
+        }
+        // Each tail's span goes (0, count), then — tails in order of first
+        // appearance — (end, end), then, filled back to front so each row
+        // keeps insertion order, (start, end).
+        for &(u, _, _) in &self.edges {
+            self.edge_spans[u as usize].1 += 1;
+        }
+        let mut end = 0;
+        for &(u, _, _) in &self.edges {
+            let span = &mut self.edge_spans[u as usize];
+            if span.0 < span.1 {
+                end += span.1;
+                *span = (end, end);
+            }
         }
         self.edge_rows.clear();
         self.edge_rows.resize(self.edges.len(), (0, 0, 0));
-        // Scatter using the offsets as cursors, then restore them by shifting
-        // (after the scatter, offsets[u] holds the end of row u).
-        for &e in &self.edges {
-            let at = &mut self.edge_offsets[e.0 as usize];
-            self.edge_rows[*at as usize] = e;
-            *at += 1;
+        for &e in self.edges.iter().rev() {
+            let span = &mut self.edge_spans[e.0 as usize];
+            span.0 -= 1;
+            self.edge_rows[span.0 as usize] = e;
         }
-        for i in (1..=n).rev() {
-            self.edge_offsets[i] = self.edge_offsets[i - 1];
-        }
-        self.edge_offsets[0] = 0;
         self.sorted_edges = self.edges.len();
     }
 
-    /// Dijkstra from `s` to `t` over the assembled view, using (and
-    /// populating) `scratch`. Returns the cost, or `None` if `t` is
-    /// unreachable; on success the node path is in
-    /// [`QueryScratch::path`].
+    /// Dijkstra from `s` to `t` over the view, using (and populating)
+    /// `scratch`. Returns the cost, or `None` if `t` is unreachable; on
+    /// success the node path is in [`QueryScratch::path`].
     pub fn shortest_path_in(
         &mut self,
         scratch: &mut QueryScratch,
@@ -465,7 +656,7 @@ impl ClientSubgraph {
         self.build_edge_rows();
         let (s_slot, t_slot) = (self.slot(s)?, self.slot(t)?);
         scratch.reset(self.ids.len());
-        scratch.dist[s_slot as usize] = 0;
+        scratch.reach(s_slot, 0, NO_SLOT);
         scratch.heap.push(s_slot, (0, s));
         while let Some(u) = scratch.heap.pop() {
             if u == t_slot {
@@ -477,8 +668,7 @@ impl ClientSubgraph {
                 for &(_, v, w) in row {
                     let nd = du + Dist::from(w);
                     if nd < scratch.dist[v as usize] {
-                        scratch.dist[v as usize] = nd;
-                        scratch.parent[v as usize] = u;
+                        scratch.reach(v, nd, u);
                         scratch.heap.push_or_decrease(v, (nd, self.ids[v as usize]));
                     }
                 }
@@ -500,13 +690,17 @@ impl ClientSubgraph {
 /// Reusable solver state for the client Dijkstra: distance / parent arrays,
 /// the indexed binary heap, and the output path buffer. One instance lives
 /// in each [`crate::engine::QuerySession`]; between queries it is cleared,
-/// never reallocated (capacity ratchets up to the high-water mark).
+/// never reallocated (capacity ratchets up to the high-water mark), and
+/// the clearing walks only the slots the last search reached, so it costs
+/// what that search touched, not what the arena holds.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Tentative distances per dense slot.
+    /// Tentative distances per dense slot (`Dist::MAX` = unreached).
     dist: Vec<Dist>,
     /// Dijkstra tree parent per dense slot (`NO_SLOT` = none).
     parent: Vec<u32>,
+    /// The slots whose `dist` is set, each once.
+    reached: Vec<u32>,
     /// The shared indexed-heap kernel ([`privpath_graph::heap`]), keyed by
     /// `(dist, external id)` — the external-id tie-break keeps the settle
     /// order canonical regardless of interning order.
@@ -531,10 +725,12 @@ impl QueryScratch {
 
     /// Prepares the buffers for a graph of `n` dense slots.
     fn reset(&mut self, n: usize) {
-        self.dist.clear();
-        self.dist.resize(n, Dist::MAX);
-        self.parent.clear();
-        self.parent.resize(n, NO_SLOT);
+        for &u in &self.reached {
+            self.dist[u as usize] = Dist::MAX;
+            self.parent[u as usize] = NO_SLOT;
+        }
+        self.reached.clear();
+        self.ensure(n);
         self.heap.reset(n);
         self.lazy.clear();
         self.aux_key.clear();
@@ -548,7 +744,19 @@ impl QueryScratch {
             self.dist.resize(n, Dist::MAX);
             self.parent.resize(n, NO_SLOT);
             self.heap.ensure(n);
+            // room for every slot, so a search never grows it
+            self.reached.reserve(n - self.reached.len());
         }
+    }
+
+    /// Sets slot `v`'s tentative distance and tree parent.
+    #[inline]
+    fn reach(&mut self, v: u32, dist: Dist, parent: u32) {
+        if self.dist[v as usize] == Dist::MAX {
+            self.reached.push(v);
+        }
+        self.dist[v as usize] = dist;
+        self.parent[v as usize] = parent;
     }
 
     /// `true` if lazy-heap entry `a` orders before `b` (full-key min-heap:
@@ -742,7 +950,7 @@ pub(crate) fn search_lm_in(
     let t_slot = sub.slot_of[t_node as usize];
     scratch.aux_key.extend_from_slice(sub.aux_of(t_slot));
 
-    scratch.dist[s_slot as usize] = 0;
+    scratch.reach(s_slot, 0, NO_SLOT);
     let h0 = lm_bound(sub.aux_of(s_slot), &scratch.aux_key);
     scratch.lazy_push((h0, 0, s_slot), &sub.ids);
     let mut incumbent = Dist::MAX;
@@ -755,7 +963,7 @@ pub(crate) fn search_lm_in(
         if gu > scratch.dist[u as usize] {
             continue; // stale
         }
-        if !sub.has_record[u as usize] {
+        if !sub.in_view(u) {
             let region = sub.region_of[u as usize];
             if region == NO_REGION {
                 return Err(CoreError::Query(format!(
@@ -765,7 +973,7 @@ pub(crate) fn search_lm_in(
             }
             load_region(sub, region, &mut fetches, fetch)?;
             scratch.ensure(sub.num_nodes());
-            if !sub.has_record[u as usize] {
+            if !sub.in_view(u) {
                 return Err(CoreError::Query(format!(
                     "node {} missing after region fetch",
                     sub.ids[u as usize]
@@ -782,8 +990,7 @@ pub(crate) fn search_lm_in(
         for &(_, v, w) in sub.arcs_of(u) {
             let nd = gu + Dist::from(w);
             if nd < scratch.dist[v as usize] {
-                scratch.dist[v as usize] = nd;
-                scratch.parent[v as usize] = u;
+                scratch.reach(v, nd, u);
                 let hv = lm_bound(sub.aux_of(v), &scratch.aux_key);
                 scratch.lazy_push((nd + hv, nd, v), &sub.ids);
                 if v == t_slot {
@@ -851,7 +1058,7 @@ pub(crate) fn search_af_in(
     }
     let s_slot = sub.slot_of[s_node as usize];
     let t_slot = sub.slot_of[t_node as usize];
-    scratch.dist[s_slot as usize] = 0;
+    scratch.reach(s_slot, 0, NO_SLOT);
     scratch.lazy_push((0, 0, s_slot), &sub.ids);
     let mut found = None;
 
@@ -859,7 +1066,7 @@ pub(crate) fn search_af_in(
         if gu > scratch.dist[u as usize] {
             continue; // stale
         }
-        if !sub.has_record[u as usize] {
+        if !sub.in_view(u) {
             let region = sub.region_of[u as usize];
             if region == NO_REGION {
                 return Err(CoreError::Query(format!(
@@ -869,7 +1076,7 @@ pub(crate) fn search_af_in(
             }
             load_region(sub, region, &mut fetches, fetch)?;
             scratch.ensure(sub.num_nodes());
-            if !sub.has_record[u as usize] {
+            if !sub.in_view(u) {
                 return Err(CoreError::Query(format!(
                     "node {} missing after region fetch",
                     sub.ids[u as usize]
@@ -885,8 +1092,7 @@ pub(crate) fn search_af_in(
         for &(_, v, w) in sub.arcs_of(u) {
             let nd = gu + Dist::from(w);
             if nd < scratch.dist[v as usize] {
-                scratch.dist[v as usize] = nd;
-                scratch.parent[v as usize] = u;
+                scratch.reach(v, nd, u);
                 scratch.lazy_push((nd, 0, v), &sub.ids);
             }
         }
@@ -913,6 +1119,13 @@ pub(crate) fn search_af_in(
 mod tests {
     use super::*;
     use privpath_storage::ByteWriter;
+
+    impl ClientSubgraph {
+        /// Bytes of region payload the memo holds.
+        pub(crate) fn memo_len(&self) -> usize {
+            self.memo_bytes.len()
+        }
+    }
 
     type TestNode = (u32, (i32, i32), Vec<(u32, u32)>);
 

@@ -161,61 +161,71 @@ impl KdTree {
     }
 
     /// Decodes a tree serialized by [`KdTree::serialize`].
+    ///
+    /// The stored node count only caps the parse: every node takes at least
+    /// one byte, so nothing is reserved past what the bytes can hold. The
+    /// pre-order walk recurses into nothing, so a forged chain of splits
+    /// deepens no call stack: the splits still owed a child form a stack
+    /// threaded through their own `right` fields (each holds the split
+    /// below it, plus one; 0 ends the stack), and the walk allocates
+    /// nothing past `nodes`.
     pub fn deserialize(r: &mut ByteReader<'_>) -> Result<KdTree, StorageError> {
         let count = r.u32()? as usize;
         if count == 0 {
             return Err(StorageError::Corrupt("empty KD-tree".into()));
         }
-        let mut nodes = Vec::with_capacity(count);
+        let mut nodes = Vec::with_capacity(count.min(r.remaining()));
         let mut next_region: u16 = 0;
-        fn parse(
-            r: &mut ByteReader<'_>,
-            nodes: &mut Vec<KdNode>,
-            next_region: &mut u16,
-            budget: usize,
-        ) -> Result<u32, StorageError> {
-            if nodes.len() >= budget {
+        // The split owed the next node parsed, plus one (0: none).
+        let mut top = 0u32;
+        loop {
+            if nodes.len() >= count {
                 return Err(StorageError::Corrupt("KD-tree node count overflow".into()));
             }
-            let tag = r.u8()?;
-            let my_idx = nodes.len() as u32;
-            match tag {
+            let idx = nodes.len() as u32;
+            let node = match r.u8()? {
                 1 => {
-                    nodes.push(KdNode::Leaf {
-                        region: *next_region,
-                    });
-                    *next_region = next_region
+                    let region = next_region;
+                    next_region = next_region
                         .checked_add(1)
                         .ok_or_else(|| StorageError::Corrupt("more than 65535 regions".into()))?;
-                    Ok(my_idx)
+                    KdNode::Leaf { region }
                 }
                 0 => {
                     let axis = r.u8()?;
                     if axis > 1 {
                         return Err(StorageError::Corrupt(format!("bad axis {axis}")));
                     }
-                    let coord2 = r.u64()? as i64;
-                    nodes.push(KdNode::Split {
+                    KdNode::Split {
                         axis,
-                        coord2,
+                        coord2: r.u64()? as i64,
                         left: 0,
                         right: 0,
-                    });
-                    let left = parse(r, nodes, next_region, budget)?;
-                    let right = parse(r, nodes, next_region, budget)?;
-                    if let KdNode::Split {
-                        left: l, right: rr, ..
-                    } = &mut nodes[my_idx as usize]
-                    {
-                        *l = left;
-                        *rr = right;
                     }
-                    Ok(my_idx)
                 }
-                t => Err(StorageError::Corrupt(format!("bad KD node tag {t}"))),
+                t => return Err(StorageError::Corrupt(format!("bad KD node tag {t}"))),
+            };
+            // Node 0 is the root and no one's child, so a `left` of 0 is
+            // one not set yet; a split given its right child is popped.
+            if let Some(KdNode::Split { left, right, .. }) = top
+                .checked_sub(1)
+                .and_then(|parent| nodes.get_mut(parent as usize))
+            {
+                if *left == 0 {
+                    *left = idx;
+                } else {
+                    top = *right;
+                    *right = idx;
+                }
+            }
+            nodes.push(node);
+            if let Some(KdNode::Split { right, .. }) = nodes.last_mut() {
+                *right = top;
+                top = idx + 1;
+            } else if top == 0 {
+                break;
             }
         }
-        parse(r, &mut nodes, &mut next_region, count)?;
         if nodes.len() != count {
             return Err(StorageError::Corrupt(format!(
                 "KD-tree node count mismatch: header {count}, parsed {}",
@@ -285,6 +295,49 @@ mod tests {
         let t2 = KdTree::deserialize(&mut r).unwrap();
         assert_eq!(t, t2);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// Pre-order nodes of a tree of `leaves` leaves whose every split
+    /// sends `pick(leaves)` of them left — left-deep, right-deep or mixed.
+    fn shaped(leaves: u32, pick: &dyn Fn(u32) -> u32, nodes: &mut Vec<KdNode>, next: &mut u16) {
+        if leaves == 1 {
+            nodes.push(KdNode::Leaf { region: *next });
+            *next += 1;
+            return;
+        }
+        let at = nodes.len();
+        nodes.push(KdNode::Split {
+            axis: (at % 2) as u8,
+            coord2: 2 * at as i64 + 1,
+            left: at as u32 + 1,
+            right: 0,
+        });
+        let left = pick(leaves).clamp(1, leaves - 1);
+        shaped(left, pick, nodes, next);
+        let right = nodes.len() as u32;
+        if let KdNode::Split { right: r, .. } = &mut nodes[at] {
+            *r = right;
+        }
+        shaped(leaves - left, pick, nodes, next);
+    }
+
+    /// Deep and lopsided trees decode to the tree they were written from.
+    #[test]
+    fn chains_and_lopsided_trees_round_trip() {
+        let picks: [&dyn Fn(u32) -> u32; 4] = [&|_| 1, &|n| n - 1, &|n| n / 2, &|n| n / 3];
+        for pick in picks {
+            for leaves in [1, 2, 3, 7, 300] {
+                let mut nodes = Vec::new();
+                shaped(leaves, pick, &mut nodes, &mut 0);
+                let t = KdTree::from_nodes(nodes);
+                let mut w = ByteWriter::new();
+                t.serialize(&mut w);
+                let buf = w.into_vec();
+                let mut r = ByteReader::new(&buf);
+                assert_eq!(KdTree::deserialize(&mut r).unwrap(), t, "{leaves} leaves");
+                assert_eq!(r.remaining(), 0);
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,18 @@
 //!
 //! Each bound sits about 1.5x above the largest count read since the index
 //! family reads its record straight from the unsealed window (printed with
-//! `--nocapture`: CI 21, PI 18, HY 19, LM 43, AF 22). A window copied into
+//! `--nocapture`: CI 21, PI 18, HY 19, LM 43, AF 22), re-read unchanged
+//! once the index family kept its region memo across queries: a warm
+//! query reuses the memo's buffers and grows none. A window copied into
 //! a page map and cloned per lookup read CI 128, PI 36, HY 39; a flat
 //! decoded copy per region read CI 160, LM 139, AF 55; and a decoder that
 //! allocated per node record and per arc read far more on the same
 //! sessions (mean CI 1,998, LM 1,668, AF 4,068).
+//!
+//! Only warm queries are bounded. A session's first queries may allocate
+//! more — every buffer grows to its high-water mark, and an index-family
+//! memo to the regions the session has met — so the warm-up queries are
+//! left uncounted.
 
 use privpath::core::config::BuildConfig;
 use privpath::core::engine::{Database, SchemeKind};
