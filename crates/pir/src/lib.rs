@@ -85,7 +85,7 @@ pub use server::{FileId, PirMode, PirServer, PirSession};
 pub use spec::SystemSpec;
 pub use trace::{AccessTrace, TraceEvent};
 pub use transport::{GenerationSource, InProc, ServeHost, Transport};
-pub use wire::tcp::{TcpFront, TcpLink};
+pub use wire::tcp::{SocketLink, TcpFront, TcpLink};
 pub use wire::{
     FrameLink, FrontConfig, ObservedEvent, RetryPolicy, ServerFront, SessionStats, WireChannel,
 };

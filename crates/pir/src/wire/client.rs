@@ -1,26 +1,25 @@
 //! The client half of the wire: the [`FrameLink`] byte channel, the
-//! in-process [`ChannelLink`], the [`RetryPolicy`] and the [`WireChannel`]
-//! transport that drives every exchange through them.
+//! [`RetryPolicy`] and the [`WireChannel`] transport that drives every
+//! exchange through them.
 
 use super::codec::{
     advance_seq, decode_error_frame, split_frame, transport_err, Request, ServerInfo, HEADER_BYTES,
     K_ACK, K_DOWNLOAD_RESP, K_ERROR, K_ROUND_RESP, K_SESSION_ACCEPT, SEQ_UNPARSED,
 };
-use super::front::ToServer;
 use crate::error::PirError;
 use crate::server::FileId;
 use crate::spec::SystemSpec;
 use crate::transport::Transport;
 use crate::Result;
 use privpath_storage::{ByteReader, PageBuf};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 // -------------------------------------------------------------- frame link
 
 /// A byte channel that carries whole frames between a client and a server
-/// front. The production implementation is [`ChannelLink`]; chaos testing
-/// wraps any link in a fault injector ([`crate::chaos::ChaosLink`]).
+/// front. The production implementation is [`SocketLink`](super::tcp::SocketLink),
+/// over TCP or an in-process socket pair; chaos testing wraps any link in a
+/// fault injector ([`crate::chaos::ChaosLink`]).
 pub trait FrameLink: Send {
     /// Sends one frame. A retryable error ([`PirError::LinkDown`]) means
     /// the link refused the frame but may recover; a fatal error means the
@@ -31,52 +30,6 @@ pub trait FrameLink: Send {
     /// [`PirError::Timeout`] if the window elapses; a fatal error if the
     /// peer is gone.
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>>;
-}
-
-/// The in-process production link: an mpsc pair into the
-/// [`ServerFront`](super::ServerFront) loop thread. Dropping it disconnects
-/// the client from the loop.
-pub struct ChannelLink {
-    pub(super) to_server: mpsc::Sender<ToServer>,
-    pub(super) resp: mpsc::Receiver<Vec<u8>>,
-    pub(super) client: u64,
-}
-
-impl FrameLink for ChannelLink {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
-        self.to_server
-            .send(ToServer::Frame {
-                client: self.client,
-                bytes: frame.to_vec(),
-            })
-            .map_err(|_| PirError::Transport("server disconnected".into()))
-    }
-
-    fn recv(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>> {
-        match timeout {
-            None => self
-                .resp
-                .recv()
-                .map_err(|_| PirError::Transport("server disconnected".into())),
-            Some(t) => match self.resp.recv_timeout(t) {
-                Ok(r) => Ok(r),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    Err(PirError::Timeout(format!("no response within {t:?}")))
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err(PirError::Transport("server disconnected".into()))
-                }
-            },
-        }
-    }
-}
-
-impl Drop for ChannelLink {
-    fn drop(&mut self) {
-        let _ = self.to_server.send(ToServer::Disconnect {
-            client: self.client,
-        });
-    }
 }
 
 // ------------------------------------------------------------ retry policy

@@ -1,6 +1,7 @@
 //! The server front: the [`ServerFront`] handle and the loop thread behind it
 //! ([`Front`]), which owns the session table, the replay caches, generation
-//! pinning, idle eviction, panic containment and the shared lap.
+//! pinning, idle eviction, panic containment, the shared lap and every
+//! client's socket.
 //!
 //! Every client frame takes one path through the loop. [`Front::admit`]
 //! decodes and validates it, once, and answers what is not a fresh request
@@ -13,12 +14,39 @@
 //! transient fault, the round cursor rolled back — sent as one frame; and
 //! the frames that queued behind it handed on.
 //!
+//! The core writes nowhere: replies go to [`Front::outbox`], clients it
+//! forgets (evicted, torn down, disconnected) to [`Front::hangups`].
+//!
+//! # The driver
+//!
 //! [`Front::run`] is the one driver, the only code of the loop that reads
-//! the clock or waits; the rest takes `now` from it, so a test steps it on
-//! a virtual clock (`wire::tests::stepper`). The loop thread owns the
-//! session table: [`ServerFront::session_stats`] asks it for a copy.
+//! the clock or waits; the rest takes `now` from it, so a test steps the
+//! core on a virtual clock (`wire::tests::stepper`). It is one `poll(2)`
+//! loop ([`sysmap::poll`]) over the handle's wake-up socket, a
+//! [`super::tcp::TcpFront`]'s listener, and every connection, TCP or the
+//! front's end of an in-process socket pair ([`super::tcp::Peer`]). Each
+//! turn hands the core the frames that waited behind a ride, checks
+//! eviction, writes what the core answered, and polls: until the next
+//! eviction deadline, or not at all while a lap is ridden or the handle
+//! waits. It writes what writable sockets take, hands the core every whole
+//! frame the readable ones hold, answers the handle's requests taken before
+//! that poll — so [`ServerFront::session_stats`] reflects every frame and
+//! disconnect a client completed before asking — takes new requests and
+//! connections, and runs one segment pass of the lap if anybody rides it.
+//!
+//! **Backpressure.** A reply goes out with one non-blocking send
+//! ([`sysmap::send_nowait`]); what the socket does not take waits in the
+//! connection until the poll finds it writable, and meanwhile the loop
+//! neither reads that connection nor hands the core its frames. A client
+//! that does not read holds the one reply it is not reading, plus any owed
+//! to frames it sent behind a riding round, which were taken before.
+//!
+//! **Shutdown** ([`ServerFront::shutdown`]) is a drain: one more turn reads
+//! the frames already sent; then the loop stops reading and accepting,
+//! serves what it has read, rides every lap to its end, writes every
+//! unsent reply, marks the open sessions closed and closes the sockets.
 
-use super::client::{ChannelLink, RetryPolicy, WireChannel};
+use super::client::{RetryPolicy, WireChannel};
 use super::codec::{
     advance_seq, encode_ack, encode_download_response, encode_error, encode_round_response,
     encode_session_accept, refusal_code, split_frame, Request, ServerInfo, ERR_INTERNAL,
@@ -26,7 +54,7 @@ use super::codec::{
     MAX_REQUEST_BYTES, SEQ_UNPARSED,
 };
 use super::lap::{Lap, Turn};
-use super::tcp::SocketReplies;
+use super::tcp::{io_err, Peer, SocketLink, Stream};
 use crate::error::PirError;
 use crate::scan::Ride;
 use crate::server::FileId;
@@ -34,11 +62,14 @@ use crate::transport::{GenerationSource, ServeHost, StaticSource};
 use crate::Result;
 use privpath_storage::PageBuf;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::Read;
+use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use sysmap::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 // ------------------------------------------------------------ server front
 
@@ -110,34 +141,14 @@ impl SessionStats {
 /// The per-session accounting table, keyed by session id.
 type Sessions = BTreeMap<u64, SessionStats>;
 
-/// What the loop takes off its channel; `Stats` asks for a copy of the
-/// session table.
-pub(crate) enum ToServer {
-    Connect { client: u64, replies: Replies },
-    Frame { client: u64, bytes: Vec<u8> },
-    Disconnect { client: u64 },
+/// What the handle asks of the loop, each message followed by a byte on
+/// the wake-up socket.
+enum ToServer {
+    /// Serve the front's end of an in-process socket pair.
+    Attach(UnixStream),
+    /// Send back a copy of the session table.
     Stats(mpsc::Sender<Sessions>),
     Shutdown,
-}
-
-/// Where the loop sends one client's replies.
-pub(crate) enum Replies {
-    /// An in-process channel, read by a [`ChannelLink`].
-    Channel(mpsc::Sender<Vec<u8>>),
-    /// A TCP connection: written onto the socket by the loop thread itself
-    /// when it takes them at once, by the connection's writer thread when
-    /// not (see [`super::tcp`]).
-    Socket(SocketReplies),
-}
-
-impl Replies {
-    /// Sends one reply frame; false when the client's channel is dead.
-    fn send(&self, frame: Vec<u8>) -> bool {
-        match self {
-            Replies::Channel(tx) => tx.send(frame).is_ok(),
-            Replies::Socket(socket) => socket.send(frame),
-        }
-    }
 }
 
 /// The degradation knob of a [`ServerFront`].
@@ -150,20 +161,18 @@ pub struct FrontConfig {
 }
 
 /// The multi-client server front end: one loop thread owns the database
-/// host and serves every connected [`WireChannel`], multiplexing frames
-/// over byte channels. Sessions are tracked in a per-client session table
-/// with server-side accounting.
+/// host and serves every connected [`WireChannel`] over its socket, with a
+/// per-session table of server-side accounting (see the module docs).
 ///
 /// The loop degrades gracefully rather than dying: a panicking handler
 /// tears down only the offending session (the panic is caught, the client
 /// gets [`ERR_INTERNAL`], everyone else keeps being served), idle sessions
 /// can be evicted on a deadline ([`FrontConfig::idle_timeout`]), and
-/// [`ServerFront::shutdown`] finishes every ride of the lap in progress and
-/// drains every frame already queued before the loop exits, so in-flight
-/// rounds complete.
+/// [`ServerFront::shutdown`] drains, so in-flight rounds complete.
 pub struct ServerFront {
     to_server: mpsc::Sender<ToServer>,
-    next_client: AtomicU64,
+    /// The handle's end of the loop's wake-up socket pair.
+    wake: UnixStream,
     /// The loop thread, which hands back the final session table.
     handle: Option<JoinHandle<Sessions>>,
 }
@@ -193,39 +202,61 @@ impl ServerFront {
     /// thread the front starts: it also drives every shared lap, one segment
     /// pass between the frames it takes, whatever the host's CPU count.
     pub fn spawn_swappable(source: Arc<dyn GenerationSource>, cfg: FrontConfig) -> ServerFront {
-        let (tx, rx) = mpsc::channel();
+        Self::launch(source, cfg, None)
+    }
+
+    /// Spawns the loop thread, which also accepts `listener`'s connections
+    /// when there is one. Panics, as spawning the thread does, if the
+    /// process has no descriptor left for the wake-up socket pair.
+    pub(super) fn launch(
+        source: Arc<dyn GenerationSource>,
+        cfg: FrontConfig,
+        listener: Option<TcpListener>,
+    ) -> ServerFront {
+        let (to_server, rx) = mpsc::channel();
+        let (wake, woken) = UnixStream::pair().expect("a socket pair for the front's wake-up");
         let front = Front::new(source, cfg);
-        let handle = std::thread::spawn(move || front.run(rx));
+        let io = Io {
+            rx,
+            woken,
+            listener,
+            peers: BTreeMap::new(),
+            next_client: 0,
+            asked: Vec::new(),
+            stopping: false,
+            fds: Vec::new(),
+            ids: Vec::new(),
+        };
+        let handle = std::thread::spawn(move || front.run(io));
         ServerFront {
-            to_server: tx,
-            next_client: AtomicU64::new(1),
+            to_server,
+            wake,
             handle: Some(handle),
         }
     }
 
-    /// Registers a new client with the loop and returns its raw frame link
-    /// (no handshake performed). Chaos wrappers interpose here, between the
-    /// link and the [`WireChannel`] built by [`WireChannel::handshake`].
-    pub fn raw_link(&self) -> Result<ChannelLink> {
-        let (replies, resp) = mpsc::channel();
-        let (to_server, client) = self.register(Replies::Channel(replies))?;
-        Ok(ChannelLink {
-            to_server,
-            resp,
-            client,
-        })
+    /// Hands the loop `msg` and wakes it; false once the loop is gone.
+    fn tell(&self, msg: ToServer) -> bool {
+        if self.to_server.send(msg).is_err() {
+            return false;
+        }
+        // a full wake-up socket already holds a wake-up
+        let _ = sysmap::send_nowait(&self.wake, &[], &[1]);
+        true
     }
 
-    /// Registers a new client whose replies go to `replies`, and returns
-    /// its id with a sender into the loop — for [`ChannelLink`], and for
-    /// transports (the TCP bridge) that pump the requests from a thread of
-    /// their own and manage disconnect notification themselves.
-    pub(crate) fn register(&self, replies: Replies) -> Result<(mpsc::Sender<ToServer>, u64)> {
-        let client = self.next_client.fetch_add(1, Ordering::Relaxed);
-        self.to_server
-            .send(ToServer::Connect { client, replies })
-            .map_err(|_| PirError::Transport("server front is shut down".into()))?;
-        Ok((self.to_server.clone(), client))
+    /// Connects a new in-process client and returns its raw frame link (no
+    /// handshake performed): one end of a socket pair whose other end the
+    /// loop serves like a TCP connection. Chaos wrappers interpose here,
+    /// between the link and the [`WireChannel`] built by
+    /// [`WireChannel::handshake`].
+    pub fn raw_link(&self) -> Result<SocketLink> {
+        let (ours, theirs) = UnixStream::pair().map_err(io_err)?;
+        theirs.set_nonblocking(true).map_err(io_err)?;
+        if !self.tell(ToServer::Attach(theirs)) {
+            return Err(PirError::Transport("server front is shut down".into()));
+        }
+        Ok(SocketLink::new(Box::new(ours)))
     }
 
     /// Connects a new client: registers its response channel and performs
@@ -255,7 +286,7 @@ impl ServerFront {
     /// call (empty if the loop is gone).
     pub fn session_stats(&self) -> BTreeMap<u64, SessionStats> {
         let (tx, rx) = mpsc::channel();
-        let _ = self.to_server.send(ToServer::Stats(tx));
+        self.tell(ToServer::Stats(tx));
         rx.recv().unwrap_or_default()
     }
 
@@ -266,18 +297,18 @@ impl ServerFront {
     }
 
     /// Stops the loop thread gracefully and returns the final session
-    /// table. Frames already queued when the shutdown lands are drained and
-    /// served first, and rounds riding a shared lap ride it to its end
-    /// (in-flight rounds complete); sessions still open are
-    /// then marked closed and their clients get a transport error on their
-    /// next request instead of a hang.
+    /// table. Frames clients sent before the call are served, rounds riding
+    /// a shared lap ride it to its end (in-flight rounds complete), and
+    /// every reply is written out; sessions still open are then marked
+    /// closed and their sockets closed, so their clients get a transport
+    /// error on their next request instead of a hang.
     pub fn shutdown(mut self) -> BTreeMap<u64, SessionStats> {
         self.stop()
     }
 
     /// Stops the loop, once, and takes the final table from it.
     fn stop(&mut self) -> Sessions {
-        let _ = self.to_server.send(ToServer::Shutdown);
+        self.tell(ToServer::Shutdown);
         let handle = self.handle.take();
         handle.and_then(|h| h.join().ok()).unwrap_or_default()
     }
@@ -325,7 +356,6 @@ impl GenEntry {
 
 /// One client channel as the loop sees it.
 pub(super) struct ClientState {
-    replies: Replies,
     session: Option<u64>,
     /// The generation this channel is pinned to: resolved at connect and
     /// re-resolved at each `SessionOpen` on a channel with no open session,
@@ -423,7 +453,13 @@ pub(super) struct Front {
     /// settled. The loop takes them before anything new, and nothing else
     /// re-enters the frame path.
     backlog: VecDeque<(u64, Vec<u8>)>,
-    /// Shutdown received: serve what is queued and owed, then stop.
+    /// Every reply made and not yet handed to its client's connection,
+    /// tagged with the client, in the order made.
+    pub(super) outbox: Vec<(u64, Vec<u8>)>,
+    /// Clients forgotten since the driver last looked: their connections
+    /// close once the replies owed to them are written.
+    pub(super) hangups: Vec<u64>,
+    /// Shutdown received: serve what is read and owed, then stop.
     draining: bool,
 }
 
@@ -443,69 +479,10 @@ impl Front {
             lap: None,
             spare: Vec::new(),
             backlog: VecDeque::new(),
+            outbox: Vec::new(),
+            hangups: Vec::new(),
             draining: false,
         }
-    }
-
-    /// The driver. Each turn serves the frames that waited behind a ride,
-    /// checks eviction when an idle timeout is set — on every turn, also
-    /// while frames arrive and while a lap is ridden, so that a busy
-    /// neighbour cannot keep an idle session alive — and takes one message.
-    /// While a lap is ridden it takes every queued message before each
-    /// segment pass (rounds among them ride from that boundary on), and
-    /// finishes every ride before it stops; otherwise it sleeps until the
-    /// next message or eviction deadline. Returns the final session table.
-    fn run(mut self, rx: mpsc::Receiver<ToServer>) -> Sessions {
-        let mut deadline = None;
-        loop {
-            self.take_backlog(Instant::now());
-            if self.cfg.idle_timeout.is_some() && !self.draining {
-                deadline = self.evict_idle(Instant::now());
-            }
-            let msg = if self.lap.as_ref().is_some_and(Lap::is_ridden) {
-                match rx.try_recv() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        self.pass();
-                        continue;
-                    }
-                }
-            } else if self.draining {
-                match rx.try_recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                }
-            } else {
-                let received = match deadline {
-                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-                    None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-                };
-                match received {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            };
-            let now = Instant::now();
-            match msg {
-                ToServer::Connect { client, replies } => self.connect(client, replies, now),
-                ToServer::Disconnect { client } => self.drop_client(client, |stats| {
-                    stats.closed = true;
-                }),
-                ToServer::Stats(reply) => {
-                    let _ = reply.send(self.sessions.clone());
-                }
-                ToServer::Shutdown => self.draining = true,
-                ToServer::Frame { client, bytes } => self.on_frame(client, bytes, now),
-            }
-        }
-        // graceful shutdown: mark every open session closed
-        for sid in self.clients.values().filter_map(|state| state.session) {
-            if let Some(stats) = self.sessions.get_mut(&sid) {
-                stats.closed = true;
-            }
-        }
-        self.sessions
     }
 
     /// Serves the frames that waited behind a ride, in arrival order.
@@ -525,10 +502,9 @@ impl Front {
         true
     }
 
-    /// Registers a client's reply channel, pinned to the latest generation.
-    pub(super) fn connect(&mut self, client: u64, replies: Replies, now: Instant) {
+    /// Registers a client, pinned to the latest generation.
+    pub(super) fn connect(&mut self, client: u64, now: Instant) {
         let state = ClientState {
-            replies,
             session: None,
             gen: Arc::clone(&self.latest),
             last_round: 0,
@@ -548,7 +524,11 @@ impl Front {
         if let Some(lap) = &mut self.lap {
             lap.leave(client);
         }
-        let Some(sid) = self.clients.remove(&client).and_then(|s| s.session) else {
+        let Some(state) = self.clients.remove(&client) else {
+            return;
+        };
+        self.hangups.push(client);
+        let Some(sid) = state.session else {
             return;
         };
         if let Some(stats) = self.sessions.get_mut(&sid) {
@@ -558,8 +538,8 @@ impl Front {
 
     /// Drops the clients whose deadline, `last_active + idle_timeout`, is
     /// `now` or earlier: their sessions are marked closed + evicted and
-    /// their response senders are dropped, so the client observes a severed
-    /// channel on its next request. Returns the next deadline, if any.
+    /// their connections hung up, so the client observes a severed channel
+    /// on its next request. Returns the next deadline, if any.
     pub(super) fn evict_idle(&mut self, now: Instant) -> Option<Instant> {
         let timeout = self.cfg.idle_timeout?;
         let due = |state: &ClientState| state.last_active.checked_add(timeout);
@@ -578,10 +558,9 @@ impl Front {
         self.clients.values().filter_map(due).min()
     }
 
-    /// Sends `reply` for a frame of `bytes_in` bytes, and charges both —
-    /// with whatever `charge` adds — to session `sid`. Every reply the front makes leaves here, and a TCP client's
-    /// goes straight onto its socket when the socket takes it
-    /// ([`Replies::Socket`]). A dead channel forgets the client.
+    /// Puts `reply` to a frame of `bytes_in` bytes in the outbox, and
+    /// charges both — with whatever `charge` adds — to session `sid`. Every
+    /// reply the front makes leaves here.
     fn answer(
         &mut self,
         client: u64,
@@ -596,11 +575,8 @@ impl Front {
             stats.bytes_out += reply.len() as u64;
             charge(stats);
         }
-        let Some(state) = self.clients.get(&client) else {
-            return;
-        };
-        if !state.replies.send(reply) {
-            self.drop_client(client, |_| {});
+        if self.clients.contains_key(&client) {
+            self.outbox.push((client, reply));
         }
     }
 
@@ -977,5 +953,186 @@ impl Front {
             let after = p.after.into_iter().map(|bytes| (client, bytes));
             self.backlog.extend(after);
         }
+    }
+}
+
+// ------------------------------------------------------------------ driver
+
+/// The loop thread's sockets and the handle's messages: everything
+/// [`Front::run`] waits on.
+struct Io {
+    rx: mpsc::Receiver<ToServer>,
+    /// The loop's end of the wake-up pair, readable once the handle sent a
+    /// message.
+    woken: UnixStream,
+    /// A TCP front's, dropped when the drain begins.
+    listener: Option<TcpListener>,
+    peers: BTreeMap<u64, Peer>,
+    next_client: u64,
+    /// Stats requests taken before this turn's poll, answered after its
+    /// reads; a shutdown taken, begun after them.
+    asked: Vec<mpsc::Sender<Sessions>>,
+    stopping: bool,
+    /// The turn's poll set — the wake-up, the listener while accepting,
+    /// then each connection waited on — and the connections' clients.
+    fds: Vec<PollFd>,
+    ids: Vec<u64>,
+}
+
+impl Io {
+    /// Polls the wake-up, the listener while `reading`, and every connection
+    /// for what it waits on ([`Peer::events`]).
+    fn poll(&mut self, reading: bool, timeout: Option<Duration>) -> std::io::Result<usize> {
+        self.fds.clear();
+        self.ids.clear();
+        self.fds.push(PollFd::new(&self.woken, POLLIN));
+        if !reading {
+            self.listener = None;
+        }
+        if let Some(listener) = &self.listener {
+            self.fds.push(PollFd::new(listener, POLLIN));
+        }
+        for (&client, peer) in &self.peers {
+            let events = peer.events(reading);
+            if events != 0 {
+                self.fds.push(PollFd::new(&*peer.stream, events));
+                self.ids.push(client);
+            }
+        }
+        sysmap::poll(&mut self.fds, timeout)
+    }
+
+    /// Takes a new connection: a client of the core from now on.
+    fn attach(&mut self, front: &mut Front, stream: Box<dyn Stream>, now: Instant) {
+        self.next_client += 1;
+        self.peers.insert(self.next_client, Peer::new(stream));
+        front.connect(self.next_client, now);
+    }
+}
+
+impl Front {
+    /// The driver: the readiness loop the module docs describe, until the
+    /// drain is over. Returns the final session table.
+    fn run(mut self, mut io: Io) -> Sessions {
+        let mut deadline = None;
+        loop {
+            let now = Instant::now();
+            self.take_backlog(now);
+            if self.cfg.idle_timeout.is_some() && !self.draining {
+                deadline = self.evict_idle(now);
+            }
+            self.deliver(&mut io);
+            io.ids.clear();
+            io.ids.extend(io.peers.keys());
+            for k in 0..io.ids.len() {
+                let client = io.ids[k];
+                self.pump(&mut io, client, now);
+            }
+            let riding = self.lap.as_ref().is_some_and(Lap::is_ridden);
+            let owed = !io.peers.values().all(Peer::is_idle);
+            if self.draining && !riding && self.backlog.is_empty() && !owed {
+                break;
+            }
+            let timeout = if riding || io.stopping || !io.asked.is_empty() {
+                Some(Duration::ZERO)
+            } else if self.draining {
+                None
+            } else {
+                deadline.map(|at: Instant| at.saturating_duration_since(now))
+            };
+            if io.poll(!self.draining, timeout).is_err() {
+                // no poll(2) on this target (or no memory for the set): the
+                // sockets close, and every link sees a transport error
+                break;
+            }
+            let now = Instant::now();
+            let first = io.fds.len() - io.ids.len();
+            for k in 0..io.ids.len() {
+                let (revents, client) = (io.fds[first + k].revents, io.ids[k]);
+                let Some(peer) = io.peers.get_mut(&client).filter(|_| revents != 0) else {
+                    continue;
+                };
+                if revents & (POLLOUT | POLLERR | POLLHUP) != 0 {
+                    let _ = peer.send(None);
+                }
+                if revents & (POLLIN | POLLERR | POLLHUP) != 0 && peer.events(true) == POLLIN {
+                    peer.read();
+                }
+                self.pump(&mut io, client, now);
+            }
+            for tx in io.asked.drain(..) {
+                let _ = tx.send(self.sessions.clone());
+            }
+            self.draining |= std::mem::take(&mut io.stopping);
+            if io.fds[0].revents != 0 {
+                self.take_messages(&mut io, now);
+            }
+            while let Some(Ok((stream, _))) = io.listener.as_ref().map(TcpListener::accept) {
+                if stream.set_nonblocking(true).is_ok() {
+                    let _ = stream.set_nodelay(true);
+                    io.attach(&mut self, Box::new(stream), now);
+                }
+            }
+            self.pass();
+        }
+        // graceful shutdown: mark every open session closed
+        for sid in self.clients.values().filter_map(|state| state.session) {
+            if let Some(stats) = self.sessions.get_mut(&sid) {
+                stats.closed = true;
+            }
+        }
+        io.peers.values_mut().for_each(Peer::discard_input);
+        self.sessions
+    }
+
+    /// Takes the handle's messages. (A wake-up byte left unread wakes the
+    /// next poll at once: harmless.)
+    fn take_messages(&mut self, io: &mut Io, now: Instant) {
+        let _ = (&io.woken).read(&mut [0; 256]);
+        while let Ok(msg) = io.rx.try_recv() {
+            match msg {
+                ToServer::Attach(stream) => io.attach(self, Box::new(stream), now),
+                ToServer::Stats(tx) => io.asked.push(tx),
+                ToServer::Shutdown => io.stopping = true,
+            }
+        }
+    }
+
+    /// Hands the core `client`'s whole frames, one at a time, while its
+    /// connection holds no unsent reply; once the client has sent its last
+    /// frame, forgets it as disconnected.
+    fn pump(&mut self, io: &mut Io, client: u64, now: Instant) {
+        loop {
+            let Some(peer) = io.peers.get_mut(&client) else {
+                return;
+            };
+            if peer.closing || !peer.is_idle() {
+                return;
+            }
+            match peer.next_frame() {
+                Some(frame) => self.on_frame(client, frame, now),
+                None if peer.eof => self.drop_client(client, |stats| stats.closed = true),
+                None => return,
+            }
+            self.deliver(io);
+        }
+    }
+
+    /// Moves the outbox onto the connections, each reply written as far as
+    /// its socket takes it at once, and hangs up the clients the core forgot
+    /// once what they are owed is written. A connection found dead ends its
+    /// input, and its next [`Front::pump`] forgets the client.
+    fn deliver(&mut self, io: &mut Io) {
+        for (client, reply) in self.outbox.drain(..) {
+            if let Some(peer) = io.peers.get_mut(&client) {
+                let _ = peer.send(Some(reply));
+            }
+        }
+        for client in self.hangups.drain(..) {
+            io.peers
+                .entry(client)
+                .and_modify(|peer| peer.closing = true);
+        }
+        io.peers.retain(|_, peer| !(peer.closing && peer.is_idle()));
     }
 }

@@ -1,8 +1,7 @@
 //! The wire protocol: a versioned, length-prefixed binary frame codec
-//! (`codec`), a multi-client server front end serving frames from a loop
+//! (`codec`), a multi-client server front end serving frames from one loop
 //! thread (`front`, with the shared lap in `lap`), the client channel that
-//! drives it (`client`), and the same frames over loopback sockets
-//! (`tcp`).
+//! drives it (`client`), and the sockets both ends speak through (`tcp`).
 //!
 //! # Frame layout (version 5)
 //!
@@ -108,15 +107,13 @@
 //! differentials). The front's loop thread runs every pass, between the
 //! frames it takes (the `lap` submodule).
 //!
-//! # The loop and its clock
+//! # The loop
 //!
-//! The loop thread's function is the front's one driver and its only
-//! reader of the clock: it hands each message to the core (sessions,
-//! replay caches, generation pins, the lap) with the time it took it,
-//! checks idle eviction on every turn, and sleeps until the next message
-//! or the next eviction deadline, which the core returns. The core never
-//! reads a clock, so a test steps it on a virtual one, without threads
-//! (`wire::tests::stepper`).
+//! A front is one thread, whatever its client count: a `poll(2)` readiness
+//! loop over TCP and in-process sockets alike, the front's one driver and
+//! only reader of the clock. The core it drives never reads a clock, so a
+//! test steps it on a virtual one, without threads (`wire::tests::stepper`).
+//! The `front` submodule documents the turn, backpressure and the drain.
 //!
 //! # The adversary's view of the wire
 //!
@@ -141,13 +138,14 @@ mod front;
 mod lap;
 pub(crate) mod tcp;
 
-pub use self::client::{ChannelLink, FrameLink, RetryPolicy, WireChannel};
+pub use self::client::{FrameLink, RetryPolicy, WireChannel};
 pub use self::codec::{
     parse_observed, parse_observed_raw, split_frame, Frame, ObservedEvent, ERR_INTERNAL,
     ERR_MALFORMED, ERR_ROUND_ORDER, ERR_SEQ, ERR_SERVE, ERR_SERVE_TRANSIENT, ERR_SESSION,
     ERR_VERSION, SEQ_UNPARSED, WIRE_MAGIC, WIRE_VERSION,
 };
 pub use self::front::{FrontConfig, ServerFront, SessionStats, OBSERVED_CAP_BYTES};
+pub use self::tcp::SocketLink;
 
 #[cfg(test)]
 mod tests;

@@ -1,68 +1,52 @@
-//! Network-real serving: the wire protocol's frames over loopback TCP.
+//! Frames on sockets: both ends of every connection a front serves, and
+//! the TCP front.
 //!
-//! [`TcpFront`] puts a [`std::net::TcpListener`] accept loop in front of a
-//! [`ServerFront`]. Every accepted connection gets a reader thread (length-
-//! prefix framing off the socket, frames forwarded into the server loop);
-//! replies go back the other way with one hop: the loop thread writes each
-//! one straight onto the socket, prefix and frame in one non-blocking
-//! `sendmsg` ([`sysmap::send_nowait`]). Only what the socket does not take
-//! at once — a slow reader, a reply larger than the send buffer — goes to
-//! the connection's writer thread: the unsent tail of that frame,
-//! and every reply after it until the writer has drained, so replies keep
-//! their order and the server loop never blocks on a slow peer.
-//! [`TcpLink`] is the client half: a [`FrameLink`] over a persistent
-//! connection, one write per frame, so the whole retry/timeout/idempotent-
-//! replay machinery of [`WireChannel`] — and any
-//! [`crate::chaos::ChaosLink`] fault injector — composes over a real socket
-//! unchanged.
+//! A front serves accepted TCP sockets ([`TcpFront`]) and the front's ends
+//! of in-process `UnixStream` pairs ([`ServerFront::raw_link`]) alike: its
+//! loop holds each as a [`Peer`]. [`SocketLink`] ([`TcpLink`] is its TCP
+//! name) is the client half of either kind: a [`FrameLink`] over one
+//! persistent connection, one write per frame, so [`WireChannel`]'s
+//! retries and any [`crate::chaos::ChaosLink`] compose over a real socket.
 //!
-//! Framing on the socket is an outer `u32 len` transport prefix around
-//! each frame's bytes. The prefix looks redundant — a well-formed frame
-//! already leads with its own length — but the [`FrameLink`] contract is
-//! *message*-oriented, and fault injectors layered above the link
-//! ([`crate::chaos::ChaosLink`]) legitimately hand it truncated or mangled
-//! messages. Because the delimiter is written by the link itself, a
-//! mangled message arrives intact as one mangled message, gets a typed
-//! error frame, and is retried — instead of desyncing the byte stream and
-//! killing the connection for good. A recv that times out mid-message
-//! keeps the partial prefix buffered (`TcpLink::pending`) so the stream
-//! never desyncs; an outer length that cannot be real (desync or hostile
-//! peer) still kills the connection rather than risking an unbounded
-//! allocation.
-//!
-//! Shutdown is a drain, not an abort: stop accepting, flush the server
-//! loop's queued frames ([`ServerFront::shutdown`]), let each writer drain
-//! the replies still handed to it for its connection, then close the
-//! sockets — live clients get their in-flight responses and observe a
-//! clean disconnect on their *next* request.
+//! Each frame travels under an outer `u32 len` transport prefix. It looks
+//! redundant — a frame leads with its own length — but fault injectors
+//! above the link legitimately hand it truncated or mangled messages;
+//! because the link writes the delimiter itself, a mangled message arrives
+//! as one mangled message, gets a typed error frame and is retried, instead
+//! of desyncing the stream. A recv that times out mid-message keeps what
+//! it read; a length no frame can have (a desynced or hostile peer) ends
+//! the connection rather than risking an unbounded buffer.
 
-use super::front::{Replies, ToServer};
+use super::codec::transport_err;
 use super::{FrameLink, FrontConfig, RetryPolicy, ServerFront, SessionStats, WireChannel};
 use crate::chaos::{ChaosLink, FaultPlan};
 use crate::error::PirError;
-use crate::transport::ServeHost;
+use crate::transport::{GenerationSource, ServeHost, StaticSource};
 use crate::Result;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sysmap::{PollFd, POLLIN, POLLOUT};
 
 /// Hard cap on one frame read off a socket. Generous — a full-database
 /// download fits — but bounded, so a desynced or hostile length prefix
-/// cannot demand an unbounded allocation.
+/// cannot demand an unbounded buffer.
 const MAX_TCP_FRAME_BYTES: usize = 1 << 30;
 
-fn io_err(e: std::io::Error) -> PirError {
+/// What one read off a socket may add to its buffer.
+const READ_CHUNK: usize = 16 * 1024;
+
+pub(super) fn io_err(e: std::io::Error) -> PirError {
     PirError::Transport(format!("tcp: {e}"))
 }
 
 /// Writes what is left of `frame` under its `u32` length prefix, `sent`
 /// bytes of the two being on the wire already: all of it in one `writev`
 /// when the socket takes it.
-fn write_frame(stream: &mut TcpStream, frame: &[u8], mut sent: usize) -> std::io::Result<()> {
+fn write_frame(stream: &mut dyn Write, frame: &[u8], mut sent: usize) -> std::io::Result<()> {
     let prefix = (frame.len() as u32).to_le_bytes();
     while sent < prefix.len() {
         match stream.write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(frame)]) {
@@ -75,92 +59,176 @@ fn write_frame(stream: &mut TcpStream, frame: &[u8], mut sent: usize) -> std::io
     stream.write_all(&frame[sent - prefix.len()..])
 }
 
-// ---------------------------------------------------------------- server
+/// A connected stream socket of either kind.
+pub(super) trait Stream: Read + Write + AsRawFd + Send {}
 
-/// One bridged connection's handles, kept for the shutdown join.
-struct Conn {
-    stream: TcpStream,
-    reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
-}
+impl<T: Read + Write + AsRawFd + Send> Stream for T {}
 
-/// How a front's replies reached their sockets, counted per frame, so that
-/// a test can tell each path was taken (or not) without a knob to pick it.
+/// The read side of a connection: the bytes read off its socket, cut into
+/// whole prefixed frames. The buffer is reused, and zeroed only as it grows.
 #[derive(Default)]
-struct ReplyPaths {
-    /// Written whole by the loop thread.
-    direct: AtomicU64,
-    /// Begun by the loop thread, finished by a writer thread.
-    split: AtomicU64,
-    /// Written whole by a writer thread.
-    queued: AtomicU64,
+struct Frames {
+    buf: Vec<u8>,
+    /// `buf[start..end]` is read and not yet taken.
+    start: usize,
+    end: usize,
 }
 
-/// The loop thread's end of one connection's replies ([`Replies::Socket`]).
-/// A frame goes straight onto the socket when nothing is queued ahead of it
-/// and the send buffer takes it; otherwise what is left of it goes to the
-/// connection's writer thread, and so does every frame after it until the
-/// writer has drained.
-pub(crate) struct SocketReplies {
-    /// The loop's own handle on the connection.
-    stream: TcpStream,
-    writer: mpsc::Sender<Unsent>,
-    /// Frames handed to the writer thread and not yet written to their last
-    /// byte. Only the loop thread raises it and only the writer lowers it,
-    /// once its write has returned: while it is above zero the writer owns
-    /// the socket, and a direct write would jump its queue. The writer's
-    /// `Release` decrement pairs with the loop's `Acquire` load, so a zero
-    /// the loop reads comes after the writer's last write.
-    held: Arc<AtomicUsize>,
-    paths: Arc<ReplyPaths>,
-}
-
-/// A frame handed to a writer thread, with how many bytes of its prefix and
-/// frame the loop thread already sent.
-struct Unsent {
-    frame: Vec<u8>,
-    sent: usize,
-}
-
-impl SocketReplies {
-    /// Sends one reply frame; false when the peer is gone.
-    pub(super) fn send(&self, frame: Vec<u8>) -> bool {
-        let mut sent = 0;
-        if self.held.load(Ordering::Acquire) == 0 {
-            let prefix = (frame.len() as u32).to_le_bytes();
-            match sysmap::send_nowait(&self.stream, &prefix, &frame) {
-                Ok(n) if n == prefix.len() + frame.len() => {
-                    self.paths.direct.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                Ok(n) => sent = n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-                Err(_) => return false,
-            }
+impl Frames {
+    /// Reads once from `stream`; `Ok(0)` at the end of the stream.
+    fn fill(&mut self, stream: &mut dyn Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
         }
-        let path = if sent > 0 {
-            &self.paths.split
-        } else {
-            &self.paths.queued
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next whole frame read, if any — even a short or empty message;
+    /// `Err` with the length when the prefix is one no frame can have.
+    fn next(&mut self) -> std::result::Result<Option<Vec<u8>>, usize> {
+        let rest = &self.buf[self.start..self.end];
+        let Some(prefix) = rest.get(..4) else {
+            return Ok(None);
         };
-        path.fetch_add(1, Ordering::Relaxed);
-        self.held.fetch_add(1, Ordering::Relaxed);
-        self.writer.send(Unsent { frame, sent }).is_ok()
+        let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+        if len > MAX_TCP_FRAME_BYTES {
+            return Err(len);
+        }
+        let Some(frame) = rest.get(4..4 + len) else {
+            return Ok(None);
+        };
+        let frame = frame.to_vec();
+        self.start += 4 + len;
+        Ok(Some(frame))
     }
 }
 
-/// A loopback TCP front end over a [`ServerFront`]: an accept loop, a
-/// reader thread per connection, and replies written onto each socket by
-/// the server loop itself, with a per-connection writer thread taking over
-/// whatever a socket does not accept at once. See the module docs.
+// ---------------------------------------------------------------- server
+
+/// One connection as the front's loop holds it: its non-blocking socket,
+/// the frames read and not yet handed to the core, the replies not yet on
+/// the wire.
+pub(super) struct Peer {
+    pub(super) stream: Box<dyn Stream>,
+    input: Frames,
+    /// Replies not yet on the wire, oldest first, `sent` bytes of the
+    /// first's prefix and frame already written.
+    out: VecDeque<Vec<u8>>,
+    sent: usize,
+    /// The peer sent its last byte: EOF, a read error, or a length prefix
+    /// no frame can have. Nothing more is read.
+    pub(super) eof: bool,
+    /// The core forgot the client: nothing more is read, and the socket
+    /// closes once `out` is written.
+    pub(super) closing: bool,
+}
+
+impl Peer {
+    pub(super) fn new(stream: Box<dyn Stream>) -> Peer {
+        Peer {
+            stream,
+            input: Frames::default(),
+            out: VecDeque::new(),
+            sent: 0,
+            eof: false,
+            closing: false,
+        }
+    }
+
+    /// True when every reply is on the wire.
+    pub(super) fn is_idle(&self) -> bool {
+        self.out.is_empty()
+    }
+
+    /// What the loop polls the socket for: writability while a reply is
+    /// unsent; otherwise readability while `reading` and the client is
+    /// served.
+    pub(super) fn events(&self, reading: bool) -> i16 {
+        if !self.out.is_empty() {
+            POLLOUT
+        } else if reading && !self.eof && !self.closing {
+            POLLIN
+        } else {
+            0
+        }
+    }
+
+    /// Reads, once, what the socket holds.
+    pub(super) fn read(&mut self) {
+        match self.input.fill(&mut self.stream) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            read => self.eof |= read.map_or(true, |n| n == 0),
+        }
+    }
+
+    /// The next whole frame read, if any. The core owns malformed-frame
+    /// policy (a typed error frame), so a chaos-truncated request is
+    /// answered and retried instead of costing the connection; only a
+    /// length no frame can have ends the input.
+    pub(super) fn next_frame(&mut self) -> Option<Vec<u8>> {
+        self.input.next().unwrap_or_else(|_| {
+            self.end_input();
+            None
+        })
+    }
+
+    /// Reads nothing more, and drops what was read and not handed on.
+    fn end_input(&mut self) {
+        (self.eof, self.input) = (true, Frames::default());
+    }
+
+    /// Queues `reply` and writes the unsent replies, in order, as far as
+    /// the socket takes them without blocking. Once the peer is gone, the
+    /// error comes back, the replies are dropped and the input ends.
+    pub(super) fn send(&mut self, reply: Option<Vec<u8>>) -> std::io::Result<()> {
+        self.out.extend(reply);
+        while let Some(frame) = self.out.front() {
+            let prefix = (frame.len() as u32).to_le_bytes();
+            let (head, body) = match self.sent.checked_sub(prefix.len()) {
+                None => (&prefix[self.sent..], &frame[..]),
+                Some(at) => (&[][..], &frame[at..]),
+            };
+            match sysmap::send_nowait(&*self.stream, head, body) {
+                Ok(n) if n == head.len() + body.len() => {
+                    self.out.pop_front();
+                    self.sent = 0;
+                }
+                Ok(n) => {
+                    self.sent += n;
+                    break;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    break
+                }
+                Err(e) => {
+                    self.out.clear();
+                    self.end_input();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads and drops what the peer sent and nobody will serve, so that
+    /// closing the socket ends the peer's stream cleanly (a TCP close over
+    /// unread bytes resets the connection, losing what is in flight).
+    pub(super) fn discard_input(&mut self) {
+        while matches!(self.stream.read(&mut [0; 4096]), Ok(n) if n > 0) {}
+    }
+}
+
+/// A loopback TCP front end: a [`ServerFront`] whose loop also accepts on a
+/// listener and serves each connection as it serves an in-process one.
 pub struct TcpFront {
-    front: Option<Arc<ServerFront>>,
+    front: ServerFront,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<Vec<Conn>>>,
-    /// Read by the tests alone.
-    #[cfg_attr(not(test), allow(dead_code))]
-    paths: Arc<ReplyPaths>,
 }
 
 impl TcpFront {
@@ -169,41 +237,22 @@ impl TcpFront {
         host: H,
         cfg: FrontConfig,
     ) -> Result<TcpFront> {
-        Self::over(ServerFront::spawn_with(host, cfg))
+        Self::spawn_swappable(Arc::new(StaticSource::new(host)), cfg)
     }
 
-    /// Binds and spawns over a hot-swappable
-    /// [`crate::transport::GenerationSource`]: sessions opened after the
-    /// source publishes a new generation serve from it, while open sessions
-    /// drain on their pinned one
-    /// (see [`ServerFront::spawn_swappable`]).
+    /// Binds and spawns over a hot-swappable [`GenerationSource`]: sessions
+    /// opened after the source publishes a new generation serve from it,
+    /// while open sessions drain on their pinned one (see
+    /// [`ServerFront::spawn_swappable`]).
     pub fn spawn_swappable(
-        source: Arc<dyn crate::transport::GenerationSource>,
+        source: Arc<dyn GenerationSource>,
         cfg: FrontConfig,
     ) -> Result<TcpFront> {
-        Self::over(ServerFront::spawn_swappable(source, cfg))
-    }
-
-    /// Puts a TCP accept loop in front of an already-spawned [`ServerFront`].
-    pub(crate) fn over(front: ServerFront) -> Result<TcpFront> {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
+        listener.set_nonblocking(true).map_err(io_err)?;
         let addr = listener.local_addr().map_err(io_err)?;
-        let front = Arc::new(front);
-        let stop = Arc::new(AtomicBool::new(false));
-        let paths = Arc::new(ReplyPaths::default());
-        let accept = {
-            let front = Arc::clone(&front);
-            let stop = Arc::clone(&stop);
-            let paths = Arc::clone(&paths);
-            std::thread::spawn(move || accept_loop(listener, front, stop, paths))
-        };
-        Ok(TcpFront {
-            front: Some(front),
-            addr,
-            stop,
-            accept: Some(accept),
-            paths,
-        })
+        let front = ServerFront::launch(source, cfg, Some(listener));
+        Ok(TcpFront { front, addr })
     }
 
     /// The bound loopback address clients connect to.
@@ -211,20 +260,10 @@ impl TcpFront {
         self.addr
     }
 
-    /// The fronted [`ServerFront`] (accounting, observable streams).
-    pub(crate) fn front(&self) -> &ServerFront {
-        self.front.as_ref().expect("front present until shutdown")
-    }
-
     /// Connects a new client over TCP and performs the session handshake.
     /// No retries ([`RetryPolicy::none`]).
     pub fn connect(&self) -> Result<WireChannel> {
-        self.connect_with(RetryPolicy::none())
-    }
-
-    /// Connects with an explicit retry policy.
-    pub(crate) fn connect_with(&self, policy: RetryPolicy) -> Result<WireChannel> {
-        WireChannel::handshake(Box::new(TcpLink::connect(self.addr)?), policy)
+        WireChannel::handshake(Box::new(TcpLink::connect(self.addr)?), RetryPolicy::none())
     }
 
     /// Connects while holding a generation expectation: a handshake whose
@@ -249,179 +288,52 @@ impl TcpFront {
 
     /// Snapshot of the per-session accounting table.
     pub fn session_stats(&self) -> BTreeMap<u64, SessionStats> {
-        self.front().session_stats()
+        self.front.session_stats()
     }
 
-    /// Graceful drain: stop accepting, serve every frame already queued,
-    /// flush each connection's buffered replies, close the sockets, and
-    /// return the final session table. Live clients observe a clean
-    /// disconnect on their next request instead of a hang.
-    pub fn shutdown(mut self) -> BTreeMap<u64, SessionStats> {
-        self.shutdown_inner()
+    /// Graceful drain ([`ServerFront::shutdown`]): stop accepting, serve
+    /// every frame already sent, write every unsent reply, close the
+    /// sockets, and return the final session table. Live clients observe a
+    /// clean disconnect on their next request instead of a hang.
+    pub fn shutdown(self) -> BTreeMap<u64, SessionStats> {
+        self.front.shutdown()
     }
-
-    fn shutdown_inner(&mut self) -> BTreeMap<u64, SessionStats> {
-        self.stop.store(true, Ordering::SeqCst);
-        // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.addr);
-        let conns = self
-            .accept
-            .take()
-            .map(|h| h.join().unwrap_or_default())
-            .unwrap_or_default();
-        let stats = match self.front.take() {
-            Some(front) => match Arc::try_unwrap(front) {
-                Ok(front) => front.shutdown(),
-                // unreachable once the accept thread (the only other owner)
-                // has been joined, but never panic in a shutdown path
-                Err(front) => front.session_stats(),
-            },
-            None => BTreeMap::new(),
-        };
-        // The front's loop has exited, dropping every connection's reply
-        // end: each writer drains what was still handed to it and shuts its
-        // socket down, which EOFs the matching reader.
-        for c in conns {
-            let _ = c.writer.join();
-            let _ = c.stream.shutdown(Shutdown::Both);
-            let _ = c.reader.join();
-        }
-        stats
-    }
-}
-
-impl Drop for TcpFront {
-    fn drop(&mut self) {
-        if self.front.is_some() || self.accept.is_some() {
-            let _ = self.shutdown_inner();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    front: Arc<ServerFront>,
-    stop: Arc<AtomicBool>,
-    paths: Arc<ReplyPaths>,
-) -> Vec<Conn> {
-    let mut conns = Vec::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => break,
-        };
-        if stop.load(Ordering::SeqCst) {
-            break; // the shutdown wake-up (or a raced late client)
-        }
-        if let Ok(conn) = bridge(stream, &front, &paths) {
-            conns.push(conn);
-        }
-    }
-    conns
-}
-
-/// Registers the connection as one front client, its replies going onto
-/// the socket ([`SocketReplies`]), and spawns its reader and its writer
-/// thread. Disconnect notification belongs to the reader: it alone knows
-/// when the peer really went away.
-fn bridge(stream: TcpStream, front: &ServerFront, paths: &Arc<ReplyPaths>) -> Result<Conn> {
-    let _ = stream.set_nodelay(true);
-    let read_half = stream.try_clone().map_err(io_err)?;
-    let write_half = stream.try_clone().map_err(io_err)?;
-    let (writer, unsent) = mpsc::channel();
-    let held = Arc::new(AtomicUsize::new(0));
-    let replies = SocketReplies {
-        stream: stream.try_clone().map_err(io_err)?,
-        writer,
-        held: Arc::clone(&held),
-        paths: Arc::clone(paths),
-    };
-    let (to_server, client) = front.register(Replies::Socket(replies))?;
-    let reader = std::thread::spawn(move || reader_loop(read_half, to_server, client));
-    let writer = std::thread::spawn(move || writer_loop(write_half, unsent, held));
-    Ok(Conn {
-        stream,
-        reader,
-        writer,
-    })
-}
-
-fn reader_loop(mut stream: TcpStream, to_server: mpsc::Sender<ToServer>, client: u64) {
-    loop {
-        let mut len_buf = [0u8; 4];
-        if stream.read_exact(&mut len_buf).is_err() {
-            break; // EOF or socket error: the peer is gone
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_TCP_FRAME_BYTES {
-            break; // not a possible message: the stream is desynced, drop it
-        }
-        // Forward whatever arrived — even a short or empty message. The
-        // server loop owns malformed-frame policy (a typed error frame),
-        // so a chaos-truncated request is answered and retried instead of
-        // silently costing the whole connection.
-        let mut frame = vec![0u8; len];
-        if stream.read_exact(&mut frame).is_err() {
-            break;
-        }
-        if to_server
-            .send(ToServer::Frame {
-                client,
-                bytes: frame,
-            })
-            .is_err()
-        {
-            break; // server loop gone
-        }
-    }
-    let _ = to_server.send(ToServer::Disconnect { client });
-    let _ = stream.shutdown(Shutdown::Read);
-}
-
-/// Writes, blocking, what the loop thread handed over, then releases the
-/// socket back to it frame by frame.
-fn writer_loop(mut stream: TcpStream, unsent: mpsc::Receiver<Unsent>, held: Arc<AtomicUsize>) {
-    // recv() keeps returning frames buffered in the channel even after the
-    // sender side drops, so a graceful server shutdown flushes everything
-    // still in flight before the socket closes.
-    while let Ok(Unsent { frame, sent }) = unsent.recv() {
-        if write_frame(&mut stream, &frame, sent).is_err() {
-            break;
-        }
-        held.fetch_sub(1, Ordering::Release);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 // ---------------------------------------------------------------- client
 
-/// The client half: a [`FrameLink`] over one persistent TCP connection.
-pub struct TcpLink {
-    stream: TcpStream,
-    /// Bytes read off the socket that do not yet form a complete frame. A
-    /// recv that times out mid-frame keeps the prefix here, so the next
-    /// recv resumes exactly where the stream left off instead of desyncing.
-    pending: Vec<u8>,
-    /// The read timeout the socket has now, so that a recv with the same
-    /// window as the last one costs no `setsockopt`.
-    read_timeout: Option<Duration>,
+/// The client half of a connection of either kind: a [`FrameLink`] over one
+/// persistent socket — TCP ([`SocketLink::connect`]), or an in-process pair
+/// ([`ServerFront::raw_link`]).
+pub struct SocketLink {
+    /// Blocking; a recv with a timeout polls it first.
+    stream: Box<dyn Stream>,
+    /// Bytes read and not yet returned as a frame: a recv that times out
+    /// mid-frame keeps them, and the next resumes where the stream left off.
+    pending: Frames,
 }
 
-impl TcpLink {
+/// [`SocketLink`] under the name TCP callers know it by.
+pub type TcpLink = SocketLink;
+
+impl SocketLink {
+    pub(super) fn new(stream: Box<dyn Stream>) -> SocketLink {
+        SocketLink {
+            stream,
+            pending: Frames::default(),
+        }
+    }
+
     /// Connects to a [`TcpFront`]'s listener.
-    pub fn connect(addr: SocketAddr) -> Result<TcpLink> {
+    pub fn connect(addr: SocketAddr) -> Result<SocketLink> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| PirError::Transport(format!("tcp connect to {addr} failed: {e}")))?;
         let _ = stream.set_nodelay(true);
-        Ok(TcpLink {
-            stream,
-            pending: Vec::new(),
-            read_timeout: None,
-        })
+        Ok(SocketLink::new(Box::new(stream)))
     }
 }
 
-impl FrameLink for TcpLink {
+impl FrameLink for SocketLink {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         write_frame(&mut self.stream, frame, 0)
             .map_err(|e| PirError::Transport(format!("server disconnected: {e}")))
@@ -429,50 +341,26 @@ impl FrameLink for TcpLink {
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        // The first read may wait the whole window, the same one a recv
-        // usually asks for as the last did; a read after a partial frame
-        // waits only for what is left of it.
-        let mut window = timeout;
         loop {
-            if self.pending.len() >= 4 {
-                let len =
-                    u32::from_le_bytes(self.pending[..4].try_into().expect("4 bytes")) as usize;
-                if len > MAX_TCP_FRAME_BYTES {
-                    return Err(PirError::Transport(format!(
-                        "impossible message length {len} on tcp link: stream desynced"
-                    )));
-                }
-                if self.pending.len() >= 4 + len {
-                    let frame = self.pending[4..4 + len].to_vec();
-                    self.pending.drain(..4 + len);
-                    return Ok(frame);
+            match self.pending.next() {
+                Ok(Some(frame)) => return Ok(frame),
+                Ok(None) => {}
+                Err(len) => {
+                    return transport_err(format!("impossible length {len}: stream desynced"))
                 }
             }
-            if window == Some(Duration::ZERO) {
-                // set_read_timeout rejects zero, and the window is over
-                return Err(PirError::Timeout("tcp recv timed out".into()));
-            }
-            if window != self.read_timeout {
-                self.stream.set_read_timeout(window).map_err(io_err)?;
-                self.read_timeout = window;
-            }
-            let mut buf = [0u8; 16 * 1024];
-            match self.stream.read(&mut buf) {
-                Ok(0) => return Err(PirError::Transport("server disconnected".into())),
-                Ok(n) => {
-                    self.pending.extend_from_slice(&buf[..n]);
-                    window = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
+            if let Some(at) = deadline {
+                let mut fds = [PollFd::new(&*self.stream, POLLIN)];
+                let left = at.saturating_duration_since(Instant::now());
+                if sysmap::poll(&mut fds, Some(left)).map_err(io_err)? == 0 {
                     return Err(PirError::Timeout("tcp recv timed out".into()));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(PirError::Transport(format!("server disconnected: {e}")));
-                }
+            }
+            match self.pending.fill(&mut self.stream) {
+                Ok(0) => return Err(PirError::Transport("server disconnected".into())),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(PirError::Transport(format!("server disconnected: {e}"))),
             }
         }
     }
@@ -480,12 +368,14 @@ impl FrameLink for TcpLink {
 
 #[cfg(test)]
 mod tests {
-    use super::super::codec::{split_frame, Request, K_ERROR};
+    use super::super::codec::{split_frame, Request, K_DOWNLOAD_RESP, K_ERROR};
     use super::*;
     use crate::server::{FileId, PirMode, PirServer};
     use crate::spec::SystemSpec;
     use crate::transport::Transport;
-    use privpath_storage::{MemFile, PageBuf, DEFAULT_PAGE_SIZE};
+    use privpath_storage::{ByteReader, MemFile, PageBuf, DEFAULT_PAGE_SIZE};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
 
     fn file(pages: u32) -> MemFile {
         let mut f = MemFile::empty(DEFAULT_PAGE_SIZE);
@@ -520,22 +410,29 @@ mod tests {
         TcpFront::spawn_with(Arc::new(srv), FrontConfig::default()).unwrap()
     }
 
-    /// Frames the front handed to a writer thread so far.
-    fn handed(paths: &ReplyPaths) -> u64 {
-        paths.split.load(Ordering::SeqCst) + paths.queued.load(Ordering::SeqCst)
+    /// Session `sid`'s downloads served so far, by the front's table.
+    fn downloads(front: &TcpFront, sid: u64) -> u64 {
+        front.session_stats().get(&sid).map_or(0, |s| s.downloads)
     }
 
-    /// Waits until the front has handed more than `floor` frames to a writer
-    /// thread: a reply is stuck behind a peer that does not read.
-    fn await_fallback(paths: &ReplyPaths, floor: u64) {
+    /// Waits until the front has served `sid` its first download: a reply
+    /// the peer is not reading, whose tail the front holds.
+    fn await_download(front: &TcpFront, sid: u64) {
         let deadline = Instant::now() + Duration::from_secs(20);
-        while handed(paths) <= floor {
-            assert!(
-                Instant::now() < deadline,
-                "the socket took the whole reply: no fallback to the writer"
-            );
+        while downloads(front, sid) == 0 {
+            assert!(Instant::now() < deadline, "the download was never served");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A connected socket pair as the front holds one: our end a
+    /// non-blocking [`Peer`], and the client's end.
+    fn peer_pair() -> (Peer, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        ours.set_nonblocking(true).unwrap();
+        (Peer::new(Box::new(ours)), client)
     }
 
     fn assert_tagged(bytes: &[u8], pages: u32) {
@@ -557,13 +454,13 @@ mod tests {
         (link, u64::from_le_bytes(payload[..8].try_into().unwrap()))
     }
 
-    /// Asks for the big file's download as the request after the open.
-    fn request_big(link: &mut TcpLink, session: u64) {
+    /// Asks for the big file's download as request `seq`.
+    fn request_big(link: &mut TcpLink, session: u64, seq: u32) {
         let download = Request::Download {
             session,
             file: FileId(2),
         };
-        link.send(&download.encode(2, &[], false)).unwrap();
+        link.send(&download.encode(seq, &[], false)).unwrap();
     }
 
     /// Serves one round of three pages on `chan` and checks what came back.
@@ -582,27 +479,29 @@ mod tests {
 
     #[test]
     fn a_reading_clients_replies_all_leave_from_the_loop_thread() {
-        let front = TcpFront::spawn_with(server(), FrontConfig::default()).unwrap();
-        let paths = Arc::clone(&front.paths);
-        let mut chan = front.connect().unwrap(); // exchange 1
-        chan.begin_query().unwrap(); // exchange 2
-        for round in 2..100 {
-            exchange(&mut chan, round); // exchanges 3..=100
+        // the loop's one send takes each reply whole while the client reads
+        let (mut peer, mut client) = peer_pair();
+        for k in 0..100usize {
+            let reply: Vec<u8> = (0..k * 97).map(|i| (i % 251) as u8).collect();
+            peer.send(Some(reply.clone())).unwrap();
+            assert!(peer.is_idle(), "reply {k} left a tail");
+            let mut got = vec![0u8; 4 + reply.len()];
+            client.read_exact(&mut got).unwrap();
+            assert_eq!(got[..4], (reply.len() as u32).to_le_bytes());
+            assert_eq!(got[4..], reply[..], "reply {k}");
         }
-        front.shutdown(); // joins the loop: every count is in
-        assert_eq!(paths.direct.load(Ordering::SeqCst), 100);
-        assert_eq!(paths.split.load(Ordering::SeqCst), 0);
-        assert_eq!(paths.queued.load(Ordering::SeqCst), 0, "the writer wrote");
+        assert_eq!(peer.events(true), sysmap::POLLIN, "idle: read, not written");
     }
 
     #[test]
     fn a_stalled_clients_chunk_train_falls_back_mid_frame_then_goes_direct_again() {
-        /// A [`TcpLink`] that reads nothing, once `stall` is set, until the
-        /// front has handed a frame to the writer thread.
+        /// A [`TcpLink`] whose recv, once `stall` is set, says so on
+        /// `stalled` and reads nothing until `go`.
         struct StallLink {
             inner: TcpLink,
-            paths: Arc<ReplyPaths>,
             stall: Arc<AtomicBool>,
+            stalled: mpsc::Sender<()>,
+            go: mpsc::Receiver<()>,
         }
         impl FrameLink for StallLink {
             fn send(&mut self, frame: &[u8]) -> Result<()> {
@@ -610,39 +509,44 @@ mod tests {
             }
             fn recv(&mut self, timeout: Option<Duration>) -> Result<Vec<u8>> {
                 if self.stall.swap(false, Ordering::SeqCst) {
-                    await_fallback(&self.paths, handed(&self.paths));
+                    self.stalled.send(()).unwrap();
+                    self.go.recv().unwrap();
                 }
                 self.inner.recv(timeout)
             }
         }
         let front = big_front();
-        let paths = Arc::clone(&front.paths);
         let stall = Arc::new(AtomicBool::new(false));
+        let (stalled, on_stall) = mpsc::channel();
+        let (go, on_go) = mpsc::channel();
         let link = StallLink {
             inner: TcpLink::connect(front.addr()).unwrap(),
-            paths: Arc::clone(&paths),
             stall: Arc::clone(&stall),
+            stalled,
+            go: on_go,
         };
         let mut chan = WireChannel::handshake(Box::new(link), RetryPolicy::none()).unwrap();
         chan.begin_query().unwrap();
         exchange(&mut chan, 2);
-        assert_eq!(handed(&paths), 0, "a reading client's replies went direct");
-        // The socket, drained by the client so far, takes the head of the
-        // download's one frame and fills up: the writer gets its tail.
+        // The socket takes the head of the download's one frame and fills
+        // up: the front holds its tail until the client reads again.
+        let sid = chan.session_id();
         stall.store(true, Ordering::SeqCst);
-        assert_tagged(&chan.download(FileId(2)).unwrap(), BIG_PAGES);
-        assert!(paths.split.load(Ordering::SeqCst) > 0, "no frame split");
-        let direct = paths.direct.load(Ordering::SeqCst);
+        let downloader = std::thread::spawn(move || {
+            let bytes = chan.download(FileId(2));
+            (chan, bytes)
+        });
+        on_stall.recv().unwrap();
+        await_download(&front, sid);
+        go.send(()).unwrap();
+        let (mut chan, bytes) = downloader.join().unwrap();
+        assert_tagged(&bytes.unwrap(), BIG_PAGES);
         for round in 3..13 {
             exchange(&mut chan, round);
         }
         chan.close().unwrap();
         let stats = front.shutdown();
-        assert!(
-            paths.direct.load(Ordering::SeqCst) > direct,
-            "replies after the drain never went direct again"
-        );
-        let s = &stats[&chan.session_id()];
+        let s = &stats[&sid];
         assert_eq!((s.rounds, s.fetches), (12, 33));
         assert!(s.downloads >= 1 && s.closed);
     }
@@ -650,19 +554,16 @@ mod tests {
     #[test]
     fn a_peer_that_resets_mid_reply_is_dropped_and_the_rest_are_served() {
         let front = big_front();
-        let paths = Arc::clone(&front.paths);
         let mut neighbour = front.connect().unwrap();
         neighbour.begin_query().unwrap();
         exchange(&mut neighbour, 2);
 
         // A raw peer asks for the big download and reads none of it. Once
-        // the front has handed the rest to the writer thread, the peer
-        // closes with the reply unread, which resets the connection
-        // mid-reply.
+        // the front has served it, holding its tail, the peer closes with
+        // the reply unread, which resets the connection mid-reply.
         let (mut peer, session) = open_raw(&front);
-        let floor = handed(&paths);
-        request_big(&mut peer, session);
-        await_fallback(&paths, floor);
+        request_big(&mut peer, session, 2);
+        await_download(&front, session);
         exchange(&mut neighbour, 3);
         drop(peer);
 
@@ -683,7 +584,7 @@ mod tests {
         // A peer that hangs up right behind its request: the loop thread's
         // own send is the one that finds it gone.
         let (mut quitter, session) = open_raw(&front);
-        request_big(&mut quitter, session);
+        request_big(&mut quitter, session, 2);
         drop(quitter);
         for round in 8..12 {
             exchange(&mut neighbour, round);
@@ -696,25 +597,47 @@ mod tests {
 
     #[test]
     fn the_loop_thread_finds_a_reset_peer_gone_without_handing_off() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (ours, _) = listener.accept().unwrap();
-        let (writer, unsent) = mpsc::channel();
-        let replies = SocketReplies {
-            stream: ours,
-            writer,
-            held: Arc::default(),
-            paths: Arc::default(),
-        };
-        assert!(replies.send(vec![7u8; 100]), "a live peer takes a frame");
-        drop(peer); // closed with the frame unread: the connection resets
+        let (mut peer, client) = peer_pair();
+        peer.send(Some(vec![7u8; 100])).unwrap();
+        assert!(peer.is_idle(), "a live peer takes a frame");
+        drop(client); // closed with the frame unread: the connection resets
         let deadline = Instant::now() + Duration::from_secs(5);
-        while replies.send(vec![7u8; 100]) {
+        while peer.send(Some(vec![7u8; 100])).is_ok() {
             assert!(Instant::now() < deadline, "sends to a reset peer succeed");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(replies.held.load(Ordering::SeqCst), 0);
-        assert!(unsent.try_recv().is_err(), "a frame was handed off");
+    }
+
+    #[test]
+    fn a_client_that_does_not_read_holds_one_reply_and_stalls_nobody() {
+        const PIPELINED: u32 = 4;
+        let front = big_front();
+        let mut bystander = front.connect().unwrap();
+        bystander.begin_query().unwrap();
+        // A raw client pipelines four 8 MiB downloads and reads nothing.
+        let (mut stalled, sid) = open_raw(&front);
+        for seq in 2..2 + PIPELINED {
+            request_big(&mut stalled, sid, seq);
+        }
+        // The first reply fills the socket; the front holds its tail and
+        // serves no further frame of that connection meanwhile. (At most
+        // about half of one reply fits in the socket buffers.)
+        await_download(&front, sid);
+        for round in 2..22 {
+            exchange(&mut bystander, round);
+            assert_eq!(downloads(&front, sid), 1, "a second reply was queued");
+        }
+        // Once the client reads, every reply arrives, whole and in order.
+        for seq in 2..2 + PIPELINED {
+            let reply = stalled.recv(Some(Duration::from_secs(20))).unwrap();
+            let f = split_frame(&reply).unwrap();
+            assert_eq!((f.kind, f.seq), (K_DOWNLOAD_RESP, seq));
+            assert_tagged(ByteReader::new(f.payload).len_bytes().unwrap(), BIG_PAGES);
+        }
+        bystander.close().unwrap();
+        let stats = front.shutdown();
+        assert_eq!(stats[&sid].downloads, u64::from(PIPELINED));
+        assert_eq!(stats[&bystander.session_id()].rounds, 21);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use super::client::*;
 use super::codec::*;
 use super::front::*;
+use super::tcp::SocketLink;
 use crate::error::PirError;
 use crate::server::{FileId, PirMode, PirServer};
 use crate::spec::SystemSpec;
@@ -8,7 +9,7 @@ use crate::transport::{GenerationSource, ServeHost, StaticSource, Transport};
 use crate::{PirSession, Result};
 use privpath_storage::{crc32, ByteReader, ByteWriter, MemFile, PageBuf, DEFAULT_PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn encode_session_open(seq: u32) -> Vec<u8> {
@@ -446,7 +447,7 @@ fn retry_policy_recovers_from_a_lost_response() {
     // A link that drops the first response of every exchange: the retry
     // path must resend and accept the server's cached replay.
     struct FlakyLink {
-        inner: ChannelLink,
+        inner: SocketLink,
         drop_next_recv: bool,
     }
     impl FrameLink for FlakyLink {
@@ -506,20 +507,19 @@ fn sequence_numbers_survive_wraparound() {
     // cost-only, so every round is served on the spot.
     let source = Arc::new(StaticSource::new(server()));
     let mut front = Front::new(source, FrontConfig::default());
-    let (resp, replies) = mpsc::channel();
     let now = Instant::now();
-    front.connect(7, Replies::Channel(resp), now);
+    front.connect(7, now);
     front.on_frame(7, encode_session_open(1), now);
-    let accept = replies.recv().unwrap();
+    let accept = front.outbox.remove(0).1;
     let sid = ByteReader::new(split_frame(&accept).unwrap().payload)
         .u64()
         .unwrap();
     front.on_frame(7, encode_query_open(2, sid), now);
-    replies.recv().unwrap();
+    front.outbox.remove(0);
     front.clients.get_mut(&7).unwrap().last_seq = u32::MAX - 1;
     let mut drive = |seq: u32| {
         front.on_frame(7, encode_round_request(seq, sid, 2, &[(FileId(0), 1)]), now);
-        let reply = replies.recv().unwrap();
+        let reply = front.outbox.remove(0).1;
         let f = split_frame(&reply).unwrap();
         (f.kind, f.seq, front.clients[&7].last_seq)
     };
@@ -799,7 +799,7 @@ fn front_on(srv: &Arc<PirServer>, cfg: FrontConfig) -> ServerFront {
 /// Opens a session and its first query on a raw link; returns the
 /// session id and the generation it is pinned to. The next request is
 /// seq 3, round 2.
-fn open_query(link: &mut ChannelLink) -> (u64, u64) {
+fn open_query(link: &mut SocketLink) -> (u64, u64) {
     link.send(&encode_session_open(1)).unwrap();
     let accept = link.recv(WAIT).unwrap();
     let f = split_frame(&accept).unwrap();
@@ -1053,7 +1053,7 @@ fn a_small_files_lap_gives_way_to_rounds_that_can_share_another() {
         .unwrap();
     let srv = Arc::new(srv);
     let front = front_on(&srv, FrontConfig::default());
-    let mut links: Vec<ChannelLink> = (0..4).map(|_| front.raw_link().unwrap()).collect();
+    let mut links: Vec<SocketLink> = (0..4).map(|_| front.raw_link().unwrap()).collect();
     let sids: Vec<u64> = links.iter_mut().map(|l| open_query(l).0).collect();
     let round =
         |sid: u64, file: u16, page: u32| encode_round_request(3, sid, 2, &[(FileId(file), page)]);

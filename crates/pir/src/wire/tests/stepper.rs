@@ -1,7 +1,7 @@
 //! The front core stepped by hand: no thread, no socket, a virtual clock.
-//! A [`Stepper`] owns a [`Front`], one in-process reply channel per client
-//! and the `now` it hands the core, and runs the lap's segment passes
-//! itself, so every case below is one deterministic schedule.
+//! A [`Stepper`] owns a [`Front`], the replies its outbox held for each
+//! client and the `now` it hands the core, and runs the lap's segment
+//! passes itself, so every case below is one deterministic schedule.
 
 use super::*;
 use std::collections::BTreeMap;
@@ -31,7 +31,7 @@ fn step_server(marker: u32) -> Arc<PirServer> {
 /// The front core and its clients, driven one call at a time.
 struct Stepper {
     front: Front,
-    replies: BTreeMap<u64, mpsc::Receiver<Vec<u8>>>,
+    replies: BTreeMap<u64, Vec<Vec<u8>>>,
     now: Instant,
 }
 
@@ -45,9 +45,7 @@ impl Stepper {
     }
 
     fn connect(&mut self, client: u64) {
-        let (tx, rx) = mpsc::channel();
-        self.front.connect(client, Replies::Channel(tx), self.now);
-        self.replies.insert(client, rx);
+        self.front.connect(client, self.now);
     }
 
     fn send(&mut self, client: u64, frame: &[u8]) {
@@ -56,7 +54,10 @@ impl Stepper {
 
     /// Every reply sent to `client` since the last look.
     fn take(&mut self, client: u64) -> Vec<Vec<u8>> {
-        self.replies[&client].try_iter().collect()
+        for (to, reply) in self.front.outbox.drain(..) {
+            self.replies.entry(to).or_default().push(reply);
+        }
+        self.replies.remove(&client).unwrap_or_default()
     }
 
     /// Runs the lap to its end the way the driver does: the frames that
@@ -377,10 +378,7 @@ fn a_client_is_evicted_at_exactly_its_idle_deadline() {
     assert!(st.front.clients.contains_key(&SUBJECT), "1 ns early");
     assert_eq!(st.front.evict_idle(due), None, "nobody left");
     assert!(!st.front.clients.contains_key(&SUBJECT));
-    assert!(matches!(
-        st.replies[&SUBJECT].try_recv(),
-        Err(mpsc::TryRecvError::Disconnected)
-    ));
+    assert_eq!(st.front.hangups, [SUBJECT], "its connection is hung up");
     let stats = &st.front.sessions[&sid];
     assert!(stats.evicted && stats.closed);
 }
