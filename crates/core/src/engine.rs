@@ -339,8 +339,8 @@ impl Database {
     }
 
     /// Stands up a network-real server for this database: the same front
-    /// loop as [`Database::serve_wire`], behind a loopback TCP accept loop
-    /// serving the frame protocol over real sockets
+    /// loop as [`Database::serve_wire`], which also accepts loopback TCP
+    /// connections and serves the frame protocol over them
     /// ([`privpath_pir::TcpFront`]). Clients connect through
     /// [`Database::tcp_session_with_seed`] or any [`privpath_pir::TcpLink`].
     pub fn serve_tcp(self: &Arc<Self>) -> Result<TcpFront> {

@@ -41,18 +41,18 @@
 //! * [`wire`] — the versioned, integrity-checked binary frame protocol
 //!   (per-frame CRC + sequence numbers with idempotent server-side replay)
 //!   and the multi-client [`ServerFront`] loop serving N [`WireChannel`]
-//!   clients over byte channels, with per-session server-side accounting,
+//!   clients over sockets, with per-session server-side accounting,
 //!   recorded adversary-observable frame streams, retry policies and
 //!   graceful degradation (panic teardown, idle eviction, shutdown drains),
 //!   plus shared laps (concurrent rounds of one linear-scan file join the
 //!   sweep in progress and ride one lap of its rotation together), one
 //!   reply frame per request;
-//! * `wire::tcp` — the same frames over real loopback sockets: a
-//!   [`TcpFront`] accept loop with a reader thread per connection, replies
-//!   written onto the socket by the server loop itself (one non-blocking
-//!   send per frame, a per-connection writer thread taking over only what
-//!   the socket does not take at once) and graceful drain, and the
-//!   [`TcpLink`] client [`FrameLink`], one write per frame;
+//! * `wire::tcp` — the sockets: a front's one loop thread reads and
+//!   writes every connection itself, loopback TCP ([`TcpFront`]) and
+//!   in-process socket pairs alike (one non-blocking send per reply, an
+//!   unsent tail held until the socket is writable, the connection unread
+//!   meanwhile), and the [`SocketLink`] client [`FrameLink`] ([`TcpLink`]
+//!   over TCP), one write per frame;
 //! * `chaos` — deterministic fault injection for the transport stack:
 //!   seeded [`FaultPlan`]s driving lossy [`ChaosLink`]s under any
 //!   [`WireChannel`], and sabotage stores and disks for degradation tests.

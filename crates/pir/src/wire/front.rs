@@ -248,8 +248,7 @@ impl ServerFront {
     /// Connects a new in-process client and returns its raw frame link (no
     /// handshake performed): one end of a socket pair whose other end the
     /// loop serves like a TCP connection. Chaos wrappers interpose here,
-    /// between the link and the [`WireChannel`] built by
-    /// [`WireChannel::handshake`].
+    /// below [`WireChannel::handshake`].
     pub fn raw_link(&self) -> Result<SocketLink> {
         let (ours, theirs) = UnixStream::pair().map_err(io_err)?;
         theirs.set_nonblocking(true).map_err(io_err)?;
@@ -259,9 +258,8 @@ impl ServerFront {
         Ok(SocketLink::new(Box::new(ours)))
     }
 
-    /// Connects a new client: registers its response channel and performs
-    /// the `SessionOpen`/`SessionAccept` handshake. No retries — the legacy
-    /// perfect-link behavior ([`RetryPolicy::none`]).
+    /// Connects a new in-process client and performs the handshake. No
+    /// retries — the perfect-link behavior ([`RetryPolicy::none`]).
     pub fn connect(&self) -> Result<WireChannel> {
         self.connect_with(RetryPolicy::none())
     }
@@ -958,12 +956,10 @@ impl Front {
 
 // ------------------------------------------------------------------ driver
 
-/// The loop thread's sockets and the handle's messages: everything
-/// [`Front::run`] waits on.
+/// Everything [`Front::run`] waits on: sockets and the handle's messages.
 struct Io {
     rx: mpsc::Receiver<ToServer>,
-    /// The loop's end of the wake-up pair, readable once the handle sent a
-    /// message.
+    /// The loop's end of the wake-up pair.
     woken: UnixStream,
     /// A TCP front's, dropped when the drain begins.
     listener: Option<TcpListener>,
@@ -1000,6 +996,16 @@ impl Io {
             }
         }
         sysmap::poll(&mut self.fds, timeout)
+    }
+
+    /// Accepts every TCP connection waiting on the listener.
+    fn accept(&mut self, front: &mut Front, now: Instant) {
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.set_nodelay(true);
+                self.attach(front, Box::new(stream), now);
+            }
+        }
     }
 
     /// Takes a new connection: a client of the core from now on.
@@ -1067,11 +1073,8 @@ impl Front {
             if io.fds[0].revents != 0 {
                 self.take_messages(&mut io, now);
             }
-            while let Some(Ok((stream, _))) = io.listener.as_ref().map(TcpListener::accept) {
-                if stream.set_nonblocking(true).is_ok() {
-                    let _ = stream.set_nodelay(true);
-                    io.attach(&mut self, Box::new(stream), now);
-                }
+            if first == 2 && io.fds[1].revents != 0 {
+                io.accept(&mut self, now);
             }
             self.pass();
         }
@@ -1085,8 +1088,7 @@ impl Front {
         self.sessions
     }
 
-    /// Takes the handle's messages. (A wake-up byte left unread wakes the
-    /// next poll at once: harmless.)
+    /// Takes the handle's messages (a wake-up byte left unread is harmless).
     fn take_messages(&mut self, io: &mut Io, now: Instant) {
         let _ = (&io.woken).read(&mut [0; 256]);
         while let Ok(msg) = io.rx.try_recv() {
@@ -1119,9 +1121,8 @@ impl Front {
     }
 
     /// Moves the outbox onto the connections, each reply written as far as
-    /// its socket takes it at once, and hangs up the clients the core forgot
-    /// once what they are owed is written. A connection found dead ends its
-    /// input, and its next [`Front::pump`] forgets the client.
+    /// its socket takes it, and hangs up the clients the core forgot once
+    /// they are owed nothing. A dead connection ends its input: see `pump`.
     fn deliver(&mut self, io: &mut Io) {
         for (client, reply) in self.outbox.drain(..) {
             if let Some(peer) = io.peers.get_mut(&client) {

@@ -410,9 +410,8 @@ fn shutdown_drains_queued_frames() {
     let sid = ByteReader::new(split_frame(&accept).unwrap().payload)
         .u64()
         .unwrap();
-    // Queue a frame and immediately shut down: the mpsc queue preserves
-    // send order per thread, so the frame is ahead of the shutdown and
-    // must still be served by the drain.
+    // Send a frame and immediately shut down: the frame is in the socket
+    // before the shutdown is asked for, so the drain must still serve it.
     link.send(&encode_query_open(2, sid)).unwrap();
     let stats = front.shutdown();
     let reply = link.recv(Some(Duration::from_secs(5))).unwrap();
