@@ -32,7 +32,8 @@
 //! frame the readable ones hold, answers the handle's requests taken before
 //! that poll — so [`ServerFront::session_stats`] reflects every frame and
 //! disconnect a client completed before asking — takes new requests and
-//! connections, and runs one segment pass of the lap if anybody rides it.
+//! connections, and, once a turn takes no frame, runs one segment pass of
+//! the lap if anybody rides it: every frame that is ready, then one pass.
 //!
 //! **Backpressure.** A reply goes out with one non-blocking send
 //! ([`sysmap::send_nowait`]); what the socket does not take waits in the
@@ -296,10 +297,10 @@ impl ServerFront {
 
     /// Stops the loop thread gracefully and returns the final session
     /// table. Frames clients sent before the call are served, rounds riding
-    /// a shared lap ride it to its end (in-flight rounds complete), and
-    /// every reply is written out; sessions still open are then marked
-    /// closed and their sockets closed, so their clients get a transport
-    /// error on their next request instead of a hang.
+    /// a shared lap ride it to its end, and every reply is written out (a
+    /// client slow to read holds the drain); sessions still open are then
+    /// marked closed and their sockets closed, so their clients get a
+    /// transport error on their next request instead of a hang.
     pub fn shutdown(mut self) -> BTreeMap<u64, SessionStats> {
         self.stop()
     }
@@ -1020,32 +1021,26 @@ impl Front {
     /// The driver: the readiness loop the module docs describe, until the
     /// drain is over. Returns the final session table.
     fn run(mut self, mut io: Io) -> Sessions {
-        let mut deadline = None;
         loop {
-            let now = Instant::now();
+            let (now, mut took) = (Instant::now(), false);
             self.take_backlog(now);
-            if self.cfg.idle_timeout.is_some() && !self.draining {
-                deadline = self.evict_idle(now);
-            }
+            let deadline = (!self.draining).then(|| self.evict_idle(now)).flatten();
             self.deliver(&mut io);
             io.ids.clear();
             io.ids.extend(io.peers.keys());
             for k in 0..io.ids.len() {
                 let client = io.ids[k];
-                self.pump(&mut io, client, now);
+                took |= self.pump(&mut io, client, now);
             }
             let riding = self.lap.as_ref().is_some_and(Lap::is_ridden);
-            let owed = !io.peers.values().all(Peer::is_idle);
-            if self.draining && !riding && self.backlog.is_empty() && !owed {
+            let idle = !riding && self.backlog.is_empty() && io.peers.values().all(Peer::is_idle);
+            if self.draining && idle {
                 break;
             }
-            let timeout = if riding || io.stopping || !io.asked.is_empty() {
-                Some(Duration::ZERO)
-            } else if self.draining {
-                None
-            } else {
-                deadline.map(|at: Instant| at.saturating_duration_since(now))
-            };
+            let busy = riding || io.stopping || !io.asked.is_empty();
+            let timeout = busy
+                .then_some(Duration::ZERO)
+                .or_else(|| deadline.map(|at| at.saturating_duration_since(now)));
             if io.poll(!self.draining, timeout).is_err() {
                 // no poll(2) on this target (or no memory for the set): the
                 // sockets close, and every link sees a transport error
@@ -1064,7 +1059,7 @@ impl Front {
                 if revents & (POLLIN | POLLERR | POLLHUP) != 0 && peer.events(true) == POLLIN {
                     peer.read();
                 }
-                self.pump(&mut io, client, now);
+                took |= self.pump(&mut io, client, now);
             }
             for tx in io.asked.drain(..) {
                 let _ = tx.send(self.sessions.clone());
@@ -1076,7 +1071,9 @@ impl Front {
             if first == 2 && io.fds[1].revents != 0 {
                 io.accept(&mut self, now);
             }
-            self.pass();
+            if !took {
+                self.pass();
+            }
         }
         // graceful shutdown: mark every open session closed
         for sid in self.clients.values().filter_map(|state| state.session) {
@@ -1102,22 +1099,23 @@ impl Front {
 
     /// Hands the core `client`'s whole frames, one at a time, while its
     /// connection holds no unsent reply; once the client has sent its last
-    /// frame, forgets it as disconnected.
-    fn pump(&mut self, io: &mut Io, client: u64, now: Instant) {
-        loop {
-            let Some(peer) = io.peers.get_mut(&client) else {
-                return;
-            };
-            if peer.closing || !peer.is_idle() {
-                return;
-            }
+    /// frame, forgets it as disconnected. True if it took anything.
+    fn pump(&mut self, io: &mut Io, client: u64, now: Instant) -> bool {
+        let mut took = false;
+        while let Some(peer) = io
+            .peers
+            .get_mut(&client)
+            .filter(|p| !p.closing && p.is_idle())
+        {
             match peer.next_frame() {
                 Some(frame) => self.on_frame(client, frame, now),
                 None if peer.eof => self.drop_client(client, |stats| stats.closed = true),
-                None => return,
+                None => break,
             }
+            took = true;
             self.deliver(io);
         }
+        took
     }
 
     /// Moves the outbox onto the connections, each reply written as far as

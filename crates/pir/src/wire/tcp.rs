@@ -8,14 +8,12 @@
 //! persistent connection, one write per frame, so [`WireChannel`]'s
 //! retries and any [`crate::chaos::ChaosLink`] compose over a real socket.
 //!
-//! Each frame travels under an outer `u32 len` transport prefix. It looks
-//! redundant — a frame leads with its own length — but fault injectors
-//! above the link legitimately hand it truncated or mangled messages;
-//! because the link writes the delimiter itself, a mangled message arrives
-//! as one mangled message, gets a typed error frame and is retried, instead
-//! of desyncing the stream. A recv that times out mid-message keeps what
-//! it read; a length no frame can have (a desynced or hostile peer) ends
-//! the connection rather than risking an unbounded buffer.
+//! Each frame travels under an outer `u32 len` prefix that the link writes
+//! itself, so a message a fault injector truncated or mangled arrives as
+//! one mangled message and draws a typed error frame, instead of desyncing
+//! the stream; a recv that times out mid-message keeps what it read, and a
+//! length no frame can have (a desynced or hostile peer) ends the
+//! connection rather than risking an unbounded buffer.
 
 use super::codec::transport_err;
 use super::{FrameLink, FrontConfig, RetryPolicy, ServerFront, SessionStats, WireChannel};
