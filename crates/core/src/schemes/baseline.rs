@@ -27,12 +27,33 @@
 //!    the maximum any probed query needs — is reached.
 //!
 //! A [`BaselineFlavor`] fixes only what differs: the record extra (landmark
-//! vectors or per-arc flag bytes), the partitioner, the search
-//! ([`search_lm_in`] or [`search_af_in`]) and the plan-sample seed. LM is
-//! AF at one page per region: its partitioner caps every region at one
-//! page's payload less the 4-byte region stream header, so the shared
-//! pages-per-region rule gives `ppr = 1` and every round above draws its
-//! pages exactly as a one-page protocol would.
+//! vectors or per-arc flag bytes), the partitioner, the one line in which
+//! the interleaved search ([`search_regions`]) treats them apart, and the
+//! plan-sample seed. LM is AF at one page per region: its partitioner caps
+//! every region at one page's payload less the 4-byte region stream
+//! header, so the shared pages-per-region rule gives `ppr = 1` and every
+//! round above draws its pages exactly as a one-page protocol would.
+//!
+//! **The plan probe.** Both flavours fix the budget of step 4 by
+//! *probing*: run the interleaved search over many (or all) node pairs and
+//! take the maximum number of region fetches observed ("from all possible
+//! sources s ∈ V to all possible destinations t ∈ V", §4). The probes
+//! dominate baseline build time at scale — exhaustive derivation is
+//! `O(n²)` searches — so [`probe_max`] removes the two per-probe overheads
+//! the naive loop pays:
+//!
+//! * **Unsealed-region cache.** Every probe fetch used to re-read and
+//!   unseal (CRC) the region page(s) through `offline_region`. The probe
+//!   receives each region's payload unsealed exactly once; a probe fetch
+//!   folds those bytes into the probe's arena, as a query folds the bytes
+//!   of the pages it fetched.
+//! * **Threaded max-reduction.** Probes are independent and the plan is a
+//!   pure maximum, so the pair space is striped across workers (each with
+//!   its own arena + scratch) and reduced with `max` — an
+//!   order-independent fold, making the derived budget identical for every
+//!   thread count, including the serial reference. Sampled probe sets are
+//!   drawn *before* striping, so the RNG sequence (and hence the probe
+//!   set) never depends on the worker count either.
 
 use crate::config::BuildConfig;
 use crate::engine::{QueryCtx, QueryOutput, SchemeKind};
@@ -42,41 +63,28 @@ use crate::files::fh::Header;
 use crate::files::{unseal_download, unseal_page, PAGE_CRC_BYTES};
 use crate::plan::{PlanFile, QueryPlan, RoundSpec};
 use crate::schemes::index_scheme::{BuildStats, StageBreakdown};
-use crate::schemes::plan_probe::{probe_max, sample_pairs, ProbePairs};
-use crate::subgraph::{
-    search_af_in, search_lm_in, ClientSubgraph, FetchOutcome, FoldRegion, QueryScratch,
-};
+use crate::subgraph::{search_regions, ClientSubgraph, QueryScratch};
 use crate::Result;
 use privpath_graph::arcflag::ArcFlags;
 use privpath_graph::landmark::Landmarks;
 use privpath_graph::network::RoadNetwork;
-use privpath_graph::types::Point;
-use privpath_partition::{partition_into, partition_packed, partition_plain, Partition};
+use privpath_graph::types::{NodeId, Point};
+use privpath_partition::{partition_into, partition_packed, partition_plain, Partition, RegionId};
 use privpath_pir::{FileId, PirMode, PirServer, Transport};
 use privpath_storage::{MemFile, PagedFile};
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Which baseline a [`BaselineScheme`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BaselineFlavor {
-    /// Landmark vectors + A* ([`search_lm_in`]), one page per region.
+    /// Landmark vectors + A* under their lower bounds, one page per region.
     Lm,
-    /// Arc flags + flag-pruned Dijkstra ([`search_af_in`]), a fixed page
-    /// group per region.
+    /// Arc flags + flag-pruned Dijkstra (A* under a zero bound), a fixed
+    /// page group per region.
     Af,
 }
-
-/// The signature [`search_lm_in`] and [`search_af_in`] share.
-type Search = fn(
-    &mut ClientSubgraph,
-    &mut QueryScratch,
-    u16,
-    u16,
-    Point,
-    Point,
-    &mut FoldRegion<'_>,
-) -> Result<FetchOutcome>;
 
 /// Built LM or AF database handles.
 pub(crate) struct BaselineScheme {
@@ -124,14 +132,6 @@ impl NodeExtra for ArcFlags {
 }
 
 impl BaselineFlavor {
-    /// The interleaved fetch-and-search this flavour runs.
-    pub(crate) fn search(self) -> Search {
-        match self {
-            BaselineFlavor::Lm => search_lm_in,
-            BaselineFlavor::Af => search_af_in,
-        }
-    }
-
     /// The flag bit a region is folded in under for a query whose target
     /// lies in region `rt`: AF keeps only the arcs flagged for it.
     pub(crate) fn goal(self, rt: u16) -> Option<usize> {
@@ -225,6 +225,128 @@ fn offline_region(fd: &MemFile, region: u16, ppr: u32) -> Result<Vec<u8>> {
     Ok(payload)
 }
 
+/// The probe set.
+enum ProbePairs {
+    /// All ordered pairs `s != t` — the paper's exhaustive derivation.
+    Exhaustive,
+    /// A pre-drawn sample (see [`sample_pairs`]).
+    Sampled(Vec<(NodeId, NodeId)>),
+}
+
+/// Draws the sampled probe set: `count` attempts, pairs with `s == t`
+/// skipped — the exact draw sequence of the serial loops this replaced, so
+/// sampled plans are unchanged.
+fn sample_pairs(n: u32, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let mut pairs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let s = rng.gen_range(0..n);
+        let t = rng.gen_range(0..n);
+        if s != t {
+            pairs.push((s, t));
+        }
+    }
+    pairs
+}
+
+/// Source values handed out per claim in exhaustive mode (amortizes the
+/// atomic increment over `stride · n` probes).
+const EXHAUSTIVE_STRIDE: usize = 4;
+/// Pair indices handed out per claim in sampled mode.
+const SAMPLED_STRIDE: usize = 32;
+
+/// Runs every probe in `pairs` and returns the maximum region-fetch count
+/// observed (`0` when there are no probes). `payloads[r]` must hold region
+/// `r`'s unsealed payload in `fmt`'s layout; `threads` ≤ 1 runs inline.
+fn probe_max(
+    net: &RoadNetwork,
+    region_of: &[RegionId],
+    payloads: &[Vec<u8>],
+    fmt: &RecordFormat,
+    flavor: BaselineFlavor,
+    pairs: &ProbePairs,
+    threads: usize,
+) -> Result<u32> {
+    let n = net.num_nodes() as u32;
+    let claims = match pairs {
+        ProbePairs::Exhaustive => (n as usize).div_ceil(EXHAUSTIVE_STRIDE),
+        ProbePairs::Sampled(v) => v.len().div_ceil(SAMPLED_STRIDE),
+    };
+    let threads = threads.max(1).min(claims.max(1));
+
+    let run_stripe = |claim: usize,
+                      sub: &mut ClientSubgraph,
+                      scratch: &mut QueryScratch,
+                      best: &mut u32|
+     -> Result<()> {
+        let mut probe = |s: NodeId, t: NodeId| -> Result<()> {
+            let rs = region_of[s as usize];
+            let rt = region_of[t as usize];
+            let goal = flavor.goal(rt);
+            let mut fetch = |region: u16, sub: &mut ClientSubgraph| {
+                sub.add_region(&payloads[region as usize], fmt, goal)
+            };
+            sub.clear();
+            let ends = (net.node_point(s), net.node_point(t));
+            let out = search_regions(flavor, sub, scratch, (rs, rt), ends, &mut fetch)?;
+            *best = (*best).max(out.fetches);
+            Ok(())
+        };
+        match pairs {
+            ProbePairs::Exhaustive => {
+                let lo = claim * EXHAUSTIVE_STRIDE;
+                let hi = (lo + EXHAUSTIVE_STRIDE).min(n as usize);
+                for s in lo as u32..hi as u32 {
+                    for t in 0..n {
+                        if s != t {
+                            probe(s, t)?;
+                        }
+                    }
+                }
+            }
+            ProbePairs::Sampled(v) => {
+                let lo = claim * SAMPLED_STRIDE;
+                let hi = (lo + SAMPLED_STRIDE).min(v.len());
+                for &(s, t) in &v[lo..hi] {
+                    probe(s, t)?;
+                }
+            }
+        }
+        Ok(())
+    };
+
+    let next = AtomicUsize::new(0);
+    let worker = || -> Result<u32> {
+        let mut sub = ClientSubgraph::new();
+        let mut scratch = QueryScratch::new();
+        let mut best = 0u32;
+        loop {
+            let claim = next.fetch_add(1, Ordering::Relaxed);
+            if claim >= claims {
+                return Ok(best);
+            }
+            run_stripe(claim, &mut sub, &mut scratch, &mut best)?;
+        }
+    };
+    if threads == 1 {
+        return worker();
+    }
+    let locals: Vec<Result<u32>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("probe worker panicked"))
+            .collect()
+    });
+    // Deterministic max-reduction: `max` over the same probe set, however
+    // it was striped.
+    let mut best = 0u32;
+    for local in locals {
+        best = best.max(local?);
+    }
+    Ok(best)
+}
+
 /// Builds an LM or AF database (`kind` is one of the two): the flavour's
 /// partition and records, then the plan derived by running the search over
 /// sampled (or all) node pairs.
@@ -247,7 +369,7 @@ pub(crate) fn build(
     // derived budget matches the online fetch counts exactly. Each region
     // is unsealed once into the probe cache; the probe loop itself is
     // striped across `cfg.threads` workers with a deterministic
-    // max-reduction (see [`crate::schemes::plan_probe`]).
+    // max-reduction (see the module doc).
     let t0 = Instant::now();
     let cache: Vec<Vec<u8>> = (0..r)
         .map(|reg| offline_region(&fd, reg, ppr))
@@ -403,7 +525,7 @@ pub(crate) fn query(
         let pages = pir.run_round(link, reqs)?;
         sub.add_page_groups(pages, ppr as usize, fmt, goal, payloads)
     };
-    let out = scheme.flavor.search()(sub, scratch, rs, rt, s, t, &mut fetch)?;
+    let out = search_regions(scheme.flavor, sub, scratch, (rs, rt), (s, t), &mut fetch)?;
 
     // Dummy rounds to reach the plan budget, one page group each.
     let mut regions = out.fetches;
@@ -469,9 +591,10 @@ pub(crate) mod tests {
                     sub.add_region(&offline_region(&fd, region, ppr)?, &fmt, goal)
                 };
                 sub.clear();
-                let (ps, pt) = (net.node_point(s), net.node_point(t));
+                let ends = (net.node_point(s), net.node_point(t));
                 let out =
-                    flavor.search()(&mut sub, &mut scratch, rs, rt, ps, pt, &mut fetch).unwrap();
+                    search_regions(flavor, &mut sub, &mut scratch, (rs, rt), ends, &mut fetch)
+                        .unwrap();
                 max_regions = max_regions.max(out.fetches);
             }
             max_regions
@@ -511,6 +634,98 @@ pub(crate) mod tests {
                 got, want,
                 "{flavor:?}: sampled plan diverged at {threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn sampled_pairs_are_deterministic_and_skip_diagonal() {
+        let a = sample_pairs(50, 200, 0xfeed);
+        let b = sample_pairs(50, 200, 0xfeed);
+        assert_eq!(a, b);
+        assert!(a.iter().all(|&(s, t)| s != t));
+        assert!(a.len() <= 200);
+        let c = sample_pairs(50, 200, 0xbeef);
+        assert_ne!(a, c, "different seeds must draw different sets");
+    }
+
+    /// On a grid whose arcs all weigh the same, equal distances are
+    /// everywhere, so the heap's order among tied keys decides which nodes
+    /// pop before the target settles, and with them the fetch sequence and
+    /// the path. For LM and AF at 512-byte pages, over every ordered pair of
+    /// two grid sizes, the arena search answers exactly as the retained
+    /// reference fed by the reference decoder: cost, snapped nodes, path and
+    /// fetch count. AF cuts twelve regions, a count whose rectangles do not
+    /// line up across the grid, so for some pairs a region is first reached
+    /// by a node that ties with the target: an AF search that stopped when a
+    /// relaxation reaches t, as LM's does, skips that fetch (15 of 900 and
+    /// 60 of 11,664 pairs here). The larger grid gives AF two-page groups.
+    #[test]
+    fn one_search_matches_the_references_on_tied_grids() {
+        use crate::files::fd::decode_region;
+        use crate::schemes::{af, lm};
+        use privpath_graph::gen::{grid_network, GridGenConfig};
+
+        for (nx, ny) in [(6, 5), (12, 9)] {
+            let net = grid_network(&GridGenConfig {
+                nx,
+                ny,
+                jitter: 0,
+                ..Default::default()
+            });
+            let mut cfg = BuildConfig::default();
+            cfg.spec.page_size = 512;
+            cfg.landmarks = 3;
+            cfg.af_regions = 12;
+            for flavor in [BaselineFlavor::Lm, BaselineFlavor::Af] {
+                let mut stage_s = StageBreakdown::default();
+                let (fmt, partition, ppr, fd) =
+                    flavor.region_file(&net, &cfg, &mut stage_s).unwrap();
+                let cache: Vec<Vec<u8>> = (0..partition.num_regions())
+                    .map(|reg| offline_region(&fd, reg, ppr))
+                    .collect::<Result<_>>()
+                    .unwrap();
+                let mut sub = ClientSubgraph::new();
+                let mut scratch = QueryScratch::new();
+                let n = net.num_nodes() as u32;
+                for (s, t) in (0..n).flat_map(|s| (0..n).map(move |t| (s, t))) {
+                    let rs = partition.region_of_node[s as usize];
+                    let rt = partition.region_of_node[t as usize];
+                    let (ps, pt) = (net.node_point(s), net.node_point(t));
+                    let mut decoded = |reg: u16| decode_region(&cache[reg as usize], &fmt);
+                    let want = match flavor {
+                        BaselineFlavor::Lm => {
+                            let o = lm::reference::lm_search(rs, rt, ps, pt, &mut decoded).unwrap();
+                            (o.cost, o.s_node, o.t_node, o.path, o.pages)
+                        }
+                        BaselineFlavor::Af => {
+                            let o = af::reference::af_search(rs, rt, ps, pt, &mut decoded).unwrap();
+                            (o.cost, o.s_node, o.t_node, o.path, o.regions_fetched)
+                        }
+                    };
+                    let goal = flavor.goal(rt);
+                    let mut fetch = |reg: u16, sub: &mut ClientSubgraph| {
+                        sub.add_region(&cache[reg as usize], &fmt, goal)
+                    };
+                    sub.clear();
+                    let out = search_regions(
+                        flavor,
+                        &mut sub,
+                        &mut scratch,
+                        (rs, rt),
+                        (ps, pt),
+                        &mut fetch,
+                    )
+                    .unwrap();
+                    let got = (
+                        out.cost,
+                        out.s_node,
+                        out.t_node,
+                        scratch.path.clone(),
+                        out.fetches,
+                    );
+                    assert_eq!(got, want, "{flavor:?} on a {nx}x{ny} grid: {s} -> {t}");
+                }
+            }
         }
     }
 }

@@ -20,4 +20,3 @@ pub(crate) mod baseline;
 pub mod index_scheme;
 pub mod lm;
 pub(crate) mod obf;
-pub(crate) mod plan_probe;

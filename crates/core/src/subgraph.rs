@@ -7,10 +7,11 @@
 //! this subgraph" (§5.4).
 //!
 //! The LM and AF baselines interleave fetching with the search instead
-//! (§4): their searches — `search_lm_in` and `search_af_in`, driven from
-//! outside the crate through [`search_lm`] and [`search_af`] — run A* /
-//! arc-flag-pruned Dijkstra over the same arena and pull in a region page
-//! whenever the frontier pops a node whose record has not arrived yet.
+//! (§4): one search, `search_regions`, driven from outside the crate
+//! through [`search_lm`] and [`search_af`], runs A* over the same arena —
+//! under the landmark bounds for LM, under a zero bound over the
+//! flag-pruned arcs for AF — and pulls in a region page whenever the
+//! frontier pops a node whose record has not arrived yet.
 //!
 //! This is the client hot path, so its cost follows the bytes it reads. A
 //! region's unsealed payload is parsed straight into the arena in one pass
@@ -59,10 +60,13 @@
 use crate::error::CoreError;
 use crate::files::fd::{RecordFormat, RegionData};
 use crate::files::unseal_page;
+use crate::schemes::baseline::BaselineFlavor;
 use crate::Result;
 use privpath_graph::heap::IndexedMinHeap;
 use privpath_graph::types::{Dist, NodeId, Point};
 use privpath_storage::{ByteReader, PageBuf};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Sentinel for "no dense slot" (and "no region entry").
@@ -705,11 +709,12 @@ pub struct QueryScratch {
     /// `(dist, external id)` — the external-id tie-break keeps the settle
     /// order canonical regardless of interning order.
     heap: IndexedMinHeap,
-    /// Lazy-deletion binary min-heap for the interleaved fetch-and-search
-    /// drivers: `(primary key, secondary key, slot)` entries whose final
-    /// tiebreak is the slot's external id — the exact ordering of the
-    /// `HashMap` reference searches' `BinaryHeap<Reverse<(_, _, NodeId)>>`.
-    lazy: Vec<(Dist, Dist, u32)>,
+    /// The frontier of [`search_regions`], a lazy-deletion min-heap of
+    /// `(g + bound, g, external id, slot)`: the reference searches' own
+    /// `BinaryHeap<Reverse<(_, _, NodeId)>>` with the slot appended. A slot
+    /// has one external id, so the slot orders only entries that are equal
+    /// throughout, and the pop sequence is the references'.
+    frontier: BinaryHeap<Reverse<(Dist, Dist, NodeId, u32)>>,
     /// Per-query copy of the target's aux vector (`t_vec` of the LM bound),
     /// held here so heuristic evaluation never borrows the growing arena.
     aux_key: Vec<u32>,
@@ -732,7 +737,7 @@ impl QueryScratch {
         self.reached.clear();
         self.ensure(n);
         self.heap.reset(n);
-        self.lazy.clear();
+        self.frontier.clear();
         self.aux_key.clear();
         self.path.clear();
     }
@@ -757,53 +762,6 @@ impl QueryScratch {
         }
         self.dist[v as usize] = dist;
         self.parent[v as usize] = parent;
-    }
-
-    /// `true` if lazy-heap entry `a` orders before `b` (full-key min-heap:
-    /// primary, secondary, then the slot's external id).
-    fn lazy_less(&self, a: (Dist, Dist, u32), b: (Dist, Dist, u32), ids: &[NodeId]) -> bool {
-        (a.0, a.1, ids[a.2 as usize]) < (b.0, b.1, ids[b.2 as usize])
-    }
-
-    fn lazy_push(&mut self, entry: (Dist, Dist, u32), ids: &[NodeId]) {
-        self.lazy.push(entry);
-        let mut i = self.lazy.len() - 1;
-        while i > 0 {
-            let up = (i - 1) / 2;
-            if !self.lazy_less(self.lazy[i], self.lazy[up], ids) {
-                break;
-            }
-            self.lazy.swap(i, up);
-            i = up;
-        }
-    }
-
-    fn lazy_peek(&self) -> Option<(Dist, Dist, u32)> {
-        self.lazy.first().copied()
-    }
-
-    fn lazy_pop(&mut self, ids: &[NodeId]) -> Option<(Dist, Dist, u32)> {
-        if self.lazy.is_empty() {
-            return None;
-        }
-        let top = self.lazy.swap_remove(0);
-        let mut i = 0usize;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut best = i;
-            if l < self.lazy.len() && self.lazy_less(self.lazy[l], self.lazy[best], ids) {
-                best = l;
-            }
-            if r < self.lazy.len() && self.lazy_less(self.lazy[r], self.lazy[best], ids) {
-                best = r;
-            }
-            if best == i {
-                break;
-            }
-            self.lazy.swap(i, best);
-            i = best;
-        }
-        Some(top)
     }
 
     /// Walks parents from `t_slot` and writes the external-id path (source
@@ -843,20 +801,6 @@ pub struct FetchOutcome {
 /// by the search whether or not the region was folded in before).
 pub(crate) type FoldRegion<'a> = dyn FnMut(u16, &mut ClientSubgraph) -> Result<()> + 'a;
 
-/// Fetches `region` into the arena and counts the fetch (idempotent per
-/// region — a duplicate fetch still counts, mirroring the reference
-/// searches' unconditional `load`).
-fn load_region(
-    sub: &mut ClientSubgraph,
-    region: u16,
-    fetches: &mut u32,
-    fetch: &mut FoldRegion<'_>,
-) -> Result<()> {
-    fetch(region, sub)?;
-    *fetches += 1;
-    Ok(())
-}
-
 /// Adapts a fetch of decoded regions to [`FoldRegion`]: each region is
 /// folded from the payload it was decoded from.
 fn fold_decoded<'a>(
@@ -869,10 +813,10 @@ fn fold_decoded<'a>(
     }
 }
 
-/// `search_lm_in` over a fetch that hands back decoded regions — the form
-/// the differential suite in `tests/leakage.rs` drives, with the decoder
-/// of the retained reference search
-/// ([`crate::schemes::lm::reference::lm_search`]) on its side of the
+/// The interleaved search (`search_regions`) as LM over a fetch that hands
+/// back decoded regions — the form the differential suite in
+/// `tests/leakage.rs` drives, with the decoder of the retained reference
+/// search ([`crate::schemes::lm::reference::lm_search`]) on its side of the
 /// comparison and the arena's own fold on this one.
 pub fn search_lm(
     sub: &mut ClientSubgraph,
@@ -883,11 +827,19 @@ pub fn search_lm(
     t: Point,
     fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
 ) -> Result<FetchOutcome> {
-    search_lm_in(sub, scratch, rs, rt, s, t, &mut fold_decoded(fetch, None))
+    let mut fold = fold_decoded(fetch, BaselineFlavor::Lm.goal(rt));
+    search_regions(
+        BaselineFlavor::Lm,
+        sub,
+        scratch,
+        (rs, rt),
+        (s, t),
+        &mut fold,
+    )
 }
 
-/// `search_af_in` over a fetch that hands back decoded regions; see
-/// [`search_lm`].
+/// The interleaved search (`search_regions`) as AF over a fetch that hands
+/// back decoded regions; see [`search_lm`].
 pub fn search_af(
     sub: &mut ClientSubgraph,
     scratch: &mut QueryScratch,
@@ -897,38 +849,54 @@ pub fn search_af(
     t: Point,
     fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
 ) -> Result<FetchOutcome> {
-    let goal = Some(rt as usize);
-    search_af_in(sub, scratch, rs, rt, s, t, &mut fold_decoded(fetch, goal))
+    let mut fold = fold_decoded(fetch, BaselineFlavor::Af.goal(rt));
+    search_regions(
+        BaselineFlavor::Af,
+        sub,
+        scratch,
+        (rs, rt),
+        (s, t),
+        &mut fold,
+    )
 }
 
-/// The LM interleaved search (§4) on the interned arena: A* under the
-/// stored landmark lower bounds, fetching a region page whenever the
-/// frontier pops a node whose record has not arrived yet. A settled node's
-/// arcs are its row of the arena's arc array, recorded when its region was
-/// folded in, so a fetch costs the region it brings and nothing more.
+/// The interleaved search of the LM and AF baselines (§4) on the interned
+/// arena: A* under the stored landmark lower bounds, fetching a region
+/// whenever the frontier pops a node whose record has not arrived yet. A
+/// settled node's arcs are its row of the arena's arc array, recorded when
+/// its region was folded in, so a fetch costs the region it brings and
+/// nothing more. The first two fetches are the host regions `rs` and `rt`
+/// (two even if they are one region, per the fixed plan), and every fetch
+/// counts whether or not its region was folded in before, mirroring the
+/// reference searches' unconditional `load`.
+///
+/// AF is the same search under a zero bound. Its records carry no landmark
+/// vectors, so [`lm_bound`] of any two rows is 0 and the key `(g + 0, g,
+/// id)` orders exactly as the AF reference's `(g, id)`; its pruning is
+/// `fetch`'s, which folds each region with `rt` as the goal flag, so a
+/// node's row holds only the kept arcs. The flavours differ in one line,
+/// marked below.
 ///
 /// Behaviourally identical — same snaps, same settle order, same fetch
-/// sequence — to the retained `HashMap` implementation
-/// [`crate::schemes::lm::reference::lm_search`]; the differential property
-/// suite in `tests/leakage.rs` asserts answers and fetch counts match
-/// exactly (through [`search_lm`]). Unlike the reference, the search
-/// allocates nothing in steady state: its state lives in the reusable `sub`
-/// arena and `scratch` buffers, and `fetch` folds each region's bytes
-/// straight into `sub`.
-pub(crate) fn search_lm_in(
+/// sequence — to the retained `HashMap` implementations
+/// [`crate::schemes::lm::reference::lm_search`] and
+/// [`crate::schemes::af::reference::af_search`]; the differential suites
+/// in `tests/leakage.rs` (through [`search_lm`] and [`search_af`]) and
+/// `schemes::baseline::tests` assert answers, paths and fetch counts match
+/// exactly. Unlike the references, the search allocates nothing in steady
+/// state: its state lives in the reusable `sub` arena and `scratch`
+/// buffers, and `fetch` folds each region's bytes straight into `sub`.
+pub(crate) fn search_regions(
+    flavor: BaselineFlavor,
     sub: &mut ClientSubgraph,
     scratch: &mut QueryScratch,
-    rs: u16,
-    rt: u16,
-    s: Point,
-    t: Point,
+    (rs, rt): (u16, u16),
+    (s, t): (Point, Point),
     fetch: &mut FoldRegion<'_>,
 ) -> Result<FetchOutcome> {
-    let mut fetches = 0u32;
-    // Round-two fetches: both host regions (two fetches even if equal, per
-    // the fixed plan).
-    load_region(sub, rs, &mut fetches, fetch)?;
-    load_region(sub, rt, &mut fetches, fetch)?;
+    fetch(rs, sub)?;
+    fetch(rt, sub)?;
+    let mut fetches = 2u32;
 
     let s_node = sub
         .snap_first(rs, s)
@@ -952,35 +920,32 @@ pub(crate) fn search_lm_in(
 
     scratch.reach(s_slot, 0, NO_SLOT);
     let h0 = lm_bound(sub.aux_of(s_slot), &scratch.aux_key);
-    scratch.lazy_push((h0, 0, s_slot), &sub.ids);
+    scratch.frontier.push(Reverse((h0, 0, s_node, s_slot)));
+    // No key reaches `Dist::MAX`, so nothing breaks before a path is found.
     let mut incumbent = Dist::MAX;
 
-    while let Some((f, _, _)) = scratch.lazy_peek() {
-        if incumbent != Dist::MAX && f >= incumbent {
+    while let Some(Reverse((f, gu, id, u))) = scratch.frontier.pop() {
+        if f >= incumbent {
             break; // admissible bounds: nothing better remains
         }
-        let (_, gu, u) = scratch.lazy_pop(&sub.ids).expect("peeked");
         if gu > scratch.dist[u as usize] {
             continue; // stale
         }
         if !sub.in_view(u) {
             let region = sub.region_of[u as usize];
             if region == NO_REGION {
-                return Err(CoreError::Query(format!(
-                    "no region hint for node {}",
-                    sub.ids[u as usize]
-                )));
+                return Err(CoreError::Query(format!("no region hint for node {id}")));
             }
-            load_region(sub, region, &mut fetches, fetch)?;
+            fetch(region, sub)?;
+            fetches += 1;
             scratch.ensure(sub.num_nodes());
             if !sub.in_view(u) {
                 return Err(CoreError::Query(format!(
-                    "node {} missing after region fetch",
-                    sub.ids[u as usize]
+                    "node {id} missing after region fetch"
                 )));
             }
             let hu = lm_bound(sub.aux_of(u), &scratch.aux_key);
-            scratch.lazy_push((gu + hu, gu, u), &sub.ids);
+            scratch.frontier.push(Reverse((gu + hu, gu, id, u)));
             continue;
         }
         if u == t_slot {
@@ -992,123 +957,27 @@ pub(crate) fn search_lm_in(
             if nd < scratch.dist[v as usize] {
                 scratch.reach(v, nd, u);
                 let hv = lm_bound(sub.aux_of(v), &scratch.aux_key);
-                scratch.lazy_push((nd + hv, nd, v), &sub.ids);
-                if v == t_slot {
+                scratch
+                    .frontier
+                    .push(Reverse((nd + hv, nd, sub.ids[v as usize], v)));
+                // The flavours' one difference: LM's reference lowers the
+                // incumbent when a relaxation reaches t, AF's only when t
+                // settles. Under AF's zero bound every key left at that
+                // settle is at least the incumbent, so the break above ends
+                // the search exactly where AF's reference stops.
+                if v == t_slot && flavor == BaselineFlavor::Lm {
                     incumbent = incumbent.min(nd);
                 }
             }
         }
     }
 
-    if incumbent == Dist::MAX {
-        return Ok(FetchOutcome {
-            cost: None,
-            s_node,
-            t_node,
-            fetches,
-        });
+    let cost = (incumbent != Dist::MAX).then_some(incumbent);
+    if cost.is_some() {
+        scratch.emit_path(t_slot, &sub.ids);
     }
-    scratch.emit_path(t_slot, &sub.ids);
     Ok(FetchOutcome {
-        cost: Some(incumbent),
-        s_node,
-        t_node,
-        fetches,
-    })
-}
-
-/// The AF interleaved search (§4) on the interned arena: Dijkstra over arcs
-/// whose flag bit for the destination region `goal` is set (pruned arcs are
-/// dropped at insertion, so a node's row holds only the kept ones),
-/// fetching a region whenever the frontier pops a node whose record has
-/// not arrived.
-///
-/// Behaviourally identical to the retained `HashMap` implementation
-/// [`crate::schemes::af::reference::af_search`]; see [`search_lm_in`] for
-/// the equivalence contract. `fetch` applies the pruning: it folds each
-/// region with `rt` as the goal flag.
-pub(crate) fn search_af_in(
-    sub: &mut ClientSubgraph,
-    scratch: &mut QueryScratch,
-    rs: u16,
-    rt: u16,
-    s: Point,
-    t: Point,
-    fetch: &mut FoldRegion<'_>,
-) -> Result<FetchOutcome> {
-    let mut fetches = 0u32;
-    load_region(sub, rs, &mut fetches, fetch)?;
-    load_region(sub, rt, &mut fetches, fetch)?;
-
-    let s_node = sub
-        .snap_first(rs, s)
-        .ok_or_else(|| CoreError::Query("empty source region".into()))?;
-    let t_node = sub
-        .snap_first(rt, t)
-        .ok_or_else(|| CoreError::Query("empty target region".into()))?;
-    scratch.reset(sub.num_nodes());
-    if s_node == t_node {
-        scratch.path.push(s_node);
-        return Ok(FetchOutcome {
-            cost: Some(0),
-            s_node,
-            t_node,
-            fetches,
-        });
-    }
-    let s_slot = sub.slot_of[s_node as usize];
-    let t_slot = sub.slot_of[t_node as usize];
-    scratch.reach(s_slot, 0, NO_SLOT);
-    scratch.lazy_push((0, 0, s_slot), &sub.ids);
-    let mut found = None;
-
-    while let Some((gu, _, u)) = scratch.lazy_pop(&sub.ids) {
-        if gu > scratch.dist[u as usize] {
-            continue; // stale
-        }
-        if !sub.in_view(u) {
-            let region = sub.region_of[u as usize];
-            if region == NO_REGION {
-                return Err(CoreError::Query(format!(
-                    "no region hint for node {}",
-                    sub.ids[u as usize]
-                )));
-            }
-            load_region(sub, region, &mut fetches, fetch)?;
-            scratch.ensure(sub.num_nodes());
-            if !sub.in_view(u) {
-                return Err(CoreError::Query(format!(
-                    "node {} missing after region fetch",
-                    sub.ids[u as usize]
-                )));
-            }
-            scratch.lazy_push((gu, 0, u), &sub.ids);
-            continue;
-        }
-        if u == t_slot {
-            found = Some(gu);
-            break; // Dijkstra (no heuristic): first settle is optimal
-        }
-        for &(_, v, w) in sub.arcs_of(u) {
-            let nd = gu + Dist::from(w);
-            if nd < scratch.dist[v as usize] {
-                scratch.reach(v, nd, u);
-                scratch.lazy_push((nd, 0, v), &sub.ids);
-            }
-        }
-    }
-
-    let Some(cost) = found else {
-        return Ok(FetchOutcome {
-            cost: None,
-            s_node,
-            t_node,
-            fetches,
-        });
-    };
-    scratch.emit_path(t_slot, &sub.ids);
-    Ok(FetchOutcome {
-        cost: Some(cost),
+        cost,
         s_node,
         t_node,
         fetches,

@@ -243,12 +243,13 @@ fn many_wire_clients_one_server_stress_and_graceful_shutdown() {
 }
 
 /// PR 7 network stress: the same many-clients shape as the wire stress,
-/// but over real loopback TCP sockets into a [`privpath::pir::TcpFront`]
-/// accept loop — over linear-scan stores, so interleaved rounds of one
-/// file ride the laps of its rotation together. Half the
-/// clients close their sessions, half just drop them (dropping a TCP
-/// session closes its socket, i.e. a mid-session disconnect the reader
-/// thread must turn into a clean server-side teardown). Then two more
+/// but over real loopback TCP sockets into a [`privpath::pir::TcpFront`],
+/// whose one loop thread accepts and serves them all — over linear-scan
+/// stores, so interleaved rounds of one file ride the laps of its rotation
+/// together. Half the clients close their sessions, half just drop them
+/// (dropping a TCP session closes its socket, i.e. a mid-session
+/// disconnect the front's poll loop must turn into a clean server-side
+/// teardown). Then two more
 /// clients stay live across `shutdown()`: the drain must flush their
 /// buffered replies and close the sockets so post-shutdown queries fail
 /// with a clean error, not a hang.
@@ -357,7 +358,7 @@ fn many_tcp_clients_one_server_stress_and_graceful_shutdown() {
 }
 
 /// Drain regression: a graceful TCP shutdown must flush the whole of
-/// a partially-written response before the writer closes the socket. A
+/// a partially-written response before the front closes the socket. A
 /// client that is slow to read requests a download far larger than the
 /// loopback socket buffers (so most of its one frame is still buffered
 /// server-side when the drain starts), the front shuts down the moment the
@@ -373,7 +374,7 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
     use std::time::{Duration, Instant};
 
     /// A [`TcpLink`] whose `slow`-th receive (counting from 1) waits
-    /// `delay` first, pinning the client far behind the writer so the
+    /// `delay` first, pinning the client far behind the front so the
     /// shutdown drain races a mostly-unwritten response.
     struct SlowLink {
         inner: TcpLink,
@@ -395,7 +396,7 @@ fn tcp_shutdown_flushes_partially_written_chunk_trains() {
     }
 
     // 2,048 tagged pages = 8 MiB in one frame: twice what a loopback socket
-    // pair holds for a peer that does not read, so the writer cannot have
+    // pair holds for a peer that does not read, so the front cannot have
     // flushed it when the drain begins.
     const PAGES: u32 = 2048;
     let mut srv = PirServer::new(SystemSpec::default());

@@ -9,7 +9,7 @@
 //! asserts it over randomized networks and query workloads for every
 //! PIR-based scheme, plus two supporting invariants:
 //!
-//! * the CSR-arena LM/AF searches are behaviourally identical to the
+//! * the CSR-arena LM/AF search is behaviourally identical to both
 //!   retained `HashMap` reference implementations (answers, snapped nodes,
 //!   paths, fetch counts — and therefore PIR meter charges — match exactly);
 //! * the meter's charged PIR fetch counts equal the `PirFetch` events in the
@@ -19,8 +19,9 @@
 //!   with retries is observably identical — answers, traces, meters, and
 //!   the logical server-observed frame stream — to a clean-link session
 //!   (the chaos differential at the bottom of this file);
-//! * the theorem survives a real socket: serving over loopback TCP is
-//!   observably identical to serving over the in-process channel.
+//! * the theorem survives a real network: serving over loopback TCP is
+//!   observably identical to serving an in-process link, one end of a
+//!   socket pair.
 
 use privpath::core::audit::{
     assert_indistinguishable, check_plan_conformance, check_wire_conformance,
@@ -465,12 +466,13 @@ fn wire_execution_is_differentially_equal_and_frame_uniform() {
     }
 }
 
-/// Theorem 1 over a real socket: for every PIR scheme, the same queries with
-/// the same dummy-RNG seed, served once through the in-process channel front
-/// ([`Database::serve_wire`]) and once over loopback TCP
-/// ([`Database::serve_tcp`], whose loop thread writes each reply onto the
-/// socket itself and leaves only what the socket does not take to a writer
-/// thread), give bit-identical answers, traces and meters (the wall-measured
+/// Theorem 1 over a real network: for every PIR scheme, the same queries
+/// with the same dummy-RNG seed, served once through an in-process front
+/// ([`Database::serve_wire`], whose links are one end of a socket pair) and
+/// once over loopback TCP ([`Database::serve_tcp`]) — one poll loop reads
+/// both kinds of socket and writes each reply itself, keeping what the
+/// socket does not take until it is writable — give bit-identical answers,
+/// traces and meters (the wall-measured
 /// `client_s` excluded), and the server records byte-identical masked
 /// observable streams, conformant to the published plan. How a reply leaves
 /// the server must be invisible on both sides of the trust boundary.
