@@ -9,11 +9,11 @@
 //! one region per data-dependent round of the interleaved search, then
 //! dummy rounds up to a fixed budget of regions. The flavours differ only
 //! in the record extra (landmark vectors or arc flags), the partitioner,
-//! the search (A* or flag-pruned Dijkstra) and AF's fixed page group per
-//! region — LM's is one page. The searches run on the client arena of
-//! [`crate::subgraph`]; their original `HashMap` implementations are
-//! retained under `lm::reference` / `af::reference` for the differential
-//! property suites.
+//! the bound of their one A* search (landmark, or zero over flag-pruned
+//! arcs) and AF's fixed page group per region — LM's is one page. The
+//! search runs on the client arena of [`crate::subgraph`]; the original
+//! `HashMap` searches are retained under `lm::reference` /
+//! `af::reference` for the differential property suites.
 
 pub mod af;
 pub(crate) mod baseline;

@@ -921,7 +921,8 @@ pub(crate) fn search_regions(
     scratch.reach(s_slot, 0, NO_SLOT);
     let h0 = lm_bound(sub.aux_of(s_slot), &scratch.aux_key);
     scratch.frontier.push(Reverse((h0, 0, s_node, s_slot)));
-    // No key reaches `Dist::MAX`, so nothing breaks before a path is found.
+    // Keys stay below `Dist::MAX` (a simple path of `u32` arcs over `u32`
+    // slots, plus a `u32` bound), so no break fires before a path is found.
     let mut incumbent = Dist::MAX;
 
     while let Some(Reverse((f, gu, id, u))) = scratch.frontier.pop() {
