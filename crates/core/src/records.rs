@@ -11,6 +11,30 @@
 //!   dummy fetches with fetches of unneeded (real) pages;
 //! * subgraph deltas carry only includes (§6): extra decoded edges are
 //!   genuine network edges and cannot mislead the client's Dijkstra.
+//!
+//! Layouts, integers little-endian; `v` is a varint of a `u32` (LEB128:
+//! seven bits a byte, low group first, the top bit set on every byte but
+//! the last; at most five bytes, and no final zero group after the first
+//! byte, so each value has one encoding):
+//!
+//! ```text
+//! regions literal  [0][n u16][region u16]×n
+//! regions delta    [1][slot u16][n u16][region u16]×n[k u16][region u16]×k
+//! edges literal    [2][body v] body = [n v][triple]×n
+//! edges delta      [3][slot u16][n v][triple]×n
+//! triple           [tail − previous tail v][zigzag(head − tail) v][weight v]
+//! ```
+//!
+//! Edge triples are dense: the first tail is a delta from 0, and the
+//! differences are taken modulo 2^32 (the head's as an `i32`, zigzagged so a
+//! head just below its tail is small too), so every list of triples encodes
+//! and decodes to itself. The lists stored are sorted, so a tail delta is
+//! mostly one byte and a nearby head one or two: about five bytes a triple
+//! against the twelve of three `u32`s. A literal's head — its kind and, for
+//! edges, the body's byte length — gives its length, which is how `Fi`
+//! knows how many pages a record spans; a delta never spans. The decoder
+//! checks every count against the bytes that can hold it (a triple takes at
+//! least three) before it reserves anything.
 
 use crate::error::CoreError;
 use crate::Result;
@@ -34,23 +58,82 @@ const KIND_REGIONS_DELTA: u8 = 1;
 const KIND_EDGES_LITERAL: u8 = 2;
 const KIND_EDGES_DELTA: u8 = 3;
 
+/// The most bytes a literal's head takes: its kind and a five-byte varint.
+pub(crate) const MAX_HEAD_BYTES: usize = 6;
+
 /// Serialized size of a literal record of `n` region ids: kind, `u16`
 /// count, ids.
 pub(crate) const fn regions_literal_size(n: usize) -> usize {
     1 + 2 + 2 * n
 }
 
-/// Serialized size of a literal record of `n` edge triples: kind, `u32`
+/// Serialized size of a literal record of `triples`: kind, body length,
 /// count, triples.
-pub(crate) const fn edges_literal_size(n: usize) -> usize {
-    1 + 4 + 12 * n
+pub(crate) fn edges_literal_size(triples: &[EdgeTriple]) -> usize {
+    let body = edges_body_size(triples);
+    1 + varint_size(body as u32) + body
 }
 
 /// Serialized size of a literal record for `payload`.
 pub(crate) fn literal_size(payload: &IndexPayload) -> usize {
     match payload {
         IndexPayload::Regions(v) => regions_literal_size(v.len()),
-        IndexPayload::Edges(v) => edges_literal_size(v.len()),
+        IndexPayload::Edges(v) => edges_literal_size(v),
+    }
+}
+
+fn varint_size(v: u32) -> usize {
+    (32 - v.leading_zeros() as usize).max(1).div_ceil(7)
+}
+
+fn put_varint(w: &mut ByteWriter, mut v: u32) {
+    while v >= 0x80 {
+        w.u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.u8(v as u8);
+}
+
+/// `d` with its sign in the low bit: small magnitudes stay small.
+fn zigzag(d: i32) -> u32 {
+    ((d << 1) ^ (d >> 31)) as u32
+}
+
+fn unzigzag(z: u32) -> i32 {
+    (z >> 1) as i32 ^ -((z & 1) as i32)
+}
+
+/// The varints of one triple, against the previous triple's tail.
+fn triple_varints(prev_tail: u32, (tail, head, weight): EdgeTriple) -> [u32; 3] {
+    [
+        tail.wrapping_sub(prev_tail),
+        zigzag(head.wrapping_sub(tail) as i32),
+        weight,
+    ]
+}
+
+/// Bytes of an edge body: the count, then the triples.
+fn edges_body_size(triples: &[EdgeTriple]) -> usize {
+    let mut prev = 0;
+    let mut size = varint_size(triples.len() as u32);
+    for &t in triples {
+        size += triple_varints(prev, t)
+            .map(varint_size)
+            .iter()
+            .sum::<usize>();
+        prev = t.0;
+    }
+    size
+}
+
+fn put_edges_body(w: &mut ByteWriter, triples: &[EdgeTriple]) {
+    put_varint(w, triples.len() as u32);
+    let mut prev = 0;
+    for &t in triples {
+        for v in triple_varints(prev, t) {
+            put_varint(w, v);
+        }
+        prev = t.0;
     }
 }
 
@@ -66,10 +149,8 @@ pub(crate) fn encode_literal(payload: &IndexPayload, w: &mut ByteWriter) {
         }
         IndexPayload::Edges(v) => {
             w.u8(KIND_EDGES_LITERAL);
-            w.u32(v.len() as u32);
-            for &(a, b, wt) in v {
-                w.u32(a).u32(b).u32(wt);
-            }
+            put_varint(w, edges_body_size(v) as u32);
+            put_edges_body(w, v);
         }
     }
 }
@@ -237,10 +318,7 @@ fn delta_edges(mine: &[EdgeTriple], refs: &[EdgeTriple], slot: u16) -> Option<De
     let mut w = ByteWriter::new();
     w.u8(KIND_EDGES_DELTA);
     w.u16(slot);
-    w.u32(includes.len() as u32);
-    for &(a, b, wt) in &includes {
-        w.u32(a).u32(b).u32(wt);
-    }
+    put_edges_body(&mut w, &includes);
     Some(DeltaEncoding {
         bytes: w.into_vec(),
         decoded: IndexPayload::Edges(decoded),
@@ -248,7 +326,8 @@ fn delta_edges(mine: &[EdgeTriple], refs: &[EdgeTriple], slot: u16) -> Option<De
 }
 
 /// What a record's head says: a literal's byte length, read from its kind
-/// and count, or the in-page directory slot a delta record references.
+/// and its count or body length, or the in-page directory slot a delta
+/// record references.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RecordHead {
     /// A literal record of this many bytes, head included.
@@ -262,88 +341,136 @@ pub(crate) fn read_head(rec: &[u8]) -> Result<RecordHead> {
     let mut r = ByteReader::new(rec);
     Ok(match r.u8()? {
         KIND_REGIONS_LITERAL => RecordHead::Literal(regions_literal_size(r.u16()?.into())),
-        KIND_EDGES_LITERAL => RecordHead::Literal(edges_literal_size(r.u32()? as usize)),
+        KIND_EDGES_LITERAL => {
+            let body = Cursor::of(&rec[1..]).varint()?;
+            RecordHead::Literal(1 + varint_size(body) + body as usize)
+        }
         KIND_REGIONS_DELTA | KIND_EDGES_DELTA => RecordHead::Delta(r.u16()?),
         k => return Err(CoreError::Query(format!("unknown index record kind {k}"))),
     })
 }
 
-/// A record's bytes in order: what its first page holds, then, for a
-/// literal that spans, its continuation pages. The caller checks the
-/// record's length against both first, so no read runs past them.
-struct Parts<'a> {
+/// A record's bytes in order, no more than `left` of them: `cur`, then the
+/// slices `more` yields.
+struct Cursor<'a, I> {
     cur: &'a [u8],
-    next: &'a [u8],
+    more: I,
+    left: usize,
 }
 
-impl<'a> Parts<'a> {
+impl<'a> Cursor<'a, std::iter::Empty<Result<&'a [u8]>>> {
+    /// The bytes of one slice.
     fn of(bytes: &'a [u8]) -> Self {
-        Parts {
+        Cursor {
             cur: bytes,
-            next: &[],
+            more: std::iter::empty(),
+            left: bytes.len(),
         }
-    }
-
-    fn take<const N: usize>(&mut self) -> [u8; N] {
-        if let Some((bytes, rest)) = self.cur.split_first_chunk::<N>() {
-            self.cur = rest;
-            return *bytes;
-        }
-        // an element split across the page boundary
-        let mut out = [0; N];
-        for b in &mut out {
-            if self.cur.is_empty() {
-                self.cur = std::mem::take(&mut self.next);
-            }
-            if let Some((&x, rest)) = self.cur.split_first() {
-                *b = x;
-                self.cur = rest;
-            }
-        }
-        out
-    }
-
-    fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take())
-    }
-
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take())
     }
 }
 
-/// Decodes the literal record `rec` starts with, reading on into `rest` —
-/// the payloads of its continuation pages — where its length runs past
-/// `rec`. A length beyond what the two hold is an error before anything is
-/// reserved.
-pub(crate) fn decode_literal(rec: &[u8], rest: &[u8]) -> Result<IndexPayload> {
+impl<'a, I: Iterator<Item = Result<&'a [u8]>>> Cursor<'a, I> {
+    fn byte(&mut self) -> Result<u8> {
+        if self.left == 0 {
+            return Err(CoreError::Query("index record ends inside a field".into()));
+        }
+        loop {
+            if let Some((&b, rest)) = self.cur.split_first() {
+                self.cur = rest;
+                self.left -= 1;
+                return Ok(b);
+            }
+            self.cur = self.more.next().ok_or_else(|| {
+                CoreError::Query("index record runs past the pages that hold it".into())
+            })??;
+        }
+    }
+
+    fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes([self.byte()?, self.byte()?]))
+    }
+
+    fn varint(&mut self) -> Result<u32> {
+        let mut v = 0u32;
+        for shift in (0..32).step_by(7) {
+            let b = self.byte()?;
+            let group = u32::from(b & 0x7f);
+            if group >> (32 - shift).min(7) != 0 {
+                return Err(CoreError::Query("index varint overflows a u32".into()));
+            }
+            v |= group << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(CoreError::Query("overlong index varint".into()));
+                }
+                return Ok(v);
+            }
+        }
+        Err(CoreError::Query("unterminated index varint".into()))
+    }
+
+    /// Reads an edge body's count and its triples into `out`.
+    fn edges_into(&mut self, out: &mut Vec<EdgeTriple>) -> Result<()> {
+        let n = self.varint()? as usize;
+        if n > self.left / 3 {
+            return Err(CoreError::Query(format!(
+                "index record claims {n} triples in {} bytes",
+                self.left
+            )));
+        }
+        out.reserve(n);
+        let mut tail = 0u32;
+        for _ in 0..n {
+            tail = tail.wrapping_add(self.varint()?);
+            let head = tail.wrapping_add(unzigzag(self.varint()?) as u32);
+            out.push((tail, head, self.varint()?));
+        }
+        Ok(())
+    }
+}
+
+/// Decodes the literal record `rec` starts with, reading on into `carries`
+/// — the slices its bytes continue in, one a page, when it spans — where
+/// its length runs past `rec`. A count beyond the bytes that can hold it is
+/// an error before anything is reserved, and so is a body with bytes left
+/// over.
+pub(crate) fn decode_literal<'a>(
+    rec: &'a [u8],
+    carries: impl Iterator<Item = Result<&'a [u8]>>,
+) -> Result<IndexPayload> {
     let RecordHead::Literal(len) = read_head(rec)? else {
         return Err(CoreError::Query(
             "index record is a delta, not a literal".into(),
         ));
     };
-    let (cur, next) = if len <= rec.len() {
-        (&rec[..len], &rest[..0])
-    } else {
-        let more = rest.get(..len - rec.len()).ok_or_else(|| {
-            CoreError::Query(format!(
-                "index record of {len} bytes overruns the {} its pages hold",
-                rec.len() + rest.len()
-            ))
-        })?;
-        (rec, more)
+    let mut r = Cursor {
+        cur: &rec[..len.min(rec.len())],
+        more: carries,
+        left: len,
     };
-    let mut r = Parts { cur, next };
-    Ok(match r.take() {
-        [KIND_REGIONS_LITERAL] => {
-            let n = r.u16();
-            IndexPayload::Regions((0..n).map(|_| r.u16()).collect())
+    let payload = match r.byte()? {
+        KIND_REGIONS_LITERAL => {
+            let n = r.u16()?;
+            let mut v = Vec::with_capacity(n.into());
+            for _ in 0..n {
+                v.push(r.u16()?);
+            }
+            IndexPayload::Regions(v)
         }
         _ => {
-            let n = r.u32();
-            IndexPayload::Edges((0..n).map(|_| (r.u32(), r.u32(), r.u32())).collect())
+            r.varint()?; // the body length, which `len` holds
+            let mut v = Vec::new();
+            r.edges_into(&mut v)?;
+            IndexPayload::Edges(v)
         }
-    })
+    };
+    if r.left != 0 {
+        return Err(CoreError::Query(format!(
+            "index record has {} bytes past its last triple",
+            r.left
+        )));
+    }
+    Ok(payload)
 }
 
 /// Applies the delta record `rec` to `base`, the decoded record of the slot
@@ -358,18 +485,19 @@ pub(crate) fn apply_delta(rec: &[u8], base: &mut IndexPayload) -> Result<()> {
     match (kind, base) {
         (KIND_REGIONS_DELTA, IndexPayload::Regions(v)) => {
             let n = r.u16()?;
-            let mut incl = Parts::of(r.bytes(2 * usize::from(n))?);
+            let incl = r.bytes(2 * usize::from(n))?;
             let n_excl = r.u16()?;
             let excl = r.bytes(2 * usize::from(n_excl))?;
             v.retain(|x| !excl.chunks_exact(2).any(|e| e == x.to_le_bytes()));
-            v.extend((0..n).map(|_| incl.u16()));
+            v.extend(
+                incl.chunks_exact(2)
+                    .map(|b| u16::from_le_bytes([b[0], b[1]])),
+            );
             v.sort_unstable();
             v.dedup();
         }
         (KIND_EDGES_DELTA, IndexPayload::Edges(v)) => {
-            let n = r.u32()?;
-            let mut incl = Parts::of(r.bytes(12 * n as usize)?);
-            v.extend((0..n).map(|_| (incl.u32(), incl.u32(), incl.u32())));
+            Cursor::of(&rec[3..]).edges_into(v)?;
             v.sort_unstable();
             v.dedup();
         }
@@ -389,7 +517,7 @@ mod tests {
 
     fn decode(bytes: &[u8], refs: &[IndexPayload]) -> Result<IndexPayload> {
         match read_head(bytes)? {
-            RecordHead::Literal(_) => decode_literal(bytes, &[]),
+            RecordHead::Literal(_) => decode_literal(bytes, std::iter::empty()),
             RecordHead::Delta(slot) => {
                 let mut payload = refs[slot as usize].clone();
                 apply_delta(bytes, &mut payload)?;
@@ -539,14 +667,116 @@ mod tests {
             }
         }
 
+        /// Dense literals decode to exactly the triples encoded — sorted
+        /// or not, from any part of the `u32` range — at the length
+        /// `literal_size` predicts and the head declares, and read the
+        /// same when split across slices anywhere.
         #[test]
         fn edge_literal_round_trip(
-            edges in proptest::collection::btree_set((0u32..100, 0u32..100, 1u32..1000), 0..50)
+            edges in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..60),
+            near in proptest::collection::btree_set((0u32..100, 0u32..100, 1u32..1000), 0..50),
+            cut in any::<usize>(),
         ) {
-            let p = IndexPayload::Edges(edges.into_iter().collect());
-            let mut w = ByteWriter::new();
-            encode_literal(&p, &mut w);
-            prop_assert_eq!(decode_bytes(w.as_slice(), &[]), p);
+            for v in [edges.clone(), near.iter().copied().collect()] {
+                let p = IndexPayload::Edges(v);
+                let mut w = ByteWriter::new();
+                encode_literal(&p, &mut w);
+                let bytes = w.as_slice();
+                prop_assert_eq!(bytes.len(), literal_size(&p));
+                let RecordHead::Literal(len) = read_head(bytes).unwrap() else {
+                    panic!("a literal's head");
+                };
+                prop_assert_eq!(len, bytes.len());
+                prop_assert_eq!(decode_bytes(bytes, &[]), p.clone());
+                let at = (MAX_HEAD_BYTES + cut % bytes.len()).min(bytes.len());
+                let (first, rest) = bytes.split_at(at);
+                let carries = rest.chunks(1 + cut % 7).map(Ok);
+                prop_assert_eq!(decode_literal(first, carries).unwrap(), p);
+            }
         }
+
+        /// An edge delta decodes, against its reference, to the union of
+        /// the two sets, which covers the record; it is written only when
+        /// smaller than the literal.
+        #[test]
+        fn edge_delta_round_trip(
+            mine in proptest::collection::btree_set((0u32..300, 0u32..300, 1u32..70_000), 0..60),
+            reference in proptest::collection::btree_set((0u32..300, 0u32..300, 1u32..70_000), 0..60),
+            shared in proptest::collection::btree_set((0u32..300, 0u32..300, 1u32..70_000), 0..80),
+        ) {
+            let union = |a: &std::collections::BTreeSet<EdgeTriple>| -> Vec<EdgeTriple> {
+                a.union(&shared).copied().collect()
+            };
+            let payload = IndexPayload::Edges(union(&mine));
+            let refs = vec![IndexPayload::Edges(union(&reference))];
+            if let Some(enc) = try_delta(&payload, &refs, 0) {
+                prop_assert!(enc.bytes.len() < literal_size(&payload));
+                prop_assert_eq!(decode_bytes(&enc.bytes, &refs), enc.decoded.clone());
+                let want: std::collections::BTreeSet<EdgeTriple> =
+                    mine.union(&reference).chain(&shared).copied().collect();
+                prop_assert_eq!(enc.decoded, IndexPayload::Edges(want.into_iter().collect()));
+            }
+        }
+
+        /// Every `u32` has one varint, of the length `varint_size` says;
+        /// the zigzag map is a bijection.
+        #[test]
+        fn varints_round_trip(v in any::<u32>(), d in any::<i32>()) {
+            let mut w = ByteWriter::new();
+            put_varint(&mut w, v);
+            prop_assert_eq!(w.len(), varint_size(v));
+            let mut c = Cursor::of(w.as_slice());
+            prop_assert_eq!(c.varint().unwrap(), v);
+            prop_assert_eq!(c.left, 0);
+            prop_assert_eq!(unzigzag(zigzag(d)), d);
+        }
+    }
+
+    /// Forged dense records are errors: a varint with a trailing zero
+    /// group, one of six bytes or past `u32::MAX`, one the record ends
+    /// inside, a triple count the body cannot hold, and body bytes past
+    /// the last triple.
+    #[test]
+    fn forged_dense_records_are_errors() {
+        for forged in [
+            &[0x80, 0x00][..],
+            &[0xff, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            &[0xff, 0xff, 0xff, 0xff, 0x10],
+            &[0x80],
+            &[],
+        ] {
+            assert!(Cursor::of(forged).varint().is_err(), "{forged:x?}");
+        }
+        assert_eq!(
+            Cursor::of(&[0xff, 0xff, 0xff, 0xff, 0x0f])
+                .varint()
+                .unwrap(),
+            u32::MAX
+        );
+        let literal = |body: &[u8]| [&[KIND_EDGES_LITERAL, body.len() as u8][..], body].concat();
+        // one triple (1, 2, 3) is [1][zigzag 1 = 2][3]
+        assert_eq!(
+            decode_bytes(&literal(&[1, 1, 2, 3]), &[]),
+            IndexPayload::Edges(vec![(1, 2, 3)])
+        );
+        for body in [
+            &[2, 1, 2, 3][..],      // two triples in three bytes
+            &[1, 1, 2, 3, 0],       // a byte past the triple
+            &[1, 1, 2, 0x83],       // the weight runs past the body
+            &[1, 1, 2, 0x83, 0x00], // and with its last group zero
+        ] {
+            assert!(decode(&literal(body), &[]).is_err(), "{body:?}");
+        }
+        // the head declares more than `rec` and its carries hold
+        let rec = literal(&[1, 1, 2, 3]);
+        assert!(decode_literal(&rec[..4], std::iter::empty()).is_err());
+        // a delta's triple count past its record
+        let refs = [IndexPayload::Edges(vec![])];
+        assert!(decode(&[KIND_EDGES_DELTA, 0, 0, 2, 1, 2, 3], &refs).is_err());
+        assert_eq!(
+            decode(&[KIND_EDGES_DELTA, 0, 0, 1, 1, 2, 3], &refs).unwrap(),
+            IndexPayload::Edges(vec![(1, 2, 3)])
+        );
     }
 }

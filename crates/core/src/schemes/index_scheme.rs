@@ -45,6 +45,18 @@ pub(crate) enum IndexFlavor {
     },
 }
 
+impl IndexFlavor {
+    /// Whether the record of a pair whose `S_ij` has `set_len` regions
+    /// stores `G_ij`.
+    fn stores_graph(self, set_len: usize) -> bool {
+        match self {
+            IndexFlavor::Sets => false,
+            IndexFlavor::Graphs => true,
+            IndexFlavor::Hybrid { threshold } => set_len > threshold,
+        }
+    }
+}
+
 /// Built database handles for an index-family scheme.
 pub(crate) struct IndexScheme {
     /// Scheme discriminator byte stored in the header.
@@ -100,7 +112,9 @@ pub struct BuildStats {
     pub pages: (u32, u32, u32),
     /// `|S_ij|` histogram (Figure 10(a)).
     pub s_histogram: Vec<(usize, usize)>,
-    /// Per-stage build wall-clock breakdown.
+    /// Per-stage build wall-clock breakdown. Not persisted, so that a
+    /// snapshot is a pure function of its input: a database reopened from
+    /// one reports zero for every stage.
     pub stage_s: StageBreakdown,
 }
 
@@ -116,15 +130,46 @@ fn edge_triples(net: &RoadNetwork, edges: &[u32]) -> Vec<(u32, u32, u32)> {
     v
 }
 
+/// The record of pair `(i, j)` under `flavor`: `G_ij`'s sorted triples or
+/// `S_ij`.
+fn index_payload(
+    net: &RoadNetwork,
+    pre: &Precomputed,
+    flavor: IndexFlavor,
+    i: u16,
+    j: u16,
+) -> IndexPayload {
+    let s_set = pre.s(i, j);
+    if flavor.stores_graph(s_set.len()) {
+        IndexPayload::Edges(edge_triples(net, pre.g(i, j)))
+    } else {
+        IndexPayload::Regions(s_set.to_vec())
+    }
+}
+
+/// The literal byte length of every pair's `G_ij` record, in `g_sets`
+/// order: what HY's threshold is sized by and what `Fi`'s `H` is taken from.
+fn edge_record_bytes(net: &RoadNetwork, pre: &Precomputed) -> Vec<usize> {
+    pre.g_sets
+        .iter()
+        .map(|g| edges_literal_size(&edge_triples(net, g)))
+        .collect()
+}
+
 /// Estimates the uncompressed index size for a HY threshold, used for
 /// auto-tuning: pick the smallest threshold whose index fits the PIR limit.
-pub(crate) fn estimate_hybrid_index_bytes(pre: &Precomputed, threshold: usize) -> u64 {
+/// `edge_bytes` is [`edge_record_bytes`].
+pub(crate) fn estimate_hybrid_index_bytes(
+    pre: &Precomputed,
+    edge_bytes: &[usize],
+    threshold: usize,
+) -> u64 {
     pre.s_sets
         .iter()
-        .zip(&pre.g_sets)
-        .map(|(s, g)| {
+        .zip(edge_bytes)
+        .map(|(s, &edges)| {
             if s.len() > threshold {
-                edges_literal_size(g.len()) as u64
+                edges as u64
             } else {
                 regions_literal_size(s.len()) as u64
             }
@@ -135,12 +180,16 @@ pub(crate) fn estimate_hybrid_index_bytes(pre: &Precomputed, threshold: usize) -
 /// Picks the smallest HY threshold whose estimated index stays within
 /// `limit_bytes` (Figure 10(b): "the best threshold value is the smallest for
 /// which the network index file does not exceed the maximum size supported").
-pub(crate) fn auto_hybrid_threshold(pre: &Precomputed, limit_bytes: u64) -> usize {
+pub(crate) fn auto_hybrid_threshold(
+    pre: &Precomputed,
+    edge_bytes: &[usize],
+    limit_bytes: u64,
+) -> usize {
     // Estimates are monotone decreasing in the threshold; binary search.
     let (mut lo, mut hi) = (0usize, pre.m + 1);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if estimate_hybrid_index_bytes(pre, mid) <= limit_bytes {
+        if estimate_hybrid_index_bytes(pre, edge_bytes, mid) <= limit_bytes {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -194,13 +243,22 @@ pub(crate) fn build(
     );
     stage_s.precompute_s = t0.elapsed().as_secs_f64();
 
+    // The pre-pass over the encoded `G_ij` records, part of forming `Fi`.
+    let t0 = Instant::now();
+    let edge_bytes = if need_g {
+        edge_record_bytes(net, &pre)
+    } else {
+        Vec::new()
+    };
+    stage_s.files_s = t0.elapsed().as_secs_f64();
+
     // HY: resolve the threshold now (auto = smallest fitting the PIR limit).
     let t0 = Instant::now();
     let flavor = match flavor {
         IndexFlavor::Hybrid {
             threshold: usize::MAX,
         } => IndexFlavor::Hybrid {
-            threshold: auto_hybrid_threshold(&pre, cfg.spec.max_file_bytes() / 2),
+            threshold: auto_hybrid_threshold(&pre, &edge_bytes, cfg.spec.max_file_bytes() / 2),
         },
         f => f,
     };
@@ -225,26 +283,25 @@ pub(crate) fn build(
     let fd = build_fd(net, &partition, &fmt, &NoExtra, cluster, page_size)?;
 
     // ---- Fi ----
-    let mut fi_builder = FiBuilder::new(page_size, m_bound, cfg.compress_index);
+    // `H`: the most pages an edge record needs from a fresh page.
+    let edge_span = pre
+        .s_sets
+        .iter()
+        .zip(&edge_bytes)
+        .filter(|(s, _)| flavor.stores_graph(s.len()))
+        .map(|(_, &len)| fi::pages_from_fresh(len, page_size))
+        .max()
+        .unwrap_or(1);
+    let mut fi_builder = FiBuilder::new(page_size, m_bound, cfg.compress_index, edge_span);
     let mut fl_entries = vec![0u32; r as usize * r as usize];
     let mut max_set_span = 1u32;
     let mut max_graph_span = 1u32;
     for i in 0..r {
         for j in 0..r {
-            let idx = fl::entry_index(i, j, r);
-            let s_set = pre.s(i, j);
-            let use_graph = match flavor {
-                IndexFlavor::Sets => false,
-                IndexFlavor::Graphs => true,
-                IndexFlavor::Hybrid { threshold } => s_set.len() > threshold,
-            };
-            let payload = if use_graph {
-                IndexPayload::Edges(edge_triples(net, pre.g(i, j)))
-            } else {
-                IndexPayload::Regions(s_set.to_vec())
-            };
+            let payload = index_payload(net, &pre, flavor, i, j);
+            let use_graph = matches!(payload, IndexPayload::Edges(_));
             let loc = fi_builder.add(i, j, payload);
-            fl_entries[idx] = loc.page;
+            fl_entries[fl::entry_index(i, j, r)] = loc.page;
             if use_graph {
                 max_graph_span = max_graph_span.max(loc.span);
             } else {
@@ -371,7 +428,7 @@ pub(crate) fn build(
         Some(fd) => server.add_file("Fd", fd, cfg.pir_mode.clone())?,
         None => index_file,
     };
-    stage_s.files_s = t0.elapsed().as_secs_f64();
+    stage_s.files_s += t0.elapsed().as_secs_f64();
 
     let stats = BuildStats {
         regions: u32::from(r),
@@ -895,7 +952,7 @@ mod tests {
             let out_of_range = vec![h.num_regions];
             let oversized = vec![0; usize::from(h.m_regions) + 1];
             for regions in [out_of_range, oversized] {
-                let mut fi = FiBuilder::new(h.page_size as usize, 0, false);
+                let mut fi = FiBuilder::new(h.page_size as usize, 0, false, 1);
                 fi.add(rs, rt, IndexPayload::Regions(regions.clone()));
                 let page = fi.finish().0.read_page(0).unwrap();
                 let (mut session, log) = logged_session(&db, Some((index_file_of(&db), page)));
@@ -934,8 +991,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hybrid_threshold_monotone_and_auto_picks_smallest() {
+    /// The pre-computation of a 400-node network cut into regions of 1,000
+    /// bytes.
+    fn small_precompute() -> (RoadNetwork, Precomputed) {
         let net = road_like(&RoadGenConfig {
             nodes: 400,
             seed: 2,
@@ -953,9 +1011,16 @@ mod tests {
             net.num_arcs(),
             &PrecomputeOptions::default(),
         );
+        (net, pre)
+    }
+
+    #[test]
+    fn hybrid_threshold_monotone_and_auto_picks_smallest() {
+        let (net, pre) = small_precompute();
+        let edge_bytes = edge_record_bytes(&net, &pre);
         // size estimates shrink as the threshold rises (fewer subgraphs)
         let sizes: Vec<u64> = (0..=pre.m)
-            .map(|th| estimate_hybrid_index_bytes(&pre, th))
+            .map(|th| estimate_hybrid_index_bytes(&pre, &edge_bytes, th))
             .collect();
         assert!(
             sizes.windows(2).all(|w| w[0] >= w[1]),
@@ -963,11 +1028,32 @@ mod tests {
         );
         // auto threshold honours a generous limit with threshold 0 (pure PI)
         let big_limit = sizes[0] + 1;
-        assert_eq!(auto_hybrid_threshold(&pre, big_limit), 0);
+        assert_eq!(auto_hybrid_threshold(&pre, &edge_bytes, big_limit), 0);
         // and a tight limit forces a high threshold
         let tight = *sizes.last().unwrap();
-        let th = auto_hybrid_threshold(&pre, tight);
-        assert!(estimate_hybrid_index_bytes(&pre, th) <= tight.max(1));
+        let th = auto_hybrid_threshold(&pre, &edge_bytes, tight);
+        assert!(estimate_hybrid_index_bytes(&pre, &edge_bytes, th) <= tight.max(1));
+    }
+
+    /// HY's size estimate is the encoding that ships: at threshold 0 it
+    /// equals the summed length of the records the `Fi` loop builds, each
+    /// encoded literally.
+    #[test]
+    fn hybrid_estimate_at_threshold_zero_is_the_built_literal_bytes() {
+        let (net, pre) = small_precompute();
+        let flavor = IndexFlavor::Hybrid { threshold: 0 };
+        let r = pre.num_regions;
+        let mut built = 0;
+        for i in 0..r {
+            for j in 0..r {
+                let payload = index_payload(&net, &pre, flavor, i, j);
+                let mut w = privpath_storage::ByteWriter::new();
+                crate::records::encode_literal(&payload, &mut w);
+                built += w.len() as u64;
+            }
+        }
+        let edge_bytes = edge_record_bytes(&net, &pre);
+        assert_eq!(estimate_hybrid_index_bytes(&pre, &edge_bytes, 0), built);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! manifest, per-page CRC-32 tables) carrying:
 //!
 //! * a **meta blob** (encoded here): scheme kind, build seed,
-//!   [`SystemSpec`], [`BuildStats`], and the per-scheme extras that are not
-//!   derivable from the files (index flavor, LM/AF plan budgets, file ids);
+//!   [`SystemSpec`], [`BuildStats`] but its wall-clock stage times, and the
+//!   per-scheme extras that are not derivable from the files (index flavor,
+//!   LM/AF plan budgets, file ids);
 //! * every PIR-served file's pages, exactly as the server holds them.
 //!
-//! Reopening re-registers the files in recorded order (file ids are
+//! So two builds of one network under one configuration persist the same
+//! bytes. Reopening re-registers the files in recorded order (file ids are
 //! assigned by registration order, so they reproduce deterministically),
 //! re-parses the public header `Fh` through the normal download/unseal
 //! path, and rebuilds the scheme state. [`StorageBackend`] picks the page
@@ -45,8 +47,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Version byte of the meta blob inside the snapshot container (the
-/// container itself carries its own format version).
-const META_VERSION: u8 = 1;
+/// container itself carries its own format version). It also versions the
+/// page formats of the files the container holds: 2 since `Fi` stores dense
+/// edge records and packed spans, so a snapshot of an older layout is
+/// refused at open, not misread at query time.
+const META_VERSION: u8 = 2;
 
 /// Scheme-extras discriminators inside the meta blob.
 const STATE_INDEX: u8 = 1;
@@ -130,12 +135,6 @@ fn encode_stats(w: &mut ByteWriter, st: &BuildStats) {
         w.u64(card as u64);
         w.u64(count as u64);
     }
-    let s = &st.stage_s;
-    w.f64(s.partition_s);
-    w.f64(s.borders_s);
-    w.f64(s.precompute_s);
-    w.f64(s.files_s);
-    w.f64(s.plan_s);
 }
 
 fn decode_stats(r: &mut ByteReader) -> std::result::Result<BuildStats, StorageError> {
@@ -157,13 +156,6 @@ fn decode_stats(r: &mut ByteReader) -> std::result::Result<BuildStats, StorageEr
     for _ in 0..n {
         s_histogram.push((r.u64()? as usize, r.u64()? as usize));
     }
-    let stage_s = StageBreakdown {
-        partition_s: r.f64()?,
-        borders_s: r.f64()?,
-        precompute_s: r.f64()?,
-        files_s: r.f64()?,
-        plan_s: r.f64()?,
-    };
     Ok(BuildStats {
         regions,
         borders,
@@ -172,7 +164,7 @@ fn decode_stats(r: &mut ByteReader) -> std::result::Result<BuildStats, StorageEr
         fd_utilization,
         pages,
         s_histogram,
-        stage_s,
+        stage_s: StageBreakdown::default(),
     })
 }
 
@@ -308,9 +300,11 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta> {
     let inner = (|| -> std::result::Result<Meta, StorageError> {
         let version = r.u8()?;
         if version != META_VERSION {
-            return Err(StorageError::Corrupt(format!(
-                "snapshot meta version {version} is not supported (expected {META_VERSION})"
-            )));
+            return Err(StorageError::UnsupportedVersion {
+                what: "snapshot meta",
+                found: version.into(),
+                supported: META_VERSION.into(),
+            });
         }
         let kind_byte = r.u8()?;
         let kind = SchemeKind::from_byte(kind_byte).ok_or_else(|| {
@@ -371,7 +365,10 @@ impl Database {
     /// Rejected with a typed error: OBF databases (no PIR files),
     /// externally-injected stores, and fault-injection modes.
     pub fn persist(&self, path: &Path) -> Result<()> {
-        let meta = encode_meta(self)?;
+        self.persist_with_meta(path, encode_meta(self)?)
+    }
+
+    fn persist_with_meta(&self, path: &Path, meta: Vec<u8>) -> Result<()> {
         let mut w = SnapshotWriter::new(meta);
         for i in 0..self.server.num_files() {
             let f = FileId(i as u16);
@@ -599,6 +596,70 @@ mod tests {
             assert_eq!(max_regions, s.max_regions);
             assert_eq!(pages_per_region, s.pages_per_region);
         }
+    }
+
+    /// A snapshot is a pure function of the network and the build
+    /// configuration: two builds persist the same bytes, for CI and for
+    /// PI (whose `Fi` carries records across pages).
+    #[test]
+    fn two_builds_persist_identical_snapshots() {
+        let dir = tmpdir("reproducible");
+        let n = privpath_graph::gen::road_like(&privpath_graph::gen::RoadGenConfig {
+            nodes: 600,
+            seed: 21,
+            ..Default::default()
+        });
+        let mut cfg = BuildConfig::default();
+        cfg.spec.page_size = 512;
+        for kind in [SchemeKind::Ci, SchemeKind::Pi] {
+            let snaps: Vec<Vec<u8>> = (0..2)
+                .map(|k| {
+                    let db = Database::build(&n, kind, &cfg).unwrap();
+                    assert_eq!(db.stats().index_span > 1, kind == SchemeKind::Pi);
+                    let path = dir.join(format!("{}-{k}.snap", kind.name()));
+                    db.persist(&path).unwrap();
+                    std::fs::read(&path).unwrap()
+                })
+                .collect();
+            assert!(snaps[0] == snaps[1], "{} snapshots differ", kind.name());
+            let reopened = Database::open_snapshot(
+                &dir.join(format!("{}-0.snap", kind.name())),
+                StorageBackend::Mem,
+            )
+            .unwrap();
+            assert_eq!(reopened.stats().stage_s, StageBreakdown::default());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot whose meta carries the previous version — written before
+    /// `Fi` stored dense records — is refused at open with the typed
+    /// version error, not read with the wrong decoder at query time.
+    #[test]
+    fn previous_meta_version_is_refused_at_open() {
+        let dir = tmpdir("old-version");
+        let path = dir.join("pi.snap");
+        let db = Database::build(&net(), SchemeKind::Pi, &BuildConfig::default()).unwrap();
+        let mut meta = encode_meta(&db).unwrap();
+        assert_eq!(meta[0], META_VERSION);
+        meta[0] = META_VERSION - 1;
+        db.persist_with_meta(&path, meta).unwrap();
+        for backend in [
+            StorageBackend::Mem,
+            StorageBackend::Disk,
+            StorageBackend::Mmap,
+        ] {
+            match Database::open_snapshot(&path, backend) {
+                Err(CoreError::Storage(StorageError::UnsupportedVersion {
+                    what: "snapshot meta",
+                    found: 1,
+                    supported: 2,
+                })) => {}
+                Err(other) => panic!("{backend:?}: {other}"),
+                Ok(_) => panic!("{backend:?}: an old snapshot opened"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

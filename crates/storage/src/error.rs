@@ -50,6 +50,16 @@ pub enum StorageError {
         /// Checksum recomputed over the bytes actually read.
         actual: u32,
     },
+    /// A versioned format this build does not read — written by an older
+    /// or newer layout. Refused whole, so nothing is misread.
+    UnsupportedVersion {
+        /// What carries the version.
+        what: &'static str,
+        /// The version found.
+        found: u32,
+        /// The one version this build reads.
+        supported: u32,
+    },
     /// Underlying I/O failure (disk-backed files only).
     Io(std::io::Error),
 }
@@ -107,6 +117,14 @@ impl fmt::Display for StorageError {
                     "page corrupt: {file} page {page}: manifest crc {expected:#010x}, read {actual:#010x}"
                 )
             }
+            StorageError::UnsupportedVersion {
+                what,
+                found,
+                supported,
+            } => write!(
+                f,
+                "{what} version {found} is not supported (this build reads {supported})"
+            ),
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }

@@ -17,9 +17,7 @@
 //! * `plan`: the published plan and the build statistics up to (not
 //!   including) the wall-clock `stage_s`;
 //! * `snapshot`: the bytes of the snapshot container `Database::persist`
-//!   writes, with the build's wall-clock stage times in its meta blob and
-//!   the header CRC over them zeroed (OBF has none and hashes a fixed
-//!   marker);
+//!   writes (OBF has none and hashes a fixed marker);
 //! * over `InProc`, for [`PAIRS`] fixed node pairs through one session:
 //!   `answers` (cost, path, snapped nodes, plan violation), `traces`,
 //!   `meters` with the wall-measured `client_s` zeroed (and OBF's
@@ -71,7 +69,7 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         [
             0xb78d39ee4610f111,
             0xc433fcb50136e0bf,
-            0x640bcc24c439b838,
+            0xc9f7d9c6b3e5ff76,
             0x25efa9f9a3576eb3,
             0x1f45176e237a969d,
             0xfd3f3ce03874e925,
@@ -86,7 +84,7 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         [
             0xa3b0fe3c727da31f,
             0xb362ec48b94001d0,
-            0xbdb90dc6d22c48ed,
+            0x9ea1ba7920415c2b,
             0x25efa9f9a3576eb3,
             0x973406152a937c6d,
             0x31ef5adb71f18625,
@@ -99,90 +97,90 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         "PI",
         4096,
         [
-            0xd25eb1d75c482603,
-            0x904dad2d8ad7d383,
-            0xc97d27b70fa90140,
+            0x3ea16ed3aa17b286,
+            0x23b4aac15b2ccff5,
+            0x8e04cad7dfa98fc0,
             0x25efa9f9a3576eb3,
-            0xfa8f959a3d0fd71d,
-            0x8c27006c6753f6f5,
-            0x1ef9012a9e2e4ca8,
-            0x3d21bd23813a2ef4,
-            0x4d21785f29251f05,
+            0x653bc0567a864865,
+            0x5d5ef4ea323e0525,
+            0xb47361a4475fb89d,
+            0x84c310e167cc526a,
+            0x4ee7660552eb4495,
         ],
     ),
     (
         "PI",
         512,
         [
-            0xe45ef97d28f58da9,
-            0x7e10fb5a089055aa,
-            0x95f1800a417fda9b,
+            0x0666a28a8a17cb32,
+            0x9756fbe62ee1d003,
+            0x4b129b89a8dae1ef,
             0x25efa9f9a3576eb3,
-            0xb8d62d65145ea375,
-            0xc8fd0035a854c5ad,
-            0x73bb7bbead16de71,
-            0x38cf4985d9c62b44,
-            0x01b0ffdc89c58ce5,
+            0x868dcddc7725bf95,
+            0xdb459ff92a6a8245,
+            0x1e1b3f08949bbc90,
+            0x548e881e0d62e092,
+            0xcaf1096a4641ca85,
         ],
     ),
     (
         "HY",
         4096,
         [
-            0x63145bbcea3e44f4,
-            0x3420687f222d9425,
-            0x7dcdd8f5bbf272b3,
+            0xadc227af25b0dfe0,
+            0x4c5bcba53172a457,
+            0xece2755147e64bb8,
             0x25efa9f9a3576eb3,
-            0x40d8ad8f18ff1235,
-            0x655eb0864ad3c265,
-            0x13d1ee9feb856a9b,
-            0xddb52ca2915d24b2,
-            0xef8c31a078297485,
+            0xa1885e8284d16a25,
+            0xcd5b348d48d47ab5,
+            0x47f1988f354651d9,
+            0xeda271d6eb8e24da,
+            0x19c1c2776f24dcb5,
         ],
     ),
     (
         "HY",
         512,
         [
-            0xccdf2ac09164b409,
-            0x2b9f4586d27b53dc,
-            0x61e396456dd07918,
+            0x0a2453ffed5a8475,
+            0x36c978707f5fa5bd,
+            0x25057ba8cc9e75fb,
             0x25efa9f9a3576eb3,
-            0x2fda2e66aed7669d,
-            0x1f7b1cffaa75720d,
-            0xc2789c22b16a0f1f,
-            0xe75820be9c12face,
-            0x9c7d7b511fcf30bd,
+            0xedce3a8985f5f6c5,
+            0x8f57fa2924158575,
+            0xe2ce3870108d2f4a,
+            0x613ec680bc44671e,
+            0xc1134298911254fd,
         ],
     ),
     (
         "PI*",
         4096,
         [
-            0x342ff95716672cf6,
-            0xa852afdd38e64f52,
-            0x235ae85d887a6c0f,
+            0xca2a2b00a76db8a9,
+            0x349000e8dfe240d8,
+            0x98442981eee6ac6d,
             0x25efa9f9a3576eb3,
-            0x8a1109310298d1cd,
-            0xe49595f5c5eac1a5,
-            0x965246c3c06b8ef1,
-            0x1a30b54d0eebde3e,
-            0x58133190335f7e75,
+            0x245f20cbb3f238e5,
+            0x21b289d746aa0245,
+            0x7d75d4dbbd6da4b5,
+            0x8472633fa30e6df2,
+            0x1d9e89204243ea85,
         ],
     ),
     (
         "PI*",
         512,
         [
-            0xfd5e344a426e13c9,
-            0xbf562bf65d4c09f3,
-            0x282210157896a881,
+            0xa4c2f4ff9b9c3320,
+            0x7ed381ceb3f9ad9f,
+            0xe0c707d5ac3e5f97,
             0x25efa9f9a3576eb3,
-            0x4d6c7d9ef07d8c35,
-            0xebb0717f3a7f2c15,
-            0x087b4d0cba33df1e,
-            0xf43da5b7039e9f0c,
-            0xc783d713006ed6b5,
+            0xadb37e1db5f66eb5,
+            0xf1650b9414318d25,
+            0x96df22842474d77b,
+            0x7eed77bcab898c82,
+            0xe2af06fc2a154cf5,
         ],
     ),
     (
@@ -191,7 +189,7 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         [
             0x2c5023b159fa53b0,
             0x9e437151b9f28a86,
-            0xfc2d8516025bde81,
+            0x20f86484d98d72f8,
             0x25efa9f9a3576eb3,
             0xa7970d23f7ed97e5,
             0xed7bc4deef2aa01d,
@@ -206,7 +204,7 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         [
             0x06144369bda71931,
             0x1234721063e2ff6e,
-            0xfed2a301ed426421,
+            0x38598c40b2dfd17b,
             0x25efa9f9a3576eb3,
             0xb69bad57170a0d85,
             0xe0fcdec56b83a885,
@@ -221,7 +219,7 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         [
             0x75d10a0e1c788d09,
             0xc6db8ea68b88fad9,
-            0x7841632c34749ac3,
+            0xea5c1a02b8e9dcce,
             0x25efa9f9a3576eb3,
             0xa7f54276153fee75,
             0x843080e91a2dd6c5,
@@ -236,7 +234,7 @@ const PINNED: [(&str, usize, [u64; 9]); 14] = [
         [
             0xc1b642f410e6836b,
             0x91a4b6b9ed79c9c9,
-            0x82d63319acfcd647,
+            0xa2ccf5f4bede3079,
             0x25efa9f9a3576eb3,
             0xf4eb30d76d9448a5,
             0x5b93b9ce4071e7c5,
@@ -454,27 +452,7 @@ fn digest_scheme(net: &RoadNetwork, kind: SchemeKind, page_size: usize) -> [u64;
     let path = dir.join("db.snap");
     match db.persist(&path) {
         Ok(()) => {
-            let mut bytes = std::fs::read(&path).unwrap();
-            // The meta blob records the build's wall-clock stage times, and
-            // the header CRC covers them: zero both.
-            let st = &db.stats().stage_s;
-            let stages: Vec<u8> = [
-                st.partition_s,
-                st.borders_s,
-                st.precompute_s,
-                st.files_s,
-                st.plan_s,
-            ]
-            .iter()
-            .flat_map(|s| s.to_le_bytes())
-            .collect();
-            let at = bytes
-                .windows(stages.len())
-                .position(|w| w == stages.as_slice())
-                .expect("stage times recorded in the snapshot meta");
-            bytes[at..at + stages.len()].fill(0);
-            bytes[10..14].fill(0);
-            snapshot.bytes(&bytes);
+            snapshot.bytes(&std::fs::read(&path).unwrap());
         }
         Err(_) => {
             snapshot.str("unpersistable");
