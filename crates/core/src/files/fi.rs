@@ -825,6 +825,12 @@ mod tests {
             let got = decode_entry(pages, len, 0, pair);
             proptest::prop_assert!(got.is_err(), "forgery {}: {:?}", forgery, got);
             if forgery >= 11 {
+                // refused at the page the carry meets, not read on past it
+                let why = format!("{got:?}");
+                proptest::prop_assert!(
+                    why.contains("record area of a page with") || why.contains("overflows page"),
+                    "forgery {}: {}", forgery, why
+                );
                 proptest::prop_assert!(record_pages(&pages[..len], 0, pair).is_ok());
             }
         }
