@@ -10,6 +10,8 @@
 use privpath_graph::network::RoadNetwork;
 use privpath_graph::types::{Dist, EdgeId};
 use privpath_partition::{Borders, RegionId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Sentinel for "no node" in parent arrays.
 pub(crate) const NO_NODE: u32 = u32::MAX;
@@ -169,28 +171,27 @@ pub(crate) struct DijkstraScratch {
     pub(crate) settled: Vec<u32>,
     /// Nodes whose `dist`/`parent` entries the last run wrote (reset list).
     touched: Vec<u32>,
-    heap: privpath_graph::IndexedMinHeap,
+    /// The lazy-deletion frontier, keyed by `(dist, node)`.
+    heap: BinaryHeap<Reverse<(Dist, u32)>>,
 }
 
 impl DijkstraScratch {
     /// Buffers for a graph with `n_total` augmented nodes.
     pub(crate) fn new(n_total: usize) -> Self {
-        let mut heap = privpath_graph::IndexedMinHeap::new();
-        heap.reset(n_total);
         DijkstraScratch {
             dist: vec![Dist::MAX; n_total],
             parent: vec![NO_NODE; n_total],
             parent_orig: vec![NO_NODE; n_total],
             settled: Vec::new(),
             touched: Vec::new(),
-            heap,
+            heap: BinaryHeap::new(),
         }
     }
 }
 
 /// Dijkstra over the augmented graph from `source` (augmented node id),
 /// leaving the tree in `scratch` (allocation-free in steady state: every
-/// buffer, including the indexed heap, is reused across runs).
+/// buffer, the heap's included, is reused across runs).
 ///
 /// With `prune_borders`, the search terminates the moment all
 /// [`AugGraph::num_borders`] border nodes have settled (or the heap runs
@@ -219,17 +220,22 @@ pub(crate) fn aug_dijkstra_into(
     }
     scratch.touched.clear();
     scratch.settled.clear();
-    scratch.heap.reset(g.n_total);
+    scratch.heap.clear();
 
     let border_total = g.num_borders();
     let mut borders_settled = 0usize;
 
     scratch.dist[source as usize] = 0;
     scratch.touched.push(source);
-    scratch.heap.push(source, (0, source));
+    scratch.heap.push(Reverse((0, source)));
 
-    while let Some(u) = scratch.heap.pop() {
-        let d = scratch.dist[u as usize];
+    // Pushes happen only on a strict improvement, so a node's one live
+    // entry is `(dist, node)` and the pop order of live entries is the
+    // settle order; an entry with `d > dist[u]` is stale.
+    while let Some(Reverse((d, u))) = scratch.heap.pop() {
+        if d > scratch.dist[u as usize] {
+            continue;
+        }
         scratch.settled.push(u);
         if prune_borders && u as usize >= g.n_orig {
             borders_settled += 1;
@@ -246,14 +252,10 @@ pub(crate) fn aug_dijkstra_into(
                 scratch.dist[a.to as usize] = nd;
                 scratch.parent[a.to as usize] = u;
                 scratch.parent_orig[a.to as usize] = a.orig;
-                scratch.heap.push_or_decrease(a.to, (nd, a.to));
+                scratch.heap.push(Reverse((nd, a.to)));
             }
         }
     }
-
-    // Early termination leaves entries enqueued; drop them in O(remaining)
-    // so the next run's reset stays cheap.
-    scratch.heap.clear_drained();
 }
 
 #[cfg(test)]

@@ -8,10 +8,8 @@ use super::{seal_file, PAGE_CRC_BYTES};
 use crate::error::CoreError;
 use crate::Result;
 use privpath_graph::network::RoadNetwork;
-use privpath_graph::types::{NodeId, Point};
-use privpath_partition::{Partition, RegionId};
-use privpath_storage::{ByteReader, ByteWriter, MemFile};
-use std::collections::HashMap;
+use privpath_partition::Partition;
+use privpath_storage::{ByteWriter, MemFile};
 
 /// Record layout options (fixed per database, stored in the header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,147 +56,6 @@ pub(crate) trait NodeExtra {
 /// No extras (CI/PI/HY/PI*).
 pub(crate) struct NoExtra;
 impl NodeExtra for NoExtra {}
-
-/// A decoded adjacency entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AdjEntry {
-    /// Head node.
-    pub(crate) to: u32,
-    /// Weight.
-    pub(crate) w: u32,
-    /// Head node's region (`u16::MAX` when not stored).
-    pub(crate) to_region: u16,
-}
-
-/// The fixed part of a decoded node record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NodeHead {
-    /// Node id.
-    id: NodeId,
-    /// Coordinates.
-    pos: Point,
-    /// End of its entries in [`RegionData::adj`]; they start where the
-    /// previous record's end.
-    adj_end: u32,
-}
-
-/// A decoded region page group, flat: one array of node heads, one of
-/// landmark entries (`lm_count` per node), one of adjacency entries and
-/// one of arc-flag bytes (`flag_bytes` per entry). Read a record through
-/// `node` or `nodes`.
-///
-/// This is the decoder of the retained reference searches
-/// (`schemes::{lm, af}::reference`) and of the differential suite in
-/// `tests/leakage.rs`, independent of the client's query path, which folds
-/// region bytes straight into its arena
-/// ([`crate::subgraph::ClientSubgraph`]). It keeps the payload it was
-/// decoded from, so [`crate::subgraph::search_lm`] and
-/// [`crate::subgraph::search_af`] can fold the same bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionData {
-    /// The region id.
-    region: RegionId,
-    /// The record layout.
-    fmt: RecordFormat,
-    /// The unsealed payload the region was decoded from.
-    payload: Vec<u8>,
-    heads: Vec<NodeHead>,
-    lm: Vec<u32>,
-    adj: Vec<AdjEntry>,
-    flags: Vec<u8>,
-}
-
-/// One node record of a [`RegionData`], borrowed from its arrays.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeRecord<'a> {
-    /// Node id.
-    pub(crate) id: NodeId,
-    /// Coordinates.
-    pub(crate) pos: Point,
-    /// Landmark vector (empty unless LM).
-    pub(crate) lm_vec: &'a [u32],
-    /// Outgoing adjacency.
-    pub(crate) adj: &'a [AdjEntry],
-    /// Arc-flag bytes of `adj`, `flag_bytes` per entry.
-    flags: &'a [u8],
-    flag_bytes: usize,
-}
-
-impl<'a> NodeRecord<'a> {
-    /// Arc-flag bytes of adjacency entry `k` (empty when not stored).
-    pub(crate) fn flags(&self, k: usize) -> &'a [u8] {
-        &self.flags[k * self.flag_bytes..(k + 1) * self.flag_bytes]
-    }
-}
-
-impl RegionData {
-    /// The record layout the region was decoded in.
-    pub(crate) fn format(&self) -> &RecordFormat {
-        &self.fmt
-    }
-
-    /// The unsealed payload the region was decoded from.
-    pub(crate) fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
-    /// Node record `i`, in page order.
-    pub(crate) fn node(&self, i: usize) -> NodeRecord<'_> {
-        let (lm_count, flag_bytes) = (self.fmt.lm_count as usize, self.fmt.flag_bytes as usize);
-        let head = self.heads[i];
-        let lo = if i == 0 {
-            0
-        } else {
-            self.heads[i - 1].adj_end as usize
-        };
-        let hi = head.adj_end as usize;
-        NodeRecord {
-            id: head.id,
-            pos: head.pos,
-            lm_vec: &self.lm[i * lm_count..(i + 1) * lm_count],
-            adj: &self.adj[lo..hi],
-            flags: &self.flags[lo * flag_bytes..hi * flag_bytes],
-            flag_bytes,
-        }
-    }
-
-    /// Every node record, in page order.
-    pub(crate) fn nodes(&self) -> impl ExactSizeIterator<Item = NodeRecord<'_>> {
-        (0..self.heads.len()).map(|i| self.node(i))
-    }
-}
-
-/// The records of every region loaded so far, by node id: the view the
-/// `HashMap` reference searches (`schemes::{lm, af}::reference`) keep.
-#[derive(Debug, Default)]
-pub(crate) struct LoadedRecords {
-    regions: Vec<RegionData>,
-    /// Node id → (index into `regions`, record index in that region).
-    at: HashMap<NodeId, (usize, usize)>,
-}
-
-impl LoadedRecords {
-    /// Takes in a region's records (a later record of the same id wins).
-    pub(crate) fn insert(&mut self, data: RegionData) {
-        for (i, n) in data.nodes().enumerate() {
-            self.at.insert(n.id, (self.regions.len(), i));
-        }
-        self.regions.push(data);
-    }
-
-    /// The record of node `id`, if its region is loaded.
-    pub(crate) fn get(&self, id: NodeId) -> Option<NodeRecord<'_>> {
-        self.at.get(&id).map(|&(r, i)| self.regions[r].node(i))
-    }
-
-    /// The record of node `id`.
-    ///
-    /// # Panics
-    /// Panics if its region is not loaded.
-    pub(crate) fn record(&self, id: NodeId) -> NodeRecord<'_> {
-        self.get(id).expect("node record loaded")
-    }
-}
 
 /// Builds `Fd`: `cluster_pages` sealed pages per region, in region order.
 /// Region `r`'s pages are `r * cluster_pages ..`.
@@ -268,55 +125,194 @@ pub(crate) fn build_fd(
     Ok(seal_file(&payloads, page_size))
 }
 
-/// Decodes a region from its concatenated (unsealed) page payloads into
-/// one flat [`RegionData`]. Each array is sized up front from what the
-/// payload can hold — records of no arcs, then arcs in the bytes the
-/// records leave — never from the stored count alone, so a decode
-/// allocates five times at most (the four arrays and its copy of the
-/// payload), never grows a buffer, and allocates no more than a few times
-/// the payload's size whatever the page claims.
-pub fn decode_region(payloads: &[u8], fmt: &RecordFormat) -> Result<RegionData> {
-    let mut r = ByteReader::new(payloads);
-    let region = r.u16()?;
-    let count = r.u16()? as usize;
-    let lm_count = fmt.lm_count as usize;
-    let flag_bytes = fmt.flag_bytes as usize;
-    let arc_bytes = fmt.node_bytes(1) - fmt.node_bytes(0);
-    let max_nodes = count.min(r.remaining() / fmt.node_bytes(0));
-    let max_arcs = r.remaining().saturating_sub(count * fmt.node_bytes(0)) / arc_bytes;
-    let mut data = RegionData {
-        region,
-        fmt: *fmt,
-        payload: payloads.to_vec(),
-        heads: Vec::with_capacity(max_nodes),
-        lm: Vec::with_capacity(max_nodes * lm_count),
-        adj: Vec::with_capacity(max_arcs),
-        flags: Vec::with_capacity(max_arcs * flag_bytes),
-    };
-    for _ in 0..count {
-        let id = r.u32()?;
-        let x = r.i32()?;
-        let y = r.i32()?;
-        for _ in 0..lm_count {
-            data.lm.push(r.u32()?);
+/// The region decoder of the retained `HashMap` reference searches
+/// (`schemes::{lm, af}::reference`): test code, like them.
+#[cfg(test)]
+pub(crate) use decoder::{decode_region, LoadedRecords, RegionData};
+
+#[cfg(test)]
+mod decoder {
+    use super::*;
+    use privpath_graph::types::{NodeId, Point};
+    use privpath_partition::RegionId;
+    use privpath_storage::ByteReader;
+    use std::collections::HashMap;
+
+    /// A decoded adjacency entry.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct AdjEntry {
+        /// Head node.
+        pub(crate) to: u32,
+        /// Weight.
+        pub(crate) w: u32,
+        /// Head node's region (`u16::MAX` when not stored).
+        pub(crate) to_region: u16,
+    }
+
+    /// The fixed part of a decoded node record.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct NodeHead {
+        /// Node id.
+        id: NodeId,
+        /// Coordinates.
+        pos: Point,
+        /// End of its entries in [`RegionData::adj`]; they start where the
+        /// previous record's end.
+        adj_end: u32,
+    }
+
+    /// A decoded region page group, flat: one array of node heads, one of
+    /// landmark entries (`lm_count` per node), one of adjacency entries and
+    /// one of arc-flag bytes (`flag_bytes` per entry). Read a record through
+    /// `node` or `nodes`.
+    ///
+    /// The decoder of the retained reference searches
+    /// (`schemes::{lm, af}::reference`), independent of the client's query
+    /// path, which folds region bytes straight into its arena
+    /// (`ClientSubgraph`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct RegionData {
+        /// The region id.
+        pub(crate) region: RegionId,
+        /// The record layout.
+        fmt: RecordFormat,
+        heads: Vec<NodeHead>,
+        lm: Vec<u32>,
+        adj: Vec<AdjEntry>,
+        flags: Vec<u8>,
+    }
+
+    /// One node record of a [`RegionData`], borrowed from its arrays.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct NodeRecord<'a> {
+        /// Node id.
+        pub(crate) id: NodeId,
+        /// Coordinates.
+        pub(crate) pos: Point,
+        /// Landmark vector (empty unless LM).
+        pub(crate) lm_vec: &'a [u32],
+        /// Outgoing adjacency.
+        pub(crate) adj: &'a [AdjEntry],
+        /// Arc-flag bytes of `adj`, `flag_bytes` per entry.
+        flags: &'a [u8],
+        flag_bytes: usize,
+    }
+
+    impl<'a> NodeRecord<'a> {
+        /// Arc-flag bytes of adjacency entry `k` (empty when not stored).
+        pub(crate) fn flags(&self, k: usize) -> &'a [u8] {
+            &self.flags[k * self.flag_bytes..(k + 1) * self.flag_bytes]
         }
-        let deg = r.u16()? as usize;
-        for _ in 0..deg {
-            let to = r.u32()?;
-            let w = r.u32()?;
-            let to_region = if fmt.with_regions { r.u16()? } else { u16::MAX };
-            data.adj.push(AdjEntry { to, w, to_region });
-            if flag_bytes > 0 {
-                data.flags.extend_from_slice(r.bytes(flag_bytes)?);
+    }
+
+    impl RegionData {
+        /// Node record `i`, in page order.
+        pub(crate) fn node(&self, i: usize) -> NodeRecord<'_> {
+            let (lm_count, flag_bytes) = (self.fmt.lm_count as usize, self.fmt.flag_bytes as usize);
+            let head = self.heads[i];
+            let lo = if i == 0 {
+                0
+            } else {
+                self.heads[i - 1].adj_end as usize
+            };
+            let hi = head.adj_end as usize;
+            NodeRecord {
+                id: head.id,
+                pos: head.pos,
+                lm_vec: &self.lm[i * lm_count..(i + 1) * lm_count],
+                adj: &self.adj[lo..hi],
+                flags: &self.flags[lo * flag_bytes..hi * flag_bytes],
+                flag_bytes,
             }
         }
-        data.heads.push(NodeHead {
-            id,
-            pos: Point::new(x, y),
-            adj_end: data.adj.len() as u32,
-        });
+
+        /// Every node record, in page order.
+        pub(crate) fn nodes(&self) -> impl ExactSizeIterator<Item = NodeRecord<'_>> {
+            (0..self.heads.len()).map(|i| self.node(i))
+        }
     }
-    Ok(data)
+
+    /// The records of every region loaded so far, by node id: the view the
+    /// `HashMap` reference searches (`schemes::{lm, af}::reference`) keep.
+    #[derive(Debug, Default)]
+    pub(crate) struct LoadedRecords {
+        regions: Vec<RegionData>,
+        /// Node id → (index into `regions`, record index in that region).
+        at: HashMap<NodeId, (usize, usize)>,
+    }
+
+    impl LoadedRecords {
+        /// Takes in a region's records (a later record of the same id wins).
+        pub(crate) fn insert(&mut self, data: RegionData) {
+            for (i, n) in data.nodes().enumerate() {
+                self.at.insert(n.id, (self.regions.len(), i));
+            }
+            self.regions.push(data);
+        }
+
+        /// The record of node `id`, if its region is loaded.
+        pub(crate) fn get(&self, id: NodeId) -> Option<NodeRecord<'_>> {
+            self.at.get(&id).map(|&(r, i)| self.regions[r].node(i))
+        }
+
+        /// The record of node `id`.
+        ///
+        /// # Panics
+        /// Panics if its region is not loaded.
+        pub(crate) fn record(&self, id: NodeId) -> NodeRecord<'_> {
+            self.get(id).expect("node record loaded")
+        }
+    }
+
+    /// Decodes a region from its concatenated (unsealed) page payloads into
+    /// one flat [`RegionData`]. Each array is sized up front from what the
+    /// payload can hold — records of no arcs, then arcs in the bytes the
+    /// records leave — never from the stored count alone, so a decode
+    /// allocates four times at most (the four arrays), never grows a buffer,
+    /// and allocates no more than a few times the payload's size whatever the
+    /// page claims.
+    pub(crate) fn decode_region(payloads: &[u8], fmt: &RecordFormat) -> Result<RegionData> {
+        let mut r = ByteReader::new(payloads);
+        let region = r.u16()?;
+        let count = r.u16()? as usize;
+        let lm_count = fmt.lm_count as usize;
+        let flag_bytes = fmt.flag_bytes as usize;
+        let arc_bytes = fmt.node_bytes(1) - fmt.node_bytes(0);
+        let max_nodes = count.min(r.remaining() / fmt.node_bytes(0));
+        let max_arcs = r.remaining().saturating_sub(count * fmt.node_bytes(0)) / arc_bytes;
+        let mut data = RegionData {
+            region,
+            fmt: *fmt,
+            heads: Vec::with_capacity(max_nodes),
+            lm: Vec::with_capacity(max_nodes * lm_count),
+            adj: Vec::with_capacity(max_arcs),
+            flags: Vec::with_capacity(max_arcs * flag_bytes),
+        };
+        for _ in 0..count {
+            let id = r.u32()?;
+            let x = r.i32()?;
+            let y = r.i32()?;
+            for _ in 0..lm_count {
+                data.lm.push(r.u32()?);
+            }
+            let deg = r.u16()? as usize;
+            for _ in 0..deg {
+                let to = r.u32()?;
+                let w = r.u32()?;
+                let to_region = if fmt.with_regions { r.u16()? } else { u16::MAX };
+                data.adj.push(AdjEntry { to, w, to_region });
+                if flag_bytes > 0 {
+                    data.flags.extend_from_slice(r.bytes(flag_bytes)?);
+                }
+            }
+            data.heads.push(NodeHead {
+                id,
+                pos: Point::new(x, y),
+                adj_end: data.adj.len() as u32,
+            });
+        }
+        Ok(data)
+    }
 }
 
 #[cfg(test)]

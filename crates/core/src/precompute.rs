@@ -479,12 +479,12 @@ pub fn precompute(
 
 /// The PR 3 offline path, retained verbatim as the behavioural reference
 /// for the differential suites and the baseline of the
-/// `precompute_border_sweep` criterion bench: lazy `BinaryHeap` border
-/// Dijkstras returning owned (cloned) trees, full unpruned searches, and a
-/// mutex-guarded result collection with a final reassembly pass. The
-/// production [`precompute`] replaced all three (indexed-heap kernel +
-/// in-scratch trees, border pruning, lock-free row slots); the proptests
-/// below hold the two bit-identical.
+/// `precompute_border_sweep` criterion bench: border Dijkstras that
+/// allocate their heap and settle flags per call and return owned (cloned)
+/// trees, full unpruned searches, and a mutex-guarded result collection
+/// with a final reassembly pass. The production [`precompute`] replaced
+/// all three (trees and heap left in a reused scratch, border pruning,
+/// lock-free row slots); the proptests below hold the two bit-identical.
 pub mod reference {
     use super::{Precomputed, RegionId};
     use crate::augment::{AugGraph, NO_NODE};

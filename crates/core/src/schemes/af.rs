@@ -1,43 +1,40 @@
-//! The AF baseline's retained `HashMap` search. AF builds and queries as
-//! the `BaselineFlavor::Af` flavour of the shared region-fetch baseline
-//! (`schemes::baseline`).
-
-use crate::files::fd::RegionData;
-use crate::subgraph::flag_set;
-use crate::Result;
-use privpath_graph::types::{NodeId, Point};
+//! The AF baseline's retained `HashMap` search, kept as a test oracle.
+//! AF builds and queries as the `BaselineFlavor::Af` flavour of the
+//! shared region-fetch baseline (`schemes::baseline`); nothing here ships.
 
 /// The original `HashMap`-based client search, retained verbatim as the
-/// behavioural reference for the arena search [`crate::subgraph::search_af`]
-/// that replaced it on the query path. The differential property suite
-/// (`tests/leakage.rs`) asserts both return identical answers, snapped
-/// nodes, paths and fetch counts on identical inputs.
-pub mod reference {
-    use super::*;
+/// behavioural reference for the arena search `subgraph::search_regions`
+/// that replaced it on the query path. The differentials in
+/// `schemes::baseline::tests` assert both return identical answers,
+/// snapped nodes, paths and fetch counts on identical inputs.
+#[cfg(test)]
+pub(crate) mod reference {
     use crate::error::CoreError;
-    use crate::files::fd::LoadedRecords;
-    use privpath_graph::types::Dist;
+    use crate::files::fd::{LoadedRecords, RegionData};
+    use crate::subgraph::flag_set;
+    use crate::Result;
+    use privpath_graph::types::{Dist, NodeId, Point};
     use std::collections::hash_map::Entry;
     use std::collections::HashMap;
 
     /// What the reference search produced. `regions_fetched` counts region
     /// fetches including the two initial host regions.
-    pub struct SearchOutcome {
+    pub(crate) struct SearchOutcome {
         /// Path cost, or `None` if the destination is unreachable.
-        pub cost: Option<Dist>,
+        pub(crate) cost: Option<Dist>,
         /// Node sequence of the found path (empty when unreachable).
-        pub path: Vec<NodeId>,
+        pub(crate) path: Vec<NodeId>,
         /// Node the source point snapped to.
-        pub s_node: NodeId,
+        pub(crate) s_node: NodeId,
         /// Node the destination point snapped to.
-        pub t_node: NodeId,
+        pub(crate) t_node: NodeId,
         /// Region fetches issued.
-        pub regions_fetched: u32,
+        pub(crate) regions_fetched: u32,
     }
 
     /// Flag-pruned Dijkstra with on-demand region loading. `fetch(region)`
     /// retrieves all of a region's pages (one protocol round).
-    pub fn af_search(
+    pub(crate) fn af_search(
         rs: u16,
         rt: u16,
         s: Point,
@@ -173,8 +170,8 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::files::fd::NodeExtra;
+    use crate::subgraph::flag_set;
     use privpath_graph::arcflag::ArcFlags;
 
     /// The cached + threaded probe loop derives the uncached serial plan

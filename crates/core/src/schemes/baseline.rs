@@ -551,6 +551,8 @@ pub(crate) fn query(
 pub(crate) mod tests {
     use super::*;
     use privpath_graph::gen::{road_like, RoadGenConfig};
+    use privpath_pir::PirSession;
+    use proptest::prelude::*;
 
     /// The cached + threaded probe loop must derive exactly the plan the
     /// old uncached serial loop derived — for either flavour, in the
@@ -726,6 +728,174 @@ pub(crate) mod tests {
                     assert_eq!(got, want, "{flavor:?} on a {nx}x{ny} grid: {s} -> {t}");
                 }
             }
+        }
+    }
+
+    /// Build settings of the PIR differentials below: pages small enough
+    /// that a couple-hundred-node network still cuts many regions, and
+    /// exhaustive plan derivation (the paper's method), so the derived
+    /// budget is a true maximum and no query can violate the plan.
+    fn cfg_small() -> BuildConfig {
+        let mut cfg = BuildConfig::default();
+        cfg.spec.page_size = 512;
+        cfg.plan_sample = 0;
+        cfg
+    }
+
+    /// Fetches one region — all `cluster_pages` of its pages, one for LM —
+    /// through a PIR session and returns the unsealed payload: the
+    /// differentials below charge a real meter so the two searches' PIR
+    /// costs can be compared exactly.
+    fn pir_region(
+        header: &Header,
+        pir: &mut PirSession,
+        link: &mut dyn Transport,
+        data_file: FileId,
+        region: u16,
+    ) -> Result<Vec<u8>> {
+        let ppr = u32::from(header.cluster_pages.max(1));
+        let base = header.region_page[region as usize];
+        let mut bytes = Vec::new();
+        for c in 0..ppr {
+            let page = pir.pir_fetch(link, data_file, base + c)?;
+            bytes.extend_from_slice(unseal_page(&page)?);
+        }
+        Ok(bytes)
+    }
+
+    /// Differential over PIR fetches: the arena search equals the retained
+    /// `HashMap` reference fed by the reference decoder — answers, snapped
+    /// nodes, paths, fetch counts, and the PIR meter costs those fetches
+    /// accrue — and the full protocol (with dummy padding) returns the
+    /// same answer inside the fixed plan.
+    fn check_search_matches_reference(
+        flavor: BaselineFlavor,
+        cfg: &BuildConfig,
+        seed: u64,
+        nodes: usize,
+        queries: &[(u32, u32)],
+    ) -> std::result::Result<(), TestCaseError> {
+        use crate::engine::Database;
+        use crate::files::fd::decode_region;
+        use crate::schemes::{af, lm};
+        use privpath_pir::InProc;
+        use std::sync::Arc;
+
+        let net = road_like(&RoadGenConfig {
+            nodes,
+            seed,
+            ..Default::default()
+        });
+        let n = net.num_nodes() as u32;
+        let kind = match flavor {
+            BaselineFlavor::Lm => SchemeKind::Lm,
+            BaselineFlavor::Af => SchemeKind::Af,
+        };
+        let db = Arc::new(Database::build(&net, kind, cfg).expect("build"));
+        let header = db.header().expect("header").clone();
+        let fmt = header.record_format;
+        let data_file = db.file_of(PlanFile::Data).expect("Fd registered");
+        let mut session = db.session();
+        let mut sub = ClientSubgraph::new();
+        let mut scratch = QueryScratch::new();
+        for &(a, b) in queries {
+            let (s, t) = (a % n, b % n);
+            if s == t {
+                continue;
+            }
+            let (ps, pt) = (net.node_point(s), net.node_point(t));
+            let (rs, rt) = (header.tree.region_of(ps), header.tree.region_of(pt));
+
+            let mut ref_pir = PirSession::new();
+            let (want_cost, want_s, want_t, want_path, want_fetches) = {
+                let mut link = InProc::new(Arc::clone(&db));
+                let mut fetch = |region: u16| {
+                    let bytes = pir_region(&header, &mut ref_pir, &mut link, data_file, region)?;
+                    decode_region(&bytes, &fmt)
+                };
+                match flavor {
+                    BaselineFlavor::Lm => {
+                        let o = lm::reference::lm_search(rs, rt, ps, pt, &mut fetch)
+                            .expect("reference search");
+                        (o.cost, o.s_node, o.t_node, o.path, o.pages)
+                    }
+                    BaselineFlavor::Af => {
+                        let o = af::reference::af_search(rs, rt, ps, pt, &mut fetch)
+                            .expect("reference search");
+                        (o.cost, o.s_node, o.t_node, o.path, o.regions_fetched)
+                    }
+                }
+            };
+
+            let mut csr_pir = PirSession::new();
+            sub.clear();
+            let got = {
+                let mut link = InProc::new(Arc::clone(&db));
+                let goal = flavor.goal(rt);
+                let mut fetch = |region: u16, sub: &mut ClientSubgraph| {
+                    let bytes = pir_region(&header, &mut csr_pir, &mut link, data_file, region)?;
+                    sub.add_region(&bytes, &fmt, goal)
+                };
+                search_regions(
+                    flavor,
+                    &mut sub,
+                    &mut scratch,
+                    (rs, rt),
+                    (ps, pt),
+                    &mut fetch,
+                )
+                .expect("CSR search")
+            };
+
+            prop_assert_eq!(got.cost, want_cost, "cost for {}->{}", s, t);
+            prop_assert_eq!(got.s_node, want_s);
+            prop_assert_eq!(got.t_node, want_t);
+            prop_assert_eq!(got.fetches, want_fetches, "fetches for {}->{}", s, t);
+            if want_cost.is_some() {
+                prop_assert_eq!(&scratch.path, &want_path, "path for {}->{}", s, t);
+            }
+            // Identical fetch sequences mean identical PIR meter charges.
+            let (want_meter, got_meter) = (&ref_pir.meter, &csr_pir.meter);
+            prop_assert_eq!(want_meter.total_fetches(), got_meter.total_fetches());
+            prop_assert_eq!(&want_meter.fetches_per_file, &got_meter.fetches_per_file);
+            prop_assert_eq!(want_meter.bytes_transferred, got_meter.bytes_transferred);
+            prop_assert!((want_meter.pir.total_s() - got_meter.pir.total_s()).abs() < 1e-12);
+
+            let out = session.query_nodes(&net, s, t).expect("full query");
+            prop_assert_eq!(out.answer.cost, want_cost);
+            prop_assert_eq!(
+                out.meter.total_fetches(),
+                u64::from(db.plan().total_fetches())
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
+
+        /// The LM search against `lm::reference::lm_search`, over PIR.
+        #[test]
+        fn lm_csr_search_matches_hashmap_reference(
+            seed in 0u64..10_000,
+            nodes in 100usize..200,
+            queries in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000), 4..8),
+        ) {
+            let mut cfg = cfg_small();
+            cfg.landmarks = 4;
+            check_search_matches_reference(BaselineFlavor::Lm, &cfg, seed, nodes, &queries)?;
+        }
+
+        /// The AF search against `af::reference::af_search`, over PIR.
+        #[test]
+        fn af_csr_search_matches_hashmap_reference(
+            seed in 0u64..10_000,
+            nodes in 100usize..200,
+            queries in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000), 4..8),
+        ) {
+            let mut cfg = cfg_small();
+            cfg.af_regions = 8;
+            check_search_matches_reference(BaselineFlavor::Af, &cfg, seed, nodes, &queries)?;
         }
     }
 }

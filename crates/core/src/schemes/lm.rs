@@ -1,43 +1,40 @@
-//! The LM baseline's retained `HashMap` search. LM builds and queries as
-//! the `BaselineFlavor::Lm` flavour of the shared region-fetch baseline
-//! (`schemes::baseline`).
-
-use crate::files::fd::RegionData;
-use crate::subgraph::lm_bound;
-use crate::Result;
-use privpath_graph::types::{NodeId, Point};
+//! The LM baseline's retained `HashMap` search, kept as a test oracle.
+//! LM builds and queries as the `BaselineFlavor::Lm` flavour of the
+//! shared region-fetch baseline (`schemes::baseline`); nothing here ships.
 
 /// The original `HashMap`-based client search, retained verbatim as the
-/// behavioural reference for the arena search [`crate::subgraph::search_lm`]
-/// that replaced it on the query path. The differential property suite
-/// (`tests/leakage.rs`) asserts both return identical answers, snapped
-/// nodes, paths and fetch counts on identical inputs — which makes their
-/// PIR meter charges identical too.
-pub mod reference {
-    use super::*;
+/// behavioural reference for the arena search `subgraph::search_regions`
+/// that replaced it on the query path. The differentials in
+/// `schemes::baseline::tests` assert both return identical answers,
+/// snapped nodes, paths and fetch counts on identical inputs — which
+/// makes their PIR meter charges identical too.
+#[cfg(test)]
+pub(crate) mod reference {
     use crate::error::CoreError;
-    use crate::files::fd::LoadedRecords;
-    use privpath_graph::types::Dist;
+    use crate::files::fd::{LoadedRecords, RegionData};
+    use crate::subgraph::lm_bound;
+    use crate::Result;
+    use privpath_graph::types::{Dist, NodeId, Point};
     use std::collections::hash_map::Entry;
     use std::collections::HashMap;
 
     /// What the reference search produced. `pages` counts region fetches
     /// including the two initial host regions.
-    pub struct SearchOutcome {
+    pub(crate) struct SearchOutcome {
         /// Path cost, or `None` if the destination is unreachable.
-        pub cost: Option<Dist>,
+        pub(crate) cost: Option<Dist>,
         /// Node sequence of the found path (empty when unreachable).
-        pub path: Vec<NodeId>,
+        pub(crate) path: Vec<NodeId>,
         /// Node the source point snapped to.
-        pub s_node: NodeId,
+        pub(crate) s_node: NodeId,
         /// Node the destination point snapped to.
-        pub t_node: NodeId,
+        pub(crate) t_node: NodeId,
         /// Region page fetches issued.
-        pub pages: u32,
+        pub(crate) pages: u32,
     }
 
     /// A* over `HashMap` state with on-demand region fetching.
-    pub fn lm_search(
+    pub(crate) fn lm_search(
         rs: u16,
         rt: u16,
         s: Point,
@@ -179,8 +176,8 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::files::fd::NodeExtra;
+    use crate::subgraph::lm_bound;
     use privpath_graph::landmark::Landmarks;
 
     /// The cached + threaded probe loop derives the uncached serial plan

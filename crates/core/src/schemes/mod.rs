@@ -12,11 +12,11 @@
 //! the bound of their one A* search (landmark, or zero over flag-pruned
 //! arcs) and AF's fixed page group per region — LM's is one page. The
 //! search runs on the client arena of [`crate::subgraph`]; the original
-//! `HashMap` searches are retained under `lm::reference` /
-//! `af::reference` for the differential property suites.
+//! `HashMap` searches are retained as test code, `lm::reference` /
+//! `af::reference`, for the differential property suites.
 
-pub mod af;
+mod af;
 pub(crate) mod baseline;
 pub mod index_scheme;
-pub mod lm;
+mod lm;
 pub(crate) mod obf;

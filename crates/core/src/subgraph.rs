@@ -7,11 +7,10 @@
 //! this subgraph" (§5.4).
 //!
 //! The LM and AF baselines interleave fetching with the search instead
-//! (§4): one search, `search_regions`, driven from outside the crate
-//! through [`search_lm`] and [`search_af`], runs A* over the same arena —
-//! under the landmark bounds for LM, under a zero bound over the
-//! flag-pruned arcs for AF — and pulls in a region page whenever the
-//! frontier pops a node whose record has not arrived yet.
+//! (§4): one search, `search_regions`, runs A* over the same arena — under
+//! the landmark bounds for LM, under a zero bound over the flag-pruned arcs
+//! for AF — and pulls in a region page whenever the frontier pops a node
+//! whose record has not arrived yet.
 //!
 //! This is the client hot path, so its cost follows the bytes it reads. A
 //! region's unsealed payload is parsed straight into the arena in one pass
@@ -25,10 +24,10 @@
 //! relaxes that row, then the node's row of `add_edges` triples: those
 //! arrive in any order, so they alone are sorted into rows by counting
 //! sort, once per solve, over the triples alone, and a view with no triples
-//! (CI, LM, AF) sorts none. Dijkstra runs over dense arrays with an
-//! indexed binary heap (decrease-key, no stale entries). All buffers live
-//! in the [`ClientSubgraph`] and [`QueryScratch`] and are cleared — not
-//! reallocated — between queries, so a long-running
+//! (CI, LM, AF) sorts none. Dijkstra runs over dense arrays with std's
+//! `BinaryHeap` and lazy deletion (a stale entry is skipped when popped).
+//! All buffers live in the [`ClientSubgraph`] and [`QueryScratch`] and are
+//! cleared — not reallocated — between queries, so a long-running
 //! [`crate::engine::QuerySession`] allocates per query only for its
 //! per-query outputs; `tests/alloc_budget.rs` bounds the count.
 //!
@@ -58,16 +57,14 @@
 //! arena, memo included, before every query.
 
 use crate::error::CoreError;
-use crate::files::fd::{RecordFormat, RegionData};
+use crate::files::fd::RecordFormat;
 use crate::files::unseal_page;
 use crate::schemes::baseline::BaselineFlavor;
 use crate::Result;
-use privpath_graph::heap::IndexedMinHeap;
 use privpath_graph::types::{Dist, NodeId, Point};
 use privpath_storage::{ByteReader, PageBuf};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Sentinel for "no dense slot" (and "no region entry").
 const NO_SLOT: u32 = u32::MAX;
@@ -78,7 +75,7 @@ const NO_REGION: u16 = u16::MAX;
 /// ALT-style lower bound from stored (truncated) landmark vectors: the
 /// maximum coordinate-wise `|a - b|`, ignoring `u32::MAX` sentinels
 /// (unreachable anchors / records not yet fetched).
-pub fn lm_bound(u_vec: &[u32], t_vec: &[u32]) -> Dist {
+pub(crate) fn lm_bound(u_vec: &[u32], t_vec: &[u32]) -> Dist {
     let mut best = 0u64;
     for (&a, &b) in u_vec.iter().zip(t_vec) {
         if a == u32::MAX || b == u32::MAX {
@@ -90,7 +87,7 @@ pub fn lm_bound(u_vec: &[u32], t_vec: &[u32]) -> Dist {
 }
 
 /// True if bit `region` is set in a little-endian arc-flag byte string.
-pub fn flag_set(flags: &[u8], region: usize) -> bool {
+pub(crate) fn flag_set(flags: &[u8], region: usize) -> bool {
     flags
         .get(region / 8)
         .is_some_and(|b| b >> (region % 8) & 1 == 1)
@@ -661,19 +658,21 @@ impl ClientSubgraph {
         let (s_slot, t_slot) = (self.slot(s)?, self.slot(t)?);
         scratch.reset(self.ids.len());
         scratch.reach(s_slot, 0, NO_SLOT);
-        scratch.heap.push(s_slot, (0, s));
-        while let Some(u) = scratch.heap.pop() {
+        scratch.heap.push(Reverse((0, s, s_slot)));
+        while let Some(Reverse((du, _, u))) = scratch.heap.pop() {
+            if du > scratch.dist[u as usize] {
+                continue; // stale
+            }
             if u == t_slot {
                 scratch.emit_path(t_slot, &self.ids);
-                return Some(scratch.dist[t_slot as usize]);
+                return Some(du);
             }
-            let du = scratch.dist[u as usize];
             for row in self.rows(u) {
                 for &(_, v, w) in row {
                     let nd = du + Dist::from(w);
                     if nd < scratch.dist[v as usize] {
                         scratch.reach(v, nd, u);
-                        scratch.heap.push_or_decrease(v, (nd, self.ids[v as usize]));
+                        scratch.heap.push(Reverse((nd, self.ids[v as usize], v)));
                     }
                 }
             }
@@ -692,7 +691,7 @@ impl ClientSubgraph {
 }
 
 /// Reusable solver state for the client Dijkstra: distance / parent arrays,
-/// the indexed binary heap, and the output path buffer. One instance lives
+/// the two searches' heaps, and the output path buffer. One instance lives
 /// in each [`crate::engine::QuerySession`]; between queries it is cleared,
 /// never reallocated (capacity ratchets up to the high-water mark), and
 /// the clearing walks only the slots the last search reached, so it costs
@@ -705,10 +704,13 @@ pub struct QueryScratch {
     parent: Vec<u32>,
     /// The slots whose `dist` is set, each once.
     reached: Vec<u32>,
-    /// The shared indexed-heap kernel ([`privpath_graph::heap`]), keyed by
-    /// `(dist, external id)` — the external-id tie-break keeps the settle
-    /// order canonical regardless of interning order.
-    heap: IndexedMinHeap,
+    /// The frontier of [`ClientSubgraph::shortest_path_in`], a
+    /// lazy-deletion min-heap of `(dist, external id, slot)`: the
+    /// external-id tie-break keeps the settle order canonical regardless of
+    /// interning order. A slot is pushed only when its distance strictly
+    /// falls, and has one external id, so its one live entry has a key no
+    /// other entry shares.
+    heap: BinaryHeap<Reverse<(Dist, NodeId, u32)>>,
     /// The frontier of [`search_regions`], a lazy-deletion min-heap of
     /// `(g + bound, g, external id, slot)`: the reference searches' own
     /// `BinaryHeap<Reverse<(_, _, NodeId)>>` with the slot appended. A slot
@@ -736,7 +738,7 @@ impl QueryScratch {
         }
         self.reached.clear();
         self.ensure(n);
-        self.heap.reset(n);
+        self.heap.clear();
         self.frontier.clear();
         self.aux_key.clear();
         self.path.clear();
@@ -748,7 +750,6 @@ impl QueryScratch {
         if self.dist.len() < n {
             self.dist.resize(n, Dist::MAX);
             self.parent.resize(n, NO_SLOT);
-            self.heap.ensure(n);
             // room for every slot, so a search never grows it
             self.reached.reserve(n - self.reached.len());
         }
@@ -780,85 +781,25 @@ impl QueryScratch {
     }
 }
 
-/// Outcome of an interleaved fetch-and-search ([`search_lm`] /
-/// [`search_af`]). The node path of a successful search is left in
-/// [`QueryScratch::path`].
+/// Outcome of an interleaved fetch-and-search (`search_regions`). The
+/// node path of a successful search is left in [`QueryScratch::path`].
 #[derive(Debug, Clone)]
-pub struct FetchOutcome {
+pub(crate) struct FetchOutcome {
     /// Path cost, or `None` if the destination is unreachable.
-    pub cost: Option<Dist>,
+    pub(crate) cost: Option<Dist>,
     /// Node the source point snapped to.
-    pub s_node: NodeId,
+    pub(crate) s_node: NodeId,
     /// Node the destination point snapped to.
-    pub t_node: NodeId,
+    pub(crate) t_node: NodeId,
     /// Region fetches issued, including the two initial host regions (the
     /// LM page count / AF region count the fixed plan budgets against).
-    pub fetches: u32,
+    pub(crate) fetches: u32,
 }
 
 /// What a search calls to bring a region's records into the arena: fetch
 /// region `r` and fold it into the arena it is handed (one fetch, counted
 /// by the search whether or not the region was folded in before).
 pub(crate) type FoldRegion<'a> = dyn FnMut(u16, &mut ClientSubgraph) -> Result<()> + 'a;
-
-/// Adapts a fetch of decoded regions to [`FoldRegion`]: each region is
-/// folded from the payload it was decoded from.
-fn fold_decoded<'a>(
-    fetch: &'a mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
-    goal_flag: Option<usize>,
-) -> impl FnMut(u16, &mut ClientSubgraph) -> Result<()> + 'a {
-    move |region, sub| {
-        let data = fetch(region)?;
-        sub.add_region(data.payload(), data.format(), goal_flag)
-    }
-}
-
-/// The interleaved search (`search_regions`) as LM over a fetch that hands
-/// back decoded regions — the form the differential suite in
-/// `tests/leakage.rs` drives, with the decoder of the retained reference
-/// search ([`crate::schemes::lm::reference::lm_search`]) on its side of the
-/// comparison and the arena's own fold on this one.
-pub fn search_lm(
-    sub: &mut ClientSubgraph,
-    scratch: &mut QueryScratch,
-    rs: u16,
-    rt: u16,
-    s: Point,
-    t: Point,
-    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
-) -> Result<FetchOutcome> {
-    let mut fold = fold_decoded(fetch, BaselineFlavor::Lm.goal(rt));
-    search_regions(
-        BaselineFlavor::Lm,
-        sub,
-        scratch,
-        (rs, rt),
-        (s, t),
-        &mut fold,
-    )
-}
-
-/// The interleaved search (`search_regions`) as AF over a fetch that hands
-/// back decoded regions; see [`search_lm`].
-pub fn search_af(
-    sub: &mut ClientSubgraph,
-    scratch: &mut QueryScratch,
-    rs: u16,
-    rt: u16,
-    s: Point,
-    t: Point,
-    fetch: &mut dyn FnMut(u16) -> Result<Arc<RegionData>>,
-) -> Result<FetchOutcome> {
-    let mut fold = fold_decoded(fetch, BaselineFlavor::Af.goal(rt));
-    search_regions(
-        BaselineFlavor::Af,
-        sub,
-        scratch,
-        (rs, rt),
-        (s, t),
-        &mut fold,
-    )
-}
 
 /// The interleaved search of the LM and AF baselines (§4) on the interned
 /// arena: A* under the stored landmark lower bounds, fetching a region
@@ -878,14 +819,14 @@ pub fn search_af(
 /// marked below.
 ///
 /// Behaviourally identical — same snaps, same settle order, same fetch
-/// sequence — to the retained `HashMap` implementations
-/// [`crate::schemes::lm::reference::lm_search`] and
-/// [`crate::schemes::af::reference::af_search`]; the differential suites
-/// in `tests/leakage.rs` (through [`search_lm`] and [`search_af`]) and
-/// `schemes::baseline::tests` assert answers, paths and fetch counts match
-/// exactly. Unlike the references, the search allocates nothing in steady
-/// state: its state lives in the reusable `sub` arena and `scratch`
-/// buffers, and `fetch` folds each region's bytes straight into `sub`.
+/// sequence — to the retained `HashMap` implementations, the test oracles
+/// `schemes::lm::reference::lm_search` and
+/// `schemes::af::reference::af_search`; the differentials in
+/// `schemes::baseline::tests` assert answers, paths, fetch counts and PIR
+/// meter charges match exactly. Unlike the references, the search
+/// allocates nothing in steady state: its state lives in the reusable `sub`
+/// arena and `scratch` buffers, and `fetch` folds each region's bytes
+/// straight into `sub`.
 pub(crate) fn search_regions(
     flavor: BaselineFlavor,
     sub: &mut ClientSubgraph,
@@ -1154,27 +1095,29 @@ mod tests {
         (offsets, column)
     }
 
-    /// The parent's solver over [`all_arcs_csr`]: Dijkstra keyed by
-    /// `(distance, external id)`. Returns the cost and the node path.
+    /// The all-arcs solver over [`all_arcs_csr`]: Dijkstra keyed by
+    /// `(distance, external id, slot)`. Returns the cost and the node path.
     fn csr_solve(sub: &ClientSubgraph, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
         let (offsets, column) = all_arcs_csr(sub);
         let (s_slot, t_slot) = (sub.slot(s)?, sub.slot(t)?);
         let mut scratch = QueryScratch::new();
         scratch.reset(sub.num_nodes());
         scratch.dist[s_slot as usize] = 0;
-        scratch.heap.push(s_slot, (0, s));
-        while let Some(u) = scratch.heap.pop() {
+        scratch.heap.push(Reverse((0, s, s_slot)));
+        while let Some(Reverse((du, _, u))) = scratch.heap.pop() {
+            if du > scratch.dist[u as usize] {
+                continue;
+            }
             if u == t_slot {
                 scratch.emit_path(t_slot, &sub.ids);
-                return Some((scratch.dist[t_slot as usize], scratch.path.clone()));
+                return Some((du, scratch.path.clone()));
             }
-            let du = scratch.dist[u as usize];
             for &(v, w) in &column[offsets[u as usize] as usize..offsets[u as usize + 1] as usize] {
                 let nd = du + Dist::from(w);
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;
                     scratch.parent[v as usize] = u;
-                    scratch.heap.push_or_decrease(v, (nd, sub.ids[v as usize]));
+                    scratch.heap.push(Reverse((nd, sub.ids[v as usize], v)));
                 }
             }
         }

@@ -5,9 +5,10 @@
 //! database construction reproducible. Clients also run plain Dijkstra over
 //! the retrieved subgraph (§5.4).
 
-use crate::heap::IndexedMinHeap;
 use crate::network::RoadNetwork;
 use crate::types::{Dist, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Unreachable distance marker.
 pub const INFINITY: Dist = Dist::MAX;
@@ -68,35 +69,37 @@ fn dijkstra_impl(net: &RoadNetwork, source: NodeId, target: Option<NodeId>) -> S
     let n = net.num_nodes();
     let mut dist = vec![INFINITY; n];
     let mut parent = vec![NO_PARENT; n];
-    // Keys are `(dist, node)`: the node-id tie-break makes pop order — and
-    // hence the canonical tree — independent of heap internals. Decrease-key
-    // means a popped node's distance is final: settle order equals pop order
-    // with no staleness filtering.
-    let mut heap = IndexedMinHeap::new();
-    heap.reset(n);
+    // A lazy-deletion heap keyed by `(dist, node)`: the node-id tie-break
+    // makes pop order — and hence the canonical tree — independent of heap
+    // internals. An entry is pushed only on a strict improvement, so each
+    // node has at most one live entry (its key is `(dist[v], v)`), and one
+    // popped with `d > dist[u]` is stale.
+    let mut heap = BinaryHeap::new();
 
     dist[source as usize] = 0;
-    heap.push(source, (0, source));
+    heap.push(Reverse((0, source)));
 
-    while let Some(u) = heap.pop() {
-        let d = dist[u as usize];
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue;
+        }
         if target == Some(u) {
             break;
         }
         for (_, v, w) in net.arcs_from(u) {
             let nd = d + Dist::from(w);
-            let dv = &mut dist[v as usize];
-            if nd < *dv || (nd == *dv && parent[v as usize] != NO_PARENT && u < parent[v as usize])
-            {
-                // Strictly better, or an equal-cost path from a smaller-id
-                // predecessor: the latter keeps the canonical tree unique
-                // regardless of arc insertion order.
-                // A tie can only be observed before `v` settles (weights are
-                // >= 1), so the relaxation never resurrects a settled node —
-                // its heap key only changes while it is still enqueued.
-                *dv = nd;
+            let (dv, pv) = (dist[v as usize], parent[v as usize]);
+            if nd < dv {
+                dist[v as usize] = nd;
                 parent[v as usize] = u;
-                heap.push_or_decrease(v, (nd, v));
+                heap.push(Reverse((nd, v)));
+            } else if nd == dv && pv != NO_PARENT && u < pv {
+                // An equal-cost path from a smaller-id predecessor: keeps
+                // the canonical tree unique regardless of arc insertion
+                // order. The key is unchanged, so `v` keeps its one entry;
+                // a second equal one would settle it twice. A tie can only
+                // be observed before `v` settles (weights are >= 1).
+                parent[v as usize] = u;
             }
         }
     }
@@ -119,8 +122,10 @@ pub fn distance(net: &RoadNetwork, s: NodeId, t: NodeId) -> Dist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{grid_network, GridGenConfig};
     use crate::network::NetworkBuilder;
     use crate::types::Point;
+    use proptest::prelude::*;
 
     /// Weight-respecting relaxation check: verifies that `tree` is a valid
     /// shortest-path tree for `net` (every arc satisfies the triangle inequality
@@ -255,5 +260,93 @@ mod tests {
         let t = dijkstra(&g, 0);
         assert_eq!(t.dist[3], 2);
         assert_eq!(t.parent[3], 1);
+    }
+
+    /// The O(n²) oracle: each step settles the reached, unsettled node of
+    /// least `(dist, id)`, stops when `target` is chosen, and relaxes with
+    /// the rule of `dijkstra_impl` — a strictly shorter path, or an equal
+    /// one from a smaller-id predecessor. Returns `(dist, parent)`.
+    fn selection_tree(
+        net: &RoadNetwork,
+        source: NodeId,
+        target: Option<NodeId>,
+    ) -> (Vec<Dist>, Vec<NodeId>) {
+        let n = net.num_nodes();
+        let mut dist = vec![INFINITY; n];
+        let mut parent = vec![NO_PARENT; n];
+        let mut settled = vec![false; n];
+        dist[source as usize] = 0;
+        while let Some(u) = (0..n as NodeId)
+            .filter(|&u| !settled[u as usize] && dist[u as usize] != INFINITY)
+            .min_by_key(|&u| (dist[u as usize], u))
+        {
+            if target == Some(u) {
+                break;
+            }
+            settled[u as usize] = true;
+            for (_, v, w) in net.arcs_from(u) {
+                let nd = dist[u as usize] + Dist::from(w);
+                let (dv, pv) = (dist[v as usize], parent[v as usize]);
+                if nd < dv || (nd == dv && pv != NO_PARENT && u < pv) {
+                    dist[v as usize] = nd;
+                    parent[v as usize] = u;
+                }
+            }
+        }
+        (dist, parent)
+    }
+
+    /// Every full tree, and every partial tree `dijkstra_to_target` leaves,
+    /// equals the oracle's, `dist` and `parent` for every node.
+    fn check_against_selection(net: &RoadNetwork) -> Result<(), TestCaseError> {
+        let n = net.num_nodes() as NodeId;
+        for s in 0..n {
+            let full = dijkstra(net, s);
+            let (dist, parent) = selection_tree(net, s, None);
+            prop_assert_eq!(&full.dist, &dist, "dist from {}", s);
+            prop_assert_eq!(&full.parent, &parent, "parent from {}", s);
+            for t in 0..n {
+                let part = dijkstra_to_target(net, s, t);
+                let (dist, parent) = selection_tree(net, s, Some(t));
+                prop_assert_eq!(&part.dist, &dist, "dist {} -> {}", s, t);
+                prop_assert_eq!(&part.parent, &parent, "parent {} -> {}", s, t);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Ties everywhere: random directed networks with weights in
+        /// `1..=3`, and grids without jitter, whose arcs all weigh the same.
+        /// The equal-cost branch of the relaxation decides most parents
+        /// here, and the `(dist, id)` order decides where a search to a
+        /// target stops.
+        #[test]
+        fn trees_match_a_selection_dijkstra_on_tied_networks(
+            n in 2u32..20,
+            arcs in proptest::collection::vec((0u32..20, 0u32..20, 1u32..=3), 0..60),
+            grid in (1usize..7, 1usize..6),
+        ) {
+            let (nx, ny) = grid;
+            let mut b = NetworkBuilder::new();
+            for i in 0..n {
+                b.add_node(Point::new(i as i32, 0));
+            }
+            for (u, v, w) in arcs {
+                if u % n != v % n {
+                    b.add_arc(u % n, v % n, w);
+                }
+            }
+            check_against_selection(&b.build())?;
+            let grid = grid_network(&GridGenConfig {
+                nx,
+                ny,
+                jitter: 0,
+                ..Default::default()
+            });
+            check_against_selection(&grid)?;
+        }
     }
 }

@@ -7,11 +7,8 @@
 //! testable property: **every query against a built database produces the
 //! same trace**, and that trace conforms to the published plan. This suite
 //! asserts it over randomized networks and query workloads for every
-//! PIR-based scheme, plus two supporting invariants:
+//! PIR-based scheme, plus supporting invariants:
 //!
-//! * the CSR-arena LM/AF search is behaviourally identical to both
-//!   retained `HashMap` reference implementations (answers, snapped nodes,
-//!   paths, fetch counts — and therefore PIR meter charges — match exactly);
 //! * the meter's charged PIR fetch counts equal the `PirFetch` events in the
 //!   recorded trace, per file, for every scheme (the two accounting views
 //!   can never drift apart);
@@ -28,14 +25,9 @@ use privpath::core::audit::{
 };
 use privpath::core::config::BuildConfig;
 use privpath::core::engine::{Database, SchemeKind};
-use privpath::core::files::fd::{decode_region, RegionData};
-use privpath::core::files::unseal_page;
 use privpath::core::plan::PlanFile;
-use privpath::core::schemes::{af, lm};
-use privpath::core::subgraph::{search_af, search_lm, ClientSubgraph, QueryScratch};
-use privpath::core::Result;
 use privpath::graph::gen::{road_like, RoadGenConfig};
-use privpath::pir::{FileId, InProc, PirSession, TraceEvent};
+use privpath::pir::{FileId, TraceEvent};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -115,167 +107,6 @@ proptest! {
                     "{}: trace violates plan: {:?}", kind.name(), conform
                 );
             }
-        }
-    }
-}
-
-/// Fetches one LM or AF region — all `cluster_pages` of its pages, one for
-/// LM — through a PIR session (the differential drivers below charge a real
-/// meter so the two implementations' PIR costs can be compared exactly).
-fn af_fetch<'a>(
-    db: &'a Arc<Database>,
-    pir: &'a mut PirSession,
-    data_file: FileId,
-) -> impl FnMut(u16) -> Result<RegionData> + 'a {
-    let header = db.header().expect("LM/AF database has a header").clone();
-    let mut link = InProc::new(Arc::clone(db));
-    move |region: u16| {
-        let ppr = u32::from(header.cluster_pages.max(1));
-        let base = header.region_page[region as usize];
-        let mut bytes = Vec::new();
-        for c in 0..ppr {
-            let page = pir.pir_fetch(&mut link, data_file, base + c)?;
-            bytes.extend_from_slice(unseal_page(&page)?);
-        }
-        decode_region(&bytes, &header.record_format)
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
-
-    /// Differential: the CSR-arena LM search equals the retained `HashMap`
-    /// reference — answers, snapped nodes, paths, fetch counts, and the PIR
-    /// meter costs those fetches accrue.
-    #[test]
-    fn lm_csr_search_matches_hashmap_reference(
-        seed in 0u64..10_000,
-        nodes in 100usize..200,
-        queries in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000), 4..8),
-    ) {
-        let net = road_like(&RoadGenConfig { nodes, seed, ..Default::default() });
-        let n = net.num_nodes() as u32;
-        let mut cfg = cfg_small();
-        cfg.landmarks = 4;
-        let db = Arc::new(Database::build(&net, SchemeKind::Lm, &cfg).expect("build"));
-        let header = db.header().expect("header").clone();
-        let data_file = db.file_of(PlanFile::Data).expect("Fd registered");
-        let mut session = db.session();
-        let mut sub = ClientSubgraph::new();
-        let mut scratch = QueryScratch::new();
-        for &(a, b) in &queries {
-            let (s, t) = (a % n, b % n);
-            if s == t {
-                continue;
-            }
-            let (ps, pt) = (net.node_point(s), net.node_point(t));
-            let (rs, rt) = (header.tree.region_of(ps), header.tree.region_of(pt));
-
-            let mut ref_pir = PirSession::new();
-            let want = {
-                let mut fetch = af_fetch(&db, &mut ref_pir, data_file);
-                lm::reference::lm_search(rs, rt, ps, pt, &mut fetch).expect("reference search")
-            };
-
-            let mut csr_pir = PirSession::new();
-            sub.clear();
-            let got = {
-                // The CSR search hands decoded pages around as `Arc`s (so
-                // the offline probe cache can satisfy fetches for free);
-                // wrapping here keeps the PIR charges identical.
-                let mut inner = af_fetch(&db, &mut csr_pir, data_file);
-                let mut fetch = |region: u16| inner(region).map(Arc::new);
-                search_lm(&mut sub, &mut scratch, rs, rt, ps, pt, &mut fetch)
-                    .expect("CSR search")
-            };
-
-            prop_assert_eq!(got.cost, want.cost, "cost for {}->{}", s, t);
-            prop_assert_eq!(got.s_node, want.s_node);
-            prop_assert_eq!(got.t_node, want.t_node);
-            prop_assert_eq!(got.fetches, want.pages, "fetches for {}->{}", s, t);
-            if want.cost.is_some() {
-                prop_assert_eq!(&scratch.path, &want.path, "path for {}->{}", s, t);
-            }
-            // Identical fetch sequences mean identical PIR meter charges.
-            prop_assert_eq!(ref_pir.meter.total_fetches(), csr_pir.meter.total_fetches());
-            prop_assert_eq!(&ref_pir.meter.fetches_per_file, &csr_pir.meter.fetches_per_file);
-            prop_assert_eq!(ref_pir.meter.bytes_transferred, csr_pir.meter.bytes_transferred);
-            prop_assert!(
-                (ref_pir.meter.pir.total_s() - csr_pir.meter.pir.total_s()).abs() < 1e-12
-            );
-
-            // And the full protocol (with dummy padding) returns the same
-            // answer while staying inside the fixed plan.
-            let out = session.query_nodes(&net, s, t).expect("full query");
-            prop_assert_eq!(out.answer.cost, want.cost);
-            prop_assert_eq!(
-                out.meter.total_fetches(),
-                u64::from(db.plan().total_fetches())
-            );
-        }
-    }
-
-    /// Differential: the CSR-arena AF search equals the retained `HashMap`
-    /// reference the same way.
-    #[test]
-    fn af_csr_search_matches_hashmap_reference(
-        seed in 0u64..10_000,
-        nodes in 100usize..200,
-        queries in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000), 4..8),
-    ) {
-        let net = road_like(&RoadGenConfig { nodes, seed, ..Default::default() });
-        let n = net.num_nodes() as u32;
-        let mut cfg = cfg_small();
-        cfg.af_regions = 8;
-        let db = Arc::new(Database::build(&net, SchemeKind::Af, &cfg).expect("build"));
-        let header = db.header().expect("header").clone();
-        let data_file = db.file_of(PlanFile::Data).expect("Fd registered");
-        let mut session = db.session();
-        let mut sub = ClientSubgraph::new();
-        let mut scratch = QueryScratch::new();
-        for &(a, b) in &queries {
-            let (s, t) = (a % n, b % n);
-            if s == t {
-                continue;
-            }
-            let (ps, pt) = (net.node_point(s), net.node_point(t));
-            let (rs, rt) = (header.tree.region_of(ps), header.tree.region_of(pt));
-
-            let mut ref_pir = PirSession::new();
-            let want = {
-                let mut fetch = af_fetch(&db, &mut ref_pir, data_file);
-                af::reference::af_search(rs, rt, ps, pt, &mut fetch).expect("reference search")
-            };
-
-            let mut csr_pir = PirSession::new();
-            sub.clear();
-            let got = {
-                let mut inner = af_fetch(&db, &mut csr_pir, data_file);
-                let mut fetch = |region: u16| inner(region).map(Arc::new);
-                search_af(&mut sub, &mut scratch, rs, rt, ps, pt, &mut fetch)
-                    .expect("CSR search")
-            };
-
-            prop_assert_eq!(got.cost, want.cost, "cost for {}->{}", s, t);
-            prop_assert_eq!(got.s_node, want.s_node);
-            prop_assert_eq!(got.t_node, want.t_node);
-            prop_assert_eq!(got.fetches, want.regions_fetched, "fetches for {}->{}", s, t);
-            if want.cost.is_some() {
-                prop_assert_eq!(&scratch.path, &want.path, "path for {}->{}", s, t);
-            }
-            prop_assert_eq!(ref_pir.meter.total_fetches(), csr_pir.meter.total_fetches());
-            prop_assert_eq!(&ref_pir.meter.fetches_per_file, &csr_pir.meter.fetches_per_file);
-            prop_assert_eq!(ref_pir.meter.bytes_transferred, csr_pir.meter.bytes_transferred);
-            prop_assert!(
-                (ref_pir.meter.pir.total_s() - csr_pir.meter.pir.total_s()).abs() < 1e-12
-            );
-
-            let out = session.query_nodes(&net, s, t).expect("full query");
-            prop_assert_eq!(out.answer.cost, want.cost);
-            prop_assert_eq!(
-                out.meter.total_fetches(),
-                u64::from(db.plan().total_fetches())
-            );
         }
     }
 }
